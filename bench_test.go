@@ -220,6 +220,26 @@ func BenchmarkKernelStepDP(b *testing.B) {
 	}
 }
 
+// BenchmarkKernel reports the DP column kernels in ns per computed cell
+// (experiments.KernelReplay): rows is what verification runs, interface
+// the wed.Costs-dispatch reference it is tested against, floor a
+// hand-written three-way-min loop — ROADMAP 2a's yardstick is rows within
+// 2× of floor.
+func BenchmarkKernel(b *testing.B) {
+	c := experiments.GetCtx(workload.SanFranLike(), 0.1)
+	k := experiments.NewKernelReplay(c.Model("EDR"), c.Queries("EDR", 60, 8, 5),
+		func(q []traj.Symbol) float64 { return c.Tau("EDR", q, 0.1) })
+	for _, kern := range k.Kernels() {
+		b.Run(kern.Name, func(b *testing.B) {
+			cells := 0
+			for i := 0; i < b.N; i++ {
+				cells += kern.Pass()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
+		})
+	}
+}
+
 func BenchmarkKernelMinCand(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	n := 60

@@ -133,6 +133,10 @@ type perfBench struct {
 	CellsComputed  int64   `json:"cells_computed"`
 	CellsAvailable int64   `json:"cells_available"`
 	BandRatio      float64 `json:"band_ratio"`
+	// NsPerCell (Kernel/* entries) is time per DP cell the kernel
+	// computed; ns_per_op there is one pass over the replayed chains and
+	// cells_computed the cells of that pass.
+	NsPerCell float64 `json:"ns_per_cell,omitempty"`
 	// Rounds/ReusedCandidates (top-k configurations only) average the
 	// driver's round count and cross-round candidate reuse per query.
 	Rounds           float64 `json:"rounds,omitempty"`
@@ -215,6 +219,15 @@ func writePerfSnapshot(scale float64, qlen int, tauRatio float64, quick bool) er
 			bench.SpeedupVsSequential = float64(seqNs) / float64(bench.NsPerOp)
 		}
 		snap.Benchmarks = append(snap.Benchmarks, bench)
+	}
+
+	// DP kernels in isolation (ROADMAP 2a): the compiled-row kernel
+	// verification runs, the interface-dispatch reference, and a
+	// hand-written three-way-min floor, per computed cell.
+	replay := experiments.NewKernelReplay(costs, queries,
+		func(q []traj.Symbol) float64 { return c.Tau(model, q, tauRatio) })
+	for _, kern := range replay.Kernels() {
+		snap.Benchmarks = append(snap.Benchmarks, kernelBench(kern, quick))
 	}
 
 	// Backend pair: the identical queries on the single-shard pointer
@@ -511,6 +524,25 @@ func measureBench(name string, quick bool, warmups int, runOne func(int) (*core.
 	}
 	counters.finalize(&bench, ops)
 	return bench, nil
+}
+
+// kernelBench times passes of one DP kernel for a fifth of a second (a
+// single pass under -quick).
+func kernelBench(kern experiments.Kernel, quick bool) perfBench {
+	fmt.Fprintf(os.Stderr, "[benchall] Kernel/%s...\n", kern.Name)
+	passes, cells := 0, 0
+	start := time.Now()
+	for passes == 0 || (!quick && time.Since(start) < 200*time.Millisecond) {
+		cells += kern.Pass()
+		passes++
+	}
+	ns := time.Since(start).Nanoseconds()
+	return perfBench{
+		Name:          "Kernel/" + kern.Name,
+		NsPerOp:       ns / int64(passes),
+		NsPerCell:     float64(ns) / float64(cells),
+		CellsComputed: int64(cells / passes),
+	}
 }
 
 // measureFixed times one configuration over exactly `ops` iterations

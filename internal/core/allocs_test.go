@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"subtraj/internal/core"
@@ -37,5 +38,55 @@ func TestPooledSearchAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, search); avg > searchAllocBudget {
 		t.Fatalf("sequential pooled search allocates %.1f allocs/op, budget %d", avg, searchAllocBudget)
+	}
+}
+
+// Budgets of the wide-τ guard: steady-state allocations and bytes per
+// sequential EDR search at τ_ratio 0.3, where one query fills ~4 MB of DP
+// columns. With the slab arena retained by the pooled verifier the query
+// measures 64 allocs and 7 KB (plan, candidates, results); when every
+// trie grew its own column slice by doubling and Put dropped the large
+// ones, the same query took 197 allocs and 2.3 MB.
+const (
+	wideSearchAllocBudget = 120
+	wideSearchBytesBudget = 256 << 10
+)
+
+func TestPooledWideSearchAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts change under -race")
+	}
+	env := testutil.NewEnv(42, 1500, 60)
+	m := env.Models()[1] // EDR
+	eng := core.NewEngineShards(m.DS, m.Costs, 1)
+	q := env.Query(m, 40)
+	tau := 0.3 * float64(len(q)) // EDR: c(q) = 1 per symbol
+	var cells int64
+	search := func() {
+		_, st, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = st.Verify.CellsComputed
+	}
+	for i := 0; i < 3; i++ {
+		search() // warm the pools
+	}
+	if cells < 200_000 {
+		t.Fatalf("query computes only %d DP cells: not a wide-τ query", cells)
+	}
+	const runs = 10
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		search()
+	}
+	runtime.ReadMemStats(&m1)
+	allocs := float64(m1.Mallocs-m0.Mallocs) / runs
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	t.Logf("%d cells: %.0f allocs/op, %.0f B/op", cells, allocs, bytes)
+	if allocs > wideSearchAllocBudget || bytes > wideSearchBytesBudget {
+		t.Fatalf("wide-τ pooled search allocates %.0f allocs/op and %.0f B/op, budget %d and %d",
+			allocs, bytes, wideSearchAllocBudget, wideSearchBytesBudget)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"subtraj/internal/experiments"
+	"subtraj/internal/traj"
 	"subtraj/internal/workload"
 )
 
@@ -101,4 +102,24 @@ func TestFig4Tab3Smoke(t *testing.T) {
 func TestFig5Smoke(t *testing.T) {
 	tb := experiments.Fig5Naturalness(workload.BeijingLike(), []int{12}, []float64{0.1, 0.2}, 2, tinyOpts())
 	checkTable(t, tb, 10)
+}
+
+// TestKernelReplayKernelsAgree: the compiled-row and interface kernels
+// replay the same chains, so they must report the same cell count, and
+// the floor its full-width count.
+func TestKernelReplayKernelsAgree(t *testing.T) {
+	c := experiments.GetCtx(workload.BeijingLike(), 0.02)
+	queries := c.Queries("EDR", 20, 3, 7)
+	k := experiments.NewKernelReplay(c.Model("EDR"), queries,
+		func(q []traj.Symbol) float64 { return c.Tau("EDR", q, 0.2) })
+	cells := map[string]int{}
+	for _, kern := range k.Kernels() {
+		cells[kern.Name] = kern.Pass()
+	}
+	if cells["rows"] == 0 || cells["rows"] != cells["interface"] {
+		t.Fatalf("rows computed %d cells, interface %d", cells["rows"], cells["interface"])
+	}
+	if want := len(queries) * 19 * 20; cells["floor"] != want {
+		t.Fatalf("floor computed %d cells, want %d", cells["floor"], want)
+	}
 }

@@ -139,10 +139,13 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Shard workers used across executed queries.", nil, cf(&s.stats.shardWorkers))
 	r.CounterFunc("subtraj_verifier_pool_gets_total",
 		"Verifier checkouts from the process-wide pool.", nil,
-		func() float64 { g, _ := verify.PoolStats(); return float64(g) })
+		func() float64 { g, _, _ := verify.PoolStats(); return float64(g) })
 	r.CounterFunc("subtraj_verifier_pool_news_total",
 		"Verifier allocations the pool could not avoid.", nil,
-		func() float64 { _, n := verify.PoolStats(); return float64(n) })
+		func() float64 { _, n, _ := verify.PoolStats(); return float64(n) })
+	r.GaugeFunc("subtraj_verifier_pool_retained_bytes",
+		"Column arena, compiled cost rows and trie node arrays held by idle pooled verifiers.", nil,
+		func() float64 { _, _, b := verify.PoolStats(); return float64(b) })
 
 	// Result cache.
 	r.CounterFunc("subtraj_cache_hits_total", "Result-cache hits.", nil, cf64(&s.cache.hits))

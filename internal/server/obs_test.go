@@ -329,7 +329,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		"subtraj_topk_reused_ratio", "subtraj_cache_hits_total",
 		"subtraj_cache_hit_ratio", "subtraj_pool_capacity",
 		"subtraj_engine_generation", "subtraj_uptime_seconds",
-		"subtraj_verifier_pool_gets_total",
+		"subtraj_verifier_pool_gets_total", "subtraj_verifier_pool_retained_bytes",
 	} {
 		found := false
 		for series := range samples {

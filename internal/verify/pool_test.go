@@ -1,8 +1,12 @@
 package verify
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
+	"subtraj/internal/filter"
+	"subtraj/internal/index"
 	"subtraj/internal/testutil"
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
@@ -77,4 +81,189 @@ func TestVerifierPoolRoundTrip(t *testing.T) {
 		}
 		Put(v)
 	}
+}
+
+// sameMatches fails the test unless got and want are identical.
+func sameMatches(t *testing.T, label string, got, want []traj.Match) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matches, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: match %d = %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// heldCosts is a cost model the test can watch being collected.
+type heldCosts struct{ wed.Costs }
+
+// TestPutRetainsBudgetAndNoReferences runs a query whose tries outgrow
+// the retention budget — full-width columns over a long query, the shape
+// of a wide-τ search — and checks what Put leaves behind: at most
+// maxRetainedBytes, accounted to the pool gauge, and nothing that keeps
+// the query, the dataset or the cost model (whose compiled rows the
+// verifier still holds) alive.
+func TestPutRetainsBudgetAndNoReferences(t *testing.T) {
+	env := testutil.NewEnv(33, 120, 60)
+	m := env.Models()[1] // EDR
+	q := append([]traj.Symbol(nil), env.RandomString(m, 400)...)
+	ds := traj.NewDataset(m.DS.Rep)
+	ds.Trajs = append(ds.Trajs, m.DS.Trajs...)
+	costs := &heldCosts{m.Costs}
+	freed := make(chan string, 3)
+	runtime.SetFinalizer(&q[0], func(*traj.Symbol) { freed <- "query" })
+	runtime.SetFinalizer(ds, func(*traj.Dataset) { freed <- "dataset" })
+	runtime.SetFinalizer(costs, func(*heldCosts) { freed <- "cost model" })
+
+	v := Get(costs, ds, q, wed.SumIns(costs, q)*0.5, Options{DisableBanding: true, DisableEarlyTermination: true})
+	runOnce(v, ds, q)
+	if used := v.retainedBytes(); used <= maxRetainedBytes {
+		t.Fatalf("query used %d bytes of trie storage, not enough to exceed the %d budget", used, maxRetainedBytes)
+	}
+	if v.rows.n == 0 {
+		t.Fatal("query compiled no cost rows")
+	}
+	_, _, before := PoolStats()
+	Put(v)
+	_, _, after := PoolStats()
+	held := v.retainedBytes()
+	if held > maxRetainedBytes || held == 0 {
+		t.Fatalf("Put retained %d bytes, want within (0, %d]", held, maxRetainedBytes)
+	}
+	if after-before != held {
+		t.Fatalf("pool gauge moved by %d, verifier retains %d", after-before, held)
+	}
+
+	q, ds, costs = nil, nil, nil
+	for want := 3; want > 0; want-- {
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("a pooled verifier still references its query, dataset or cost model (%d of 3 not collected)", want)
+		}
+	}
+	runtime.KeepAlive(v)
+}
+
+// TestPoolRetainedGaugeSettles checks the gauge's other two exits: Get
+// takes a verifier's bytes off again, and so does the collector when it
+// empties the pool.
+func TestPoolRetainedGaugeSettles(t *testing.T) {
+	env := testutil.NewEnv(34, 20, 16)
+	m := env.Models()[0]
+	q := env.Query(m, 6)
+	tau := wed.SumIns(m.Costs, q) * 0.4
+	// Empty the pool of what earlier tests left in it.
+	settled := func() int64 {
+		var b int64
+		for i := 0; i < 100; i++ {
+			runtime.GC()
+			if _, _, b = PoolStats(); b == 0 {
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		return b
+	}
+	if b := settled(); b != 0 {
+		t.Fatalf("gauge reads %d with the pool collected", b)
+	}
+	v := Get(m.Costs, m.DS, q, tau, Options{})
+	runOnce(v, m.DS, q)
+	Put(v)
+	if _, _, b := PoolStats(); b <= 0 {
+		t.Fatalf("gauge reads %d after a Put", b)
+	}
+	v = Get(m.Costs, m.DS, q, tau, Options{})
+	if _, _, b := PoolStats(); v.held != nil && b != 0 {
+		t.Fatalf("gauge reads %d with the only pooled verifier checked out", b)
+	}
+	Put(v)
+	v = nil
+	if b := settled(); b != 0 {
+		t.Fatalf("gauge reads %d after the pool was collected", b)
+	}
+}
+
+// TestQueryWiderThanSlab: a query longer than slabCells needs column
+// reservations and cost rows no standard slab can hold; the arena must
+// size slabs to them and results must still equal the exhaustive scan.
+// Query symbols are distinct, so under Lev the complete candidate set is
+// every data position holding a query symbol, paired with that symbol's
+// one query position.
+func TestQueryWiderThanSlab(t *testing.T) {
+	costs := wed.NewLev()
+	q := make([]traj.Symbol, slabCells+37)
+	for i := range q {
+		q[i] = traj.Symbol(1000 + i)
+	}
+	ds := traj.NewDataset(traj.VertexRep)
+	ds.Add(traj.Trajectory{Path: append([]traj.Symbol(nil), q[500:508]...)})
+	ds.Add(traj.Trajectory{Path: []traj.Symbol{q[100], q[101], q[102], 5, 5, q[105], q[106], q[107]}})
+	tau := float64(len(q) - 4) // a match aligns at least five symbols
+	feed := func(v *Verifier) []traj.Match {
+		for id := range ds.Trajs {
+			for pos, sym := range ds.Trajs[id].Path {
+				if sym >= 1000 {
+					v.Verify(Candidate{ID: int32(id), Pos: int32(pos), IQ: int32(sym - 1000)})
+				}
+			}
+		}
+		return v.Results()
+	}
+	want := feed(New(costs, ds, q, tau, Options{Mode: ModeSW}))
+	if len(want) == 0 {
+		t.Fatal("oracle found no match; the test would prove nothing")
+	}
+	v := New(costs, ds, q, tau, Options{})
+	sameMatches(t, "wide query", feed(v), want)
+	if len(v.cols.slabs[0]) <= slabCells {
+		t.Fatalf("columns of a %d-symbol query fit a %d-cell slab?", len(q), len(v.cols.slabs[0]))
+	}
+}
+
+// TestLocalModeReleasesArenaPerCandidate: ModeLocal builds a trie pair
+// per candidate in the verifier-wide arena, so each pair must be released
+// when its candidate is done — the arena's high-water after hundreds of
+// candidates is one candidate's, while ModeBT over the same candidates
+// (which keeps every column) needs several slabs.
+func TestLocalModeReleasesArenaPerCandidate(t *testing.T) {
+	env := testutil.NewEnv(35, 300, 30)
+	m := env.Models()[1] // EDR
+	inv := index.Build(m.DS)
+	q := env.Query(m, 24)
+	tau := 0.6 * float64(len(q)) // EDR: c(q) = 1 per symbol
+	plan, err := filter.BuildPlan(m.Costs, inv, q, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := plan.Candidates(inv, nil)
+	if len(cands) < 500 {
+		t.Fatalf("only %d candidates", len(cands))
+	}
+	run := func(mode Mode) (*Verifier, []traj.Match) {
+		v := New(m.Costs, m.DS, q, tau, Options{Mode: mode, DisableBanding: true})
+		for _, c := range cands {
+			v.Verify(Candidate{ID: c.ID, Pos: c.Pos, IQ: c.IQ})
+		}
+		return v, v.Results()
+	}
+
+	local, got := run(ModeLocal)
+	if n := len(local.cols.slabs); n != 1 {
+		t.Fatalf("ModeLocal holds %d slabs after %d candidates, want 1", n, len(cands))
+	}
+	if len(local.nodes) != 0 || local.cols.mark() != (arenaMark{}) {
+		t.Fatalf("ModeLocal left %d nodes and arena position %+v behind", len(local.nodes), local.cols.mark())
+	}
+	bt, btRes := run(ModeBT)
+	sameMatches(t, "Local vs BT", got, btRes)
+	if n := len(bt.cols.slabs); n < 2 {
+		t.Fatalf("ModeBT fits %d slab: the candidates are too few to tell a leak from a release", n)
+	}
+	_, swRes := run(ModeSW)
+	sameMatches(t, "Local vs SW", got, swRes)
 }

@@ -2,48 +2,45 @@ package verify
 
 import (
 	"math"
-	"unsafe"
 
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
 )
 
-// trie caches DP columns for one direction of one τ-subsequence position
+// A trie caches DP columns for one direction of one τ-subsequence position
 // (§5.2). Each node corresponds to a path prefix P^d[1..k]; its cached
 // column holds wed(P^d[1..k], Q^d[1..j]) for j = 0..|Q^d|. Children are a
 // first-child/next-sibling list — road-network branching is tiny
-// ("typically, three"), so linear sibling scans beat maps; nodes and
-// columns live in flat arenas to avoid per-node allocations.
+// ("typically, three"), so linear sibling scans beat maps.
+//
+// All the tries of a verifier share one node store (nodes, colMin, tail:
+// parallel arrays indexed by node) and one slab arena of column cells
+// (cols), so a trie itself is just a root index plus the part of the
+// compiled cost rows its Q^d selects. A cache hit reads the sibling list,
+// colMin and tail and never touches column memory; a miss runs
+// wed.StepDPRows from the parent's band straight into the arena tail.
 //
 // Columns are stored τ-banded: only the cells of the active band
 // [lo, hi) — the smallest interval containing every cell < bandTau — are
 // materialised; everything outside is semantically +Inf. Cells < bandTau
 // hold the exact full-width DP value (see wed.StepDPBanded), so every
-// quantity the verifier reads through tail/min — all compared against
+// quantity the verifier reads through tail/colMin — all compared against
 // thresholds τ′ ≤ bandTau — is indistinguishable from the full-width
 // trie, while StepDP work and arena bytes shrink by the band ratio.
 // bandTau = +Inf stores full columns (the Options.DisableBanding
 // ablation).
 type trie struct {
-	qd      []traj.Symbol
-	qdLen   int
-	bandTau float64
-	nodes   []trieNode
-	// cols is the column arena: node i's band occupies
-	// cols[nodes[i].col : nodes[i].col + (hi-lo)].
-	cols []float64
-	// colMin[i] is the minimum of node i's column — the early-
-	// termination lower bound LB of Eq. 11 (+Inf for an empty band).
-	colMin []float64
-	// step is the full-width scratch column StepDPBanded writes into
-	// before the band is copied onto the arena.
-	step []float64
+	root int32
+	// Q^d's costs are cells [row0, row0+n) of every compiled row pair
+	// (costRows): n = |Q^d|.
+	row0, n int32
 }
 
 type trieNode struct {
 	sym traj.Symbol
-	col int32 // offset into cols
-	// [lo, hi) is the band in column-index space (0..qdLen+1); lo == hi
+	// The band's cells are cols.at(slab, off, hi-lo).
+	slab, off int32
+	// [lo, hi) is the band in column-index space (0..|Q^d|+1); lo == hi
 	// encodes an all-≥-τ column with no stored cells.
 	lo, hi      int32
 	firstChild  int32 // node index, -1 if leaf
@@ -52,103 +49,94 @@ type trieNode struct {
 
 const nilNode = int32(-1)
 
-// newTrie builds a trie whose root column is wed(ε, Q^d[1..j]) — the
-// insertion prefix sums, banded to the cells < bandTau.
-func newTrie(costs wed.Costs, qd []traj.Symbol, bandTau float64) *trie {
-	t := &trie{}
-	t.reset(costs, qd, bandTau)
-	return t
+// trieMark is a position in the node store and column arena to retire
+// back to.
+type trieMark struct {
+	nodes int
+	cols  arenaMark
 }
 
-// reset re-initialises the trie for a new Q^d, truncating the node and
-// column arenas in place so their capacity is reused across queries (the
-// pooling the resettable Verifier relies on).
-func (t *trie) reset(costs wed.Costs, qd []traj.Symbol, bandTau float64) {
-	t.qd, t.qdLen, t.bandTau = qd, len(qd), bandTau
-	// Root band: the prefix sums are nondecreasing (ins ≥ 0), so the
-	// band is [0, hi) up to the first prefix ≥ τ.
-	t.cols = t.cols[:0]
+// newTrie creates the root, whose column is wed(ε, Q^d[1..j]) — the
+// insertion prefix sums, banded to the cells < bandTau. The sums are
+// nondecreasing (ins ≥ 0), so the band is [0, hi) up to the first
+// prefix ≥ τ.
+func (v *Verifier) newTrie(row0, n int32) trie {
+	ins := v.rows.ins[row0 : row0+n]
+	buf, slab, off := v.cols.reserve(int(n) + 1)
 	sum := 0.0
-	hi := 0
-	for j := 0; j <= t.qdLen && sum < bandTau; j++ {
-		t.cols = append(t.cols, sum)
+	hi := int32(0)
+	for j := int32(0); j <= n && sum < v.bandTau; j++ {
+		buf[j] = sum
 		hi = j + 1
-		if j < t.qdLen {
-			sum += costs.Ins(qd[j])
+		if j < n {
+			sum += ins[j]
 		}
 	}
-	rootMin := math.Inf(1)
-	if hi > 0 {
-		rootMin = t.cols[0] // nondecreasing: the minimum is cell 0
-	}
-	t.nodes = append(t.nodes[:0], trieNode{sym: -1, col: 0, lo: 0, hi: int32(hi), firstChild: nilNode, nextSibling: nilNode})
-	t.colMin = append(t.colMin[:0], rootMin)
-	if cap(t.step) < t.qdLen+1 {
-		t.step = make([]float64, t.qdLen+1)
-	} else {
-		t.step = t.step[:t.qdLen+1]
-	}
+	v.cols.commit(int(hi))
+	nd := trieNode{sym: -1, slab: slab, off: off, hi: hi, firstChild: nilNode, nextSibling: nilNode}
+	return trie{root: v.addNode(nd, n, buf[:hi]), row0: row0, n: n}
 }
 
-// child returns the child of node ni labelled sym, creating (and computing
-// its banded DP column via StepDPBanded, Algorithm 6) if absent. computed
-// reports whether a StepDP call happened — a cache miss in the paper's CMR
-// metric; st accumulates the cell-level band counters.
-func (t *trie) child(ni int32, sym traj.Symbol, costs wed.Costs, st *Stats) (ci int32, computed bool) {
-	for c := t.nodes[ni].firstChild; c != nilNode; c = t.nodes[c].nextSibling {
-		if t.nodes[c].sym == sym {
+// addNode appends a node whose band cells are band, recording the column
+// minimum — the early-termination lower bound LB of Eq. 11 — and the tail
+// E^d_k = wed(P^d[1..k], Q^d), the band's last cell when it reaches cell
+// n = |Q^d|. Both are +Inf where the band has no such cell: the true value
+// is ≥ τ and can never join a result.
+func (v *Verifier) addNode(nd trieNode, n int32, band []float64) int32 {
+	mn, tail := math.Inf(1), math.Inf(1)
+	if len(band) > 0 {
+		mn = wed.Min(band)
+		if nd.hi == n+1 {
+			tail = band[len(band)-1]
+		}
+	}
+	v.nodes = append(v.nodes, nd)
+	v.colMin = append(v.colMin, mn)
+	v.tail = append(v.tail, tail)
+	return int32(len(v.nodes) - 1)
+}
+
+// child returns the child of node ni labelled sym, creating it (and
+// computing its banded DP column, Algorithm 6) if absent. computed reports
+// whether a StepDP call happened — a cache miss in the paper's CMR metric.
+func (v *Verifier) child(t trie, ni int32, sym traj.Symbol) (ci int32, computed bool) {
+	for c := v.nodes[ni].firstChild; c != nilNode; c = v.nodes[c].nextSibling {
+		if v.nodes[c].sym == sym {
 			return c, false
 		}
 	}
-	// Cache miss: derive the child band from the parent's and append the
-	// banded column to the arena.
-	pn := t.nodes[ni]
-	parent := t.cols[pn.col : pn.col+(pn.hi-pn.lo)]
-	lo, hi, cells := wed.StepDPBanded(costs, t.qd, sym, parent, int(pn.lo), int(pn.hi), t.bandTau, t.step)
-	st.CellsComputed += int64(cells)
-	st.CellsAvailable += int64(t.qdLen + 1)
-	off := int32(len(t.cols))
-	t.cols = append(t.cols, t.step[lo:hi]...)
-	mn := math.Inf(1)
-	if hi > lo {
-		mn = wed.Min(t.step[lo:hi])
+	// Cache miss: derive the child band from the parent's, in place at
+	// the arena tail. The parent run stays valid: slabs never move.
+	pn := v.nodes[ni]
+	nd := trieNode{sym: sym, firstChild: nilNode, nextSibling: pn.firstChild}
+	var band []float64
+	if pn.lo < pn.hi {
+		row := v.rows.row(v.costs, v.q, sym)
+		dst, slab, off := v.cols.reserve(int(t.n + 1 - pn.lo))
+		lo, hi, cells := wed.StepDPRows(row.sub[t.row0:t.row0+t.n], v.rows.ins[t.row0:t.row0+t.n], row.del,
+			v.cols.at(pn.slab, pn.off, pn.hi-pn.lo), int(pn.lo), int(pn.hi), v.bandTau, dst)
+		v.Stats.CellsComputed += int64(cells)
+		if lo < hi {
+			// Cells below lo stay behind as a gap; the band's lower edge
+			// rises by at most a cell or so per column.
+			v.cols.commit(hi - int(pn.lo))
+			band = dst[lo-int(pn.lo) : hi-int(pn.lo)]
+			nd.slab, nd.off, nd.lo, nd.hi = slab, off+int32(lo)-pn.lo, int32(lo), int32(hi)
+		}
 	}
-	t.colMin = append(t.colMin, mn)
-	ci = int32(len(t.nodes))
-	t.nodes = append(t.nodes, trieNode{
-		sym:         sym,
-		col:         off,
-		lo:          int32(lo),
-		hi:          int32(hi),
-		firstChild:  nilNode,
-		nextSibling: t.nodes[ni].firstChild,
-	})
-	t.nodes[ni].firstChild = ci
+	v.Stats.CellsAvailable += int64(t.n + 1)
+	ci = v.addNode(nd, t.n, band)
+	v.nodes[ni].firstChild = ci
 	return ci, true
 }
 
-// tail returns E^d_k for node ni: the last cell of its column,
-// wed(P^d[1..k], Q^d) — +Inf when cell |Q^d| fell outside the band (its
-// true value is ≥ τ and can never join a result).
-func (t *trie) tail(ni int32) float64 {
-	nd := t.nodes[ni]
-	if nd.lo < nd.hi && nd.hi == int32(t.qdLen)+1 {
-		return t.cols[nd.col+(nd.hi-nd.lo)-1]
-	}
-	return math.Inf(1)
+// markTries and retireTries bracket tries that live for one candidate
+// (ModeLocal): everything created since the mark is freed, stack fashion.
+func (v *Verifier) markTries() trieMark {
+	return trieMark{nodes: len(v.nodes), cols: v.cols.mark()}
 }
 
-// min returns the column minimum of node ni.
-func (t *trie) min(ni int32) float64 { return t.colMin[ni] }
-
-// numNodes returns the number of cached columns (trie size metric).
-func (t *trie) numNodes() int { return len(t.nodes) }
-
-// arenaCap reports the trie's retained arena footprint in float64-sized
-// units — the input to the pool-bloat cap in Put. Nodes and colMin count
-// too: with narrow or empty bands a node costs more than its cells, so a
-// cols-only measure would let the node arena pin memory unchecked.
-func (t *trie) arenaCap() int {
-	const nodeCells = (int(unsafe.Sizeof(trieNode{})) + 7) / 8
-	return cap(t.cols) + cap(t.colMin) + cap(t.step) + cap(t.nodes)*nodeCells
+func (v *Verifier) retireTries(m trieMark) {
+	v.nodes, v.colMin, v.tail = v.nodes[:m.nodes], v.colMin[:m.nodes], v.tail[:m.nodes]
+	v.cols.release(m.cols)
 }

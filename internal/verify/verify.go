@@ -6,7 +6,10 @@
 // τ-banded: only the cell range that can still influence a result under
 // the query threshold is computed and stored (see trie.go and
 // wed.StepDPBanded); the CellsComputed/CellsAvailable counters measure
-// the saving, and banding is bit-equal to the full-width DP.
+// the saving, and banding is bit-equal to the full-width DP. The columns
+// of all of a verifier's tries live in one slab arena (arena.go), and the
+// DP kernel reads its costs from rows compiled once per query and data
+// symbol (rows.go) rather than through a wed.Costs call per cell.
 //
 // Three modes with identical result sets support the paper's ablations:
 //
@@ -17,8 +20,10 @@ package verify
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
@@ -137,9 +142,9 @@ type Candidate struct {
 
 // Verifier verifies the candidates of one query: create (or Get from the
 // package pool) per query, feed candidates, then call Results. Reset makes
-// it reusable across queries with its scratch state — DP column arenas,
-// trie nodes, match buffers — retained, so a steady-state query stream
-// allocates near-zero in the verify phase.
+// it reusable across queries with its scratch state — the column arena,
+// compiled cost rows, trie nodes, match buffers — retained, so a
+// steady-state query stream allocates near-zero in the verify phase.
 //
 // Matches accumulate per trajectory: candidates should arrive grouped by
 // trajectory ID (filter.GroupByTrajectory order), letting each
@@ -159,19 +164,18 @@ type Verifier struct {
 	// result because every per-candidate τ′ is ≤ tau.
 	bandTau float64
 
-	// qrev is q reversed, computed once per Reset: the backward trie of
-	// position iq runs over reversed(q[:iq]) == qrev[len(q)-iq:], so no
-	// per-trie reversal allocation is needed.
-	qrev []traj.Symbol
+	// rows is the cost model compiled against q (see costRows).
+	rows costRows
 
-	// Per-iq bidirectional tries (lazily created: only candidate iqs
-	// get tries, which matches Algorithm 3's "for (q, iq) ∈ Q'").
-	tries map[int32]dirTries
+	// Per-iq bidirectional tries, indexed by iq (lazily created: only
+	// candidate iqs get tries, which matches Algorithm 3's "for (q, iq)
+	// ∈ Q'"). ModeLocal leaves it empty.
+	tries []dirTries
 
-	// trieFree holds retired tries whose arenas are reused by the next
-	// trie this verifier needs (ModeLocal retires a pair per candidate,
-	// Reset retires every trie of the previous query).
-	trieFree []*trie
+	// The node store and column arena every trie shares (see trie.go).
+	nodes        []trieNode
+	colMin, tail []float64
+	cols         arena
 
 	// Grouped accumulation state: chunk buffers the raw (possibly
 	// duplicated) matches of curID; flush sorts it by (S, T) and
@@ -189,11 +193,17 @@ type Verifier struct {
 	// loop skip every dominated E^f suffix in O(1).
 	eb, ef, efSuf []float64
 
+	// held is what Put last accounted to the pool's retained-bytes gauge
+	// on this verifier's behalf; a separate allocation so the cleanup
+	// that settles it when the pool drops the verifier can outlive it.
+	held *atomic.Int64
+
 	Stats Stats
 }
 
 type dirTries struct {
-	fwd, bwd *trie
+	fwd, bwd trie
+	built    bool
 }
 
 // New creates a verifier for query q under threshold tau.
@@ -207,19 +217,25 @@ func New(costs wed.Costs, ds *traj.Dataset, q []traj.Symbol, tau float64, opts O
 // poolGets/poolNews instrument it: every Get bumps poolGets, and a Get
 // that found the pool empty (a fresh allocation — GC pressure the pool
 // failed to absorb) bumps poolNews. Their ratio is the steady-state
-// reuse rate the /metrics verifier_pool gauges report.
+// reuse rate the /metrics verifier_pool gauges report. poolRetained is
+// the scratch memory idle verifiers hold: Put adds a verifier's
+// retainedBytes, and Get — or a cleanup, when a GC cycle empties the pool
+// instead — takes it off again.
 var (
-	pool               = sync.Pool{New: func() any { poolNews.Add(1); return new(Verifier) }}
-	poolGets, poolNews atomic.Int64
+	pool                             = sync.Pool{New: func() any { poolNews.Add(1); return new(Verifier) }}
+	poolGets, poolNews, poolRetained atomic.Int64
 )
 
-// PoolStats returns the cumulative verifier-pool counters: gets is the
-// total number of Get calls, news how many of those had to allocate a
-// fresh Verifier because the pool was empty. gets − news is the number
-// of reuses; news/gets trending up under steady load means the pool is
+// PoolStats returns the verifier-pool counters: gets is the cumulative
+// number of Get calls, news how many of those had to allocate a fresh
+// Verifier because the pool was empty. gets − news is the number of
+// reuses; news/gets trending up under steady load means the pool is
 // being drained (e.g. GC cycles) faster than Put refills it.
-func PoolStats() (gets, news int64) {
-	return poolGets.Load(), poolNews.Load()
+// retainedBytes is the current footprint of the column arenas, compiled
+// cost rows and trie node arrays held by verifiers sitting in the pool —
+// at most maxRetainedBytes each.
+func PoolStats() (gets, news, retainedBytes int64) {
+	return poolGets.Load(), poolNews.Load(), poolRetained.Load()
 }
 
 // Get returns a pooled verifier reset for the given query. Pair with Put
@@ -229,6 +245,9 @@ func PoolStats() (gets, news int64) {
 func Get(costs wed.Costs, ds *traj.Dataset, q []traj.Symbol, tau float64, opts Options) *Verifier {
 	poolGets.Add(1)
 	v := pool.Get().(*Verifier)
+	if v.held != nil {
+		poolRetained.Add(-v.held.Swap(0))
+	}
 	v.Reset(costs, ds, q, tau, opts)
 	return v
 }
@@ -237,17 +256,19 @@ func Get(costs wed.Costs, ds *traj.Dataset, q []traj.Symbol, tau float64, opts O
 // its worst-case scratch in the pool forever. Put drops any piece whose
 // retained capacity exceeds its cap; the next query simply reallocates at
 // its own (typically far smaller) natural size. The caps are safety
-// valves sized an order of magnitude above the steady state of the bulk
-// benchmark workload — a cap that binds on every Put would turn the pool
-// into a per-query reallocation treadmill.
+// valves sized above the steady state of the bulk benchmark workload — a
+// cap that binds on every Put would turn the pool into a per-query
+// reallocation treadmill.
 const (
-	// maxRetainedTries bounds the trie free list (a pair per ModeLocal
-	// candidate can pile up arbitrarily many).
-	maxRetainedTries = 64
-	// maxRetainedArena bounds one trie's combined arena footprint
-	// (columns + nodes + column minima), in float64-sized units
-	// (512 KiB per trie).
-	maxRetainedArena = 64 << 10
+	// maxRetainedBytes is the one budget for everything the tries are
+	// made of — column slabs, compiled cost rows and the node arrays. On
+	// the benchmark city a τ_ratio 0.3 query over |Q| = 60 fills 5–25 MB
+	// of columns and up to 10 MB of node arrays per shard worker, so most
+	// such queries find everything they need already allocated; a top-k
+	// round at band ratio 0.98 overflows the budget and allocates the
+	// excess slabs anew each round. Half this budget costs those two
+	// workloads 9% and 30% of their latency.
+	maxRetainedBytes = 32 << 20
 	// maxRetainedMatches bounds the chunk/out match buffers (~1.5 MiB).
 	maxRetainedMatches = 64 << 10
 	// maxRetainedSeen bounds the ModeSW dedup map (maps never shrink
@@ -259,27 +280,13 @@ const (
 )
 
 // Put returns v to the package pool. It drops every reference into the
-// finished query — dataset, cost model, and the query slices the trie Q^d
-// views alias — so pooling never extends their lifetime, keeps the
-// scratch arenas for the next Get, and caps each retained piece so an
+// finished query — dataset, cost model, query; the tries and the compiled
+// rows hold numbers only — so pooling never extends their lifetime, keeps
+// the scratch arenas for the next Get, and caps each retained piece so an
 // outlier query cannot pin its peak footprint in the pool.
 func Put(v *Verifier) {
 	v.costs, v.ds, v.q = nil, nil, nil
-	// subtrajlint:unordered-ok retired tries are fully reset before
-	// reuse, so free-list order cannot reach any computed value.
-	for iq, tr := range v.tries {
-		v.trieFree = append(v.trieFree, tr.fwd, tr.bwd)
-		delete(v.tries, iq)
-	}
-	kept := v.trieFree[:0]
-	for _, t := range v.trieFree {
-		t.qd = nil // aliases the caller's query; reset re-points it
-		if len(kept) < maxRetainedTries && t.arenaCap() <= maxRetainedArena {
-			kept = append(kept, t)
-		}
-	}
-	clear(kept[len(kept):len(v.trieFree)]) // let dropped tries be collected
-	v.trieFree = kept
+	v.trimRetained()
 	if cap(v.chunk) > maxRetainedMatches {
 		v.chunk = nil
 	}
@@ -298,31 +305,54 @@ func Put(v *Verifier) {
 	if cap(v.efSuf) > maxRetainedCols {
 		v.efSuf = nil
 	}
+	if v.held == nil {
+		v.held = new(atomic.Int64)
+		runtime.AddCleanup(v, func(held *atomic.Int64) { poolRetained.Add(-held.Load()) }, v.held)
+	}
+	held := v.retainedBytes()
+	v.held.Store(held)
+	poolRetained.Add(held)
 	pool.Put(v)
 }
 
+// retainedBytes is the footprint of what the tries are made of: column
+// slabs, compiled cost rows and the node arrays.
+func (v *Verifier) retainedBytes() int64 {
+	return v.cols.bytes() + v.rows.bytes() + v.nodeBytes()
+}
+
+func (v *Verifier) nodeBytes() int64 {
+	return int64(cap(v.nodes))*int64(unsafe.Sizeof(trieNode{})) + int64(cap(v.colMin)+cap(v.tail))*8
+}
+
+// trimRetained ends the query's use of the trie storage and cuts what
+// stays allocated down to maxRetainedBytes: column slabs go first, and
+// the rows and node arrays — small next to the columns they index — are
+// dropped whole only if they alone exceed the budget.
+func (v *Verifier) trimRetained() {
+	fixed := v.rows.bytes() + v.nodeBytes()
+	if fixed > maxRetainedBytes {
+		v.rows = costRows{}
+		v.nodes, v.colMin, v.tail = nil, nil, nil
+		fixed = 0
+	}
+	v.cols.trim(maxRetainedBytes - fixed)
+}
+
 // Reset prepares v for a new query, retaining allocated scratch state:
-// trie arenas move to the free list, maps are cleared in place, and the
-// DP scratch buffers keep their capacity.
+// the column arena and node arrays are emptied in place, the cost rows
+// recompiled into their old storage, maps cleared, and the DP scratch
+// buffers keep their capacity.
 func (v *Verifier) Reset(costs wed.Costs, ds *traj.Dataset, q []traj.Symbol, tau float64, opts Options) {
 	v.costs, v.ds, v.q, v.tau, v.opts = costs, ds, q, tau, opts
 	v.bandTau = tau
 	if opts.DisableBanding {
 		v.bandTau = math.Inf(1)
 	}
-	v.qrev = append(v.qrev[:0], q...)
-	for i, j := 0, len(v.qrev)-1; i < j; i, j = i+1, j-1 {
-		v.qrev[i], v.qrev[j] = v.qrev[j], v.qrev[i]
-	}
-	if v.tries == nil {
-		v.tries = make(map[int32]dirTries)
-	} else {
-		// subtrajlint:unordered-ok retired tries are fully reset before
-		// reuse, so free-list order cannot reach any computed value.
-		for iq, tr := range v.tries {
-			v.trieFree = append(v.trieFree, tr.fwd, tr.bwd)
-			delete(v.tries, iq)
-		}
+	v.tries = v.tries[:0]
+	v.retireTries(trieMark{})
+	if opts.Mode != ModeSW {
+		v.rows.reset(costs, q)
 	}
 	v.curID = -1
 	v.chunk = v.chunk[:0]
@@ -374,8 +404,10 @@ func (v *Verifier) VerifyAt(c Candidate, tauEff float64) {
 	if v.opts.Mode == ModeBT {
 		tr = v.trieFor(c.IQ)
 	} else {
-		tr = v.freshTries(c.IQ) // no sharing across candidates
-		defer v.retireTries(tr) // ...so the arenas recycle per candidate
+		// No sharing across candidates, so each one's nodes and columns
+		// are freed as soon as its matches are enumerated.
+		defer v.retireTries(v.markTries())
+		tr = v.freshTries(c.IQ)
 	}
 
 	// E^b over the reversed prefix P[j-1], ..., P[0] vs reversed Q[:iq];
@@ -452,10 +484,7 @@ func (v *Verifier) TakeBest() (traj.Match, bool) {
 // TakeBest and never call Results read their per-round stats here.
 func (v *Verifier) SnapshotStats() Stats {
 	s := v.Stats
-	// subtrajlint:unordered-ok order-independent sum.
-	for _, tr := range v.tries {
-		s.TrieNodes += tr.fwd.numNodes() + tr.bwd.numNodes()
-	}
+	s.TrieNodes += len(v.nodes)
 	return s
 }
 
@@ -496,23 +525,23 @@ func appendMinMerged(dst, src []traj.Match) []traj.Match {
 // (Algorithm 5). The returned slice aliases dst's storage. Entries may be
 // +Inf when cell |Q^d| fell outside a column's τ-band — such a prefix WED
 // is ≥ τ ≥ τ′ and can never join a result, exactly as its true value.
-func (v *Verifier) allPrefixWED(t *trie, p []traj.Symbol, j, dir int, tauPrime float64, dst []float64) []float64 {
-	node := int32(0)                // root
-	dst = append(dst, t.tail(node)) // E_0 = wed(ε, Q^d)
+func (v *Verifier) allPrefixWED(t trie, p []traj.Symbol, j, dir int, tauPrime float64, dst []float64) []float64 {
+	node := t.root
+	dst = append(dst, v.tail[node]) // E_0 = wed(ε, Q^d)
 	for k := 1; ; k++ {
 		i := j + dir*k
 		if i < 0 || i >= len(p) {
 			break
 		}
-		child, computed := t.child(node, p[i], v.costs, &v.Stats)
+		child, computed := v.child(t, node, p[i])
 		if computed {
 			v.Stats.StepDPCalls++
 		}
 		v.Stats.ColumnsVisited++
-		if !v.opts.DisableEarlyTermination && t.min(child) >= tauPrime {
+		if !v.opts.DisableEarlyTermination && v.colMin[child] >= tauPrime {
 			break
 		}
-		dst = append(dst, t.tail(child))
+		dst = append(dst, v.tail[child])
 		node = child
 	}
 	return dst
@@ -520,36 +549,21 @@ func (v *Verifier) allPrefixWED(t *trie, p []traj.Symbol, j, dir int, tauPrime f
 
 // trieFor returns (building on first use) the bidirectional tries of iq.
 func (v *Verifier) trieFor(iq int32) dirTries {
-	if tr, ok := v.tries[iq]; ok {
-		return tr
+	if len(v.tries) == 0 {
+		v.tries = append(v.tries, make([]dirTries, len(v.q))...)
 	}
-	tr := v.freshTries(iq)
-	v.tries[iq] = tr
-	return tr
+	if !v.tries[iq].built {
+		v.tries[iq] = v.freshTries(iq)
+	}
+	return v.tries[iq]
 }
 
+// freshTries creates the tries of iq: forward over Q[iq+1:], backward over
+// reversed(Q[:iq]) — suffixes of the first and second half of a compiled
+// row pair.
 func (v *Verifier) freshTries(iq int32) dirTries {
-	qf := v.q[iq+1:]
-	qb := v.qrev[len(v.q)-int(iq):] // reversed(q[:iq]), pre-materialised by Reset
-	return dirTries{
-		fwd: v.takeTrie(qf),
-		bwd: v.takeTrie(qb),
-	}
-}
-
-// takeTrie recycles a retired trie's arenas when available.
-func (v *Verifier) takeTrie(qd []traj.Symbol) *trie {
-	if n := len(v.trieFree); n > 0 {
-		t := v.trieFree[n-1]
-		v.trieFree = v.trieFree[:n-1]
-		t.reset(v.costs, qd, v.bandTau)
-		return t
-	}
-	return newTrie(v.costs, qd, v.bandTau)
-}
-
-func (v *Verifier) retireTries(tr dirTries) {
-	v.trieFree = append(v.trieFree, tr.fwd, tr.bwd)
+	m := int32(len(v.q))
+	return dirTries{fwd: v.newTrie(iq+1, m-iq-1), bwd: v.newTrie(2*m-iq, iq), built: true}
 }
 
 // verifySW scans the whole trajectory once per distinct ID, enumerating
@@ -579,10 +593,7 @@ func (v *Verifier) verifySW(id int32, tauEff float64) {
 // callers that interleaved trajectories.
 func (v *Verifier) Results() []traj.Match {
 	v.flush()
-	// subtrajlint:unordered-ok order-independent sum.
-	for _, tr := range v.tries {
-		v.Stats.TrieNodes += tr.fwd.numNodes() + tr.bwd.numNodes()
-	}
+	v.Stats.TrieNodes += len(v.nodes)
 	traj.SortMatches(v.out)
 	v.out = appendMinMerged(v.out[:0], v.out)
 	out := make([]traj.Match, len(v.out))

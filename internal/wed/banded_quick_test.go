@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"subtraj/internal/geo"
 )
 
 // tableCosts is a randomly generated weighted cost model over a tiny
@@ -171,5 +173,135 @@ func TestStepDPBandedEmptyParent(t *testing.T) {
 	lo, hi, _ = StepDPBanded(levLike, qd, 1, parent, 0, 1, 1, dst)
 	if lo != 0 || hi != 0 {
 		t.Fatalf("pruned-out child band not normalised: [%d,%d)", lo, hi)
+	}
+}
+
+// matrixDist is a NetDist over a dense symmetric matrix, standing in for
+// hub labels under the Net* models.
+type matrixDist [][]float64
+
+func (m matrixDist) Query(a, b int32) float64 { return m[a][b] }
+
+// sixModels builds the paper's six cost models over nsym symbols with
+// random substrates. Only Sub/Ins/Del are exercised, so the spatial index
+// and the adjacency the filter machinery needs are left nil.
+func sixModels(rng *rand.Rand, nsym int) []Costs {
+	coords := make([]geo.Point, nsym)
+	weights := make([]float64, nsym)
+	dist := make(matrixDist, nsym)
+	for i := range coords {
+		coords[i] = geo.Point{X: rng.Float64() * 300, Y: rng.Float64() * 300}
+		weights[i] = 1 + rng.Float64()*99
+		dist[i] = make([]float64, nsym)
+	}
+	for i := 0; i < nsym; i++ {
+		for j := i + 1; j < nsym; j++ {
+			d := rng.Float64() * 400
+			dist[i][j], dist[j][i] = d, d
+		}
+	}
+	return []Costs{
+		NewLev(),
+		NewEDR(coords, nil, 100),
+		NewERP(coords, nil, geo.Point{X: 150, Y: 150}, 1),
+		NewNetEDR(nil, dist, 100),
+		NewNetERP(nil, dist, 200, 1),
+		NewSURS(weights),
+	}
+}
+
+// rowsEqualBanded runs StepDPRows and StepDPBanded on the same step and
+// reports whether they agree bit for bit: lo, hi, cells and every cell of
+// the band. q is the whole query and row its compiled pair for data symbol
+// p — sub(p, q[j]) for j < |q| followed by the same values reversed, ins
+// likewise — and (qd, from) selects the trie: qd is either q[iq+1:]
+// (from = iq+1) or reversed(q[:iq]) (from = 2|q|-iq), the two shapes the
+// verifier reads out of one row pair.
+func rowsEqualBanded(c Costs, qd []Symbol, p Symbol, row, ins []float64, from int, a []float64, alo, ahi int, tau float64) bool {
+	n := len(qd)
+	want := make([]float64, n+1)
+	wlo, whi, wcells := StepDPBanded(c, qd, p, a, alo, ahi, tau, want)
+	got := make([]float64, n+1)
+	lo, hi, cells := StepDPRows(row[from:from+n], ins[from:from+n], c.Del(p), a, alo, ahi, tau, got)
+	if lo != wlo || hi != whi || cells != wcells {
+		return false
+	}
+	for j := lo; j < hi; j++ {
+		if math.Float64bits(got[j-alo]) != math.Float64bits(want[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStepDPRowsEqualsBanded pins the compiled-row kernel to the
+// interface-dispatch reference: over random weighted cost tables and all
+// six models, forward and reversed rows, arbitrary parent bands (random
+// edges and values, not only ones a DP could produce), empty bands and
+// τ = +Inf, and along whole DP chains from the root band.
+func TestStepDPRowsEqualsBanded(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	const nsym = 6
+	models := sixModels(rng, nsym)
+	for trial := 0; trial < 3000; trial++ {
+		var c Costs = randTableCosts(rng, nsym)
+		if trial%2 == 1 {
+			c = models[trial/2%len(models)]
+		}
+		m := 1 + rng.Intn(9)
+		q := make([]Symbol, m)
+		for i := range q {
+			q[i] = Symbol(rng.Intn(nsym))
+		}
+		p := Symbol(rng.Intn(nsym))
+		row, ins := make([]float64, 0, 2*m), make([]float64, 0, 2*m)
+		for _, qs := range q {
+			row, ins = append(row, c.Sub(p, qs)), append(ins, c.Ins(qs))
+		}
+		for j := m - 1; j >= 0; j-- {
+			row, ins = append(row, row[j]), append(ins, ins[j])
+		}
+		iq := rng.Intn(m)
+		qd, from := q[iq+1:], iq+1
+		if rng.Intn(2) == 0 {
+			qd, from = make([]Symbol, iq), 2*m-iq
+			for j := range qd {
+				qd[j] = q[iq-1-j]
+			}
+		}
+		n := len(qd)
+		scale := SumIns(c, q) / float64(m) // one insertion, whatever the model's units
+		tau := math.Inf(1)
+		if rng.Intn(4) > 0 {
+			tau = scale * float64(rng.Intn(2*m+1)) / 2
+		}
+
+		// An arbitrary parent band, empty one time in eight.
+		alo, ahi := rng.Intn(n+1), rng.Intn(n+2)
+		if alo > ahi {
+			alo, ahi = ahi, alo
+		}
+		if rng.Intn(8) == 0 {
+			ahi = alo
+		}
+		a := make([]float64, ahi-alo)
+		for i := range a {
+			a[i] = scale * float64(rng.Intn(4*m)) / 4
+		}
+		if !rowsEqualBanded(c, qd, p, row, ins, from, a, alo, ahi, tau) {
+			t.Fatalf("trial %d (%s): kernels disagree on parent band [%d,%d) τ=%v |Qd|=%d", trial, c.Name(), alo, ahi, tau, n)
+		}
+
+		// A DP chain from the root band, reusing p's row at every step
+		// (a path that repeats one symbol).
+		band, lo, hi := rootBand(c, qd, tau)
+		scratch := make([]float64, n+1)
+		for step := 0; step < 6 && lo < hi; step++ {
+			if !rowsEqualBanded(c, qd, p, row, ins, from, band, lo, hi, tau) {
+				t.Fatalf("trial %d (%s): kernels disagree at chain step %d", trial, c.Name(), step)
+			}
+			lo, hi, _ = StepDPBanded(c, qd, p, band, lo, hi, tau, scratch)
+			band = append(band[:0], scratch[lo:hi]...)
+		}
 	}
 }

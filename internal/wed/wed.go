@@ -237,3 +237,79 @@ func StepDPBanded(c Costs, qd []Symbol, p Symbol, a []float64, alo, ahi int, tau
 	}
 	return lo, hi, cells
 }
+
+// StepDPRows is StepDPBanded with the cost model compiled away: the same
+// recurrence, operand order, band logic and cells accounting, reading
+// sub[j] = sub(p, Qd[j]), ins[j] = ins(Qd[j]) and del = del(p) from rows
+// computed once instead of through a Costs call per cell. len(sub) is
+// |Qd|; ins must be at least that long.
+//
+// Unlike StepDPBanded, dst is indexed relative to the parent band's lower
+// edge: child cell j is written to dst[j-alo], so dst needs only
+// |Qd|+1-alo cells — the widest band a child of this parent can have —
+// and the verifier can hand in the tail of its column arena and keep the
+// cells in place. The returned [lo, hi) is absolute, as in StepDPBanded;
+// the band therefore lives in dst[lo-alo : hi-alo].
+func StepDPRows(sub, ins []float64, del float64, a []float64, alo, ahi int, tau float64, dst []float64) (lo, hi, cells int) {
+	if alo >= ahi {
+		return 0, 0, 0 // empty parent band: every child cell is ≥ τ too
+	}
+	n := len(sub)
+	w := ahi - alo
+	a = a[:w]
+	dst = dst[:n+1-alo]
+	// sub and ins shifted so that index k-1 serves child cell alo+k.
+	sub, ins = sub[alo:], ins[alo:n]
+	// Cell alo has only the deletion source: child[alo-1] and
+	// parent[alo-1] are out of band by induction.
+	prev := a[0] + del
+	dst[0] = prev
+	// Cells alo+1 .. ahi-1 draw on all three sources.
+	for k := 1; k < w; k++ {
+		v := a[k] + del
+		if d := a[k-1] + sub[k-1]; d < v {
+			v = d
+		}
+		if d := prev + ins[k-1]; d < v {
+			v = d
+		}
+		dst[k] = v
+		prev = v
+	}
+	cells = w
+	end := w
+	if ahi <= n {
+		// Cell ahi: parent[ahi] is out of band, leaving sub and ins.
+		v := a[w-1] + sub[w-1]
+		if d := prev + ins[w-1]; d < v {
+			v = d
+		}
+		dst[w] = v
+		prev = v
+		cells++
+		end++
+	}
+	// Insertion-chain extension, as in StepDPBanded.
+	for k := end; k <= n-alo; k++ {
+		v := prev + ins[k-1]
+		cells++
+		if v >= tau {
+			break
+		}
+		dst[k] = v
+		prev = v
+		end = k + 1
+	}
+	// Prune the band back to the first/last cell < τ.
+	lo, hi = 0, end
+	for lo < hi && dst[lo] >= tau {
+		lo++
+	}
+	for hi > lo && dst[hi-1] >= tau {
+		hi--
+	}
+	if lo == hi {
+		return 0, 0, cells // normalise the empty band
+	}
+	return alo + lo, alo + hi, cells
+}
