@@ -122,10 +122,6 @@ type perfBench struct {
 	// SpeedupVsSequential is ns/op(shards=1) ÷ ns/op(this run); omitted
 	// for the top-k configurations, which are all sequential.
 	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
-	// SpeedupVsLegacy, on the TopK/.../incremental entry, is
-	// ns/op(legacy restart driver) ÷ ns/op(incremental driver) — the
-	// headline ratio of the cross-round top-k driver.
-	SpeedupVsLegacy float64 `json:"speedup_vs_legacy,omitempty"`
 	// CellsComputed/CellsAvailable are the per-op cell counters of the
 	// τ-banded verification (averaged over the benchmark's iterations);
 	// BandRatio is their quotient — the fraction of DP-cell work the
@@ -137,10 +133,9 @@ type perfBench struct {
 	// computed; ns_per_op there is one pass over the replayed chains and
 	// cells_computed the cells of that pass.
 	NsPerCell float64 `json:"ns_per_cell,omitempty"`
-	// Rounds/ReusedCandidates (top-k configurations only) average the
-	// driver's round count and cross-round candidate reuse per query.
-	Rounds           float64 `json:"rounds,omitempty"`
-	ReusedCandidates int64   `json:"reused_candidates,omitempty"`
+	// TrajVerified (the top-k configuration only) is the number of
+	// trajectories the best-first driver verified per query.
+	TrajVerified int64 `json:"traj_verified,omitempty"`
 	// Accuracy (GPS configurations only) is the mean LCS accuracy of the
 	// map-matched paths against their ground-truth query symbols.
 	Accuracy float64 `json:"accuracy,omitempty"`
@@ -274,37 +269,21 @@ func writePerfSnapshot(scale float64, qlen int, tauRatio float64, quick bool) er
 		snap.Benchmarks = append(snap.Benchmarks, bench)
 	}
 
-	// Top-k configuration (k = 10): the legacy restart driver vs the
-	// incremental cross-round driver on the same workload, sequential
-	// (single shard, Parallelism 1) so the ratio is pure algorithmic
-	// saving — carried best table, candidate reuse, dynamic tightening —
-	// with no hardware parallelism mixed in.
+	// Top-k configuration (k = 10), sequential (single shard, Parallelism
+	// 1) so the number is the driver's own work with no hardware
+	// parallelism mixed in. Fixed op count (one full query rotation): the
+	// mean must cover the whole query set, not however many queries fit
+	// testing.Benchmark's 1 s target.
 	const topkK = 10
-	var legacyNs int64
-	for _, d := range []struct {
-		name   string
-		legacy bool
-	}{{"legacy", true}, {"incremental", false}} {
-		fmt.Fprintf(os.Stderr, "[benchall] TopK/k=%d/%s...\n", topkK, d.name)
-		runOne := func(i int) (*core.QueryStats, error) {
-			q := queries[i%len(queries)]
-			_, st, err := engTopK.SearchTopKStats(q, topkK, core.TopKOptions{Parallelism: 1, Legacy: d.legacy})
-			return st, err
-		}
-		// Fixed op count (one full query rotation): a top-k op costs
-		// seconds, so testing.Benchmark's 1 s target would time a single
-		// query; the mean must cover the whole query set.
-		bench, err := measureFixed(fmt.Sprintf("TopK/k=%d/%s", topkK, d.name), quick, len(queries), runOne)
-		if err != nil {
-			return err
-		}
-		if d.legacy {
-			legacyNs = bench.NsPerOp
-		} else if bench.NsPerOp > 0 && legacyNs > 0 {
-			bench.SpeedupVsLegacy = float64(legacyNs) / float64(bench.NsPerOp)
-		}
-		snap.Benchmarks = append(snap.Benchmarks, bench)
+	fmt.Fprintf(os.Stderr, "[benchall] TopK/k=%d...\n", topkK)
+	bench, err := measureFixed(fmt.Sprintf("TopK/k=%d", topkK), quick, len(queries), func(i int) (*core.QueryStats, error) {
+		_, st, err := engTopK.SearchTopKStats(queries[i%len(queries)], topkK, core.TopKOptions{Parallelism: 1})
+		return st, err
+	})
+	if err != nil {
+		return err
 	}
+	snap.Benchmarks = append(snap.Benchmarks, bench)
 
 	// GPS pipeline configuration: the same queries served from raw GPS
 	// traces (σ=10 m samples of each query's path, matched back onto the
@@ -394,10 +373,10 @@ func writePerfSnapshot(scale float64, qlen int, tauRatio float64, quick bool) er
 	snap.Benchmarks = append(snap.Benchmarks, loadBenches...)
 
 	// Cancellation latency check: a top-k query under a 50 ms context
-	// deadline must hand control back promptly — the engine checks the
-	// context between candidate groups and τ-growth rounds, so the return
-	// latency is bounded by one group's verification, asserted here at
-	// ≤ 2× the deadline. A violation fails the whole snapshot.
+	// deadline must hand control back promptly — the driver checks the
+	// context per trajectory its queue pops, so the return latency is
+	// bounded by one trajectory's verification, asserted here at ≤ 2× the
+	// deadline. A violation fails the whole snapshot.
 	cancelBench, err := cancelledTopKBench(engTopK, queries, topkK, quick)
 	if err != nil {
 		return err
@@ -426,20 +405,19 @@ func writePerfSnapshot(scale float64, qlen int, tauRatio float64, quick bool) er
 }
 
 // opCounters accumulates the per-op QueryStats counters of one timed
-// configuration — the cell-level band counters and the top-k
-// round/reuse counters — and writes their per-op averages into a
+// configuration — the cell-level band counters and the top-k driver's
+// verified-trajectory count — and writes their per-op averages into a
 // perfBench. One accumulation/finalization path serves both measurement
 // strategies, so a new snapshot counter is added in exactly one place.
 type opCounters struct {
-	cellsC, cellsA, reused, rounds int64
-	durs                           []time.Duration
+	cellsC, cellsA, verified int64
+	durs                     []time.Duration
 }
 
 func (c *opCounters) record(st *core.QueryStats, dur time.Duration) {
 	c.cellsC += st.Verify.CellsComputed
 	c.cellsA += st.Verify.CellsAvailable
-	c.reused += int64(st.CandidatesReused)
-	c.rounds += int64(st.Rounds)
+	c.verified += int64(st.TrajVerified)
 	c.durs = append(c.durs, dur)
 }
 
@@ -447,8 +425,7 @@ func (c *opCounters) finalize(bench *perfBench, ops int64) {
 	if ops > 0 {
 		bench.CellsComputed = c.cellsC / ops
 		bench.CellsAvailable = c.cellsA / ops
-		bench.Rounds = float64(c.rounds) / float64(ops)
-		bench.ReusedCandidates = c.reused / ops
+		bench.TrajVerified = c.verified / ops
 	}
 	if c.cellsA > 0 {
 		bench.BandRatio = float64(c.cellsC) / float64(c.cellsA)
@@ -806,9 +783,9 @@ func ingestLoadBenches(c *experiments.Ctx, model string, queries [][]traj.Symbol
 }
 
 // cancelledTopKBench runs top-k queries under a 50 ms context deadline
-// and records the worst observed return latency. The engine's
-// cancellation points (between candidate groups, between τ-growth
-// rounds) bound that latency; exceeding twice the deadline fails the
+// and records the worst observed return latency. The driver's
+// cancellation point (once per trajectory its queue pops) bounds that
+// latency; exceeding twice the deadline fails the
 // snapshot — a regression in cancellation responsiveness, not a perf
 // number to track quietly.
 func cancelledTopKBench(eng *core.Engine, queries [][]traj.Symbol, k int, quick bool) (perfBench, error) {

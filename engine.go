@@ -179,9 +179,8 @@ func (e *Engine) SearchTopK(q []Symbol, k int) ([]Match, error) {
 	return e.inner.SearchTopK(q, k)
 }
 
-// SearchTopKStats is SearchTopK with options and the incremental
-// driver's merged QueryStats (rounds, reused candidates, final effective
-// τ — see core.Engine.SearchTopKStats).
+// SearchTopKStats is SearchTopK with options and the driver's QueryStats
+// (queue counters, final effective τ — see core.Engine.SearchTopKStats).
 func (e *Engine) SearchTopKStats(q []Symbol, k int, opts TopKOptions) ([]Match, *QueryStats, error) {
 	return e.inner.SearchTopKStats(q, k, opts)
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // TestSearchCanceledContext: a context that is already dead must stop
-// every search path — sequential, sharded, top-k incremental and legacy —
+// every search path — sequential, sharded, top-k at either parallelism —
 // with an error wrapping the context's cause, and a nil/live context must
 // leave results untouched.
 func TestSearchCanceledContext(t *testing.T) {
@@ -44,13 +45,48 @@ func TestSearchCanceledContext(t *testing.T) {
 			_, _, err := eng.SearchTopKStats(q, 5, core.TopKOptions{Ctx: canceled, Parallelism: 4})
 			return err
 		}},
-		{"topk-legacy", func() error {
-			_, _, err := eng.SearchTopKStats(q, 5, core.TopKOptions{Ctx: canceled, Legacy: true})
-			return err
-		}},
 	} {
 		if err := tc.run(); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
+	}
+}
+
+// cancelAfter is a context that reports cancellation from its n-th Err
+// poll on: it cancels a query at a chosen depth of its work loop.
+type cancelAfter struct {
+	context.Context
+	left atomic.Int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestTopKCanceledMidQueue: the top-k driver polls its context once per
+// trajectory it takes off the queue, so a cancellation that arrives after
+// a few pops stops it there, at either parallelism.
+func TestTopKCanceledMidQueue(t *testing.T) {
+	env := testutil.NewEnv(34, 40, 24)
+	m := env.Models()[0]
+	eng := core.NewEngineShards(m.DS, m.Costs, 4)
+	q := env.Query(m, 8)
+	for _, par := range []int{1, 4} {
+		_, st, err := eng.SearchTopKStats(q, 40, core.TopKOptions{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const polls = 4 // the entry check, then one per pop
+		if st.TrajVerified+st.Requeues < 3*polls {
+			t.Fatalf("par=%d: only %d pops, cannot cancel mid-queue", par, st.TrajVerified+st.Requeues)
+		}
+		ctx := &cancelAfter{Context: context.Background()}
+		ctx.left.Store(polls)
+		if _, _, err := eng.SearchTopKStats(q, 40, core.TopKOptions{Parallelism: par, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+			t.Errorf("par=%d: err = %v, want context.Canceled", par, err)
 		}
 	}
 }

@@ -109,9 +109,9 @@ func TestCompactEquivalenceTemporal(t *testing.T) {
 	}
 }
 
-// TestCompactEquivalenceTopK compares the incremental top-k driver across
-// backends: the per-round threshold growth depends only on plan numbers,
-// which the backends share, so the full round structure must agree.
+// TestCompactEquivalenceTopK compares the top-k driver across backends:
+// the queue is filled from the plan and the postings, which the backends
+// share, so the queued-trajectory count must agree as well as the answer.
 func TestCompactEquivalenceTopK(t *testing.T) {
 	env := testutil.NewEnv(33, 35, 22)
 	for _, m := range env.Models() {
@@ -127,8 +127,8 @@ func TestCompactEquivalenceTopK(t *testing.T) {
 				t.Fatalf("%s compact topk: %v", m.Name, err)
 			}
 			bitEqual(t, m.Name+"/topk", got, want)
-			if gstats.Rounds != wstats.Rounds {
-				t.Fatalf("%s topk: %d rounds, want %d", m.Name, gstats.Rounds, wstats.Rounds)
+			if gstats.TrajQueued != wstats.TrajQueued {
+				t.Fatalf("%s topk: %d trajectories queued, want %d", m.Name, gstats.TrajQueued, wstats.TrajQueued)
 			}
 		}
 	}

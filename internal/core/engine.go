@@ -178,28 +178,27 @@ type QueryStats struct {
 	// (min(Parallelism, Shards); 1 on the sequential path).
 	Shards, Workers int
 
-	// The remaining fields are produced only by the top-k drivers
+	// The remaining fields are produced only by the top-k driver
 	// (SearchTopKStats); they stay zero for plain searches.
 	//
-	// Rounds is the number of threshold-growing rounds the driver ran;
-	// RoundCandidates records each round's enumerated candidate count
-	// (before any cross-round skipping), and RoundTime each round's
-	// wall-clock duration (plan + filter + verify) — the per-round span
-	// breakdown the observability layer renders under top-k traces.
-	Rounds          int
-	RoundCandidates []int
-	RoundTime       []time.Duration
-	// CandidatesReused counts candidates enumerated in a later round but
-	// skipped because their trajectory's best match was already resolved
-	// in an earlier round — the cross-round work reuse of the
-	// incremental driver (always 0 for the legacy restart driver).
-	// Candidates, by contrast, counts only candidates actually verified.
+	// TrajQueued is the number of trajectories whose coverage bound put
+	// them on the best-first queue; TrajVerified how many of those were
+	// verified at least once (the rest were dropped on their bound);
+	// Requeues how often a trajectory went back on the queue under a
+	// tighter key — its chain bound, or the threshold of a verification
+	// that found nothing.
+	TrajQueued, TrajVerified, Requeues int
+	// Rounds is always 1 and CandidatesReused counts the postings the
+	// driver read but never verified. Both survive from the τ-growth
+	// driver only because benchmark/trace.go reads them by name (its
+	// core.topk_rounds and core.topk_reused_ratio rows) and a PR that
+	// claims a gain may not edit the benchmark; the next benchmark PR
+	// retires them. Candidates, by contrast, counts VerifyAt calls.
+	Rounds           int
 	CandidatesReused int
-	// EffectiveTau is the driver's final effective threshold: the radius
-	// below which the reported answer is provably complete. Once k
-	// trajectories resolve this is the k-th best WED (dynamic
-	// tightening); otherwise it is the last round's τ (the feasibility
-	// ceiling when the searchable radius was exhausted).
+	// EffectiveTau is the radius below which the reported answer is
+	// provably complete: the k-th best WED once k trajectories answered,
+	// the feasibility ceiling when fewer lie inside it.
 	EffectiveTau float64
 }
 
@@ -225,7 +224,7 @@ type Query struct {
 	Tau float64
 	// Ctx, when non-nil, cancels the query cooperatively: the engine
 	// checks it between candidate groups in the verify loops (sequential
-	// and per shard worker) and between top-k τ-growth rounds, returning
+	// and per shard worker) and per trajectory the top-k queue pops, returning
 	// an error wrapping ctx.Err() — a slow query under a server deadline
 	// stops within one trajectory group's verification instead of
 	// running to completion. nil means run to completion.

@@ -129,7 +129,7 @@ type workerPanic struct{ val any }
 // the caller's goroutine: a panicking cost model then behaves exactly
 // as on the sequential path (net/http's per-request recover catches it)
 // instead of killing the process from a bare worker goroutine. Shared
-// by the plain sharded search and the top-k rounds.
+// by the plain sharded search and the top-k driver.
 func fanOutShards(numShards, workers int, task func(s int)) {
 	tasks := make(chan int)
 	var wg sync.WaitGroup

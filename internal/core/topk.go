@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,43 +23,38 @@ import (
 // (smallest WED, ties broken by shortest span, then ID and position),
 // ordered by ascending WED.
 //
-// Two drivers answer it:
+// The driver is one best-first pass. The filter plan is built once at the
+// feasibility ceiling and its postings are scanned once, without
+// materialising candidates, into a per-trajectory lower bound on the best
+// WED any subtrajectory can reach. Trajectories wait in a priority queue
+// keyed by (bound, ID); one is dropped only when its key reaches the
+// running threshold — just above the k-th best WED, the ceiling until k
+// trajectories have answered. Every key is admissible (DESIGN.md §1.5):
 //
-//   - The incremental driver (default) grows τ geometrically like the
-//     restart driver but carries state across rounds: a per-trajectory
-//     best-match table (every trajectory that produces a match at some τ
-//     has its *exact* best — the search reports all matches under τ, so
-//     the minimum is final), a resolved set so later rounds skip those
-//     trajectories' candidates entirely, one verifier whose scratch
-//     arenas persist across rounds (Reset, not reallocation), and
-//     dynamic threshold tightening: once the table holds k entries, the
-//     remaining trajectory groups of the round are verified under
-//     nextafter(k-th best WED) instead of the round τ, so the final
-//     round shrinks toward the answer instead of exploding toward the
-//     feasibility ceiling.
+//   - coverage: a position of the τ-subsequence Q′ whose neighbourhood
+//     B(q) holds no symbol of the trajectory pays at least c(q) in every
+//     alignment, so WED ≥ c(Q′) − Σ c(q) over the covered positions;
+//   - chain: positions substituted inside B(q) align monotonically, so
+//     WED ≥ c(Q′) − the heaviest chain of candidates (pos, iq) strictly
+//     increasing in both coordinates, weighted by c(q);
+//   - miss: VerifyAt(t) enumerates every match below t, so a trajectory
+//     that yields none has best WED ≥ t.
 //
-//   - The legacy restart driver (TopKOptions.Legacy) re-runs the whole
-//     filter-and-verify pipeline from scratch each round. It is kept as
-//     the equivalence baseline: both drivers return bit-equal results
-//     (TestTopKEquivalence), because tightening only ever suppresses
-//     matches that provably cannot enter the top-k (see the invariant
-//     note on topkState).
+// Because a trajectory leaves the queue only with its exact best or with
+// a bound above the k-th best, the answer is the unique k-minimum under
+// the total (WED, span, ID, S, T) order whatever the visiting order —
+// which is why every Parallelism returns the same bits.
 
-// TopKOptions tunes SearchTopKStats; the zero value is the incremental
-// driver with automatic parallelism.
+// TopKOptions tunes SearchTopKStats; the zero value is automatic
+// parallelism and no cancellation.
 type TopKOptions struct {
-	// Parallelism caps the shard workers of each round, exactly like
-	// Query.Parallelism (0 = auto, 1 = sequential). Every setting — and
-	// both drivers — return the identical result slice.
+	// Parallelism caps the shard workers, exactly like Query.Parallelism
+	// (0 = auto, 1 = sequential). Every setting returns the identical
+	// result slice.
 	Parallelism int
-	// Legacy selects the restart driver: each round is an independent
-	// full SearchQuery. Slower (no carried state, no tightening) but
-	// maximally simple; kept as the correctness baseline the incremental
-	// driver is cross-checked against.
-	Legacy bool
-	// Ctx cancels the driver cooperatively between τ-growth rounds and
-	// between trajectory groups inside a round's verify loops (see
-	// Query.Ctx). nil means run to completion.
+	// Ctx cancels the driver cooperatively: it is polled once per
+	// trajectory taken off the queue (see Query.Ctx). nil means run to
+	// completion.
 	Ctx context.Context
 }
 
@@ -65,43 +62,72 @@ type TopKOptions struct {
 // query, each trajectory's best subtrajectory match, ordered by ascending
 // WED (ties by span, ID, position).
 //
-// The search grows the threshold geometrically until k trajectories are
-// found or the feasibility ceiling τ ≤ min(c(Q), wed(ε, Q)) is reached —
-// beyond that ceiling the subsequence filter cannot prune (no
-// τ-subsequence exists), which bounds the similarity radius this index
-// can answer exactly; trajectories farther away than the ceiling are not
-// reported.
+// Only trajectories inside the feasibility ceiling τ ≤ min(c(Q),
+// wed(ε, Q)) are reported — beyond it the subsequence filter cannot prune
+// (no τ-subsequence exists), which bounds the similarity radius this
+// index can answer exactly.
 func (e *Engine) SearchTopK(q []traj.Symbol, k int) ([]traj.Match, error) {
 	res, _, err := e.SearchTopKStats(q, k, TopKOptions{})
 	return res, err
 }
 
-// SearchTopKP is SearchTopK with an explicit shard-parallelism cap for
-// the underlying threshold-growing rounds (0 = auto; see
-// Query.Parallelism). Callers that meter concurrency — the server's
-// shared worker budget — pass the parallelism they reserved.
+// SearchTopKP is SearchTopK with an explicit shard-parallelism cap (0 =
+// auto; see Query.Parallelism). Callers that meter concurrency — the
+// server's shared worker budget — pass the parallelism they reserved.
 func (e *Engine) SearchTopKP(q []traj.Symbol, k, parallelism int) ([]traj.Match, error) {
 	res, _, err := e.SearchTopKStats(q, k, TopKOptions{Parallelism: parallelism})
 	return res, err
 }
 
 // SearchTopKStats answers the top-k protocol and returns the driver's
-// merged QueryStats: per-phase durations and verification counters summed
-// over every round, Rounds/RoundCandidates/CandidatesReused describing
-// the round schedule, and EffectiveTau — the radius below which the
-// answer is provably complete (the k-th best WED once k trajectories
-// resolved, the last searched τ otherwise).
+// QueryStats: per-phase durations and verification counters summed over
+// the shard workers, the queue counters (TrajQueued, TrajVerified,
+// Requeues), and EffectiveTau — the radius below which the answer is
+// provably complete (the k-th best WED once k trajectories answered, the
+// feasibility ceiling otherwise).
 func (e *Engine) SearchTopKStats(q []traj.Symbol, k int, opts TopKOptions) ([]traj.Match, *QueryStats, error) {
 	if len(q) == 0 {
 		return nil, nil, ErrEmptyQuery
 	}
+	numShards := e.idx.NumShards()
 	if k <= 0 {
-		return nil, &QueryStats{Shards: e.idx.NumShards()}, nil
+		return nil, &QueryStats{Shards: numShards}, nil
 	}
-	if opts.Legacy {
-		return e.searchTopKLegacy(q, k, opts)
+	if err := ctxErr(opts.Ctx); err != nil {
+		return nil, nil, err
 	}
-	return e.searchTopKIncremental(q, k, opts)
+	ceiling := e.topKCeiling(q)
+	workers := e.EffectiveParallelism(opts.Parallelism)
+	stats := &QueryStats{Shards: numShards, Workers: workers, Rounds: 1}
+	start := time.Now()
+	plan, err := filter.BuildPlan(e.costs, e.idx, q, ceiling)
+	stats.MinCandTime = time.Since(start)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats.SubseqLen, stats.CSum = len(plan.Subseq), plan.CSum
+
+	tab := &topkTable{k: k}
+	tab.thr.Store(math.Float64bits(ceiling))
+	run := topkRun{e: e, ctx: opts.Ctx, q: q, plan: plan, ceiling: ceiling, tab: tab, stats: stats}
+	if workers <= 1 {
+		run.pass(0, numShards)
+	} else {
+		fanOutShards(numShards, workers, func(s int) { run.pass(s, s+1) })
+	}
+	run.mu.Lock()
+	err = run.err
+	run.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	res := tab.sorted()
+	stats.Verify.Matches = len(res)
+	stats.EffectiveTau = ceiling
+	if len(res) >= k {
+		stats.EffectiveTau = res[k-1].WED
+	}
+	return res, stats, nil
 }
 
 // topKCeiling returns the feasibility ceiling min(c(Q), wed(ε, Q)),
@@ -115,361 +141,332 @@ func (e *Engine) topKCeiling(q []traj.Symbol) float64 {
 	return ceiling * (1 - 1e-12)
 }
 
-// topKStartTau is the first round's threshold; rounds grow by topKGrowth
-// until the ceiling. Both drivers share the schedule so their round
-// boundaries — and therefore their results — line up exactly.
 const (
+	// A trajectory is verified under t = max(topKGrowth·key,
+	// ceiling/topKStartDiv), capped at the running threshold: near
+	// answers are found by shallow trie walks, far ones are refined
+	// geometrically, and the trie keeps the columns between visits.
 	topKStartDiv = 64
 	topKGrowth   = 4
+	// topKSlack, relative to c(Q′), is taken off every bound summed from
+	// c(q) values, and, relative to the k-th best WED, added to the
+	// threshold: rounding in either sum can then neither out-prune an
+	// exact WED tie nor hide it from VerifyAt's comparisons.
+	topKSlack = 1e-9
 )
 
-// --- incremental driver --------------------------------------------------
-
-// topkState is the cross-round state of the incremental driver: the ≤ k
-// best resolved per-trajectory matches and the set of every resolved
-// trajectory. It is shared by the shard workers of a round (mutex), and
-// the final result is order-independent:
-//
-// Invariant: the table only ever holds *exact* per-trajectory bests, and
-// its worst entry only ever improves. A trajectory group verified under
-// bound b = nextafter(worst WED) either yields its true best (if that
-// best < b, every match under b is enumerated, so the minimum is exact)
-// or yields nothing / a value ≥ b — and a best ≥ b exceeds the current
-// worst, which already exceeds the final k-th best, so the trajectory
-// could never have entered the top-k anyway. Offers race-safely
-// re-check against the table under the lock, so a stale (too-large)
-// bound read can only admit extra verification work, never a wrong
-// entry. Hence every worker interleaving — including the sequential
-// one — converges on the unique k-minimum under the total (WED, span,
-// ID, S, T) order.
-type topkState struct {
-	k  int
-	mu sync.Mutex
-	// best holds the up-to-k best resolved matches (unordered); worst
-	// indexes its maximum by topKLess once len(best) == k.
+// topkTable holds the ≤ k best per-trajectory matches found so far. Its
+// entries are exact bests and its worst entry only ever improves, so the
+// threshold published in thr only ever falls; workers read it without the
+// lock, and a stale (larger) value costs extra verification, never a
+// wrong entry — offer re-checks under the lock.
+type topkTable struct {
+	k   int
+	thr atomic.Uint64 // Float64bits of the threshold
+	mu  sync.Mutex
+	// best is unordered; worst indexes its maximum by topKLess once
+	// len(best) == k. Both guarded by mu.
 	best  []traj.Match
 	worst int
-	// resolved marks trajectories whose exact best is known (admitted to
-	// the table at least once); later rounds skip their candidates.
-	resolved map[int32]bool
-	// full mirrors len(best) == k without the lock, letting the hot
-	// bound() fast-path skip locking until tightening can matter.
-	full atomic.Bool
 }
 
-func newTopKState(k int) *topkState {
-	return &topkState{k: k, resolved: make(map[int32]bool)}
-}
+func (tb *topkTable) threshold() float64 { return math.Float64frombits(tb.thr.Load()) }
 
-// isResolved reports whether id's best match is already known. Reads
-// race only with inserts of *other* trajectories (a trajectory's
-// candidates form one group processed by one worker), so the lock just
-// orders map access.
-func (st *topkState) isResolved(id int32) bool {
-	st.mu.Lock()
-	r := st.resolved[id]
-	st.mu.Unlock()
-	return r
-}
-
-// bound returns the current effective verification threshold for a
-// trajectory group: the round τ until the table is full, then
-// nextafter(worst WED) — strictly above the worst so exact WED ties are
-// still enumerated and tie-broken by span/ID — capped at the round τ
-// (trie bands are built for the round τ; see verify.VerifyAt).
-func (st *topkState) bound(tauRound float64) float64 {
-	if !st.full.Load() {
-		return tauRound
-	}
-	st.mu.Lock()
-	b := math.Nextafter(st.best[st.worst].WED, math.Inf(1))
-	st.mu.Unlock()
-	if b > tauRound {
-		b = tauRound
-	}
-	return b
-}
-
-// offer records trajectory m.ID as resolved with exact best m and admits
-// m to the table if it beats the current worst entry.
-func (st *topkState) offer(m traj.Match) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.resolved[m.ID] = true
-	if len(st.best) < st.k {
-		st.best = append(st.best, m)
-		if len(st.best) == st.k {
-			st.refreshWorst()
-			st.full.Store(true)
+// offer admits trajectory m.ID's exact best if it beats the worst entry.
+func (tb *topkTable) offer(m traj.Match) {
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	switch {
+	case len(tb.best) < tb.k:
+		tb.best = append(tb.best, m)
+		if len(tb.best) < tb.k {
+			return
 		}
+	case topKLess(m, tb.best[tb.worst]):
+		tb.best[tb.worst] = m
+	default:
 		return
 	}
-	if topKLess(m, st.best[st.worst]) {
-		st.best[st.worst] = m
-		st.refreshWorst()
-	}
-}
-
-func (st *topkState) refreshWorst() {
 	w := 0
-	for i := 1; i < len(st.best); i++ {
-		if topKLess(st.best[w], st.best[i]) {
+	for i := range tb.best {
+		if topKLess(tb.best[w], tb.best[i]) {
 			w = i
 		}
 	}
-	st.worst = w
+	tb.worst = w
+	// Strictly above the worst WED, so exact ties are still enumerated
+	// and broken by span and ID; never above the ceiling it started at.
+	thr := math.Nextafter(tb.best[w].WED*(1+topKSlack), math.Inf(1))
+	if thr < tb.threshold() {
+		tb.thr.Store(math.Float64bits(thr))
+	}
 }
 
 // sorted returns the table ordered by (WED, span, ID, S, T).
-func (st *topkState) sorted() []traj.Match {
-	out := make([]traj.Match, len(st.best))
-	copy(out, st.best)
+func (tb *topkTable) sorted() []traj.Match {
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	out := slices.Clone(tb.best)
 	sort.Slice(out, func(i, j int) bool { return topKLess(out[i], out[j]) })
 	return out
 }
 
-func (e *Engine) searchTopKIncremental(q []traj.Symbol, k int, opts TopKOptions) ([]traj.Match, *QueryStats, error) {
-	ceiling := e.topKCeiling(q)
-	tau := ceiling / topKStartDiv
-	st := newTopKState(k)
-	workers := e.EffectiveParallelism(opts.Parallelism)
-	stats := &QueryStats{Shards: e.idx.NumShards(), Workers: workers}
-
-	// The sequential path holds one verifier across every round: Reset
-	// re-banding it to each round's τ keeps the trie arenas, match
-	// buffers, and DP scratch instead of cycling them through the pool.
-	var ver *verify.Verifier
-	defer func() {
-		if ver != nil {
-			verify.Put(ver)
-		}
-	}()
-
-	//subtrajlint:hotloop
-	for {
-		// Round boundaries are the coarse cancellation points: a
-		// deadline that fires mid-search skips every remaining τ-growth
-		// round (the finer-grained group checks inside the round loops
-		// bound the residual latency).
-		if err := ctxErr(opts.Ctx); err != nil {
-			return nil, nil, err
-		}
-		roundStart := time.Now()
-		start := roundStart
-		plan, err := filter.BuildPlan(e.costs, e.idx, q, tau)
-		stats.MinCandTime += time.Since(start)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.SubseqLen, stats.CSum = len(plan.Subseq), plan.CSum
-		stats.Rounds++
-
-		if workers <= 1 {
-			if ver == nil {
-				ver = verify.Get(e.costs, e.ds, q, tau, verify.Options{})
-			} else {
-				ver.Reset(e.costs, e.ds, q, tau, verify.Options{})
-			}
-			err = e.topKRoundSequential(opts.Ctx, plan, tau, st, ver, stats)
-		} else {
-			err = e.topKRoundSharded(opts.Ctx, q, plan, tau, workers, st, stats)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.RoundTime = append(stats.RoundTime, time.Since(roundStart))
-
-		if st.full.Load() {
-			// k exact bests are known and every unresolved trajectory's
-			// best exceeds the table's worst: the answer is final.
-			break
-		}
-		if tau >= ceiling {
-			break // fewer than k trajectories inside the searchable radius
-		}
-		tau *= topKGrowth
-		if tau > ceiling {
-			tau = ceiling
-		}
-	}
-
-	res := st.sorted()
-	stats.Verify.Matches = len(res)
-	stats.EffectiveTau = tau
-	if len(res) >= k && k > 0 {
-		stats.EffectiveTau = res[k-1].WED
-	}
-	return res, stats, nil
+// topkEntry is one queued trajectory; key is a lower bound on its best WED.
+type topkEntry struct {
+	key   float64
+	id    int32
+	state uint8
 }
 
-// topKRoundSequential runs one round on the caller's goroutine with the
-// cross-round verifier.
-func (e *Engine) topKRoundSequential(ctx context.Context, plan *filter.Plan, tau float64, st *topkState, ver *verify.Verifier, stats *QueryStats) error {
-	start := time.Now()
-	buf := getCandBuf()
-	cands := *buf
-	defer func() { *buf = cands; candBufs.Put(buf) }()
-	for s := 0; s < e.idx.NumShards(); s++ {
-		src := e.idx.Source(s)
-		cands = plan.Candidates(src, cands)
-		index.ReleaseSource(src)
-	}
-	filter.GroupByTrajectory(cands)
-	stats.LookupTime += time.Since(start)
-	stats.RoundCandidates = append(stats.RoundCandidates, len(cands))
+const (
+	topkFresh    = iota // key is the coverage bound
+	topkChained         // key is the chain bound
+	topkVerified        // key is the threshold of its last, empty, verification
+)
 
-	start = time.Now()
-	verified, skipped, err := verifyTopKGroups(ctx, ver, cands, st, tau)
-	stats.VerifyTime += time.Since(start)
-	stats.Candidates += verified
-	stats.CandidatesReused += skipped
-	stats.Verify.Add(ver.SnapshotStats())
-	return err
+func (a topkEntry) before(b topkEntry) bool {
+	return a.key < b.key || (a.key == b.key && a.id < b.id)
 }
 
-// topKRoundSharded fans one round's shards over `workers` goroutines
-// sharing the cross-round state. Workers read the tightening bound from
-// st per trajectory group; the final table is order-independent (see
-// topkState), so Parallelism 1 vs N stay bit-equal even though the
-// per-round work counters may differ with scheduling.
-func (e *Engine) topKRoundSharded(ctx context.Context, q []traj.Symbol, plan *filter.Plan, tau float64, workers int, st *topkState, stats *QueryStats) error {
-	numShards := e.idx.NumShards()
-	outs := make([]topkShardOut, numShards)
-	fanOutShards(numShards, workers, func(s int) {
-		outs[s] = e.topKRunShard(ctx, q, plan, tau, s, st)
+// symItem says symbol sym lies in B of the τ-subsequence's item-th element.
+type symItem struct {
+	sym  traj.Symbol
+	item int32
+}
+
+// topkScratch is one pass's working memory, pooled across queries.
+type topkScratch struct {
+	// stamp[id] > (used at the start of the scan) marks a trajectory this
+	// query's postings touched; the excess is 1 + the last subsequence
+	// item counted into cov[id]. used is the highest stamp any scan may
+	// have written, so raising it retires a query's marks without clearing.
+	stamp []uint32
+	used  uint32
+	cov   []float64
+	heap  []topkEntry // a binary min-heap by (key, id) once scan returns
+	// Per-plan tables: w[i] = c(Subseq[i]); inv lists B's members sorted
+	// by (symbol, item descending); csum = c(Q′).
+	w     []float64
+	inv   []symItem
+	csum  float64
+	chain []float64 // chain[i]: heaviest chain ending at item i
+	cands []verify.Candidate
+}
+
+var topkScratches = sync.Pool{New: func() any { return new(topkScratch) }}
+
+// bound turns a covered (or chained) weight into an admissible key.
+func (sc *topkScratch) bound(weight float64) float64 {
+	return max(0, sc.csum-weight-topKSlack*sc.csum)
+}
+
+// scan reads the plan's postings in shards [lo, hi) once, accumulates each
+// touched trajectory's covered weight, and queues every trajectory whose
+// coverage bound is below the ceiling. It returns the postings read.
+func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, lo, hi int, ceiling float64) (postings int) {
+	m := uint32(len(plan.Subseq))
+	if sc.used > math.MaxUint32-m {
+		clear(sc.stamp)
+		sc.used = 0
+	}
+	base := sc.used
+	sc.used += m
+	if n := e.ds.Len(); len(sc.stamp) < n {
+		sc.stamp = append(sc.stamp, make([]uint32, n-len(sc.stamp))...)
+		sc.cov = append(sc.cov, make([]float64, n-len(sc.cov))...)
+	}
+	sc.w, sc.chain, sc.inv, sc.heap, sc.csum = sc.w[:0], sc.chain[:0], sc.inv[:0], sc.heap[:0], plan.CSum
+	for i, it := range plan.Subseq {
+		sc.w = append(sc.w, e.costs.FilterCost(it.Sym))
+		sc.chain = append(sc.chain, 0)
+		for _, b := range plan.Neighbors[i] {
+			sc.inv = append(sc.inv, symItem{b, int32(i)})
+		}
+	}
+	slices.SortFunc(sc.inv, func(a, b symItem) int {
+		return cmp.Or(cmp.Compare(a.sym, b.sym), cmp.Compare(b.item, a.item))
 	})
 
-	var enumerated int
-	for s := range outs {
-		o := &outs[s]
-		if o.err != nil {
-			return o.err
+	for s := lo; s < hi; s++ {
+		src := e.idx.Source(s)
+		for i := range plan.Subseq {
+			mark, w := base+uint32(i)+1, sc.w[i]
+			for _, b := range plan.Neighbors[i] {
+				list := src.Postings(b)
+				postings += len(list)
+				for _, p := range list {
+					st := sc.stamp[p.ID]
+					if st == mark {
+						continue // item i already counted for this trajectory
+					}
+					if st <= base { // its first posting in this query
+						sc.heap = append(sc.heap, topkEntry{id: p.ID})
+						sc.cov[p.ID] = 0
+					}
+					sc.cov[p.ID] += w
+					sc.stamp[p.ID] = mark
+				}
+			}
 		}
-		enumerated += o.enumerated
-		stats.LookupTime += o.lookup
-		stats.VerifyTime += o.verify
-		stats.Candidates += o.verified
-		stats.CandidatesReused += o.skipped
-		stats.Verify.Add(o.vstats)
+		index.ReleaseSource(src)
 	}
-	stats.RoundCandidates = append(stats.RoundCandidates, enumerated)
-	return nil
+	h := sc.heap[:0]
+	for _, en := range sc.heap {
+		if en.key = sc.bound(sc.cov[en.id]); en.key < ceiling {
+			h = append(h, en)
+		}
+	}
+	sc.heap = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		sc.siftDown(i)
+	}
+	return postings
 }
 
-// topkShardOut is one shard task's contribution to a round.
-type topkShardOut struct {
-	lookup, verify    time.Duration
-	enumerated        int
-	verified, skipped int
-	vstats            verify.Stats
-	err               error
+func (sc *topkScratch) siftDown(i int) {
+	h := sc.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
-func (e *Engine) topKRunShard(ctx context.Context, q []traj.Symbol, plan *filter.Plan, tau float64, s int, st *topkState) topkShardOut {
-	var out topkShardOut
+// replaceTop overwrites the heap's minimum; pop removes it.
+func (sc *topkScratch) replaceTop(en topkEntry) {
+	sc.heap[0] = en
+	sc.siftDown(0)
+}
+
+func (sc *topkScratch) pop() {
+	n := len(sc.heap) - 1
+	sc.heap[0] = sc.heap[n]
+	sc.heap = sc.heap[:n]
+	sc.siftDown(0)
+}
+
+// candidates scans trajectory id's path against inv and leaves its
+// candidates in sc.cands, in position order. In the same loop it finds
+// the heaviest chain of candidates strictly increasing in both position
+// and subsequence item; items of one position are visited in descending
+// order so they cannot extend each other.
+func (sc *topkScratch) candidates(id int32, path []traj.Symbol, plan *filter.Plan) (chain float64) {
+	sc.cands = sc.cands[:0]
+	clear(sc.chain)
+	for pos, sym := range path {
+		// The leftmost entry of sym's run: its largest item.
+		j, _ := slices.BinarySearchFunc(sc.inv, sym, func(a symItem, s traj.Symbol) int { return cmp.Compare(a.sym, s) })
+		for ; j < len(sc.inv) && sc.inv[j].sym == sym; j++ {
+			it := sc.inv[j].item
+			sc.cands = append(sc.cands, verify.Candidate{ID: id, Pos: int32(pos), IQ: plan.Subseq[it].Pos})
+			v := sc.w[it]
+			if it > 0 {
+				v += slices.Max(sc.chain[:it])
+			}
+			sc.chain[it] = max(sc.chain[it], v)
+			chain = max(chain, v)
+		}
+	}
+	return chain
+}
+
+// topkRun is what the passes of one query share.
+type topkRun struct {
+	e       *Engine
+	ctx     context.Context
+	q       []traj.Symbol
+	plan    *filter.Plan
+	ceiling float64
+	tab     *topkTable
+
+	mu    sync.Mutex
+	stats *QueryStats // every pass adds its work here; guarded by mu
+	err   error       // the first pass to be cancelled; guarded by mu
+}
+
+// pass answers shards [lo, hi) with its own queue and verifier, sharing
+// only the table until it reports its work.
+func (r *topkRun) pass(lo, hi int) {
 	start := time.Now()
-	buf := getCandBuf()
-	src := e.idx.Source(s)
-	cands := plan.Candidates(src, *buf)
-	// Deferred so a panicking worker (re-raised by fanOutShards) cannot
-	// leak the buffer or the pooled verifier.
-	defer func() { *buf = cands; candBufs.Put(buf) }()
-	index.ReleaseSource(src)
-	filter.GroupByTrajectory(cands)
-	out.lookup = time.Since(start)
-	out.enumerated = len(cands)
+	sc := topkScratches.Get().(*topkScratch)
+	defer topkScratches.Put(sc)
+	postings := sc.scan(r.e, r.plan, lo, hi, r.ceiling)
+	lookupTime, queued := time.Since(start), len(sc.heap)
 
 	start = time.Now()
-	ver := verify.Get(e.costs, e.ds, q, tau, verify.Options{})
+	ver := verify.Get(r.e.costs, r.e.ds, r.q, r.ceiling, verify.Options{})
 	defer verify.Put(ver)
-	out.verified, out.skipped, out.err = verifyTopKGroups(ctx, ver, cands, st, tau)
-	out.vstats = ver.SnapshotStats()
-	out.verify = time.Since(start)
-	return out
-}
-
-// verifyTopKGroups walks a trajectory-grouped candidate stream: resolved
-// trajectories are skipped wholesale (their exact best is carried from an
-// earlier round), every other group is verified under the current
-// tightened bound and its best match offered to the table.
-func verifyTopKGroups(ctx context.Context, ver *verify.Verifier, cands []filter.Candidate, st *topkState, tauRound float64) (verified, skipped int, err error) {
+	var err error
+	var verified, requeues int
+	distinct := 0 // candidates of the trajectories verified at least once
 	//subtrajlint:hotloop
-	for i := 0; i < len(cands); {
-		if err = ctxErr(ctx); err != nil {
-			return verified, skipped, err
+	for len(sc.heap) > 0 {
+		if err = ctxErr(r.ctx); err != nil {
+			break
 		}
-		id := cands[i].ID
-		j := i + 1
-		for j < len(cands) && cands[j].ID == id {
-			j++
+		thr, top := r.tab.threshold(), sc.heap[0]
+		if top.key >= thr {
+			break // so is every key behind it
 		}
-		if st.isResolved(id) {
-			skipped += j - i
-			i = j
-			continue
-		}
-		tauEff := st.bound(tauRound)
-		for _, c := range cands[i:j] {
-			ver.VerifyAt(verify.Candidate{ID: c.ID, Pos: c.Pos, IQ: c.IQ}, tauEff)
-		}
-		verified += j - i
-		if m, ok := ver.TakeBest(); ok {
-			st.offer(m)
-		}
-		i = j
-	}
-	return verified, skipped, nil
-}
-
-// --- legacy restart driver ----------------------------------------------
-
-// searchTopKLegacy is the restart driver: every round is an independent
-// SearchQuery over the full pipeline. Per-round stats are merged so the
-// baseline is observable too, but there is no carried state and no
-// tightening — CandidatesReused is always 0.
-func (e *Engine) searchTopKLegacy(q []traj.Symbol, k int, opts TopKOptions) ([]traj.Match, *QueryStats, error) {
-	ceiling := e.topKCeiling(q)
-	tau := ceiling / topKStartDiv
-	merged := &QueryStats{Shards: e.idx.NumShards()}
-	for {
-		roundStart := time.Now()
-		res, st, err := e.SearchQuery(Query{Q: q, Tau: tau, Parallelism: opts.Parallelism, Ctx: opts.Ctx})
-		if err != nil {
-			return nil, nil, err
-		}
-		merged.RoundTime = append(merged.RoundTime, time.Since(roundStart))
-		merged.MinCandTime += st.MinCandTime
-		merged.LookupTime += st.LookupTime
-		merged.VerifyTime += st.VerifyTime
-		merged.SubseqLen, merged.CSum = st.SubseqLen, st.CSum
-		merged.Candidates += st.Candidates
-		merged.RoundCandidates = append(merged.RoundCandidates, st.Candidates)
-		merged.Verify.Add(st.Verify)
-		merged.Workers = st.Workers
-		merged.Rounds++
-		best := bestPerTrajectoryOrdered(res)
-		done := len(best) >= k || tau >= ceiling
-		if len(best) > k {
-			best = best[:k]
-		}
-		if done {
-			merged.Verify.Matches = len(best)
-			merged.EffectiveTau = tau
-			if len(best) >= k && k > 0 {
-				merged.EffectiveTau = best[k-1].WED
+		chain := sc.candidates(top.id, r.e.ds.Path(top.id), r.plan)
+		if top.state == topkFresh {
+			// A vehicle driving the query's road backwards covers every
+			// position and chains no two of them.
+			if lb := sc.bound(chain); lb > top.key {
+				sc.replaceTop(topkEntry{lb, top.id, topkChained})
+				requeues++
+				continue
 			}
-			return best, merged, nil
 		}
-		tau *= topKGrowth
-		if tau > ceiling {
-			tau = ceiling
+		t := min(thr, max(topKGrowth*top.key, r.ceiling/topKStartDiv))
+		for _, c := range sc.cands {
+			ver.VerifyAt(c, t)
+		}
+		if top.state != topkVerified {
+			verified++
+			distinct += len(sc.cands)
+		}
+		if m, ok := ver.TakeBest(); ok {
+			sc.pop()
+			r.tab.offer(m) // every match below t was enumerated: m is exact
+		} else if t < thr {
+			sc.replaceTop(topkEntry{t, top.id, topkVerified})
+			requeues++
+		} else {
+			sc.pop()
 		}
 	}
+	vs := ver.SnapshotStats()
+	verifyTime := time.Since(start)
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err == nil {
+		r.err = err
+	}
+	st := r.stats
+	st.LookupTime += lookupTime
+	st.VerifyTime += verifyTime
+	st.Candidates += vs.Candidates
+	st.CandidatesReused += postings - distinct
+	st.TrajQueued += queued
+	st.TrajVerified += verified
+	st.Requeues += requeues
+	st.Verify.Add(vs)
 }
 
 // topKLess is the top-k result order: ascending WED, then span length,
 // then (ID, S, T). Total over distinct trajectories, which makes the
-// k-minimum set — and both drivers' output — unique.
+// k-minimum set unique.
 func topKLess(a, b traj.Match) bool {
 	if a.WED != b.WED {
 		return a.WED < b.WED
@@ -485,27 +482,4 @@ func topKLess(a, b traj.Match) bool {
 		return a.S < b.S
 	}
 	return a.T < b.T
-}
-
-// bestPerTrajectoryOrdered reduces matches to one per trajectory and
-// orders them by (WED, span length, ID, S) — the legacy driver's
-// per-round reduction.
-func bestPerTrajectoryOrdered(ms []traj.Match) []traj.Match {
-	best := make(map[int32]traj.Match)
-	for _, m := range ms {
-		b, ok := best[m.ID]
-		if !ok || m.WED < b.WED ||
-			(m.WED == b.WED && (m.T-m.S < b.T-b.S ||
-				(m.T-m.S == b.T-b.S && (m.S < b.S || (m.S == b.S && m.T < b.T))))) {
-			best[m.ID] = m
-		}
-	}
-	out := make([]traj.Match, 0, len(best))
-	// subtrajlint:unordered-ok one entry per trajectory ID and topKLess
-	// tiebreaks on ID, so the sort below erases collection order.
-	for _, m := range best {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return topKLess(out[i], out[j]) })
-	return out
 }

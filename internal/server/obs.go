@@ -43,7 +43,6 @@ type serverMetrics struct {
 	stageVerify *obs.Histogram
 	stageMatch  *obs.Histogram
 
-	topkRounds      *obs.Histogram
 	matchConfidence *obs.Histogram
 	walFsync        *obs.Histogram
 }
@@ -126,15 +125,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 		nil, func() float64 {
 			return ratio(s.stats.cellsComputed.Load(), s.stats.cellsAvail.Load())
 		})
-	r.GaugeFunc("subtraj_topk_reused_ratio",
-		"Fraction of top-k candidates skipped via cross-round state reuse.",
+	r.GaugeFunc("subtraj_topk_verified_ratio",
+		"Fraction of the trajectories queued by top-k queries that had to be verified.",
 		nil, func() float64 {
-			reused := s.stats.reusedCandidates.Load()
-			return ratio(reused, reused+s.stats.topkVerified.Load())
+			return ratio(s.stats.topkVerified.Load(), s.stats.topkQueued.Load())
 		})
-	m.topkRounds = r.Histogram("subtraj_topk_rounds",
-		"Threshold-growing rounds per top-k query.",
-		[]float64{1, 2, 3, 4, 5, 6, 8, 10, 15, 20}, nil)
 	r.CounterFunc("subtraj_shard_workers_total",
 		"Shard workers used across executed queries.", nil, cf(&s.stats.shardWorkers))
 	r.CounterFunc("subtraj_verifier_pool_gets_total",
@@ -349,19 +344,13 @@ func attachStatSpans(tr *obs.Trace, eng *obs.Span, qs *core.QueryStats) {
 	if qs.VerifyTime > 0 {
 		add("verify", qs.VerifyTime).SetAttr("candidates", qs.Candidates)
 	}
-	if qs.Rounds > 0 {
-		var total time.Duration
-		for _, d := range qs.RoundTime {
-			total += d
-		}
-		topk := add("topk_rounds", total)
-		topk.SetAttr("rounds", qs.Rounds)
-		for i, d := range qs.RoundTime {
-			round := tr.AddSpan(topk, fmt.Sprintf("round_%d", i+1), d)
-			if i < len(qs.RoundCandidates) {
-				round.SetAttr("candidates", qs.RoundCandidates[i])
-			}
-		}
+	if qs.TrajQueued > 0 {
+		// The driver's work is the three spans above; this one says how
+		// much of its queue the lower bounds let it skip.
+		topk := add("topk", qs.MinCandTime+qs.LookupTime+qs.VerifyTime)
+		topk.SetAttr("queued", qs.TrajQueued)
+		topk.SetAttr("verified", qs.TrajVerified)
+		topk.SetAttr("requeues", qs.Requeues)
 	}
 }
 

@@ -289,7 +289,11 @@ func TestMetricsMatchStats(t *testing.T) {
 		}
 	}
 	near("band_ratio", samples["subtraj_band_ratio"], stats.Totals.BandRatio)
-	near("reused_ratio", samples["subtraj_topk_reused_ratio"], stats.Totals.ReusedRatio)
+	if stats.Totals.TopKQueued == 0 {
+		t.Fatal("/v1/stats: the executed top-k query queued no trajectories")
+	}
+	near("topk_verified_ratio", samples["subtraj_topk_verified_ratio"],
+		float64(stats.Totals.TopKVerified)/float64(stats.Totals.TopKQueued))
 	near("cache_hit_ratio", samples["subtraj_cache_hit_ratio"], stats.Cache.HitRatio)
 	near("requests search", samples[`subtraj_requests_total{endpoint="search"}`], float64(stats.Requests.Search))
 	near("executed", samples["subtraj_queries_executed_total"], float64(stats.Totals.Executed))
@@ -326,7 +330,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	for _, family := range []string{
 		"subtraj_requests_total", "subtraj_request_errors_total",
 		"subtraj_queries_executed_total", "subtraj_band_ratio",
-		"subtraj_topk_reused_ratio", "subtraj_cache_hits_total",
+		"subtraj_topk_verified_ratio", "subtraj_cache_hits_total",
 		"subtraj_cache_hit_ratio", "subtraj_pool_capacity",
 		"subtraj_engine_generation", "subtraj_uptime_seconds",
 		"subtraj_verifier_pool_gets_total", "subtraj_verifier_pool_retained_bytes",

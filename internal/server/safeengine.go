@@ -286,10 +286,10 @@ func (s *SafeEngine) SearchTopKP(q []traj.Symbol, k, parallelism int) ([]traj.Ma
 }
 
 // SearchTopKStats answers the top-k protocol against the current
-// snapshot and returns the driver's merged QueryStats (rounds, reused
-// candidates, final effective τ — see core.Engine.SearchTopKStats). The
-// whole multi-round protocol runs against one snapshot, so appends
-// landing between rounds cannot skew the τ refinement.
+// snapshot and returns the driver's QueryStats (queue counters, final
+// effective τ — see core.Engine.SearchTopKStats). The whole queue is
+// worked off one snapshot, so appends landing meanwhile cannot skew the
+// threshold.
 func (s *SafeEngine) SearchTopKStats(q []traj.Symbol, k int, opts core.TopKOptions) ([]traj.Match, *core.QueryStats, error) {
 	return s.state.Load().eng.SearchTopKStats(q, k, opts)
 }

@@ -169,13 +169,12 @@ type counters struct {
 	errors                                               atomic.Int64
 	executed                                             atomic.Int64 // engine-run (non-cached) queries
 
-	candidates, matches                   atomic.Int64
-	minCandNS, lookupNS, verifyNS         atomic.Int64
-	columnsVisited, columnsAvail, stepDPs atomic.Int64
-	cellsComputed, cellsAvail             atomic.Int64
-	shardWorkers, parallelQueries         atomic.Int64
-	topkRounds, reusedCandidates          atomic.Int64
-	topkVerified                          atomic.Int64
+	candidates, matches                    atomic.Int64
+	minCandNS, lookupNS, verifyNS          atomic.Int64
+	columnsVisited, columnsAvail, stepDPs  atomic.Int64
+	cellsComputed, cellsAvail              atomic.Int64
+	shardWorkers, parallelQueries          atomic.Int64
+	topkQueued, topkVerified, topkRequeues atomic.Int64
 
 	// GPS pipeline counters (see gps.go).
 	tracesMatched, tracesFailed, tracesSplit atomic.Int64
@@ -269,12 +268,12 @@ type queryStatsJSON struct {
 	MinCandNS  int64 `json:"mincand_ns"`
 	LookupNS   int64 `json:"lookup_ns"`
 	VerifyNS   int64 `json:"verify_ns"`
-	// Top-k driver fields (absent for plain searches): the round count,
-	// each round's enumerated candidates, and how many of those were
-	// skipped because their trajectory resolved in an earlier round.
-	Rounds           int   `json:"rounds,omitempty"`
-	RoundCandidates  []int `json:"round_candidates,omitempty"`
-	ReusedCandidates int   `json:"reused_candidates,omitempty"`
+	// Top-k driver fields (absent for plain searches): trajectories put
+	// on the best-first queue, those verified at least once, and how often
+	// one went back on the queue under a tighter bound.
+	Queued   int `json:"queued,omitempty"`
+	Verified int `json:"verified,omitempty"`
+	Requeues int `json:"requeues,omitempty"`
 }
 
 type queryResponse struct {
@@ -607,14 +606,14 @@ func (s *Server) execute(ctx context.Context, req *queryRequest) (*queryResponse
 	attachMatchMeta(resp, req, matched)
 	if qstats != nil {
 		resp.Stats = &queryStatsJSON{
-			SubseqLen:        qstats.SubseqLen,
-			Candidates:       qstats.Candidates,
-			MinCandNS:        qstats.MinCandTime.Nanoseconds(),
-			LookupNS:         qstats.LookupTime.Nanoseconds(),
-			VerifyNS:         qstats.VerifyTime.Nanoseconds(),
-			Rounds:           qstats.Rounds,
-			RoundCandidates:  qstats.RoundCandidates,
-			ReusedCandidates: qstats.CandidatesReused,
+			SubseqLen:  qstats.SubseqLen,
+			Candidates: qstats.Candidates,
+			MinCandNS:  qstats.MinCandTime.Nanoseconds(),
+			LookupNS:   qstats.LookupTime.Nanoseconds(),
+			VerifyNS:   qstats.VerifyTime.Nanoseconds(),
+			Queued:     qstats.TrajQueued,
+			Verified:   qstats.TrajVerified,
+			Requeues:   qstats.Requeues,
 		}
 	}
 	return resp, nil
@@ -641,14 +640,9 @@ func (s *Server) recordQueryStats(qs *core.QueryStats) {
 	s.stats.stepDPs.Add(qs.Verify.StepDPCalls)
 	s.stats.cellsComputed.Add(qs.Verify.CellsComputed)
 	s.stats.cellsAvail.Add(qs.Verify.CellsAvailable)
-	s.stats.topkRounds.Add(int64(qs.Rounds))
-	s.stats.reusedCandidates.Add(int64(qs.CandidatesReused))
-	if qs.Rounds > 0 {
-		// Only top-k drivers report rounds; keep their verified-candidate
-		// total separate so ReusedRatio is not diluted by plain searches.
-		s.stats.topkVerified.Add(int64(qs.Candidates))
-		s.metrics.topkRounds.Observe(float64(qs.Rounds))
-	}
+	s.stats.topkQueued.Add(int64(qs.TrajQueued))
+	s.stats.topkVerified.Add(int64(qs.TrajVerified))
+	s.stats.topkRequeues.Add(int64(qs.Requeues))
 	s.metrics.stagePlan.Observe(qs.MinCandTime.Seconds())
 	s.metrics.stageFilter.Observe(qs.LookupTime.Seconds())
 	s.metrics.stageVerify.Observe(qs.VerifyTime.Seconds())
@@ -905,14 +899,12 @@ type StatsSnapshot struct {
 		// ShardWorkers ≥ Executed and the two stay consistent.
 		ShardWorkers    int64 `json:"shard_workers"`
 		ParallelQueries int64 `json:"parallel_queries"`
-		// TopKRounds sums the threshold-growing rounds of executed top-k
-		// queries; ReusedCandidates counts candidates those queries
-		// skipped via cross-round state reuse, and ReusedRatio is
-		// reused / (reused + verified) over top-k queries only, so mixed
-		// workloads don't dilute the driver's reuse metric.
-		TopKRounds       int64   `json:"topk_rounds"`
-		ReusedCandidates int64   `json:"reused_candidates"`
-		ReusedRatio      float64 `json:"reused_ratio"`
+		// The best-first queue of executed top-k queries, summed:
+		// trajectories queued, trajectories verified at least once (the
+		// rest were dropped on their lower bound), and re-queues.
+		TopKQueued   int64 `json:"topk_queued"`
+		TopKVerified int64 `json:"topk_verified"`
+		TopKRequeues int64 `json:"topk_requeues"`
 	} `json:"totals"`
 	// Latency summarizes each endpoint's request-duration histogram — the
 	// very histograms /metrics exposes, so the two surfaces report the
@@ -1012,11 +1004,9 @@ func (s *Server) Snapshot() StatsSnapshot {
 	out.Totals.CellsAvailable = s.stats.cellsAvail.Load()
 	out.Totals.ShardWorkers = s.stats.shardWorkers.Load()
 	out.Totals.ParallelQueries = s.stats.parallelQueries.Load()
-	out.Totals.TopKRounds = s.stats.topkRounds.Load()
-	out.Totals.ReusedCandidates = s.stats.reusedCandidates.Load()
-	if total := out.Totals.ReusedCandidates + s.stats.topkVerified.Load(); total > 0 {
-		out.Totals.ReusedRatio = float64(out.Totals.ReusedCandidates) / float64(total)
-	}
+	out.Totals.TopKQueued = s.stats.topkQueued.Load()
+	out.Totals.TopKVerified = s.stats.topkVerified.Load()
+	out.Totals.TopKRequeues = s.stats.topkRequeues.Load()
 	if out.Totals.ColumnsAvailable > 0 {
 		out.Totals.UPR = float64(out.Totals.ColumnsVisited) / float64(out.Totals.ColumnsAvailable)
 	}

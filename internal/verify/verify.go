@@ -264,10 +264,9 @@ const (
 	// made of — column slabs, compiled cost rows and the node arrays. On
 	// the benchmark city a τ_ratio 0.3 query over |Q| = 60 fills 5–25 MB
 	// of columns and up to 10 MB of node arrays per shard worker, so most
-	// such queries find everything they need already allocated; a top-k
-	// round at band ratio 0.98 overflows the budget and allocates the
-	// excess slabs anew each round. Half this budget costs those two
-	// workloads 9% and 30% of their latency.
+	// such queries find everything they need already allocated, and so
+	// does a top-k query (≈1 M cells at the ceiling's band). Half this
+	// budget costs the wide search 9% of its latency.
 	maxRetainedBytes = 32 << 20
 	// maxRetainedMatches bounds the chunk/out match buffers (~1.5 MiB).
 	maxRetainedMatches = 64 << 10
@@ -373,9 +372,10 @@ func (v *Verifier) Verify(c Candidate) { v.VerifyAt(c, v.tau) }
 // pruned against tauEff while the trie columns stay banded — and shared
 // across candidates — at the query τ; since banded cells < τ hold exact
 // values and cells ≥ τ are only read through comparisons against
-// thresholds ≤ τ, every tauEff ≤ τ sees exact results. The incremental
-// top-k driver uses this to tighten the search radius mid-round as
-// trajectories resolve, without rebuilding trie state.
+// thresholds ≤ τ, every tauEff ≤ τ sees exact results. The top-k driver
+// builds its verifier at the feasibility ceiling and uses this to verify
+// each trajectory under its own, far smaller, threshold — and again under
+// a larger one later — without rebuilding trie state.
 func (v *Verifier) VerifyAt(c Candidate, tauEff float64) {
 	if tauEff > v.tau {
 		tauEff = v.tau
@@ -481,7 +481,7 @@ func (v *Verifier) TakeBest() (traj.Match, bool) {
 // SnapshotStats returns the verifier's counters with the trie-node total
 // filled in — the same end-of-query accounting Results performs — without
 // ending the query. Drivers that consume per-trajectory bests via
-// TakeBest and never call Results read their per-round stats here.
+// TakeBest and never call Results read their stats here.
 func (v *Verifier) SnapshotStats() Stats {
 	s := v.Stats
 	s.TrieNodes += len(v.nodes)

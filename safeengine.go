@@ -86,9 +86,9 @@ func (s *SafeEngine) SearchTopK(q []Symbol, k int) ([]Match, error) {
 	return s.inner.SearchTopK(q, k)
 }
 
-// SearchTopKStats is SearchTopK with options and the driver's merged
-// QueryStats (see Engine.SearchTopKStats), against one snapshot — the
-// whole multi-round τ refinement sees a single generation.
+// SearchTopKStats is SearchTopK with options and the driver's QueryStats
+// (see Engine.SearchTopKStats), against one snapshot — the whole queue is
+// worked off a single generation.
 func (s *SafeEngine) SearchTopKStats(q []Symbol, k int, opts TopKOptions) ([]Match, *QueryStats, error) {
 	return s.inner.SearchTopKStats(q, k, opts)
 }

@@ -39,11 +39,10 @@ type (
 	// and filtering costs c(q); engines require it.
 	FilterCosts = wed.FilterCosts
 	// QueryStats instruments one query (time breakdown, candidate count,
-	// verification rates; top-k drivers add rounds, reused candidates,
-	// and the final effective τ).
+	// verification rates; the top-k driver adds its queue counters and
+	// the final effective τ).
 	QueryStats = core.QueryStats
-	// TopKOptions tunes the top-k driver (parallelism; Legacy selects
-	// the restart baseline).
+	// TopKOptions tunes the top-k driver (parallelism, cancellation).
 	TopKOptions = core.TopKOptions
 	// VerifyOptions selects verification mode and ablations.
 	VerifyOptions = verify.Options
