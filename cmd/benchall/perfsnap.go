@@ -83,8 +83,8 @@ type perfIndex struct {
 // it pre-build against the compact arena (which always carries the
 // frozen temporal lists) would flatter the pointer side.
 func indexRows(ptr, cmp *core.Engine) []perfIndex {
-	ptr.Backend().BuildTemporal()
-	cmp.Backend().BuildTemporal()
+	ptr.PrepareTemporal()
+	cmp.PrepareTemporal()
 	n := float64(ptr.Dataset().Len())
 	pb, cb := ptr.IndexBytes(), cmp.IndexBytes()
 	rows := []perfIndex{
@@ -146,11 +146,6 @@ type perfBench struct {
 	// AppendsPerSec (DurableAppend configurations) is the headline ingest
 	// throughput: 1e9 / ns_per_op.
 	AppendsPerSec float64 `json:"appends_per_sec,omitempty"`
-	// P99ImprovementVsLocked, on the IngestLoad/epoch entry, is
-	// p99(locked baseline) ÷ p99(epoch) for searches under the same
-	// sustained append stream — the headline tail-latency win of the
-	// snapshot read path over the RWMutex design it replaced.
-	P99ImprovementVsLocked float64 `json:"p99_improvement_vs_locked,omitempty"`
 	// OverheadVsVolatile, on the durable DurableAppend entries, is
 	// ns/op(this sync policy) ÷ ns/op(volatile) — the price of the WAL.
 	OverheadVsVolatile float64 `json:"overhead_vs_volatile,omitempty"`
@@ -362,15 +357,14 @@ func writePerfSnapshot(scale float64, qlen int, tauRatio float64, quick bool) er
 	}
 	snap.Benchmarks = append(snap.Benchmarks, durBenches...)
 
-	// Ingest-load configurations: the same searches while a background
-	// writer appends at a fixed rate — the contention axis the epoch
-	// snapshot design exists for. "locked" reconstructs the pre-epoch
-	// RWMutex wrapper; "epoch" is the production SafeEngine.
-	loadBenches, err := ingestLoadBenches(c, model, queries, tauRatio, quick)
+	// Ingest load: the same searches while a background writer appends
+	// at a fixed rate — the contention axis the epoch snapshot design
+	// exists for.
+	loadBench, err := ingestLoadBench(c, model, queries, tauRatio, quick)
 	if err != nil {
 		return err
 	}
-	snap.Benchmarks = append(snap.Benchmarks, loadBenches...)
+	snap.Benchmarks = append(snap.Benchmarks, loadBench)
 
 	// Cancellation latency check: a top-k query under a 50 ms context
 	// deadline must hand control back promptly — the driver checks the
@@ -645,141 +639,73 @@ func durableAppendBenches(src *traj.Dataset, costs wed.FilterCosts, quick bool) 
 	return out, nil
 }
 
-// lockedEngine reconstructs the pre-epoch SafeEngine for the IngestLoad
-// baseline: one RWMutex serializing every search (read lock) against
-// every append (write lock), with the old design's temporal discipline —
-// every append invalidates the departure-sorted postings, and a
-// temporal query that finds them stale rebuilds them under the WRITE
-// lock before searching. It exists only so the snapshot can keep
-// measuring what the epoch design replaced.
-type lockedEngine struct {
-	mu  sync.RWMutex
-	eng *core.Engine // guarded by mu
-}
-
-func (l *lockedEngine) SearchQuery(qr core.Query) ([]traj.Match, *core.QueryStats, error) {
-	if qr.Temporal.Mode == core.TemporalDeparture && !qr.Temporal.DisablePrefilter {
-		// Under a sustained append stream the order is stale for
-		// effectively every temporal query, so each one pays an
-		// O(N log N) rebuild with all other traffic excluded — the
-		// pathology ROADMAP item 2 recorded.
-		l.mu.Lock()
-		l.eng.PrepareTemporal()
-		l.mu.Unlock()
-	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.SearchQuery(qr)
-}
-
-func (l *lockedEngine) Append(t traj.Trajectory) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.eng.Append(t)
-	return nil
-}
-
-// ingestLoadBenches measures search latency under a sustained append
-// stream. Both configurations serve the identical query mix — three
-// plain searches then one departure-window search, the serving mix the
-// temporal API produces — while one background writer appends rotated
-// copies of existing trajectories at a fixed ~2000 appends/s: "locked"
-// is the RWMutex wrapper above, where every append stalls every queued
-// search and invalidates the temporal order that the next windowed
-// query rebuilds under the write lock; "epoch" is the production
-// SafeEngine — lock-free snapshot reads, O(1) publishes, the base's
-// temporal order built once per fold. The headline is the p99 ratio:
-// rebuild and write-lock stalls surface in the tail, not the median.
-func ingestLoadBenches(c *experiments.Ctx, model string, queries [][]traj.Symbol, tauRatio float64, quick bool) ([]perfBench, error) {
+// ingestLoadBench measures search latency under a sustained append
+// stream: three plain searches then one departure-window search — the
+// serving mix the temporal API produces — while one background writer
+// appends rotated copies of existing trajectories through the SafeEngine
+// at a fixed ~2000 appends/s. Publish and fold stalls would surface in
+// the p99, not the median.
+func ingestLoadBench(c *experiments.Ctx, model string, queries [][]traj.Symbol, tauRatio float64, quick bool) (perfBench, error) {
+	const name = "IngestLoad/epoch"
 	const appendEvery = 500 * time.Microsecond
 	ops := 300
 	if quick {
 		ops = 3
 	}
 	src := c.Data(model)
-	costs := c.Model(model)
 	payloads := make([]traj.Trajectory, 256)
 	for i := range payloads {
 		payloads[i] = src.Trajs[i%len(src.Trajs)]
 	}
+	fmt.Fprintf(os.Stderr, "[benchall] %s...\n", name)
+	clone := traj.NewDataset(src.Rep)
+	for _, t := range src.Trajs {
+		clone.Add(t)
+	}
+	safe := server.NewSafeEngine(core.NewEngineShards(clone, c.Model(model), 1))
+	safe.SetCompactAppends(2048)
 
-	var lockedP99 int64
-	var out []perfBench
-	for _, d := range []struct {
-		name  string
-		epoch bool
-	}{{"IngestLoad/locked", false}, {"IngestLoad/epoch", true}} {
-		fmt.Fprintf(os.Stderr, "[benchall] %s...\n", d.name)
-		clone := traj.NewDataset(src.Rep)
-		for _, t := range src.Trajs {
-			clone.Add(t)
-		}
-		var (
-			search   func(core.Query) ([]traj.Match, *core.QueryStats, error)
-			appendFn func(traj.Trajectory) error
-		)
-		if d.epoch {
-			safe := server.NewSafeEngine(core.NewEngineShards(clone, costs, 1))
-			safe.SetCompactAppends(2048)
-			search = safe.SearchQuery
-			appendFn = func(t traj.Trajectory) error { _, err := safe.Append(t); return err }
-		} else {
-			l := &lockedEngine{eng: core.NewEngineShards(clone, costs, 1)}
-			search = l.SearchQuery
-			appendFn = l.Append
-		}
-
-		// The fixed-rate writer runs across the warm-up AND the timed
-		// span, so measured searches always contend with live appends.
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		var appendErr atomic.Value
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(appendEvery)
-			defer tick.Stop()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
+	// The fixed-rate writer runs across the warm-up AND the timed span,
+	// so measured searches always contend with live appends.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var appendErr atomic.Value
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(appendEvery)
+		defer tick.Stop()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if _, err := safe.Append(payloads[i%len(payloads)]); err != nil {
+					appendErr.Store(err)
 					return
-				case <-tick.C:
-					if err := appendFn(payloads[i%len(payloads)]); err != nil {
-						appendErr.Store(err)
-						return
-					}
 				}
 			}
-		}()
-		runOne := func(i int) (*core.QueryStats, error) {
-			q := queries[i%len(queries)]
-			qr := core.Query{Q: q, Tau: c.Tau(model, q, tauRatio), Parallelism: 1}
-			if i%4 == 3 {
-				qr.Temporal.Mode = core.TemporalDeparture
-				qr.Temporal.Lo, qr.Temporal.Hi = 0, 1e12
-			}
-			_, st, err := search(qr)
-			return st, err
 		}
-		bench, err := measureFixed(d.name, quick, ops, runOne)
-		close(stop)
-		wg.Wait()
-		if err != nil {
-			return nil, err
+	}()
+	bench, err := measureFixed(name, quick, ops, func(i int) (*core.QueryStats, error) {
+		q := queries[i%len(queries)]
+		qr := core.Query{Q: q, Tau: c.Tau(model, q, tauRatio), Parallelism: 1}
+		if i%4 == 3 {
+			qr.Temporal.Mode = core.TemporalDeparture
+			qr.Temporal.Lo, qr.Temporal.Hi = 0, 1e12
 		}
-		if aerr, ok := appendErr.Load().(error); ok {
-			return nil, fmt.Errorf("%s background writer: %w", d.name, aerr)
-		}
-		if d.epoch {
-			if lockedP99 > 0 && bench.P99NsPerOp > 0 {
-				bench.P99ImprovementVsLocked = float64(lockedP99) / float64(bench.P99NsPerOp)
-			}
-		} else {
-			lockedP99 = bench.P99NsPerOp
-		}
-		out = append(out, bench)
+		_, st, err := safe.SearchQuery(qr)
+		return st, err
+	})
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		return bench, err
 	}
-	return out, nil
+	if aerr, ok := appendErr.Load().(error); ok {
+		return bench, fmt.Errorf("%s background writer: %w", name, aerr)
+	}
+	return bench, nil
 }
 
 // cancelledTopKBench runs top-k queries under a 50 ms context deadline
@@ -861,7 +787,7 @@ func mappedCompactEngine(ds *traj.Dataset, costs wed.FilterCosts) (*core.Engine,
 		mapped.Close()
 		return fail(fmt.Errorf("mapped arena differs from the built arena"))
 	}
-	eng := core.NewEngineWithBackend(ds, index.NewOverlay(mapped), costs)
+	eng := core.NewEngineWithBackend(ds, mapped, costs)
 	closer := func() error {
 		err := mapped.Close()
 		os.RemoveAll(dir)

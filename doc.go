@@ -30,12 +30,14 @@
 //	q, _ := subtraj.SampleQuery(w.Data, 60, rng)
 //	matches, _ := eng.SearchRatio(q, 0.1)            // τ = 0.1·Σc(q)
 //
-// Engines expose no synchronization; wrap one in NewSafeEngine to share
-// it across goroutines, or serve it over HTTP with cmd/wedserve. A
-// single query may itself fan out over index shards (one worker per CPU
-// by default; see NewEngineShards and SearchParallel), so custom cost
-// models must be safe for concurrent reads — every built-in model is.
-// Pass parallelism 1 to keep a query strictly on the calling goroutine.
+// Queries on an Engine may run concurrently with each other, but not
+// with Append, and Engines expose no synchronization; wrap one in
+// NewSafeEngine to share it across goroutines that also append, or serve
+// it over HTTP with cmd/wedserve. A single query may itself fan out over
+// index shards (one worker per CPU by default; see NewEngineShards and
+// SearchParallel), so custom cost models must be safe for concurrent
+// reads — every built-in model is. Pass parallelism 1 to keep a query
+// strictly on the calling goroutine.
 //
 // See examples/ for complete programs (travel-time estimation,
 // alternative-route suggestion, temporal search, an HTTP client) and

@@ -12,7 +12,9 @@ import (
 
 // Engine answers subtrajectory similarity queries over one dataset and one
 // WED cost model. Build once, query many times; Append supports
-// incremental updates.
+// incremental updates. Queries never write engine state, so any number
+// may run concurrently; Append is the one write, and needs a SafeEngine
+// (or the caller's own serialization) to run beside them.
 type Engine struct {
 	inner *core.Engine
 }
@@ -39,9 +41,8 @@ func NewEngineShards(ds *Dataset, costs FilterCosts, shards int) (*Engine, error
 // NewEngineCompact indexes the dataset into the memory-optimal compact
 // backend: postings are frozen into one flat bit-packed arena instead
 // of pointer-rich per-symbol slices. Queries return results bit-equal to
-// the pointer backend at a fraction of the memory; Appends land in a
-// small mutable tail merged at query time. Save the frozen snapshot with
-// SaveIndex and re-open it zero-copy with OpenMappedEngine.
+// the pointer backend at a fraction of the memory. Save the frozen
+// snapshot with SaveIndex and re-open it zero-copy with OpenMappedEngine.
 func NewEngineCompact(ds *Dataset, costs FilterCosts) (*Engine, error) {
 	if ds == nil || costs == nil {
 		return nil, errors.New("subtraj: nil dataset or cost model")
@@ -53,14 +54,14 @@ func NewEngineCompact(ds *Dataset, costs FilterCosts) (*Engine, error) {
 // versioned arena format OpenMappedEngine maps back). Errors unless the
 // engine uses the compact backend with no unfrozen appends.
 func (e *Engine) SaveIndex(w io.Writer) error {
-	ov, ok := e.inner.Backend().(*index.Overlay)
+	if e.inner.DeltaLen() > 0 && e.inner.IndexKind() == "compact" {
+		return errors.New("subtraj: compact index has unfrozen appends; rebuild with NewEngineCompact before saving")
+	}
+	c, ok := e.inner.Backend().(*index.Compact)
 	if !ok {
 		return errors.New("subtraj: SaveIndex requires the compact backend (NewEngineCompact)")
 	}
-	if ov.TailLen() > 0 {
-		return errors.New("subtraj: compact index has unfrozen appends; rebuild with NewEngineCompact before saving")
-	}
-	return ov.Base().Save(w)
+	return c.Save(w)
 }
 
 // OpenMappedEngine builds an engine over ds from a compact index file
@@ -81,7 +82,7 @@ func OpenMappedEngine(ds *Dataset, costs FilterCosts, path string) (*Engine, fun
 		c.Close()
 		return nil, nil, fmt.Errorf("subtraj: index file describes %d trajectories, dataset has %d", c.NumTrajectories(), ds.Len())
 	}
-	eng := &Engine{inner: core.NewEngineWithBackend(ds, index.NewOverlay(c), costs)}
+	eng := &Engine{inner: core.NewEngineWithBackend(ds, c, costs)}
 	return eng, c.Close, nil
 }
 
@@ -105,7 +106,12 @@ func (e *Engine) Dataset() *Dataset { return e.inner.Dataset() }
 // Costs returns the engine's cost model.
 func (e *Engine) Costs() FilterCosts { return e.inner.Costs() }
 
-// Append indexes one more trajectory and returns its ID.
+// Append indexes one more trajectory and returns its ID — the paper's
+// incremental update (§4.1). The index built at construction is never
+// modified: appended trajectories go into a delta beside it that every
+// query reads as one more shard, and stay there. An Engine does not fold
+// that delta back; after many appends rebuild the engine, or use a
+// SafeEngine, whose background compactor folds it.
 func (e *Engine) Append(t Trajectory) int32 { return e.inner.Append(t) }
 
 // Search returns every match with wed(P[s..t], Q) < tau (Definition 3),

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -8,6 +9,34 @@ import (
 	"subtraj/internal/core"
 	"subtraj/internal/testutil"
 )
+
+// steadyAllocs reports what one steady-state call of f allocates: after
+// warm calls to fill the pools, the minimum over 5 batches of 10 calls,
+// with the collector off throughout. Both guard against events that are
+// not f's doing: a collection empties the sync.Pools, and when the test
+// goroutine changes P between a verifier's Put and the next Get the
+// pool's per-P slot misses — either way the next call re-warms megabytes
+// of slab arena. A per-query regression shows in every batch, a pool miss
+// in one.
+func steadyAllocs(warm int, f func()) (allocs, bytes float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < warm; i++ {
+		f()
+	}
+	const batches, runs = 5, 10
+	allocs, bytes = math.Inf(1), math.Inf(1)
+	var m0, m1 runtime.MemStats
+	for b := 0; b < batches; b++ {
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&m1)
+		allocs = min(allocs, float64(m1.Mallocs-m0.Mallocs)/runs)
+		bytes = min(bytes, float64(m1.TotalAlloc-m0.TotalAlloc)/runs)
+	}
+	return allocs, bytes
+}
 
 // searchAllocBudget is the allocation-regression guard for the pooled
 // query path (allocs per sequential Search, steady state). The banded
@@ -33,12 +62,9 @@ func TestPooledSearchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the pools (verifier, tries, candidate buffers) before counting.
-	for i := 0; i < 5; i++ {
-		search()
-	}
-	if avg := testing.AllocsPerRun(50, search); avg > searchAllocBudget {
-		t.Fatalf("sequential pooled search allocates %.1f allocs/op, budget %d", avg, searchAllocBudget)
+	// Five calls warm the pools (verifier, tries, candidate buffers).
+	if allocs, _ := steadyAllocs(5, search); allocs > searchAllocBudget {
+		t.Fatalf("sequential pooled search allocates %.1f allocs/op, budget %d", allocs, searchAllocBudget)
 	}
 }
 
@@ -70,21 +96,10 @@ func TestPooledWideSearchAllocs(t *testing.T) {
 		}
 		cells = st.Verify.CellsComputed
 	}
-	for i := 0; i < 3; i++ {
-		search() // warm the pools
-	}
+	allocs, bytes := steadyAllocs(3, search)
 	if cells < 200_000 {
 		t.Fatalf("query computes only %d DP cells: not a wide-τ query", cells)
 	}
-	const runs = 10
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < runs; i++ {
-		search()
-	}
-	runtime.ReadMemStats(&m1)
-	allocs := float64(m1.Mallocs-m0.Mallocs) / runs
-	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
 	t.Logf("%d cells: %.0f allocs/op, %.0f B/op", cells, allocs, bytes)
 	if allocs > wideSearchAllocBudget || bytes > wideSearchBytesBudget {
 		t.Fatalf("wide-τ pooled search allocates %.0f allocs/op and %.0f B/op, budget %d and %d",
@@ -111,30 +126,16 @@ func TestPooledTopKAllocs(t *testing.T) {
 	m := env.Models()[1] // EDR
 	eng := core.NewEngineShards(m.DS, m.Costs, 4)
 	q := env.Query(m, 30)
-	// A collection empties the sync.Pools: the next query re-warms tens of
-	// megabytes of arenas, which is the collector's doing, not the driver's.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, par := range []int{1, 0} {
 		search := func() {
 			if res, _, err := eng.SearchTopKStats(q, 10, core.TopKOptions{Parallelism: par}); err != nil || len(res) != 10 {
 				t.Fatalf("par=%d: %d results, %v", par, len(res), err)
 			}
 		}
-		// Warm the pools. Sharded, which pooled verifier meets which shard
-		// varies from run to run, so every arena takes a dozen runs to
-		// have seen its largest shard.
-		for i := 0; i < 15; i++ {
-			search()
-		}
-		const runs = 10
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < runs; i++ {
-			search()
-		}
-		runtime.ReadMemStats(&m1)
-		allocs := float64(m1.Mallocs-m0.Mallocs) / runs
-		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+		// Sharded, which pooled verifier meets which shard varies from
+		// run to run, so every arena takes a dozen runs to have seen its
+		// largest shard.
+		allocs, bytes := steadyAllocs(15, search)
 		t.Logf("par=%d: %.0f allocs/op, %.0f B/op", par, allocs, bytes)
 		if allocs > topKAllocBudget || bytes > topKBytesBudget {
 			t.Fatalf("par=%d: pooled top-k allocates %.0f allocs/op and %.0f B/op, budget %d and %d",

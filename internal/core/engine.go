@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"subtraj/internal/filter"
@@ -22,42 +21,36 @@ import (
 	"subtraj/internal/wed"
 )
 
-// Engine is an immutable-once-built search engine over one dataset and one
-// cost model. Building is O(total symbols); queries never mutate shared
-// engine state, so an Engine is safe for concurrent readers — with two
-// caveats callers that want concurrency must handle (the server package's
-// SafeEngine does):
+// Engine is a search engine over one dataset and one cost model. Building
+// is O(total symbols). Its index base never changes after construction;
+// trajectories appended later are indexed by a delta on top of it, and
+// queries read the two through one immutable view that Append replaces
+// rather than modifies (§4.1's incremental update; DESIGN.md §1.11). So
+// queries never write engine state and any number may run concurrently.
+// Append and Rebase are the writes: serialize them against each other and
+// against queries on the same Engine — or query a Snapshot, which later
+// writes never reach (the server package's SafeEngine publishes one per
+// append behind an atomic pointer).
 //
-//   - Append mutates the dataset and the inverted index and must be
-//     serialized against every concurrent query.
-//   - A TemporalDeparture query with the pre-filter enabled lazily builds
-//     the departure-sorted postings on first use (a hidden write under a
-//     read path). Call PrepareTemporal before going concurrent, or
-//     serialize such queries until TemporalReady reports true. Once the
-//     backend's order IS built, re-running the build is a read-only
-//     no-op (every backend skips already-sorted partitions), and the
-//     staleness flag itself is atomic — so concurrent TemporalDeparture
-//     queries against an already-prepared engine are plain reads.
-//
-// Cost models are a third mutation surface: MemoNetDist (used by NetEDR /
+// Cost models are the other mutation surface: MemoNetDist (used by NetEDR /
 // NetERP) caches distances internally and synchronizes itself, but
 // user-supplied cost models must be safe for concurrent use — note that a
 // single query with Parallelism > 1 already calls the verification costs
 // (Sub/Ins/Del) from several goroutines.
 type Engine struct {
 	ds    *traj.Dataset
-	idx   index.Backend
 	costs wed.FilterCosts
+
+	// base indexes ds's first base.NumTrajectories() trajectories and is
+	// immutable; delta indexes the rest (nil in a Snapshot, which never
+	// appends); idx is what queries read — base itself while the delta
+	// is empty, else an index.Epoch over base and a view of delta.
+	base  index.Backend
+	delta *index.DeltaMap
+	idx   index.Backend
 
 	// BuildTime records index construction time (Table 6).
 	BuildTime time.Duration
-
-	// temporalBuilt tracks whether the backend's departure-sorted order
-	// is current. Atomic so that concurrent queries against an engine
-	// whose order is already built (the epoch-snapshot server publishes
-	// only such engines) may race on the flag without a data race; the
-	// build itself still needs external serialization the first time.
-	temporalBuilt atomic.Bool
 }
 
 // NewEngine indexes the dataset into index.DefaultShards() partitions.
@@ -71,38 +64,36 @@ func NewEngine(ds *traj.Dataset, costs wed.FilterCosts) *Engine {
 // shard count.
 func NewEngineShards(ds *traj.Dataset, costs wed.FilterCosts, shards int) *Engine {
 	start := time.Now()
-	sidx := index.BuildSharded(ds, shards)
-	return &Engine{ds: ds, idx: sidx, costs: costs, BuildTime: time.Since(start)}
-}
-
-// NewEngineWithIndex wraps a prebuilt flat index as a single-shard engine
-// (used by dataset-size sweeps that share one index build).
-func NewEngineWithIndex(ds *traj.Dataset, inv *index.Inverted, costs wed.FilterCosts) *Engine {
-	return &Engine{ds: ds, idx: index.ShardedFromInverted(inv), costs: costs}
+	e := NewEngineWithBackend(ds, index.BuildSharded(ds, shards), costs)
+	e.BuildTime = time.Since(start)
+	return e
 }
 
 // NewEngineCompact indexes the dataset into the memory-optimal compact
-// backend: the postings are frozen into one flat bit-packed arena (an
-// index.Overlay with an empty mutable tail for later appends). Queries
-// return results bit-equal to the pointer backend; memory drops by the
-// arena-vs-pointer ratio benchall reports.
+// backend: the postings are frozen into one flat bit-packed arena.
+// Queries return results bit-equal to the pointer backend; memory drops
+// by the arena-vs-pointer ratio benchall reports.
 func NewEngineCompact(ds *traj.Dataset, costs wed.FilterCosts) *Engine {
 	start := time.Now()
-	idx := index.NewOverlay(index.FreezeDataset(ds))
-	return &Engine{ds: ds, idx: idx, costs: costs, BuildTime: time.Since(start)}
+	e := NewEngineWithBackend(ds, index.FreezeDataset(ds), costs)
+	e.BuildTime = time.Since(start)
+	return e
 }
 
-// NewEngineWithBackend wraps any prebuilt index backend — e.g. an
-// index.Overlay around a snapshot from index.OpenMapped. The backend must
-// describe exactly ds's trajectories.
-func NewEngineWithBackend(ds *traj.Dataset, idx index.Backend, costs wed.FilterCosts) *Engine {
-	return &Engine{ds: ds, idx: idx, costs: costs}
+// NewEngineWithBackend wraps a prebuilt index base — a flat index.Build
+// shared between engines, an arena from index.OpenMapped. The base must
+// describe a prefix of ds's trajectories; the rest become the delta.
+func NewEngineWithBackend(ds *traj.Dataset, base index.Backend, costs wed.FilterCosts) *Engine {
+	e := &Engine{ds: ds, costs: costs}
+	e.Rebase(base)
+	return e
 }
 
 // Dataset returns the indexed dataset.
 func (e *Engine) Dataset() *traj.Dataset { return e.ds }
 
-// Backend returns the index backend.
+// Backend returns the index view queries read: the base plus whatever
+// has been appended since.
 func (e *Engine) Backend() index.Backend { return e.idx }
 
 // IndexBytes returns the backend's memory footprint (exact for compact
@@ -113,39 +104,84 @@ func (e *Engine) IndexBytes() int64 { return e.idx.IndexBytes() }
 func (e *Engine) IndexKind() string { return e.idx.Kind() }
 
 // NumShards returns the index partition count — the ceiling on one
-// query's effective parallelism.
+// query's effective parallelism (the base's shards, plus one for a
+// non-empty delta).
 func (e *Engine) NumShards() int { return e.idx.NumShards() }
+
+// DeltaLen returns how many trajectories sit in the delta, not yet
+// folded into the base.
+func (e *Engine) DeltaLen() int { return e.ds.Len() - e.base.NumTrajectories() }
 
 // Costs returns the cost model.
 func (e *Engine) Costs() wed.FilterCosts { return e.costs }
 
-// Append indexes one more trajectory (incremental update, §4.1).
+// Append indexes one more trajectory (incremental update, §4.1): into
+// the delta, O(|t|), leaving the base untouched. Every query pays one
+// extra shard for a non-empty delta and scans it for departure windows,
+// and nothing here folds it: build a new engine after many appends, or
+// Rebase onto Backend().Rebuild(Dataset()) — what SafeEngine's
+// compactor does off-lock.
 func (e *Engine) Append(t traj.Trajectory) int32 {
-	id := e.ds.Add(t)
-	e.idx.Append(id, e.ds.Get(id))
-	e.temporalBuilt.Store(false) // departure-sorted postings are stale
+	id := e.add(t)
+	e.refreshView()
 	return id
 }
 
-// ensureTemporalIndex builds the departure-sorted postings on first use
-// (and after appends invalidate them).
-func (e *Engine) ensureTemporalIndex() {
-	if !e.temporalBuilt.Load() {
-		e.idx.BuildTemporal()
-		e.temporalBuilt.Store(true)
+// AppendBatch is Append for several trajectories under one new view.
+func (e *Engine) AppendBatch(ts []traj.Trajectory) []int32 {
+	ids := make([]int32, len(ts))
+	for i := range ts {
+		ids[i] = e.add(ts[i])
+	}
+	e.refreshView()
+	return ids
+}
+
+func (e *Engine) add(t traj.Trajectory) int32 {
+	if e.delta == nil {
+		panic("core: Append on a Snapshot")
+	}
+	id := e.ds.Add(t)
+	e.delta.Append(id, e.ds.Get(id))
+	return id
+}
+
+// refreshView is the one place a (base, delta) pair becomes the view
+// queries read.
+func (e *Engine) refreshView() {
+	e.idx = e.base
+	if e.DeltaLen() > 0 {
+		e.idx = index.NewEpoch(e.base, e.delta.View())
 	}
 }
 
-// PrepareTemporal eagerly builds the departure-sorted postings index that
-// TemporalDeparture pre-filters binary-search (§4.3). Concurrent callers
-// use it to hoist the otherwise-lazy build out of the read path: call it
-// (serialized with writers) whenever TemporalReady is false.
-func (e *Engine) PrepareTemporal() { e.ensureTemporalIndex() }
+// Rebase installs base — an index over a prefix of the dataset — as the
+// engine's frozen base and restarts the delta at its boundary, indexing
+// into it whatever base does not cover: nothing at construction, the few
+// appends that landed while a fold built base off-lock, a replayed WAL
+// tail over a mapped arena. Contents are unchanged, so results are too.
+func (e *Engine) Rebase(base index.Backend) {
+	e.base = base
+	e.delta = index.NewDeltaMap(base.NumTrajectories())
+	for id := base.NumTrajectories(); id < e.ds.Len(); id++ {
+		e.delta.Append(int32(id), e.ds.Get(int32(id)))
+	}
+	e.refreshView()
+}
 
-// TemporalReady reports whether the departure-sorted postings are current
-// (built and not invalidated by a later Append). While it is true,
-// TemporalDeparture queries are read-only like every other query.
-func (e *Engine) TemporalReady() bool { return e.temporalBuilt.Load() }
+// Snapshot returns an immutable engine over everything indexed so far: a
+// fixed prefix view of the dataset and the current index view. O(1).
+// Later Appends and Rebases of e never reach it, so it may be queried
+// while they run.
+func (e *Engine) Snapshot() *Engine {
+	return &Engine{ds: e.ds.Slice(e.ds.Len()), costs: e.costs, base: e.base, idx: e.idx, BuildTime: e.BuildTime}
+}
+
+// PrepareTemporal eagerly builds the departure-sorted postings order that
+// TemporalDeparture pre-filters binary-search (§4.3), so the first such
+// query does not pay for it. The base builds it at most once — it cannot
+// go stale — and the delta needs none.
+func (e *Engine) PrepareTemporal() { e.idx.BuildTemporal() }
 
 // QueryStats instruments one query with the Table 4 breakdown and the
 // filtering/verification metrics of §6.4. Under a parallel query the
@@ -306,7 +342,7 @@ func (e *Engine) SearchQuery(qr Query) ([]traj.Match, *QueryStats, error) {
 
 	temporal := qr.Temporal.Mode != TemporalNone
 	if temporal && !qr.Temporal.DisablePrefilter && qr.Temporal.Mode == TemporalDeparture {
-		e.ensureTemporalIndex()
+		e.idx.BuildTemporal()
 	}
 
 	if err := ctxErr(qr.Ctx); err != nil {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -243,32 +244,124 @@ func TestEngineRejectsDegenerateQueries(t *testing.T) {
 	}
 }
 
+// baseFamilies are the index bases an engine can sit on.
+var baseFamilies = []struct {
+	name  string
+	build func(*traj.Dataset) index.Backend
+}{
+	{"sharded-p1", func(ds *traj.Dataset) index.Backend { return index.BuildSharded(ds, 1) }},
+	{"sharded-p4", func(ds *traj.Dataset) index.Backend { return index.BuildSharded(ds, 4) }},
+	{"inverted", func(ds *traj.Dataset) index.Backend { return index.Build(ds) }},
+	{"compact", func(ds *traj.Dataset) index.Backend { return index.FreezeDataset(ds) }},
+}
+
+// assertEnginesAgree demands bit-equal answers from got and want over
+// every query form: threshold search at Parallelism 1 and 4 under no
+// temporal constraint and each of the three temporal modes (with and
+// without the candidate pre-filter, two windows), and top-k.
+func assertEnginesAgree(t *testing.T, label string, got, want *core.Engine, q []traj.Symbol, tau float64) {
+	t.Helper()
+	for _, par := range []int{1, 4} {
+		for _, tm := range []core.TemporalMode{core.TemporalNone, core.TemporalOverlap, core.TemporalContain, core.TemporalDeparture} {
+			for _, w := range [][2]float64{{0, 1e9}, {800, 2400}} {
+				for _, noTF := range []bool{false, true} {
+					qr := core.Query{Q: q, Tau: tau, Parallelism: par}
+					qr.Temporal.Mode = tm
+					qr.Temporal.Lo, qr.Temporal.Hi = w[0], w[1]
+					qr.Temporal.DisablePrefilter = noTF
+					wres, wstats, err := want.SearchQuery(qr)
+					if err != nil {
+						t.Fatalf("%s: oracle: %v", label, err)
+					}
+					gres, gstats, err := got.SearchQuery(qr)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					bitEqual(t, fmt.Sprintf("%s/par=%d/mode=%d/window=%v/noTF=%v", label, par, tm, w, noTF), gres, wres)
+					if gstats.Candidates != wstats.Candidates {
+						t.Fatalf("%s: %d candidates, want %d", label, gstats.Candidates, wstats.Candidates)
+					}
+				}
+			}
+		}
+		for _, k := range []int{1, 5} {
+			wres, _, err := want.SearchTopKStats(q, k, core.TopKOptions{Parallelism: par})
+			if err != nil {
+				t.Fatalf("%s: oracle topk: %v", label, err)
+			}
+			gres, _, err := got.SearchTopKStats(q, k, core.TopKOptions{Parallelism: par})
+			if err != nil {
+				t.Fatalf("%s: topk: %v", label, err)
+			}
+			bitEqual(t, fmt.Sprintf("%s/topk=%d/par=%d", label, k, par), gres, wres)
+		}
+	}
+}
+
+// TestEngineAppendIsIncremental is the ingest-equivalence table. For every
+// base family and cost model, an engine built over the first half of a
+// dataset and Appended the rest must answer bit-equal to a fresh engine
+// over the whole dataset, before and after it is rebased onto a rebuilt
+// base; and a Snapshot taken mid-stream must keep answering for exactly
+// the prefix it saw, whatever the writer does afterwards.
 func TestEngineAppendIsIncremental(t *testing.T) {
-	env := testutil.NewEnv(12, 20, 18)
-	m := env.Models()[1] // EDR
-	// Build over the first half, append the rest, compare against a
-	// from-scratch build.
-	half := m.DS.Len() / 2
-	partial := &traj.Dataset{Rep: m.DS.Rep}
-	for i := 0; i < half; i++ {
-		partial.Add(m.DS.Trajs[i])
+	env := testutil.NewEnv(12, 40, 20)
+	for _, m := range env.Models() {
+		n := m.DS.Len()
+		half, midLen := n/2, n/2+n/4
+		full := core.NewEngineShards(m.DS, m.Costs, 1)
+		midFull := core.NewEngineShards(m.DS.Slice(midLen), m.Costs, 1)
+		// Two queries: one sampled anywhere, one cut from the longest
+		// appended trajectory, so every model has matches on both sides
+		// of the base boundary.
+		longest := half
+		for id := half; id < n; id++ {
+			if len(m.DS.Trajs[id].Path) > len(m.DS.Trajs[longest].Path) {
+				longest = id
+			}
+		}
+		late := m.DS.Trajs[longest].Path
+		queries := [][]traj.Symbol{env.Query(m, 8), late[:min(8, len(late))]}
+		for _, bf := range baseFamilies {
+			label := m.Name + "/" + bf.name
+			partial := &traj.Dataset{Rep: m.DS.Rep}
+			for i := 0; i < half; i++ {
+				partial.Add(m.DS.Trajs[i])
+			}
+			base := bf.build(partial)
+			eng := core.NewEngineWithBackend(partial, base, m.Costs)
+			for i := half; i < midLen; i++ {
+				if id := eng.Append(m.DS.Trajs[i]); int(id) != i {
+					t.Fatalf("%s: Append returned ID %d, want %d", label, id, i)
+				}
+			}
+			mid := eng.Snapshot()
+			if ids := eng.AppendBatch(m.DS.Trajs[midLen:]); len(ids) != n-midLen || int(ids[0]) != midLen {
+				t.Fatalf("%s: AppendBatch returned IDs %v, want %d..%d", label, ids, midLen, n-1)
+			}
+			if eng.DeltaLen() != n-half || mid.DeltaLen() != midLen-half || mid.Dataset().Len() != midLen {
+				t.Fatalf("%s: delta %d (snapshot %d of %d trajectories), want %d (%d of %d)",
+					label, eng.DeltaLen(), mid.DeltaLen(), mid.Dataset().Len(), n-half, midLen-half, midLen)
+			}
+			if eng.IndexKind() != base.Kind() {
+				t.Fatalf("%s: appended engine reports kind %q", label, eng.IndexKind())
+			}
+			agree := func(stage string) {
+				for _, q := range queries {
+					tau := oracleTaus(m.Costs, m.DS, q)[2]
+					assertEnginesAgree(t, label+"/"+stage, eng, full, q, tau)
+					assertEnginesAgree(t, label+"/snapshot-when-"+stage, mid, midFull, q, tau)
+				}
+			}
+			agree("appended")
+
+			eng.Rebase(eng.Backend().Rebuild(eng.Dataset()))
+			if eng.DeltaLen() != 0 || eng.NumShards() != base.NumShards() {
+				t.Fatalf("%s: after rebase delta %d, %d shards", label, eng.DeltaLen(), eng.NumShards())
+			}
+			agree("rebased")
+		}
 	}
-	eng := core.NewEngine(partial, m.Costs)
-	for i := half; i < m.DS.Len(); i++ {
-		eng.Append(m.DS.Trajs[i])
-	}
-	full := core.NewEngine(m.DS, m.Costs)
-	q := env.Query(m, 8)
-	tau := oracleTaus(m.Costs, m.DS, q)[1]
-	got, err := eng.Search(q, tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := full.Search(q, tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameMatches(t, "incremental", got, want)
 }
 
 // TestEngineEdgeRepresentationLev runs the engine over the edge

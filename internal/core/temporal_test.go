@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"subtraj/internal/baselines"
@@ -100,5 +102,64 @@ func TestTemporalNoDataRejectsAll(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("%d matches without temporal data", len(got))
+	}
+}
+
+// TestFirstDepartureQueryConcurrent: the departure-sorted order is built
+// lazily, by whichever query needs it first. Many goroutines issuing that
+// first query at once against a fresh base — with an unfolded delta on
+// top, and a Snapshot sharing the base — must all get the answer of an
+// engine prepared up front, with the order built exactly once (run under
+// -race: in the library Engine this used to be a documented data race).
+func TestFirstDepartureQueryConcurrent(t *testing.T) {
+	env := testutil.NewEnv(61, 60, 22)
+	m := env.Models()[1] // EDR
+	q := env.Query(m, 8)
+	qr := core.Query{Q: q, Tau: oracleTaus(m.Costs, m.DS, q)[2], Parallelism: 1}
+	qr.Temporal.Mode = core.TemporalDeparture
+	qr.Temporal.Lo, qr.Temporal.Hi = 0, 2400
+	prepared := core.NewEngineShards(m.DS, m.Costs, 1)
+	prepared.PrepareTemporal()
+	want, _, err := prepared.SearchQuery(qr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("the departure window matches nothing: pick another")
+	}
+	for _, bf := range baseFamilies {
+		half := m.DS.Len() / 2
+		partial := &traj.Dataset{Rep: m.DS.Rep, Trajs: append([]traj.Trajectory(nil), m.DS.Trajs[:half]...)}
+		eng := core.NewEngineWithBackend(partial, bf.build(partial), m.Costs)
+		for _, tr := range m.DS.Trajs[half:] {
+			eng.Append(tr)
+		}
+		if bf.name != "compact" && eng.Backend().TemporalReady() {
+			t.Fatalf("%s: temporal order ready before any query asked for it", bf.name)
+		}
+		snap := eng.Snapshot()
+		const workers = 8
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(e *core.Engine) {
+				defer wg.Done()
+				<-start
+				got, _, err := e.SearchQuery(qr)
+				if err != nil {
+					t.Errorf("%s: %v", bf.name, err)
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: first departure query differs from the prepared engine's\n got %v\nwant %v", bf.name, got, want)
+				}
+			}([]*core.Engine{eng, snap}[w%2])
+		}
+		close(start)
+		wg.Wait()
+		if !eng.Backend().TemporalReady() || !snap.Backend().TemporalReady() {
+			t.Fatalf("%s: temporal order not ready after departure queries", bf.name)
+		}
 	}
 }

@@ -266,7 +266,7 @@ func (c *Ctx) Engine(model string) *core.Engine {
 		return e
 	}
 	c.mu.Unlock()
-	e := core.NewEngineWithIndex(c.Data(model), c.Inv(model), c.Model(model))
+	e := core.NewEngineWithBackend(c.Data(model), c.Inv(model), c.Model(model))
 	c.mu.Lock()
 	c.engines[model] = e
 	c.mu.Unlock()

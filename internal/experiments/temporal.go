@@ -106,7 +106,7 @@ func Fig13VaryEta(cfgs []Ctx2, mults []float64, settings [][2]interface{}, opts 
 					} else {
 						costs = c.NetERPModelWithEta(mult)
 					}
-					eng := core.NewEngineWithIndex(c.Data(model), c.Inv(model), costs)
+					eng := core.NewEngineWithBackend(c.Data(model), c.Inv(model), costs)
 					var total time.Duration
 					ok := true
 					for _, q := range queries {

@@ -1,16 +1,23 @@
 package index
 
-import "subtraj/internal/traj"
+import (
+	"sync"
+	"sync/atomic"
+
+	"subtraj/internal/traj"
+)
 
 // Backend is the engine-facing index contract: everything core.Engine
-// needs to plan (global frequencies, intervals), fan out (per-shard
-// posting sources), ingest (Append), and account for (sizes). Two
-// implementations exist: Sharded, the pointer-rich in-RAM index built by
-// PR 2, and Overlay, a frozen Compact arena paired with a mutable
-// Inverted tail. The query path is backend-agnostic; the determinism
-// contract (bit-equal sorted matches at every parallelism) holds across
-// both because global statistics — and therefore the MinCand plan — are
-// backend-independent.
+// needs to plan (global frequencies), fan out (per-shard posting
+// sources), and account for (sizes). It is read-only — a backend never
+// changes after construction, so any number of queries may share one
+// with no lock. Three bases implement it (Sharded, and Inverted and
+// Compact as one-shard bases), plus Epoch, the read view of a base and
+// the delta of trajectories appended since (DeltaMap.Append is the only
+// way a trajectory joins an already-built index). The query path is
+// backend-agnostic; the determinism contract (bit-equal sorted matches
+// at every parallelism) holds across all of them because global
+// statistics — and therefore the MinCand plan — are backend-independent.
 type Backend interface {
 	// Freq returns the global n(q) (the MinCand objective input).
 	Freq(q traj.Symbol) int
@@ -20,18 +27,16 @@ type Backend interface {
 	// pooled per-query cursors: callers must pass each one to
 	// ReleaseSource when done with its postings.
 	Source(i int) PostingSource
-	// Append adds one trajectory (IDs dense and increasing). Not safe
-	// against concurrent readers; SafeEngine serialises.
-	Append(id int32, t *traj.Trajectory)
-	// BuildTemporal materialises any departure-sorted orders invalidated
-	// since the last call (§4.3).
+	// BuildTemporal materialises the departure-sorted postings order
+	// PostingsInWindow binary-searches (§4.3). Idempotent and safe for
+	// concurrent callers: the first call builds, callers racing it wait,
+	// later calls cost one atomic load.
 	BuildTemporal()
-	// Interval returns trajectory id's [departure, arrival] span.
-	Interval(id int32) (lo, hi float64)
+	// TemporalReady reports whether that order is built.
+	TemporalReady() bool
 	// IntervalOverlaps reports whether id's interval intersects [lo, hi].
 	IntervalOverlaps(id int32, lo, hi float64) bool
 	NumPostings() int
-	NumSymbols() int
 	NumTrajectories() int
 	// IndexBytes returns the backend's memory footprint: exact arena
 	// bytes for compact backends, a heap estimate for pointer backends.
@@ -39,11 +44,16 @@ type Backend interface {
 	// Kind names the backend family ("pointer" or "compact") for stats,
 	// metrics, and bench output.
 	Kind() string
+	// Rebuild indexes ds into a fresh base of this backend's family and
+	// shard count — what folding a delta into its base builds.
+	Rebuild(ds *traj.Dataset) Backend
 }
 
 var (
 	_ Backend = (*Sharded)(nil)
-	_ Backend = (*Overlay)(nil)
+	_ Backend = (*Inverted)(nil)
+	_ Backend = (*Compact)(nil)
+	_ Backend = (*Epoch)(nil)
 )
 
 // ReleaseSource returns a pooled posting source to its pool; sources
@@ -55,17 +65,25 @@ func ReleaseSource(src PostingSource) {
 	}
 }
 
-// --- Sharded as a Backend -------------------------------------------------
+// temporalOrder guards the one structure a pointer base still grows
+// after construction: its departure-sorted postings, built on first use
+// because building them eagerly would add more than half again to server
+// start-up (DESIGN.md §1.11). Postings never change under it, so once
+// built it stays valid for the base's lifetime.
+type temporalOrder struct {
+	once sync.Once
+	done atomic.Bool
+}
 
-// Source returns shard i as a PostingSource (no pooling: shard reads are
-// zero-copy views, so the source is the shard itself).
-func (x *Sharded) Source(i int) PostingSource { return &x.shards[i] }
+func (o *temporalOrder) build(f func()) {
+	o.once.Do(func() {
+		f()
+		o.done.Store(true)
+	})
+}
 
-// NumTrajectories returns the number of indexed trajectories.
-func (x *Sharded) NumTrajectories() int { return len(x.departures) }
-
-// Kind names the backend family for stats and bench output.
-func (x *Sharded) Kind() string { return "pointer" }
+// TemporalReady reports whether the departure-sorted order is built.
+func (o *temporalOrder) TemporalReady() bool { return o.done.Load() }
 
 const (
 	postingBytes = 8 // unsafe.Sizeof(Posting{})
@@ -82,32 +100,3 @@ func listMapBytes(m map[traj.Symbol][]Posting) int64 {
 	}
 	return b
 }
-
-// IndexBytes estimates the heap footprint of the pointer backend:
-// postings slices (main and temporal orders), map overheads, interval
-// slices, and the global frequency table. An estimate, not an
-// accounting — it exists so benchall can put the two backends on one
-// axis; the compact side of that comparison is exact.
-func (x *Sharded) IndexBytes() int64 {
-	var b int64
-	if x.flat != nil {
-		b = x.flat.IndexBytes()
-	} else {
-		for s := range x.shards {
-			b += listMapBytes(x.shards[s].lists)
-			b += listMapBytes(x.shards[s].byDeparture)
-		}
-		b += int64(cap(x.departures)+cap(x.arrivals)) * 8
-	}
-	b += int64(len(x.freq)) * (8 + mapEntryBytes)
-	return b
-}
-
-// IndexBytes estimates the heap footprint of the flat pointer index.
-func (inv *Inverted) IndexBytes() int64 {
-	b := listMapBytes(inv.lists) + listMapBytes(inv.byDeparture)
-	return b + int64(cap(inv.departures)+cap(inv.arrivals))*8
-}
-
-// NumTrajectories returns the number of indexed trajectories.
-func (inv *Inverted) NumTrajectories() int { return len(inv.departures) }

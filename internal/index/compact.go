@@ -80,8 +80,9 @@ func compactChecksum(data []byte) uint32 {
 }
 
 // Compact is the frozen, memory-optimal index backend. It is immutable
-// and safe for any number of concurrent readers; appends go through an
-// Overlay, which pairs a Compact base with a mutable Inverted tail.
+// and safe for any number of concurrent readers — a one-shard Backend
+// like any other base; trajectories that arrive later are indexed by a
+// DeltaMap on top of it.
 type Compact struct {
 	data []byte
 
@@ -305,7 +306,7 @@ func alignUp8(x int) int { return (x + 7) &^ 7 }
 // is range-checked up front (one sequential decode sweep), so query-time
 // reads can run without error paths — a validated arena can never make
 // Postings or PostingsInWindow read out of bounds. Counts never cause
-// pre-allocation beyond preallocCap before bytes back them.
+// an allocation before bytes back them.
 func LoadCompact(data []byte) (*Compact, error) {
 	size := uint64(len(data))
 	if len(data) < compactHeaderSize {
@@ -737,15 +738,30 @@ type CompactSource struct {
 
 var compactSources = sync.Pool{New: func() any { return new(CompactSource) }}
 
-// AcquireSource checks a pooled cursor out of the pool. Pair with
-// Release (ReleaseSource does so generically for any PostingSource).
+// NumShards: an arena is one shard.
+func (c *Compact) NumShards() int { return 1 }
+
+// Source checks a pooled cursor out of the pool. Pair with
+// ReleaseSource.
 //
 //subtrajlint:pool-transfer
-func (c *Compact) AcquireSource() *CompactSource {
+func (c *Compact) Source(int) PostingSource {
 	s := compactSources.Get().(*CompactSource)
 	s.c = c
 	return s
 }
+
+// BuildTemporal is a no-op: the departure order is frozen into the arena.
+func (c *Compact) BuildTemporal() {}
+
+// TemporalReady is always true, for the same reason.
+func (c *Compact) TemporalReady() bool { return true }
+
+// Kind names the backend family for stats and bench output.
+func (c *Compact) Kind() string { return "compact" }
+
+// Rebuild freezes ds into a fresh heap arena.
+func (c *Compact) Rebuild(ds *traj.Dataset) Backend { return FreezeDataset(ds) }
 
 // Release returns the cursor to the pool, capping retained scratch.
 func (s *CompactSource) Release() {
@@ -768,8 +784,8 @@ func (s *CompactSource) Postings(q traj.Symbol) []Posting {
 }
 
 // PostingsInWindow decodes the postings of q whose trajectory departs in
-// [lo, hi]. The temporal order is frozen into the arena, so no
-// BuildTemporal call is needed (or possible).
+// [lo, hi]. The temporal order is frozen into the arena, so it needs no
+// BuildTemporal call.
 func (s *CompactSource) PostingsInWindow(q traj.Symbol, lo, hi float64) []Posting {
 	e, ok := s.c.findSym(q)
 	if !ok {

@@ -52,20 +52,20 @@ func TestCompactEquivalentToInverted(t *testing.T) {
 	inv.BuildTemporal()
 	c := index.Freeze(inv)
 
-	if c.NumTrajectories() != ds.Len() || c.NumPostings() != inv.NumPostings() || c.NumSymbols() != inv.NumSymbols() {
-		t.Fatalf("counts: compact (%d traj, %d postings, %d syms), inverted (%d, %d, %d)",
-			c.NumTrajectories(), c.NumPostings(), c.NumSymbols(), ds.Len(), inv.NumPostings(), inv.NumSymbols())
+	if c.NumTrajectories() != ds.Len() || c.NumPostings() != inv.NumPostings() {
+		t.Fatalf("counts: compact (%d traj, %d postings), inverted (%d, %d)",
+			c.NumTrajectories(), c.NumPostings(), ds.Len(), inv.NumPostings())
 	}
 	for id := int32(0); id < int32(ds.Len()); id++ {
 		glo, ghi := c.Interval(id)
-		wlo, whi := inv.Interval(id)
+		wlo, whi, _ := ds.Get(id).Interval()
 		if glo != wlo || ghi != whi {
 			t.Fatalf("Interval(%d) = (%g, %g), want (%g, %g)", id, glo, ghi, wlo, whi)
 		}
 	}
 	windows := [][2]float64{{0, 100}, {10, 20}, {25, 25}, {90, 5}, {-5, -1}, {49, 80}}
-	src := c.AcquireSource()
-	defer src.Release()
+	src := c.Source(0)
+	defer index.ReleaseSource(src)
 	for sym := traj.Symbol(0); sym < 45; sym++ { // includes absent symbols
 		if got, want := c.Freq(sym), inv.Freq(sym); got != want {
 			t.Fatalf("Freq(%d) = %d, want %d", sym, got, want)
@@ -128,9 +128,9 @@ func TestCompactSaveLoadMmap(t *testing.T) {
 	if !bytes.Equal(mapped.Bytes(), saved) {
 		t.Fatal("mapped arena differs from saved bytes")
 	}
-	a, b := c.AcquireSource(), mapped.AcquireSource()
-	defer a.Release()
-	defer b.Release()
+	a, b := c.Source(0), mapped.Source(0)
+	defer index.ReleaseSource(a)
+	defer index.ReleaseSource(b)
 	for sym := traj.Symbol(0); sym < 25; sym++ {
 		if got, want := collect(b.Postings(sym)), collect(a.Postings(sym)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("mapped Postings(%d) differ", sym)
@@ -172,78 +172,6 @@ func TestCompactRejectsCorruption(t *testing.T) {
 	}
 	if _, err := index.OpenMapped(path); err == nil {
 		t.Fatal("OpenMapped accepted a truncated file")
-	}
-}
-
-// TestOverlayMergesSnapshotAndTail freezes the first half of a dataset,
-// appends the second half through an Overlay, and checks the merged
-// backend answers global statistics and per-shard postings equal to a
-// flat Inverted over the full dataset.
-func TestOverlayMergesSnapshotAndTail(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	full := randTemporalDataset(rng, 20, 120, 20)
-	half := traj.NewDataset(traj.VertexRep)
-	for id := 0; id < 60; id++ {
-		tr := full.Get(int32(id))
-		half.Add(traj.Trajectory{Path: tr.Path, Times: tr.Times})
-	}
-	ov := index.NewOverlay(index.FreezeDataset(half))
-	for id := 60; id < full.Len(); id++ {
-		ov.Append(int32(id), full.Get(int32(id)))
-	}
-	ov.BuildTemporal()
-
-	want := index.Build(full)
-	want.BuildTemporal()
-	if ov.NumTrajectories() != full.Len() || ov.TailLen() != full.Len()-60 {
-		t.Fatalf("overlay sizes: %d trajectories, tail %d", ov.NumTrajectories(), ov.TailLen())
-	}
-	if ov.NumPostings() != want.NumPostings() || ov.NumSymbols() != want.NumSymbols() {
-		t.Fatalf("overlay counts (%d postings, %d syms), want (%d, %d)",
-			ov.NumPostings(), ov.NumSymbols(), want.NumPostings(), want.NumSymbols())
-	}
-	for id := int32(0); id < int32(full.Len()); id++ {
-		glo, ghi := ov.Interval(id)
-		wlo, whi := want.Interval(id)
-		if glo != wlo || ghi != whi {
-			t.Fatalf("overlay Interval(%d) = (%g, %g), want (%g, %g)", id, glo, ghi, wlo, whi)
-		}
-	}
-	for sym := traj.Symbol(0); sym < 20; sym++ {
-		if got := ov.Freq(sym); got != want.Freq(sym) {
-			t.Fatalf("overlay Freq(%d) = %d, want %d", sym, got, want.Freq(sym))
-		}
-		// The two shards' main lists, concatenated, must equal the flat
-		// list: snapshot IDs all precede tail IDs.
-		var got []index.Posting
-		for s := 0; s < ov.NumShards(); s++ {
-			src := ov.Source(s)
-			got = append(got, src.Postings(sym)...)
-			index.ReleaseSource(src)
-		}
-		if wantList := collect(want.Postings(sym)); !reflect.DeepEqual(got, append([]index.Posting(nil), wantList...)) {
-			t.Fatalf("overlay Postings(%d):\n got %v\nwant %v", sym, got, wantList)
-		}
-		// Windowed lists merge across shards as disjoint subsets of the
-		// flat window result; compare as sets keyed by (ID, Pos).
-		wantWin := map[index.Posting]bool{}
-		for _, p := range want.PostingsInWindow(sym, 10, 40) {
-			wantWin[p] = true
-		}
-		gotN := 0
-		for s := 0; s < ov.NumShards(); s++ {
-			src := ov.Source(s)
-			for _, p := range src.PostingsInWindow(sym, 10, 40) {
-				if !wantWin[p] {
-					t.Fatalf("overlay window posting %v not in flat result for sym %d", p, sym)
-				}
-				gotN++
-			}
-			index.ReleaseSource(src)
-		}
-		if gotN != len(wantWin) {
-			t.Fatalf("overlay window for sym %d has %d postings, want %d", sym, gotN, len(wantWin))
-		}
 	}
 }
 

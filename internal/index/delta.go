@@ -56,10 +56,7 @@ func (d *DeltaMap) Append(id int32, t *traj.Trajectory) {
 		}
 		d.lists.Store(sym, append(list, Posting{ID: id, Pos: int32(pos)}))
 	}
-	lo, hi, ok := t.Interval()
-	if !ok {
-		lo, hi = 0, 0
-	}
+	lo, hi := interval(t)
 	d.deps = append(d.deps, lo)
 	d.arrs = append(d.arrs, hi)
 }
@@ -113,12 +110,6 @@ func (v *DeltaView) postings(q traj.Symbol) []Posting {
 // requires), via one map load and one binary search.
 func (v *DeltaView) Freq(q traj.Symbol) int { return len(v.postings(q)) }
 
-// Interval returns trajectory id's [departure, arrival] span. id must
-// lie in [Lo, Lo+Len).
-func (v *DeltaView) Interval(id int32) (lo, hi float64) {
-	return v.deps[id-v.lo], v.arrs[id-v.lo]
-}
-
 // IntervalOverlaps reports whether id's interval intersects [lo, hi] —
 // the same candidate-level prune as Inverted.IntervalOverlaps.
 func (v *DeltaView) IntervalOverlaps(id int32, lo, hi float64) bool {
@@ -150,18 +141,6 @@ func (v *DeltaView) NumPostings() int {
 		return true
 	})
 	return n
-}
-
-// rangeSymbols calls f for every symbol with at least one posting in
-// the view (stats path only).
-func (v *DeltaView) rangeSymbols(f func(sym traj.Symbol)) {
-	v.m.lists.Range(func(k, l any) bool {
-		list := l.([]Posting)
-		if len(list) > 0 && list[0].ID < v.hi {
-			f(k.(traj.Symbol))
-		}
-		return true
-	})
 }
 
 // IndexBytes estimates the view's heap footprint (postings plus the

@@ -6,38 +6,25 @@ import (
 	"subtraj/internal/traj"
 )
 
-// Epoch is the merged read view published by the epoch-snapshot ingest
-// design (DESIGN.md §1.11): a frozen base backend — a Sharded index or a
-// Compact+Overlay — plus a small DeltaView covering the trajectories
-// appended since the base was folded. Both halves are immutable from the
-// reader's side, which is what lets searches run against an Epoch with
-// no lock at all: the writer takes a fresh view for every publish and
-// swaps the state in behind an atomic pointer.
+// Epoch is the merged read view of the one ingest design (DESIGN.md
+// §1.11): a frozen base backend — Sharded, Inverted or Compact — plus a
+// small DeltaView covering the trajectories appended since the base was
+// built. Both halves are immutable from the reader's side, which is what
+// lets searches run against an Epoch with no lock at all: the writer
+// takes a fresh view after every append and a server swaps it in behind
+// an atomic pointer.
 //
-// The ID split mirrors Overlay: base IDs are [0, deltaBase), delta IDs
-// [deltaBase, ∞). The delta already carries global IDs, so the delta
-// shard's plain postings are served as bounded sub-slices with no copy
-// and no rebase. Searches fan out over the base's shards plus one extra
-// delta shard, and the usual deterministic shard merge makes results
-// bit-equal to a flat index over the union — TestSnapshotEquivalence
-// holds every published view to that standard against a freshly built
-// oracle.
+// Base IDs are [0, deltaBase), delta IDs [deltaBase, ∞). The delta
+// carries global IDs, so the delta shard's plain postings are served as
+// bounded sub-slices with no copy and no rebase. Searches fan out over
+// the base's shards plus one extra delta shard, and the usual
+// deterministic shard merge makes results bit-equal to a flat index over
+// the union — TestSnapshotEquivalence holds every published view to that
+// standard against a freshly built oracle.
 type Epoch struct {
 	base      Backend
 	delta     *DeltaView
 	deltaBase int32
-}
-
-// BuildDelta indexes ds.Trajs[start:] into a fresh DeltaMap and returns
-// its view — the one-shot construction used by tests and recovery; the
-// live ingest path maintains a DeltaMap incrementally and takes O(1)
-// views instead.
-func BuildDelta(ds *traj.Dataset, start int) *DeltaView {
-	m := NewDeltaMap(start)
-	for id := start; id < ds.Len(); id++ {
-		m.Append(int32(id), ds.Get(int32(id)))
-	}
-	return m.View()
 }
 
 // NewEpoch merges a frozen base with a delta view whose first global ID
@@ -47,12 +34,6 @@ func BuildDelta(ds *traj.Dataset, start int) *DeltaView {
 func NewEpoch(base Backend, delta *DeltaView) *Epoch {
 	return &Epoch{base: base, delta: delta, deltaBase: delta.Lo()}
 }
-
-// DeltaLen returns how many trajectories the delta covers.
-func (e *Epoch) DeltaLen() int { return e.delta.Len() }
-
-// Base exposes the frozen base backend (for compaction and stats).
-func (e *Epoch) Base() Backend { return e.base }
 
 // NumShards: the base's shards plus one delta shard.
 func (e *Epoch) NumShards() int { return e.base.NumShards() + 1 }
@@ -73,24 +54,12 @@ func (e *Epoch) Source(i int) PostingSource {
 // Freq returns the global n(q): base count plus delta count.
 func (e *Epoch) Freq(q traj.Symbol) int { return e.base.Freq(q) + e.delta.Freq(q) }
 
-// Append panics: an Epoch is an immutable published snapshot. Appends go
-// to the writer's master dataset and delta map, and the next publish
-// takes a new view covering them.
-func (e *Epoch) Append(id int32, t *traj.Trajectory) {
-	panic("index: append to a published epoch snapshot")
-}
-
-// BuildTemporal delegates to the base (a no-op once the base's order is
-// built); the delta answers windows by filtered scan and needs nothing.
+// BuildTemporal delegates to the base; the delta answers windows by
+// filtered scan and needs nothing.
 func (e *Epoch) BuildTemporal() { e.base.BuildTemporal() }
 
-// Interval returns trajectory id's [departure, arrival] span.
-func (e *Epoch) Interval(id int32) (lo, hi float64) {
-	if id < e.deltaBase {
-		return e.base.Interval(id)
-	}
-	return e.delta.Interval(id)
-}
+// TemporalReady reports whether the base's departure order is built.
+func (e *Epoch) TemporalReady() bool { return e.base.TemporalReady() }
 
 // IntervalOverlaps reports whether id's interval intersects [lo, hi].
 func (e *Epoch) IntervalOverlaps(id int32, lo, hi float64) bool {
@@ -103,17 +72,6 @@ func (e *Epoch) IntervalOverlaps(id int32, lo, hi float64) bool {
 // NumPostings returns the total posting count across base and delta.
 func (e *Epoch) NumPostings() int { return e.base.NumPostings() + e.delta.NumPostings() }
 
-// NumSymbols counts distinct symbols across base and delta.
-func (e *Epoch) NumSymbols() int {
-	n := e.base.NumSymbols()
-	e.delta.rangeSymbols(func(sym traj.Symbol) {
-		if e.base.Freq(sym) == 0 {
-			n++
-		}
-	})
-	return n
-}
-
 // NumTrajectories returns the combined trajectory count.
 func (e *Epoch) NumTrajectories() int { return int(e.deltaBase) + e.delta.Len() }
 
@@ -123,6 +81,9 @@ func (e *Epoch) IndexBytes() int64 { return e.base.IndexBytes() + e.delta.IndexB
 // Kind names the backend family of the base — the delta is an
 // implementation detail of ingestion, not a different index family.
 func (e *Epoch) Kind() string { return e.base.Kind() }
+
+// Rebuild folds: it indexes ds into a fresh base of the base's family.
+func (e *Epoch) Rebuild(ds *traj.Dataset) Backend { return e.base.Rebuild(ds) }
 
 // epochDeltaSource is the pooled cursor over the delta shard. Plain
 // postings are bounded sub-slices of the delta's global-ID lists (no
@@ -162,5 +123,4 @@ func (s *epochDeltaSource) IntervalOverlaps(id int32, lo, hi float64) bool {
 	return s.e.IntervalOverlaps(id, lo, hi)
 }
 
-var _ Backend = (*Epoch)(nil)
 var _ PostingSource = (*epochDeltaSource)(nil)

@@ -45,8 +45,8 @@ func TestGoldenCompactCorpusLoads(t *testing.T) {
 	}
 	// And the loaded arena answers like a pointer index over the dataset.
 	inv := index.Build(testutil.GoldenDataset())
-	src := got.AcquireSource()
-	defer src.Release()
+	src := got.Source(0)
+	defer index.ReleaseSource(src)
 	for _, p := range testutil.GoldenPaths() {
 		for _, sym := range p {
 			if got.Freq(sym) != inv.Freq(sym) {
@@ -86,14 +86,14 @@ func FuzzLoadCompact(f *testing.F) {
 			return
 		}
 		// A validated arena must be fully readable.
-		src := c.AcquireSource()
+		src := c.Source(0)
 		for _, sym := range c.Symbols() {
 			if got := len(src.Postings(sym)); got != c.Freq(sym) {
 				t.Fatalf("Postings(%d) has %d entries, Freq says %d", sym, got, c.Freq(sym))
 			}
 			src.PostingsInWindow(sym, 0, 1e18)
 		}
-		src.Release()
+		index.ReleaseSource(src)
 		for id := int32(0); id < int32(c.NumTrajectories()); id++ {
 			c.Interval(id)
 		}

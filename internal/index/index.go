@@ -17,13 +17,14 @@ type Posting struct {
 	Pos int32
 }
 
-// Inverted is the inverted index over a dataset. Postings lists are keyed
-// by symbol; list order is insertion order (ascending ID, then position),
-// which Build guarantees and Append preserves for growing datasets.
+// Inverted is the flat inverted index over a dataset: one postings list
+// per symbol in ascending (ID, position) order. Immutable once built, and
+// as such a one-shard Backend (its own PostingSource); trajectories that
+// arrive later are indexed by a DeltaMap on top of it.
 type Inverted struct {
 	lists map[traj.Symbol][]Posting
 	// departures[id] caches the trajectory departure time for the
-	// temporal pre-filter; empty when the dataset has no timestamps.
+	// temporal pre-filter; zero when the trajectory has no timestamps.
 	departures []float64
 	arrivals   []float64
 	// byDeparture, per symbol, holds the postings re-sorted by the
@@ -31,31 +32,32 @@ type Inverted struct {
 	// BuildTemporal).
 	byDeparture map[traj.Symbol][]Posting
 	numPostings int
+	temporalOrder
 }
 
 // Build indexes every trajectory of the dataset.
 func Build(ds *traj.Dataset) *Inverted {
-	inv := &Inverted{lists: make(map[traj.Symbol][]Posting)}
+	inv := &Inverted{
+		lists:      make(map[traj.Symbol][]Posting),
+		departures: make([]float64, ds.Len()),
+		arrivals:   make([]float64, ds.Len()),
+	}
 	for id := range ds.Trajs {
-		inv.Append(int32(id), &ds.Trajs[id])
+		t := &ds.Trajs[id]
+		for pos, sym := range t.Path {
+			inv.lists[sym] = append(inv.lists[sym], Posting{ID: int32(id), Pos: int32(pos)})
+		}
+		inv.numPostings += len(t.Path)
+		inv.departures[id], inv.arrivals[id] = interval(t)
 	}
 	return inv
 }
 
-// Append adds one trajectory's postings (the incremental update of §4.1).
-// IDs must be appended in increasing order to keep lists sorted.
-func (inv *Inverted) Append(id int32, t *traj.Trajectory) {
-	for pos, sym := range t.Path {
-		inv.lists[sym] = append(inv.lists[sym], Posting{ID: id, Pos: int32(pos)})
-	}
-	inv.numPostings += len(t.Path)
-	lo, hi, ok := t.Interval()
-	if !ok {
-		lo, hi = 0, 0
-	}
-	inv.departures = append(inv.departures, lo)
-	inv.arrivals = append(inv.arrivals, hi)
-	inv.byDeparture = nil // invalidate the temporal order
+// interval returns t's [departure, arrival] span as the index stores
+// it: zeros for a trajectory without timestamps.
+func interval(t *traj.Trajectory) (lo, hi float64) {
+	lo, hi, _ = t.Interval()
+	return lo, hi
 }
 
 // Postings returns the postings list L_q. Shared; do not modify.
@@ -68,26 +70,23 @@ func (inv *Inverted) Freq(q traj.Symbol) int { return len(inv.lists[q]) }
 // NumPostings returns the total number of postings (an index-size metric).
 func (inv *Inverted) NumPostings() int { return inv.numPostings }
 
-// NumSymbols returns the number of distinct symbols with postings.
-func (inv *Inverted) NumSymbols() int { return len(inv.lists) }
-
-// Interval returns the trajectory's [departure, arrival] span recorded at
-// append time.
-func (inv *Inverted) Interval(id int32) (lo, hi float64) {
-	return inv.departures[id], inv.arrivals[id]
+// BuildTemporal materialises, for every symbol, a postings order sorted by
+// the owning trajectory's departure time, once. Subsequent
+// PostingsInWindow calls answer temporal lookups by binary search (§4.3).
+func (inv *Inverted) BuildTemporal() {
+	inv.build(func() { inv.byDeparture = sortedByDeparture(inv.lists, inv.departures) })
 }
 
-// BuildTemporal materialises, for every symbol, a postings order sorted by
-// the owning trajectory's departure time. Subsequent PostingsInWindow
-// calls answer temporal lookups by binary search (§4.3).
-func (inv *Inverted) BuildTemporal() {
-	inv.byDeparture = make(map[traj.Symbol][]Posting, len(inv.lists))
-	for sym, list := range inv.lists {
+// sortedByDeparture copies every list of lists into departure order.
+func sortedByDeparture(lists map[traj.Symbol][]Posting, departures []float64) map[traj.Symbol][]Posting {
+	out := make(map[traj.Symbol][]Posting, len(lists))
+	for sym, list := range lists {
 		cp := make([]Posting, len(list))
 		copy(cp, list)
-		sortByDeparture(cp, inv.departures)
-		inv.byDeparture[sym] = cp
+		sortByDeparture(cp, departures)
+		out[sym] = cp
 	}
+	return out
 }
 
 // sortByDeparture orders postings by the owning trajectory's departure
@@ -128,3 +127,28 @@ func (inv *Inverted) PostingsInWindow(q traj.Symbol, lo, hi float64) []Posting {
 func (inv *Inverted) IntervalOverlaps(id int32, lo, hi float64) bool {
 	return inv.departures[id] <= hi && inv.arrivals[id] >= lo
 }
+
+// NumShards: a flat index is one shard.
+func (inv *Inverted) NumShards() int { return 1 }
+
+// Source returns the index itself: its reads are zero-copy views, so
+// there is nothing to pool.
+func (inv *Inverted) Source(int) PostingSource { return inv }
+
+// NumTrajectories returns the number of indexed trajectories.
+func (inv *Inverted) NumTrajectories() int { return len(inv.departures) }
+
+// IndexBytes estimates the heap footprint of the flat pointer index.
+func (inv *Inverted) IndexBytes() int64 {
+	b := listMapBytes(inv.lists)
+	if inv.TemporalReady() {
+		b += listMapBytes(inv.byDeparture)
+	}
+	return b + int64(cap(inv.departures)+cap(inv.arrivals))*8
+}
+
+// Kind names the backend family for stats and bench output.
+func (inv *Inverted) Kind() string { return "pointer" }
+
+// Rebuild indexes ds into a fresh flat index.
+func (inv *Inverted) Rebuild(ds *traj.Dataset) Backend { return Build(ds) }

@@ -46,14 +46,14 @@ func TestOpenMappedReadFileFallback(t *testing.T) {
 			fb.NumTrajectories(), fb.NumSymbols(), fb.NumPostings(),
 			mapped.NumTrajectories(), mapped.NumSymbols(), mapped.NumPostings())
 	}
-	a, b := mapped.AcquireSource(), fb.AcquireSource()
+	a, b := mapped.Source(0), fb.Source(0)
 	for _, sym := range mapped.Symbols() {
 		if got, want := collect(b.Postings(sym)), collect(a.Postings(sym)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("fallback Postings(%d) differ from mapped", sym)
 		}
 	}
-	a.Release()
-	b.Release()
+	index.ReleaseSource(a)
+	index.ReleaseSource(b)
 
 	// The fallback arena is heap-backed: Close must still be safe (and
 	// idempotent), it just has nothing to unmap.

@@ -5,22 +5,10 @@ import (
 	"fmt"
 )
 
-// This file hosts the shared hardening helpers of the two binary decoders
-// (the streaming LoadIndex and the arena-based compact loader): capped
-// preallocation from untrusted counts, bounds-checked section access, and
-// varint reads that can never run past a slice. Both decoders treat every
-// count and offset in the input as hostile until proven in range.
-
-// preallocCap bounds a capacity hint from untrusted input: trust it up to
-// maxTrusted elements, above that grow from a small start. A few corrupt
-// header bytes must never demand gigabytes before a single element is
-// read; growing incrementally bounds memory by the actual input length.
-func preallocCap(n uint64, maxTrusted uint64) int {
-	if n <= maxTrusted {
-		return int(n)
-	}
-	return int(maxTrusted)
-}
+// This file hosts the hardening helpers of the arena loader:
+// bounds-checked section access and fixed-width reads that can never run
+// past a slice. The loader treats every count and offset in the input as
+// hostile until proven in range.
 
 // checkSection verifies that [off, off+length) lies inside a buffer of
 // `size` bytes, guarding against both overflow and out-of-range offsets.
@@ -31,30 +19,9 @@ func checkSection(what string, off, length, size uint64) error {
 	return nil
 }
 
-// uvarintAt decodes a uvarint from data[off:] and returns the value and
-// the offset just past it. Truncated or oversized varints return an error
-// instead of panicking or silently reading garbage.
-func uvarintAt(data []byte, off int) (uint64, int, error) {
-	if off < 0 || off >= len(data) {
-		return 0, 0, fmt.Errorf("index: varint at %d past end of %d-byte buffer", off, len(data))
-	}
-	v, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("index: truncated or overlong varint at offset %d", off)
-	}
-	return v, off + n, nil
-}
-
-// u32At / u64At read fixed-width little-endian integers with bounds
-// checks; callers that already validated the section may use the raw
-// binary.LittleEndian forms on hot paths.
-func u32At(data []byte, off int) (uint32, error) {
-	if off < 0 || off+4 > len(data) {
-		return 0, fmt.Errorf("index: u32 at %d past end of %d-byte buffer", off, len(data))
-	}
-	return binary.LittleEndian.Uint32(data[off:]), nil
-}
-
+// u64At reads a little-endian integer with a bounds check; callers that
+// already validated the section may use the raw binary.LittleEndian form
+// on hot paths.
 func u64At(data []byte, off int) (uint64, error) {
 	if off < 0 || off+8 > len(data) {
 		return 0, fmt.Errorf("index: u64 at %d past end of %d-byte buffer", off, len(data))

@@ -40,8 +40,8 @@ var (
 // Sharded is an inverted index partitioned by trajectory ID into P shards.
 // It answers the global queries plan building needs (Freq, Interval) and
 // exposes per-shard PostingSources for parallel candidate generation.
-// Like Inverted, it is safe for concurrent readers once built; Append and
-// BuildTemporal are writes.
+// Like Inverted, it is immutable once built and safe for concurrent
+// readers; BuildTemporal, the one lazy step, synchronises itself.
 type Sharded struct {
 	shards []Shard
 	// departures/arrivals are global (indexed by trajectory ID): every
@@ -53,10 +53,7 @@ type Sharded struct {
 	// not depend on the shard count.
 	freq        map[traj.Symbol]int
 	numPostings int
-	// flat, when non-nil, is the Inverted this index wraps zero-copy
-	// (ShardedFromInverted). Appends must go through it so the shared
-	// flat index stays internally consistent for its other users.
-	flat *Inverted
+	temporalOrder
 }
 
 // Shard is one trajectory partition of a Sharded index. It implements
@@ -107,12 +104,7 @@ func BuildSharded(ds *traj.Dataset, p int) *Sharded {
 				for pos, sym := range t.Path {
 					sh.lists[sym] = append(sh.lists[sym], Posting{ID: int32(id), Pos: int32(pos)})
 				}
-				lo, hi, ok := t.Interval()
-				if !ok {
-					lo, hi = 0, 0
-				}
-				x.departures[id] = lo
-				x.arrivals[id] = hi
+				x.departures[id], x.arrivals[id] = interval(t)
 			}
 		}(s)
 	}
@@ -126,33 +118,8 @@ func BuildSharded(ds *traj.Dataset, p int) *Sharded {
 	return x
 }
 
-// ShardedFromInverted wraps an already-built flat index as a single-shard
-// Sharded index without copying postings (used by callers that share one
-// Inverted across engines, e.g. the dataset-size sweeps).
-func ShardedFromInverted(inv *Inverted) *Sharded {
-	x := &Sharded{
-		shards:      make([]Shard, 1),
-		departures:  inv.departures,
-		arrivals:    inv.arrivals,
-		freq:        make(map[traj.Symbol]int, len(inv.lists)),
-		numPostings: inv.numPostings,
-		flat:        inv,
-	}
-	for sym, list := range inv.lists {
-		x.freq[sym] = len(list)
-	}
-	x.shards[0] = Shard{parent: x, lists: inv.lists, byDeparture: inv.byDeparture}
-	return x
-}
-
 // NumShards returns the partition count P.
 func (x *Sharded) NumShards() int { return len(x.shards) }
-
-// Shard returns the i-th partition's posting source.
-func (x *Sharded) Shard(i int) *Shard { return &x.shards[i] }
-
-// ShardOf returns the shard index owning trajectory id.
-func (x *Sharded) ShardOf(id int32) int { return int(id) % len(x.shards) }
 
 // Freq returns the global n(q) across all shards (the MinCand input).
 func (x *Sharded) Freq(q traj.Symbol) int { return x.freq[q] }
@@ -160,96 +127,64 @@ func (x *Sharded) Freq(q traj.Symbol) int { return x.freq[q] }
 // NumPostings returns the total posting count across shards.
 func (x *Sharded) NumPostings() int { return x.numPostings }
 
-// NumSymbols returns the number of distinct symbols with postings.
-func (x *Sharded) NumSymbols() int { return len(x.freq) }
-
-// Interval returns trajectory id's [departure, arrival] span.
-func (x *Sharded) Interval(id int32) (lo, hi float64) {
-	return x.departures[id], x.arrivals[id]
-}
-
 // IntervalOverlaps reports whether trajectory id's interval intersects
 // [lo, hi].
 func (x *Sharded) IntervalOverlaps(id int32, lo, hi float64) bool {
 	return x.departures[id] <= hi && x.arrivals[id] >= lo
 }
 
-// Append adds one trajectory's postings to its owning shard (the
-// incremental update of §4.1). IDs must be appended in increasing order,
-// as with Inverted.Append. Not safe against concurrent readers.
-func (x *Sharded) Append(id int32, t *traj.Trajectory) {
-	if int(id) != len(x.departures) {
-		// IDs are dense; the engine always appends the next ID.
-		panic("index: non-sequential sharded append")
-	}
-	if x.flat != nil {
-		// Zero-copy wrap: delegate to the shared flat index — it updates
-		// the postings lists the single shard aliases — then re-sync the
-		// wrapper's global views (Inverted.Append may have reallocated
-		// the departure slices and has its own numPostings).
-		x.flat.Append(id, t)
-		for _, sym := range t.Path {
-			x.freq[sym]++
-		}
-		x.numPostings = x.flat.numPostings
-		x.departures, x.arrivals = x.flat.departures, x.flat.arrivals
-		x.shards[0].lists = x.flat.lists
-		x.shards[0].byDeparture = nil // temporal order is stale
-		return
-	}
-	sh := &x.shards[x.ShardOf(id)]
-	for pos, sym := range t.Path {
-		sh.lists[sym] = append(sh.lists[sym], Posting{ID: id, Pos: int32(pos)})
-		x.freq[sym]++
-	}
-	x.numPostings += len(t.Path)
-	lo, hi, ok := t.Interval()
-	if !ok {
-		lo, hi = 0, 0
-	}
-	x.departures = append(x.departures, lo)
-	x.arrivals = append(x.arrivals, hi)
-	sh.byDeparture = nil // this shard's temporal order is stale
-}
-
 // BuildTemporal materialises the departure-sorted postings order of every
-// shard (§4.3), in parallel across shards. Shards whose order is still
-// current are skipped — an Append invalidates only its owning shard, so
-// post-append recovery re-sorts 1/P of the postings, not all of them.
+// shard (§4.3), once, in parallel across shards.
 func (x *Sharded) BuildTemporal() {
-	var wg sync.WaitGroup
-	for s := range x.shards {
-		if x.shards[s].byDeparture != nil {
-			continue // still valid: this shard's postings are unchanged
+	x.build(func() {
+		var wg sync.WaitGroup
+		for s := range x.shards {
+			wg.Add(1)
+			go func(sh *Shard) {
+				defer wg.Done()
+				sh.byDeparture = sortedByDeparture(sh.lists, x.departures)
+			}(&x.shards[s])
 		}
-		wg.Add(1)
-		go func(sh *Shard) {
-			defer wg.Done()
-			sh.buildTemporal()
-		}(&x.shards[s])
-	}
-	wg.Wait()
+		wg.Wait()
+	})
 }
 
-func (sh *Shard) buildTemporal() {
-	dep := sh.parent.departures
-	sh.byDeparture = make(map[traj.Symbol][]Posting, len(sh.lists))
-	for sym, list := range sh.lists {
-		cp := make([]Posting, len(list))
-		copy(cp, list)
-		sortByDeparture(cp, dep)
-		sh.byDeparture[sym] = cp
+// Source returns shard i as a PostingSource (no pooling: shard reads are
+// zero-copy views, so the source is the shard itself).
+func (x *Sharded) Source(i int) PostingSource { return &x.shards[i] }
+
+// NumTrajectories returns the number of indexed trajectories.
+func (x *Sharded) NumTrajectories() int { return len(x.departures) }
+
+// Kind names the backend family for stats and bench output.
+func (x *Sharded) Kind() string { return "pointer" }
+
+// Rebuild indexes ds into a fresh index with the same shard count.
+func (x *Sharded) Rebuild(ds *traj.Dataset) Backend { return BuildSharded(ds, len(x.shards)) }
+
+// IndexBytes estimates the heap footprint of the pointer backend:
+// postings slices (main and temporal orders), map overheads, interval
+// slices, and the global frequency table. An estimate, not an
+// accounting — it exists so benchall can put the two backends on one
+// axis; the compact side of that comparison is exact.
+func (x *Sharded) IndexBytes() int64 {
+	temporal := x.TemporalReady()
+	var b int64
+	for s := range x.shards {
+		b += listMapBytes(x.shards[s].lists)
+		if temporal {
+			b += listMapBytes(x.shards[s].byDeparture)
+		}
 	}
+	b += int64(cap(x.departures)+cap(x.arrivals)) * 8
+	return b + int64(len(x.freq))*(8+mapEntryBytes)
 }
 
 // Postings returns this shard's postings of q (shared; do not modify).
 func (sh *Shard) Postings(q traj.Symbol) []Posting { return sh.lists[q] }
 
-// Freq returns this shard's occurrence count of q.
-func (sh *Shard) Freq(q traj.Symbol) int { return len(sh.lists[q]) }
-
 // PostingsInWindow returns this shard's postings of q whose trajectory
-// departs in [lo, hi] (buildTemporal must have run; see
+// departs in [lo, hi] (BuildTemporal must have run; see
 // Inverted.PostingsInWindow for the departure-window semantics).
 func (sh *Shard) PostingsInWindow(q traj.Symbol, lo, hi float64) []Posting {
 	return postingsInWindow(sh.byDeparture[q], sh.parent.departures, lo, hi)

@@ -59,13 +59,10 @@ func TestShardedPartitionsFlatIndex(t *testing.T) {
 		if sh.NumPostings() != flat.NumPostings() {
 			t.Fatalf("p=%d: NumPostings %d != %d", p, sh.NumPostings(), flat.NumPostings())
 		}
-		if sh.NumSymbols() != flat.NumSymbols() {
-			t.Fatalf("p=%d: NumSymbols %d != %d", p, sh.NumSymbols(), flat.NumSymbols())
-		}
 		want := collectPostings(flat, syms)
 		got := make(map[traj.Symbol]map[Posting]bool)
 		for s := 0; s < p; s++ {
-			for sym, set := range collectPostings(sh.Shard(s), syms) {
+			for sym, set := range collectPostings(sh.Source(s), syms) {
 				for post := range set {
 					if int(post.ID)%p != s {
 						t.Fatalf("p=%d: shard %d holds posting of trajectory %d", p, s, post.ID)
@@ -111,7 +108,7 @@ func TestShardedTemporalWindows(t *testing.T) {
 			}
 			got := make(map[Posting]bool)
 			for s := 0; s < sh.NumShards(); s++ {
-				for _, p := range sh.Shard(s).PostingsInWindow(sym, lo, hi) {
+				for _, p := range sh.Source(s).PostingsInWindow(sym, lo, hi) {
 					got[p] = true
 				}
 			}
@@ -131,97 +128,4 @@ func TestShardedTemporalWindows(t *testing.T) {
 			t.Fatalf("IntervalOverlaps disagrees for id %d", id)
 		}
 	}
-}
-
-// TestShardedAppend checks the incremental update lands in the right
-// shard and keeps global stats in sync with a from-scratch build.
-func TestShardedAppend(t *testing.T) {
-	ds := shardedTestData(t)
-	half := ds.Len() / 2
-	partial := &traj.Dataset{Rep: ds.Rep}
-	for i := 0; i < half; i++ {
-		partial.Add(ds.Trajs[i])
-	}
-	sh := BuildSharded(partial, 3)
-	for i := half; i < ds.Len(); i++ {
-		id := partial.Add(ds.Trajs[i])
-		sh.Append(id, partial.Get(id))
-	}
-	full := BuildSharded(ds, 3)
-	if sh.NumPostings() != full.NumPostings() {
-		t.Fatalf("NumPostings %d != %d after appends", sh.NumPostings(), full.NumPostings())
-	}
-	for _, sym := range symbolsOf(ds) {
-		if sh.Freq(sym) != full.Freq(sym) {
-			t.Fatalf("Freq(%d) %d != %d after appends", sym, sh.Freq(sym), full.Freq(sym))
-		}
-		for s := 0; s < 3; s++ {
-			a, b := sh.Shard(s).Postings(sym), full.Shard(s).Postings(sym)
-			if len(a) != len(b) {
-				t.Fatalf("shard %d sym %d: %d postings != %d", s, sym, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("shard %d sym %d posting %d: %+v != %+v", s, sym, i, a[i], b[i])
-				}
-			}
-		}
-	}
-}
-
-// TestShardedFromInverted checks the zero-copy single-shard wrap.
-func TestShardedFromInverted(t *testing.T) {
-	ds := shardedTestData(t)
-	flat := Build(ds)
-	sh := ShardedFromInverted(flat)
-	if sh.NumShards() != 1 {
-		t.Fatalf("NumShards = %d, want 1", sh.NumShards())
-	}
-	for _, sym := range symbolsOf(ds) {
-		if sh.Freq(sym) != flat.Freq(sym) {
-			t.Fatalf("Freq(%d) mismatch", sym)
-		}
-		a, b := sh.Shard(0).Postings(sym), flat.Postings(sym)
-		if len(a) != len(b) {
-			t.Fatalf("postings length mismatch for %d", sym)
-		}
-	}
-}
-
-// TestShardedFromInvertedAppend pins the wrap's append contract: the
-// shared flat index must stay internally consistent (its other users
-// keep reading it), and the wrapper's global views must track it.
-func TestShardedFromInvertedAppend(t *testing.T) {
-	ds := shardedTestData(t)
-	flat := Build(ds)
-	sh := ShardedFromInverted(flat)
-
-	extra := ds.Trajs[0] // re-append a copy of trajectory 0 as a new ID
-	id := ds.Add(extra)
-	sh.Append(id, ds.Get(id))
-
-	if flat.NumPostings() != sh.NumPostings() {
-		t.Fatalf("flat NumPostings %d != wrap %d after append", flat.NumPostings(), sh.NumPostings())
-	}
-	sym := extra.Path[0]
-	fp := flat.Postings(sym)
-	if fp[len(fp)-1].ID != id {
-		t.Fatalf("flat index missing appended posting of %d", id)
-	}
-	if got, want := sh.Shard(0).Postings(sym), flat.Postings(sym); len(got) != len(want) {
-		t.Fatalf("wrap shard sees %d postings of %d, flat %d", len(got), sym, len(want))
-	}
-	// Temporal machinery must see the new ID on BOTH views — before the
-	// fix the wrap's departure slice went stale and this panicked.
-	flat.BuildTemporal()
-	sh.BuildTemporal()
-	if flat.IntervalOverlaps(id, 0, 1e12) != sh.IntervalOverlaps(id, 0, 1e12) {
-		t.Fatal("IntervalOverlaps disagrees for appended id")
-	}
-	lo, hi := sh.Interval(id)
-	flo, fhi := flat.Interval(id)
-	if lo != flo || hi != fhi {
-		t.Fatalf("Interval(%d) = [%g,%g] on wrap, [%g,%g] on flat", id, lo, hi, flo, fhi)
-	}
-	sh.Shard(0).PostingsInWindow(sym, 0, 1e12) // must not panic
 }

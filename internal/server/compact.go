@@ -4,8 +4,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"time"
-
-	"subtraj/internal/index"
 )
 
 // ErrCompactionBusy is returned when a fold is already in progress;
@@ -56,7 +54,7 @@ func (s *SafeEngine) maybeCompact() {
 	if n <= 0 || s.compactInFlight.Load() {
 		return
 	}
-	if int64(s.state.Load().deltaLen) < n {
+	if int64(s.DeltaLen()) < n {
 		return
 	}
 	go func() {
@@ -69,10 +67,10 @@ func (s *SafeEngine) maybeCompact() {
 // publishes the result. The expensive part — building the new base over
 // a fixed prefix of the dataset — happens entirely outside the ingest
 // mutex, so searches AND appends proceed during the fold; only the
-// final publish (rebuilding whatever small delta accumulated meanwhile
-// and swapping the state pointer) runs under the mutex. The fold does
-// not change the dataset contents, so it publishes at the current
-// generation and cached results stay valid.
+// final publish (rebasing the writer, which re-indexes whatever small
+// delta accumulated meanwhile, and swapping the state pointer) runs
+// under the mutex. The fold does not change the dataset contents, so it
+// publishes at the current generation and cached results stay valid.
 //
 // Returns ErrCompactionBusy if a fold is already running.
 func (s *SafeEngine) Compact() (*CompactionResult, error) {
@@ -83,32 +81,26 @@ func (s *SafeEngine) Compact() (*CompactionResult, error) {
 	start := time.Now()
 
 	st := s.state.Load()
-	if st.deltaLen == 0 {
-		return &CompactionResult{Generation: st.gen, Folded: st.baseLen}, nil
+	deltaBefore := st.eng.DeltaLen()
+	if deltaBefore == 0 {
+		return &CompactionResult{Generation: st.gen, Folded: st.eng.Dataset().Len()}, nil
 	}
 
 	// Fold off-lock: the new base covers exactly the prefix this
 	// snapshot sees. st.eng's dataset is a fixed prefix view, so the
 	// build races with nothing.
 	view := st.eng.Dataset()
-	var backend index.Backend
-	if st.base.backend.Kind() == "compact" {
-		backend = index.NewOverlay(index.FreezeDataset(view))
-	} else {
-		backend = index.BuildSharded(view, st.base.backend.NumShards())
-	}
-	nb := &epochBase{backend: backend}
-	if st.base.temporalDone.Load() {
+	base := st.eng.Backend().Rebuild(view)
+	if st.eng.Backend().TemporalReady() {
 		// The old base's temporal view was built; build the new one's
 		// off-lock too so readiness never flaps backwards.
-		nb.ensureTemporal()
+		base.BuildTemporal()
 	}
 
 	crashPoint("compact-fold")
 
 	s.ingestMu.Lock()
-	s.base = nb
-	s.resetDeltaLocked()
+	s.writer.Rebase(base)
 	s.publishLocked()
 	pub := s.state.Load()
 	s.ingestMu.Unlock()
@@ -118,7 +110,7 @@ func (s *SafeEngine) Compact() (*CompactionResult, error) {
 	return &CompactionResult{
 		Generation:  pub.gen,
 		Folded:      view.Len(),
-		DeltaBefore: st.deltaLen,
+		DeltaBefore: deltaBefore,
 		DurationMS:  float64(time.Since(start)) / 1e6,
 	}, nil
 }

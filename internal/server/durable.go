@@ -164,11 +164,11 @@ func (d *Durability) Close() error { return d.log.Close() }
 func (s *SafeEngine) Durable() *Durability { return s.dur }
 
 // OpenDurable builds a durable SafeEngine over the base dataset plus
-// everything the durable directory remembers: snapshot.traj is replayed
-// into ds, the index backend is built (or mmapped), and the WAL is
-// replayed on top — skipping records the snapshot already covers — with
-// any torn tail physically truncated. The returned engine logs every
-// subsequent append write-ahead.
+// everything the durable directory remembers: snapshot.traj and then the
+// WAL are replayed into ds — skipping WAL records the snapshot already
+// covers, with any torn tail physically truncated — and the index is
+// built over the result (or mmapped, the WAL records becoming its
+// delta). The returned engine logs every subsequent append write-ahead.
 //
 // ds must hold exactly the reproducible base workload (the trajectories
 // present before the durable directory was first used); OpenDurable
@@ -206,13 +206,53 @@ func OpenDurable(dir string, ds *traj.Dataset, costs wed.FilterCosts, opts Durab
 	}
 	info.CheckpointGen = snapGen
 
-	// 2. Index backend over base + snapshot.
+	// 2. WAL: replay the records newer than the snapshot into the
+	// dataset, truncate any torn tail, and resume appending at the end.
+	snapLen := ds.Len()
+	dur := &Durability{
+		dir:       dir,
+		baseLen:   baseLen,
+		compact:   opts.Compact,
+		ckptBytes: opts.CheckpointBytes,
+		logger:    opts.Logger,
+	}
+	dur.snapRecords.Store(info.SnapshotRecords)
+	dur.lastCkptGen.Store(snapGen)
+	wopts := wal.Options{Policy: opts.Sync, Interval: opts.SyncInterval, OnFsync: dur.observeFsync}
+	var skipped int64
+	w, winfo, err := wal.OpenOrCreate(filepath.Join(dir, walFile), snapGen, wopts, func(r wal.Record) error {
+		if r.Gen <= snapGen {
+			skipped++ // checkpoint-window overlap: snapshot already has it
+			return nil
+		}
+		ds.Add(traj.Trajectory{Path: r.Path, Times: r.Times})
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("server: wal: %w", err)
+	}
+	if winfo.BaseGen > snapGen {
+		_ = w.Close()
+		return nil, nil, fmt.Errorf("server: wal starts at generation %d but the snapshot covers only %d: records in between are lost; delete the durable directory to restart from the base workload",
+			winfo.BaseGen, snapGen)
+	}
+	dur.log = w
+	replayed := int64(ds.Len() - snapLen)
+	dur.replayed.Store(replayed)
+	info.ReplayedRecords = replayed
+	info.SkippedRecords = skipped
+	info.TailTruncated = winfo.Truncated
+	info.TruncateReason = winfo.Reason
+	info.WALBytes = w.StatsSnapshot().Bytes
+
+	// 3. Index. A checkpoint's arena covers base + snapshot, so the
+	// replayed records become the delta over it; every other base is
+	// built over the whole recovered dataset.
 	var eng *core.Engine
 	if opts.Compact {
-		idxPath := filepath.Join(dir, indexFile)
-		if c, err := index.OpenMapped(idxPath); err == nil {
-			if c.NumTrajectories() == ds.Len() {
-				eng = core.NewEngineWithBackend(ds, index.NewOverlay(c), costs)
+		if c, err := index.OpenMapped(filepath.Join(dir, indexFile)); err == nil {
+			if c.NumTrajectories() == snapLen {
+				eng = core.NewEngineWithBackend(ds, c, costs)
 				info.IndexMapped = true
 			} else {
 				// Stale arena (crash between snapshot rename and index
@@ -226,44 +266,6 @@ func OpenDurable(dir string, ds *traj.Dataset, costs wed.FilterCosts, opts Durab
 	} else {
 		eng = core.NewEngineShards(ds, costs, opts.Shards)
 	}
-
-	// 3. WAL: replay the records newer than the snapshot, truncate any
-	// torn tail, and resume appending at the end.
-	dur := &Durability{
-		dir:       dir,
-		baseLen:   baseLen,
-		compact:   opts.Compact,
-		ckptBytes: opts.CheckpointBytes,
-		logger:    opts.Logger,
-	}
-	dur.snapRecords.Store(info.SnapshotRecords)
-	dur.lastCkptGen.Store(snapGen)
-	wopts := wal.Options{Policy: opts.Sync, Interval: opts.SyncInterval, OnFsync: dur.observeFsync}
-	var replayed, skipped int64
-	w, winfo, err := wal.OpenOrCreate(filepath.Join(dir, walFile), snapGen, wopts, func(r wal.Record) error {
-		if r.Gen <= snapGen {
-			skipped++ // checkpoint-window overlap: snapshot already has it
-			return nil
-		}
-		eng.Append(traj.Trajectory{Path: r.Path, Times: r.Times})
-		replayed++
-		return nil
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("server: wal: %w", err)
-	}
-	if winfo.BaseGen > snapGen {
-		_ = w.Close()
-		return nil, nil, fmt.Errorf("server: wal starts at generation %d but the snapshot covers only %d: records in between are lost; delete the durable directory to restart from the base workload",
-			winfo.BaseGen, snapGen)
-	}
-	dur.log = w
-	dur.replayed.Store(replayed)
-	info.ReplayedRecords = replayed
-	info.SkippedRecords = skipped
-	info.TailTruncated = winfo.Truncated
-	info.TruncateReason = winfo.Reason
-	info.WALBytes = w.StatsSnapshot().Bytes
 
 	s := NewSafeEngine(eng)
 	s.dur = dur
@@ -298,8 +300,8 @@ type CheckpointResult struct {
 //     the new snapshot overlaps the not-yet-rotated WAL, and recovery's
 //     generation skip de-duplicates.
 //  2. compact backends re-freeze the arena and persist it the same way,
-//     then swap the engine onto the fresh arena with an empty overlay
-//     tail — a stale or missing arena is merely a slower restart.
+//     then rebase the engine onto the fresh arena, which empties the
+//     delta — a stale or missing arena is merely a slower restart.
 //  3. the WAL is rotated (truncated to a fresh header whose baseGen is
 //     the barrier) — only after the snapshot is durably in place.
 //
@@ -331,7 +333,7 @@ func (s *SafeEngine) Checkpoint() (*CheckpointResult, error) {
 //subtrajlint:locked ingestMu — Checkpoint holds the ingest mutex around this call
 func (d *Durability) checkpointLocked(s *SafeEngine) (*CheckpointResult, error) {
 	barrier := d.log.Gen()
-	ds := s.ds
+	ds := s.writer.Dataset()
 	tail := ds.Trajs[d.baseLen:]
 	if uint64(len(tail)) != barrier {
 		// Logged and applied counts must agree — both happen under the
@@ -353,13 +355,8 @@ func (d *Durability) checkpointLocked(s *SafeEngine) (*CheckpointResult, error) 
 		res.IndexBytes = n
 		// Install the fresh arena as the new frozen base and publish a
 		// snapshot over it (same generation — contents are unchanged, so
-		// cached results stay valid). The arena's temporal order is
-		// frozen in and the empty overlay tail's is trivial, so the new
-		// base is temporal-ready immediately.
-		nb := &epochBase{backend: index.NewOverlay(c)}
-		nb.ensureTemporal()
-		s.base = nb
-		s.resetDeltaLocked()
+		// cached results stay valid).
+		s.writer.Rebase(c)
 		s.publishLocked()
 	}
 	if err := d.log.Rotate(barrier); err != nil {

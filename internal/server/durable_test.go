@@ -174,6 +174,12 @@ func TestCheckpointRotatesAndRecovers(t *testing.T) {
 			if compact && !info.IndexMapped {
 				t.Fatalf("compact reopen did not mmap the checkpointed index: %+v", info)
 			}
+			// The pointer base is built over everything recovered; the
+			// mapped arena covers the checkpoint and the replayed record
+			// is the delta over it.
+			if wantDelta := map[bool]int{false: 0, true: 1}[compact]; re.DeltaLen() != wantDelta {
+				t.Fatalf("recovered delta holds %d trajectories, want %d", re.DeltaLen(), wantDelta)
+			}
 			if got, want := re.NumTrajectories(), tinyBaseLen()+3; got != want {
 				t.Fatalf("trajectories = %d, want %d", got, want)
 			}

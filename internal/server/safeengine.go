@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 
 	"subtraj/internal/core"
-	"subtraj/internal/index"
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
 )
@@ -22,11 +21,11 @@ import (
 // snapshots instead of a reader/writer lock (DESIGN.md §1.11). Every
 // query loads the current immutable engineState through one atomic
 // pointer and runs entirely against it — the read path acquires no
-// mutex, ever. Appends serialize on a narrow ingest mutex, extend the
-// master dataset and an incremental delta index, and publish a fresh
-// snapshot whose backend merges the frozen base with an O(1) view of
-// that delta (index.Epoch); a background compactor periodically folds
-// the delta into a new base so delta cost stays bounded. Durable engines share the same discipline: the WAL
+// mutex, ever. Appends serialize on a narrow ingest mutex, go through
+// the writer engine — which extends the master dataset and its delta
+// index — and publish a fresh core.Engine.Snapshot; a background
+// compactor periodically folds the delta into a new base so delta cost
+// stays bounded. Durable engines share the same discipline: the WAL
 // append, the dataset extension, and checkpointing all happen under the
 // ingest mutex, so the checkpoint barrier and the publish barrier are
 // one generation.
@@ -45,15 +44,12 @@ type SafeEngine struct {
 	// ingestMu serializes all writers: appends, compaction's publish
 	// step, and durable checkpoints. Searches never touch it.
 	ingestMu sync.Mutex
-	ds       *traj.Dataset   // guarded by ingestMu — master dataset; published states hold fixed prefix views
-	base     *epochBase      // guarded by ingestMu — current fold target for publishes
-	delta    *index.DeltaMap // guarded by ingestMu — incremental index over ds beyond the base; reset at every fold
+	writer   *core.Engine // guarded by ingestMu — owns the master dataset, the base and the delta
 
 	// initialLen is the dataset length at construction; the published
 	// generation is ds.Len()−initialLen, i.e. appends observed by this
 	// wrapper. Immutable after construction.
 	initialLen int
-	costs      wed.FilterCosts // immutable after construction
 
 	// compactAppends is the delta size that triggers a background fold
 	// (0 = never compact automatically). Atomic so tests and servers may
@@ -73,99 +69,37 @@ type SafeEngine struct {
 	dur *Durability
 }
 
-// engineState is one published snapshot: an engine over a fixed prefix
-// view of the master dataset, with an index that merges the frozen base
-// and the delta covering [baseLen, baseLen+deltaLen). Immutable once
-// stored in SafeEngine.state.
+// engineState is one published snapshot: an immutable engine over a
+// fixed prefix of the master dataset, and the generation it shows.
 type engineState struct {
-	eng      *core.Engine
-	gen      uint64
-	baseLen  int // trajectories folded into the frozen base
-	deltaLen int // trajectories in the delta on top of it
-	base     *epochBase
-}
-
-// epochBase is the frozen index core shared by consecutive snapshots
-// between compactions. It carries the one lazily built structure a
-// frozen base may still grow — the departure-sorted temporal order —
-// behind a sync.Once, so the first temporal query across ALL states
-// sharing the base builds it exactly once; after that the build is a
-// read-only no-op and the steady-state read path is one atomic load.
-type epochBase struct {
-	backend      index.Backend
-	temporalOnce sync.Once
-	temporalDone atomic.Bool
-}
-
-// ensureTemporal builds the base's departure-sorted order once. Safe to
-// call concurrently from the lock-free read path: losers of the Once
-// race block until the winner finishes, and subsequent calls are free.
-func (b *epochBase) ensureTemporal() {
-	b.temporalOnce.Do(func() {
-		b.backend.BuildTemporal()
-		b.temporalDone.Store(true)
-	})
+	eng *core.Engine
+	gen uint64
 }
 
 // NewSafeEngine wraps eng. The wrapper must be the only user of eng from
 // then on: bypassing it reintroduces the data race it exists to prevent.
-// eng's dataset becomes the master dataset and its backend the first
-// frozen base (so construction publishes snapshot zero without copying
-// anything).
+// eng becomes the writer — its dataset the master dataset, its base and
+// delta the first published view (so construction publishes snapshot
+// zero without copying anything).
 //
 //subtrajlint:locked ingestMu — s is private to this constructor
 func NewSafeEngine(eng *core.Engine) *SafeEngine {
-	s := &SafeEngine{ds: eng.Dataset(), costs: eng.Costs()}
-	s.base = &epochBase{backend: eng.Backend()}
-	s.base.temporalDone.Store(eng.TemporalReady())
-	s.initialLen = s.ds.Len()
-	s.resetDeltaLocked()
+	s := &SafeEngine{writer: eng, initialLen: eng.Dataset().Len()}
 	s.publishLocked()
 	return s
 }
 
-// resetDeltaLocked starts a fresh delta map at the current fold
-// boundary and re-indexes whatever dataset tail the base does not
-// cover. Called whenever the base changes (construction, compaction,
-// compact checkpoints); the tail is at most the few appends that landed
-// during an off-lock fold, so this stays cheap. Ordinary appends extend
-// the existing map incrementally instead.
-//
-//subtrajlint:locked ingestMu — callers hold the ingest mutex (or own s exclusively in the constructor)
-func (s *SafeEngine) resetDeltaLocked() {
-	folded := s.base.backend.NumTrajectories()
-	d := index.NewDeltaMap(folded)
-	for id := folded; id < s.ds.Len(); id++ {
-		d.Append(int32(id), s.ds.Get(int32(id)))
-	}
-	s.delta = d
-}
-
-// publishLocked snapshots the master dataset into a fresh immutable
-// engineState and stores it. The delta is NOT rebuilt: the writer's
-// incremental DeltaMap already indexes the unfolded tail, and taking a
-// bounded view of it is O(1) — two slice-header copies — so the cost of
-// a publish is independent of the delta size. That, plus the delta
-// answering temporal windows by scan instead of a per-publish sort, is
-// what keeps a sustained append stream from starving searches of CPU.
+// publishLocked stores a snapshot of the writer as the new published
+// state. O(1) whatever the delta size: the writer's delta map already
+// indexes the unfolded tail and a snapshot shares its bounded view.
+// That, plus the delta answering temporal windows by scan instead of a
+// per-publish sort, is what keeps a sustained append stream from
+// starving searches of CPU.
 //
 //subtrajlint:locked ingestMu — every caller holds the ingest mutex (or is the constructor)
 func (s *SafeEngine) publishLocked() {
-	n := s.ds.Len()
-	view := s.ds.Slice(n)
-	folded := s.base.backend.NumTrajectories()
-	backend := s.base.backend
-	if n > folded {
-		backend = index.NewEpoch(s.base.backend, s.delta.View())
-	}
-	st := &engineState{
-		eng:      core.NewEngineWithBackend(view, backend, s.costs),
-		gen:      uint64(n - s.initialLen),
-		baseLen:  folded,
-		deltaLen: n - folded,
-		base:     s.base,
-	}
-	s.state.Store(st)
+	eng := s.writer.Snapshot()
+	s.state.Store(&engineState{eng: eng, gen: uint64(eng.Dataset().Len() - s.initialLen)})
 	s.publishes.Add(1)
 }
 
@@ -209,7 +143,6 @@ func (s *SafeEngine) AppendBatch(ts []traj.Trajectory) ([]int32, error) {
 	if len(ts) == 0 {
 		return nil, nil
 	}
-	ids := make([]int32, len(ts))
 	s.ingestMu.Lock()
 	if s.dur != nil {
 		if err := s.dur.log.Append(ts); err != nil {
@@ -217,10 +150,7 @@ func (s *SafeEngine) AppendBatch(ts []traj.Trajectory) ([]int32, error) {
 			return nil, fmt.Errorf("server: durable append: %w", err)
 		}
 	}
-	for i := range ts {
-		ids[i] = s.ds.Add(ts[i])
-		s.delta.Append(ids[i], s.ds.Get(ids[i]))
-	}
+	ids := s.writer.AppendBatch(ts)
 	s.publishLocked()
 	s.ingestMu.Unlock()
 	s.maybeCheckpoint()
@@ -229,25 +159,25 @@ func (s *SafeEngine) AppendBatch(ts []traj.Trajectory) ([]int32, error) {
 }
 
 // NumTrajectories returns the published dataset size.
-func (s *SafeEngine) NumTrajectories() int {
-	st := s.state.Load()
-	return st.baseLen + st.deltaLen
-}
+func (s *SafeEngine) NumTrajectories() int { return s.state.Load().eng.Dataset().Len() }
 
 // DeltaLen returns how many appended trajectories the published
 // snapshot's delta holds (0 right after a compaction or checkpoint).
-func (s *SafeEngine) DeltaLen() int { return s.state.Load().deltaLen }
+func (s *SafeEngine) DeltaLen() int { return s.state.Load().eng.DeltaLen() }
 
 // FoldedLen returns how many trajectories the published snapshot's
 // frozen base covers.
-func (s *SafeEngine) FoldedLen() int { return s.state.Load().baseLen }
+func (s *SafeEngine) FoldedLen() int {
+	eng := s.state.Load().eng
+	return eng.Dataset().Len() - eng.DeltaLen()
+}
 
 // Costs returns the engine's cost model (immutable after construction).
-func (s *SafeEngine) Costs() wed.FilterCosts { return s.costs }
+func (s *SafeEngine) Costs() wed.FilterCosts { return s.state.Load().eng.Costs() }
 
 // Threshold converts a τ_ratio into an absolute τ for query q.
 func (s *SafeEngine) Threshold(q []traj.Symbol, ratio float64) float64 {
-	return ratio * core.SumFilterCost(s.costs, q)
+	return ratio * core.SumFilterCost(s.Costs(), q)
 }
 
 // Search answers a similarity search against the current snapshot.
@@ -260,16 +190,9 @@ func (s *SafeEngine) Search(q []traj.Symbol, tau float64) ([]traj.Match, error) 
 // snapshot, with no lock on the read path. A TemporalDeparture query
 // never waits on an index rebuild: the delta answers windows by a
 // bounded filtered scan, and the frozen base's departure order is built
-// exactly once behind the base's sync.Once (a one-time cost after which
-// the check is a single atomic load). The old optimistic
-// RLock→build→retry loop this replaces is gone — there is no lock to
-// retry for.
+// at most once, by whichever query needs it first.
 func (s *SafeEngine) SearchQuery(qr core.Query) ([]traj.Match, *core.QueryStats, error) {
-	st := s.state.Load()
-	if qr.Temporal.Mode == core.TemporalDeparture && !qr.Temporal.DisablePrefilter {
-		st.base.ensureTemporal()
-	}
-	return st.eng.SearchQuery(qr)
+	return s.state.Load().eng.SearchQuery(qr)
 }
 
 // SearchTopK answers the top-k protocol against the current snapshot.
@@ -310,11 +233,11 @@ func (s *SafeEngine) IndexKind() string { return s.state.Load().eng.IndexKind() 
 // temporal view is fully built — the engine-readiness signal /healthz
 // and the metrics scraper expose. The delta needs no temporal order
 // (windows are scans); the base's is built on first temporal use.
-func (s *SafeEngine) TemporalReady() bool { return s.state.Load().base.temporalDone.Load() }
+func (s *SafeEngine) TemporalReady() bool { return s.state.Load().eng.Backend().TemporalReady() }
 
 // PrepareTemporal eagerly builds the base's temporal order so the first
 // TemporalDeparture query doesn't pay for it.
-func (s *SafeEngine) PrepareTemporal() { s.state.Load().base.ensureTemporal() }
+func (s *SafeEngine) PrepareTemporal() { s.state.Load().eng.PrepareTemporal() }
 
 // EffectiveParallelism resolves a parallelism setting exactly as the
 // published engine will (0 = auto; clamped to the shard count).

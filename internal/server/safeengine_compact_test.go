@@ -13,7 +13,7 @@ import (
 
 // TestSafeEngineCompactOverlay serves a compact snapshot of half the
 // workload, streams the other half in through SafeEngine.Append (landing
-// in the overlay's mutable tail), and checks the mixed snapshot+tail
+// in the delta over the arena), and checks the mixed snapshot+tail
 // engine answers plain, temporal, top-k, and exact queries identically to
 // a flat pointer engine over the full dataset.
 func TestSafeEngineCompactOverlay(t *testing.T) {
@@ -95,8 +95,8 @@ func TestSafeEngineCompactOverlay(t *testing.T) {
 
 // TestSafeEngineCompactConcurrent hammers the compact backend with
 // concurrent searchers and appenders: under -race this checks the pooled
-// arena cursors and the overlay tail against the wrapper's locking, the
-// same acceptance bar the pointer backend passes in
+// arena cursors and the delta over the arena against the wrapper's
+// publishes, the same acceptance bar the pointer backend passes in
 // TestSafeEngineConcurrentAppendSearch.
 func TestSafeEngineCompactConcurrent(t *testing.T) {
 	w := workload.Generate(workload.Tiny(17))

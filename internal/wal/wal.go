@@ -2,7 +2,7 @@
 // framed, length-prefixed append-only file holding one record per appended
 // trajectory (path symbols, per-vertex timestamps, and the durable
 // generation the append produced). The server logs every Append here
-// *before* applying it to the in-memory overlay, so a crash loses at most
+// *before* applying it to the in-memory engine, so a crash loses at most
 // the un-fsynced suffix — never an acknowledged write.
 //
 // File layout:
