@@ -1,8 +1,10 @@
 package filter_test
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"subtraj/internal/filter"
@@ -222,6 +224,36 @@ func TestPlanPositionsAscending(t *testing.T) {
 	for _, it := range plan.Subseq {
 		if q[it.Pos] != it.Sym {
 			t.Fatalf("item symbol mismatch at pos %d", it.Pos)
+		}
+	}
+}
+
+// TestGroupByTrajectoryIsTheStableSort pins the counting passes to the
+// stable comparison sort they replaced: random candidate streams whose IDs
+// need one, two and three 11-bit digit passes (a delta trajectory's ID lies
+// beyond any base size, so nothing may assume a bound), with heavy ID
+// repetition so stability is observable through (Pos, IQ), plus the empty
+// and single-ID streams that take no pass at all.
+func TestGroupByTrajectoryIsTheStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for _, maxID := range []int32{0, 1, 1<<11 - 1, 1 << 11, 1<<22 - 1, 1 << 22, math.MaxInt32} {
+		for _, n := range []int{0, 1, 2, 100, 5000} {
+			distinct := 1 + rng.Intn(n/3+1)
+			ids := make([]int32, distinct)
+			for i := range ids {
+				ids[i] = int32(rng.Int63n(int64(maxID) + 1))
+			}
+			ids[0] = maxID
+			got := make([]filter.Candidate, n)
+			for i := range got {
+				got[i] = filter.Candidate{ID: ids[rng.Intn(distinct)], Pos: int32(i), IQ: int32(rng.Intn(60))}
+			}
+			want := slices.Clone(got)
+			slices.SortStableFunc(want, func(a, b filter.Candidate) int { return cmp.Compare(a.ID, b.ID) })
+			filter.GroupByTrajectory(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("maxID=%d n=%d: grouping differs from the stable sort", maxID, n)
+			}
 		}
 	}
 }

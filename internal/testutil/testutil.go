@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"subtraj/internal/geo"
 	"subtraj/internal/roadnet"
 	"subtraj/internal/shortestpath"
 	"subtraj/internal/spatial"
@@ -186,6 +187,65 @@ func (rc *RandomCosts) FilterCost(q wed.Symbol) float64 {
 		}
 	}
 	return c
+}
+
+// RandTableCosts draws a RandomCosts over {0..nsym-1} from a coarse
+// lattice (multiples of ½) instead of the continuum, with η = 0: quantised
+// costs make sums tie with each other and with thresholds exactly, and
+// zero insertion costs — which NewRandomCosts never draws — exercise the
+// band's insertion-chain extension. Still an arbitrary symmetric table
+// with zero diagonal: the full generality the WED assumptions
+// (Proposition 1) allow, including the asymmetric-band shapes of the Net*
+// models.
+func RandTableCosts(rng *rand.Rand, nsym int) *RandomCosts {
+	c := &RandomCosts{N: nsym, ID: make([]float64, nsym), Tab: make([][]float64, nsym)}
+	for i := range c.ID {
+		c.ID[i] = float64(rng.Intn(5)) / 2
+	}
+	for i := range c.Tab {
+		c.Tab[i] = make([]float64, nsym)
+	}
+	for i := 0; i < nsym; i++ {
+		for j := i + 1; j < nsym; j++ {
+			v := float64(rng.Intn(7)) / 2
+			c.Tab[i][j], c.Tab[j][i] = v, v
+		}
+	}
+	return c
+}
+
+// matrixDist is a NetDist over a dense symmetric matrix, standing in for
+// hub labels under the Net* models.
+type matrixDist [][]float64
+
+func (m matrixDist) Query(a, b int32) float64 { return m[a][b] }
+
+// SixModels builds the paper's six cost models over nsym symbols with
+// random substrates. Only Sub/Ins/Del are meant to be exercised, so the
+// spatial index and the adjacency the filter machinery needs are left nil.
+func SixModels(rng *rand.Rand, nsym int) []wed.Costs {
+	coords := make([]geo.Point, nsym)
+	weights := make([]float64, nsym)
+	dist := make(matrixDist, nsym)
+	for i := range coords {
+		coords[i] = geo.Point{X: rng.Float64() * 300, Y: rng.Float64() * 300}
+		weights[i] = 1 + rng.Float64()*99
+		dist[i] = make([]float64, nsym)
+	}
+	for i := 0; i < nsym; i++ {
+		for j := i + 1; j < nsym; j++ {
+			d := rng.Float64() * 400
+			dist[i][j], dist[j][i] = d, d
+		}
+	}
+	return []wed.Costs{
+		wed.NewLev(),
+		wed.NewEDR(coords, nil, 100),
+		wed.NewERP(coords, nil, geo.Point{X: 150, Y: 150}, 1),
+		wed.NewNetEDR(nil, dist, 100),
+		wed.NewNetERP(nil, dist, 200, 1),
+		wed.NewSURS(weights),
+	}
 }
 
 // RandomDataset builds a dataset of random strings over {0..n-1} (no road

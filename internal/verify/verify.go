@@ -6,10 +6,13 @@
 // τ-banded: only the cell range that can still influence a result under
 // the query threshold is computed and stored (see trie.go and
 // wed.StepDPBanded); the CellsComputed/CellsAvailable counters measure
-// the saving, and banding is bit-equal to the full-width DP. The columns
-// of all of a verifier's tries live in one slab arena (arena.go), and the
-// DP kernel reads its costs from rows compiled once per query and data
-// symbol (rows.go) rather than through a wed.Costs call per cell.
+// the saving, and banding is bit-equal to the full-width DP. The two
+// directions of a candidate are not walked independently: the minimum of
+// the first walk either rejects the candidate outright or tightens the
+// second walk's cut (VerifyAt). The columns of all of a verifier's tries
+// live in one slab arena (arena.go), and the DP kernel reads its costs
+// from rows compiled once per query and data symbol (rows.go) rather than
+// through a wed.Costs call per cell.
 //
 // Three modes with identical result sets support the paper's ablations:
 //
@@ -58,8 +61,11 @@ func (m Mode) String() string {
 // Options tunes the verifier; the zero value is the paper's configuration.
 type Options struct {
 	Mode Mode
-	// DisableEarlyTermination turns off the Eq. 11 lower-bound cut
-	// (ablation for Table 5's UPR).
+	// DisableEarlyTermination is the "no pruning" ablation behind Table
+	// 5's UPR: it turns off the Eq. 11 lower-bound cut and the one-sided
+	// rejection with it, so both walks of every candidate run to the
+	// trajectory's ends and ColumnsVisited equals ColumnsAvailable for
+	// every candidate with τ′ > 0.
 	DisableEarlyTermination bool
 	// DisableBanding makes the tries compute and store full-width DP
 	// columns instead of τ-banded ones — the pre-banding behavior, kept
@@ -83,6 +89,11 @@ type Stats struct {
 	// StepDPCalls counts columns actually computed by StepDP (CMR
 	// numerator).
 	StepDPCalls int64
+	// OneSided counts candidates rejected after a single walk: the
+	// prefix-WED array of the side walked first held no value < τ′, so
+	// the other side's columns were never visited. It is what a halved
+	// ColumnsVisited per candidate reads as in a stats dump.
+	OneSided int64
 	// CellsComputed counts DP-cell recurrence evaluations inside those
 	// StepDP calls; CellsAvailable is what full-width columns would have
 	// cost (StepDPCalls × (|Q^d|+1)). Their ratio is the cell-level
@@ -106,6 +117,7 @@ func (s *Stats) Add(o Stats) {
 	s.ColumnsAvailable += o.ColumnsAvailable
 	s.ColumnsVisited += o.ColumnsVisited
 	s.StepDPCalls += o.StepDPCalls
+	s.OneSided += o.OneSided
 	s.CellsComputed += o.CellsComputed
 	s.CellsAvailable += o.CellsAvailable
 	s.TrieNodes += o.TrieNodes
@@ -411,9 +423,32 @@ func (v *Verifier) VerifyAt(c Candidate, tauEff float64) {
 	}
 
 	// E^b over the reversed prefix P[j-1], ..., P[0] vs reversed Q[:iq];
-	// E^f over P[j+1], ..., P[|P|-1] vs Q[iq+1:].
-	v.eb = v.allPrefixWED(tr.bwd, p, j, -1, tauPrime, v.eb[:0])
-	v.ef = v.allPrefixWED(tr.fwd, p, j, +1, tauPrime, v.ef[:0])
+	// E^f over P[j+1], ..., P[|P|-1] vs Q[iq+1:]. The side holding the
+	// longer half of Q is walked first, under the whole τ′; its minimum is
+	// slack no pair can avoid spending. If that is all of τ′ the candidate
+	// is rejected with the other side unwalked; otherwise the second walk
+	// stops where the enumeration below would refuse every further entry,
+	// in the enumeration's own float comparisons (DESIGN.md §1.4): efv <
+	// τ′ − ebv fails for every efv ≥ τ′ − min E^b, and ebv + min E^f < τ′
+	// fails for every ebv with ebv + min E^f ≥ τ′.
+	backFirst := int(c.IQ) >= len(v.q)-1-int(c.IQ)
+	var spent float64
+	if backFirst {
+		v.eb = v.allPrefixWED(tr.bwd, p, j, -1, 0, tauPrime, v.eb[:0])
+		spent = wed.Min(v.eb)
+	} else {
+		v.ef = v.allPrefixWED(tr.fwd, p, j, +1, 0, tauPrime, v.ef[:0])
+		spent = wed.Min(v.ef)
+	}
+	if spent >= tauPrime && !v.opts.DisableEarlyTermination {
+		v.Stats.OneSided++
+		return
+	}
+	if backFirst {
+		v.ef = v.allPrefixWED(tr.fwd, p, j, +1, 0, tauPrime-spent, v.ef[:0])
+	} else {
+		v.eb = v.allPrefixWED(tr.bwd, p, j, -1, spent, tauPrime, v.eb[:0])
+	}
 
 	// Suffix minima of E^f: efSuf[k] = min(ef[k:]). efSuf[0] replaces
 	// the per-candidate minOf scan, and inside the enumeration loop
@@ -525,7 +560,12 @@ func appendMinMerged(dst, src []traj.Match) []traj.Match {
 // (Algorithm 5). The returned slice aliases dst's storage. Entries may be
 // +Inf when cell |Q^d| fell outside a column's τ-band — such a prefix WED
 // is ≥ τ ≥ τ′ and can never join a result, exactly as its true value.
-func (v *Verifier) allPrefixWED(t trie, p []traj.Symbol, j, dir int, tauPrime float64, dst []float64) []float64 {
+//
+// The walk stops at the first column whose minimum LB satisfies LB + spent
+// ≥ cut (Eq. 11 is spent = 0, cut = τ′). Column minima never decrease
+// along a walk, in floats as in reals, so every deeper entry satisfies it
+// too.
+func (v *Verifier) allPrefixWED(t trie, p []traj.Symbol, j, dir int, spent, cut float64, dst []float64) []float64 {
 	node := t.root
 	dst = append(dst, v.tail[node]) // E_0 = wed(ε, Q^d)
 	for k := 1; ; k++ {
@@ -538,7 +578,7 @@ func (v *Verifier) allPrefixWED(t trie, p []traj.Symbol, j, dir int, tauPrime fl
 			v.Stats.StepDPCalls++
 		}
 		v.Stats.ColumnsVisited++
-		if !v.opts.DisableEarlyTermination && v.colMin[child] >= tauPrime {
+		if !v.opts.DisableEarlyTermination && v.colMin[child]+spent >= cut {
 			break
 		}
 		dst = append(dst, v.tail[child])

@@ -1,4 +1,4 @@
-package wed
+package wed_test
 
 import (
 	"math"
@@ -6,46 +6,13 @@ import (
 	"testing"
 	"testing/quick"
 
-	"subtraj/internal/geo"
+	"subtraj/internal/testutil"
+	"subtraj/internal/wed"
 )
-
-// tableCosts is a randomly generated weighted cost model over a tiny
-// alphabet: an arbitrary symmetric substitution table with zero diagonal
-// and arbitrary non-negative insertion costs — the full generality the
-// WED assumptions (Proposition 1) allow, including the asymmetric-band
-// shapes of the Net* models.
-type tableCosts struct {
-	ins []float64
-	sub [][]float64
-}
-
-func (t tableCosts) Name() string            { return "table" }
-func (t tableCosts) Sub(a, b Symbol) float64 { return t.sub[a][b] }
-func (t tableCosts) Ins(a Symbol) float64    { return t.ins[a] }
-func (t tableCosts) Del(a Symbol) float64    { return t.ins[a] }
-
-func randTableCosts(rng *rand.Rand, nsym int) tableCosts {
-	c := tableCosts{ins: make([]float64, nsym), sub: make([][]float64, nsym)}
-	for i := range c.ins {
-		// Quantised costs provoke exact ties; zero insertion costs
-		// exercise the band's insertion-chain extension.
-		c.ins[i] = float64(rng.Intn(5)) / 2
-	}
-	for i := range c.sub {
-		c.sub[i] = make([]float64, nsym)
-	}
-	for i := 0; i < nsym; i++ {
-		for j := i + 1; j < nsym; j++ {
-			v := float64(rng.Intn(7)) / 2
-			c.sub[i][j], c.sub[j][i] = v, v
-		}
-	}
-	return c
-}
 
 // rootBand builds the banded root column (insertion prefix sums < tau),
 // mirroring trie.reset.
-func rootBand(c Costs, qd []Symbol, tau float64) (band []float64, lo, hi int) {
+func rootBand(c wed.Costs, qd []wed.Symbol, tau float64) (band []float64, lo, hi int) {
 	sum := 0.0
 	for j := 0; j <= len(qd) && sum < tau; j++ {
 		band = append(band, sum)
@@ -73,14 +40,14 @@ func TestStepDPBandedQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	f := func(qRaw []uint8, pRaw []uint8, tauRaw uint16) bool {
 		nsym := 2 + rng.Intn(4)
-		c := randTableCosts(rng, nsym)
+		c := testutil.RandTableCosts(rng, nsym)
 		n := len(qRaw)
 		if n > 8 {
 			n = 8
 		}
-		qd := make([]Symbol, n)
+		qd := make([]wed.Symbol, n)
 		for i := 0; i < n; i++ {
-			qd[i] = Symbol(int(qRaw[i]) % nsym)
+			qd[i] = wed.Symbol(int(qRaw[i]) % nsym)
 		}
 		steps := len(pRaw)
 		if steps > 10 {
@@ -97,9 +64,9 @@ func TestStepDPBandedQuick(t *testing.T) {
 		band, lo, hi := rootBand(c, qd, tau)
 		scratch := make([]float64, n+1)
 		for s := 0; s < steps; s++ {
-			p := Symbol(int(pRaw[s]) % nsym)
-			nf := StepDP(c, qd, p, full, nil)
-			nlo, nhi, cells := StepDPBanded(c, qd, p, band, lo, hi, tau, scratch)
+			p := wed.Symbol(int(pRaw[s]) % nsym)
+			nf := wed.StepDP(c, qd, p, full, nil)
+			nlo, nhi, cells := wed.StepDPBanded(c, qd, p, band, lo, hi, tau, scratch)
 			if cells < 0 || cells > n+1 {
 				return false
 			}
@@ -129,9 +96,9 @@ func TestStepDPBandedQuick(t *testing.T) {
 			fullCol[j+1] = fullCol[j] + c.Ins(qd[j])
 		}
 		for s := 0; s < steps; s++ {
-			p := Symbol(int(pRaw[s]) % nsym)
-			nf := StepDP(c, qd, p, fullCol, nil)
-			nlo, nhi, cells := StepDPBanded(c, qd, p, fullCol, 0, n+1, inf, scratch)
+			p := wed.Symbol(int(pRaw[s]) % nsym)
+			nf := wed.StepDP(c, qd, p, fullCol, nil)
+			nlo, nhi, cells := wed.StepDPBanded(c, qd, p, fullCol, 0, n+1, inf, scratch)
 			if nlo != 0 || nhi != n+1 || cells != n+1 {
 				return false
 			}
@@ -155,10 +122,10 @@ func TestStepDPBandedQuick(t *testing.T) {
 // a degenerate lo == hi > 0 interval.
 func TestStepDPBandedEmptyParent(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
-	c := randTableCosts(rng, 3)
-	qd := []Symbol{0, 1, 2}
+	c := testutil.RandTableCosts(rng, 3)
+	qd := []wed.Symbol{0, 1, 2}
 	dst := make([]float64, len(qd)+1)
-	if lo, hi, cells := StepDPBanded(c, qd, 1, nil, 0, 0, 5, dst); lo != 0 || hi != 0 || cells != 0 {
+	if lo, hi, cells := wed.StepDPBanded(c, qd, 1, nil, 0, 0, 5, dst); lo != 0 || hi != 0 || cells != 0 {
 		t.Fatalf("empty parent: got (%d,%d,%d), want (0,0,0)", lo, hi, cells)
 	}
 	// τ′ = 0 empties every band: even cell values of 0 are pruned
@@ -169,44 +136,10 @@ func TestStepDPBandedEmptyParent(t *testing.T) {
 	}
 	// A one-cell parent whose every child cell crosses τ′.
 	parent := []float64{0.9}
-	levLike := tableCosts{ins: []float64{1, 1, 1}, sub: [][]float64{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}}}
-	lo, hi, _ = StepDPBanded(levLike, qd, 1, parent, 0, 1, 1, dst)
+	levLike := &testutil.RandomCosts{N: 3, ID: []float64{1, 1, 1}, Tab: [][]float64{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}}}
+	lo, hi, _ = wed.StepDPBanded(levLike, qd, 1, parent, 0, 1, 1, dst)
 	if lo != 0 || hi != 0 {
 		t.Fatalf("pruned-out child band not normalised: [%d,%d)", lo, hi)
-	}
-}
-
-// matrixDist is a NetDist over a dense symmetric matrix, standing in for
-// hub labels under the Net* models.
-type matrixDist [][]float64
-
-func (m matrixDist) Query(a, b int32) float64 { return m[a][b] }
-
-// sixModels builds the paper's six cost models over nsym symbols with
-// random substrates. Only Sub/Ins/Del are exercised, so the spatial index
-// and the adjacency the filter machinery needs are left nil.
-func sixModels(rng *rand.Rand, nsym int) []Costs {
-	coords := make([]geo.Point, nsym)
-	weights := make([]float64, nsym)
-	dist := make(matrixDist, nsym)
-	for i := range coords {
-		coords[i] = geo.Point{X: rng.Float64() * 300, Y: rng.Float64() * 300}
-		weights[i] = 1 + rng.Float64()*99
-		dist[i] = make([]float64, nsym)
-	}
-	for i := 0; i < nsym; i++ {
-		for j := i + 1; j < nsym; j++ {
-			d := rng.Float64() * 400
-			dist[i][j], dist[j][i] = d, d
-		}
-	}
-	return []Costs{
-		NewLev(),
-		NewEDR(coords, nil, 100),
-		NewERP(coords, nil, geo.Point{X: 150, Y: 150}, 1),
-		NewNetEDR(nil, dist, 100),
-		NewNetERP(nil, dist, 200, 1),
-		NewSURS(weights),
 	}
 }
 
@@ -217,12 +150,12 @@ func sixModels(rng *rand.Rand, nsym int) []Costs {
 // likewise — and (qd, from) selects the trie: qd is either q[iq+1:]
 // (from = iq+1) or reversed(q[:iq]) (from = 2|q|-iq), the two shapes the
 // verifier reads out of one row pair.
-func rowsEqualBanded(c Costs, qd []Symbol, p Symbol, row, ins []float64, from int, a []float64, alo, ahi int, tau float64) bool {
+func rowsEqualBanded(c wed.Costs, qd []wed.Symbol, p wed.Symbol, row, ins []float64, from int, a []float64, alo, ahi int, tau float64) bool {
 	n := len(qd)
 	want := make([]float64, n+1)
-	wlo, whi, wcells := StepDPBanded(c, qd, p, a, alo, ahi, tau, want)
+	wlo, whi, wcells := wed.StepDPBanded(c, qd, p, a, alo, ahi, tau, want)
 	got := make([]float64, n+1)
-	lo, hi, cells := StepDPRows(row[from:from+n], ins[from:from+n], c.Del(p), a, alo, ahi, tau, got)
+	lo, hi, cells := wed.StepDPRows(row[from:from+n], ins[from:from+n], c.Del(p), a, alo, ahi, tau, got)
 	if lo != wlo || hi != whi || cells != wcells {
 		return false
 	}
@@ -242,18 +175,18 @@ func rowsEqualBanded(c Costs, qd []Symbol, p Symbol, row, ins []float64, from in
 func TestStepDPRowsEqualsBanded(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	const nsym = 6
-	models := sixModels(rng, nsym)
+	models := testutil.SixModels(rng, nsym)
 	for trial := 0; trial < 3000; trial++ {
-		var c Costs = randTableCosts(rng, nsym)
+		var c wed.Costs = testutil.RandTableCosts(rng, nsym)
 		if trial%2 == 1 {
 			c = models[trial/2%len(models)]
 		}
 		m := 1 + rng.Intn(9)
-		q := make([]Symbol, m)
+		q := make([]wed.Symbol, m)
 		for i := range q {
-			q[i] = Symbol(rng.Intn(nsym))
+			q[i] = wed.Symbol(rng.Intn(nsym))
 		}
-		p := Symbol(rng.Intn(nsym))
+		p := wed.Symbol(rng.Intn(nsym))
 		row, ins := make([]float64, 0, 2*m), make([]float64, 0, 2*m)
 		for _, qs := range q {
 			row, ins = append(row, c.Sub(p, qs)), append(ins, c.Ins(qs))
@@ -264,13 +197,13 @@ func TestStepDPRowsEqualsBanded(t *testing.T) {
 		iq := rng.Intn(m)
 		qd, from := q[iq+1:], iq+1
 		if rng.Intn(2) == 0 {
-			qd, from = make([]Symbol, iq), 2*m-iq
+			qd, from = make([]wed.Symbol, iq), 2*m-iq
 			for j := range qd {
 				qd[j] = q[iq-1-j]
 			}
 		}
 		n := len(qd)
-		scale := SumIns(c, q) / float64(m) // one insertion, whatever the model's units
+		scale := wed.SumIns(c, q) / float64(m) // one insertion, whatever the model's units
 		tau := math.Inf(1)
 		if rng.Intn(4) > 0 {
 			tau = scale * float64(rng.Intn(2*m+1)) / 2
@@ -300,7 +233,7 @@ func TestStepDPRowsEqualsBanded(t *testing.T) {
 			if !rowsEqualBanded(c, qd, p, row, ins, from, band, lo, hi, tau) {
 				t.Fatalf("trial %d (%s): kernels disagree at chain step %d", trial, c.Name(), step)
 			}
-			lo, hi, _ = StepDPBanded(c, qd, p, band, lo, hi, tau, scratch)
+			lo, hi, _ = wed.StepDPBanded(c, qd, p, band, lo, hi, tau, scratch)
 			band = append(band[:0], scratch[lo:hi]...)
 		}
 	}
