@@ -324,29 +324,33 @@ func BenchmarkSearchPerQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSearch measures the sharded intra-query pipeline on
-// the largest synthetic workload (SanFran-like): one engine per shard
-// count, each query run with Parallelism equal to its shard count, so
-// shards=1 is the sequential baseline the speedup targets are measured
-// against. cmd/benchall -json runs the same sweep and snapshots it into
-// BENCH_<rev>.json; the speedup only materialises with ≥shards CPUs.
+// BenchmarkParallelSearch measures the intra-query fan-out on the largest
+// synthetic workload (SanFran-like): one engine, each query run under a
+// Parallelism cap of N, so workers=1 is the sequential baseline the
+// speedups are measured against. The cap is not a command — the engine
+// uses fewer workers for a query whose estimated work is small — and the
+// reported workers/op is what it used. cmd/benchall -json runs the same
+// sweep and snapshots it into BENCH_<rev>.json; a speedup only
+// materialises with ≥N idle CPUs.
 func BenchmarkParallelSearch(b *testing.B) {
 	c := experiments.GetCtx(workload.SanFranLike(), 0.1)
-	costs := c.Model("EDR")
+	eng := core.NewEngine(c.Data("EDR"), c.Model("EDR"))
 	queries := c.Queries("EDR", 60, 8, 5)
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			eng := core.NewEngineShards(c.Data("EDR"), costs, shards)
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			used := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
 				tau := c.Tau("EDR", q, 0.1)
-				if _, _, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: shards}); err != nil {
+				_, st, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: workers})
+				if err != nil {
 					b.Fatal(err)
 				}
+				used += st.Workers
 			}
+			b.ReportMetric(float64(used)/float64(b.N), "workers/op")
 		})
 	}
 }

@@ -10,7 +10,7 @@
 //
 // -scale multiplies every dataset's trajectory count (1.0 ≈ tens of
 // thousands of trajectories; the default keeps a full run in minutes).
-// -json skips the table suite and instead snapshots the sharded
+// -json skips the table suite and instead snapshots the
 // parallel-search sweep into BENCH_<rev>.json (see perfsnap.go), the
 // machine-readable perf trajectory of the query engine; -json -quick is
 // the CI smoke variant (one iteration per configuration, written to

@@ -86,7 +86,7 @@ func sampleSubpaths(ds *traj.Dataset, m, qlen int, rng *rand.Rand) [][]traj.Symb
 func memMeasure(name string, ds *traj.Dataset, costs wed.FilterCosts, queries [][]traj.Symbol, tau func(q []traj.Symbol) float64, quick bool) (memWork, error) {
 	w := memWork{Name: name, Trajectories: ds.Len()}
 	fmt.Fprintf(os.Stderr, "[benchall] %s: building pointer index over %d trajectories...\n", name, ds.Len())
-	engPtr := core.NewEngineShards(ds, costs, 1)
+	engPtr := core.NewEngine(ds, costs)
 	fmt.Fprintf(os.Stderr, "[benchall] %s: freezing compact arena...\n", name)
 	engCmp, closeCmp, err := mappedCompactEngine(ds, costs)
 	if err != nil {

@@ -43,8 +43,8 @@ func workloadGPSConfig() workload.GPSConfig {
 // parallel-search sweep (the BenchmarkParallelSearch shape from
 // bench_test.go) and write a machine-readable BENCH_<rev>.json, so the
 // repository accumulates a perf trajectory commit over commit. Snapshots
-// record the hardware (NumCPU/GOMAXPROCS) because shard speedups are
-// hardware-bound: on a single-CPU machine every shard count collapses to
+// record the hardware (NumCPU/GOMAXPROCS) because fan-out speedups are
+// hardware-bound: on a single-CPU machine every worker count collapses to
 // ~1× by construction.
 //
 // With -quick the sweep degrades to a one-iteration smoke run (each
@@ -119,7 +119,7 @@ type perfBench struct {
 	// timed iteration measures no allocation statistics).
 	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
 	BytesPerOp  int64 `json:"bytes_per_op,omitempty"`
-	// SpeedupVsSequential is ns/op(shards=1) ÷ ns/op(this run); omitted
+	// SpeedupVsSequential is ns/op(workers=1) ÷ ns/op(this run); omitted
 	// for the top-k configurations, which are all sequential.
 	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
 	// CellsComputed/CellsAvailable are the per-op cell counters of the
@@ -158,8 +158,9 @@ type perfBench struct {
 	DeadlineExceeded bool  `json:"deadline_exceeded,omitempty"`
 }
 
-// perfShardCounts is the sweep of BenchmarkParallelSearch.
-var perfShardCounts = []int{1, 2, 4, 8}
+// perfWorkerCounts is the sweep of BenchmarkParallelSearch: Parallelism
+// caps over one engine.
+var perfWorkerCounts = []int{1, 2, 4, 8}
 
 // writePerfSnapshot runs the sweep on the largest synthetic workload and
 // writes BENCH_<rev>.json in the current directory.
@@ -189,20 +190,20 @@ func writePerfSnapshot(scale float64, qlen int, tauRatio float64, quick bool) er
 	}
 
 	var seqNs int64
-	for _, shards := range perfShardCounts {
-		fmt.Fprintf(os.Stderr, "[benchall] ParallelSearch/shards=%d...\n", shards)
-		eng := core.NewEngineShards(c.Data(model), costs, shards)
+	eng := core.NewEngine(c.Data(model), costs)
+	for _, workers := range perfWorkerCounts {
+		fmt.Fprintf(os.Stderr, "[benchall] ParallelSearch/workers=%d...\n", workers)
 		runOne := func(i int) (*core.QueryStats, error) {
 			q := queries[i%len(queries)]
 			tau := c.Tau(model, q, tauRatio)
-			_, st, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: shards})
+			_, st, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: workers})
 			return st, err
 		}
-		bench, err := measureBench(fmt.Sprintf("ParallelSearch/shards=%d", shards), quick, len(queries), runOne)
+		bench, err := measureBench(fmt.Sprintf("ParallelSearch/workers=%d", workers), quick, len(queries), runOne)
 		if err != nil {
 			return err
 		}
-		if shards == 1 {
+		if workers == 1 {
 			seqNs = bench.NsPerOp
 		}
 		if bench.NsPerOp > 0 && seqNs > 0 {
@@ -220,13 +221,13 @@ func writePerfSnapshot(scale float64, qlen int, tauRatio float64, quick bool) er
 		snap.Benchmarks = append(snap.Benchmarks, kernelBench(kern, quick))
 	}
 
-	// Backend pair: the identical queries on the single-shard pointer
-	// index versus the compact arena — served through a full persistence
+	// Backend pair: the identical queries on the pointer index versus
+	// the compact arena — served through a full persistence
 	// loop (freeze → save → OpenMapped), so the measured latency is the
 	// real mmap-backed decode cost and the loop itself is smoke-tested on
 	// every -quick CI run. Results are asserted bit-equal before timing;
 	// the Index section records the memory side of the trade.
-	engTopK := core.NewEngineShards(c.Data(model), costs, 1)
+	engTopK := core.NewEngine(c.Data(model), costs)
 	engCmp, closeCmp, err := mappedCompactEngine(c.Data(model), costs)
 	if err != nil {
 		return err
@@ -264,8 +265,8 @@ func writePerfSnapshot(scale float64, qlen int, tauRatio float64, quick bool) er
 		snap.Benchmarks = append(snap.Benchmarks, bench)
 	}
 
-	// Top-k configuration (k = 10), sequential (single shard, Parallelism
-	// 1) so the number is the driver's own work with no hardware
+	// Top-k configuration (k = 10), sequential (Parallelism 1) so the
+	// number is the driver's own work with no hardware
 	// parallelism mixed in. Fixed op count (one full query rotation): the
 	// mean must cover the whole query set, not however many queries fit
 	// testing.Benchmark's 1 s target.
@@ -283,8 +284,8 @@ func writePerfSnapshot(scale float64, qlen int, tauRatio float64, quick bool) er
 	// GPS pipeline configuration: the same queries served from raw GPS
 	// traces (σ=10 m samples of each query's path, matched back onto the
 	// network, then searched) versus symbols-only, plus match-only to
-	// isolate the HMM cost. Sequential single-shard engine so the
-	// overhead ratio is pure pipeline cost.
+	// isolate the HMM cost. Sequential engine so the overhead
+	// ratio is pure pipeline cost.
 	matcher := mapmatch.New(c.W.Graph, mapmatch.Config{})
 	gpsCfg := workloadGPSConfig()
 	rng := rand.New(rand.NewSource(7))
@@ -588,7 +589,7 @@ func durableAppendBenches(src *traj.Dataset, costs wed.FilterCosts, quick bool) 
 		var safe *server.SafeEngine
 		cleanup := func() error { return nil }
 		if d.sync == "" {
-			safe = server.NewSafeEngine(core.NewEngineShards(clone, costs, 1))
+			safe = server.NewSafeEngine(core.NewEngine(clone, costs))
 		} else {
 			pol, err := wal.ParseSyncPolicy(d.sync)
 			if err != nil {
@@ -662,7 +663,7 @@ func ingestLoadBench(c *experiments.Ctx, model string, queries [][]traj.Symbol, 
 	for _, t := range src.Trajs {
 		clone.Add(t)
 	}
-	safe := server.NewSafeEngine(core.NewEngineShards(clone, c.Model(model), 1))
+	safe := server.NewSafeEngine(core.NewEngine(clone, c.Model(model)))
 	safe.SetCompactAppends(2048)
 
 	// The fixed-rate writer runs across the warm-up AND the timed span,

@@ -7,7 +7,7 @@
 //
 //	wedserve [-addr :8080] [-dataset beijing] [-scale 0.1] [-model EDR]
 //	         [-load workload.gob] [-cache 1024] [-concurrency 0]
-//	         [-shards 0] [-index pointer|compact] [-index-file idx.sbtj]
+//	         [-index pointer|compact] [-index-file idx.sbtj]
 //	         [-wal-dir state/] [-wal-sync always|interval|never]
 //	         [-wal-sync-interval 100ms] [-checkpoint-bytes 67108864]
 //	         [-compact-appends 4096] [-request-timeout 0] [-queue-wait 1s]
@@ -86,8 +86,7 @@ func main() {
 		model       = flag.String("model", "EDR", "cost model: Lev|EDR|ERP|NetEDR|NetERP|SURS")
 		cacheSize   = flag.Int("cache", 1024, "LRU result-cache entries (negative disables)")
 		concurrency = flag.Int("concurrency", 0, "max in-flight engine queries (0 = 2x GOMAXPROCS)")
-		shards      = flag.Int("shards", 0, "index trajectory shards = per-query parallelism ceiling (0 = one per CPU)")
-		indexKind   = flag.String("index", "pointer", "index backend: pointer (sharded in-RAM) | compact (frozen bit-packed arena, mmap-able)")
+		indexKind   = flag.String("index", "pointer", "index backend: pointer (in-RAM postings lists) | compact (frozen bit-packed arena, mmap-able)")
 		indexFile   = flag.String("index-file", "", "compact arena path: open zero-copy via mmap if it exists, else build, save, and re-open (requires -index compact)")
 		walDir      = flag.String("wal-dir", "", "durable-state directory: log appends to a WAL, checkpoint, and recover on restart (incompatible with -index-file)")
 		walSync     = flag.String("wal-sync", "always", "WAL fsync policy: always (fsync per append) | interval | never")
@@ -96,7 +95,7 @@ func main() {
 		compactApps = flag.Int("compact-appends", 4096, "fold the append delta into the frozen base after this many unfolded appends (0 = never compact automatically)")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request deadline; exceeded queries return 504 (0 disables)")
 		queueWait   = flag.Duration("queue-wait", time.Second, "max wait for a worker slot before shedding the request with 503 (0 = wait for the request deadline)")
-		maxPar      = flag.Int("max-parallelism", 0, "cap shard workers per query (0 = min(shards, GOMAXPROCS); 1 = sequential)")
+		maxPar      = flag.Int("max-parallelism", 0, "cap on workers per query (0 = GOMAXPROCS; 1 = sequential); the engine uses fewer when a query is small")
 		maxBatch    = flag.Int("max-batch", 64, "max subqueries per /v1/batch request")
 		gpsSigma    = flag.Float64("gps-sigma", 20, "GPS noise stddev in metres for map matching (0 disables the GPS endpoints)")
 		gpsBeta     = flag.Float64("gps-beta", 50, "map-matching transition tolerance in metres")
@@ -164,7 +163,6 @@ func main() {
 			SyncInterval:    *walInterval,
 			CheckpointBytes: *ckptBytes,
 			Compact:         *indexKind == "compact",
-			Shards:          *shards,
 			Logger:          logger,
 		})
 		if err != nil {
@@ -181,12 +179,12 @@ func main() {
 			log.Printf("  compact index mapped from checkpoint")
 		}
 	} else {
-		eng, err := buildEngine(data, costs, *indexKind, *indexFile, *shards)
+		eng, err := buildEngine(data, costs, *indexKind, *indexFile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("  engine (%s, %s index, %d shards, %s) built in %s",
-			*model, eng.IndexKind(), eng.NumShards(), byteSize(eng.IndexBytes()), time.Since(start).Round(time.Millisecond))
+		log.Printf("  engine (%s, %s index, %s) built in %s",
+			*model, eng.IndexKind(), byteSize(eng.IndexBytes()), time.Since(start).Round(time.Millisecond))
 		inner = subtraj.NewSafeEngine(eng).Inner()
 	}
 	inner.SetCompactAppends(*compactApps)
@@ -302,13 +300,13 @@ func main() {
 // zero-copy via mmap; with a file that does not exist yet, the index is
 // built in memory, saved, and re-opened from the mapping so the serving
 // process genuinely runs off the page cache.
-func buildEngine(data *subtraj.Dataset, costs subtraj.FilterCosts, kind, file string, shards int) (*subtraj.Engine, error) {
+func buildEngine(data *subtraj.Dataset, costs subtraj.FilterCosts, kind, file string) (*subtraj.Engine, error) {
 	switch kind {
 	case "pointer":
 		if file != "" {
 			return nil, fmt.Errorf("-index-file requires -index compact")
 		}
-		return subtraj.NewEngineShards(data, costs, shards)
+		return subtraj.NewEngine(data, costs)
 	case "compact":
 		if file == "" {
 			return subtraj.NewEngineCompact(data, costs)

@@ -178,8 +178,7 @@ func postAppend(client *http.Client, base string, tr subtraj.Trajectory) error {
 var modelNames = []string{"Lev", "EDR", "ERP", "NetEDR", "NetERP", "SURS"}
 
 // referenceEngine builds an uncrashed engine for the model: a pristine
-// tiny workload plus the given appended tail, single-sharded so result
-// order is the canonical (ID, S, T) sort.
+// tiny workload plus the given appended tail.
 func referenceEngine(t *testing.T, model string, tail []subtraj.Trajectory) *subtraj.Engine {
 	t.Helper()
 	w := subtraj.Generate(subtraj.TinyWorkload(42))
@@ -188,7 +187,7 @@ func referenceEngine(t *testing.T, model string, tail []subtraj.Trajectory) *sub
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := subtraj.NewEngineShards(data, costs, 1)
+	eng, err := subtraj.NewEngine(data, costs)
 	if err != nil {
 		t.Fatal(err)
 	}

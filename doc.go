@@ -33,10 +33,10 @@
 // Queries on an Engine may run concurrently with each other, but not
 // with Append, and Engines expose no synchronization; wrap one in
 // NewSafeEngine to share it across goroutines that also append, or serve
-// it over HTTP with cmd/wedserve. A single query may itself fan out over
-// index shards (one worker per CPU by default; see NewEngineShards and
-// SearchParallel), so custom cost models must be safe for concurrent
-// reads — every built-in model is. Pass parallelism 1 to keep a query
+// it over HTTP with cmd/wedserve. A single query with enough work may
+// itself fan out over ranges of its candidates (up to one worker per CPU
+// by default; see SearchParallel), so custom cost models must be safe
+// for concurrent reads — every built-in model is. Pass parallelism 1 to keep a query
 // strictly on the calling goroutine.
 //
 // See examples/ for complete programs (travel-time estimation,

@@ -24,18 +24,10 @@ type Engine struct {
 // EDR, ERP, NetEDR, NetERP; edge models: Lev, SURS) — the engine cannot
 // check this, so mixing them silently searches the wrong alphabet.
 func NewEngine(ds *Dataset, costs FilterCosts) (*Engine, error) {
-	return NewEngineShards(ds, costs, 0)
-}
-
-// NewEngineShards is NewEngine with an explicit trajectory-shard count
-// for the inverted index (0 = one shard per CPU). The shard count is the
-// ceiling on a single query's parallelism (see SearchParallel); results
-// are identical at every setting.
-func NewEngineShards(ds *Dataset, costs FilterCosts, shards int) (*Engine, error) {
 	if ds == nil || costs == nil {
 		return nil, errors.New("subtraj: nil dataset or cost model")
 	}
-	return &Engine{inner: core.NewEngineShards(ds, costs, shards)}, nil
+	return &Engine{inner: core.NewEngine(ds, costs)}, nil
 }
 
 // NewEngineCompact indexes the dataset into the memory-optimal compact
@@ -86,9 +78,6 @@ func OpenMappedEngine(ds *Dataset, costs FilterCosts, path string) (*Engine, fun
 	return eng, c.Close, nil
 }
 
-// NumShards returns the index partition count.
-func (e *Engine) NumShards() int { return e.inner.NumShards() }
-
 // IndexBytes returns the index backend's memory footprint: the exact
 // arena size for the compact backend, a heap estimate for the pointer
 // backend.
@@ -109,7 +98,7 @@ func (e *Engine) Costs() FilterCosts { return e.inner.Costs() }
 // Append indexes one more trajectory and returns its ID — the paper's
 // incremental update (§4.1). The index built at construction is never
 // modified: appended trajectories go into a delta beside it that every
-// query reads as one more shard, and stay there. An Engine does not fold
+// query reads after the base, and stay there. An Engine does not fold
 // that delta back; after many appends rebuild the engine, or use a
 // SafeEngine, whose background compactor folds it.
 func (e *Engine) Append(t Trajectory) int32 { return e.inner.Append(t) }
@@ -137,10 +126,12 @@ func (e *Engine) SearchStats(q []Symbol, tau float64, vopts VerifyOptions) ([]Ma
 	return e.inner.SearchQuery(core.Query{Q: q, Tau: tau, Verify: vopts})
 }
 
-// SearchParallel is Search with an explicit shard-worker cap: 0 = auto
-// (one worker per CPU, bounded by NumShards), 1 = sequential, N > 1 = up
-// to N workers verifying index shards concurrently. Every setting
-// returns the identical (ID, S, T)-sorted match set.
+// SearchParallel is Search with an explicit worker cap: 0 = auto (one
+// worker per CPU), 1 = sequential, N > 1 = up to N workers verifying
+// contiguous ranges of the candidates concurrently. It is a cap: the
+// engine sizes the fan-out from the query's estimated work and answers
+// small queries on the calling goroutine. Every setting returns the
+// identical (ID, S, T)-sorted match set.
 func (e *Engine) SearchParallel(q []Symbol, tau float64, parallelism int) ([]Match, error) {
 	res, _, err := e.inner.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: parallelism})
 	return res, err

@@ -54,7 +54,7 @@ func TestPooledSearchAllocs(t *testing.T) {
 	}
 	env := testutil.NewEnv(41, 60, 24)
 	m := env.Models()[0] // Lev: no spatial/network substrate allocations
-	eng := core.NewEngineShards(m.DS, m.Costs, 1)
+	eng := core.NewEngine(m.DS, m.Costs)
 	q := env.Query(m, 8)
 	tau := oracleTaus(m.Costs, m.DS, q)[1]
 	search := func() {
@@ -85,7 +85,7 @@ func TestPooledWideSearchAllocs(t *testing.T) {
 	}
 	env := testutil.NewEnv(42, 1500, 60)
 	m := env.Models()[1] // EDR
-	eng := core.NewEngineShards(m.DS, m.Costs, 1)
+	eng := core.NewEngine(m.DS, m.Costs)
 	q := env.Query(m, 40)
 	tau := 0.3 * float64(len(q)) // EDR: c(q) = 1 per symbol
 	var cells int64
@@ -109,8 +109,8 @@ func TestPooledWideSearchAllocs(t *testing.T) {
 
 // Budgets of the top-k guard: steady-state allocations and bytes per EDR
 // top-k query (k = 10, |Q| = 30) with warm pools. The best-first driver
-// allocates the plan, the result table and, when sharded, the fan-out's
-// goroutines and per-shard stats — its queue scratch and verifier are
+// allocates the plan, the result table and, when fanned out, the workers'
+// goroutines — its queue scratch and verifiers are
 // pooled — and measures ≈70 allocs and 6–7 KB; the τ-growth driver it
 // replaced took 364 allocs and 39 MB for the same query.
 const (
@@ -124,7 +124,7 @@ func TestPooledTopKAllocs(t *testing.T) {
 	}
 	env := testutil.NewEnv(43, 1500, 60)
 	m := env.Models()[1] // EDR
-	eng := core.NewEngineShards(m.DS, m.Costs, 4)
+	eng := core.NewEngine(m.DS, m.Costs)
 	q := env.Query(m, 30)
 	for _, par := range []int{1, 0} {
 		search := func() {
@@ -132,9 +132,9 @@ func TestPooledTopKAllocs(t *testing.T) {
 				t.Fatalf("par=%d: %d results, %v", par, len(res), err)
 			}
 		}
-		// Sharded, which pooled verifier meets which shard varies from
-		// run to run, so every arena takes a dozen runs to have seen its
-		// largest shard.
+		// Fanned out, which pooled verifier meets which piece of the
+		// queue varies from run to run, so every arena takes a dozen runs
+		// to have seen its largest piece.
 		allocs, bytes := steadyAllocs(15, search)
 		t.Logf("par=%d: %.0f allocs/op, %.0f B/op", par, allocs, bytes)
 		if allocs > topKAllocBudget || bytes > topKBytesBudget {

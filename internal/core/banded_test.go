@@ -12,14 +12,15 @@ import (
 // pass, in the mould of TestParallelismEquivalence: for every cost model
 // (including the weighted Net* models, whose non-uniform costs make the
 // band asymmetric), every verification mode, and both the sequential and
-// sharded pipelines, banded columns return exactly the full-width answer —
-// identical sorted (ID, S, T) sets with bit-equal WED values — while
-// visiting the same columns and computing at most as many cells.
+// the fanned-out pipeline, banded columns return exactly the full-width
+// answer — identical sorted (ID, S, T) sets with bit-equal WED values —
+// while visiting the same columns and computing at most as many cells.
 func TestBandedEquivalence(t *testing.T) {
+	core.ForceFanOut(t)
 	for _, seed := range []int64{61, 62} {
 		env := testutil.NewEnv(seed, 40, 24)
 		for _, m := range env.Models() {
-			eng := core.NewEngineShards(m.DS, m.Costs, 4)
+			eng := core.NewEngine(m.DS, m.Costs)
 			q := env.Query(m, 8)
 			for _, tau := range oracleTaus(m.Costs, m.DS, q)[1:] {
 				for _, mode := range []verify.Mode{verify.ModeBT, verify.ModeLocal, verify.ModeSW} {
@@ -77,7 +78,7 @@ func TestBandedEquivalence(t *testing.T) {
 func TestBandedEquivalenceAblations(t *testing.T) {
 	env := testutil.NewEnv(63, 40, 24)
 	for _, m := range env.Models() {
-		eng := core.NewEngineShards(m.DS, m.Costs, 3)
+		eng := core.NewEngine(m.DS, m.Costs)
 		q := env.Query(m, 8)
 		tau := oracleTaus(m.Costs, m.DS, q)[1]
 		for _, noET := range []bool{false, true} {

@@ -12,13 +12,14 @@ import (
 )
 
 // TestSearchCanceledContext: a context that is already dead must stop
-// every search path — sequential, sharded, top-k at either parallelism —
-// with an error wrapping the context's cause, and a nil/live context must
-// leave results untouched.
+// every search path — sequential, fanned out, top-k at either parallelism
+// — with an error wrapping the context's cause, and a nil/live context
+// must leave results untouched.
 func TestSearchCanceledContext(t *testing.T) {
+	core.ForceFanOut(t)
 	env := testutil.NewEnv(31, 40, 24)
 	m := env.Models()[0]
-	eng := core.NewEngineShards(m.DS, m.Costs, 4)
+	eng := core.NewEngine(m.DS, m.Costs)
 	q := env.Query(m, 8)
 	tau := oracleTaus(m.Costs, m.DS, q)[1]
 
@@ -33,7 +34,7 @@ func TestSearchCanceledContext(t *testing.T) {
 			_, _, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: 1, Ctx: canceled})
 			return err
 		}},
-		{"sharded", func() error {
+		{"fanned-out", func() error {
 			_, _, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: 4, Ctx: canceled})
 			return err
 		}},
@@ -41,7 +42,7 @@ func TestSearchCanceledContext(t *testing.T) {
 			_, _, err := eng.SearchTopKStats(q, 5, core.TopKOptions{Ctx: canceled})
 			return err
 		}},
-		{"topk-sharded", func() error {
+		{"topk-fanned-out", func() error {
 			_, _, err := eng.SearchTopKStats(q, 5, core.TopKOptions{Ctx: canceled, Parallelism: 4})
 			return err
 		}},
@@ -70,9 +71,10 @@ func (c *cancelAfter) Err() error {
 // trajectory it takes off the queue, so a cancellation that arrives after
 // a few pops stops it there, at either parallelism.
 func TestTopKCanceledMidQueue(t *testing.T) {
+	core.ForceFanOut(t)
 	env := testutil.NewEnv(34, 40, 24)
 	m := env.Models()[0]
-	eng := core.NewEngineShards(m.DS, m.Costs, 4)
+	eng := core.NewEngine(m.DS, m.Costs)
 	q := env.Query(m, 8)
 	for _, par := range []int{1, 4} {
 		_, st, err := eng.SearchTopKStats(q, 40, core.TopKOptions{Parallelism: par})
@@ -96,7 +98,7 @@ func TestTopKCanceledMidQueue(t *testing.T) {
 func TestSearchLiveContextUnchanged(t *testing.T) {
 	env := testutil.NewEnv(32, 40, 24)
 	for _, m := range env.Models() {
-		eng := core.NewEngineShards(m.DS, m.Costs, 4)
+		eng := core.NewEngine(m.DS, m.Costs)
 		q := env.Query(m, 8)
 		tau := oracleTaus(m.Costs, m.DS, q)[1]
 		want, _, err := eng.SearchQuery(core.Query{Q: q, Tau: tau})
@@ -126,7 +128,7 @@ func TestSearchLiveContextUnchanged(t *testing.T) {
 func TestDeadlineExceededSurfaces(t *testing.T) {
 	env := testutil.NewEnv(33, 40, 24)
 	m := env.Models()[0]
-	eng := core.NewEngineShards(m.DS, m.Costs, 4)
+	eng := core.NewEngine(m.DS, m.Costs)
 	q := env.Query(m, 8)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()

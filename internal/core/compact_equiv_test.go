@@ -10,13 +10,10 @@ import (
 	"subtraj/internal/verify"
 )
 
-// compactBackends builds the three engines under comparison over one
-// model: the flat pointer index, the sharded pointer index, and the
-// compact arena (frozen snapshot + empty tail).
-func compactBackends(m testutil.Model) (flat, sharded, compact *core.Engine) {
-	return core.NewEngineShards(m.DS, m.Costs, 1),
-		core.NewEngineShards(m.DS, m.Costs, 4),
-		core.NewEngineCompact(m.DS, m.Costs)
+// compactBackends builds the two engines under comparison over one
+// model: the pointer index and the compact arena.
+func compactBackends(m testutil.Model) (flat, compact *core.Engine) {
+	return core.NewEngine(m.DS, m.Costs), core.NewEngineCompact(m.DS, m.Costs)
 }
 
 // bitEqual demands byte-for-byte identical match slices: same order, same
@@ -30,14 +27,15 @@ func bitEqual(t *testing.T, label string, got, want []traj.Match) {
 }
 
 // TestCompactEquivalence is the backend-equivalence acceptance test: over
-// all six cost models, every verification mode, sequential and parallel
-// execution, the compact backend must return matches bit-equal to both
-// pointer backends — identical slices including order and WED bits —
+// all six cost models, every verification mode, sequential and fanned-out
+// execution, the compact backend must return matches bit-equal to the
+// pointer backend — identical slices including order and WED bits —
 // with the identical filter plan (|Q'|, c(Q')) and candidate count.
 func TestCompactEquivalence(t *testing.T) {
+	core.ForceFanOut(t)
 	env := testutil.NewEnv(31, 35, 22)
 	for _, m := range env.Models() {
-		flat, sharded, compact := compactBackends(m)
+		flat, compact := compactBackends(m)
 		if flat.IndexKind() != "pointer" || compact.IndexKind() != "compact" {
 			t.Fatalf("%s: backend kinds %q / %q", m.Name, flat.IndexKind(), compact.IndexKind())
 		}
@@ -52,20 +50,21 @@ func TestCompactEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s flat: %v", m.Name, err)
 					}
-					for name, eng := range map[string]*core.Engine{"sharded": sharded, "compact": compact} {
-						label := m.Name + "/" + mode.String() + "/" + name
-						got, gstats, err := eng.SearchQuery(qr)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						bitEqual(t, label, got, want)
-						if gstats.SubseqLen != wstats.SubseqLen || gstats.CSum != wstats.CSum {
-							t.Fatalf("%s: plan (|Q'|=%d, c=%v), want (|Q'|=%d, c=%v)",
-								label, gstats.SubseqLen, gstats.CSum, wstats.SubseqLen, wstats.CSum)
-						}
-						if gstats.Candidates != wstats.Candidates {
-							t.Fatalf("%s: %d candidates, want %d", label, gstats.Candidates, wstats.Candidates)
-						}
+					label := m.Name + "/" + mode.String() + "/compact"
+					got, gstats, err := compact.SearchQuery(qr)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					bitEqual(t, label, got, want)
+					if gstats.SubseqLen != wstats.SubseqLen || gstats.CSum != wstats.CSum {
+						t.Fatalf("%s: plan (|Q'|=%d, c=%v), want (|Q'|=%d, c=%v)",
+							label, gstats.SubseqLen, gstats.CSum, wstats.SubseqLen, wstats.CSum)
+					}
+					if gstats.Candidates != wstats.Candidates {
+						t.Fatalf("%s: %d candidates, want %d", label, gstats.Candidates, wstats.Candidates)
+					}
+					if gstats.Workers != par {
+						t.Fatalf("%s: Workers = %d, want %d", label, gstats.Workers, par)
 					}
 				}
 			}
@@ -79,9 +78,10 @@ func TestCompactEquivalence(t *testing.T) {
 // arena's skip-block window decode and interval section through the whole
 // query path.
 func TestCompactEquivalenceTemporal(t *testing.T) {
+	core.ForceFanOut(t)
 	env := testutil.NewEnv(32, 40, 22)
 	for _, m := range env.Models() {
-		flat, sharded, compact := compactBackends(m)
+		flat, compact := compactBackends(m)
 		q := env.Query(m, 8)
 		tau := oracleTaus(m.Costs, m.DS, q)[2]
 		windows := [][2]float64{{0, 1e9}, {0, 1500}, {800, 2400}, {3000, 3000}, {-10, -1}}
@@ -96,13 +96,11 @@ func TestCompactEquivalenceTemporal(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s flat temporal: %v", m.Name, err)
 					}
-					for name, eng := range map[string]*core.Engine{"sharded": sharded, "compact": compact} {
-						got, _, err := eng.SearchQuery(qr)
-						if err != nil {
-							t.Fatalf("%s/%s temporal: %v", m.Name, name, err)
-						}
-						bitEqual(t, m.Name+"/"+name+"/temporal", got, want)
+					got, _, err := compact.SearchQuery(qr)
+					if err != nil {
+						t.Fatalf("%s/compact temporal: %v", m.Name, err)
 					}
+					bitEqual(t, m.Name+"/compact/temporal", got, want)
 				}
 			}
 		}
@@ -115,7 +113,7 @@ func TestCompactEquivalenceTemporal(t *testing.T) {
 func TestCompactEquivalenceTopK(t *testing.T) {
 	env := testutil.NewEnv(33, 35, 22)
 	for _, m := range env.Models() {
-		flat, _, compact := compactBackends(m)
+		flat, compact := compactBackends(m)
 		q := env.Query(m, 8)
 		for _, k := range []int{1, 5} {
 			want, wstats, err := flat.SearchTopKStats(q, k, core.TopKOptions{})

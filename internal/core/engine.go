@@ -53,20 +53,20 @@ type Engine struct {
 	BuildTime time.Duration
 }
 
-// NewEngine indexes the dataset into index.DefaultShards() partitions.
+// NewEngine indexes the dataset into the pointer backend (index.Build).
 func NewEngine(ds *traj.Dataset, costs wed.FilterCosts) *Engine {
-	return NewEngineShards(ds, costs, 0)
-}
-
-// NewEngineShards indexes the dataset into the given number of trajectory
-// shards (0 = index.DefaultShards()). The shard count bounds how many
-// workers one query's Parallelism can use; results are identical at every
-// shard count.
-func NewEngineShards(ds *traj.Dataset, costs wed.FilterCosts, shards int) *Engine {
 	start := time.Now()
-	e := NewEngineWithBackend(ds, index.BuildSharded(ds, shards), costs)
+	e := NewEngineWithBackend(ds, index.Build(ds), costs)
 	e.BuildTime = time.Since(start)
 	return e
+}
+
+// NewEngineShards is NewEngine; the count is ignored — there is no shard
+// axis to size. Kept only because benchmark/trace.go calls it by name and
+// a PR outside the benchmark may not edit it; the next benchmark PR
+// retires it.
+func NewEngineShards(ds *traj.Dataset, costs wed.FilterCosts, _ int) *Engine {
+	return NewEngine(ds, costs)
 }
 
 // NewEngineCompact indexes the dataset into the memory-optimal compact
@@ -103,11 +103,6 @@ func (e *Engine) IndexBytes() int64 { return e.idx.IndexBytes() }
 // IndexKind names the backend family ("pointer" or "compact").
 func (e *Engine) IndexKind() string { return e.idx.Kind() }
 
-// NumShards returns the index partition count — the ceiling on one
-// query's effective parallelism (the base's shards, plus one for a
-// non-empty delta).
-func (e *Engine) NumShards() int { return e.idx.NumShards() }
-
 // DeltaLen returns how many trajectories sit in the delta, not yet
 // folded into the base.
 func (e *Engine) DeltaLen() int { return e.ds.Len() - e.base.NumTrajectories() }
@@ -116,11 +111,12 @@ func (e *Engine) DeltaLen() int { return e.ds.Len() - e.base.NumTrajectories() }
 func (e *Engine) Costs() wed.FilterCosts { return e.costs }
 
 // Append indexes one more trajectory (incremental update, §4.1): into
-// the delta, O(|t|), leaving the base untouched. Every query pays one
-// extra shard for a non-empty delta and scans it for departure windows,
-// and nothing here folds it: build a new engine after many appends, or
-// Rebase onto Backend().Rebuild(Dataset()) — what SafeEngine's
-// compactor does off-lock.
+// the delta, O(|t|), leaving the base untouched. Every query reads a
+// non-empty delta as a second posting source — its candidates are the
+// tail of the ID-sorted candidate array — and scans it for departure
+// windows, and nothing here folds it: build a new engine after many
+// appends, or Rebase onto Backend().Rebuild(Dataset()) — what
+// SafeEngine's compactor does off-lock.
 func (e *Engine) Append(t traj.Trajectory) int32 {
 	id := e.add(t)
 	e.refreshView()
@@ -184,11 +180,11 @@ func (e *Engine) Snapshot() *Engine {
 func (e *Engine) PrepareTemporal() { e.idx.BuildTemporal() }
 
 // QueryStats instruments one query with the Table 4 breakdown and the
-// filtering/verification metrics of §6.4. Under a parallel query the
-// per-shard stats are merged in: durations are summed (total work per
-// phase, the Table 4 semantics — wall time is smaller when Parallelism
+// filtering/verification metrics of §6.4. Under a fanned-out query the
+// per-range stats are merged in: durations are summed (total work per
+// phase, the Table 4 semantics — wall time is smaller when the fan-out
 // spreads that work over several workers), counters are summed, and
-// Shards/Workers record the pipeline shape.
+// Workers records the pipeline shape.
 type QueryStats struct {
 	// MinCandTime, LookupTime, VerifyTime decompose the query (Table 4).
 	MinCandTime time.Duration
@@ -203,16 +199,17 @@ type QueryStats struct {
 	// Verify carries UPR/CMR/TUR counters (Table 5) plus the cell-level
 	// band counters (CellsComputed/CellsAvailable) of the τ-banded
 	// verification. StepDPCalls, TrieNodes, and the cell counters may
-	// exceed the sequential run's at Parallelism > 1: each shard worker
-	// has its own trie cache, so columns shared across shards are
-	// recomputed per shard. Matches/Candidates never differ, and the
+	// exceed the sequential run's when Workers > 1: each candidate range
+	// has its own trie cache, so columns shared across ranges are
+	// recomputed per range. Matches/Candidates never differ, and the
 	// CellsComputed/CellsAvailable ratio stays representative at every
-	// shard count.
+	// worker count.
 	Verify verify.Stats
-	// Shards is the number of index partitions this query scanned;
-	// Workers is the number of shard workers that processed them
-	// (min(Parallelism, Shards); 1 on the sequential path).
-	Shards, Workers int
+	// Workers is the number of goroutines that verified this query: 1
+	// when it ran on the caller's, which is where the engine keeps every
+	// query whose estimated work is below the fan-out threshold whatever
+	// Parallelism allows (see fanOutWorkers).
+	Workers int
 
 	// The remaining fields are produced only by the top-k driver
 	// (SearchTopKStats); they stay zero for plain searches.
@@ -259,21 +256,23 @@ type Query struct {
 	Q   []traj.Symbol
 	Tau float64
 	// Ctx, when non-nil, cancels the query cooperatively: the engine
-	// checks it between candidate groups in the verify loops (sequential
-	// and per shard worker) and per trajectory the top-k queue pops, returning
+	// checks it between candidate groups in the verify loop (on every
+	// fan-out worker) and per trajectory the top-k queue pops, returning
 	// an error wrapping ctx.Err() — a slow query under a server deadline
 	// stops within one trajectory group's verification instead of
 	// running to completion. nil means run to completion.
 	Ctx context.Context
 	// Verify selects the verification mode/ablations; zero value = BT.
 	Verify verify.Options
-	// Parallelism caps the number of shard workers verifying this query:
-	// 0 = auto (min(GOMAXPROCS, shard count)), 1 = the sequential path
-	// (one verifier, trie cache shared across every candidate — the
-	// pre-sharding behavior), N > 1 = up to N workers, one index shard
-	// per task. Every setting returns the identical sorted match set with
-	// identical WED values and candidate counts; only throughput and the
-	// cache-sharing stats differ.
+	// Parallelism caps the number of workers verifying this query: 0 =
+	// auto (GOMAXPROCS), 1 = the sequential path (one verifier, trie
+	// cache shared across every candidate), N > 1 = up to N workers over
+	// contiguous ID ranges of the candidate array. It is a cap, not a
+	// command: the engine sizes the fan-out from the query's estimated
+	// work and keeps a small query on the caller's goroutine. Every
+	// setting returns the identical sorted match set with identical WED
+	// values and candidate counts; only throughput and the cache-sharing
+	// stats differ.
 	Parallelism int
 	// Temporal constrains matches to the window [Lo, Hi] under Mode.
 	Temporal struct {
@@ -329,7 +328,7 @@ func (e *Engine) SearchQuery(qr Query) ([]traj.Match, *QueryStats, error) {
 		// and the problem is ill-posed.
 		return nil, nil, fmt.Errorf("%w: τ = %g, wed(ε, Q) = %g; query would match empty subtrajectories", ErrTauTooLarge, qr.Tau, wed.SumIns(e.costs, qr.Q))
 	}
-	stats := &QueryStats{Shards: e.idx.NumShards()}
+	stats := &QueryStats{}
 
 	start := time.Now()
 	plan, err := filter.BuildPlan(e.costs, e.idx, qr.Q, qr.Tau)
@@ -348,14 +347,22 @@ func (e *Engine) SearchQuery(qr Query) ([]traj.Match, *QueryStats, error) {
 	if err := ctxErr(qr.Ctx); err != nil {
 		return nil, nil, err
 	}
-	workers := e.EffectiveParallelism(qr.Parallelism)
-	stats.Workers = workers
-	var res []traj.Match
-	if workers <= 1 {
-		res, err = e.runSequential(&qr, plan, stats)
-	} else {
-		res, err = e.runSharded(&qr, plan, workers, stats)
-	}
+	// One lookup over every posting source into one pooled buffer, one
+	// grouping pass, then the fan-out — sized by the work the grouped
+	// array stands for — over ID ranges of it.
+	start = time.Now()
+	buf := getCandBuf()
+	cands := *buf
+	// Deferred so a panicking cost model cannot leak the buffer.
+	defer func() { *buf = cands; candBufs.Put(buf) }()
+	cands = e.lookup(&qr, plan, cands)
+	filter.GroupByTrajectory(cands)
+	stats.LookupTime = time.Since(start)
+	stats.Candidates = len(cands)
+
+	work := searchWork(len(cands), len(qr.Q), qr.Tau, plan.CQ)
+	stats.Workers = fanOutWorkers(EffectiveParallelism(qr.Parallelism), work)
+	res, err := e.verifyRanges(&qr, cands, cutRanges(cands, stats.Workers), stats)
 	if err != nil {
 		return nil, nil, err
 	}

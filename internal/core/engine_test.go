@@ -249,8 +249,6 @@ var baseFamilies = []struct {
 	name  string
 	build func(*traj.Dataset) index.Backend
 }{
-	{"sharded-p1", func(ds *traj.Dataset) index.Backend { return index.BuildSharded(ds, 1) }},
-	{"sharded-p4", func(ds *traj.Dataset) index.Backend { return index.BuildSharded(ds, 4) }},
 	{"inverted", func(ds *traj.Dataset) index.Backend { return index.Build(ds) }},
 	{"compact", func(ds *traj.Dataset) index.Backend { return index.FreezeDataset(ds) }},
 }
@@ -305,12 +303,13 @@ func assertEnginesAgree(t *testing.T, label string, got, want *core.Engine, q []
 // base; and a Snapshot taken mid-stream must keep answering for exactly
 // the prefix it saw, whatever the writer does afterwards.
 func TestEngineAppendIsIncremental(t *testing.T) {
+	core.ForceFanOut(t) // Parallelism 4 below means four workers
 	env := testutil.NewEnv(12, 40, 20)
 	for _, m := range env.Models() {
 		n := m.DS.Len()
 		half, midLen := n/2, n/2+n/4
-		full := core.NewEngineShards(m.DS, m.Costs, 1)
-		midFull := core.NewEngineShards(m.DS.Slice(midLen), m.Costs, 1)
+		full := core.NewEngine(m.DS, m.Costs)
+		midFull := core.NewEngine(m.DS.Slice(midLen), m.Costs)
 		// Two queries: one sampled anywhere, one cut from the longest
 		// appended trajectory, so every model has matches on both sides
 		// of the base boundary.
@@ -356,8 +355,8 @@ func TestEngineAppendIsIncremental(t *testing.T) {
 			agree("appended")
 
 			eng.Rebase(eng.Backend().Rebuild(eng.Dataset()))
-			if eng.DeltaLen() != 0 || eng.NumShards() != base.NumShards() {
-				t.Fatalf("%s: after rebase delta %d, %d shards", label, eng.DeltaLen(), eng.NumShards())
+			if eng.DeltaLen() != 0 || eng.Backend().NumShards() != base.NumShards() {
+				t.Fatalf("%s: after rebase delta %d, %d posting sources", label, eng.DeltaLen(), eng.Backend().NumShards())
 			}
 			agree("rebased")
 		}

@@ -19,8 +19,7 @@ func (e *Engine) SearchExact(q []traj.Symbol) ([]traj.Match, error) {
 		return nil, ErrEmptyQuery
 	}
 	// Rarest symbol minimises candidates (the MinCand intuition with
-	// B(q) = {q} and c(q) uniform). Frequencies are global, so the
-	// chosen symbol does not depend on the shard count.
+	// B(q) = {q} and c(q) uniform).
 	rarest := 0
 	for i, sym := range q {
 		if e.idx.Freq(sym) < e.idx.Freq(q[rarest]) {
@@ -28,8 +27,11 @@ func (e *Engine) SearchExact(q []traj.Symbol) ([]traj.Match, error) {
 		}
 	}
 	var out []traj.Match
-	for sh := 0; sh < e.idx.NumShards(); sh++ {
-		src := e.idx.Source(sh)
+	// The view's sources hold ascending ID ranges and every list is in
+	// (ID, position) order, so matches come out in the canonical
+	// (ID, S, T) order as they are found.
+	for i := 0; i < e.idx.NumShards(); i++ {
+		src := e.idx.Source(i)
 		for _, post := range src.Postings(q[rarest]) {
 			s := int(post.Pos) - rarest
 			p := e.ds.Path(post.ID)
@@ -46,8 +48,6 @@ func (e *Engine) SearchExact(q []traj.Symbol) ([]traj.Match, error) {
 		}
 		index.ReleaseSource(src)
 	}
-	// Canonical result order (shard concatenation interleaves IDs).
-	traj.SortMatches(out)
 	return out, nil
 }
 

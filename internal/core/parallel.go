@@ -12,35 +12,73 @@ import (
 	"subtraj/internal/verify"
 )
 
-// This file is the sharded intra-query pipeline: candidate generation and
-// verification run per index shard, optionally on several workers. The
-// filter/verify split of Algorithm 2 is independent along the trajectory
-// axis — a candidate (id, j, iq) only ever touches trajectory id — and the
-// §5 trie cache shares state only within one τ-subsequence position, so
-// partitioning trajectories across workers changes no result: every
-// Parallelism setting returns the same sorted matches with the same WED
-// values. Per-worker tries do lose cross-shard column sharing, which shows
-// up only in the CMR/TrieNodes stats.
+// This file is the intra-query fan-out. The filter/verify split of
+// Algorithm 2 is independent along the trajectory axis — a candidate
+// (id, j, iq) only ever touches trajectory id — so a query's grouped
+// candidate array, which GroupByTrajectory leaves sorted by trajectory
+// ID, can be cut at group boundaries into contiguous ID ranges and each
+// range verified on its own. Per-range results are disjoint and already
+// in (ID, S, T) order, so concatenating them in range order is the
+// sequential answer, bit for bit, with no merge sort. Per-range tries do
+// lose column sharing across ranges, which shows up only in the
+// CMR/TrieNodes stats — and as work the fan-out must win back, which is
+// why the engine sizes it per query (fanOutWorkers) instead of taking it
+// from a setting.
 
-// EffectiveParallelism resolves the Query.Parallelism knob: 0 = auto (one
-// worker per CPU), clamped to the shard count since a shard is the unit of
-// work. Exported so concurrency-metering callers (the server's shared
-// worker budget) reserve exactly the workers the engine will use.
-func (e *Engine) EffectiveParallelism(p int) int {
+// minWorkPerWorker is the least estimated work — in the unit of searchWork
+// and topKWork, about 0.06 µs of sequential verification on the benchmark
+// city — the engine gives one fan-out worker: a query runs on
+// min(Parallelism cap, work/minWorkPerWorker) workers, so below twice this
+// it stays on the caller's goroutine. Placed from the measured break-even
+// of one worker against two (8.5k units) and ten alternating pairs per
+// benchmark workload (DESIGN.md §1.3): ingest_mixed's reads (≤ 5k) sit
+// below the threshold, search_wide and topk_k10 (≥ 100k) above it, and
+// search_default (4k–32k) straddles it — the larger 61% of its queries
+// fan out. It is the engine's one fan-out constant and nothing sets it.
+const minWorkPerWorker = 6_000
+
+// workPerWorker is minWorkPerWorker; a variable only so that the
+// equivalence suites can zero it (export_test.go) and reach the fan-out on
+// datasets of a few dozen trajectories.
+var workPerWorker float64 = minWorkPerWorker
+
+// EffectiveParallelism resolves a Parallelism cap: 0 = auto, one worker
+// per CPU. It is the most workers a query may use, not the number it will
+// (see fanOutWorkers); concurrency-metering callers — the server's shared
+// worker budget — reserve this many and read QueryStats.Workers after.
+func EffectiveParallelism(p int) int {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
-	}
-	if n := e.idx.NumShards(); p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
 	}
 	return p
 }
 
+// fanOutWorkers sizes a query's fan-out from its estimated work: as many
+// workers as the work can keep busy with workPerWorker each, at most limit
+// (a resolved Parallelism cap), at least the caller's own goroutine.
+func fanOutWorkers(limit int, work float64) int {
+	if work >= float64(limit)*workPerWorker {
+		return limit
+	}
+	return max(1, int(work/workPerWorker))
+}
+
+// searchWork estimates a threshold search's verification work from what
+// the engine holds after lookup. A candidate's two trie walks each visit
+// about one column per band cell before the column minimum passes τ, and
+// a column costs its band, so a candidate costs about the square of the
+// band's half-width in cells: |Q|·τ/c(Q), at least one, all of |Q| once
+// τ reaches c(Q).
+func searchWork(cands, qLen int, tau, cQ float64) float64 {
+	b := float64(qLen)
+	if tau < cQ {
+		b = max(1, b*tau/cQ)
+	}
+	return float64(cands) * b
+}
+
 // candBufs pools candidate slices so steady-state queries reuse lookup
-// buffers instead of growing a fresh slice per query (and per shard).
+// buffers instead of growing a fresh slice per query.
 var candBufs = sync.Pool{New: func() any { return new([]filter.Candidate) }}
 
 // getCandBuf checks a candidate buffer out of the pool; callers return it
@@ -53,48 +91,74 @@ func getCandBuf() *[]filter.Candidate {
 	return buf
 }
 
-// shardCandidates generates one shard's candidate stream for the query's
-// temporal mode into dst.
-func (e *Engine) shardCandidates(qr *Query, plan *filter.Plan, src index.PostingSource, dst []filter.Candidate) []filter.Candidate {
-	temporal := qr.Temporal.Mode != TemporalNone
-	switch {
-	case temporal && !qr.Temporal.DisablePrefilter && qr.Temporal.Mode == TemporalDeparture:
-		return plan.CandidatesByDeparture(src, qr.Temporal.Lo, qr.Temporal.Hi, dst)
-	case temporal && !qr.Temporal.DisablePrefilter:
-		return plan.CandidatesInWindow(src, qr.Temporal.Lo, qr.Temporal.Hi, dst)
-	default:
-		return plan.Candidates(src, dst)
-	}
-}
-
-// runSequential is the Parallelism == 1 path: one candidate slice over
-// all shards, one pooled verifier whose tries are shared across every
-// candidate — exactly the pre-sharding engine behavior. Candidates are
-// grouped by trajectory like the sharded path: the verifier accumulates
-// matches per trajectory (one flush per ID) and reads each path once, and
-// the grouping is a stable sort that changes no result.
-func (e *Engine) runSequential(qr *Query, plan *filter.Plan, stats *QueryStats) ([]traj.Match, error) {
-	start := time.Now()
-	buf := getCandBuf()
-	cands := *buf
-	// Deferred (not straight-line) Puts: a panicking cost model escapes
-	// through here (fanOutShards re-raises on the sequential path's
-	// caller too), and a leaked verifier silently erodes the zero-alloc
-	// steady state the CI alloc guard measures.
-	defer func() { *buf = cands; candBufs.Put(buf) }()
+// lookup appends the query's candidates from every posting source of the
+// view — the base, then the delta, so IDs only grow from one source to
+// the next — for the query's temporal mode.
+func (e *Engine) lookup(qr *Query, plan *filter.Plan, dst []filter.Candidate) []filter.Candidate {
+	prefilter := qr.Temporal.Mode != TemporalNone && !qr.Temporal.DisablePrefilter
 	for s := 0; s < e.idx.NumShards(); s++ {
 		src := e.idx.Source(s)
-		cands = e.shardCandidates(qr, plan, src, cands)
+		switch {
+		case prefilter && qr.Temporal.Mode == TemporalDeparture:
+			dst = plan.CandidatesByDeparture(src, qr.Temporal.Lo, qr.Temporal.Hi, dst)
+		case prefilter:
+			dst = plan.CandidatesInWindow(src, qr.Temporal.Lo, qr.Temporal.Hi, dst)
+		default:
+			dst = plan.Candidates(src, dst)
+		}
 		index.ReleaseSource(src)
 	}
-	filter.GroupByTrajectory(cands)
-	stats.LookupTime = time.Since(start)
-	stats.Candidates = len(cands)
+	return dst
+}
 
-	start = time.Now()
+// groupStart moves cut forward to the next trajectory-group boundary of
+// the grouped candidates (len(cands) if there is none), so a range never
+// ends inside one trajectory's candidates.
+func groupStart(cands []filter.Candidate, cut int) int {
+	for cut > 0 && cut < len(cands) && cands[cut].ID == cands[cut-1].ID {
+		cut++
+	}
+	return cut
+}
+
+// cutRanges cuts the grouped candidates into n ≥ 1 ranges of about equal
+// candidate count, each ending on a group boundary, and returns the n+1
+// cut points (a trajectory with more than its share of the candidates
+// leaves the ranges it swallowed empty). One range per worker: every
+// further range is another set of tries recomputing columns its
+// neighbours already hold (+10% DP cells per doubling on a τ_ratio 0.3
+// query, +26% on a 0.1 one).
+func cutRanges(cands []filter.Candidate, n int) []int {
+	cuts := make([]int, n+1)
+	for i := 1; i < n; i++ {
+		cuts[i] = max(cuts[i-1], groupStart(cands, i*len(cands)/n))
+	}
+	cuts[n] = len(cands)
+	return cuts
+}
+
+// rangeOut is one candidate range's contribution to the answer.
+type rangeOut struct {
+	matches []traj.Match
+	elapsed time.Duration
+	vstats  verify.Stats
+	// err is the range's cancellation; the merge surfaces the first one
+	// and discards the matches.
+	err error
+}
+
+// verifyRange is the verify loop: one pooled verifier, whose tries every
+// candidate of the range shares, over a run of whole trajectory groups.
+// The whole candidate array on the caller's goroutine is the sequential
+// path; the fan-out runs the same loop once per range.
+func (e *Engine) verifyRange(qr *Query, cands []filter.Candidate) (out rangeOut) {
+	start := time.Now()
 	ver := verify.Get(e.costs, e.ds, qr.Q, qr.Tau, qr.Verify)
+	// Deferred (not straight-line) Put: a panicking cost model escapes
+	// through here (fanOut re-raises it on the caller), and a leaked
+	// verifier silently erodes the zero-alloc steady state the CI alloc
+	// guard measures.
 	defer verify.Put(ver)
-	var err error
 	prevID := int32(-1)
 	//subtrajlint:hotloop
 	for _, c := range cands {
@@ -104,17 +168,45 @@ func (e *Engine) runSequential(qr *Query, plan *filter.Plan, stats *QueryStats) 
 		// one — bounded latency without torn per-trajectory state.
 		if c.ID != prevID {
 			prevID = c.ID
-			if err = ctxErr(qr.Ctx); err != nil {
+			if out.err = ctxErr(qr.Ctx); out.err != nil {
 				break
 			}
 		}
 		ver.Verify(verify.Candidate{ID: c.ID, Pos: c.Pos, IQ: c.IQ})
 	}
-	res := ver.Results()
-	stats.VerifyTime = time.Since(start)
-	stats.Verify = ver.Stats
-	if err != nil {
-		return nil, err
+	out.matches = ver.Results()
+	out.vstats = ver.Stats
+	out.elapsed = time.Since(start)
+	return out
+}
+
+// verifyRanges verifies cands[cuts[i]:cuts[i+1]] for every i, each range
+// on a worker of its own, and concatenates the results in range order.
+// The cuts are non-decreasing group boundaries, so the ranges hold
+// disjoint, ascending trajectory IDs and every per-range list arrives in
+// (ID, S, T) order: the concatenation is the canonical order and needs no
+// sort. Durations and counters are summed into stats.
+func (e *Engine) verifyRanges(qr *Query, cands []filter.Candidate, cuts []int, stats *QueryStats) ([]traj.Match, error) {
+	outs := make([]rangeOut, len(cuts)-1)
+	fanOut(len(outs), func(i int) {
+		outs[i] = e.verifyRange(qr, cands[cuts[i]:cuts[i+1]])
+	})
+	total := 0
+	for i := range outs {
+		o := &outs[i]
+		if o.err != nil {
+			return nil, o.err
+		}
+		stats.VerifyTime += o.elapsed
+		stats.Verify.Add(o.vstats)
+		total += len(o.matches)
+	}
+	if len(outs) == 1 {
+		return outs[0].matches, nil
+	}
+	res := make([]traj.Match, 0, total)
+	for i := range outs {
+		res = append(res, outs[i].matches...)
 	}
 	return res, nil
 }
@@ -123,121 +215,39 @@ func (e *Engine) runSequential(qr *Query, plan *filter.Plan, stats *QueryStats) 
 // stores one concrete type regardless of what the panic carried.
 type workerPanic struct{ val any }
 
-// fanOutShards runs task(s) for every shard index on up to `workers`
-// goroutines. The first worker panic is captured (the dying worker
-// drains the task channel so the feeder never blocks) and re-raised on
-// the caller's goroutine: a panicking cost model then behaves exactly
-// as on the sequential path (net/http's per-request recover catches it)
-// instead of killing the process from a bare worker goroutine. Shared
-// by the plain sharded search and the top-k driver.
-func fanOutShards(numShards, workers int, task func(s int)) {
-	tasks := make(chan int)
+// fanOut runs task(i) for every i in [0, n), n ≥ 1: task 0 alone on the
+// caller's goroutine — all there is to the sequential path — and
+// otherwise each on a goroutine of its own while the caller waits. (The
+// caller taking a share itself saves a goroutine and measured 5% slower
+// on search_default and search_wide over ten alternating pairs, 1.3 ms
+// slower on the benchmark's traced top-k replay.) It returns once all tasks
+// have, even when one panics, so no worker outlives the pooled buffers its
+// caller hands out. A worker's panic is captured and re-raised on the
+// caller's goroutine: a panicking cost model then behaves exactly as on
+// the sequential path (net/http's per-request recover catches it) instead
+// of killing the process from a bare worker goroutine. Shared by the
+// threshold search and the top-k driver.
+func fanOut(n int, task func(i int)) {
+	if n <= 1 {
+		task(0)
+		return
+	}
 	var wg sync.WaitGroup
 	var panicked atomic.Value // first worker panic, re-raised on the caller
-	for w := 0; w < workers; w++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
 					panicked.CompareAndSwap(nil, workerPanic{p})
-					for range tasks {
-					}
 				}
 			}()
-			for s := range tasks {
-				task(s)
-			}
+			task(i)
 		}()
 	}
-	for s := 0; s < numShards; s++ {
-		tasks <- s
-	}
-	close(tasks)
 	wg.Wait()
 	if p := panicked.Load(); p != nil {
 		panic(p.(workerPanic).val)
 	}
-}
-
-// shardOut is one shard task's contribution to the merged answer.
-type shardOut struct {
-	matches []traj.Match
-	lookup  time.Duration
-	verify  time.Duration
-	cands   int
-	vstats  verify.Stats
-	// err is the shard's cancellation (or other) failure; the merge
-	// surfaces the first one and discards the round's matches.
-	err error
-}
-
-// runSharded fans the shards out over `workers` goroutines. Each task
-// generates one shard's candidates (grouped by trajectory for locality),
-// verifies them with a pooled per-task verifier, and reports sorted
-// per-shard matches; the merge concatenates and re-sorts, which is
-// deterministic because shards partition trajectory IDs (per-shard result
-// sets are disjoint) and every list arrives in (ID, S, T) order.
-func (e *Engine) runSharded(qr *Query, plan *filter.Plan, workers int, stats *QueryStats) ([]traj.Match, error) {
-	numShards := e.idx.NumShards()
-	outs := make([]shardOut, numShards)
-	fanOutShards(numShards, workers, func(s int) {
-		outs[s] = e.runShard(qr, plan, s)
-	})
-
-	var total int
-	for s := range outs {
-		o := &outs[s]
-		if o.err != nil {
-			return nil, o.err
-		}
-		total += len(o.matches)
-		stats.LookupTime += o.lookup
-		stats.VerifyTime += o.verify
-		stats.Candidates += o.cands
-		stats.Verify.Add(o.vstats)
-	}
-	res := make([]traj.Match, 0, total)
-	for s := range outs {
-		res = append(res, outs[s].matches...)
-	}
-	// Shard s owns IDs ≡ s (mod P), so concatenation interleaves IDs;
-	// one sort restores the canonical (ID, S, T) order.
-	traj.SortMatches(res)
-	return res, nil
-}
-
-// runShard executes the filter and verify phases over one shard.
-func (e *Engine) runShard(qr *Query, plan *filter.Plan, s int) shardOut {
-	var out shardOut
-	start := time.Now()
-	buf := getCandBuf()
-	src := e.idx.Source(s)
-	cands := e.shardCandidates(qr, plan, src, *buf)
-	// Deferred so a panicking worker (re-raised by fanOutShards) cannot
-	// leak the buffer or the pooled verifier.
-	defer func() { *buf = cands; candBufs.Put(buf) }()
-	index.ReleaseSource(src)
-	filter.GroupByTrajectory(cands)
-	out.lookup = time.Since(start)
-	out.cands = len(cands)
-
-	start = time.Now()
-	ver := verify.Get(e.costs, e.ds, qr.Q, qr.Tau, qr.Verify)
-	defer verify.Put(ver)
-	prevID := int32(-1)
-	//subtrajlint:hotloop
-	for _, c := range cands {
-		if c.ID != prevID {
-			prevID = c.ID
-			if out.err = ctxErr(qr.Ctx); out.err != nil {
-				break
-			}
-		}
-		ver.Verify(verify.Candidate{ID: c.ID, Pos: c.Pos, IQ: c.IQ})
-	}
-	out.matches = ver.Results()
-	out.verify = time.Since(start)
-	out.vstats = ver.Stats
-	return out
 }

@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"subtraj/internal/core"
+	"subtraj/internal/index"
 	"subtraj/internal/testutil"
 	"subtraj/internal/traj"
 	"subtraj/internal/verify"
 	"subtraj/internal/wed"
 )
 
-// assertIdenticalResults enforces the sharded pipeline's determinism
-// contract: not merely the same match set, but the exact same slice —
-// same (ID, S, T) order, bit-for-bit equal WED values.
+// assertIdenticalResults enforces the fan-out's determinism contract: not
+// merely the same match set, but the exact same slice — same (ID, S, T)
+// order, bit-for-bit equal WED values.
 func assertIdenticalResults(t *testing.T, label string, got, want []traj.Match) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -26,43 +27,80 @@ func assertIdenticalResults(t *testing.T, label string, got, want []traj.Match) 
 	}
 }
 
-// TestParallelismEquivalence is the cross-check the sharded pipeline
-// must pass: for seeded workloads and every cost model, Parallelism N
-// returns exactly the Parallelism 1 answer — identical sorted matches,
-// identical WED bits, identical candidate counts. CI runs it under
-// -race, which also exercises the shard workers for data races.
+// namedEngine is one cell of the backend × delta grid.
+type namedEngine struct {
+	name string
+	eng  *core.Engine
+}
+
+// fanOutEngines builds the four engines every fan-out suite runs over:
+// the pointer and the compact base, each once over all of ds (empty
+// delta) and once over its first half with the rest appended (the delta's
+// candidates are then the tail of the ID-sorted array the fan-out cuts).
+// All four hold the same trajectories under the same IDs, so their
+// answers must be bit-equal to each other as well.
+func fanOutEngines(ds *traj.Dataset, costs wed.FilterCosts) []namedEngine {
+	half := ds.Len() / 2
+	appended := func(base func(*traj.Dataset) index.Backend) *core.Engine {
+		partial := &traj.Dataset{Rep: ds.Rep}
+		for i := 0; i < half; i++ {
+			partial.Add(ds.Trajs[i])
+		}
+		eng := core.NewEngineWithBackend(partial, base(partial), costs)
+		eng.AppendBatch(ds.Trajs[half:])
+		return eng
+	}
+	return []namedEngine{
+		{"pointer", core.NewEngine(ds, costs)},
+		{"compact", core.NewEngineCompact(ds, costs)},
+		{"pointer+delta", appended(func(d *traj.Dataset) index.Backend { return index.Build(d) })},
+		{"compact+delta", appended(func(d *traj.Dataset) index.Backend { return index.FreezeDataset(d) })},
+	}
+}
+
+// TestParallelismEquivalence is the cross-check the fan-out must pass:
+// for seeded workloads, every cost model and every backend — pointer and
+// compact, with an empty and a non-empty delta — Parallelism N returns
+// exactly the Parallelism 1 answer: identical sorted matches, identical
+// WED bits, identical candidate counts. The work threshold is zeroed so
+// that N workers really run; CI runs it under -race, which also exercises
+// them for data races.
 func TestParallelismEquivalence(t *testing.T) {
+	core.ForceFanOut(t)
 	for _, seed := range []int64{21, 22} {
 		env := testutil.NewEnv(seed, 40, 24)
 		for _, m := range env.Models() {
-			eng := core.NewEngineShards(m.DS, m.Costs, 4)
-			if eng.NumShards() != 4 {
-				t.Fatalf("NumShards = %d, want 4", eng.NumShards())
-			}
 			q := env.Query(m, 8)
 			tau := oracleTaus(m.Costs, m.DS, q)[1]
-			base, baseStats, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: 1})
-			if err != nil {
-				t.Fatalf("seed=%d model=%s: %v", seed, m.Name, err)
-			}
-			if baseStats.Workers != 1 {
-				t.Fatalf("%s: sequential path reported %d workers", m.Name, baseStats.Workers)
-			}
-			for _, par := range []int{2, 3, 4, 8} {
-				got, stats, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: par})
+			var first []traj.Match
+			for i, ne := range fanOutEngines(m.DS, m.Costs) {
+				label := m.Name + "/" + ne.name
+				base, baseStats, err := ne.eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: 1})
 				if err != nil {
-					t.Fatalf("seed=%d model=%s par=%d: %v", seed, m.Name, par, err)
+					t.Fatalf("seed=%d %s: %v", seed, label, err)
 				}
-				label := m.Name + "/par"
-				assertIdenticalResults(t, label, got, base)
-				if stats.Candidates != baseStats.Candidates {
-					t.Fatalf("%s par=%d: %d candidates, want %d", m.Name, par, stats.Candidates, baseStats.Candidates)
+				if baseStats.Workers != 1 {
+					t.Fatalf("%s: sequential path reported %d workers", label, baseStats.Workers)
 				}
-				if stats.Verify.ColumnsAvailable != baseStats.Verify.ColumnsAvailable {
-					t.Fatalf("%s par=%d: ColumnsAvailable %d != %d", m.Name, par, stats.Verify.ColumnsAvailable, baseStats.Verify.ColumnsAvailable)
+				if i == 0 {
+					first = base
 				}
-				if want := min(par, 4); stats.Workers != want {
-					t.Fatalf("%s par=%d: Workers = %d, want %d", m.Name, par, stats.Workers, want)
+				assertIdenticalResults(t, label+" vs pointer", base, first)
+				for _, par := range []int{2, 3, 4, 8} {
+					got, stats, err := ne.eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: par})
+					if err != nil {
+						t.Fatalf("seed=%d %s par=%d: %v", seed, label, par, err)
+					}
+					assertIdenticalResults(t, label+"/par", got, base)
+					if stats.Candidates != baseStats.Candidates {
+						t.Fatalf("%s par=%d: %d candidates, want %d", label, par, stats.Candidates, baseStats.Candidates)
+					}
+					if stats.Verify.ColumnsAvailable != baseStats.Verify.ColumnsAvailable {
+						t.Fatalf("%s par=%d: ColumnsAvailable %d != %d", label, par, stats.Verify.ColumnsAvailable, baseStats.Verify.ColumnsAvailable)
+					}
+					if stats.Workers != par {
+						t.Fatalf("%s par=%d: Workers = %d, want %d", label, par, stats.Workers, par)
+					}
 				}
 			}
 		}
@@ -70,89 +108,74 @@ func TestParallelismEquivalence(t *testing.T) {
 }
 
 // TestParallelismEquivalenceModes covers the verification-mode ablations
-// and the temporal constraint forms over the sharded path.
+// and the temporal constraint forms over the fan-out, on every backend.
 func TestParallelismEquivalenceModes(t *testing.T) {
+	core.ForceFanOut(t)
 	env := testutil.NewEnv(23, 40, 24)
 	m := env.Models()[1] // EDR
-	eng := core.NewEngineShards(m.DS, m.Costs, 3)
 	q := env.Query(m, 8)
 	tau := oracleTaus(m.Costs, m.DS, q)[2]
 
-	for _, mode := range []verify.Mode{verify.ModeBT, verify.ModeLocal, verify.ModeSW} {
-		qr := core.Query{Q: q, Tau: tau, Verify: verify.Options{Mode: mode}}
-		qr.Parallelism = 1
-		base, _, err := eng.SearchQuery(qr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qr.Parallelism = 3
-		got, _, err := eng.SearchQuery(qr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdenticalResults(t, "mode="+mode.String(), got, base)
-	}
-
-	lo, hi := 0.0, 1800.0
-	for _, mode := range []core.TemporalMode{core.TemporalOverlap, core.TemporalContain, core.TemporalDeparture} {
-		for _, noPre := range []bool{false, true} {
-			qr := core.Query{Q: q, Tau: tau}
-			qr.Temporal.Mode = mode
-			qr.Temporal.Lo, qr.Temporal.Hi = lo, hi
-			qr.Temporal.DisablePrefilter = noPre
+	for _, ne := range fanOutEngines(m.DS, m.Costs) {
+		// fanned runs qr at Parallelism 1 and 3 and demands the same bits.
+		fanned := func(label string, qr core.Query) {
+			t.Helper()
 			qr.Parallelism = 1
-			base, _, err := eng.SearchQuery(qr)
+			base, _, err := ne.eng.SearchQuery(qr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			qr.Parallelism = 3
-			got, _, err := eng.SearchQuery(qr)
+			got, stats, err := ne.eng.SearchQuery(qr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertIdenticalResults(t, "temporal", got, base)
+			if stats.Workers != 3 {
+				t.Fatalf("%s/%s: Workers = %d, want 3", ne.name, label, stats.Workers)
+			}
+			assertIdenticalResults(t, ne.name+"/"+label, got, base)
+		}
+		for _, mode := range []verify.Mode{verify.ModeBT, verify.ModeLocal, verify.ModeSW} {
+			fanned("mode="+mode.String(), core.Query{Q: q, Tau: tau, Verify: verify.Options{Mode: mode}})
+		}
+		for _, mode := range []core.TemporalMode{core.TemporalOverlap, core.TemporalContain, core.TemporalDeparture} {
+			for _, noPre := range []bool{false, true} {
+				qr := core.Query{Q: q, Tau: tau}
+				qr.Temporal.Mode = mode
+				qr.Temporal.Lo, qr.Temporal.Hi = 0, 1800
+				qr.Temporal.DisablePrefilter = noPre
+				fanned("temporal", qr)
+			}
 		}
 	}
 }
 
-// TestShardedEngineMatchesSingleShard checks that the shard count itself
-// (not just the worker count) leaves results unchanged, including after
-// incremental appends.
-func TestShardedEngineMatchesSingleShard(t *testing.T) {
-	env := testutil.NewEnv(24, 40, 24)
-	m := env.Models()[0] // Lev
+// TestFanOutSizedByWork pins the selection itself, with the threshold in
+// place: a query over a few dozen trajectories stays on the caller's
+// goroutine whatever Parallelism allows, and Parallelism 1 is sequential
+// whatever the work.
+func TestFanOutSizedByWork(t *testing.T) {
+	env := testutil.NewEnv(27, 40, 24)
+	m := env.Models()[1]
+	eng := core.NewEngine(m.DS, m.Costs)
 	q := env.Query(m, 8)
-	tau := oracleTaus(m.Costs, m.DS, q)[1]
-
-	one := core.NewEngineShards(m.DS, m.Costs, 1)
-	want, err := one.Search(q, tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4, 5} {
-		eng := core.NewEngineShards(m.DS, m.Costs, shards)
-		got, err := eng.Search(q, tau)
+	tau := oracleTaus(m.Costs, m.DS, q)[2]
+	for _, par := range []int{0, 4} {
+		_, st, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertIdenticalResults(t, "shards", got, want)
+		if st.Workers != 1 {
+			t.Fatalf("par=%d: a %d-candidate query fanned out over %d workers", par, st.Candidates, st.Workers)
+		}
+		if _, st, err = eng.SearchTopKStats(q, 5, core.TopKOptions{Parallelism: par}); err != nil || st.Workers != 1 {
+			t.Fatalf("par=%d: top-k over %d queued trajectories: %d workers, %v", par, st.TrajQueued, st.Workers, err)
+		}
 	}
-
-	// Append half the dataset incrementally into a sharded engine.
-	half := m.DS.Len() / 2
-	partial := &traj.Dataset{Rep: m.DS.Rep}
-	for i := 0; i < half; i++ {
-		partial.Add(m.DS.Trajs[i])
+	core.ForceFanOut(t)
+	if _, st, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: 1}); err != nil || st.Workers != 1 {
+		t.Fatalf("Parallelism 1 with the threshold zeroed: %d workers, %v", st.Workers, err)
 	}
-	eng := core.NewEngineShards(partial, m.Costs, 4)
-	for i := half; i < m.DS.Len(); i++ {
-		eng.Append(m.DS.Trajs[i])
-	}
-	got, _, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdenticalResults(t, "append+sharded", got, want)
 }
 
 // panickyCosts wraps a cost model and panics on the Nth Sub call,
@@ -170,16 +193,17 @@ func (p panickyCosts) Sub(a, b traj.Symbol) float64 {
 	return p.FilterCosts.Sub(a, b)
 }
 
-// TestShardWorkerPanicReachesCaller checks that a panic inside a shard
+// TestShardWorkerPanicReachesCaller checks that a panic inside a fan-out
 // worker re-raises on the query's own goroutine (where net/http-style
 // recovery can catch it) instead of crashing the process from a bare
 // goroutine — which would be untestable here.
 func TestShardWorkerPanicReachesCaller(t *testing.T) {
+	core.ForceFanOut(t)
 	env := testutil.NewEnv(26, 40, 24)
 	m := env.Models()[0]
 	var calls int32
 	costs := panickyCosts{FilterCosts: m.Costs, calls: &calls, after: 50}
-	eng := core.NewEngineShards(m.DS, costs, 4)
+	eng := core.NewEngine(m.DS, costs)
 	q := env.Query(m, 8)
 	tau := oracleTaus(m.Costs, m.DS, q)[1]
 
@@ -192,11 +216,12 @@ func TestShardWorkerPanicReachesCaller(t *testing.T) {
 }
 
 // TestSearchReturnsSortedMatches pins the ordering contract every caller
-// (and the shard merge) relies on.
+// relies on — and that the fan-out keeps by concatenation alone.
 func TestSearchReturnsSortedMatches(t *testing.T) {
+	core.ForceFanOut(t)
 	env := testutil.NewEnv(25, 40, 24)
 	for _, m := range env.Models()[:2] {
-		eng := core.NewEngineShards(m.DS, m.Costs, 4)
+		eng := core.NewEngine(m.DS, m.Costs)
 		q := env.Query(m, 8)
 		tau := oracleTaus(m.Costs, m.DS, q)[2]
 		for _, par := range []int{1, 4} {

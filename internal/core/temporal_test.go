@@ -118,7 +118,7 @@ func TestFirstDepartureQueryConcurrent(t *testing.T) {
 	qr := core.Query{Q: q, Tau: oracleTaus(m.Costs, m.DS, q)[2], Parallelism: 1}
 	qr.Temporal.Mode = core.TemporalDeparture
 	qr.Temporal.Lo, qr.Temporal.Hi = 0, 2400
-	prepared := core.NewEngineShards(m.DS, m.Costs, 1)
+	prepared := core.NewEngine(m.DS, m.Costs)
 	prepared.PrepareTemporal()
 	want, _, err := prepared.SearchQuery(qr)
 	if err != nil {

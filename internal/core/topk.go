@@ -43,14 +43,15 @@ import (
 // Because a trajectory leaves the queue only with its exact best or with
 // a bound above the k-th best, the answer is the unique k-minimum under
 // the total (WED, span, ID, S, T) order whatever the visiting order —
-// which is why every Parallelism returns the same bits.
+// which is why the queue can be dealt out to any number of workers, in
+// any partition, and every Parallelism returns the same bits.
 
 // TopKOptions tunes SearchTopKStats; the zero value is automatic
 // parallelism and no cancellation.
 type TopKOptions struct {
-	// Parallelism caps the shard workers, exactly like Query.Parallelism
-	// (0 = auto, 1 = sequential). Every setting returns the identical
-	// result slice.
+	// Parallelism caps the queue workers, exactly like Query.Parallelism
+	// (0 = auto, 1 = sequential; a cap the engine stays under when the
+	// queue is short). Every setting returns the identical result slice.
 	Parallelism int
 	// Ctx cancels the driver cooperatively: it is polled once per
 	// trajectory taken off the queue (see Query.Ctx). nil means run to
@@ -71,17 +72,9 @@ func (e *Engine) SearchTopK(q []traj.Symbol, k int) ([]traj.Match, error) {
 	return res, err
 }
 
-// SearchTopKP is SearchTopK with an explicit shard-parallelism cap (0 =
-// auto; see Query.Parallelism). Callers that meter concurrency — the
-// server's shared worker budget — pass the parallelism they reserved.
-func (e *Engine) SearchTopKP(q []traj.Symbol, k, parallelism int) ([]traj.Match, error) {
-	res, _, err := e.SearchTopKStats(q, k, TopKOptions{Parallelism: parallelism})
-	return res, err
-}
-
 // SearchTopKStats answers the top-k protocol and returns the driver's
 // QueryStats: per-phase durations and verification counters summed over
-// the shard workers, the queue counters (TrajQueued, TrajVerified,
+// the queue workers, the queue counters (TrajQueued, TrajVerified,
 // Requeues), and EffectiveTau — the radius below which the answer is
 // provably complete (the k-th best WED once k trajectories answered, the
 // feasibility ceiling otherwise).
@@ -89,16 +82,14 @@ func (e *Engine) SearchTopKStats(q []traj.Symbol, k int, opts TopKOptions) ([]tr
 	if len(q) == 0 {
 		return nil, nil, ErrEmptyQuery
 	}
-	numShards := e.idx.NumShards()
 	if k <= 0 {
-		return nil, &QueryStats{Shards: numShards}, nil
+		return nil, &QueryStats{}, nil
 	}
 	if err := ctxErr(opts.Ctx); err != nil {
 		return nil, nil, err
 	}
 	ceiling := e.topKCeiling(q)
-	workers := e.EffectiveParallelism(opts.Parallelism)
-	stats := &QueryStats{Shards: numShards, Workers: workers, Rounds: 1}
+	stats := &QueryStats{Rounds: 1}
 	start := time.Now()
 	plan, err := filter.BuildPlan(e.costs, e.idx, q, ceiling)
 	stats.MinCandTime = time.Since(start)
@@ -107,14 +98,26 @@ func (e *Engine) SearchTopKStats(q []traj.Symbol, k int, opts TopKOptions) ([]tr
 	}
 	stats.SubseqLen, stats.CSum = len(plan.Subseq), plan.CSum
 
+	// One scan of the postings builds the whole queue; the fan-out is over
+	// pieces of it.
+	start = time.Now()
+	sc := topkScratches.Get().(*topkScratch)
+	defer topkScratches.Put(sc)
+	postings := sc.scan(e, plan, ceiling)
+	stats.LookupTime = time.Since(start)
+	stats.TrajQueued = len(sc.queued)
+	stats.CandidatesReused = postings
+	// No more workers than results: each works its own queue until it
+	// holds a best of its own, so a worker beyond the k-th only adds work
+	// (k = 1 loses to the sequential driver at every |Q|).
+	limit := min(EffectiveParallelism(opts.Parallelism), k)
+	stats.Workers = fanOutWorkers(limit, topKWork(len(sc.queued), k, len(q)))
+
 	tab := &topkTable{k: k}
 	tab.thr.Store(math.Float64bits(ceiling))
-	run := topkRun{e: e, ctx: opts.Ctx, q: q, plan: plan, ceiling: ceiling, tab: tab, stats: stats}
-	if workers <= 1 {
-		run.pass(0, numShards)
-	} else {
-		fanOutShards(numShards, workers, func(s int) { run.pass(s, s+1) })
-	}
+	run := topkRun{e: e, ctx: opts.Ctx, q: q, plan: plan, sc: sc, ceiling: ceiling, tab: tab, stats: stats}
+	queues := sc.deal(stats.Workers)
+	fanOut(len(queues), func(i int) { run.pass(&queues[i]) })
 	run.mu.Lock()
 	err = run.err
 	run.mu.Unlock()
@@ -234,22 +237,32 @@ type symItem struct {
 	item int32
 }
 
-// topkScratch is one pass's working memory, pooled across queries.
+// topkScratch is one query's working memory, pooled across queries: what
+// the postings scan writes — the queue and the per-plan tables, all
+// read-only once scan returns — and the workers' private scratch.
 type topkScratch struct {
 	// stamp[id] > (used at the start of the scan) marks a trajectory this
 	// query's postings touched; the excess is 1 + the last subsequence
 	// item counted into cov[id]. used is the highest stamp any scan may
 	// have written, so raising it retires a query's marks without clearing.
-	stamp []uint32
-	used  uint32
-	cov   []float64
-	heap  []topkEntry // a binary min-heap by (key, id) once scan returns
+	stamp  []uint32
+	used   uint32
+	cov    []float64
+	queued []int32     // the queued trajectories, in the order the scan met them
+	heap   []topkEntry // the queue as deal laid it out, one piece per worker
 	// Per-plan tables: w[i] = c(Subseq[i]); inv lists B's members sorted
 	// by (symbol, item descending); csum = c(Q′).
-	w     []float64
-	inv   []symItem
-	csum  float64
-	chain []float64 // chain[i]: heaviest chain ending at item i
+	w      []float64
+	inv    []symItem
+	csum   float64
+	queues []topkQueue
+}
+
+// topkQueue is one worker's share of the queue with the scratch only it
+// writes.
+type topkQueue struct {
+	heap  []topkEntry // a piece of topkScratch.heap; a binary min-heap by (key, id)
+	chain []float64   // chain[i]: heaviest chain ending at item i
 	cands []verify.Candidate
 }
 
@@ -260,10 +273,22 @@ func (sc *topkScratch) bound(weight float64) float64 {
 	return max(0, sc.csum-weight-topKSlack*sc.csum)
 }
 
-// scan reads the plan's postings in shards [lo, hi) once, accumulates each
-// touched trajectory's covered weight, and queues every trajectory whose
-// coverage bound is below the ceiling. It returns the postings read.
-func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, lo, hi int, ceiling float64) (postings int) {
+// topKWork estimates a top-k query's verification work in searchWork's
+// unit. The queue's length says little — most of it is dropped on its
+// bounds — and k says most: the driver verifies about three trajectories
+// per result it returns (2.2–6.7 measured, k = 3…50), never more than it
+// queued, and a trajectory near the query brings about four candidates per
+// query position, each verified in a band as wide as the ceiling's, |Q|
+// cells.
+func topKWork(queued, k, qLen int) float64 {
+	return float64(min(queued, 3*k)) * 4 * float64(qLen) * float64(qLen)
+}
+
+// scan reads the plan's postings once from every source of the view,
+// accumulates each touched trajectory's covered weight, and queues every
+// trajectory whose coverage bound is below the ceiling. It returns the
+// postings read.
+func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, ceiling float64) (postings int) {
 	m := uint32(len(plan.Subseq))
 	if sc.used > math.MaxUint32-m {
 		clear(sc.stamp)
@@ -275,10 +300,9 @@ func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, lo, hi int, ceiling fl
 		sc.stamp = append(sc.stamp, make([]uint32, n-len(sc.stamp))...)
 		sc.cov = append(sc.cov, make([]float64, n-len(sc.cov))...)
 	}
-	sc.w, sc.chain, sc.inv, sc.heap, sc.csum = sc.w[:0], sc.chain[:0], sc.inv[:0], sc.heap[:0], plan.CSum
+	sc.w, sc.inv, sc.queued, sc.csum = sc.w[:0], sc.inv[:0], sc.queued[:0], plan.CSum
 	for i, it := range plan.Subseq {
 		sc.w = append(sc.w, e.costs.FilterCost(it.Sym))
-		sc.chain = append(sc.chain, 0)
 		for _, b := range plan.Neighbors[i] {
 			sc.inv = append(sc.inv, symItem{b, int32(i)})
 		}
@@ -287,7 +311,7 @@ func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, lo, hi int, ceiling fl
 		return cmp.Or(cmp.Compare(a.sym, b.sym), cmp.Compare(b.item, a.item))
 	})
 
-	for s := lo; s < hi; s++ {
+	for s := 0; s < e.idx.NumShards(); s++ {
 		src := e.idx.Source(s)
 		for i := range plan.Subseq {
 			mark, w := base+uint32(i)+1, sc.w[i]
@@ -300,7 +324,7 @@ func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, lo, hi int, ceiling fl
 						continue // item i already counted for this trajectory
 					}
 					if st <= base { // its first posting in this query
-						sc.heap = append(sc.heap, topkEntry{id: p.ID})
+						sc.queued = append(sc.queued, p.ID)
 						sc.cov[p.ID] = 0
 					}
 					sc.cov[p.ID] += w
@@ -310,21 +334,57 @@ func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, lo, hi int, ceiling fl
 		}
 		index.ReleaseSource(src)
 	}
-	h := sc.heap[:0]
-	for _, en := range sc.heap {
-		if en.key = sc.bound(sc.cov[en.id]); en.key < ceiling {
-			h = append(h, en)
+	q := sc.queued[:0]
+	for _, id := range sc.queued {
+		if sc.bound(sc.cov[id]) < ceiling {
+			q = append(q, id)
 		}
 	}
-	sc.heap = h
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		sc.siftDown(i)
-	}
+	sc.queued = q
 	return postings
 }
 
-func (sc *topkScratch) siftDown(i int) {
-	h := sc.heap
+// deal lays the queue out as n contiguous pieces of the one heap buffer,
+// heapifies each in place and hands each to a topkQueue with scratch of
+// its own. Trajectories go to the pieces in turn: the scan meets the ones
+// that cover the first subsequence items — the likely answers — first, and
+// a worker handed none of them would verify its whole share under the
+// ceiling before anyone's k-th best reached it. The answer does not depend
+// on the partition (see the file comment); n = 1 is the sequential
+// driver's single heap, in scan order.
+func (sc *topkScratch) deal(n int) []topkQueue {
+	if len(sc.queues) < n {
+		sc.queues = append(sc.queues, make([]topkQueue, n-len(sc.queues))...)
+	}
+	queues := sc.queues[:n]
+	total := len(sc.queued)
+	sc.heap = slices.Grow(sc.heap[:0], total)[:total]
+	for i, at := 0, 0; i < n; i++ {
+		size := (total - i + n - 1) / n // how many j < total have j mod n = i
+		queues[i].heap = sc.heap[at : at+size : at+size]
+		at += size
+	}
+	for j, id := range sc.queued {
+		queues[j%n].heap[j/n] = topkEntry{key: sc.bound(sc.cov[id]), id: id}
+	}
+	for i := range queues {
+		queues[i].init(queues[i].heap, len(sc.w))
+	}
+	return queues
+}
+
+// init makes tq a queue over entries, heapified in place, with chain
+// scratch for a τ-subsequence of the given length.
+func (tq *topkQueue) init(entries []topkEntry, items int) {
+	tq.heap = entries
+	tq.chain = slices.Grow(tq.chain[:0], items)[:items]
+	for j := len(entries)/2 - 1; j >= 0; j-- {
+		tq.siftDown(j)
+	}
+}
+
+func (tq *topkQueue) siftDown(i int) {
+	h := tq.heap
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
@@ -342,37 +402,37 @@ func (sc *topkScratch) siftDown(i int) {
 }
 
 // replaceTop overwrites the heap's minimum; pop removes it.
-func (sc *topkScratch) replaceTop(en topkEntry) {
-	sc.heap[0] = en
-	sc.siftDown(0)
+func (tq *topkQueue) replaceTop(en topkEntry) {
+	tq.heap[0] = en
+	tq.siftDown(0)
 }
 
-func (sc *topkScratch) pop() {
-	n := len(sc.heap) - 1
-	sc.heap[0] = sc.heap[n]
-	sc.heap = sc.heap[:n]
-	sc.siftDown(0)
+func (tq *topkQueue) pop() {
+	n := len(tq.heap) - 1
+	tq.heap[0] = tq.heap[n]
+	tq.heap = tq.heap[:n]
+	tq.siftDown(0)
 }
 
-// candidates scans trajectory id's path against inv and leaves its
-// candidates in sc.cands, in position order. In the same loop it finds
+// candidates scans trajectory id's path against sc.inv and leaves its
+// candidates in tq.cands, in position order. In the same loop it finds
 // the heaviest chain of candidates strictly increasing in both position
 // and subsequence item; items of one position are visited in descending
 // order so they cannot extend each other.
-func (sc *topkScratch) candidates(id int32, path []traj.Symbol, plan *filter.Plan) (chain float64) {
-	sc.cands = sc.cands[:0]
-	clear(sc.chain)
+func (tq *topkQueue) candidates(sc *topkScratch, id int32, path []traj.Symbol, plan *filter.Plan) (chain float64) {
+	tq.cands = tq.cands[:0]
+	clear(tq.chain)
 	for pos, sym := range path {
 		// The leftmost entry of sym's run: its largest item.
 		j, _ := slices.BinarySearchFunc(sc.inv, sym, func(a symItem, s traj.Symbol) int { return cmp.Compare(a.sym, s) })
 		for ; j < len(sc.inv) && sc.inv[j].sym == sym; j++ {
 			it := sc.inv[j].item
-			sc.cands = append(sc.cands, verify.Candidate{ID: id, Pos: int32(pos), IQ: plan.Subseq[it].Pos})
+			tq.cands = append(tq.cands, verify.Candidate{ID: id, Pos: int32(pos), IQ: plan.Subseq[it].Pos})
 			v := sc.w[it]
 			if it > 0 {
-				v += slices.Max(sc.chain[:it])
+				v += slices.Max(tq.chain[:it])
 			}
-			sc.chain[it] = max(sc.chain[it], v)
+			tq.chain[it] = max(tq.chain[it], v)
 			chain = max(chain, v)
 		}
 	}
@@ -385,6 +445,7 @@ type topkRun struct {
 	ctx     context.Context
 	q       []traj.Symbol
 	plan    *filter.Plan
+	sc      *topkScratch // read-only during the passes
 	ceiling float64
 	tab     *topkTable
 
@@ -393,56 +454,51 @@ type topkRun struct {
 	err   error       // the first pass to be cancelled; guarded by mu
 }
 
-// pass answers shards [lo, hi) with its own queue and verifier, sharing
-// only the table until it reports its work.
-func (r *topkRun) pass(lo, hi int) {
+// pass works one queue off with its own verifier, sharing only the table
+// until it reports its work.
+func (r *topkRun) pass(tq *topkQueue) {
 	start := time.Now()
-	sc := topkScratches.Get().(*topkScratch)
-	defer topkScratches.Put(sc)
-	postings := sc.scan(r.e, r.plan, lo, hi, r.ceiling)
-	lookupTime, queued := time.Since(start), len(sc.heap)
-
-	start = time.Now()
+	sc := r.sc
 	ver := verify.Get(r.e.costs, r.e.ds, r.q, r.ceiling, verify.Options{})
 	defer verify.Put(ver)
 	var err error
 	var verified, requeues int
 	distinct := 0 // candidates of the trajectories verified at least once
 	//subtrajlint:hotloop
-	for len(sc.heap) > 0 {
+	for len(tq.heap) > 0 {
 		if err = ctxErr(r.ctx); err != nil {
 			break
 		}
-		thr, top := r.tab.threshold(), sc.heap[0]
+		thr, top := r.tab.threshold(), tq.heap[0]
 		if top.key >= thr {
 			break // so is every key behind it
 		}
-		chain := sc.candidates(top.id, r.e.ds.Path(top.id), r.plan)
+		chain := tq.candidates(sc, top.id, r.e.ds.Path(top.id), r.plan)
 		if top.state == topkFresh {
 			// A vehicle driving the query's road backwards covers every
 			// position and chains no two of them.
 			if lb := sc.bound(chain); lb > top.key {
-				sc.replaceTop(topkEntry{lb, top.id, topkChained})
+				tq.replaceTop(topkEntry{lb, top.id, topkChained})
 				requeues++
 				continue
 			}
 		}
 		t := min(thr, max(topKGrowth*top.key, r.ceiling/topKStartDiv))
-		for _, c := range sc.cands {
+		for _, c := range tq.cands {
 			ver.VerifyAt(c, t)
 		}
 		if top.state != topkVerified {
 			verified++
-			distinct += len(sc.cands)
+			distinct += len(tq.cands)
 		}
 		if m, ok := ver.TakeBest(); ok {
-			sc.pop()
+			tq.pop()
 			r.tab.offer(m) // every match below t was enumerated: m is exact
 		} else if t < thr {
-			sc.replaceTop(topkEntry{t, top.id, topkVerified})
+			tq.replaceTop(topkEntry{t, top.id, topkVerified})
 			requeues++
 		} else {
-			sc.pop()
+			tq.pop()
 		}
 	}
 	vs := ver.SnapshotStats()
@@ -454,11 +510,9 @@ func (r *topkRun) pass(lo, hi int) {
 		r.err = err
 	}
 	st := r.stats
-	st.LookupTime += lookupTime
 	st.VerifyTime += verifyTime
 	st.Candidates += vs.Candidates
-	st.CandidatesReused += postings - distinct
-	st.TrajQueued += queued
+	st.CandidatesReused -= distinct
 	st.TrajVerified += verified
 	st.Requeues += requeues
 	st.Verify.Add(vs)

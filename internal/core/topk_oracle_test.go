@@ -61,12 +61,13 @@ func (e *Engine) TopKBounds(q []traj.Symbol, tau float64) (coverage, chain []flo
 		return nil, nil, false, err
 	}
 	sc := new(topkScratch)
-	sc.scan(e, plan, 0, e.idx.NumShards(), plan.CSum*2)
+	sc.scan(e, plan, plan.CSum*2)
+	tq := &sc.deal(1)[0]
 	coverage = make([]float64, e.ds.Len())
 	chain = make([]float64, e.ds.Len())
 	for id := range coverage {
 		coverage[id] = sc.bound(0) // untouched: nothing covered
-		chain[id] = sc.bound(sc.candidates(int32(id), e.ds.Path(int32(id)), plan))
+		chain[id] = sc.bound(tq.candidates(sc, int32(id), e.ds.Path(int32(id)), plan))
 	}
 	for _, en := range sc.heap {
 		coverage[en.id] = en.key

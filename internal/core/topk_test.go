@@ -105,7 +105,8 @@ func TestSearchTopKMatchesOracle(t *testing.T) {
 
 // checkTopKAgainstRestart demands, at Parallelism 1 and 4, the restart
 // oracle's answer bit for bit — same (ID, S, T) order, same WED bits, same
-// effective τ — and queue counters that add up.
+// effective τ — and queue counters that add up. Callers zero the fan-out
+// threshold, so Parallelism 4 deals the queue to four workers.
 func checkTopKAgainstRestart(t *testing.T, label string, eng *core.Engine, q []traj.Symbol, k int) *core.QueryStats {
 	t.Helper()
 	want, wantTau, err := eng.SearchTopKRestart(q, k)
@@ -127,8 +128,8 @@ func checkTopKAgainstRestart(t *testing.T, label string, eng *core.Engine, q []t
 			t.Fatalf("%s k=%d par=%d: rounds %d, queued %d, verified %d, %d results",
 				label, k, par, st.Rounds, st.TrajQueued, st.TrajVerified, len(got))
 		}
-		if wantW := eng.EffectiveParallelism(par); st.Workers != wantW {
-			t.Fatalf("%s k=%d par=%d: Workers = %d, want %d", label, k, par, st.Workers, wantW)
+		if want := min(par, k); st.Workers != want { // never more workers than results
+			t.Fatalf("%s k=%d par=%d: Workers = %d, want %d", label, k, par, st.Workers, want)
 		}
 	}
 	return st
@@ -139,9 +140,10 @@ func checkTopKAgainstRestart(t *testing.T, label string, eng *core.Engine, q []t
 // beyond the searchable radius, where fewer than k trajectories lie inside
 // the ceiling) it returns the restart oracle's answer bit for bit.
 func TestTopKEquivalence(t *testing.T) {
+	core.ForceFanOut(t)
 	env := testutil.NewEnv(41, 40, 24)
 	for _, m := range env.Models() {
-		eng := core.NewEngineShards(m.DS, m.Costs, 4)
+		eng := core.NewEngine(m.DS, m.Costs)
 		q := env.Query(m, 8)
 		for _, k := range []int{1, 2, 5, 10, 40, 1000} {
 			checkTopKAgainstRestart(t, m.Name, eng, q, k)
@@ -153,12 +155,15 @@ func TestTopKEquivalence(t *testing.T) {
 }
 
 // TestTopKEquivalenceTies covers what the queue makes interesting. Every
-// trajectory gets a twin in another shard, so each WED is tied to the last
-// bit — under ERP and NetERP with non-integer costs — and every k cuts or
-// borders a tie; the query's source has many copies, so k = 1 must pick
-// the smallest ID among many zero-bound ties; and a reversed copy of the
-// source covers every query position while chaining at most one.
+// trajectory gets a twin further up the ID range — in the delta, on the
+// engines that have one — so each WED is tied to the last bit — under ERP
+// and NetERP with non-integer costs — and every k cuts or borders a tie;
+// the query's source has many copies, so k = 1 must pick the smallest ID
+// among many zero-bound ties; and a reversed copy of the source covers
+// every query position while chaining at most one. Run on every backend,
+// with the queue dealt to four workers.
 func TestTopKEquivalenceTies(t *testing.T) {
+	core.ForceFanOut(t)
 	env := testutil.NewEnv(43, 30, 24)
 	for _, m := range env.Models() {
 		ds := traj.NewDataset(m.DS.Rep)
@@ -178,20 +183,23 @@ func TestTopKEquivalenceTies(t *testing.T) {
 		}
 		rev := slices.Clone(ds.Path(src))
 		slices.Reverse(rev)
-		revID := ds.Add(traj.Trajectory{Path: rev}) // also shifts the twins into other shards
+		revID := ds.Add(traj.Trajectory{Path: rev})
 		for id := 0; id < m.DS.Len(); id++ {
 			ds.Add(traj.Trajectory{Path: m.DS.Path(int32(id))})
 		}
 		for i := 0; i < 9; i++ {
 			ds.Add(traj.Trajectory{Path: ds.Path(src)})
 		}
-		eng := core.NewEngineShards(ds, m.Costs, 4)
-		for _, k := range []int{1, 2, 3, 10, 11, 12, 15, 30, 1000} {
-			st := checkTopKAgainstRestart(t, m.Name+"/ties", eng, q, k)
-			if k == 1000 && st.Requeues == 0 {
-				t.Fatalf("%s: no trajectory was ever re-queued", m.Name)
+		engines := fanOutEngines(ds, m.Costs)
+		for _, ne := range engines {
+			for _, k := range []int{1, 2, 3, 10, 11, 12, 15, 30, 1000} {
+				st := checkTopKAgainstRestart(t, m.Name+"/"+ne.name+"/ties", ne.eng, q, k)
+				if k == 1000 && st.Requeues == 0 {
+					t.Fatalf("%s/%s: no trajectory was ever re-queued", m.Name, ne.name)
+				}
 			}
 		}
+		eng := engines[0].eng
 		got, err := eng.SearchTopK(q, 1)
 		if err != nil || len(got) != 1 || got[0].ID != src || got[0].WED != 0 {
 			t.Fatalf("%s k=1: %+v, %v; want trajectory %d at WED 0", m.Name, got, err, src)
@@ -245,7 +253,7 @@ func TestTopKBoundsAdmissible(t *testing.T) {
 	}
 	var sawFull, sawSubset bool
 	for _, w := range worlds {
-		eng := core.NewEngineShards(w.ds, w.costs, 3)
+		eng := core.NewEngine(w.ds, w.costs)
 		best := make([]float64, w.ds.Len())
 		for id := range best {
 			best[id] = math.Inf(1)
@@ -282,6 +290,7 @@ func TestTopKBoundsAdmissible(t *testing.T) {
 // huge, per-trajectory match sets are dense, and WED ties are common —
 // the adversarial case for the tightening logic.
 func TestTopKDuplicateHeavy(t *testing.T) {
+	core.ForceFanOut(t)
 	rng := rand.New(rand.NewSource(5))
 	ds := traj.NewDataset(traj.VertexRep)
 	for i := 0; i < 30; i++ {
@@ -292,7 +301,7 @@ func TestTopKDuplicateHeavy(t *testing.T) {
 		ds.Add(traj.Trajectory{Path: p})
 	}
 	costs := wed.NewLev()
-	eng := core.NewEngineShards(ds, costs, 4)
+	eng := core.NewEngine(ds, costs)
 	q := []traj.Symbol{0, 1, 0, 0, 2, 1, 0, 1}
 	for _, k := range []int{1, 3, 10, 30} {
 		checkTopKAgainstRestart(t, "dup", eng, q, k)

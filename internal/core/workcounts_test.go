@@ -31,7 +31,7 @@ func TestVerifyWorkCountsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.NewEngineShards(m.DS, m.Costs, 1)
+	eng := core.NewEngine(m.DS, m.Costs)
 	for _, want := range []struct {
 		ratio float64
 		verify.Stats

@@ -38,8 +38,9 @@ type Plan struct {
 	Subseq []Item
 	// Neighbors[i] is B(Subseq[i].Sym).
 	Neighbors [][]traj.Symbol
-	// CSum is c(Q') = Σ c(q).
-	CSum float64
+	// CSum is c(Q') = Σ c(q) over the subsequence; CQ is c(Q), the sum
+	// over all of Q — the scale τ is a fraction of.
+	CSum, CQ float64
 	// PredictedCandidates is the MinCand objective value: Σ_{q∈Q'}
 	// Σ_{b∈B(q)} n(b).
 	PredictedCandidates int
@@ -58,9 +59,9 @@ func (e ErrInfeasible) Error() string {
 }
 
 // Freqs supplies the dataset-wide occurrence counts n(q) the MinCand
-// objective optimises. Both the flat index.Inverted and the sharded
-// index.Sharded provide it; a sharded index reports global counts so the
-// chosen plan is independent of the shard count.
+// objective optimises. Every index.Backend provides it; an index.Epoch
+// reports base plus delta counts, so the chosen plan does not depend on
+// how much of the dataset has been folded.
 type Freqs interface {
 	Freq(q traj.Symbol) int
 }
@@ -88,7 +89,7 @@ func BuildPlan(costs wed.FilterCosts, freqs Freqs, q []traj.Symbol, tau float64)
 		return nil, ErrInfeasible{CQ: cTotal, Tau: tau}
 	}
 	chosen := MinCand(nq, c, tau)
-	plan := &Plan{}
+	plan := &Plan{CQ: cTotal}
 	for _, i := range chosen {
 		plan.Subseq = append(plan.Subseq, Item{Sym: q[i], Pos: int32(i)})
 		plan.Neighbors = append(plan.Neighbors, neighbors[i])
@@ -170,9 +171,10 @@ func sortInts(xs []int) {
 // Candidates generates the candidate set of Algorithm 2 (lines 3–6):
 // every posting of every neighbour of every chosen item. The result may
 // reference the same (id, pos) under different iq — those are distinct
-// candidates by construction (see the Remark under Definition 5). src may
-// be the whole index or one shard of a sharded index; the candidate set
-// over all shards is exactly the flat index's set.
+// candidates by construction (see the Remark under Definition 5). src is
+// one posting source of an index view — a base, or the delta beside it;
+// the candidate set over a view's sources is exactly the set of a flat
+// index over the same trajectories.
 func (p *Plan) Candidates(src index.PostingSource, dst []Candidate) []Candidate {
 	for i, it := range p.Subseq {
 		for _, b := range p.Neighbors[i] {
@@ -242,12 +244,12 @@ var groupScratches = sync.Pool{New: func() any { return new(groupScratch) }}
 // trajectory's candidates consecutively (one Path lookup per trajectory,
 // one match-accumulation flush per trajectory). The per-trajectory
 // candidate order — and therefore every verification result — is
-// unchanged; both the sequential and the per-shard pipelines apply this to
-// their candidate streams. It is a least-significant-digit counting sort
-// on the ID (non-negative: an index into the dataset), ⌈bits(max ID)/11⌉
-// stable passes between cands and a pooled buffer — linear, where a
-// comparison-based stable sort spent a seventh of a default query rotating
-// blocks.
+// unchanged, and the output, sorted by trajectory ID, is what the
+// engine's fan-out cuts into contiguous ID ranges. It is a
+// least-significant-digit counting sort on the ID (non-negative: an index
+// into the dataset), ⌈bits(max ID)/11⌉ stable passes between cands and a
+// pooled buffer — linear, where a comparison-based stable sort spent a
+// seventh of a default query rotating blocks.
 func GroupByTrajectory(cands []Candidate) {
 	var maxID int32
 	for _, c := range cands {

@@ -80,8 +80,8 @@ func compactChecksum(data []byte) uint32 {
 }
 
 // Compact is the frozen, memory-optimal index backend. It is immutable
-// and safe for any number of concurrent readers — a one-shard Backend
-// like any other base; trajectories that arrive later are indexed by a
+// and safe for any number of concurrent readers — a base like Inverted,
+// one posting source; trajectories that arrive later are indexed by a
 // DeltaMap on top of it.
 type Compact struct {
 	data []byte
@@ -738,7 +738,7 @@ type CompactSource struct {
 
 var compactSources = sync.Pool{New: func() any { return new(CompactSource) }}
 
-// NumShards: an arena is one shard.
+// NumShards: a base is one posting source.
 func (c *Compact) NumShards() int { return 1 }
 
 // Source checks a pooled cursor out of the pool. Pair with

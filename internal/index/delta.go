@@ -119,8 +119,7 @@ func (v *DeltaView) IntervalOverlaps(id int32, lo, hi float64) bool {
 // appendWindow appends to dst the view's postings of q whose trajectory
 // DEPARTS in [lo, hi] — Inverted.PostingsInWindow semantics answered by
 // a filtered scan instead of a pre-sorted order. The delta is bounded
-// by the compaction threshold, so the scan costs no more than the
-// rebase copy the read path already pays per shard; skipping the
+// by the compaction threshold, so the scan stays small; skipping the
 // per-publish departure sort is what keeps Append O(|t|).
 func (v *DeltaView) appendWindow(q traj.Symbol, lo, hi float64, dst []Posting) []Posting {
 	for _, p := range v.postings(q) {

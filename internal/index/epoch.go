@@ -7,7 +7,7 @@ import (
 )
 
 // Epoch is the merged read view of the one ingest design (DESIGN.md
-// §1.11): a frozen base backend — Sharded, Inverted or Compact — plus a
+// §1.11): a frozen base backend — Inverted or Compact — plus a
 // small DeltaView covering the trajectories appended since the base was
 // built. Both halves are immutable from the reader's side, which is what
 // lets searches run against an Epoch with no lock at all: the writer
@@ -15,11 +15,11 @@ import (
 // an atomic pointer.
 //
 // Base IDs are [0, deltaBase), delta IDs [deltaBase, ∞). The delta
-// carries global IDs, so the delta shard's plain postings are served as
-// bounded sub-slices with no copy and no rebase. Searches fan out over
-// the base's shards plus one extra delta shard, and the usual
-// deterministic shard merge makes results bit-equal to a flat index over
-// the union — TestSnapshotEquivalence holds every published view to that
+// carries global IDs, so its plain postings are served as bounded
+// sub-slices with no copy and no rebase. A search reads the base, then
+// the delta, into one candidate array — the delta's candidates are the
+// tail of the ID range — and results are bit-equal to a flat index over
+// the union: TestSnapshotEquivalence holds every published view to that
 // standard against a freshly built oracle.
 type Epoch struct {
 	base      Backend
@@ -35,11 +35,11 @@ func NewEpoch(base Backend, delta *DeltaView) *Epoch {
 	return &Epoch{base: base, delta: delta, deltaBase: delta.Lo()}
 }
 
-// NumShards: the base's shards plus one delta shard.
+// NumShards: the base's posting source, then the delta's.
 func (e *Epoch) NumShards() int { return e.base.NumShards() + 1 }
 
-// Source returns one of the base's shard cursors, or — for the last
-// index — a pooled cursor over the delta.
+// Source returns the base's cursor, or — for the last index — a pooled
+// cursor over the delta.
 //
 //subtrajlint:pool-transfer
 func (e *Epoch) Source(i int) PostingSource {
@@ -85,7 +85,7 @@ func (e *Epoch) Kind() string { return e.base.Kind() }
 // Rebuild folds: it indexes ds into a fresh base of the base's family.
 func (e *Epoch) Rebuild(ds *traj.Dataset) Backend { return e.base.Rebuild(ds) }
 
-// epochDeltaSource is the pooled cursor over the delta shard. Plain
+// epochDeltaSource is the pooled cursor over the delta. Plain
 // postings are bounded sub-slices of the delta's global-ID lists (no
 // copy); window lookups filter into pooled scratch. Interval checks
 // take global IDs and dispatch through the Epoch.

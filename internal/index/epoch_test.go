@@ -21,7 +21,7 @@ func buildDelta(ds *traj.Dataset, start int) *index.DeltaView {
 // TestEpochEquivalentToFlat is the index-layer contract of the epoch
 // merge view: a frozen base of any family over a dataset prefix plus a
 // delta over the remainder must answer every read — counts,
-// frequencies, interval prunes, per-shard postings, temporal windows —
+// frequencies, interval prunes, per-source postings, temporal windows —
 // exactly like one flat index over the whole dataset.
 func TestEpochEquivalentToFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -34,7 +34,6 @@ func TestEpochEquivalentToFlat(t *testing.T) {
 		name string
 		base index.Backend
 	}{
-		{"sharded", index.BuildSharded(prefix, 3)},
 		{"inverted", index.Build(prefix)},
 		{"compact", index.FreezeDataset(prefix)},
 	} {
@@ -70,9 +69,9 @@ func checkEpochEqualsFlat(t *testing.T, base index.Backend, ds *traj.Dataset, wa
 		if got := e.Freq(sym); got != want.Freq(sym) {
 			t.Fatalf("Freq(%d) = %d, want %d", sym, got, want.Freq(sym))
 		}
-		// Shard postings must partition the flat list: base shards own
-		// IDs < foldAt by residue class, the extra delta shard owns
-		// exactly the rebased tail, and nothing is doubled or dropped.
+		// The sources' postings must partition the flat list: the base
+		// owns IDs < foldAt, the delta — the last source — owns exactly
+		// the tail, and nothing is doubled or dropped.
 		wantSet := map[index.Posting]bool{}
 		for _, p := range want.Postings(sym) {
 			wantSet[p] = true
@@ -82,20 +81,20 @@ func checkEpochEqualsFlat(t *testing.T, base index.Backend, ds *traj.Dataset, wa
 			src := e.Source(s)
 			for _, p := range collect(src.Postings(sym)) {
 				if !wantSet[p] {
-					t.Fatalf("shard %d posting %+v of sym %d not in the flat index", s, p, sym)
+					t.Fatalf("source %d posting %+v of sym %d not in the flat index", s, p, sym)
 				}
 				if delta := s == e.NumShards()-1; delta != (int(p.ID) >= foldAt) {
-					t.Fatalf("posting %+v of sym %d in shard %d is on the wrong side of the fold", p, sym, s)
+					t.Fatalf("posting %+v of sym %d in source %d is on the wrong side of the fold", p, sym, s)
 				}
 				gotN++
 			}
 			index.ReleaseSource(src)
 		}
 		if gotN != len(wantSet) {
-			t.Fatalf("shards expose %d postings of sym %d, flat index has %d", gotN, sym, len(wantSet))
+			t.Fatalf("sources expose %d postings of sym %d, flat index has %d", gotN, sym, len(wantSet))
 		}
-		// Windowed reads: the delta shard scan-filters by departure while
-		// base shards binary-search their temporal order, so orders
+		// Windowed reads: the delta scan-filters by departure while the
+		// base binary-searches its temporal order, so orders
 		// differ; compare as sets against the flat temporal index.
 		wantWin := map[index.Posting]bool{}
 		for _, p := range want.PostingsInWindow(sym, 10, 40) {
@@ -125,7 +124,7 @@ func checkEpochEqualsFlat(t *testing.T, base index.Backend, ds *traj.Dataset, wa
 func TestEpochEmptyDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds := randTemporalDataset(rng, 20, 50, 15)
-	base := index.BuildSharded(ds, 2)
+	base := index.Build(ds)
 	base.BuildTemporal()
 	e := index.NewEpoch(base, buildDelta(ds, ds.Len()))
 	if e.NumTrajectories() != ds.Len() || e.NumPostings() != base.NumPostings() {
@@ -135,6 +134,6 @@ func TestEpochEmptyDelta(t *testing.T) {
 	src := e.Source(e.NumShards() - 1)
 	defer index.ReleaseSource(src)
 	if ps := src.Postings(5); len(ps) != 0 {
-		t.Fatalf("empty delta shard returned %d postings", len(ps))
+		t.Fatalf("empty delta returned %d postings", len(ps))
 	}
 }

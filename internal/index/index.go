@@ -5,7 +5,10 @@
 package index
 
 import (
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"subtraj/internal/traj"
 )
@@ -18,8 +21,8 @@ type Posting struct {
 }
 
 // Inverted is the flat inverted index over a dataset: one postings list
-// per symbol in ascending (ID, position) order. Immutable once built, and
-// as such a one-shard Backend (its own PostingSource); trajectories that
+// per symbol in ascending (ID, position) order. Immutable once built, it
+// is the pointer base (its own single PostingSource); trajectories that
 // arrive later are indexed by a DeltaMap on top of it.
 type Inverted struct {
 	lists map[traj.Symbol][]Posting
@@ -35,21 +38,95 @@ type Inverted struct {
 	temporalOrder
 }
 
-// Build indexes every trajectory of the dataset.
-func Build(ds *traj.Dataset) *Inverted {
-	inv := &Inverted{
-		lists:      make(map[traj.Symbol][]Posting),
-		departures: make([]float64, ds.Len()),
-		arrivals:   make([]float64, ds.Len()),
+// Build indexes every trajectory of the dataset, one worker per CPU.
+func Build(ds *traj.Dataset) *Inverted { return build(ds, runtime.GOMAXPROCS(0)) }
+
+// forRanges cuts [0, n) into p ≥ 1 contiguous ranges and runs
+// f(r, lo, hi) for each on its own goroutine, returning when all have.
+func forRanges(n, p int, f func(r, lo, hi int)) {
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(r, r*n/p, (r+1)*n/p)
+		}()
 	}
-	for id := range ds.Trajs {
-		t := &ds.Trajs[id]
-		for pos, sym := range t.Path {
-			inv.lists[sym] = append(inv.lists[sym], Posting{ID: int32(id), Pos: int32(pos)})
+	wg.Wait()
+}
+
+// build is Build over p contiguous trajectory-ID ranges, in two passes
+// with a prefix sum between them. The first counts every range's
+// occurrences of every symbol; from the counts each (symbol, range) gets
+// its own span of one postings slab, range r's right after range r−1's;
+// the second pass writes each range's postings into its spans. Workers
+// never share a write, every list comes out in ascending (ID, position)
+// order whatever p is, and the slab is the only postings allocation: no
+// per-list growth, no spare capacity, nothing to merge.
+func build(ds *traj.Dataset, p int) *Inverted {
+	n := ds.Len()
+	p = max(1, min(p, n)) // a range per trajectory at most
+	inv := &Inverted{departures: make([]float64, n), arrivals: make([]float64, n)}
+	// A range numbers the symbols it meets, so the per-posting work of
+	// both passes is one map read and one slice update.
+	type rangeCounts struct {
+		slot map[traj.Symbol]int32
+		syms []traj.Symbol // by slot
+		at   []int         // by slot: occurrences, then the next slab offset
+	}
+	parts := make([]rangeCounts, p)
+	forRanges(n, p, func(r, lo, hi int) {
+		pt := rangeCounts{slot: make(map[traj.Symbol]int32)}
+		for id := lo; id < hi; id++ {
+			t := &ds.Trajs[id]
+			for _, sym := range t.Path {
+				i, ok := pt.slot[sym]
+				if !ok {
+					i = int32(len(pt.syms))
+					pt.slot[sym] = i
+					pt.syms = append(pt.syms, sym)
+					pt.at = append(pt.at, 0)
+				}
+				pt.at[i]++
+			}
+			inv.departures[id], inv.arrivals[id] = interval(t)
 		}
-		inv.numPostings += len(t.Path)
-		inv.departures[id], inv.arrivals[id] = interval(t)
+		parts[r] = pt
+	})
+
+	next := make(map[traj.Symbol]int, len(parts[0].syms)) // counts, then offsets
+	for _, pt := range parts {
+		for i, sym := range pt.syms {
+			next[sym] += pt.at[i]
+			inv.numPostings += pt.at[i]
+		}
 	}
+	slab := make([]Posting, inv.numPostings)
+	inv.lists = make(map[traj.Symbol][]Posting, len(next))
+	off := 0
+	for sym, c := range next {
+		inv.lists[sym] = slab[off : off+c : off+c]
+		next[sym] = off
+		off += c
+	}
+	for _, pt := range parts {
+		for i, sym := range pt.syms {
+			c := pt.at[i]
+			pt.at[i] = next[sym]
+			next[sym] += c
+		}
+	}
+
+	forRanges(n, p, func(r, lo, hi int) {
+		pt := &parts[r]
+		for id := lo; id < hi; id++ {
+			for pos, sym := range ds.Trajs[id].Path {
+				i := pt.slot[sym]
+				slab[pt.at[i]] = Posting{ID: int32(id), Pos: int32(pos)}
+				pt.at[i]++
+			}
+		}
+	})
 	return inv
 }
 
@@ -77,14 +154,23 @@ func (inv *Inverted) BuildTemporal() {
 	inv.build(func() { inv.byDeparture = sortedByDeparture(inv.lists, inv.departures) })
 }
 
-// sortedByDeparture copies every list of lists into departure order.
+// sortedByDeparture copies every list of lists into departure order,
+// the symbols spread over one worker per CPU.
 func sortedByDeparture(lists map[traj.Symbol][]Posting, departures []float64) map[traj.Symbol][]Posting {
+	syms := make([]traj.Symbol, 0, len(lists))
+	for sym := range lists {
+		syms = append(syms, sym)
+	}
+	sorted := make([][]Posting, len(syms))
+	forRanges(len(syms), runtime.GOMAXPROCS(0), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sorted[i] = slices.Clone(lists[syms[i]])
+			sortByDeparture(sorted[i], departures)
+		}
+	})
 	out := make(map[traj.Symbol][]Posting, len(lists))
-	for sym, list := range lists {
-		cp := make([]Posting, len(list))
-		copy(cp, list)
-		sortByDeparture(cp, departures)
-		out[sym] = cp
+	for i, sym := range syms {
+		out[sym] = sorted[i]
 	}
 	return out
 }
@@ -128,7 +214,7 @@ func (inv *Inverted) IntervalOverlaps(id int32, lo, hi float64) bool {
 	return inv.departures[id] <= hi && inv.arrivals[id] >= lo
 }
 
-// NumShards: a flat index is one shard.
+// NumShards: a base is one posting source.
 func (inv *Inverted) NumShards() int { return 1 }
 
 // Source returns the index itself: its reads are zero-copy views, so

@@ -24,7 +24,7 @@ import (
 //     parent's — these satisfy the "stages sum to request latency"
 //     contract at the top level of the tree;
 //   - work spans (AddSpan): durations imported from instrumentation that
-//     sums *work* across shard workers (core.QueryStats). Under a
+//     sums *work* across fan-out workers (core.QueryStats). Under a
 //     parallel query summed work exceeds wall time by design; such spans
 //     carry a "workers" attribute so readers know which semantics apply.
 //

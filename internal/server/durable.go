@@ -61,11 +61,9 @@ type DurableOptions struct {
 	// WAL grows past it (0 = only explicit /v1/checkpoint requests).
 	CheckpointBytes int64
 	// Compact selects the compact-arena backend with an mmap-able
-	// checkpoint snapshot; false builds the pointer backend with Shards
-	// partitions and persists only snapshot + WAL.
+	// checkpoint snapshot; false builds the pointer backend and persists
+	// only snapshot + WAL.
 	Compact bool
-	// Shards is the pointer backend's partition count (0 = default).
-	Shards int
 	// Logger receives recovery and background-checkpoint reports
 	// (nil = slog.Default()).
 	Logger *slog.Logger
@@ -264,7 +262,7 @@ func OpenDurable(dir string, ds *traj.Dataset, costs wed.FilterCosts, opts Durab
 			eng = core.NewEngineCompact(ds, costs)
 		}
 	} else {
-		eng = core.NewEngineShards(ds, costs, opts.Shards)
+		eng = core.NewEngine(ds, costs)
 	}
 
 	s := NewSafeEngine(eng)

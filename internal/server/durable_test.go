@@ -323,8 +323,8 @@ func TestPoolShedding(t *testing.T) {
 }
 
 // TestPanicRecoveredTo500: a panicking handler — the instrument
-// middleware is the same wrapper every endpoint gets, and fanOutShards
-// re-raises shard-worker panics into it — answers 500 JSON with the
+// middleware is the same wrapper every endpoint gets, and core's fanOut
+// re-raises worker panics into it — answers 500 JSON with the
 // request ID and bumps the panic counter; the process survives.
 func TestPanicRecoveredTo500(t *testing.T) {
 	safe, _ := newTestEngine(t)

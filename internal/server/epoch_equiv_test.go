@@ -34,7 +34,7 @@ func TestSnapshotEquivalence(t *testing.T) {
 			for i := 0; i < n0; i++ {
 				master.Add(*full.Get(int32(i)))
 			}
-			safe := NewSafeEngine(core.NewEngineShards(master, costs, 2))
+			safe := NewSafeEngine(core.NewEngine(master, costs))
 
 			qs := c.Queries(model, 8, 3, 5)
 			windows := temporalWindows(full)
@@ -60,7 +60,7 @@ func TestSnapshotEquivalence(t *testing.T) {
 				}
 
 				// Stop-the-world oracle over the identical prefix.
-				oracle := core.NewEngineShards(full.Slice(n), costs, 1)
+				oracle := core.NewEngine(full.Slice(n), costs)
 				for qi, q := range qs {
 					tau := c.Tau(model, q, 0.25)
 					for _, par := range []int{1, 4} {
@@ -150,7 +150,7 @@ func TestSnapshotEquivalenceTopK(t *testing.T) {
 	for i := 0; i < n0; i++ {
 		master.Add(*full.Get(int32(i)))
 	}
-	safe := NewSafeEngine(core.NewEngineShards(master, costs, 2))
+	safe := NewSafeEngine(core.NewEngine(master, costs))
 	qs := c.Queries("Lev", 10, 2, 9)
 
 	for n := n0; n <= full.Len(); n++ {
@@ -164,7 +164,7 @@ func TestSnapshotEquivalenceTopK(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		oracle := core.NewEngineShards(full.Slice(n), costs, 1)
+		oracle := core.NewEngine(full.Slice(n), costs)
 		for qi, q := range qs {
 			for _, k := range []int{1, 5} {
 				want, _, err := oracle.SearchTopKStats(q, k, core.TopKOptions{})

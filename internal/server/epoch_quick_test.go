@@ -34,7 +34,7 @@ func TestEpochScheduleQuick(t *testing.T) {
 			model = append(model, tr)
 			master.Add(tr)
 		}
-		safe := NewSafeEngine(core.NewEngineShards(master, wed.NewLev(), 2))
+		safe := NewSafeEngine(core.NewEngine(master, wed.NewLev()))
 
 		randomTraj := func() traj.Trajectory {
 			path := append([]traj.Symbol(nil), full.Path(int32(rng.Intn(full.Len())))...)
@@ -65,7 +65,7 @@ func TestEpochScheduleQuick(t *testing.T) {
 			for _, tr := range model {
 				oDs.Add(tr)
 			}
-			oracle := core.NewEngineShards(oDs, wed.NewLev(), 1)
+			oracle := core.NewEngine(oDs, wed.NewLev())
 			for _, par := range []int{1, 4} {
 				qr := core.Query{Q: q, Tau: tau, Parallelism: par}
 				if rng.Intn(2) == 0 {

@@ -90,7 +90,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// distributions (plan = min-candidate computation, filter = index
 	// lookups, verify = banded DP, match = GPS map matching).
 	m.stagePlan = r.Histogram("subtraj_stage_duration_seconds",
-		"Per-query pipeline-stage duration (summed work across shard workers).",
+		"Per-query pipeline-stage duration (summed work across fan-out workers).",
 		obs.LatencyBuckets, obs.L("stage", "plan"))
 	m.stageFilter = r.Histogram("subtraj_stage_duration_seconds", "",
 		obs.LatencyBuckets, obs.L("stage", "filter"))
@@ -107,8 +107,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		nil, func() float64 { return float64(s.eng.Generation()) })
 	r.GaugeFunc("subtraj_engine_trajectories", "Indexed trajectories.",
 		nil, func() float64 { return float64(s.eng.NumTrajectories()) })
-	r.GaugeFunc("subtraj_engine_shards", "Index partitions (per-query parallelism ceiling).",
-		nil, func() float64 { return float64(s.eng.NumShards()) })
 	r.GaugeFunc("subtraj_index_bytes",
 		"Index memory footprint (exact arena size for the compact backend, heap estimate for pointer).",
 		obs.L("backend", s.eng.IndexKind()), func() float64 { return float64(s.eng.IndexBytes()) })
@@ -131,7 +129,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return ratio(s.stats.topkVerified.Load(), s.stats.topkQueued.Load())
 		})
 	r.CounterFunc("subtraj_shard_workers_total",
-		"Shard workers used across executed queries.", nil, cf(&s.stats.shardWorkers))
+		"Fan-out workers used across executed queries.", nil, cf(&s.stats.shardWorkers))
 	r.CounterFunc("subtraj_verifier_pool_gets_total",
 		"Verifier checkouts from the process-wide pool.", nil,
 		func() float64 { g, _, _ := verify.PoolStats(); return float64(g) })
@@ -263,7 +261,7 @@ func ratio(num, den int64) float64 {
 // the trace), a trace in the context for the layers below to hang spans
 // on, the configured request deadline (the engine's cancellation points
 // observe it and the query answers 504), a panic backstop that converts
-// any handler panic — including one re-raised from a shard worker — into
+// any handler panic — including one re-raised from a fan-out worker — into
 // a 500 JSON error instead of a dead process, the endpoint's latency
 // histogram (observed for every request — cache hits included, which is
 // what makes the histogram the honest end-to-end distribution), and the
@@ -322,7 +320,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 }
 
 // attachStatSpans renders a query's core.QueryStats as work spans under
-// the engine wall span. These durations are *summed work* across shard
+// the engine wall span. These durations are *summed work* across fan-out
 // workers — under a parallel query they exceed the engine span's wall
 // time by design — so each carries a "workers" attribute; only the
 // trace's top-level wall spans are expected to sum to the root.
@@ -391,7 +389,6 @@ type healthResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Generation    uint64  `json:"generation"`
 	Trajectories  int     `json:"trajectories"`
-	Shards        int     `json:"shards"`
 	TemporalReady bool    `json:"temporal_ready"`
 	GPSEnabled    bool    `json:"gps_enabled"`
 	// Durable reports write-ahead logging; the remaining fields let a
@@ -409,7 +406,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.stats.start).Seconds(),
 		Generation:    s.eng.Generation(),
 		Trajectories:  s.eng.NumTrajectories(),
-		Shards:        s.eng.NumShards(),
 		TemporalReady: s.eng.TemporalReady(),
 		GPSEnabled:    s.matcher != nil,
 	}

@@ -26,15 +26,15 @@ import (
 
 // newObsServer builds a server over a workload big enough that searches
 // take real (sub-millisecond-plus) time, so span-sum checks are not
-// dominated by microsecond rounding. The engine has 4 shards so the same
-// helper covers sequential and sharded paths via cfg.MaxParallelism.
+// dominated by microsecond rounding. Its queries stay under the engine's
+// fan-out threshold; TestTraceSpansSumSharded brings its own dataset.
 func newObsServer(t testing.TB, cfg Config) (*Server, *httptest.Server, []traj.Symbol) {
 	t.Helper()
 	w := workload.Generate(workload.Config{
 		Name: "obs", GridRows: 20, GridCols: 20, NumTrajectories: 900,
 		TargetLen: 70, Seed: 11, Horizon: 86400, SpeedMean: 11,
 	})
-	eng := core.NewEngineShards(w.Data, wed.NewLev(), 4)
+	eng := core.NewEngine(w.Data, wed.NewLev())
 	cfg.MaxSymbol = int32(w.Graph.NumVertices())
 	srv := New(NewSafeEngine(eng), cfg)
 	ts := httptest.NewServer(srv)
@@ -154,15 +154,20 @@ func TestTraceSpansSumSequential(t *testing.T) {
 	}
 }
 
+// TestTraceSpansSumSharded: the top-level spans still sum to the request
+// when the engine fans the query out, and the engine span reports the
+// workers the query used — all four it was lent, its work being several
+// times the threshold.
 func TestTraceSpansSumSharded(t *testing.T) {
-	_, ts, q := newObsServer(t, Config{CacheSize: -1, MaxConcurrent: 8, MaxParallelism: 4})
-	tree := checkSpanSum(t, ts.URL, q)
+	w := fanOutWorkload()
+	_, ts := newPoolServer(t, w, 8, 4)
+	tree := checkSpanSum(t, ts.URL, sampleQuery(t, w.Data, fanOutQueryLen, 3))
 	eng := findChild(tree, "engine")
 	if eng == nil {
 		t.Fatal("no engine span")
 	}
-	if par, _ := eng.Attrs["parallelism"].(float64); par < 2 {
-		t.Errorf("sharded path reports parallelism %v, want >= 2 (idle pool, 4 shards)", eng.Attrs["parallelism"])
+	if par, _ := eng.Attrs["parallelism"].(float64); par != 4 {
+		t.Errorf("fanned-out query reports parallelism %v, want 4 (idle pool)", eng.Attrs["parallelism"])
 	}
 }
 
@@ -524,9 +529,8 @@ func TestHealthzFields(t *testing.T) {
 	if h.Status != "ok" {
 		t.Fatalf("status = %q", h.Status)
 	}
-	if h.Trajectories != srv.eng.NumTrajectories() || h.Shards != 4 {
-		t.Errorf("healthz engine shape = %d trajectories / %d shards, want %d / 4",
-			h.Trajectories, h.Shards, srv.eng.NumTrajectories())
+	if h.Trajectories != srv.eng.NumTrajectories() {
+		t.Errorf("healthz reports %d trajectories, want %d", h.Trajectories, srv.eng.NumTrajectories())
 	}
 	if h.Generation != 0 {
 		t.Errorf("fresh server generation = %d, want 0", h.Generation)

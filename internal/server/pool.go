@@ -81,9 +81,9 @@ func (p *workerPool) release() {
 }
 
 // tryAcquireN grabs up to n extra slots without blocking and reports how
-// many it got. Queries use the extras as intra-query shard workers, so
-// shard parallelism and cross-query concurrency draw from one budget:
-// under light load a query fans out across shards, under heavy load the
+// many it got. Queries use the extras as intra-query fan-out workers, so
+// intra-query parallelism and cross-query concurrency draw from one
+// budget: under light load a large query fans out, under heavy load the
 // extras are unavailable and it degrades to the sequential path instead
 // of oversubscribing the machine.
 func (p *workerPool) tryAcquireN(n int) int {

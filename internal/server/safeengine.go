@@ -201,13 +201,6 @@ func (s *SafeEngine) SearchTopK(q []traj.Symbol, k int) ([]traj.Match, error) {
 	return res, err
 }
 
-// SearchTopKP is SearchTopK with an explicit shard-parallelism cap (the
-// server passes the worker-pool slots it reserved for this query).
-func (s *SafeEngine) SearchTopKP(q []traj.Symbol, k, parallelism int) ([]traj.Match, error) {
-	res, _, err := s.SearchTopKStats(q, k, core.TopKOptions{Parallelism: parallelism})
-	return res, err
-}
-
 // SearchTopKStats answers the top-k protocol against the current
 // snapshot and returns the driver's QueryStats (queue counters, final
 // effective τ — see core.Engine.SearchTopKStats). The whole queue is
@@ -216,11 +209,6 @@ func (s *SafeEngine) SearchTopKP(q []traj.Symbol, k, parallelism int) ([]traj.Ma
 func (s *SafeEngine) SearchTopKStats(q []traj.Symbol, k int, opts core.TopKOptions) ([]traj.Match, *core.QueryStats, error) {
 	return s.state.Load().eng.SearchTopKStats(q, k, opts)
 }
-
-// NumShards returns the published engine's index partition count — the
-// ceiling on any single query's parallelism (the base's shards plus one
-// delta shard while the delta is non-empty).
-func (s *SafeEngine) NumShards() int { return s.state.Load().eng.NumShards() }
 
 // IndexBytes returns the published index's memory footprint.
 func (s *SafeEngine) IndexBytes() int64 { return s.state.Load().eng.IndexBytes() }
@@ -238,12 +226,6 @@ func (s *SafeEngine) TemporalReady() bool { return s.state.Load().eng.Backend().
 // PrepareTemporal eagerly builds the base's temporal order so the first
 // TemporalDeparture query doesn't pay for it.
 func (s *SafeEngine) PrepareTemporal() { s.state.Load().eng.PrepareTemporal() }
-
-// EffectiveParallelism resolves a parallelism setting exactly as the
-// published engine will (0 = auto; clamped to the shard count).
-func (s *SafeEngine) EffectiveParallelism(p int) int {
-	return s.state.Load().eng.EffectiveParallelism(p)
-}
 
 // SearchExact answers the exact path query against the current snapshot.
 func (s *SafeEngine) SearchExact(q []traj.Symbol) ([]traj.Match, error) {

@@ -44,13 +44,14 @@ type Config struct {
 	// alphabet size (vertex or edge count). 0 disables the upper-bound
 	// check — negative symbols are always rejected.
 	MaxSymbol int32
-	// MaxParallelism sets the intra-query shard-worker target per
-	// request (0 = one per CPU; always capped by the engine's shard
-	// count). Shard workers draw from the same worker pool as requests:
-	// a query holds its own pool slot and grabs up to MaxParallelism−1
-	// extra slots non-blockingly, so total engine-side concurrency never
-	// exceeds MaxConcurrent regardless of how requests and shards mix.
-	// 1 forces the sequential path.
+	// MaxParallelism caps the intra-query fan-out per request (0 = one
+	// worker per CPU). Fan-out workers draw from the same worker pool as
+	// requests: a query holds its own pool slot and grabs up to
+	// MaxParallelism−1 extra slots non-blockingly, so total engine-side
+	// concurrency never exceeds MaxConcurrent however requests and
+	// fan-outs mix. It is a cap: the engine sizes each query's fan-out
+	// from its estimated work and answers small queries on one
+	// goroutine whatever is borrowed. 1 forces the sequential path.
 	MaxParallelism int
 	// Matcher enables the GPS-native surface: POST /v1/match, POST
 	// /v1/ingest, and the "trace" alternative to "q" on query bodies.
@@ -289,8 +290,8 @@ type queryResponse struct {
 	MatchSplits     int           `json:"match_splits,omitempty"`
 	// Trace is the request's span tree, present only with ?debug=trace.
 	// Top-level children are wall spans that sum to the root's duration;
-	// spans carrying a "workers" attribute are summed work across shard
-	// workers (see internal/obs).
+	// spans carrying a "workers" attribute are summed work across
+	// fan-out workers (see internal/obs).
 	Trace *obs.SpanJSON `json:"trace,omitempty"`
 }
 
@@ -531,9 +532,9 @@ func (s *Server) execute(ctx context.Context, req *queryRequest) (*queryResponse
 		poolSpan.End()
 		engSpan = tr.StartSpan(nil, "engine")
 		defer engSpan.End()
-		// The request's own pool slot is one shard worker; borrow up to
+		// The request's own pool slot is one fan-out worker; borrow up to
 		// parallelism−1 extras from the same pool (non-blocking), so
-		// intra-query shards and cross-query requests share one global
+		// intra-query fan-out and cross-query requests share one global
 		// concurrency budget. Exact/count lookups never fan out, so they
 		// must not reserve slots other requests could use.
 		par := 1
@@ -543,10 +544,6 @@ func (s *Server) execute(ctx context.Context, req *queryRequest) (*queryResponse
 			defer s.pool.releaseN(extra)
 			par += extra
 		}
-		if par > 1 {
-			s.stats.parallelQueries.Add(1)
-		}
-		engSpan.SetAttr("parallelism", par)
 		switch req.Kind {
 		case "search":
 			matches, qstats, qerr = s.eng.SearchQuery(core.Query{Q: req.Q, Tau: tau, Parallelism: par, Ctx: ctx})
@@ -563,6 +560,13 @@ func (s *Server) execute(ctx context.Context, req *queryRequest) (*queryResponse
 		case "count":
 			n, qerr = s.eng.CountExact(req.Q)
 		}
+		// par is what the query may use; what it did use — the engine
+		// keeps a small query on this goroutine — is qstats.Workers.
+		workers := 1
+		if qstats != nil {
+			workers = qstats.Workers
+		}
+		engSpan.SetAttr("parallelism", workers)
 	})
 	if perr != nil {
 		poolSpan.End() // never acquired a slot; close the wait span
@@ -619,11 +623,11 @@ func (s *Server) execute(ctx context.Context, req *queryRequest) (*queryResponse
 	return resp, nil
 }
 
-// queryParallelism returns the shard-worker target for one query — the
+// queryParallelism returns the most workers one query may use — the
 // engine's own resolution of the configured MaxParallelism (0 = auto),
-// so the slots reserved here are exactly the workers the engine uses.
+// so the slots reserved here bound the workers the engine starts.
 func (s *Server) queryParallelism() int {
-	return s.eng.EffectiveParallelism(s.cfg.MaxParallelism)
+	return core.EffectiveParallelism(s.cfg.MaxParallelism)
 }
 
 func (s *Server) recordQueryStats(qs *core.QueryStats) {
@@ -631,6 +635,9 @@ func (s *Server) recordQueryStats(qs *core.QueryStats) {
 		return
 	}
 	s.stats.shardWorkers.Add(int64(qs.Workers))
+	if qs.Workers > 1 {
+		s.stats.parallelQueries.Add(1)
+	}
 	s.stats.candidates.Add(int64(qs.Candidates))
 	s.stats.minCandNS.Add(qs.MinCandTime.Nanoseconds())
 	s.stats.lookupNS.Add(qs.LookupTime.Nanoseconds())
@@ -772,9 +779,6 @@ type StatsSnapshot struct {
 	Engine        struct {
 		Trajectories int    `json:"trajectories"`
 		Generation   uint64 `json:"generation"`
-		// Shards is the index partition count — the per-query
-		// parallelism ceiling.
-		Shards int `json:"shards"`
 		// IndexBackend names the index family ("pointer" or "compact");
 		// IndexBytes is its memory footprint (exact arena size for
 		// compact, heap estimate for pointer) and BytesPerTrajectory the
@@ -891,11 +895,12 @@ type StatsSnapshot struct {
 		UPR            float64 `json:"upr"`
 		CMR            float64 `json:"cmr"`
 		BandRatio      float64 `json:"band_ratio"`
-		// ShardWorkers sums the shard workers used across executed
-		// queries; ParallelQueries counts queries that got more than
-		// one. Together they show how often the shared budget allowed
-		// intra-query fan-out. Every executed query of every kind
-		// reports its workers through the same QueryStats path, so
+		// ShardWorkers sums the workers executed queries used
+		// (QueryStats.Workers); ParallelQueries counts the queries that
+		// used more than one — not the ones that merely had pool slots
+		// to spare: the engine fans out only queries whose estimated
+		// work pays for it. Every executed query of every kind reports
+		// its workers through the same QueryStats path, so
 		// ShardWorkers ≥ Executed and the two stay consistent.
 		ShardWorkers    int64 `json:"shard_workers"`
 		ParallelQueries int64 `json:"parallel_queries"`
@@ -928,7 +933,6 @@ func (s *Server) Snapshot() StatsSnapshot {
 	out.UptimeSeconds = time.Since(s.stats.start).Seconds()
 	out.Engine.Trajectories = s.eng.NumTrajectories()
 	out.Engine.Generation = s.eng.Generation()
-	out.Engine.Shards = s.eng.NumShards()
 	out.Engine.IndexBackend = s.eng.IndexKind()
 	out.Engine.IndexBytes = s.eng.IndexBytes()
 	if out.Engine.Trajectories > 0 {

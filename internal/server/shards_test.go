@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"subtraj/internal/core"
@@ -9,65 +10,96 @@ import (
 	"subtraj/internal/workload"
 )
 
-// newShardedServer builds a server over a 4-shard engine with the given
-// pool size and per-query parallelism target.
-func newShardedServer(t *testing.T, maxConcurrent, maxParallelism int) (*Server, *httptest.Server, *workload.Workload) {
+// This file pins the server side of the per-query fan-out contract:
+// /v1/stats counts the workers a query USED (core.QueryStats.Workers),
+// not the pool slots it was lent. The engine fans a query out only when
+// its estimated work pays for it, so the two differ for most queries.
+
+// fanOutWorkload is a dataset big enough that fanOutQuery — 20 symbols at
+// τ_ratio 0.3 under Lev — yields a few thousand candidates: several times
+// the work the engine wants per worker, so it takes every worker offered.
+// Built once; tests only read it.
+var fanOutWorkload = sync.OnceValue(func() *workload.Workload {
+	cfg := workload.Tiny(7)
+	cfg.NumTrajectories = 4000
+	return workload.Generate(cfg)
+})
+
+const (
+	fanOutQueryLen = 20
+	fanOutTauRatio = 0.3
+)
+
+// newPoolServer builds a server over w with the given pool size and
+// per-query parallelism cap, and no result cache: every request must hit
+// the engine.
+func newPoolServer(t *testing.T, w *workload.Workload, maxConcurrent, maxParallelism int) (*Server, *httptest.Server) {
 	t.Helper()
-	w := workload.Generate(workload.Tiny(7))
-	eng := core.NewEngineShards(w.Data, wed.NewLev(), 4)
-	srv := New(NewSafeEngine(eng), Config{
-		CacheSize:      -1, // every request must hit the engine
+	srv := New(NewSafeEngine(core.NewEngine(w.Data, wed.NewLev())), Config{
+		CacheSize:      -1,
 		MaxConcurrent:  maxConcurrent,
 		MaxParallelism: maxParallelism,
 		MaxSymbol:      int32(w.Graph.NumVertices()),
 	})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return srv, ts, w
+	return srv, ts
 }
 
-// TestShardedQueryUsesBudget checks that a query on an idle server fans
-// out across shard workers borrowed from the pool, and that /v1/stats
-// reports the pipeline shape.
-func TestShardedQueryUsesBudget(t *testing.T) {
-	srv, ts, w := newShardedServer(t, 8, 3)
-	q := sampleQuery(t, w.Data, 6, 3)
-
-	resp, _ := post(t, ts.URL+"/v1/search", map[string]any{"q": q, "tau_ratio": 0.3})
-	if resp.StatusCode != 200 {
+func searchOnce(t *testing.T, ts *httptest.Server, w *workload.Workload, qlen int, ratio float64) StatsSnapshot {
+	t.Helper()
+	q := sampleQuery(t, w.Data, qlen, 3)
+	if resp, _ := post(t, ts.URL+"/v1/search", map[string]any{"q": q, "tau_ratio": ratio}); resp.StatusCode != 200 {
 		t.Fatalf("search status %d", resp.StatusCode)
 	}
 	var snap StatsSnapshot
 	getJSON(t, ts.URL+"/v1/stats", &snap)
-	if snap.Engine.Shards != 4 {
-		t.Fatalf("stats report %d shards, want 4", snap.Engine.Shards)
+	return snap
+}
+
+// TestSmallQueryDeclinesFanOut: a tiny query on an idle pool is lent two
+// extra slots and uses neither — one worker, no parallel query.
+func TestSmallQueryDeclinesFanOut(t *testing.T) {
+	w := workload.Generate(workload.Tiny(7))
+	srv, ts := newPoolServer(t, w, 8, 3)
+	snap := searchOnce(t, ts, w, 6, 0.3)
+	if srv.queryParallelism() != 3 {
+		t.Fatalf("queryParallelism = %d, want 3", srv.queryParallelism())
 	}
-	// Idle pool of 8 with a target of 3: the query's own slot plus two
-	// borrowed extras.
+	if snap.Totals.ShardWorkers != 1 || snap.Totals.ParallelQueries != 0 {
+		t.Fatalf("tiny query on an idle pool: shard_workers = %d, parallel_queries = %d; want 1 and 0",
+			snap.Totals.ShardWorkers, snap.Totals.ParallelQueries)
+	}
+	if snap.Pool.InFlight != 0 {
+		t.Fatalf("pool did not drain: %d in flight", snap.Pool.InFlight)
+	}
+}
+
+// TestShardedQueryUsesBudget: a query whose work is over the threshold,
+// on an idle pool of 8 with a cap of 3, runs on its own slot plus the two
+// it borrowed.
+func TestShardedQueryUsesBudget(t *testing.T) {
+	w := fanOutWorkload()
+	_, ts := newPoolServer(t, w, 8, 3)
+	snap := searchOnce(t, ts, w, fanOutQueryLen, fanOutTauRatio)
+	if snap.Totals.Candidates < 2000 {
+		t.Fatalf("query yields %d candidates: too few to be sure of a fan-out", snap.Totals.Candidates)
+	}
 	if snap.Totals.ShardWorkers != 3 {
 		t.Fatalf("shard workers = %d, want 3", snap.Totals.ShardWorkers)
 	}
 	if snap.Totals.ParallelQueries != 1 {
 		t.Fatalf("parallel queries = %d, want 1", snap.Totals.ParallelQueries)
 	}
-	if srv.queryParallelism() != 3 {
-		t.Fatalf("queryParallelism = %d, want 3", srv.queryParallelism())
-	}
 }
 
 // TestShardedQueryDegradesUnderLoad checks the shared-budget contract:
-// with a single pool slot there are no extras to borrow, so the query
-// runs the sequential path instead of oversubscribing.
+// with a single pool slot there are no extras to borrow, so even a query
+// over the threshold runs the sequential path instead of oversubscribing.
 func TestShardedQueryDegradesUnderLoad(t *testing.T) {
-	_, ts, w := newShardedServer(t, 1, 4)
-	q := sampleQuery(t, w.Data, 6, 3)
-
-	resp, _ := post(t, ts.URL+"/v1/search", map[string]any{"q": q, "tau_ratio": 0.3})
-	if resp.StatusCode != 200 {
-		t.Fatalf("search status %d", resp.StatusCode)
-	}
-	var snap StatsSnapshot
-	getJSON(t, ts.URL+"/v1/stats", &snap)
+	w := fanOutWorkload()
+	_, ts := newPoolServer(t, w, 1, 4)
+	snap := searchOnce(t, ts, w, fanOutQueryLen, fanOutTauRatio)
 	if snap.Totals.ShardWorkers != 1 {
 		t.Fatalf("shard workers = %d, want 1 (pool has a single slot)", snap.Totals.ShardWorkers)
 	}
@@ -80,18 +112,22 @@ func TestShardedQueryDegradesUnderLoad(t *testing.T) {
 }
 
 // TestShardedServerResultsMatchSequential compares the HTTP answer of a
-// parallel sharded server against a sequential one.
+// server that fans out against a sequential one.
 func TestShardedServerResultsMatchSequential(t *testing.T) {
-	_, par, w := newShardedServer(t, 8, 4)
-	_, seq, _ := newShardedServer(t, 8, 1)
+	w := fanOutWorkload()
+	parSrv, par := newPoolServer(t, w, 8, 4)
+	_, seq := newPoolServer(t, w, 8, 1)
 	for seed := int64(1); seed <= 3; seed++ {
-		q := sampleQuery(t, w.Data, 6, seed)
-		body := map[string]any{"q": q, "tau_ratio": 0.3}
+		q := sampleQuery(t, w.Data, fanOutQueryLen, seed)
+		body := map[string]any{"q": q, "tau_ratio": fanOutTauRatio}
 		_, gotP := post(t, par.URL+"/v1/search", body)
 		_, gotS := post(t, seq.URL+"/v1/search", body)
 		if string(gotP["matches"]) != string(gotS["matches"]) || string(gotP["count"]) != string(gotS["count"]) {
 			t.Fatalf("seed %d: parallel answer %s (count %s) != sequential %s (count %s)",
 				seed, gotP["matches"], gotP["count"], gotS["matches"], gotS["count"])
 		}
+	}
+	if n := parSrv.stats.parallelQueries.Load(); n != 3 {
+		t.Fatalf("%d of 3 queries fanned out on the parallel server", n)
 	}
 }

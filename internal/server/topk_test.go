@@ -2,14 +2,11 @@ package server
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"subtraj/internal/core"
 	"subtraj/internal/traj"
-	"subtraj/internal/wed"
-	"subtraj/internal/workload"
 )
 
 // TestTopKTauReported is the regression test for the tau:0 bug: /v1/topk
@@ -66,23 +63,21 @@ func TestTopKTauReported(t *testing.T) {
 // TestShardWorkerConsistency asserts the /v1/stats worker accounting is
 // produced by real QueryStats for every query kind — including top-k,
 // which used to fake it — so parallel_queries and shard_workers stay
-// consistent: with MaxParallelism 2 over a 2-shard engine, every
-// executed query reports exactly 2 shard workers.
+// consistent: with MaxParallelism 2 and queries whose work is over the
+// engine's fan-out threshold, every executed query reports exactly 2
+// workers.
 func TestShardWorkerConsistency(t *testing.T) {
-	w := workload.Generate(workload.Tiny(7))
-	eng := core.NewEngineShards(w.Data, wed.NewLev(), 2)
-	srv := New(NewSafeEngine(eng), Config{CacheSize: -1, MaxConcurrent: 4, MaxParallelism: 2})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	q := sampleQuery(t, w.Data, 6, 3)
-	tau := srv.Engine().Threshold(q, 0.3)
+	w := fanOutWorkload()
+	srv, ts := newPoolServer(t, w, 4, 2)
+	q := sampleQuery(t, w.Data, fanOutQueryLen, 3)
+	tau := srv.Engine().Threshold(q, fanOutTauRatio)
 
 	reqs := []struct {
 		path string
 		body map[string]any
 	}{
 		{"/v1/search", map[string]any{"q": q, "tau": tau}},
-		{"/v1/topk", map[string]any{"q": q, "k": 3}},
+		{"/v1/topk", map[string]any{"q": q, "k": 5}},
 		{"/v1/temporal", map[string]any{"q": q, "tau": tau, "lo": 0.0, "hi": 1e12}},
 	}
 	for _, r := range reqs {

@@ -177,8 +177,9 @@ func (m Match) Key() MatchKey { return MatchKey{m.ID, m.S, m.T} }
 
 // SortMatches orders matches by (ID, S, T) — the canonical result order
 // every search path returns. (ID, S, T) is unique within one result set,
-// so the order is total and deterministic; the sharded query pipeline
-// depends on this to make its merge independent of shard scheduling.
+// so the order is total and deterministic; the engine's fan-out depends
+// on every per-range result list arriving in it, so that concatenating
+// the lists in range order is the whole merge.
 // (The verifier also sorts pre-merge buffers that may hold duplicate
 // keys; those are min-merged right after, so the unstable sort still
 // yields a deterministic result.) slices.SortFunc rather than

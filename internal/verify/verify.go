@@ -109,7 +109,7 @@ type Stats struct {
 	Matches int
 }
 
-// Add accumulates o's counters into s — the shard-merge of the parallel
+// Add accumulates o's counters into s — the merge of the fanned-out
 // query pipeline. Keeping it next to the struct means a future counter
 // cannot be summed on one path and dropped on the other.
 func (s *Stats) Add(o Stats) {
@@ -275,7 +275,7 @@ const (
 	// maxRetainedBytes is the one budget for everything the tries are
 	// made of — column slabs, compiled cost rows and the node arrays. On
 	// the benchmark city a τ_ratio 0.3 query over |Q| = 60 fills 5–25 MB
-	// of columns and up to 10 MB of node arrays per shard worker, so most
+	// of columns and up to 10 MB of node arrays per fan-out worker, so most
 	// such queries find everything they need already allocated, and so
 	// does a top-k query (≈1 M cells at the ceiling's band). Half this
 	// budget costs the wide search 9% of its latency.
@@ -627,8 +627,9 @@ func (v *Verifier) verifySW(id int32, tauEff float64) {
 // Results returns the deduplicated matches sorted by (ID, S, T). The sort
 // is load-bearing, not cosmetic: per-trajectory match runs accumulate in
 // feed order, so without it the order would follow the candidate stream,
-// and the shard-merge of the parallel pipeline relies on every per-shard
-// result list arriving in this canonical order (see traj.SortMatches).
+// and the engine's fan-out concatenates per-range result lists on the
+// strength of each arriving in this canonical order (see
+// traj.SortMatches).
 // The adjacent merge after the sort folds duplicate (ID, S, T) runs from
 // callers that interleaved trajectories.
 func (v *Verifier) Results() []traj.Match {
