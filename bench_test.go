@@ -329,9 +329,9 @@ func BenchmarkSearchPerQuery(b *testing.B) {
 // Parallelism cap of N, so workers=1 is the sequential baseline the
 // speedups are measured against. The cap is not a command — the engine
 // uses fewer workers for a query whose estimated work is small — and the
-// reported workers/op is what it used. cmd/benchall -json runs the same
-// sweep and snapshots it into BENCH_<rev>.json; a speedup only
-// materialises with ≥N idle CPUs.
+// reported workers/op is what it used. The gated counterparts are
+// benchmark/'s core.search_ms, core.search_par_ms and core.par_speedup;
+// a speedup only materialises with ≥N idle CPUs.
 func BenchmarkParallelSearch(b *testing.B) {
 	c := experiments.GetCtx(workload.SanFranLike(), 0.1)
 	eng := core.NewEngine(c.Data("EDR"), c.Model("EDR"))

@@ -1,29 +1,24 @@
-// Command benchall runs the full experiment suite — every table and
-// figure of the paper's §6 — and prints paper-style tables. Results go to
-// stdout; progress to stderr.
+// Command benchall reproduces the paper's §6 evaluation — every table and
+// figure — and prints paper-style tables. Results go to stdout; progress
+// to stderr. It is not the performance gate: speed claims are measured by
+// benchmark/ (see benchmark/README.md) and the Go benchmarks in
+// bench_test.go.
 //
 // Usage:
 //
 //	benchall [-scale 0.3] [-queries 5] [-qlen 60] [-only fig6,tab4] [-quick]
-//	benchall -json [-scale 0.3] [-qlen 60] [-quick]
-//	benchall -membench 1000000 [-scale 1.0] [-quick]
 //
 // -scale multiplies every dataset's trajectory count (1.0 ≈ tens of
 // thousands of trajectories; the default keeps a full run in minutes).
-// -json skips the table suite and instead snapshots the
-// parallel-search sweep into BENCH_<rev>.json (see perfsnap.go), the
-// machine-readable perf trajectory of the query engine; -json -quick is
-// the CI smoke variant (one iteration per configuration, written to
-// BENCH_quick.json, no stable timings). -membench N measures the
-// index-memory axis (see membench.go): pointer vs compact footprint and
-// latency on the SanFran-like workload at -scale plus a synthetic
-// N-trajectory stream, written to BENCH_mem_<rev>.json.
+// -only takes experiment IDs (fig4…fig13, tab3…tab6); an ID that names no
+// experiment is an error.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -39,47 +34,71 @@ func main() {
 		only    = flag.String("only", "", "comma-separated experiment IDs (default: all)")
 		quick   = flag.Bool("quick", false, "tiny quick run (overrides scale/queries/qlen)")
 		seed    = flag.Int64("seed", 1, "query sampling seed")
-		jsonOut = flag.Bool("json", false, "run the parallel-search sweep and write a BENCH_<rev>.json perf snapshot instead of the table suite")
-		membench = flag.Int("membench", 0, "run the index-memory snapshot (SanFran at -scale plus a synthetic N-trajectory stream) and write BENCH_mem_<rev>.json")
 	)
 	flag.Parse()
-
-	if *membench > 0 {
-		if err := writeMemBench(*membench, *scale, *qlen, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut {
-		if err := writePerfSnapshot(*scale, *qlen, 0.1, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	opts := experiments.Options{Scale: *scale, Queries: *queries, QueryLen: *qlen, Seed: *seed}
 	if *quick {
 		opts = experiments.Quick()
 	}
+	jobs, err := selectJobs(suite(opts), *only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
+		os.Exit(2)
+	}
+
+	fmt.Printf("subtraj experiment suite — scale=%.2f queries=%d |Q|=%d seed=%d\n\n",
+		opts.Scale, opts.Queries, opts.QueryLen, opts.Seed)
+	for _, j := range jobs {
+		fmt.Fprintf(os.Stderr, "[benchall] running %s...\n", j.id)
+		start := time.Now()
+		tb := j.fn()
+		fmt.Fprintf(os.Stderr, "[benchall] %s done in %s\n", j.id, time.Since(start).Round(time.Millisecond))
+		tb.Format(os.Stdout)
+	}
+}
+
+// job is one experiment of the suite: a table or figure of §6.
+type job struct {
+	id string
+	fn func() *experiments.Table
+}
+
+// selectJobs returns the jobs named by the comma-separated -only value, in
+// suite order, or all of them when it is empty. An ID that names no
+// experiment is an error listing the valid ones.
+func selectJobs(all []job, only string) ([]job, error) {
+	if strings.TrimSpace(only) == "" {
+		return all, nil
+	}
+	valid := make([]string, len(all))
+	for i, j := range all {
+		valid[i] = j.id
+	}
 	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
+	for _, id := range strings.Split(only, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(valid, id) {
+			return nil, fmt.Errorf("-only: no experiment named %q (valid: %s)", id, strings.Join(valid, ", "))
+		}
+		want[id] = true
+	}
+	var picked []job
+	for _, j := range all {
+		if want[j.id] {
+			picked = append(picked, j)
 		}
 	}
-	run := func(id string) bool { return len(want) == 0 || want[id] }
+	return picked, nil
+}
 
+// suite lists every experiment in the paper's order.
+func suite(opts experiments.Options) []job {
 	datasets := experiments.DefaultDatasets()
 	small := []experiments.Ctx2{datasets[0]} // Beijing-like, for single-dataset tables
 	enumTraj := int(200 * opts.Scale * 10)   // the "5,000 trajectory" fraction, scaled
 
-	type job struct {
-		id string
-		fn func() *experiments.Table
-	}
-	jobs := []job{
+	return []job{
 		{"fig4", func() *experiments.Table {
 			return experiments.Fig4TravelTime(workload.BeijingLike(),
 				[]float64{0, 0.05, 0.1, 0.15, 0.2}, 8*opts.Queries, opts)
@@ -138,18 +157,5 @@ func main() {
 		{"tab6", func() *experiments.Table {
 			return experiments.Tab6IndexBuild(datasets, enumTraj, opts)
 		}},
-	}
-
-	fmt.Printf("subtraj experiment suite — scale=%.2f queries=%d |Q|=%d seed=%d\n\n",
-		opts.Scale, opts.Queries, opts.QueryLen, opts.Seed)
-	for _, j := range jobs {
-		if !run(j.id) {
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "[benchall] running %s...\n", j.id)
-		start := time.Now()
-		tb := j.fn()
-		fmt.Fprintf(os.Stderr, "[benchall] %s done in %s\n", j.id, time.Since(start).Round(time.Millisecond))
-		tb.Format(os.Stdout)
 	}
 }

@@ -90,7 +90,7 @@ func SearchWithStrategy(costs wed.FilterCosts, ds *traj.Dataset, inv *index.Inve
 	cands := plan.Candidates(inv, nil)
 	ver := verify.New(costs, ds, q, tau, vopts)
 	for _, c := range cands {
-		ver.Verify(verify.Candidate{ID: c.ID, Pos: c.Pos, IQ: c.IQ})
+		ver.Verify(c)
 	}
 	return Result{Matches: ver.Results(), Candidates: len(cands), VerifyStats: ver.Stats}
 }

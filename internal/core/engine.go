@@ -72,7 +72,8 @@ func NewEngineShards(ds *traj.Dataset, costs wed.FilterCosts, _ int) *Engine {
 // NewEngineCompact indexes the dataset into the memory-optimal compact
 // backend: the postings are frozen into one flat bit-packed arena.
 // Queries return results bit-equal to the pointer backend; memory drops
-// by the arena-vs-pointer ratio benchall reports.
+// by the ratio of the benchmark's index.bytes_per_traj to
+// index.bytes_per_traj_compact.
 func NewEngineCompact(ds *traj.Dataset, costs wed.FilterCosts) *Engine {
 	start := time.Now()
 	e := NewEngineWithBackend(ds, index.FreezeDataset(ds), costs)

@@ -172,7 +172,7 @@ func (e *Engine) verifyRange(qr *Query, cands []filter.Candidate) (out rangeOut)
 				break
 			}
 		}
-		ver.Verify(verify.Candidate{ID: c.ID, Pos: c.Pos, IQ: c.IQ})
+		ver.Verify(c)
 	}
 	out.matches = ver.Results()
 	out.vstats = ver.Stats

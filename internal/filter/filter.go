@@ -12,6 +12,7 @@ import (
 
 	"subtraj/internal/index"
 	"subtraj/internal/traj"
+	"subtraj/internal/verify"
 	"subtraj/internal/wed"
 )
 
@@ -22,13 +23,8 @@ type Item struct {
 	Pos int32
 }
 
-// Candidate identifies a promising position: trajectory id, position j in
-// P^(id) with P[j] ∈ B(Q[iq]), and the query position iq (all 0-based).
-type Candidate struct {
-	ID  int32
-	Pos int32
-	IQ  int32
-}
+// Candidate is what the filter hands the verifier.
+type Candidate = verify.Candidate
 
 // Plan is the query-time filtering state: the chosen τ-subsequence and the
 // precomputed neighbourhoods/statistics, reusable for candidate generation

@@ -257,7 +257,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					s.stats.errors.Add(1)
+					s.recordPanic(r.Context(), "ingest", i, p)
 					results[i].Error = "internal error during ingest"
 				}
 			}()

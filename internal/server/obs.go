@@ -281,14 +281,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
-					s.stats.panics.Add(1)
-					s.stats.errors.Add(1)
-					s.cfg.Logger.Error("handler panic",
-						"request_id", id,
-						"endpoint", endpoint,
-						"panic", fmt.Sprint(p),
-						"stack", string(debug.Stack()),
-					)
+					s.recordPanic(ctx, endpoint, -1, p)
 					// Best-effort: if the handler already wrote a status
 					// line the superfluous-WriteHeader log is the only
 					// casualty; the process survives either way.
@@ -317,6 +310,22 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			)
 		}
 	}
+}
+
+// recordPanic is what every recover in this package does with what it
+// caught: count it (panics and errors) and log it with the stack. item is
+// the /v1/batch or /v1/ingest item whose goroutine panicked, -1 when it
+// was the handler's own.
+func (s *Server) recordPanic(ctx context.Context, endpoint string, item int, p any) {
+	s.stats.panics.Add(1)
+	s.stats.errors.Add(1)
+	s.cfg.Logger.Error("handler panic",
+		"request_id", obs.FromContext(ctx).ID(),
+		"endpoint", endpoint,
+		"item", item,
+		"panic", fmt.Sprint(p),
+		"stack", string(debug.Stack()),
+	)
 }
 
 // attachStatSpans renders a query's core.QueryStats as work spans under

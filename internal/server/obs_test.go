@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -517,6 +518,79 @@ func TestSlowQueryDisabled(t *testing.T) {
 	}
 	if logged := logBuf.String(); logged != "" {
 		t.Errorf("disabled slow-query log still wrote: %q", logged)
+	}
+}
+
+// poisonCosts panics when asked for the filtering cost of one symbol: a
+// cost model with a bug only one query reaches.
+type poisonCosts struct {
+	wed.FilterCosts
+	poison traj.Symbol
+}
+
+func (c poisonCosts) FilterCost(q traj.Symbol) float64 {
+	if q == c.poison {
+		panic("poisoned symbol")
+	}
+	return c.FilterCosts.FilterCost(q)
+}
+
+// TestBatchItemPanicLoggedAndCounted: a panic inside one /v1/batch item's
+// goroutine is that item's error and nobody else's — and it is not
+// swallowed: it counts as a panic and leaves the record instrument's
+// backstop would have left, with the item's index.
+func TestBatchItemPanicLoggedAndCounted(t *testing.T) {
+	var logBuf lockedBuffer
+	w := workload.Generate(workload.Tiny(7))
+	q := sampleQuery(t, w.Data, 6, 3)
+	poison := traj.Symbol(0)
+	for slices.Contains(q, poison) {
+		poison++
+	}
+	bad := append(slices.Clone(q[:len(q)-1]), poison)
+	eng := core.NewEngine(w.Data, poisonCosts{wed.NewLev(), poison})
+	srv := New(NewSafeEngine(eng), Config{CacheSize: -1, MaxConcurrent: 4, MaxBatch: 8,
+		MaxSymbol: int32(w.Graph.NumVertices()), SlowQuery: -1,
+		Logger: slog.New(slog.NewTextHandler(&logBuf, nil))})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	resp, out := post(t, ts.URL+"/v1/batch", map[string]any{"queries": []map[string]any{
+		{"kind": "search", "q": q, "tau_ratio": 0.35},
+		{"kind": "search", "q": bad, "tau_ratio": 0.35},
+		{"kind": "count", "q": q, "tau_ratio": 0.35},
+	}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200: one item's panic is not the batch's", resp.StatusCode)
+	}
+	var results []struct {
+		Count int    `json:"count"`
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(out["results"], &results); err != nil || len(results) != 3 {
+		t.Fatalf("results = %s (%v)", out["results"], err)
+	}
+	if !strings.Contains(results[1].Error, "internal error") {
+		t.Errorf("panicking item answered %+v, want an internal error", results[1])
+	}
+	for _, i := range []int{0, 2} {
+		if results[i].Error != "" || results[i].Count == 0 {
+			t.Errorf("item %d beside the panic answered %+v, want its matches", i, results[i])
+		}
+	}
+	snap := srv.Snapshot()
+	if snap.Requests.Panics != 1 || snap.Requests.Errors != 1 {
+		t.Errorf("panics = %d, errors = %d, want 1 and 1", snap.Requests.Panics, snap.Requests.Errors)
+	}
+	logged := logBuf.String()
+	if n := strings.Count(logged, "handler panic"); n != 1 {
+		t.Fatalf("%d \"handler panic\" records, want 1: %q", n, logged)
+	}
+	for _, want := range []string{"request_id=" + resp.Header.Get("X-Request-ID"), "endpoint=batch",
+		"item=1", "poisoned symbol", "poisonCosts"} {
+		if !strings.Contains(logged, want) {
+			t.Errorf("panic record lacks %q: %q", want, logged)
+		}
 	}
 }
 

@@ -433,7 +433,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// the whole process instead of one batch item.
 			defer func() {
 				if p := recover(); p != nil {
-					s.stats.errors.Add(1)
+					s.recordPanic(r.Context(), "batch", i, p)
 					results[i].Error = fmt.Sprintf("internal error: %v", p)
 				}
 			}()
@@ -782,8 +782,8 @@ type StatsSnapshot struct {
 		// IndexBackend names the index family ("pointer" or "compact");
 		// IndexBytes is its memory footprint (exact arena size for
 		// compact, heap estimate for pointer) and BytesPerTrajectory the
-		// same divided by the trajectory count — the memory-scaling
-		// figure benchall snapshots record.
+		// same divided by the trajectory count — the benchmark's
+		// index.bytes_per_traj(_compact).
 		IndexBackend       string  `json:"index_backend"`
 		IndexBytes         int64   `json:"index_bytes"`
 		BytesPerTrajectory float64 `json:"bytes_per_trajectory"`

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"subtraj/internal/filter"
-	"subtraj/internal/index"
 	"subtraj/internal/testutil"
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
@@ -100,11 +98,11 @@ func sameMatches(t *testing.T, label string, got, want []traj.Match) {
 type heldCosts struct{ wed.Costs }
 
 // TestPutRetainsBudgetAndNoReferences runs a query whose tries outgrow
-// the retention budget — full-width columns over a long query, the shape
-// of a wide-τ search — and checks what Put leaves behind: at most
-// maxRetainedBytes, accounted to the pool gauge, and nothing that keeps
-// the query, the dataset or the cost model (whose compiled rows the
-// verifier still holds) alive.
+// the retention budget — wide bands over a long query with early
+// termination off, the shape of a wide-τ search — and checks what Put
+// leaves behind: at most maxRetainedBytes, accounted to the pool gauge,
+// and nothing that keeps the query, the dataset or the cost model (whose
+// compiled rows the verifier still holds) alive.
 func TestPutRetainsBudgetAndNoReferences(t *testing.T) {
 	env := testutil.NewEnv(33, 120, 60)
 	m := env.Models()[1] // EDR
@@ -117,7 +115,7 @@ func TestPutRetainsBudgetAndNoReferences(t *testing.T) {
 	runtime.SetFinalizer(ds, func(*traj.Dataset) { freed <- "dataset" })
 	runtime.SetFinalizer(costs, func(*heldCosts) { freed <- "cost model" })
 
-	v := Get(costs, ds, q, wed.SumIns(costs, q)*0.5, Options{DisableBanding: true, DisableEarlyTermination: true})
+	v := Get(costs, ds, q, wed.SumIns(costs, q)*0.5, Options{DisableEarlyTermination: true})
 	runOnce(v, ds, q)
 	if used := v.retainedBytes(); used <= maxRetainedBytes {
 		t.Fatalf("query used %d bytes of trie storage, not enough to exceed the %d budget", used, maxRetainedBytes)
@@ -233,21 +231,31 @@ func TestQueryWiderThanSlab(t *testing.T) {
 func TestLocalModeReleasesArenaPerCandidate(t *testing.T) {
 	env := testutil.NewEnv(35, 300, 30)
 	m := env.Models()[1] // EDR
-	inv := index.Build(m.DS)
 	q := env.Query(m, 24)
 	tau := 0.6 * float64(len(q)) // EDR: c(q) = 1 per symbol
-	plan, err := filter.BuildPlan(m.Costs, inv, q, tau)
-	if err != nil {
-		t.Fatal(err)
+	// Every position of Q is a candidate source: a superset of any
+	// τ-subsequence's, so the three modes below must still agree.
+	// (internal/filter imports this package; an in-package test cannot
+	// ask it for a plan.)
+	var cands []Candidate
+	for id, tr := range m.DS.Trajs {
+		for iq, sym := range q {
+			for _, b := range m.Costs.Neighbors(sym, nil) {
+				for pos, p := range tr.Path {
+					if p == b {
+						cands = append(cands, Candidate{ID: int32(id), Pos: int32(pos), IQ: int32(iq)})
+					}
+				}
+			}
+		}
 	}
-	cands := plan.Candidates(inv, nil)
 	if len(cands) < 500 {
 		t.Fatalf("only %d candidates", len(cands))
 	}
 	run := func(mode Mode) (*Verifier, []traj.Match) {
-		v := New(m.Costs, m.DS, q, tau, Options{Mode: mode, DisableBanding: true})
+		v := New(m.Costs, m.DS, q, tau, Options{Mode: mode})
 		for _, c := range cands {
-			v.Verify(Candidate{ID: c.ID, Pos: c.Pos, IQ: c.IQ})
+			v.Verify(c)
 		}
 		return v, v.Results()
 	}

@@ -21,14 +21,13 @@ import (
 // wed.StepDPRows from the parent's band straight into the arena tail.
 //
 // Columns are stored τ-banded: only the cells of the active band
-// [lo, hi) — the smallest interval containing every cell < bandTau — are
-// materialised; everything outside is semantically +Inf. Cells < bandTau
-// hold the exact full-width DP value (see wed.StepDPBanded), so every
-// quantity the verifier reads through tail/colMin — all compared against
-// thresholds τ′ ≤ bandTau — is indistinguishable from the full-width
-// trie, while StepDP work and arena bytes shrink by the band ratio.
-// bandTau = +Inf stores full columns (the Options.DisableBanding
-// ablation).
+// [lo, hi) — the smallest interval containing every cell < τ — are
+// materialised; everything outside is semantically +Inf. Cells < τ hold
+// the exact full-width DP value (see wed.StepDPBanded), and a cell ≥ τ
+// can never reach a result because every per-candidate τ′ is ≤ τ, so
+// every quantity the verifier reads through tail/colMin is
+// indistinguishable from a full-width trie's, while StepDP work and
+// arena bytes shrink by the band ratio.
 type trie struct {
 	root int32
 	// Q^d's costs are cells [row0, row0+n) of every compiled row pair
@@ -57,7 +56,7 @@ type trieMark struct {
 }
 
 // newTrie creates the root, whose column is wed(ε, Q^d[1..j]) — the
-// insertion prefix sums, banded to the cells < bandTau. The sums are
+// insertion prefix sums, banded to the cells < τ. The sums are
 // nondecreasing (ins ≥ 0), so the band is [0, hi) up to the first
 // prefix ≥ τ.
 func (v *Verifier) newTrie(row0, n int32) trie {
@@ -65,7 +64,7 @@ func (v *Verifier) newTrie(row0, n int32) trie {
 	buf, slab, off := v.cols.reserve(int(n) + 1)
 	sum := 0.0
 	hi := int32(0)
-	for j := int32(0); j <= n && sum < v.bandTau; j++ {
+	for j := int32(0); j <= n && sum < v.tau; j++ {
 		buf[j] = sum
 		hi = j + 1
 		if j < n {
@@ -114,7 +113,7 @@ func (v *Verifier) child(t trie, ni int32, sym traj.Symbol) (ci int32, computed 
 		row := v.rows.row(v.costs, v.q, sym)
 		dst, slab, off := v.cols.reserve(int(t.n + 1 - pn.lo))
 		lo, hi, cells := wed.StepDPRows(row.sub[t.row0:t.row0+t.n], v.rows.ins[t.row0:t.row0+t.n], row.del,
-			v.cols.at(pn.slab, pn.off, pn.hi-pn.lo), int(pn.lo), int(pn.hi), v.bandTau, dst)
+			v.cols.at(pn.slab, pn.off, pn.hi-pn.lo), int(pn.lo), int(pn.hi), v.tau, dst)
 		v.Stats.CellsComputed += int64(cells)
 		if lo < hi {
 			// Cells below lo stay behind as a gap; the band's lower edge

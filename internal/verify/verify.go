@@ -22,7 +22,6 @@
 package verify
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -67,12 +66,6 @@ type Options struct {
 	// trajectory's ends and ColumnsVisited equals ColumnsAvailable for
 	// every candidate with τ′ > 0.
 	DisableEarlyTermination bool
-	// DisableBanding makes the tries compute and store full-width DP
-	// columns instead of τ-banded ones — the pre-banding behavior, kept
-	// as an ablation and as the baseline of the banded-equivalence
-	// tests. Results are identical either way; only CellsComputed and
-	// the arena sizes differ.
-	DisableBanding bool
 }
 
 // Stats instruments a verification run with the quantities of Table 5.
@@ -98,7 +91,7 @@ type Stats struct {
 	// StepDP calls; CellsAvailable is what full-width columns would have
 	// cost (StepDPCalls × (|Q^d|+1)). Their ratio is the cell-level
 	// band-pruning rate — the Table-5-style metric of the τ-banded
-	// verification (1.0 when banding is disabled).
+	// verification.
 	CellsComputed  int64
 	CellsAvailable int64
 	// TrieNodes is the total number of cached DP columns across the
@@ -144,8 +137,8 @@ func ratio(a, b int64) float64 {
 	return float64(a) / float64(b)
 }
 
-// Candidate mirrors filter.Candidate without importing it (avoiding an
-// internal dependency cycle in callers that adapt other filters).
+// Candidate identifies a promising position: trajectory id, position j in
+// P^(id) with P[j] ∈ B(Q[iq]), and the query position iq (all 0-based).
 type Candidate struct {
 	ID  int32
 	Pos int32
@@ -170,11 +163,6 @@ type Verifier struct {
 	q     []traj.Symbol
 	tau   float64
 	opts  Options
-
-	// bandTau is the trie column band threshold: v.tau normally, +Inf
-	// under Options.DisableBanding. Cells ≥ bandTau can never reach a
-	// result because every per-candidate τ′ is ≤ tau.
-	bandTau float64
 
 	// rows is the cost model compiled against q (see costRows).
 	rows costRows
@@ -356,10 +344,6 @@ func (v *Verifier) trimRetained() {
 // buffers keep their capacity.
 func (v *Verifier) Reset(costs wed.Costs, ds *traj.Dataset, q []traj.Symbol, tau float64, opts Options) {
 	v.costs, v.ds, v.q, v.tau, v.opts = costs, ds, q, tau, opts
-	v.bandTau = tau
-	if opts.DisableBanding {
-		v.bandTau = math.Inf(1)
-	}
 	v.tries = v.tries[:0]
 	v.retireTries(trieMark{})
 	if opts.Mode != ModeSW {

@@ -21,6 +21,9 @@ func run(m testutil.Model, inv *index.Inverted, q []traj.Symbol, tau float64, op
 	}
 	v := verify.New(m.Costs, m.DS, q, tau, opts)
 	for _, c := range plan.Candidates(inv, nil) {
+		// Field by field: subtrajlint's loader resolves filter's alias
+		// against verify's export data, a different type identity from
+		// the package under test.
 		v.Verify(verify.Candidate{ID: c.ID, Pos: c.Pos, IQ: c.IQ})
 	}
 	return v, v.Results()

@@ -45,7 +45,7 @@ func (Lev) FilterCost(Symbol) float64 { return 1 }
 // SpatialIndex answers the two spatial queries the coordinate-aware cost
 // models need (§4.2: "we may index the coordinates of the vertices V
 // using a spatial index, such as a kd-tree or an R-tree... regarding the
-// index as a blackbox"). Both spatial.KDTree and spatial.RTree satisfy it.
+// index as a blackbox"). spatial.KDTree is the implementation shipped.
 type SpatialIndex interface {
 	// Range appends the indexes of points within r of center.
 	Range(center geo.Point, r float64, dst []int32) []int32
@@ -54,11 +54,7 @@ type SpatialIndex interface {
 	NearestBeyond(q geo.Point, r float64) (int32, float64)
 }
 
-// Compile-time checks that both spatial indexes are usable.
-var (
-	_ SpatialIndex = (*spatial.KDTree)(nil)
-	_ SpatialIndex = (*spatial.RTree)(nil)
-)
+var _ SpatialIndex = (*spatial.KDTree)(nil)
 
 // EDR is Chen et al.'s edit distance on real sequences over vertex
 // representation: substitution is free within Euclidean distance ε ("match")

@@ -53,9 +53,6 @@ type Trace struct {
 	Points []geo.Point
 	// Truth is the vertex path the trace was sampled from.
 	Truth []traj.Symbol
-	// SourceID is the dataset trajectory the truth came from, or -1 when
-	// the trace was generated from a standalone path.
-	SourceID int32
 	// Dropouts counts the dropout gaps injected into the trace.
 	Dropouts int
 }
@@ -67,7 +64,7 @@ type Trace struct {
 // is deterministic in rng.
 func GenerateTrace(g *roadnet.Graph, path []traj.Symbol, cfg GPSConfig, rng *rand.Rand) Trace {
 	cfg = cfg.withDefaults()
-	tr := Trace{Truth: path, SourceID: -1}
+	tr := Trace{Truth: path}
 	if len(path) == 0 {
 		return tr
 	}
@@ -115,36 +112,6 @@ func samplePolyline(g *roadnet.Graph, path []traj.Symbol, spacing float64) []geo
 	}
 	if last := g.Coord(path[len(path)-1]); out[len(out)-1] != last {
 		out = append(out, last)
-	}
-	return out
-}
-
-// SampleTraces draws n traces from the workload's trajectories: each picks
-// a random data trajectory (length ≥ minLen vertices) and samples a noisy
-// trace of its path. Deterministic in seed; the traces' Truth/SourceID
-// fields link each back to its ground truth.
-func (w *Workload) SampleTraces(n, minLen int, cfg GPSConfig, seed int64) []Trace {
-	rng := rand.New(rand.NewSource(seed))
-	if minLen < 2 {
-		minLen = 2
-	}
-	out := make([]Trace, 0, n)
-	const attempts = 10000
-	for len(out) < n {
-		var id int32 = -1
-		for a := 0; a < attempts; a++ {
-			cand := int32(rng.Intn(w.Data.Len()))
-			if len(w.Data.Trajs[cand].Path) >= minLen {
-				id = cand
-				break
-			}
-		}
-		if id < 0 {
-			break // no trajectory long enough; return what we have
-		}
-		tr := GenerateTrace(w.Graph, w.Data.Trajs[id].Path, cfg, rng)
-		tr.SourceID = id
-		out = append(out, tr)
 	}
 	return out
 }

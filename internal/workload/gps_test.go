@@ -94,38 +94,6 @@ func TestGenerateTraceDropouts(t *testing.T) {
 	}
 }
 
-func TestSampleTracesLinksTruth(t *testing.T) {
-	w := Generate(Tiny(8))
-	traces := w.SampleTraces(5, 10, GPSConfig{}, 3)
-	if len(traces) != 5 {
-		t.Fatalf("got %d traces, want 5", len(traces))
-	}
-	for i, tr := range traces {
-		if tr.SourceID < 0 || int(tr.SourceID) >= w.Data.Len() {
-			t.Fatalf("trace %d: bad source id %d", i, tr.SourceID)
-		}
-		truth := w.Data.Trajs[tr.SourceID].Path
-		if len(truth) != len(tr.Truth) {
-			t.Fatalf("trace %d: truth not linked to source", i)
-		}
-		for j := range truth {
-			if truth[j] != tr.Truth[j] {
-				t.Fatalf("trace %d: truth mismatch at %d", i, j)
-			}
-		}
-		if len(tr.Points) == 0 {
-			t.Fatalf("trace %d: empty", i)
-		}
-	}
-	// Determinism across calls.
-	again := w.SampleTraces(5, 10, GPSConfig{}, 3)
-	for i := range traces {
-		if len(again[i].Points) != len(traces[i].Points) || again[i].SourceID != traces[i].SourceID {
-			t.Fatalf("trace %d not deterministic", i)
-		}
-	}
-}
-
 func TestLCSAccuracy(t *testing.T) {
 	for _, tc := range []struct {
 		got, want []traj.Symbol

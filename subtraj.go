@@ -117,22 +117,17 @@ func GenerateGPSTrace(g *Graph, path []Symbol, cfg GPSConfig, rng *rand.Rand) GP
 // longest-common-subsequence fraction of the truth recovered in order.
 func LCSAccuracy(got, want []Symbol) float64 { return workload.LCSAccuracy(got, want) }
 
-// SpatialIndex is the black-box spatial index EDR/ERP neighbourhoods use;
-// the kd-tree and the R-tree both satisfy it (§4.2, Figure 2).
+// SpatialIndex is the black-box spatial index EDR/ERP neighbourhoods use
+// (§4.2, Figure 2); the kd-tree is the implementation shipped.
 type SpatialIndex = wed.SpatialIndex
 
 // Network prepares the spatial and shortest-path substrates a road network
 // needs to serve WED cost models: a spatial index over vertex coordinates
-// (EDR/ERP neighbourhoods; kd-tree by default, R-tree on request), the
-// symmetrised adjacency, and a hub-labelling distance index
-// (NetEDR/NetERP), each built lazily on first use.
+// (EDR/ERP neighbourhoods; a kd-tree), the symmetrised adjacency, and a
+// hub-labelling distance index (NetEDR/NetERP), each built lazily on
+// first use.
 type Network struct {
 	G *Graph
-
-	// UseRTree switches the lazily-built spatial index from the default
-	// kd-tree to the STR R-tree. Set it before the first cost-model
-	// constructor call.
-	UseRTree bool
 
 	tree       SpatialIndex
 	undirected *shortestpath.Adjacency
@@ -145,11 +140,7 @@ func NewNetwork(g *Graph) *Network { return &Network{G: g} }
 // Spatial returns the vertex spatial index, building it on first use.
 func (n *Network) Spatial() SpatialIndex {
 	if n.tree == nil {
-		if n.UseRTree {
-			n.tree = spatial.BuildRTree(n.G.Coords())
-		} else {
-			n.tree = spatial.Build(n.G.Coords())
-		}
+		n.tree = spatial.Build(n.G.Coords())
 	}
 	return n.tree
 }

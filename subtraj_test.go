@@ -193,45 +193,6 @@ func TestNilArguments(t *testing.T) {
 	}
 }
 
-func TestRTreeBackedEngineEqualsKDTree(t *testing.T) {
-	// The spatial index is a black box (§4.2): swapping kd-tree for
-	// R-tree must not change any result.
-	w := subtraj.Generate(subtraj.TinyWorkload(108))
-	kdNet := subtraj.NewNetwork(w.Graph)
-	rtNet := subtraj.NewNetwork(w.Graph)
-	rtNet.UseRTree = true
-	rng := rand.New(rand.NewSource(108))
-	for _, mk := range []func(n *subtraj.Network) subtraj.FilterCosts{
-		func(n *subtraj.Network) subtraj.FilterCosts { return n.EDR(60) },
-		func(n *subtraj.Network) subtraj.FilterCosts { return n.ERP(5) },
-	} {
-		kdEng, _ := subtraj.NewEngine(w.Data, mk(kdNet))
-		rtEng, _ := subtraj.NewEngine(w.Data, mk(rtNet))
-		for i := 0; i < 3; i++ {
-			q, err := subtraj.SampleQuery(w.Data, 8, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := kdEng.SearchRatio(q, 0.25)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := rtEng.SearchRatio(q, 0.25)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a) != len(b) {
-				t.Fatalf("kd %d matches, rtree %d", len(a), len(b))
-			}
-			for j := range a {
-				if a[j].Key() != b[j].Key() {
-					t.Fatalf("match %d differs: %+v vs %+v", j, a[j], b[j])
-				}
-			}
-		}
-	}
-}
-
 func TestSearchExactPublic(t *testing.T) {
 	w := subtraj.Generate(subtraj.TinyWorkload(109))
 	net := subtraj.NewNetwork(w.Graph)
