@@ -101,8 +101,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("query %d: |Q|=%d tau=%.3g -> %d matches in %s (candidates=%d, |Q'|=%d)\n",
-			i+1, len(q), absTau, len(ms), elapsed.Round(time.Microsecond), stats.Candidates, stats.SubseqLen)
+		fmt.Printf("query %d: |Q|=%d tau=%.3g -> %d matches in %s (candidates=%d, pruned=%d, |Q'|=%d, |Q+|=%d)\n",
+			i+1, len(q), absTau, len(ms), elapsed.Round(time.Microsecond), stats.Candidates, stats.CandidatesPruned, stats.SubseqLen, stats.PlusLen)
 		if *verbose {
 			for _, m := range ms {
 				fmt.Printf("  trajectory %d [%d..%d] wed=%.4g\n", m.ID, m.S, m.T, m.WED)

@@ -69,11 +69,13 @@ func TestPooledSearchAllocs(t *testing.T) {
 }
 
 // Budgets of the wide-τ guard: steady-state allocations and bytes per
-// sequential EDR search at τ_ratio 0.3, where one query fills ~4 MB of DP
-// columns. With the slab arena retained by the pooled verifier the query
-// measures 64 allocs and 7 KB (plan, candidates, results); when every
-// trie grew its own column slice by doubling and Put dropped the large
-// ones, the same query took 197 allocs and 2.3 MB.
+// sequential EDR search at τ_ratio 0.7, where one query fills megabytes of
+// DP columns. (At 0.3, the ratio the budgets were set at, the
+// trajectory-level pre-filter now leaves a twentieth of the cells.) With
+// the slab arena retained by the pooled verifier the 0.3 query measured 64
+// allocs and 7 KB (plan, candidates, results); when every trie grew its own
+// column slice by doubling and Put dropped the large ones, it took 197
+// allocs and 2.3 MB.
 const (
 	wideSearchAllocBudget = 120
 	wideSearchBytesBudget = 256 << 10
@@ -87,7 +89,7 @@ func TestPooledWideSearchAllocs(t *testing.T) {
 	m := env.Models()[1] // EDR
 	eng := core.NewEngine(m.DS, m.Costs)
 	q := env.Query(m, 40)
-	tau := 0.3 * float64(len(q)) // EDR: c(q) = 1 per symbol
+	tau := 0.7 * float64(len(q)) // EDR: c(q) = 1 per symbol
 	var cells int64
 	search := func() {
 		_, st, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: 1})

@@ -191,12 +191,18 @@ type QueryStats struct {
 	MinCandTime time.Duration
 	LookupTime  time.Duration
 	VerifyTime  time.Duration
-	// SubseqLen is |Q'|.
-	SubseqLen int
+	// SubseqLen is |Q'|; PlusLen is |Q⁺|, the positions the pre-filter
+	// bounds trajectories over (|Q'| when the plan was not extended).
+	SubseqLen, PlusLen int
 	// CSum is c(Q') ≥ τ.
 	CSum float64
-	// Candidates is |C|, the verified candidate count (Figure 11).
+	// Candidates is |C|, the verified candidate count (Figure 11 counts
+	// the paper's filter alone: Candidates + CandidatesPruned).
 	Candidates int
+	// TrajPruned and CandidatesPruned are what the trajectory-level
+	// pre-filter dropped before any DP: trajectories with a Q' candidate
+	// whose bound over Q⁺ reached τ, and their Q' candidates.
+	TrajPruned, CandidatesPruned int
 	// Verify carries UPR/CMR/TUR counters (Table 5) plus the cell-level
 	// band counters (CellsComputed/CellsAvailable) of the τ-banded
 	// verification. StepDPCalls, TrieNodes, and the cell counters may
@@ -360,6 +366,8 @@ func (e *Engine) SearchQuery(qr Query) ([]traj.Match, *QueryStats, error) {
 	filter.GroupByTrajectory(cands)
 	stats.LookupTime = time.Since(start)
 	stats.Candidates = len(cands)
+	stats.PlusLen = len(plan.Subseq) + len(plan.Extra) // the lookup extended the plan
+	stats.TrajPruned, stats.CandidatesPruned = plan.PrunedTrajectories, plan.PrunedCandidates
 
 	work := searchWork(len(cands), len(qr.Q), qr.Tau, plan.CQ)
 	stats.Workers = fanOutWorkers(EffectiveParallelism(qr.Parallelism), work)

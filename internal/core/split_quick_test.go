@@ -181,10 +181,7 @@ func TestTopKAnyPartitionEqualsRestart(t *testing.T) {
 		}
 		sc := new(topkScratch)
 		sc.scan(e, plan, ceiling)
-		entries := make([]topkEntry, len(sc.queued))
-		for i, id := range sc.queued {
-			entries[i] = topkEntry{key: sc.bound(sc.cov[id]), id: id}
-		}
+		entries := slices.Clone(sc.queued)
 		rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
 		if len(rawCuts) > 5 {
 			rawCuts = rawCuts[:5]
@@ -196,7 +193,7 @@ func TestTopKAnyPartitionEqualsRestart(t *testing.T) {
 		slices.Sort(cuts)
 		queues := make([]topkQueue, len(cuts)-1)
 		for i := range queues {
-			queues[i].init(entries[cuts[i]:cuts[i+1]:cuts[i+1]], len(sc.w))
+			queues[i].init(entries[cuts[i]:cuts[i+1]:cuts[i+1]])
 		}
 
 		tab := &topkTable{k: k}

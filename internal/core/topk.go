@@ -31,12 +31,9 @@ import (
 // running threshold — just above the k-th best WED, the ceiling until k
 // trajectories have answered. Every key is admissible (DESIGN.md §1.5):
 //
-//   - coverage: a position of the τ-subsequence Q′ whose neighbourhood
-//     B(q) holds no symbol of the trajectory pays at least c(q) in every
-//     alignment, so WED ≥ c(Q′) − Σ c(q) over the covered positions;
-//   - chain: positions substituted inside B(q) align monotonically, so
-//     WED ≥ c(Q′) − the heaviest chain of candidates (pos, iq) strictly
-//     increasing in both coordinates, weighted by c(q);
+//   - coverage and chain over the τ-subsequence Q′, the bounds the
+//     threshold search's pre-filter also reads (filter.Cover,
+//     filter.Chain, filter.LowerBound);
 //   - miss: VerifyAt(t) enumerates every match below t, so a trajectory
 //     that yields none has best WED ≥ t.
 //
@@ -96,7 +93,7 @@ func (e *Engine) SearchTopKStats(q []traj.Symbol, k int, opts TopKOptions) ([]tr
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.SubseqLen, stats.CSum = len(plan.Subseq), plan.CSum
+	stats.SubseqLen, stats.PlusLen, stats.CSum = len(plan.Subseq), len(plan.Subseq), plan.CSum
 
 	// One scan of the postings builds the whole queue; the fan-out is over
 	// pieces of it.
@@ -151,11 +148,6 @@ const (
 	// geometrically, and the trie keeps the columns between visits.
 	topKStartDiv = 64
 	topKGrowth   = 4
-	// topKSlack, relative to c(Q′), is taken off every bound summed from
-	// c(q) values, and, relative to the k-th best WED, added to the
-	// threshold: rounding in either sum can then neither out-prune an
-	// exact WED tie nor hide it from VerifyAt's comparisons.
-	topKSlack = 1e-9
 )
 
 // topkTable holds the ≤ k best per-trajectory matches found so far. Its
@@ -198,8 +190,10 @@ func (tb *topkTable) offer(m traj.Match) {
 	}
 	tb.worst = w
 	// Strictly above the worst WED, so exact ties are still enumerated
-	// and broken by span and ID; never above the ceiling it started at.
-	thr := math.Nextafter(tb.best[w].WED*(1+topKSlack), math.Inf(1))
+	// and broken by span and ID — and above it by filter.BoundSlack, so
+	// VerifyAt's comparisons cannot round a tie out of the enumeration;
+	// never above the ceiling it started at.
+	thr := math.Nextafter(tb.best[w].WED*(1+filter.BoundSlack), math.Inf(1))
 	if thr < tb.threshold() {
 		tb.thr.Store(math.Float64bits(thr))
 	}
@@ -241,14 +235,8 @@ type symItem struct {
 // the postings scan writes — the queue and the per-plan tables, all
 // read-only once scan returns — and the workers' private scratch.
 type topkScratch struct {
-	// stamp[id] > (used at the start of the scan) marks a trajectory this
-	// query's postings touched; the excess is 1 + the last subsequence
-	// item counted into cov[id]. used is the highest stamp any scan may
-	// have written, so raising it retires a query's marks without clearing.
-	stamp  []uint32
-	used   uint32
-	cov    []float64
-	queued []int32     // the queued trajectories, in the order the scan met them
+	cover  filter.Cover
+	queued []topkEntry // the queued trajectories, in the order the scan met them
 	heap   []topkEntry // the queue as deal laid it out, one piece per worker
 	// Per-plan tables: w[i] = c(Subseq[i]); inv lists B's members sorted
 	// by (symbol, item descending); csum = c(Q′).
@@ -262,7 +250,7 @@ type topkScratch struct {
 // writes.
 type topkQueue struct {
 	heap  []topkEntry // a piece of topkScratch.heap; a binary min-heap by (key, id)
-	chain []float64   // chain[i]: heaviest chain ending at item i
+	chain filter.Chain
 	cands []verify.Candidate
 }
 
@@ -270,7 +258,7 @@ var topkScratches = sync.Pool{New: func() any { return new(topkScratch) }}
 
 // bound turns a covered (or chained) weight into an admissible key.
 func (sc *topkScratch) bound(weight float64) float64 {
-	return max(0, sc.csum-weight-topKSlack*sc.csum)
+	return filter.LowerBound(sc.csum, weight)
 }
 
 // topKWork estimates a top-k query's verification work in searchWork's
@@ -289,17 +277,7 @@ func topKWork(queued, k, qLen int) float64 {
 // trajectory whose coverage bound is below the ceiling. It returns the
 // postings read.
 func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, ceiling float64) (postings int) {
-	m := uint32(len(plan.Subseq))
-	if sc.used > math.MaxUint32-m {
-		clear(sc.stamp)
-		sc.used = 0
-	}
-	base := sc.used
-	sc.used += m
-	if n := e.ds.Len(); len(sc.stamp) < n {
-		sc.stamp = append(sc.stamp, make([]uint32, n-len(sc.stamp))...)
-		sc.cov = append(sc.cov, make([]float64, n-len(sc.cov))...)
-	}
+	sc.cover.Start(len(plan.Subseq), e.ds.Len())
 	sc.w, sc.inv, sc.queued, sc.csum = sc.w[:0], sc.inv[:0], sc.queued[:0], plan.CSum
 	for i, it := range plan.Subseq {
 		sc.w = append(sc.w, e.costs.FilterCost(it.Sym))
@@ -314,33 +292,20 @@ func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, ceiling float64) (post
 	for s := 0; s < e.idx.NumShards(); s++ {
 		src := e.idx.Source(s)
 		for i := range plan.Subseq {
-			mark, w := base+uint32(i)+1, sc.w[i]
+			sc.cover.Item(i, sc.w[i])
 			for _, b := range plan.Neighbors[i] {
 				list := src.Postings(b)
 				postings += len(list)
-				for _, p := range list {
-					st := sc.stamp[p.ID]
-					if st == mark {
-						continue // item i already counted for this trajectory
-					}
-					if st <= base { // its first posting in this query
-						sc.queued = append(sc.queued, p.ID)
-						sc.cov[p.ID] = 0
-					}
-					sc.cov[p.ID] += w
-					sc.stamp[p.ID] = mark
-				}
+				sc.cover.Add(list)
 			}
 		}
 		index.ReleaseSource(src)
 	}
-	q := sc.queued[:0]
-	for _, id := range sc.queued {
-		if sc.bound(sc.cov[id]) < ceiling {
-			q = append(q, id)
+	for _, id := range sc.cover.Touched {
+		if key := sc.bound(sc.cover.Weight(id)); key < ceiling {
+			sc.queued = append(sc.queued, topkEntry{key: key, id: id})
 		}
 	}
-	sc.queued = q
 	return postings
 }
 
@@ -364,20 +329,18 @@ func (sc *topkScratch) deal(n int) []topkQueue {
 		queues[i].heap = sc.heap[at : at+size : at+size]
 		at += size
 	}
-	for j, id := range sc.queued {
-		queues[j%n].heap[j/n] = topkEntry{key: sc.bound(sc.cov[id]), id: id}
+	for j, en := range sc.queued {
+		queues[j%n].heap[j/n] = en
 	}
 	for i := range queues {
-		queues[i].init(queues[i].heap, len(sc.w))
+		queues[i].init(queues[i].heap)
 	}
 	return queues
 }
 
-// init makes tq a queue over entries, heapified in place, with chain
-// scratch for a τ-subsequence of the given length.
-func (tq *topkQueue) init(entries []topkEntry, items int) {
+// init makes tq a queue over entries, heapified in place.
+func (tq *topkQueue) init(entries []topkEntry) {
 	tq.heap = entries
-	tq.chain = slices.Grow(tq.chain[:0], items)[:items]
 	for j := len(entries)/2 - 1; j >= 0; j-- {
 		tq.siftDown(j)
 	}
@@ -415,28 +378,22 @@ func (tq *topkQueue) pop() {
 }
 
 // candidates scans trajectory id's path against sc.inv and leaves its
-// candidates in tq.cands, in position order. In the same loop it finds
-// the heaviest chain of candidates strictly increasing in both position
-// and subsequence item; items of one position are visited in descending
-// order so they cannot extend each other.
+// candidates in tq.cands, in position order — the order filter.Chain reads
+// hits in, sc.inv listing a symbol's items in descending order — and
+// returns their heaviest chain.
 func (tq *topkQueue) candidates(sc *topkScratch, id int32, path []traj.Symbol, plan *filter.Plan) (chain float64) {
 	tq.cands = tq.cands[:0]
-	clear(tq.chain)
+	tq.chain.Reset(sc.w)
 	for pos, sym := range path {
 		// The leftmost entry of sym's run: its largest item.
 		j, _ := slices.BinarySearchFunc(sc.inv, sym, func(a symItem, s traj.Symbol) int { return cmp.Compare(a.sym, s) })
 		for ; j < len(sc.inv) && sc.inv[j].sym == sym; j++ {
 			it := sc.inv[j].item
 			tq.cands = append(tq.cands, verify.Candidate{ID: id, Pos: int32(pos), IQ: plan.Subseq[it].Pos})
-			v := sc.w[it]
-			if it > 0 {
-				v += slices.Max(tq.chain[:it])
-			}
-			tq.chain[it] = max(tq.chain[it], v)
-			chain = max(chain, v)
+			tq.chain.Add(int(it))
 		}
 	}
-	return chain
+	return tq.chain.Weight()
 }
 
 // topkRun is what the passes of one query share.

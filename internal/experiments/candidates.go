@@ -65,7 +65,10 @@ func avgCandidates(c *Ctx, filterName, model string, queries [][]traj.Symbol, ra
 			if err != nil {
 				panic(err)
 			}
-			total += len(plan.Candidates(inv, nil))
+			// The paper's candidate set |C| of Q′ (the Remark under
+			// Definition 5), not what the trajectory-level pre-filter
+			// lets through to verification (DESIGN.md §2).
+			total += plan.PredictedCandidates
 		case "DISON":
 			total += strategyCandidates(c, baselines.DISONStrategy, model, q, tau)
 		case "Torch":

@@ -8,6 +8,7 @@ package filter
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"subtraj/internal/index"
@@ -34,12 +35,40 @@ type Plan struct {
 	Subseq []Item
 	// Neighbors[i] is B(Subseq[i].Sym).
 	Neighbors [][]traj.Symbol
-	// CSum is c(Q') = Σ c(q) over the subsequence; CQ is c(Q), the sum
-	// over all of Q — the scale τ is a fraction of.
-	CSum, CQ float64
+	// Extra is Q⁺ \ Q′: the positions the first Candidates* call on a
+	// BuildPlan plan adds for the trajectory-level pre-filter (DESIGN.md
+	// §1.4), cheapest n(q)/c(q) first, and ExtraNeighbors[i] is
+	// B(Extra[i].Sym). A plan without them — one built by hand, or one
+	// only top-k reads — generates the paper's candidate set.
+	Extra          []Item
+	ExtraNeighbors [][]traj.Symbol
+	// CSum is c(Q') = Σ c(q) over the subsequence; CPlus is c(Q⁺); CQ is
+	// c(Q), the sum over all of Q — the scale τ is a fraction of.
+	CSum, CPlus, CQ float64
+	// Tau is the threshold the plan was built for.
+	Tau float64
 	// PredictedCandidates is the MinCand objective value: Σ_{q∈Q'}
 	// Σ_{b∈B(q)} n(b).
 	PredictedCandidates int
+	// PrunedTrajectories and PrunedCandidates accumulate, over the
+	// Candidates* calls made with the plan, the trajectories the
+	// pre-filter dropped and the Q′ candidates they would have brought.
+	// Those calls therefore write the plan: make them from one goroutine.
+	PrunedTrajectories, PrunedCandidates int
+
+	ext extension
+	// in is BuildPlan's per-position work, kept until the first
+	// Candidates* call extends the plan with it (extend).
+	in planInputs
+}
+
+// planInputs is what BuildPlan computed for every position of the query:
+// its symbol, c(q), the postings N_q of B(q), B(q), and whether Q′ holds it.
+type planInputs struct {
+	q         []traj.Symbol
+	c, nq     []float64
+	neighbors [][]traj.Symbol
+	inQ       []bool
 }
 
 // ErrInfeasible is returned when no subsequence of Q can reach the
@@ -64,7 +93,9 @@ type Freqs interface {
 
 // BuildPlan chooses a τ-subsequence of q minimising the candidate count
 // via Algorithm 1 and precomputes the neighbourhoods. costs provides c(q)
-// and B(q); freqs provides the frequencies n(b).
+// and B(q); freqs provides the frequencies n(b). The plan keeps q: the
+// first Candidates* call extends Q′ to the Q⁺ the pre-filter bounds
+// trajectories over (see extend).
 func BuildPlan(costs wed.FilterCosts, freqs Freqs, q []traj.Symbol, tau float64) (*Plan, error) {
 	n := len(q)
 	c := make([]float64, n)
@@ -85,14 +116,113 @@ func BuildPlan(costs wed.FilterCosts, freqs Freqs, q []traj.Symbol, tau float64)
 		return nil, ErrInfeasible{CQ: cTotal, Tau: tau}
 	}
 	chosen := MinCand(nq, c, tau)
-	plan := &Plan{CQ: cTotal}
+	plan := &Plan{CQ: cTotal, Tau: tau}
+	inQ := make([]bool, n)
 	for _, i := range chosen {
 		plan.Subseq = append(plan.Subseq, Item{Sym: q[i], Pos: int32(i)})
 		plan.Neighbors = append(plan.Neighbors, neighbors[i])
 		plan.CSum += c[i]
 		plan.PredictedCandidates += int(nq[i])
+		inQ[i] = true
 	}
+	plan.CPlus = plan.CSum
+	plan.in = planInputs{q: q, c: c, nq: nq, neighbors: neighbors, inQ: inQ}
 	return plan, nil
+}
+
+// extend adds Q⁺ \ Q′ — positions outside Q′ with c(q) > 0, the fewest
+// postings per unit of bound first (a position whose neighbourhood occurs
+// nowhere is free and raises every trajectory's bound by c(q)). δ follows
+// from the plan itself: positions are added while their postings total at
+// most twice PredictedCandidates, the candidates at stake — bounding with
+// a posting costs tens of nanoseconds, verifying a candidate most of a
+// microsecond, and the bound's own cost stops falling there (DESIGN.md
+// §1.4 has the measured curve). A plan with no candidates is not
+// extended: there is nothing to drop. The first Candidates* call runs it,
+// so a plan nobody generates candidates from never pays for it.
+func (p *Plan) extend() {
+	in := p.in
+	p.in = planInputs{}
+	if p.PredictedCandidates == 0 {
+		return
+	}
+	order := make([]int, 0, len(in.q)-len(p.Subseq))
+	for i := range in.q {
+		if !in.inQ[i] && in.c[i] > 0 {
+			order = append(order, i)
+		}
+	}
+	// A selection sort of the prefix δ reaches: a dozen picks out of fifty.
+	n, postings := 0, 0
+	for ; n < len(order); n++ {
+		best := n
+		for j := n + 1; j < len(order); j++ {
+			a, b := order[j], order[best]
+			if x, y := in.nq[a]*in.c[b], in.nq[b]*in.c[a]; x < y || x == y && a < b {
+				best = j
+			}
+		}
+		i := order[best]
+		if postings+int(in.nq[i]) > 2*p.PredictedCandidates {
+			break
+		}
+		order[n], order[best] = i, order[n]
+		postings += int(in.nq[i])
+	}
+	p.setExtra(in, order[:n])
+}
+
+// setExtra makes the query positions extra, in that order, Q⁺ \ Q′, and
+// builds the tables the pre-filter reads.
+func (p *Plan) setExtra(in planInputs, extra []int) {
+	if len(extra) == 0 {
+		return
+	}
+	n := len(extra)
+	p.Extra, p.ExtraNeighbors = make([]Item, n), make([][]traj.Symbol, n)
+	for j, i := range extra {
+		p.Extra[j], p.ExtraNeighbors[j] = Item{Sym: in.q[i], Pos: int32(i)}, in.neighbors[i]
+		p.CPlus += in.c[i]
+		in.inQ[i] = true
+	}
+	// Scan items are Q′ in Subseq order, then Extra; the chain ranks them
+	// in query order.
+	m := len(p.Subseq) + n
+	x := &p.ext
+	ranks := make([]int32, len(in.q)+m)
+	rankAt := ranks[:len(in.q)]
+	for i, r := 0, int32(0); i < len(in.q); i++ {
+		rankAt[i] = r
+		if in.inQ[i] {
+			r++
+		}
+	}
+	buf := make([]float64, 3*m+1)
+	x.w, x.chainW, x.heaviest = buf[:m:m], buf[m:2*m:2*m], buf[2*m:]
+	x.rank = ranks[len(in.q):]
+	k := 0
+	for _, items := range [...][]Item{p.Subseq, p.Extra} {
+		for _, it := range items {
+			x.w[k], x.rank[k] = in.c[it.Pos], rankAt[it.Pos]
+			x.chainW[x.rank[k]] = x.w[k]
+			k++
+		}
+	}
+	h := x.heaviest[1:]
+	copy(h, x.w)
+	slices.Sort(h)
+	slices.Reverse(h)
+	for i := 1; i <= m; i++ {
+		x.heaviest[i] += x.heaviest[i-1]
+	}
+}
+
+// scanNeighbors returns B of scan item k: Q′'s items, then Extra.
+func (p *Plan) scanNeighbors(k int) []traj.Symbol {
+	if k < len(p.Neighbors) {
+		return p.Neighbors[k]
+	}
+	return p.ExtraNeighbors[k-len(p.Neighbors)]
 }
 
 // MinCand is the primal–dual greedy of Algorithm 1 for the minimum
@@ -171,32 +301,31 @@ func sortInts(xs []int) {
 // one posting source of an index view — a base, or the delta beside it;
 // the candidate set over a view's sources is exactly the set of a flat
 // index over the same trajectories.
+//
+// The first call on a BuildPlan plan extends it (extend). On an extended
+// plan it emits only the candidates of trajectories the pre-filter keeps:
+// it reads the Q⁺ postings of src, drops every trajectory whose coverage
+// bound and then chain bound over Q⁺ reach τ (bound.go), and emits the
+// rest in the order above. Q′ is still a τ-subsequence and the bounds are
+// admissible, so no match is lost.
 func (p *Plan) Candidates(src index.PostingSource, dst []Candidate) []Candidate {
-	for i, it := range p.Subseq {
-		for _, b := range p.Neighbors[i] {
-			for _, pos := range src.Postings(b) {
-				dst = append(dst, Candidate{ID: pos.ID, Pos: pos.Pos, IQ: it.Pos})
-			}
-		}
-	}
-	return dst
+	return p.candidates(src.Postings, dst)
 }
 
 // CandidatesInWindow is Candidates restricted to trajectories whose
 // [departure, arrival] interval overlaps [lo, hi] (the TF pre-filter of
 // §4.3 and Figure 12).
 func (p *Plan) CandidatesInWindow(src index.PostingSource, lo, hi float64, dst []Candidate) []Candidate {
-	for i, it := range p.Subseq {
-		for _, b := range p.Neighbors[i] {
-			for _, pos := range src.Postings(b) {
-				if !src.IntervalOverlaps(pos.ID, lo, hi) {
-					continue
-				}
-				dst = append(dst, Candidate{ID: pos.ID, Pos: pos.Pos, IQ: it.Pos})
+	var buf []index.Posting
+	return p.candidates(func(b traj.Symbol) []index.Posting {
+		buf = buf[:0]
+		for _, ps := range src.Postings(b) {
+			if src.IntervalOverlaps(ps.ID, lo, hi) {
+				buf = append(buf, ps)
 			}
 		}
-	}
-	return dst
+		return buf
+	}, dst)
 }
 
 // CandidatesByDeparture generates candidates only from trajectories whose
@@ -204,9 +333,24 @@ func (p *Plan) CandidatesInWindow(src index.PostingSource, lo, hi float64, dst [
 // departure-sorted postings (§4.3's sorted-postings optimisation). The
 // caller must have built the temporal order (index.BuildTemporal).
 func (p *Plan) CandidatesByDeparture(src index.PostingSource, lo, hi float64, dst []Candidate) []Candidate {
+	return p.candidates(func(b traj.Symbol) []index.Posting { return src.PostingsInWindow(b, lo, hi) }, dst)
+}
+
+// candidates is the body of the three: postings(b) lists what src holds
+// of symbol b under the call's window, valid until its next call (a
+// compact source decodes into one buffer). Both window forms keep or drop
+// whole trajectories, so the bound sees every posting of every trajectory
+// it can emit.
+func (p *Plan) candidates(postings func(traj.Symbol) []index.Posting, dst []Candidate) []Candidate {
+	if p.in.q != nil {
+		p.extend()
+	}
+	if len(p.Extra) > 0 {
+		return p.prune(postings, dst)
+	}
 	for i, it := range p.Subseq {
 		for _, b := range p.Neighbors[i] {
-			for _, pos := range src.PostingsInWindow(b, lo, hi) {
+			for _, pos := range postings(b) {
 				dst = append(dst, Candidate{ID: pos.ID, Pos: pos.Pos, IQ: it.Pos})
 			}
 		}

@@ -160,8 +160,11 @@ func TestBuildPlanInfeasible(t *testing.T) {
 func TestBuildPlanPredictsCandidates(t *testing.T) {
 	// The MinCand objective must equal the generated candidate count
 	// (the Remark under Definition 5: the objective IS the candidate
-	// size).
+	// size) — for the paper's filter, an unextended plan. The plan
+	// BuildPlan extends for the pre-filter emits an order-preserving subset
+	// of those candidates, and counts the rest as pruned.
 	env := testutil.NewEnv(5, 25, 18)
+	extended := 0
 	for _, m := range env.Models() {
 		inv := index.Build(m.DS)
 		q := env.Query(m, 8)
@@ -170,16 +173,31 @@ func TestBuildPlanPredictsCandidates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
-		cands := plan.Candidates(inv, nil)
-		if len(cands) != plan.PredictedCandidates {
-			t.Fatalf("%s: predicted %d candidates, generated %d", m.Name, plan.PredictedCandidates, len(cands))
+		paper := (&filter.Plan{Subseq: plan.Subseq, Neighbors: plan.Neighbors}).Candidates(inv, nil)
+		if len(paper) != plan.PredictedCandidates {
+			t.Fatalf("%s: predicted %d candidates, generated %d", m.Name, plan.PredictedCandidates, len(paper))
 		}
 		if plan.CSum < tau {
 			t.Fatalf("%s: c(Q') = %v < τ = %v", m.Name, plan.CSum, tau)
 		}
+		cands := plan.Candidates(inv, nil)
+		if len(plan.Extra) > 0 {
+			extended++
+		}
+		if len(cands) > plan.PredictedCandidates || len(cands)+plan.PrunedCandidates != plan.PredictedCandidates {
+			t.Fatalf("%s: %d candidates and %d pruned of %d predicted", m.Name, len(cands), plan.PrunedCandidates, plan.PredictedCandidates)
+		}
+		rest := paper
+		for _, c := range cands {
+			i := slices.Index(rest, c)
+			if i < 0 {
+				t.Fatalf("%s: candidate %+v is not in the paper's set, or out of its order", m.Name, c)
+			}
+			rest = rest[i+1:]
+		}
 		// Every candidate must actually reference a matching symbol in
 		// its trajectory.
-		for _, c := range cands {
+		for _, c := range paper {
 			p := m.DS.Path(c.ID)
 			if int(c.Pos) >= len(p) {
 				t.Fatalf("%s: candidate position out of range", m.Name)
@@ -196,6 +214,9 @@ func TestBuildPlanPredictsCandidates(t *testing.T) {
 				t.Fatalf("%s: candidate symbol %d not in B(Q[%d])", m.Name, sym, c.IQ)
 			}
 		}
+	}
+	if extended == 0 {
+		t.Fatal("no plan was extended")
 	}
 }
 

@@ -11,10 +11,13 @@ import (
 // part of an index view — a base, or the delta beside it — so the filter
 // layer is agnostic to how the postings are stored.
 type PostingSource interface {
-	// Postings returns the postings list L_q (shared; do not modify).
+	// Postings returns the postings list L_q (shared; do not modify). A
+	// compact source decodes it into one buffer of its own, so the slice
+	// is valid only until the source's next call.
 	Postings(q traj.Symbol) []Posting
 	// PostingsInWindow returns the postings of q whose trajectory departs
-	// in [lo, hi] (requires the temporal order to have been built).
+	// in [lo, hi] (requires the temporal order to have been built); valid,
+	// like Postings, until the source's next call.
 	PostingsInWindow(q traj.Symbol, lo, hi float64) []Posting
 	// IntervalOverlaps reports whether trajectory id's [departure,
 	// arrival] interval intersects [lo, hi].

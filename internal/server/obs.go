@@ -349,7 +349,10 @@ func attachStatSpans(tr *obs.Trace, eng *obs.Span, qs *core.QueryStats) {
 		add("filter", qs.LookupTime)
 	}
 	if qs.VerifyTime > 0 {
-		add("verify", qs.VerifyTime).SetAttr("candidates", qs.Candidates)
+		v := add("verify", qs.VerifyTime)
+		v.SetAttr("candidates", qs.Candidates)
+		v.SetAttr("pruned_trajectories", qs.TrajPruned)
+		v.SetAttr("pruned_candidates", qs.CandidatesPruned)
 	}
 	if qs.TrajQueued > 0 {
 		// The driver's work is the three spans above; this one says how

@@ -27,8 +27,10 @@ import (
 
 // newObsServer builds a server over a workload big enough that searches
 // take real (sub-millisecond-plus) time, so span-sum checks are not
-// dominated by microsecond rounding. Its queries stay under the engine's
-// fan-out threshold; TestTraceSpansSumSharded brings its own dataset.
+// dominated by microsecond rounding — at τ_ratio 0.7: the
+// trajectory-level pre-filter leaves its 0.35 query about 0.1 ms. Its
+// queries stay under the engine's fan-out threshold;
+// TestTraceSpansSumSharded brings its own dataset.
 func newObsServer(t testing.TB, cfg Config) (*Server, *httptest.Server, []traj.Symbol) {
 	t.Helper()
 	w := workload.Generate(workload.Config{
@@ -48,9 +50,9 @@ func newObsServer(t testing.TB, cfg Config) (*Server, *httptest.Server, []traj.S
 }
 
 // searchTrace runs one ?debug=trace search and returns its span tree.
-func searchTrace(t *testing.T, url string, q []traj.Symbol) *obs.SpanJSON {
+func searchTrace(t *testing.T, url string, q []traj.Symbol, ratio float64) *obs.SpanJSON {
 	t.Helper()
-	resp, out := post(t, url+"/v1/search?debug=trace", map[string]any{"q": q, "tau_ratio": 0.35})
+	resp, out := post(t, url+"/v1/search?debug=trace", map[string]any{"q": q, "tau_ratio": ratio})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search: status %d, body %v", resp.StatusCode, out)
 	}
@@ -96,12 +98,12 @@ func spanSumErr(tree *obs.SpanJSON) error {
 // single-CPU test box the goroutine can lose the processor for tens of
 // microseconds between spans, so one trace is allowed to be unlucky —
 // but the contract must hold within three.
-func checkSpanSum(t *testing.T, ts string, q []traj.Symbol) *obs.SpanJSON {
+func checkSpanSum(t *testing.T, ts string, q []traj.Symbol, ratio float64) *obs.SpanJSON {
 	t.Helper()
 	var tree *obs.SpanJSON
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		tree = searchTrace(t, ts, q)
+		tree = searchTrace(t, ts, q, ratio)
 		if err = spanSumErr(tree); err == nil {
 			break
 		}
@@ -133,7 +135,7 @@ func findChild(s *obs.SpanJSON, name string) *obs.SpanJSON {
 
 func TestTraceSpansSumSequential(t *testing.T) {
 	_, ts, q := newObsServer(t, Config{CacheSize: -1, MaxConcurrent: 4, MaxParallelism: 1})
-	tree := checkSpanSum(t, ts.URL, q)
+	tree := checkSpanSum(t, ts.URL, q, 0.7)
 	eng := findChild(tree, "engine")
 	if eng == nil {
 		t.Fatal("no engine span")
@@ -162,7 +164,7 @@ func TestTraceSpansSumSequential(t *testing.T) {
 func TestTraceSpansSumSharded(t *testing.T) {
 	w := fanOutWorkload()
 	_, ts := newPoolServer(t, w, 8, 4)
-	tree := checkSpanSum(t, ts.URL, sampleQuery(t, w.Data, fanOutQueryLen, 3))
+	tree := checkSpanSum(t, ts.URL, sampleQuery(t, w.Data, fanOutQueryLen, 3), fanOutTauRatio)
 	eng := findChild(tree, "engine")
 	if eng == nil {
 		t.Fatal("no engine span")
@@ -174,8 +176,8 @@ func TestTraceSpansSumSharded(t *testing.T) {
 
 func TestTraceCacheHitSpan(t *testing.T) {
 	_, ts, q := newObsServer(t, Config{CacheSize: 16, MaxConcurrent: 4})
-	searchTrace(t, ts.URL, q)                 // populate
-	tree := searchTrace(t, ts.URL, q)         // hit
+	searchTrace(t, ts.URL, q, 0.35)           // populate
+	tree := searchTrace(t, ts.URL, q, 0.35)   // hit
 	lookup := findChild(tree, "cache_lookup") // hit attr set on the lookup span
 	if lookup == nil {
 		t.Fatal("no cache_lookup span")

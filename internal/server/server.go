@@ -171,6 +171,7 @@ type counters struct {
 	executed                                             atomic.Int64 // engine-run (non-cached) queries
 
 	candidates, matches                    atomic.Int64
+	trajPruned, candidatesPruned           atomic.Int64
 	minCandNS, lookupNS, verifyNS          atomic.Int64
 	columnsVisited, columnsAvail, stepDPs  atomic.Int64
 	cellsComputed, cellsAvail              atomic.Int64
@@ -269,6 +270,11 @@ type queryStatsJSON struct {
 	MinCandNS  int64 `json:"mincand_ns"`
 	LookupNS   int64 `json:"lookup_ns"`
 	VerifyNS   int64 `json:"verify_ns"`
+	// The trajectory-level pre-filter: |Q⁺|, and the trajectories and
+	// candidates it dropped before verification.
+	PlusLen            int `json:"plus_len"`
+	PrunedTrajectories int `json:"pruned_trajectories"`
+	PrunedCandidates   int `json:"pruned_candidates"`
 	// Top-k driver fields (absent for plain searches): trajectories put
 	// on the best-first queue, those verified at least once, and how often
 	// one went back on the queue under a tighter bound.
@@ -610,14 +616,17 @@ func (s *Server) execute(ctx context.Context, req *queryRequest) (*queryResponse
 	attachMatchMeta(resp, req, matched)
 	if qstats != nil {
 		resp.Stats = &queryStatsJSON{
-			SubseqLen:  qstats.SubseqLen,
-			Candidates: qstats.Candidates,
-			MinCandNS:  qstats.MinCandTime.Nanoseconds(),
-			LookupNS:   qstats.LookupTime.Nanoseconds(),
-			VerifyNS:   qstats.VerifyTime.Nanoseconds(),
-			Queued:     qstats.TrajQueued,
-			Verified:   qstats.TrajVerified,
-			Requeues:   qstats.Requeues,
+			SubseqLen:          qstats.SubseqLen,
+			Candidates:         qstats.Candidates,
+			PlusLen:            qstats.PlusLen,
+			PrunedTrajectories: qstats.TrajPruned,
+			PrunedCandidates:   qstats.CandidatesPruned,
+			MinCandNS:          qstats.MinCandTime.Nanoseconds(),
+			LookupNS:           qstats.LookupTime.Nanoseconds(),
+			VerifyNS:           qstats.VerifyTime.Nanoseconds(),
+			Queued:             qstats.TrajQueued,
+			Verified:           qstats.TrajVerified,
+			Requeues:           qstats.Requeues,
 		}
 	}
 	return resp, nil
@@ -639,6 +648,8 @@ func (s *Server) recordQueryStats(qs *core.QueryStats) {
 		s.stats.parallelQueries.Add(1)
 	}
 	s.stats.candidates.Add(int64(qs.Candidates))
+	s.stats.trajPruned.Add(int64(qs.TrajPruned))
+	s.stats.candidatesPruned.Add(int64(qs.CandidatesPruned))
 	s.stats.minCandNS.Add(qs.MinCandTime.Nanoseconds())
 	s.stats.lookupNS.Add(qs.LookupTime.Nanoseconds())
 	s.stats.verifyNS.Add(qs.VerifyTime.Nanoseconds())
@@ -887,6 +898,10 @@ type StatsSnapshot struct {
 		ColumnsVisited   int64 `json:"columns_visited"`
 		ColumnsAvailable int64 `json:"columns_available"`
 		StepDPCalls      int64 `json:"step_dp_calls"`
+		// What the trajectory-level pre-filter dropped before any DP,
+		// summed: trajectories, and the candidates they would have brought.
+		PrunedTrajectories int64 `json:"pruned_trajectories"`
+		PrunedCandidates   int64 `json:"pruned_candidates"`
 		// CellsComputed/CellsAvailable are the cell-level band counters
 		// of the τ-banded verification; BandRatio is their quotient (the
 		// fraction of DP cells the banded columns actually evaluated).
@@ -997,6 +1012,8 @@ func (s *Server) Snapshot() StatsSnapshot {
 	}
 	out.Totals.Executed = s.stats.executed.Load()
 	out.Totals.Candidates = s.stats.candidates.Load()
+	out.Totals.PrunedTrajectories = s.stats.trajPruned.Load()
+	out.Totals.PrunedCandidates = s.stats.candidatesPruned.Load()
 	out.Totals.Matches = s.stats.matches.Load()
 	out.Totals.MinCandNS = s.stats.minCandNS.Load()
 	out.Totals.LookupNS = s.stats.lookupNS.Load()

@@ -16,9 +16,10 @@ import (
 // its estimated work pays for it, so the two differ for most queries.
 
 // fanOutWorkload is a dataset big enough that fanOutQuery — 20 symbols at
-// τ_ratio 0.3 under Lev — yields a few thousand candidates: several times
-// the work the engine wants per worker, so it takes every worker offered.
-// Built once; tests only read it.
+// τ_ratio 0.8 under Lev — keeps a few thousand candidates after the
+// trajectory-level pre-filter: several times the work the engine wants per
+// worker, so it takes every worker offered. (At 0.3 the pre-filter leaves
+// under a hundred of its 3,000.) Built once; tests only read it.
 var fanOutWorkload = sync.OnceValue(func() *workload.Workload {
 	cfg := workload.Tiny(7)
 	cfg.NumTrajectories = 4000
@@ -27,7 +28,7 @@ var fanOutWorkload = sync.OnceValue(func() *workload.Workload {
 
 const (
 	fanOutQueryLen = 20
-	fanOutTauRatio = 0.3
+	fanOutTauRatio = 0.8
 )
 
 // newPoolServer builds a server over w with the given pool size and
