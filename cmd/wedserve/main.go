@@ -12,7 +12,7 @@
 //	         [-wal-sync-interval 100ms] [-checkpoint-bytes 67108864]
 //	         [-compact-appends 4096] [-request-timeout 0] [-queue-wait 1s]
 //	         [-max-parallelism 0] [-gps-sigma 20] [-gps-beta 50]
-//	         [-slow-query 250ms] [-trace-buffer 64] [-no-metrics]
+//	         [-slow-query 250ms] [-trace-buffer 64]
 //	         [-debug-addr localhost:6060]
 //
 // Endpoints (all JSON; see internal/server for the full shapes):
@@ -38,9 +38,9 @@
 // endpoint embeds the request's span tree in the response.
 //
 // Observability knobs: -slow-query sets the slow-query log threshold,
-// -trace-buffer the /v1/debug/traces retention, -no-metrics disables the
-// /metrics registry, and -debug-addr starts a second listener serving
-// net/http/pprof (kept off the public address on purpose).
+// -trace-buffer the /v1/debug/traces retention, and -debug-addr starts a
+// second listener serving net/http/pprof (kept off the public address on
+// purpose). /metrics and /v1/stats are always on: they read one registry.
 //
 // Durability: -wal-dir enables crash-safe ingest. Every /v1/append is
 // written to a CRC-framed write-ahead log before it is applied, fsynced
@@ -103,7 +103,6 @@ func main() {
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 		slowQuery   = flag.Duration("slow-query", 250*time.Millisecond, "slow-query log threshold (negative disables)")
 		traceBuffer = flag.Int("trace-buffer", 64, "slow-query traces retained by /v1/debug/traces (negative disables)")
-		noMetrics   = flag.Bool("no-metrics", false, "disable the /metrics registry (no-op metric handles)")
 		debugAddr   = flag.String("debug-addr", "", "if set, serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
@@ -221,7 +220,6 @@ func main() {
 		QueueWait:      *queueWait,
 		SlowQuery:      *slowQuery,
 		TraceBuffer:    *traceBuffer,
-		DisableMetrics: *noMetrics,
 		Logger:         logger,
 	}
 	if *gpsSigma > 0 {

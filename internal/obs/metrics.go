@@ -12,9 +12,7 @@
 //
 // Every metric handle is nil-safe: methods on a nil *Counter, *Gauge, or
 // *Histogram are no-ops, and a nil *Registry hands out nil handles. A
-// caller that wants metrics off entirely just keeps a nil registry, which
-// is also the baseline the "< 3% overhead" acceptance benchmark compares
-// against.
+// caller that wants metrics off entirely just keeps a nil registry.
 package obs
 
 import (
@@ -293,8 +291,9 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 }
 
 // CounterFunc registers a counter whose value is read from f at scrape
-// time — the bridge from pre-existing atomic counters (the server's
-// request totals) so /metrics and /v1/stats share one source of truth.
+// time — the bridge from a count another type owns (a cache's hits, a
+// write-ahead log's fsyncs), so the registry renders it without keeping
+// a second copy.
 func (r *Registry) CounterFunc(name, help string, labels Labels, f func() float64) {
 	if r == nil {
 		return

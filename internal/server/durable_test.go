@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"subtraj/internal/mapmatch"
 	"subtraj/internal/traj"
 	"subtraj/internal/wal"
 	"subtraj/internal/wed"
@@ -292,33 +293,50 @@ func TestAppendFailsWhenWALBroken(t *testing.T) {
 	}
 }
 
+type postCase struct {
+	path string
+	body map[string]any
+}
+
+// admissionCases are one engine query and one map-matching request: both
+// go through the server's single pool admission, so both must be shed
+// and time out alike.
+func admissionCases(t *testing.T, w *workload.Workload) []postCase {
+	return []postCase{
+		{"/v1/search", map[string]any{"q": sampleQuery(t, w.Data, 6, 3), "tau_ratio": 0.2}},
+		{"/v1/match", map[string]any{"trace": [][2]float64{{0, 0}, {100, 0}}}},
+	}
+}
+
 // TestPoolShedding: a saturated pool sheds queued requests with a fast
-// 503 + Retry-After instead of pinning them behind an unbounded queue.
+// 503 + Retry-After instead of pinning them behind an unbounded queue —
+// engine queries and map matching alike.
 func TestPoolShedding(t *testing.T) {
 	safe, w := newTestEngine(t)
 	srv := New(safe, Config{CacheSize: -1, MaxConcurrent: 1, QueueWait: 5 * time.Millisecond,
-		MaxSymbol: int32(w.Graph.NumVertices())})
+		MaxSymbol: int32(w.Graph.NumVertices()), Matcher: mapmatch.New(w.Graph, mapmatch.Config{})})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Occupy the only slot directly, then watch a request shed.
+	// Occupy the only slot directly, then watch requests shed.
 	if err := srv.pool.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.pool.release()
-	q := sampleQuery(t, w.Data, 6, 3)
-	resp, out := post(t, ts.URL+"/v1/search", map[string]any{"q": q, "tau_ratio": 0.2})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503 (body %v)", resp.StatusCode, out)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed response missing Retry-After")
-	}
-	if got := srv.pool.shed.Load(); got != 1 {
-		t.Fatalf("shed counter = %d, want 1", got)
-	}
-	if srv.Snapshot().Pool.Shed != 1 {
-		t.Fatal("shed not visible in /v1/stats")
+	for i, c := range admissionCases(t, w) {
+		resp, out := post(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d, want 503 (body %v)", c.path, resp.StatusCode, out)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: shed response missing Retry-After", c.path)
+		}
+		if got := srv.pool.shed.Load(); got != int64(i+1) {
+			t.Fatalf("%s: shed counter = %d, want %d", c.path, got, i+1)
+		}
+		if srv.Snapshot().Pool.Shed != int64(i+1) {
+			t.Fatalf("%s: shed not visible in /v1/stats", c.path)
+		}
 	}
 }
 
@@ -340,7 +358,7 @@ func TestPanicRecoveredTo500(t *testing.T) {
 	if id := rec.Header().Get("X-Request-ID"); id == "" {
 		t.Fatal("panic response lost the request ID header")
 	}
-	if got := srv.stats.panics.Load(); got != 1 {
+	if got := srv.metrics.panics.Value(); got != 1 {
 		t.Fatalf("panics counter = %d, want 1", got)
 	}
 	// A second request goes through normally: nothing was poisoned.
@@ -351,18 +369,20 @@ func TestPanicRecoveredTo500(t *testing.T) {
 	}
 }
 
-// TestRequestTimeoutMapsTo504: an expired request deadline reaches the
-// engine's cancellation points and comes back as 504, not 500.
+// TestRequestTimeoutMapsTo504: an expired request deadline comes back as
+// 504, not 500 or 503 — whether it is caught at admission or at the
+// engine's cancellation points, and for map matching as for queries.
 func TestRequestTimeoutMapsTo504(t *testing.T) {
 	safe, w := newTestEngine(t)
 	srv := New(safe, Config{CacheSize: -1, MaxConcurrent: 4, RequestTimeout: time.Nanosecond,
-		MaxSymbol: int32(w.Graph.NumVertices())})
+		MaxSymbol: int32(w.Graph.NumVertices()), Matcher: mapmatch.New(w.Graph, mapmatch.Config{})})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	q := sampleQuery(t, w.Data, 6, 3)
-	resp, out := post(t, ts.URL+"/v1/search", map[string]any{"q": q, "tau_ratio": 0.2})
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504 (body %v)", resp.StatusCode, out)
+	for _, c := range admissionCases(t, w) {
+		resp, out := post(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status %d, want 504 (body %v)", c.path, resp.StatusCode, out)
+		}
 	}
 }
 

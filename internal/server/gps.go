@@ -2,14 +2,12 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
-	"time"
 
 	"subtraj/internal/geo"
 	"subtraj/internal/mapmatch"
+	"subtraj/internal/obs"
 	"subtraj/internal/traj"
 )
 
@@ -25,27 +23,11 @@ import (
 // traffic cannot oversubscribe the engine; matcher outcomes (matched /
 // failed / split, match latency) feed the /v1/stats GPS block.
 
-// tracePoint is one GPS sample, wire format [x, y] (planar metres, same
-// coordinate system as the road network).
-type tracePoint [2]float64
-
-// UnmarshalJSON rejects samples that are not exactly [x, y]: the default
-// array decoding would silently zero-fill [x] and truncate
-// [x, y, timestamp], map-matching garbage coordinates instead of
-// erroring.
-func (t *tracePoint) UnmarshalJSON(b []byte) error {
-	var raw []float64
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	if len(raw) != 2 {
-		return fmt.Errorf("GPS sample must be [x, y], got %d elements", len(raw))
-	}
-	t[0], t[1] = raw[0], raw[1]
-	return nil
-}
-
-func tracePoints(ts []tracePoint) []geo.Point {
+// A raw GPS trace is [[x, y], ...] on the wire: planar metres, the road
+// network's coordinate system. checkTrace holds every sample to exactly
+// [x, y] — decoding alone would accept [x] or [x, y, timestamp] — so
+// tracePoints may index both coordinates.
+func tracePoints(ts [][]float64) []geo.Point {
 	out := make([]geo.Point, len(ts))
 	for i, t := range ts {
 		out[i] = geo.Point{X: t[0], Y: t[1]}
@@ -56,48 +38,28 @@ func tracePoints(ts []tracePoint) []geo.Point {
 // errGPSDisabled answers GPS requests on servers built without a matcher.
 var errGPSDisabled = &httpError{code: http.StatusNotImplemented, msg: "GPS matching not enabled (server built without a matcher)"}
 
-// validateTrace bounds a raw trace before matching.
-func (s *Server) validateTrace(trace []tracePoint) error {
-	if s.matcher == nil {
-		return errGPSDisabled
-	}
-	if len(trace) == 0 {
-		return badRequest("empty trace")
-	}
-	if len(trace) > s.cfg.MaxTraceLen {
-		return badRequest("trace of %d samples exceeds limit %d", len(trace), s.cfg.MaxTraceLen)
-	}
-	return nil
-}
-
-// matchTrace runs the matcher inside a worker-pool slot and records the
-// GPS counters. The returned result is already stats-accounted.
-func (s *Server) matchTrace(ctx context.Context, trace []tracePoint) (mapmatch.Result, error) {
+// matchTrace admits the matcher to a worker-pool slot, runs it, and
+// records the GPS counters. The match stage is the matcher's own wall
+// time, not worker-pool queueing.
+func (s *Server) matchTrace(ctx context.Context, trace [][]float64) (mapmatch.Result, error) {
 	var (
-		res     mapmatch.Result
-		merr    error
-		elapsed time.Duration
+		res  mapmatch.Result
+		merr error
 	)
-	perr := s.pool.do(ctx, func() {
-		// Time inside the slot: match_ns is matcher wall-clock, not
-		// worker-pool queueing.
-		start := time.Now()
+	if err := s.admit(ctx, false, func(int) {
 		res, merr = s.matcher.MatchTrace(tracePoints(trace))
-		elapsed = time.Since(start)
-	})
-	if perr != nil {
-		return res, &httpError{code: http.StatusServiceUnavailable, msg: perr.Error()}
+	}); err != nil {
+		return res, err
 	}
-	s.stats.matchNS.Add(elapsed.Nanoseconds())
-	s.metrics.stageMatch.Observe(elapsed.Seconds())
+	s.metrics.stageMatch.Observe(res.Elapsed.Seconds())
 	if merr != nil {
-		s.stats.tracesFailed.Add(1)
+		s.metrics.tracesFailed.Inc()
 		return res, badRequest("map matching failed: %v", merr)
 	}
-	s.stats.tracesMatched.Add(1)
+	s.metrics.tracesMatched.Inc()
 	s.metrics.matchConfidence.Observe(res.Confidence)
 	if res.Splits > 0 {
-		s.stats.tracesSplit.Add(1)
+		s.metrics.tracesSplit.Inc()
 	}
 	return res, nil
 }
@@ -114,42 +76,38 @@ func (s *Server) segmentSymbols(path []int32) ([]traj.Symbol, error) {
 	if err != nil {
 		// Matched segments are connected by construction; a failure here
 		// means the matcher and engine disagree about the network.
-		return nil, &httpError{code: http.StatusInternalServerError, msg: "matched path not convertible: " + err.Error()}
+		return nil, fmt.Errorf("matched path not convertible: %w", err)
 	}
 	return edges, nil
 }
 
-// resolveTrace turns a query request's raw trace into symbols in req.Q
-// (the longest matched segment; the whole path when the match is
-// split-free) and returns the match metadata for the response.
+// resolveTrace map-matches a query's raw trace and puts the symbols of
+// its longest matched segment (the whole path when the match is
+// split-free) in req.Q; the match metadata goes into the response. It is
+// the request's resolve_trace span, with the matcher's own wall time
+// nested under it (the remainder is pool queueing plus symbol
+// conversion).
 func (s *Server) resolveTrace(ctx context.Context, req *queryRequest) (*mapmatch.Result, error) {
-	if len(req.Q) > 0 {
-		return nil, badRequest("q and trace are mutually exclusive")
-	}
-	if err := s.validateTrace(req.Trace); err != nil {
-		return nil, err
-	}
+	tr := obs.FromContext(ctx)
+	rt := tr.StartSpan(nil, "resolve_trace")
+	defer rt.End()
 	res, err := s.matchTrace(ctx, req.Trace)
 	if err != nil {
 		return nil, err
 	}
-	s.stats.traceQueries.Add(1)
+	tr.AddSpan(rt, "map_match", res.Elapsed).SetAttr("confidence", res.Confidence)
+	s.metrics.traceQueries.Inc()
 	path, _ := res.Path()
-	syms, err := s.segmentSymbols(path)
-	if err != nil {
+	if req.Q, err = s.segmentSymbols(path); err != nil {
 		return nil, err
 	}
-	if len(syms) == 0 {
-		return nil, badRequest("trace matched to an empty path")
-	}
-	req.Q = syms
 	return &res, nil
 }
 
 // --- /v1/match ------------------------------------------------------------
 
 type matchRequest struct {
-	Trace []tracePoint `json:"trace"`
+	Trace [][]float64 `json:"trace"`
 }
 
 type matchSegmentJSON struct {
@@ -168,43 +126,38 @@ type matchResponse struct {
 	Splits     int                `json:"splits"`
 }
 
-func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	s.stats.match.Add(1)
-	var req matchRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	if err := s.validateTrace(req.Trace); err != nil {
-		s.fail(w, err)
-		return
+func (s *Server) match(r *http.Request, req *matchRequest) (any, error) {
+	if err := s.checkTrace(req.Trace); err != nil {
+		return nil, err
 	}
 	res, err := s.matchTrace(r.Context(), req.Trace)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return nil, err
 	}
-	resp := matchResponse{Confidence: res.Confidence, Splits: res.Splits}
-	for _, seg := range res.Segments {
-		syms, serr := s.segmentSymbols(seg.Path)
-		if serr != nil {
-			s.fail(w, serr)
-			return
+	segs, err := s.segments(res)
+	if err != nil {
+		return nil, err
+	}
+	return matchResponse{Segments: segs, Confidence: res.Confidence, Splits: res.Splits}, nil
+}
+
+// segments converts every matched segment into the engine's alphabet.
+func (s *Server) segments(res mapmatch.Result) ([]matchSegmentJSON, error) {
+	out := make([]matchSegmentJSON, len(res.Segments))
+	for i, seg := range res.Segments {
+		syms, err := s.segmentSymbols(seg.Path)
+		if err != nil {
+			return nil, err
 		}
-		resp.Segments = append(resp.Segments, matchSegmentJSON{
-			Symbols:    syms,
-			First:      seg.First,
-			Last:       seg.Last,
-			Confidence: seg.Confidence,
-		})
+		out[i] = matchSegmentJSON{Symbols: syms, First: seg.First, Last: seg.Last, Confidence: seg.Confidence}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return out, nil
 }
 
 // --- /v1/ingest -----------------------------------------------------------
 
 type ingestRequest struct {
-	Traces [][]tracePoint `json:"traces"`
+	Traces [][][]float64 `json:"traces"`
 }
 
 type ingestItemResponse struct {
@@ -225,92 +178,57 @@ type ingestResponse struct {
 	Generation uint64 `json:"generation"`
 }
 
-// handleIngest matches a batch of raw traces and appends every matched
-// segment as a new trajectory. Matching fans out through the worker pool
-// (bounded like every other engine operation); each trace's segments are
-// appended under one write-lock acquisition. One unmatched trace fails
-// alone, not the batch.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s.stats.ingest.Add(1)
-	var req ingestRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
+// ingest matches a batch of raw traces and appends every matched segment
+// as a new trajectory. Each trace is one item: matched in its own pool
+// slot, its segments appended under one ingest-mutex acquisition, and an
+// unmatched trace fails alone, not the batch.
+func (s *Server) ingest(r *http.Request, req *ingestRequest) (any, error) {
 	if s.matcher == nil {
-		s.fail(w, errGPSDisabled)
-		return
+		return nil, errGPSDisabled
 	}
-	if len(req.Traces) == 0 {
-		s.fail(w, badRequest("empty ingest batch"))
-		return
+	if err := checkLen("ingest batch", "traces", len(req.Traces), s.cfg.MaxBatch); err != nil {
+		return nil, err
 	}
-	if len(req.Traces) > s.cfg.MaxBatch {
-		s.fail(w, badRequest("ingest batch of %d traces exceeds limit %d", len(req.Traces), s.cfg.MaxBatch))
-		return
+	resp := ingestResponse{Results: make([]ingestItemResponse, len(req.Traces))}
+	msgs := s.items(r.Context(), "ingest", len(req.Traces), func(i int) error {
+		return s.ingestOne(r.Context(), req.Traces[i], &resp.Results[i])
+	})
+	for i, msg := range msgs {
+		resp.Results[i].Error = msg
+		resp.Appended += len(resp.Results[i].IDs)
 	}
-	results := make([]ingestItemResponse, len(req.Traces))
-	var wg sync.WaitGroup
-	for i := range req.Traces {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					s.recordPanic(r.Context(), "ingest", i, p)
-					results[i].Error = "internal error during ingest"
-				}
-			}()
-			results[i] = s.ingestOne(r.Context(), req.Traces[i])
-			if results[i].Error != "" {
-				s.stats.errors.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	resp := ingestResponse{Results: results, Generation: s.eng.Generation()}
-	for i := range results {
-		resp.Appended += len(results[i].IDs)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	resp.Generation = s.eng.Generation()
+	return resp, nil
 }
 
 // ingestOne matches one trace and appends its usable segments.
-func (s *Server) ingestOne(ctx context.Context, trace []tracePoint) ingestItemResponse {
-	var item ingestItemResponse
-	if err := s.validateTrace(trace); err != nil {
-		item.Error = err.Error()
-		return item
+func (s *Server) ingestOne(ctx context.Context, trace [][]float64, item *ingestItemResponse) error {
+	if err := s.checkTrace(trace); err != nil {
+		return err
 	}
 	res, err := s.matchTrace(ctx, trace)
 	if err != nil {
-		item.Error = err.Error()
-		return item
+		return err
 	}
-	item.Confidence = res.Confidence
-	item.Splits = res.Splits
+	item.Confidence, item.Splits = res.Confidence, res.Splits
+	segs, err := s.segments(res)
+	if err != nil {
+		return err
+	}
 	var trajs []traj.Trajectory
-	for _, seg := range res.Segments {
-		syms, serr := s.segmentSymbols(seg.Path)
-		if serr != nil {
-			item.Error = serr.Error()
-			return item
-		}
+	for _, seg := range segs {
 		// Indexing needs at least one symbol, and single-vertex paths
 		// carry no route information worth storing.
-		if len(syms) == 0 || (s.eng.Unsafe().Dataset().Rep == traj.VertexRep && len(syms) < 2) {
+		if len(seg.Symbols) == 0 || (s.eng.Unsafe().Dataset().Rep == traj.VertexRep && len(seg.Symbols) < 2) {
 			item.Skipped++
 			continue
 		}
-		trajs = append(trajs, traj.Trajectory{Path: append([]traj.Symbol(nil), syms...)})
+		trajs = append(trajs, traj.Trajectory{Path: append([]traj.Symbol(nil), seg.Symbols...)})
 	}
-	ids, err := s.eng.AppendBatch(trajs)
-	if err != nil {
-		// WAL failure: the whole batch was rejected atomically.
-		item.Error = err.Error()
-		return item
+	// A WAL failure rejects the whole trace's segments atomically.
+	if item.IDs, err = s.eng.AppendBatch(trajs); err != nil {
+		return err
 	}
-	item.IDs = ids
-	s.stats.segmentsAppended.Add(int64(len(item.IDs)))
-	return item
+	s.metrics.segmentsAppended.Add(int64(len(item.IDs)))
+	return nil
 }

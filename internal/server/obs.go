@@ -16,93 +16,79 @@ import (
 // This file wires the obs package into the HTTP layer: the metric
 // registry behind GET /metrics, the per-request trace middleware, the
 // slow-query ring behind GET /v1/debug/traces, and the enriched
-// /healthz. Everything scrape-side reads the *same* atomics /v1/stats
-// reads (via CounterFunc/GaugeFunc bridges), so the two surfaces cannot
-// drift apart.
+// /healthz. The registry is the only store of the server's own counters:
+// /metrics renders it and /v1/stats reads the same handles, so the two
+// surfaces cannot drift apart.
 
-// instrumentedEndpoints lists every route the middleware wraps; each gets
-// its own request-duration histogram series.
-var instrumentedEndpoints = []string{
-	"search", "topk", "temporal", "exact", "count",
-	"append", "match", "ingest", "batch", "checkpoint",
-	"stats", "debug_traces", "healthz",
-}
-
-// serverMetrics holds the handles the request path touches directly.
-// Scrape-time bridges (request totals, cache/pool/engine gauges, band and
-// reuse ratios) live only in the registry. With Config.DisableMetrics the
-// registry is nil and every handle below is a nil no-op — the baseline
-// the instrumentation-overhead benchmark compares against.
+// serverMetrics holds the registry and the handles of every counter and
+// histogram the server itself writes, each incremented in one place.
+// State other types own — the cache, the pool, the SafeEngine and its
+// Durability — is bridged into the registry by Func series read at
+// scrape time.
 type serverMetrics struct {
 	reg *obs.Registry
 
-	reqLatency map[string]*obs.Histogram
+	// Per endpoint, registered by route and written by instrument:
+	// requests received and their end-to-end latency (cache hits
+	// included).
+	requests map[string]*obs.Counter
+	latency  map[string]*obs.Histogram
 
-	stagePlan   *obs.Histogram
-	stageFilter *obs.Histogram
-	stageVerify *obs.Histogram
-	stageMatch  *obs.Histogram
+	errors, panics, slow *obs.Counter
+	executed             *obs.Counter // queries the engine answered (record)
 
-	matchConfidence *obs.Histogram
-	walFsync        *obs.Histogram
+	// Executed queries' QueryStats, summed and distributed (record). The
+	// stage histograms' sums are the stage-time totals /v1/stats reports.
+	matches, candidates, prunedTraj, prunedCands    *obs.Counter
+	columnsVisited, columnsAvail, stepDPs           *obs.Counter
+	cellsComputed, cellsAvail                       *obs.Counter
+	shardWorkers, parallelQueries                   *obs.Counter
+	topkQueued, topkVerified, topkRequeues          *obs.Counter
+	stagePlan, stageFilter, stageVerify, stageMatch *obs.Histogram
+
+	// The GPS pipeline (gps.go).
+	tracesMatched, tracesFailed, tracesSplit *obs.Counter
+	segmentsAppended, traceQueries           *obs.Counter
+	matchConfidence                          *obs.Histogram
 }
 
 // newServerMetrics builds the registry over s. It must run after the
 // cache, pool, and engine fields are set: the Func bridges capture them.
 func newServerMetrics(s *Server) *serverMetrics {
-	m := &serverMetrics{reqLatency: make(map[string]*obs.Histogram, len(instrumentedEndpoints))}
-	if !s.cfg.DisableMetrics {
-		m.reg = obs.NewRegistry()
-	}
-	r := m.reg // nil-safe: a nil registry hands out nil handles
-
-	cf := func(c *atomic.Int64) func() float64 {
-		return func() float64 { return float64(c.Load()) }
-	}
-
-	// Request traffic. Counts bridge the same per-endpoint atomics
-	// /v1/stats reports; durations are observed by the instrument
-	// middleware on *every* request, cache hits included.
-	for _, ep := range []struct {
-		name string
-		c    *atomic.Int64
-	}{
-		{"search", &s.stats.search}, {"topk", &s.stats.topk},
-		{"temporal", &s.stats.temporal}, {"exact", &s.stats.exact},
-		{"count", &s.stats.count}, {"append", &s.stats.appendN},
-		{"match", &s.stats.match}, {"ingest", &s.stats.ingest},
-		{"batch", &s.stats.batch},
-	} {
-		r.CounterFunc("subtraj_requests_total", "Requests received per endpoint.",
-			obs.L("endpoint", ep.name), cf(ep.c))
-	}
-	r.CounterFunc("subtraj_request_errors_total", "Requests answered with an error status.",
-		nil, cf(&s.stats.errors))
-	for _, ep := range instrumentedEndpoints {
-		m.reqLatency[ep] = r.Histogram("subtraj_request_duration_seconds",
-			"End-to-end request latency per endpoint, including cache hits.",
-			obs.LatencyBuckets, obs.L("endpoint", ep))
-	}
-	r.CounterFunc("subtraj_slow_queries_total",
-		"Requests at or above the slow-query threshold.", nil, cf(&s.stats.slowQueries))
+	r := obs.NewRegistry()
+	counter := func(name, help string) *obs.Counter { return r.Counter(name, help, nil) }
+	m := &serverMetrics{reg: r, requests: map[string]*obs.Counter{}, latency: map[string]*obs.Histogram{}}
+	m.errors = counter("subtraj_request_errors_total", "Requests and batch or ingest items answered with an error.")
+	m.slow = counter("subtraj_slow_queries_total", "Requests at or above the slow-query threshold.")
 
 	// Pipeline stages — the paper's filter/verify breakdown as live
 	// distributions (plan = min-candidate computation, filter = index
 	// lookups, verify = banded DP, match = GPS map matching).
-	m.stagePlan = r.Histogram("subtraj_stage_duration_seconds",
-		"Per-query pipeline-stage duration (summed work across fan-out workers).",
-		obs.LatencyBuckets, obs.L("stage", "plan"))
-	m.stageFilter = r.Histogram("subtraj_stage_duration_seconds", "",
-		obs.LatencyBuckets, obs.L("stage", "filter"))
-	m.stageVerify = r.Histogram("subtraj_stage_duration_seconds", "",
-		obs.LatencyBuckets, obs.L("stage", "verify"))
-	m.stageMatch = r.Histogram("subtraj_stage_duration_seconds", "",
-		obs.LatencyBuckets, obs.L("stage", "match"))
+	stage := func(name string) *obs.Histogram {
+		return r.Histogram("subtraj_stage_duration_seconds",
+			"Per-query pipeline-stage duration (summed work across fan-out workers).",
+			obs.LatencyBuckets, obs.L("stage", name))
+	}
+	m.stagePlan, m.stageFilter, m.stageVerify, m.stageMatch = stage("plan"), stage("filter"), stage("verify"), stage("match")
 
-	// Engine state and efficiency ratios — identical arithmetic to the
-	// /v1/stats Totals block.
-	r.CounterFunc("subtraj_queries_executed_total",
-		"Engine-run (non-cached) queries.", nil, cf(&s.stats.executed))
+	// Engine work and efficiency ratios — the /v1/stats Totals block.
+	m.executed = counter("subtraj_queries_executed_total", "Engine-run (non-cached) queries.")
+	m.matches = counter("subtraj_matches_total", "Matches answered by executed queries.")
+	m.candidates = counter("subtraj_candidates_total", "Candidates executed queries verified.")
+	m.prunedTraj = counter("subtraj_pruned_trajectories_total",
+		"Trajectories the trajectory-level pre-filter dropped before verification.")
+	m.prunedCands = counter("subtraj_pruned_candidates_total",
+		"Candidates of the trajectories the pre-filter dropped.")
+	m.columnsVisited = counter("subtraj_columns_visited_total", "DP columns verification visited.")
+	m.columnsAvail = counter("subtraj_columns_available_total", "DP columns verification could have visited.")
+	m.stepDPs = counter("subtraj_step_dp_calls_total", "DP column steps verification computed.")
+	m.cellsComputed = counter("subtraj_cells_computed_total", "DP cells the banded verification computed.")
+	m.cellsAvail = counter("subtraj_cells_available_total", "DP cells in the full-width columns visited.")
+	m.shardWorkers = counter("subtraj_shard_workers_total", "Fan-out workers used across executed queries.")
+	m.parallelQueries = counter("subtraj_parallel_queries_total", "Executed queries that used more than one worker.")
+	m.topkQueued = counter("subtraj_topk_queued_total", "Trajectories top-k queries put on their best-first queue.")
+	m.topkVerified = counter("subtraj_topk_verified_total", "Queued trajectories top-k queries verified at least once.")
+	m.topkRequeues = counter("subtraj_topk_requeues_total", "Top-k re-queues under a tighter bound.")
 	r.GaugeFunc("subtraj_engine_generation", "Appends applied so far (cache-validity tag).",
 		nil, func() float64 { return float64(s.eng.Generation()) })
 	r.GaugeFunc("subtraj_engine_trajectories", "Indexed trajectories.",
@@ -113,23 +99,14 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.GaugeFunc("subtraj_index_bytes_per_trajectory",
 		"Index bytes divided by indexed trajectories.",
 		obs.L("backend", s.eng.IndexKind()), func() float64 {
-			if n := s.eng.NumTrajectories(); n > 0 {
-				return float64(s.eng.IndexBytes()) / float64(n)
-			}
-			return 0
+			return ratio(s.eng.IndexBytes(), int64(s.eng.NumTrajectories()))
 		})
 	r.GaugeFunc("subtraj_band_ratio",
 		"Fraction of DP cells the banded verification actually computed.",
-		nil, func() float64 {
-			return ratio(s.stats.cellsComputed.Load(), s.stats.cellsAvail.Load())
-		})
+		nil, func() float64 { return ratio(m.cellsComputed.Value(), m.cellsAvail.Value()) })
 	r.GaugeFunc("subtraj_topk_verified_ratio",
 		"Fraction of the trajectories queued by top-k queries that had to be verified.",
-		nil, func() float64 {
-			return ratio(s.stats.topkVerified.Load(), s.stats.topkQueued.Load())
-		})
-	r.CounterFunc("subtraj_shard_workers_total",
-		"Fan-out workers used across executed queries.", nil, cf(&s.stats.shardWorkers))
+		nil, func() float64 { return ratio(m.topkVerified.Value(), m.topkQueued.Value()) })
 	r.CounterFunc("subtraj_verifier_pool_gets_total",
 		"Verifier checkouts from the process-wide pool.", nil,
 		func() float64 { g, _, _ := verify.PoolStats(); return float64(g) })
@@ -141,41 +118,34 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { _, _, b := verify.PoolStats(); return float64(b) })
 
 	// Result cache.
-	r.CounterFunc("subtraj_cache_hits_total", "Result-cache hits.", nil, cf64(&s.cache.hits))
-	r.CounterFunc("subtraj_cache_misses_total", "Result-cache misses.", nil, cf64(&s.cache.misses))
-	r.CounterFunc("subtraj_cache_evictions_total", "LRU evictions.", nil, cf64(&s.cache.evictions))
+	r.CounterFunc("subtraj_cache_hits_total", "Result-cache hits.", nil, load(&s.cache.hits))
+	r.CounterFunc("subtraj_cache_misses_total", "Result-cache misses.", nil, load(&s.cache.misses))
+	r.CounterFunc("subtraj_cache_evictions_total", "LRU evictions.", nil, load(&s.cache.evictions))
 	r.CounterFunc("subtraj_cache_invalidations_total",
-		"Entries dropped because the engine generation moved.", nil, cf64(&s.cache.invalidations))
+		"Entries dropped because the engine generation moved.", nil, load(&s.cache.invalidations))
 	r.GaugeFunc("subtraj_cache_size", "Current result-cache entries.",
 		nil, func() float64 { return float64(s.cache.len()) })
 	r.GaugeFunc("subtraj_cache_hit_ratio", "Hits over lookups since start.",
 		nil, func() float64 { return ratio(s.cache.hits.Load(), s.cache.hits.Load()+s.cache.misses.Load()) })
 	r.CounterFunc("subtraj_cache_hit_queries_total",
-		"Query requests answered from the result cache.", nil, cf(&s.stats.cacheHitQueries))
+		"Query requests answered from the result cache (every cache hit is one).", nil, load(&s.cache.hits))
 
 	// Worker pool.
 	r.GaugeFunc("subtraj_pool_capacity", "Worker-pool slots.",
 		nil, func() float64 { return float64(s.pool.capacity()) })
-	r.GaugeFunc("subtraj_pool_in_flight", "Slots currently held.",
-		nil, func() float64 { return float64(s.pool.inFlight.Load()) })
-	r.CounterFunc("subtraj_pool_waited_total", "Acquisitions that had to block.",
-		nil, cf(&s.pool.waited))
+	r.GaugeFunc("subtraj_pool_in_flight", "Slots currently held.", nil, load(&s.pool.inFlight))
+	r.CounterFunc("subtraj_pool_waited_total", "Acquisitions that had to block.", nil, load(&s.pool.waited))
 	r.CounterFunc("subtraj_pool_rejected_total", "Acquisitions abandoned at the deadline.",
-		nil, cf(&s.pool.rejected))
+		nil, load(&s.pool.rejected))
 
 	// GPS pipeline.
 	r.GaugeFunc("subtraj_gps_enabled", "1 when the server was built with a map matcher.",
 		nil, func() float64 { return boolFloat(s.matcher != nil) })
-	r.CounterFunc("subtraj_gps_traces_matched_total", "Traces matched successfully.",
-		nil, cf(&s.stats.tracesMatched))
-	r.CounterFunc("subtraj_gps_traces_failed_total", "Traces the matcher rejected.",
-		nil, cf(&s.stats.tracesFailed))
-	r.CounterFunc("subtraj_gps_traces_split_total", "Matched traces that split into segments.",
-		nil, cf(&s.stats.tracesSplit))
-	r.CounterFunc("subtraj_gps_segments_appended_total", "Matched segments indexed via ingest.",
-		nil, cf(&s.stats.segmentsAppended))
-	r.CounterFunc("subtraj_gps_trace_queries_total", "Queries posed as raw GPS traces.",
-		nil, cf(&s.stats.traceQueries))
+	m.tracesMatched = counter("subtraj_gps_traces_matched_total", "Traces matched successfully.")
+	m.tracesFailed = counter("subtraj_gps_traces_failed_total", "Traces the matcher rejected.")
+	m.tracesSplit = counter("subtraj_gps_traces_split_total", "Matched traces that split into segments.")
+	m.segmentsAppended = counter("subtraj_gps_segments_appended_total", "Matched segments indexed via ingest.")
+	m.traceQueries = counter("subtraj_gps_trace_queries_total", "Queries posed as raw GPS traces.")
 	m.matchConfidence = r.Histogram("subtraj_gps_match_confidence",
 		"Per-trace map-matching confidence.", obs.RatioBuckets, nil)
 
@@ -197,9 +167,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// Robustness: overload shedding and recovered panics.
 	r.CounterFunc("subtraj_requests_shed_total",
 		"Requests shed with a fast 503 because the worker pool stayed saturated past the queue-wait bound.",
-		nil, cf(&s.pool.shed))
-	r.CounterFunc("subtraj_panics_total",
-		"Handler panics recovered into 500 responses.", nil, cf(&s.stats.panics))
+		nil, load(&s.pool.shed))
+	m.panics = counter("subtraj_panics_total", "Handler and item panics recovered into errors.")
 
 	// Durability: the write-ahead log and checkpoint state. The bridges
 	// read through s.eng.Durable() at scrape time and report zero on a
@@ -230,20 +199,19 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.GaugeFunc("subtraj_recovery_replayed_records",
 		"WAL records startup recovery applied on top of the snapshot.",
 		nil, durGauge(func(d *Durability) float64 { return float64(d.ReplayedRecords()) }))
-	m.walFsync = r.Histogram("subtraj_wal_fsync_seconds", "WAL fsync latency.",
-		obs.LatencyBuckets, nil)
+	walFsync := r.Histogram("subtraj_wal_fsync_seconds", "WAL fsync latency.", obs.LatencyBuckets, nil)
 	if d := s.eng.Durable(); d != nil {
-		d.SetFsyncObserver(m.walFsync)
+		d.SetFsyncObserver(walFsync)
 	}
 
 	r.GaugeFunc("subtraj_uptime_seconds", "Seconds since the server was built.",
-		nil, func() float64 { return time.Since(s.stats.start).Seconds() })
+		nil, func() float64 { return time.Since(s.start).Seconds() })
 
 	return m
 }
 
-// cf64 bridges an atomic.Int64 owned by another struct (cache, pool).
-func cf64(c *atomic.Int64) func() float64 {
+// load bridges an atomic.Int64 owned by the cache or the pool.
+func load(c *atomic.Int64) func() float64 {
 	return func() float64 { return float64(c.Load()) }
 }
 
@@ -256,19 +224,34 @@ func ratio(num, den int64) float64 {
 
 // --- request middleware ---------------------------------------------------
 
+// route serves h at pattern behind instrument, registering the endpoint's
+// request counter and latency histogram with it, so no endpoint is served
+// without its series. Only New calls it, before the server serves.
+func (s *Server) route(pattern, endpoint string, h http.HandlerFunc) {
+	m := s.metrics
+	m.requests[endpoint] = m.reg.Counter("subtraj_requests_total", "Requests received per endpoint.",
+		obs.L("endpoint", endpoint))
+	m.latency[endpoint] = m.reg.Histogram("subtraj_request_duration_seconds",
+		"End-to-end request latency per endpoint, including cache hits.",
+		obs.LatencyBuckets, obs.L("endpoint", endpoint))
+	s.mux.HandleFunc(pattern, s.instrument(endpoint, h))
+}
+
 // instrument wraps a handler with the per-request observability and
-// robustness spine: request ID (echoed in X-Request-ID and carried by
-// the trace), a trace in the context for the layers below to hang spans
-// on, the configured request deadline (the engine's cancellation points
-// observe it and the query answers 504), a panic backstop that converts
-// any handler panic — including one re-raised from a fan-out worker — into
-// a 500 JSON error instead of a dead process, the endpoint's latency
-// histogram (observed for every request — cache hits included, which is
-// what makes the histogram the honest end-to-end distribution), and the
-// slow-query sink (structured log line plus the debug ring).
+// robustness spine: the endpoint's request count, a request ID (echoed in
+// X-Request-ID and carried by the trace), a trace in the context for the
+// layers below to hang spans on, the configured request deadline (the
+// engine's cancellation points observe it and the query answers 504), a
+// panic backstop that converts any handler panic — including one
+// re-raised from a fan-out worker — into a 500 JSON error instead of a
+// dead process, the endpoint's latency histogram (observed for every
+// request — cache hits included, which is what makes the histogram the
+// honest end-to-end distribution), and the slow-query sink (structured
+// log line plus the debug ring).
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	lat := s.metrics.reqLatency[endpoint]
+	reqs, lat := s.metrics.requests[endpoint], s.metrics.latency[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
+		reqs.Inc()
 		id := obs.NewRequestID()
 		tr := obs.NewTrace(id, endpoint)
 		w.Header().Set("X-Request-ID", id)
@@ -286,7 +269,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 					// line the superfluous-WriteHeader log is the only
 					// casualty; the process survives either way.
 					writeJSON(w, http.StatusInternalServerError,
-						map[string]string{"error": "internal error", "request_id": id})
+						map[string]string{"error": s.errorMessage(errInternal), "request_id": id})
 				}
 			}()
 			h(w, r.WithContext(ctx))
@@ -294,7 +277,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		dur := tr.Finish()
 		lat.Observe(dur.Seconds())
 		if s.cfg.SlowQuery > 0 && dur >= s.cfg.SlowQuery {
-			s.stats.slowQueries.Add(1)
+			s.metrics.slow.Inc()
 			s.traces.Add(obs.TraceRecord{
 				RequestID: id,
 				Endpoint:  endpoint,
@@ -312,13 +295,15 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
+// errInternal is what a request whose handler panicked answers.
+var errInternal = &httpError{code: http.StatusInternalServerError, msg: "internal error"}
+
 // recordPanic is what every recover in this package does with what it
-// caught: count it (panics and errors) and log it with the stack. item is
-// the /v1/batch or /v1/ingest item whose goroutine panicked, -1 when it
-// was the handler's own.
+// caught: count it and log it with the stack (its error is counted where
+// it is answered). item is the /v1/batch or /v1/ingest item whose
+// goroutine panicked, -1 when it was the handler's own.
 func (s *Server) recordPanic(ctx context.Context, endpoint string, item int, p any) {
-	s.stats.panics.Add(1)
-	s.stats.errors.Add(1)
+	s.metrics.panics.Inc()
 	s.cfg.Logger.Error("handler panic",
 		"request_id", obs.FromContext(ctx).ID(),
 		"endpoint", endpoint,
@@ -367,8 +352,6 @@ func attachStatSpans(tr *obs.Trace, eng *obs.Span, qs *core.QueryStats) {
 // --- endpoints ------------------------------------------------------------
 
 // handleMetrics serves the registry in Prometheus text exposition format.
-// With metrics disabled the body is empty but the endpoint still answers
-// 200, so scrapers see "up with nothing to say" rather than an outage.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.reg.WriteTo(w)
@@ -382,12 +365,9 @@ type debugTracesResponse struct {
 // handleDebugTraces dumps the retained slow-query span trees, newest
 // first.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	resp := debugTracesResponse{Traces: []obs.TraceRecord{}}
-	if s.traces != nil {
-		resp.Capacity = s.cfg.TraceBuffer
-		if recs := s.traces.Snapshot(); recs != nil {
-			resp.Traces = recs
-		}
+	resp := debugTracesResponse{Capacity: max(s.cfg.TraceBuffer, 0), Traces: s.traces.Snapshot()}
+	if resp.Traces == nil {
+		resp.Traces = []obs.TraceRecord{}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -415,7 +395,7 @@ type healthResponse struct {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthResponse{
 		Status:        "ok",
-		UptimeSeconds: time.Since(s.stats.start).Seconds(),
+		UptimeSeconds: time.Since(s.start).Seconds(),
 		Generation:    s.eng.Generation(),
 		Trajectories:  s.eng.NumTrajectories(),
 		TemporalReady: s.eng.TemporalReady(),

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -19,7 +20,9 @@ import (
 	"time"
 
 	"subtraj/internal/core"
+	"subtraj/internal/mapmatch"
 	"subtraj/internal/obs"
+	"subtraj/internal/testutil"
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
 	"subtraj/internal/workload"
@@ -274,46 +277,141 @@ func bucketQuantile(samples map[string]float64, name, labels string, q float64) 
 	return bks[len(bks)-1].le
 }
 
+// TestMetricsMatchStats drives every endpoint — a cache hit, a trace
+// query, a split ingest, failing requests and items, a recovered panic,
+// slow requests — and then checks every counter /v1/stats reports against
+// its /metrics series. A counter kept in only one of the two surfaces is
+// missing from the scrape, or reads zero in /v1/stats where the traffic
+// moved it, and fails here.
 func TestMetricsMatchStats(t *testing.T) {
-	_, ts, q := newObsServer(t, Config{CacheSize: 16, MaxConcurrent: 4})
-	for i := 0; i < 3; i++ {
-		post(t, ts.URL+"/v1/search", map[string]any{"q": q, "tau_ratio": 0.35})
-	}
-	post(t, ts.URL+"/v1/search", map[string]any{"q": q, "tau_ratio": 0.35}) // cache hit
-	post(t, ts.URL+"/v1/topk", map[string]any{"q": q, "k": 3})
+	srv := New(NewSafeEngine(core.NewEngine(testutil.GoldenDataset(), wed.NewLev())), Config{
+		CacheSize: 16, MaxConcurrent: 4, SlowQuery: time.Nanosecond,
+		MaxSymbol: int32(testutil.GoldenRows * testutil.GoldenCols),
+		Matcher:   mapmatch.New(testutil.GoldenNet(), mapmatch.Config{MaxGap: 300}),
+		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
 
-	var stats StatsSnapshot
-	getJSON(t, ts.URL+"/v1/stats", &stats)
+	v := testutil.GoldenVertex
+	// Up column 3 at τ = 2 the pre-filter drops one trajectory (see
+	// TestPreFilterStatsGolden).
+	north := []any{v(5, 3), v(4, 3), v(3, 3), v(2, 3), v(1, 3)}
+	path := testutil.GoldenPaths()[2]
+	trace, _ := goldenTrace(10, 2, 1)
+	a, _ := goldenTrace(8, 0, 3)
+	b, _ := goldenTrace(8, 3, 4)
+	teleport := append(append([][2]float64{}, a...), b...) // splits in two
+	for _, c := range []postCase{
+		{"/v1/search", map[string]any{"q": north, "tau": 2}},
+		{"/v1/search", map[string]any{"q": north, "tau": 2}}, // cache hit
+		{"/v1/search", map[string]any{"trace": trace, "tau_ratio": 0.3}},
+		{"/v1/search", map[string]any{"q": path}}, // no τ: an error
+		{"/v1/topk", map[string]any{"q": path, "k": 3}},
+		{"/v1/temporal", map[string]any{"q": path, "tau_ratio": 0.3, "lo": 0, "hi": 1e12}},
+		{"/v1/exact", map[string]any{"q": path}},
+		{"/v1/count", map[string]any{"q": path}},
+		{"/v1/append", map[string]any{"path": path}},
+		{"/v1/match", map[string]any{"trace": trace}},
+		{"/v1/ingest", map[string]any{"traces": []any{teleport, [][2]float64{}}}}, // the empty trace fails alone
+		{"/v1/batch", map[string]any{"queries": []map[string]any{
+			{"kind": "count", "q": path},
+			{"kind": "search", "q": path}, // no τ: fails alone
+		}}},
+		{"/v1/checkpoint", map[string]any{}}, // a volatile engine: 501
+	} {
+		post(t, ts.URL+c.path, c.body)
+	}
+	srv.instrument("search", func(http.ResponseWriter, *http.Request) { panic("boom") })(
+		httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/search", nil))
+
+	// Scrape first: the /v1/stats request itself is slow (1 ns threshold)
+	// and counts as such only after its snapshot was taken.
 	samples := scrapeMetrics(t, ts.URL)
+	var st StatsSnapshot
+	getJSON(t, ts.URL+"/v1/stats", &st)
+
+	// Counters this traffic cannot move: the matcher rejects only empty
+	// traces, which validation rejects first; the golden queries are too
+	// small to fan out.
+	mayBeZero := map[string]bool{"subtraj_gps_traces_failed_total": true, "subtraj_parallel_queries_total": true}
+	for _, c := range []struct {
+		series string
+		stats  int64
+	}{
+		{`subtraj_requests_total{endpoint="search"}`, st.Requests.Search},
+		{`subtraj_requests_total{endpoint="topk"}`, st.Requests.TopK},
+		{`subtraj_requests_total{endpoint="temporal"}`, st.Requests.Temporal},
+		{`subtraj_requests_total{endpoint="exact"}`, st.Requests.Exact},
+		{`subtraj_requests_total{endpoint="count"}`, st.Requests.Count},
+		{`subtraj_requests_total{endpoint="append"}`, st.Requests.Append},
+		{`subtraj_requests_total{endpoint="match"}`, st.Requests.Match},
+		{`subtraj_requests_total{endpoint="ingest"}`, st.Requests.Ingest},
+		{`subtraj_requests_total{endpoint="batch"}`, st.Requests.Batch},
+		{`subtraj_requests_total{endpoint="checkpoint"}`, st.Requests.Checkpoint},
+		{"subtraj_request_errors_total", st.Requests.Errors},
+		{"subtraj_panics_total", st.Requests.Panics},
+		{"subtraj_slow_queries_total", st.Requests.Slow},
+		{"subtraj_queries_executed_total", st.Totals.Executed},
+		{"subtraj_matches_total", st.Totals.Matches},
+		{"subtraj_candidates_total", st.Totals.Candidates},
+		{"subtraj_pruned_trajectories_total", st.Totals.PrunedTrajectories},
+		{"subtraj_pruned_candidates_total", st.Totals.PrunedCandidates},
+		{"subtraj_columns_visited_total", st.Totals.ColumnsVisited},
+		{"subtraj_columns_available_total", st.Totals.ColumnsAvailable},
+		{"subtraj_step_dp_calls_total", st.Totals.StepDPCalls},
+		{"subtraj_cells_computed_total", st.Totals.CellsComputed},
+		{"subtraj_cells_available_total", st.Totals.CellsAvailable},
+		{"subtraj_shard_workers_total", st.Totals.ShardWorkers},
+		{"subtraj_parallel_queries_total", st.Totals.ParallelQueries},
+		{"subtraj_topk_queued_total", st.Totals.TopKQueued},
+		{"subtraj_topk_verified_total", st.Totals.TopKVerified},
+		{"subtraj_topk_requeues_total", st.Totals.TopKRequeues},
+		{"subtraj_gps_traces_matched_total", st.GPS.TracesMatched},
+		{"subtraj_gps_traces_failed_total", st.GPS.TracesFailed},
+		{"subtraj_gps_traces_split_total", st.GPS.TracesSplit},
+		{"subtraj_gps_segments_appended_total", st.GPS.SegmentsAppended},
+		{"subtraj_gps_trace_queries_total", st.GPS.TraceQueries},
+		{"subtraj_cache_hits_total", st.Cache.Hits},
+		{"subtraj_engine_generation", int64(st.Engine.Generation)},
+	} {
+		got, ok := samples[c.series]
+		switch {
+		case !ok:
+			t.Errorf("%s: missing from /metrics (/v1/stats has %d)", c.series, c.stats)
+		case got != float64(c.stats):
+			t.Errorf("%s: /metrics has %g, /v1/stats has %d", c.series, got, c.stats)
+		case c.stats == 0 && !mayBeZero[c.series]:
+			t.Errorf("%s: 0 in both surfaces; the traffic above should have moved it", c.series)
+		}
+	}
 
 	near := func(name string, got, want float64) {
 		t.Helper()
-		diff := got - want
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 1e-9+1e-9*want {
+		if math.Abs(got-want) > 1e-9+1e-9*want {
 			t.Errorf("%s: /metrics has %g, /v1/stats has %g", name, got, want)
 		}
 	}
-	near("band_ratio", samples["subtraj_band_ratio"], stats.Totals.BandRatio)
-	if stats.Totals.TopKQueued == 0 {
-		t.Fatal("/v1/stats: the executed top-k query queued no trajectories")
+	// Stage times live once, in the stage histograms: /v1/stats reports
+	// their sums in whole nanoseconds.
+	for stage, ns := range map[string]int64{"plan": st.Totals.MinCandNS, "filter": st.Totals.LookupNS,
+		"verify": st.Totals.VerifyNS, "match": st.GPS.MatchNS} {
+		sum := samples[`subtraj_stage_duration_seconds_sum{stage="`+stage+`"}`]
+		if ns <= 0 || math.Abs(sum*1e9-float64(ns)) > 1 {
+			t.Errorf("stage %s: /metrics sums %gs, /v1/stats %dns", stage, sum, ns)
+		}
 	}
+	near("band_ratio", samples["subtraj_band_ratio"], st.Totals.BandRatio)
 	near("topk_verified_ratio", samples["subtraj_topk_verified_ratio"],
-		float64(stats.Totals.TopKVerified)/float64(stats.Totals.TopKQueued))
-	near("cache_hit_ratio", samples["subtraj_cache_hit_ratio"], stats.Cache.HitRatio)
-	near("requests search", samples[`subtraj_requests_total{endpoint="search"}`], float64(stats.Requests.Search))
-	near("executed", samples["subtraj_queries_executed_total"], float64(stats.Totals.Executed))
-	near("cache hits", samples["subtraj_cache_hits_total"], float64(stats.Cache.Hits))
-	near("generation", samples["subtraj_engine_generation"], float64(stats.Engine.Generation))
+		float64(st.Totals.TopKVerified)/float64(st.Totals.TopKQueued))
+	near("cache_hit_ratio", samples["subtraj_cache_hit_ratio"], st.Cache.HitRatio)
 
-	lat, ok := stats.Latency["search"]
+	lat, ok := st.Latency["search"]
 	if !ok {
 		t.Fatal("/v1/stats has no latency block for search")
 	}
-	if lat.Count != stats.Requests.Search {
-		t.Errorf("latency count %d != search requests %d (cache hits must be recorded)", lat.Count, stats.Requests.Search)
+	if lat.Count != st.Requests.Search {
+		t.Errorf("latency count %d != search requests %d (cache hits must be recorded)", lat.Count, st.Requests.Search)
 	}
 	labels := `endpoint="search"`
 	for _, pq := range []struct {
@@ -321,11 +419,7 @@ func TestMetricsMatchStats(t *testing.T) {
 		want float64
 	}{{0.50, lat.P50MS}, {0.99, lat.P99MS}} {
 		got := bucketQuantile(samples, "subtraj_request_duration_seconds", labels, pq.q) * 1e3
-		diff := got - pq.want
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 1e-6+1e-6*pq.want {
+		if math.Abs(got-pq.want) > 1e-6+1e-6*pq.want {
 			t.Errorf("p%d from /metrics buckets = %gms, /v1/stats reports %gms", int(pq.q*100), got, pq.want)
 		}
 	}
@@ -361,28 +455,6 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	count := samples["subtraj_request_duration_seconds_count{"+labels+"}"]
 	if inf != count || count < 1 {
 		t.Errorf("search histogram: +Inf bucket %g, _count %g, want equal and >= 1", inf, count)
-	}
-}
-
-func TestMetricsDisabled(t *testing.T) {
-	_, ts, q := newObsServer(t, Config{CacheSize: 16, MaxConcurrent: 4, DisableMetrics: true})
-	resp, out := post(t, ts.URL+"/v1/search", map[string]any{"q": q, "tau_ratio": 0.35})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("search with metrics disabled: status %d, body %v", resp.StatusCode, out)
-	}
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if mresp.StatusCode != http.StatusOK || len(body) != 0 {
-		t.Errorf("disabled /metrics: status %d, %d bytes, want 200 and empty", mresp.StatusCode, len(body))
-	}
-	var stats StatsSnapshot
-	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if stats.Latency != nil {
-		t.Errorf("disabled metrics still report latency block: %v", stats.Latency)
 	}
 }
 
@@ -637,31 +709,25 @@ func TestHealthzFields(t *testing.T) {
 
 // --- overhead benchmark ---------------------------------------------------
 
-// BenchmarkServeSearch measures the full request path (trace middleware,
-// histograms, spans) with the registry enabled vs the nil-handle no-op
-// baseline — the acceptance bar is <3% overhead.
+// BenchmarkServeSearch measures the full request path in process: the
+// pipeline, the trace middleware, the registry's counters and histograms,
+// and the spans.
 func BenchmarkServeSearch(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
-		name := "metrics=on"
-		if disabled {
-			name = "metrics=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			srv, _, q := newObsServer(b, Config{
-				CacheSize: -1, MaxConcurrent: 4, MaxParallelism: 1,
-				DisableMetrics: disabled, SlowQuery: -1, TraceBuffer: -1,
-			})
-			body, _ := json.Marshal(map[string]any{"q": q, "tau_ratio": 0.35})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body))
-				w := httptest.NewRecorder()
-				srv.ServeHTTP(w, r)
-				if w.Code != http.StatusOK {
-					b.Fatalf("status %d: %s", w.Code, w.Body.String())
-				}
-			}
+	b.Run("metrics=on", func(b *testing.B) {
+		srv, _, q := newObsServer(b, Config{
+			CacheSize: -1, MaxConcurrent: 4, MaxParallelism: 1,
+			SlowQuery: -1, TraceBuffer: -1,
 		})
-	}
+		body, _ := json.Marshal(map[string]any{"q": q, "tau_ratio": 0.35})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body))
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, r)
+			if w.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", w.Code, w.Body.String())
+			}
+		}
+	})
 }

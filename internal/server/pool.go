@@ -48,26 +48,21 @@ func (p *workerPool) acquire(ctx context.Context) error {
 	case p.sem <- struct{}{}:
 	default:
 		p.waited.Add(1)
+		var shed <-chan time.Time // nil without a queue-wait bound: never fires
 		if p.queueWait > 0 {
 			t := time.NewTimer(p.queueWait)
 			defer t.Stop()
-			select {
-			case p.sem <- struct{}{}:
-			case <-t.C:
-				p.shed.Add(1)
-				p.rejected.Add(1)
-				return ErrPoolSaturated
-			case <-ctx.Done():
-				p.rejected.Add(1)
-				return ErrPoolSaturated
-			}
-		} else {
-			select {
-			case p.sem <- struct{}{}:
-			case <-ctx.Done():
-				p.rejected.Add(1)
-				return ErrPoolSaturated
-			}
+			shed = t.C
+		}
+		select {
+		case p.sem <- struct{}{}:
+		case <-shed:
+			p.shed.Add(1)
+			p.rejected.Add(1)
+			return ErrPoolSaturated
+		case <-ctx.Done():
+			p.rejected.Add(1)
+			return ErrPoolSaturated
 		}
 	}
 	p.inFlight.Add(1)

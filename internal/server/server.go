@@ -5,11 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"subtraj/internal/core"
@@ -84,11 +85,6 @@ type Config struct {
 	TraceBuffer int
 	// Logger receives the structured slow-query log (nil = slog.Default()).
 	Logger *slog.Logger
-	// DisableMetrics turns the /metrics registry off: every metric handle
-	// is nil (a no-op), /metrics serves an empty payload, and /v1/stats
-	// omits the latency block. This is the baseline the instrumentation-
-	// overhead benchmark compares the enabled path against.
-	DisableMetrics bool
 }
 
 func (c Config) withDefaults() Config {
@@ -146,8 +142,9 @@ func (c Config) withDefaults() Config {
 // "q" when the server was built with a map matcher.
 //
 // All request and response bodies are JSON. Client errors (malformed
-// JSON, validation failures, infeasible τ) map to 400; pool saturation
-// past the request deadline maps to 503; everything else to 500.
+// JSON, validation failures, infeasible τ) map to 400; a request shed by
+// the worker pool to 503 + Retry-After, one whose deadline expired to
+// 504; everything else to 500.
 type Server struct {
 	eng     *SafeEngine
 	cache   *resultCache
@@ -155,44 +152,9 @@ type Server struct {
 	matcher *mapmatch.Matcher
 	cfg     Config
 	mux     *http.ServeMux
-	stats   counters
+	start   time.Time
 	metrics *serverMetrics
 	traces  *obs.TraceRing
-}
-
-// counters aggregates per-endpoint request counts and the engine's
-// QueryStats instrumentation as running totals for /v1/stats.
-type counters struct {
-	start time.Time
-
-	search, topk, temporal, exact, count, appendN, batch atomic.Int64
-	match, ingest                                        atomic.Int64
-	errors                                               atomic.Int64
-	executed                                             atomic.Int64 // engine-run (non-cached) queries
-
-	candidates, matches                    atomic.Int64
-	trajPruned, candidatesPruned           atomic.Int64
-	minCandNS, lookupNS, verifyNS          atomic.Int64
-	columnsVisited, columnsAvail, stepDPs  atomic.Int64
-	cellsComputed, cellsAvail              atomic.Int64
-	shardWorkers, parallelQueries          atomic.Int64
-	topkQueued, topkVerified, topkRequeues atomic.Int64
-
-	// GPS pipeline counters (see gps.go).
-	tracesMatched, tracesFailed, tracesSplit atomic.Int64
-	segmentsAppended, traceQueries           atomic.Int64
-	matchNS                                  atomic.Int64
-
-	// cacheHitQueries counts query requests answered from the result
-	// cache (the complement of executed over query traffic); slowQueries
-	// counts requests at or above the slow-query threshold.
-	cacheHitQueries atomic.Int64
-	slowQueries     atomic.Int64
-
-	// panics counts handler panics the instrument middleware recovered
-	// into 500 responses; checkpoint counts /v1/checkpoint requests.
-	panics     atomic.Int64
-	checkpoint atomic.Int64
 }
 
 // New builds a Server over eng.
@@ -204,27 +166,25 @@ func New(eng *SafeEngine, cfg Config) *Server {
 		pool:    newWorkerPool(cfg.MaxConcurrent, cfg.QueueWait),
 		matcher: cfg.Matcher,
 		cfg:     cfg,
+		start:   time.Now(),
 	}
-	s.stats.start = time.Now()
 	if cfg.TraceBuffer > 0 {
 		s.traces = obs.NewTraceRing(cfg.TraceBuffer)
 	}
 	s.metrics = newServerMetrics(s)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/search", s.instrument("search", s.handleQuery("search", &s.stats.search)))
-	s.mux.HandleFunc("POST /v1/topk", s.instrument("topk", s.handleQuery("topk", &s.stats.topk)))
-	s.mux.HandleFunc("POST /v1/temporal", s.instrument("temporal", s.handleQuery("temporal", &s.stats.temporal)))
-	s.mux.HandleFunc("POST /v1/exact", s.instrument("exact", s.handleQuery("exact", &s.stats.exact)))
-	s.mux.HandleFunc("POST /v1/count", s.instrument("count", s.handleQuery("count", &s.stats.count)))
-	s.mux.HandleFunc("POST /v1/append", s.instrument("append", s.handleAppend))
-	s.mux.HandleFunc("POST /v1/match", s.instrument("match", s.handleMatch))
-	s.mux.HandleFunc("POST /v1/ingest", s.instrument("ingest", s.handleIngest))
-	s.mux.HandleFunc("POST /v1/batch", s.instrument("batch", s.handleBatch))
-	s.mux.HandleFunc("POST /v1/checkpoint", s.instrument("checkpoint", s.handleCheckpoint))
-	s.mux.HandleFunc("GET /v1/stats", s.instrument("stats", s.handleStats))
-	s.mux.HandleFunc("GET /v1/debug/traces", s.instrument("debug_traces", s.handleDebugTraces))
+	for _, kind := range []string{"search", "topk", "temporal", "exact", "count"} {
+		s.route("POST /v1/"+kind, kind, handle(s, s.query(kind)))
+	}
+	s.route("POST /v1/append", "append", handle(s, s.appendOne))
+	s.route("POST /v1/match", "match", handle(s, s.match))
+	s.route("POST /v1/ingest", "ingest", handle(s, s.ingest))
+	s.route("POST /v1/batch", "batch", handle(s, s.batch))
+	s.route("POST /v1/checkpoint", "checkpoint", handle(s, s.checkpoint))
+	s.route("GET /v1/stats", "stats", s.handleStats)
+	s.route("GET /v1/debug/traces", "debug_traces", s.handleDebugTraces)
+	s.route("GET /healthz", "healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	return s
 }
 
@@ -246,7 +206,7 @@ func (s *Server) Engine() *SafeEngine { return s.eng }
 type queryRequest struct {
 	Kind     string        `json:"kind,omitempty"`
 	Q        []traj.Symbol `json:"q"`
-	Trace    []tracePoint  `json:"trace,omitempty"`
+	Trace    [][]float64   `json:"trace,omitempty"`
 	Tau      float64       `json:"tau,omitempty"`
 	TauRatio float64       `json:"tau_ratio,omitempty"`
 	K        int           `json:"k,omitempty"`
@@ -255,13 +215,6 @@ type queryRequest struct {
 	Hi          float64 `json:"hi,omitempty"`
 	Mode        string  `json:"mode,omitempty"` // overlap (default) | contain | departure
 	NoPrefilter bool    `json:"no_prefilter,omitempty"`
-}
-
-type matchJSON struct {
-	ID  int32   `json:"id"`
-	S   int32   `json:"s"`
-	T   int32   `json:"t"`
-	WED float64 `json:"wed"`
 }
 
 type queryStatsJSON struct {
@@ -284,7 +237,7 @@ type queryStatsJSON struct {
 }
 
 type queryResponse struct {
-	Matches []matchJSON     `json:"matches,omitempty"`
+	Matches []traj.Match    `json:"matches,omitempty"`
 	Count   int             `json:"count"`
 	Tau     float64         `json:"tau,omitempty"` // resolved absolute τ
 	Cached  bool            `json:"cached"`
@@ -299,6 +252,29 @@ type queryResponse struct {
 	// spans carrying a "workers" attribute are summed work across
 	// fan-out workers (see internal/obs).
 	Trace *obs.SpanJSON `json:"trace,omitempty"`
+}
+
+type appendRequest struct {
+	Path  []traj.Symbol `json:"path"`
+	Times []float64     `json:"times,omitempty"`
+}
+
+type appendResponse struct {
+	ID         int32  `json:"id"`
+	Generation uint64 `json:"generation"`
+}
+
+type batchRequest struct {
+	Queries []queryRequest `json:"queries"`
+}
+
+type batchItemResponse struct {
+	*queryResponse
+	Error string `json:"error,omitempty"`
+}
+
+type batchResponse struct {
+	Results []batchItemResponse `json:"results"`
 }
 
 // httpError carries the status a handler should answer with.
@@ -316,320 +292,75 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// --- handlers ------------------------------------------------------------
+// --- the request pipeline --------------------------------------------------
+//
+// Every POST endpoint is one pass of
+//
+//	decode → validate → admit → execute → record → encode
+//
+// handle decodes and encodes; the endpoint's run function validates its
+// input against the one rule set below, admits its engine or matcher work
+// through admit, executes it and records it in the registry. /v1/batch and
+// /v1/ingest run validate → record once per item, through items.
+// instrument wraps the whole pass in the request's trace, deadline and
+// panic backstop.
 
-func (s *Server) handleQuery(kind string, counter *atomic.Int64) http.HandlerFunc {
+// handle is the pipeline's decode and encode stages around run: the body
+// is decoded into a Req (bounded by MaxBodyBytes, unknown fields
+// rejected; an empty body is the zero Req, which validation then
+// judges), run answers it, and the answer — or the error, mapped to its
+// status — is encoded as JSON.
+func handle[Req any](s *Server, run func(r *http.Request, req *Req) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		counter.Add(1)
-		tr := obs.FromContext(r.Context())
-		dec := tr.StartSpan(nil, "decode")
-		var req queryRequest
-		err := s.decode(w, r, &req)
+		dec := obs.FromContext(r.Context()).StartSpan(nil, "decode")
+		var req Req
+		d := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		d.DisallowUnknownFields()
+		err := d.Decode(&req)
 		dec.End()
+		if err != nil && err != io.EOF {
+			s.fail(w, badRequest("bad request body: %v", err))
+			return
+		}
+		resp, err := run(r, &req)
 		if err != nil {
 			s.fail(w, err)
 			return
-		}
-		req.Kind = kind
-		resp, err := s.execute(r.Context(), &req)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		if r.URL.Query().Get("debug") == "trace" {
-			// Finish before encoding: the root duration then brackets
-			// exactly the spans in the tree (its top-level children sum to
-			// it), and the instrument middleware's later Finish keeps this
-			// value for the latency histogram.
-			tr.Finish()
-			resp.Trace = tr.JSON()
 		}
 		writeJSON(w, http.StatusOK, resp)
 	}
 }
 
-type appendRequest struct {
-	Path  []traj.Symbol `json:"path"`
-	Times []float64     `json:"times,omitempty"`
-}
-
-type appendResponse struct {
-	ID         int32  `json:"id"`
-	Generation uint64 `json:"generation"`
-}
-
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	s.stats.appendN.Add(1)
-	var req appendRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, err)
-		return
+// admit is the pipeline's one pool admission: the engine query, a trace
+// resolution, /v1/match and every /v1/ingest item run fn inside a
+// worker-pool slot through it. With fanOut, fn may also use up to
+// MaxParallelism−1 extra slots borrowed without blocking, so intra-query
+// fan-out and cross-request concurrency share one budget; fn gets the
+// worker count. A request past its deadline is not admitted. Refusals
+// answer 504 when the request's deadline expired, 503 when the client
+// went away, and 503 + Retry-After when the pool stayed full past
+// QueueWait (shed).
+func (s *Server) admit(ctx context.Context, fanOut bool, fn func(par int)) error {
+	if err := ctx.Err(); err != nil {
+		return mapEngineError(err)
 	}
-	if err := s.validateAppend(&req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	id, err := s.eng.Append(traj.Trajectory{Path: req.Path, Times: req.Times})
-	if err != nil {
-		// The write-ahead log refused the record: nothing was applied and
-		// the client must not treat the append as durable.
-		s.fail(w, &httpError{code: http.StatusInternalServerError, msg: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, appendResponse{ID: id, Generation: s.eng.Generation()})
-}
-
-// handleCheckpoint forces a checkpoint: snapshot the appended tail,
-// persist the index (compact backends), truncate the WAL. 501 on a
-// volatile engine, 409 when one is already running.
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	s.stats.checkpoint.Add(1)
-	res, err := s.eng.Checkpoint()
-	switch {
-	case errors.Is(err, ErrNotDurable):
-		s.fail(w, &httpError{code: http.StatusNotImplemented, msg: err.Error()})
-	case errors.Is(err, ErrCheckpointBusy):
-		s.fail(w, &httpError{code: http.StatusConflict, msg: err.Error()})
-	case err != nil:
-		s.fail(w, &httpError{code: http.StatusInternalServerError, msg: err.Error()})
-	default:
-		writeJSON(w, http.StatusOK, res)
-	}
-}
-
-type batchRequest struct {
-	Queries []queryRequest `json:"queries"`
-}
-
-type batchItemResponse struct {
-	*queryResponse
-	Error string `json:"error,omitempty"`
-}
-
-type batchResponse struct {
-	Results []batchItemResponse `json:"results"`
-}
-
-// handleBatch fans the subqueries out through the worker pool and returns
-// per-item results in request order; one bad subquery fails alone, not
-// the whole batch.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.stats.batch.Add(1)
-	var req batchRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	if len(req.Queries) == 0 {
-		s.fail(w, badRequest("empty batch"))
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		s.fail(w, badRequest("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
-		return
-	}
-	results := make([]batchItemResponse, len(req.Queries))
-	var wg sync.WaitGroup
-	for i := range req.Queries {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// net/http's panic recovery only covers the handler's own
-			// goroutine; without this, one panicking subquery would kill
-			// the whole process instead of one batch item.
-			defer func() {
-				if p := recover(); p != nil {
-					s.recordPanic(r.Context(), "batch", i, p)
-					results[i].Error = fmt.Sprintf("internal error: %v", p)
-				}
-			}()
-			resp, err := s.execute(r.Context(), &req.Queries[i])
-			if err != nil {
-				s.stats.errors.Add(1)
-				results[i].Error = err.Error()
-				return
-			}
-			results[i].queryResponse = resp
-		}(i)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, batchResponse{Results: results})
-}
-
-// --- query execution -----------------------------------------------------
-
-// execute validates req, consults the cache, and otherwise runs the query
-// inside a worker-pool slot. A raw GPS trace is map-matched to symbols
-// first (inside its own pool slot), after which the request is
-// indistinguishable from a symbol query — including its cache key, so a
-// trace query and its ground-truth symbol query share cache entries.
-func (s *Server) execute(ctx context.Context, req *queryRequest) (*queryResponse, error) {
-	tr := obs.FromContext(ctx)
-	var matched *mapmatch.Result
-	if len(req.Trace) > 0 {
-		rt := tr.StartSpan(nil, "resolve_trace")
-		var err error
-		matched, err = s.resolveTrace(ctx, req)
-		rt.End()
-		if err != nil {
-			return nil, err
-		}
-		// The matcher's own wall time nests under the resolve span (the
-		// remainder is pool queueing plus symbol conversion).
-		tr.AddSpan(rt, "map_match", matched.Elapsed).SetAttr("confidence", matched.Confidence)
-	}
-	if err := s.validateQuery(req); err != nil {
-		return nil, err
-	}
-
-	// Resolve tau_ratio to an absolute τ first: the cache key and the
-	// engine both want the absolute form.
-	tau := req.Tau
-	if req.TauRatio > 0 {
-		tau = s.eng.Threshold(req.Q, req.TauRatio)
-	}
-
-	mode, err := temporalMode(req.Mode)
-	if err != nil {
-		return nil, err
-	}
-
-	var key string
-	switch req.Kind {
-	case "search":
-		key = cacheKey("search", req.Q, tau)
-	case "topk":
-		key = cacheKey("topk", req.Q, float64(req.K))
-	case "temporal":
-		key = cacheKey("temporal", req.Q, tau, req.Lo, req.Hi, float64(mode), boolFloat(req.NoPrefilter))
-	case "exact":
-		key = cacheKey("exact", req.Q)
-	case "count":
-		key = cacheKey("count", req.Q)
-	}
-
-	lookup := tr.StartSpan(nil, "cache_lookup")
-	gen := s.eng.Generation()
-	ent, hit := s.cache.get(key, gen)
-	lookup.End()
-	lookup.SetAttr("hit", hit)
-	if hit {
-		s.stats.cacheHitQueries.Add(1)
-		// ent.tau is the τ the computed response reported — for top-k the
-		// driver's final effective threshold, which the request itself
-		// does not carry, so cached hits must replay it from the entry.
-		resp := &queryResponse{Count: ent.count, Tau: ent.tau, Cached: true}
-		if req.Kind != "count" {
-			resp.Matches = toMatchJSON(ent.matches)
-		}
-		attachMatchMeta(resp, req, matched)
-		return resp, nil
-	}
-
-	var (
-		matches []traj.Match
-		n       int
-		qstats  *core.QueryStats
-		qerr    error
-		engSpan *obs.Span
-	)
-	poolSpan := tr.StartSpan(nil, "pool_wait")
-	perr := s.pool.do(ctx, func() {
-		poolSpan.End()
-		engSpan = tr.StartSpan(nil, "engine")
-		defer engSpan.End()
-		// The request's own pool slot is one fan-out worker; borrow up to
-		// parallelism−1 extras from the same pool (non-blocking), so
-		// intra-query fan-out and cross-query requests share one global
-		// concurrency budget. Exact/count lookups never fan out, so they
-		// must not reserve slots other requests could use.
+	err := s.pool.do(ctx, func() {
 		par := 1
-		usesParallelism := req.Kind == "search" || req.Kind == "topk" || req.Kind == "temporal"
-		if want := s.queryParallelism(); usesParallelism && want > 1 {
+		if want := s.queryParallelism(); fanOut && want > 1 {
 			extra := s.pool.tryAcquireN(want - 1)
 			defer s.pool.releaseN(extra)
 			par += extra
 		}
-		switch req.Kind {
-		case "search":
-			matches, qstats, qerr = s.eng.SearchQuery(core.Query{Q: req.Q, Tau: tau, Parallelism: par, Ctx: ctx})
-		case "topk":
-			matches, qstats, qerr = s.eng.SearchTopKStats(req.Q, req.K, core.TopKOptions{Parallelism: par, Ctx: ctx})
-		case "temporal":
-			qr := core.Query{Q: req.Q, Tau: tau, Parallelism: par, Ctx: ctx}
-			qr.Temporal.Mode = mode
-			qr.Temporal.Lo, qr.Temporal.Hi = req.Lo, req.Hi
-			qr.Temporal.DisablePrefilter = req.NoPrefilter
-			matches, qstats, qerr = s.eng.SearchQuery(qr)
-		case "exact":
-			matches, qerr = s.eng.SearchExact(req.Q)
-		case "count":
-			n, qerr = s.eng.CountExact(req.Q)
-		}
-		// par is what the query may use; what it did use — the engine
-		// keeps a small query on this goroutine — is qstats.Workers.
-		workers := 1
-		if qstats != nil {
-			workers = qstats.Workers
-		}
-		engSpan.SetAttr("parallelism", workers)
+		fn(par)
 	})
-	if perr != nil {
-		poolSpan.End() // never acquired a slot; close the wait span
-		if cerr := ctx.Err(); cerr != nil {
-			// The request's own deadline (or the client) gave up while
-			// queued — a timeout, not an overload signal.
-			return nil, mapEngineError(cerr)
-		}
-		return nil, &httpError{code: http.StatusServiceUnavailable, msg: perr.Error(), retryAfterSec: 1}
+	switch {
+	case err == nil:
+		return nil
+	case ctx.Err() != nil:
+		return mapEngineError(ctx.Err())
+	default:
+		return &httpError{code: http.StatusServiceUnavailable, msg: err.Error(), retryAfterSec: 1}
 	}
-	if qerr != nil {
-		return nil, mapEngineError(qerr)
-	}
-	// Post-engine bookkeeping (stat recording, cache fill, response
-	// assembly) gets its own wall span so the top-level spans keep summing
-	// to the request latency even when the engine phase is short.
-	fin := tr.StartSpan(nil, "finalize")
-	defer fin.End()
-	attachStatSpans(tr, engSpan, qstats)
-	s.stats.executed.Add(1)
-	if req.Kind != "count" {
-		n = len(matches)
-	}
-	s.stats.matches.Add(int64(n))
-	s.recordQueryStats(qstats)
-	if req.Kind == "topk" && qstats != nil {
-		// A top-k request carries no τ; report the driver's final
-		// effective threshold — the radius below which the answer is
-		// provably complete.
-		tau = qstats.EffectiveTau
-	}
-
-	// Tag the entry with the generation read *before* the query ran: if an
-	// Append raced with us the entry is already stale and dies on lookup.
-	s.cache.put(&cacheEntry{key: key, gen: gen, matches: matches, count: n, tau: tau})
-
-	resp := &queryResponse{Count: n, Tau: tau}
-	if req.Kind != "count" {
-		resp.Matches = toMatchJSON(matches)
-	}
-	attachMatchMeta(resp, req, matched)
-	if qstats != nil {
-		resp.Stats = &queryStatsJSON{
-			SubseqLen:          qstats.SubseqLen,
-			Candidates:         qstats.Candidates,
-			PlusLen:            qstats.PlusLen,
-			PrunedTrajectories: qstats.TrajPruned,
-			PrunedCandidates:   qstats.CandidatesPruned,
-			MinCandNS:          qstats.MinCandTime.Nanoseconds(),
-			LookupNS:           qstats.LookupTime.Nanoseconds(),
-			VerifyNS:           qstats.VerifyTime.Nanoseconds(),
-			Queued:             qstats.TrajQueued,
-			Verified:           qstats.TrajVerified,
-			Requeues:           qstats.Requeues,
-		}
-	}
-	return resp, nil
 }
 
 // queryParallelism returns the most workers one query may use — the
@@ -639,128 +370,304 @@ func (s *Server) queryParallelism() int {
 	return core.EffectiveParallelism(s.cfg.MaxParallelism)
 }
 
-func (s *Server) recordQueryStats(qs *core.QueryStats) {
+// items is the item fan-out of /v1/batch and /v1/ingest: stage runs for
+// items 0..n-1 concurrently, each validated and admitted on its own, and
+// items returns each one's error message ("" for success). One bad, shed
+// or panicking item fails alone. net/http's panic recovery covers the
+// handler goroutine only, so this is the recover for every item's.
+func (s *Server) items(ctx context.Context, endpoint string, n int, stage func(i int) error) []string {
+	msgs := make([]string, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					s.recordPanic(ctx, endpoint, i, p)
+					msgs[i] = s.errorMessage(fmt.Errorf("internal error: %v", p))
+				}
+			}()
+			if err := stage(i); err != nil {
+				msgs[i] = s.errorMessage(err)
+			}
+		}()
+	}
+	wg.Wait()
+	return msgs
+}
+
+// errorMessage is the record stage of every failed request or item: the
+// one place subtraj_request_errors_total moves. It returns the message
+// the answer carries.
+func (s *Server) errorMessage(err error) string {
+	s.metrics.errors.Inc()
+	return err.Error()
+}
+
+// fail encodes err as a JSON error answer with its status.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	var herr *httpError
+	if errors.As(err, &herr) {
+		code = herr.code
+		if herr.retryAfterSec > 0 {
+			w.Header().Set("Retry-After", fmt.Sprintf("%d", herr.retryAfterSec))
+		}
+	}
+	writeJSON(w, code, map[string]string{"error": s.errorMessage(err)})
+}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(v)
+}
+
+// --- endpoints -------------------------------------------------------------
+
+// query runs the five query endpoints; ?debug=trace embeds the request's
+// span tree in the answer.
+func (s *Server) query(kind string) func(*http.Request, *queryRequest) (any, error) {
+	return func(r *http.Request, req *queryRequest) (any, error) {
+		req.Kind = kind
+		resp, err := s.execute(r.Context(), req)
+		if err == nil && r.URL.Query().Get("debug") == "trace" {
+			// Finish before encoding: the root duration then brackets
+			// exactly the spans in the tree (its top-level children sum to
+			// it), and the instrument middleware's later Finish keeps this
+			// value for the latency histogram.
+			tr := obs.FromContext(r.Context())
+			tr.Finish()
+			resp.Trace = tr.JSON()
+		}
+		return resp, err
+	}
+}
+
+func (s *Server) appendOne(_ *http.Request, req *appendRequest) (any, error) {
+	if err := s.checkPath("trajectory path", req.Path); err != nil {
+		return nil, err
+	}
+	if err := s.checkTimes(len(req.Path), req.Times); err != nil {
+		return nil, err
+	}
+	// A write-ahead log refusal applied nothing; it answers 500, and the
+	// client must not treat the append as durable.
+	id, err := s.eng.Append(traj.Trajectory{Path: req.Path, Times: req.Times})
+	if err != nil {
+		return nil, err
+	}
+	return appendResponse{ID: id, Generation: s.eng.Generation()}, nil
+}
+
+// batch executes the subqueries concurrently and returns per-item results
+// in request order; one bad subquery fails alone, not the whole batch.
+func (s *Server) batch(r *http.Request, req *batchRequest) (any, error) {
+	if err := checkLen("batch", "queries", len(req.Queries), s.cfg.MaxBatch); err != nil {
+		return nil, err
+	}
+	results := make([]batchItemResponse, len(req.Queries))
+	msgs := s.items(r.Context(), "batch", len(req.Queries), func(i int) (err error) {
+		results[i].queryResponse, err = s.execute(r.Context(), &req.Queries[i])
+		return err
+	})
+	for i, msg := range msgs {
+		results[i].Error = msg
+	}
+	return batchResponse{Results: results}, nil
+}
+
+// checkpoint forces a checkpoint: snapshot the appended tail, persist the
+// index (compact backends), truncate the WAL. 501 on a volatile engine,
+// 409 when one is already running. It takes no parameters.
+func (s *Server) checkpoint(*http.Request, *struct{}) (any, error) {
+	res, err := s.eng.Checkpoint()
+	switch {
+	case errors.Is(err, ErrNotDurable):
+		return nil, &httpError{code: http.StatusNotImplemented, msg: err.Error()}
+	case errors.Is(err, ErrCheckpointBusy):
+		return nil, &httpError{code: http.StatusConflict, msg: err.Error()}
+	}
+	return res, err
+}
+
+// --- query execution -----------------------------------------------------
+
+// execute is one query's pass through validate → admit → execute →
+// record, shared by the query endpoints and every /v1/batch item. A raw
+// GPS trace is map-matched to symbols first (inside its own pool
+// slot), after which the request is indistinguishable from a symbol query
+// — including its cache key, so a trace query and its ground-truth symbol
+// query share cache entries.
+func (s *Server) execute(ctx context.Context, req *queryRequest) (*queryResponse, error) {
+	mode, err := s.validateQuery(req)
+	if err != nil {
+		return nil, err
+	}
+	var matched *mapmatch.Result
+	if len(req.Trace) > 0 {
+		if matched, err = s.resolveTrace(ctx, req); err != nil {
+			return nil, err
+		}
+	}
+	if err := s.checkPath("query", req.Q); err != nil {
+		return nil, err
+	}
+
+	// Resolve tau_ratio to an absolute τ first: the cache key and the
+	// engine both want the absolute form.
+	qr := core.Query{Q: req.Q, Tau: req.Tau, Ctx: ctx}
+	if req.TauRatio > 0 {
+		qr.Tau = s.eng.Threshold(req.Q, req.TauRatio)
+	}
+	qr.Temporal.Mode, qr.Temporal.Lo, qr.Temporal.Hi, qr.Temporal.DisablePrefilter = mode, req.Lo, req.Hi, req.NoPrefilter
+
+	var key string
+	switch req.Kind {
+	case "search":
+		key = cacheKey("search", req.Q, qr.Tau)
+	case "topk":
+		key = cacheKey("topk", req.Q, float64(req.K))
+	case "temporal":
+		key = cacheKey("temporal", req.Q, qr.Tau, req.Lo, req.Hi, float64(mode), boolFloat(req.NoPrefilter))
+	default:
+		key = cacheKey(req.Kind, req.Q)
+	}
+
+	tr := obs.FromContext(ctx)
+	lookup := tr.StartSpan(nil, "cache_lookup")
+	gen := s.eng.Generation()
+	ent, hit := s.cache.get(key, gen)
+	lookup.End()
+	lookup.SetAttr("hit", hit)
+	var qs *core.QueryStats
+	if !hit {
+		// Tag the entry with the generation read *before* the query ran: if
+		// an Append raced with us the entry is already stale and dies on
+		// lookup.
+		ent = &cacheEntry{key: key, gen: gen, tau: qr.Tau}
+		if qs, err = s.run(ctx, req, qr, ent); err != nil {
+			return nil, err
+		}
+		// Post-engine bookkeeping (recording, cache fill, response
+		// assembly) gets its own wall span so the top-level spans keep
+		// summing to the request latency even when the engine phase is
+		// short.
+		fin := tr.StartSpan(nil, "finalize")
+		defer fin.End()
+		s.record(ent.count, qs)
+		s.cache.put(ent)
+	}
+
+	// ent.tau is the τ the computed response reported — for top-k the
+	// driver's final effective threshold, which the request itself does
+	// not carry, so cached hits replay it from the entry.
+	resp := &queryResponse{Count: ent.count, Tau: ent.tau, Cached: hit, Stats: statsJSON(qs)}
+	if req.Kind != "count" {
+		resp.Matches = ent.matches // read-only from here on, like every cached entry
+	}
+	if matched != nil {
+		resp.ResolvedQ, resp.MatchConfidence, resp.MatchSplits = req.Q, matched.Confidence, matched.Splits
+	}
+	return resp, nil
+}
+
+// run is the execute stage proper: it admits the query and runs the
+// engine call for its kind, leaving the answer in ent. Only the kinds
+// that can fan out borrow extra pool slots; exact and count lookups must
+// not reserve slots other requests could use.
+func (s *Server) run(ctx context.Context, req *queryRequest, qr core.Query, ent *cacheEntry) (qs *core.QueryStats, err error) {
+	tr := obs.FromContext(ctx)
+	wait := tr.StartSpan(nil, "pool_wait")
+	fanOut := req.Kind == "search" || req.Kind == "topk" || req.Kind == "temporal"
+	aerr := s.admit(ctx, fanOut, func(par int) {
+		wait.End()
+		eng := tr.StartSpan(nil, "engine")
+		defer eng.End()
+		qr.Parallelism = par
+		switch req.Kind {
+		case "search", "temporal":
+			ent.matches, qs, err = s.eng.SearchQuery(qr)
+		case "topk":
+			ent.matches, qs, err = s.eng.SearchTopKStats(req.Q, req.K, core.TopKOptions{Parallelism: par, Ctx: ctx})
+		case "exact":
+			ent.matches, err = s.eng.SearchExact(req.Q)
+		case "count":
+			ent.count, err = s.eng.CountExact(req.Q)
+		}
+		// par is what the query may use; what it did use — the engine
+		// keeps a small query on this goroutine — is qs.Workers.
+		workers := 1
+		if qs != nil {
+			workers = qs.Workers
+		}
+		eng.SetAttr("parallelism", workers)
+		attachStatSpans(tr, eng, qs)
+	})
+	wait.End() // a refused request never reached the engine
+	switch {
+	case aerr != nil:
+		return nil, aerr
+	case err != nil:
+		return nil, mapEngineError(err)
+	}
+	if req.Kind != "count" {
+		ent.count = len(ent.matches)
+	}
+	if req.Kind == "topk" && qs != nil {
+		// A top-k request carries no τ; report the driver's final
+		// effective threshold — the radius below which the answer is
+		// provably complete.
+		ent.tau = qs.EffectiveTau
+	}
+	return qs, nil
+}
+
+// record adds one executed query to the registry's totals.
+func (s *Server) record(matches int, qs *core.QueryStats) {
+	m := s.metrics
+	m.executed.Inc()
+	m.matches.Add(int64(matches))
 	if qs == nil {
 		return
 	}
-	s.stats.shardWorkers.Add(int64(qs.Workers))
+	m.shardWorkers.Add(int64(qs.Workers))
 	if qs.Workers > 1 {
-		s.stats.parallelQueries.Add(1)
+		m.parallelQueries.Inc()
 	}
-	s.stats.candidates.Add(int64(qs.Candidates))
-	s.stats.trajPruned.Add(int64(qs.TrajPruned))
-	s.stats.candidatesPruned.Add(int64(qs.CandidatesPruned))
-	s.stats.minCandNS.Add(qs.MinCandTime.Nanoseconds())
-	s.stats.lookupNS.Add(qs.LookupTime.Nanoseconds())
-	s.stats.verifyNS.Add(qs.VerifyTime.Nanoseconds())
-	s.stats.columnsVisited.Add(qs.Verify.ColumnsVisited)
-	s.stats.columnsAvail.Add(qs.Verify.ColumnsAvailable)
-	s.stats.stepDPs.Add(qs.Verify.StepDPCalls)
-	s.stats.cellsComputed.Add(qs.Verify.CellsComputed)
-	s.stats.cellsAvail.Add(qs.Verify.CellsAvailable)
-	s.stats.topkQueued.Add(int64(qs.TrajQueued))
-	s.stats.topkVerified.Add(int64(qs.TrajVerified))
-	s.stats.topkRequeues.Add(int64(qs.Requeues))
-	s.metrics.stagePlan.Observe(qs.MinCandTime.Seconds())
-	s.metrics.stageFilter.Observe(qs.LookupTime.Seconds())
-	s.metrics.stageVerify.Observe(qs.VerifyTime.Seconds())
+	m.candidates.Add(int64(qs.Candidates))
+	m.prunedTraj.Add(int64(qs.TrajPruned))
+	m.prunedCands.Add(int64(qs.CandidatesPruned))
+	m.columnsVisited.Add(qs.Verify.ColumnsVisited)
+	m.columnsAvail.Add(qs.Verify.ColumnsAvailable)
+	m.stepDPs.Add(qs.Verify.StepDPCalls)
+	m.cellsComputed.Add(qs.Verify.CellsComputed)
+	m.cellsAvail.Add(qs.Verify.CellsAvailable)
+	m.topkQueued.Add(int64(qs.TrajQueued))
+	m.topkVerified.Add(int64(qs.TrajVerified))
+	m.topkRequeues.Add(int64(qs.Requeues))
+	m.stagePlan.Observe(qs.MinCandTime.Seconds())
+	m.stageFilter.Observe(qs.LookupTime.Seconds())
+	m.stageVerify.Observe(qs.VerifyTime.Seconds())
 }
 
-// --- validation and error mapping ---------------------------------------
-
-func (s *Server) validateQuery(req *queryRequest) error {
-	switch req.Kind {
-	case "search", "topk", "temporal", "exact", "count":
-	default:
-		return badRequest("unknown query kind %q", req.Kind)
+func statsJSON(qs *core.QueryStats) *queryStatsJSON {
+	if qs == nil {
+		return nil
 	}
-	if len(req.Q) == 0 {
-		return badRequest("empty query: provide q (symbols) or trace (GPS samples)")
-	}
-	if len(req.Q) > s.cfg.MaxQueryLen {
-		return badRequest("query of %d symbols exceeds limit %d", len(req.Q), s.cfg.MaxQueryLen)
-	}
-	if err := s.validateSymbols(req.Q); err != nil {
-		return err
-	}
-	switch req.Kind {
-	case "search", "temporal":
-		if req.Tau <= 0 && req.TauRatio <= 0 {
-			return badRequest("one of tau or tau_ratio must be positive")
-		}
-		if req.Tau > 0 && req.TauRatio > 0 {
-			return badRequest("tau and tau_ratio are mutually exclusive")
-		}
-		if req.TauRatio > 1 {
-			return badRequest("tau_ratio %g out of range (0, 1]", req.TauRatio)
-		}
-	case "topk":
-		if req.K <= 0 {
-			return badRequest("k must be positive")
-		}
-		if req.K > s.cfg.MaxK {
-			return badRequest("k = %d exceeds limit %d", req.K, s.cfg.MaxK)
-		}
-	}
-	if req.Kind == "temporal" && req.Hi < req.Lo {
-		return badRequest("temporal window [%g, %g] is empty", req.Lo, req.Hi)
-	}
-	return nil
-}
-
-func (s *Server) validateAppend(req *appendRequest) error {
-	if len(req.Path) == 0 {
-		return badRequest("empty trajectory path")
-	}
-	if len(req.Path) > s.cfg.MaxQueryLen {
-		return badRequest("path of %d symbols exceeds limit %d", len(req.Path), s.cfg.MaxQueryLen)
-	}
-	if err := s.validateSymbols(req.Path); err != nil {
-		return err
-	}
-	if len(req.Times) > 0 {
-		// Vertex representation carries one timestamp per vertex; edge
-		// representation one per vertex of the underlying path, i.e.
-		// len(path)+1 (see traj.Trajectory.Times).
-		want := len(req.Path)
-		if s.eng.Unsafe().Dataset().Rep == traj.EdgeRep {
-			want++
-		}
-		if len(req.Times) != want {
-			return badRequest("got %d timestamps, want %d (or none)", len(req.Times), want)
-		}
-		for i := 1; i < len(req.Times); i++ {
-			if req.Times[i] < req.Times[i-1] {
-				return badRequest("timestamps must be non-decreasing (times[%d] < times[%d])", i, i-1)
-			}
-		}
-	}
-	return nil
-}
-
-// validateSymbols rejects symbols the cost model could not index.
-func (s *Server) validateSymbols(q []traj.Symbol) error {
-	for i, sym := range q {
-		if sym < 0 {
-			return badRequest("symbol %d at position %d is negative", sym, i)
-		}
-		if s.cfg.MaxSymbol > 0 && sym >= s.cfg.MaxSymbol {
-			return badRequest("symbol %d at position %d outside alphabet [0, %d)", sym, i, s.cfg.MaxSymbol)
-		}
-	}
-	return nil
-}
-
-func temporalMode(s string) (core.TemporalMode, error) {
-	switch s {
-	case "", "overlap":
-		return core.TemporalOverlap, nil
-	case "contain":
-		return core.TemporalContain, nil
-	case "departure":
-		return core.TemporalDeparture, nil
-	default:
-		return 0, badRequest("unknown temporal mode %q", s)
+	return &queryStatsJSON{
+		SubseqLen:          qs.SubseqLen,
+		Candidates:         qs.Candidates,
+		PlusLen:            qs.PlusLen,
+		PrunedTrajectories: qs.TrajPruned,
+		PrunedCandidates:   qs.CandidatesPruned,
+		MinCandNS:          qs.MinCandTime.Nanoseconds(),
+		LookupNS:           qs.LookupTime.Nanoseconds(),
+		VerifyNS:           qs.VerifyTime.Nanoseconds(),
+		Queued:             qs.TrajQueued,
+		Verified:           qs.TrajVerified,
+		Requeues:           qs.Requeues,
 	}
 }
 
@@ -780,6 +687,136 @@ func mapEngineError(err error) error {
 		return &httpError{code: http.StatusServiceUnavailable, msg: err.Error()}
 	}
 	return &httpError{code: http.StatusInternalServerError, msg: err.Error()}
+}
+
+// --- validate: the one rule set for input from outside --------------------
+
+// validateQuery checks a query's kind, its choice of q or trace, τ or
+// τ_ratio, k and temporal window before any work is admitted, and returns
+// the temporal mode it asks for (TemporalNone unless kind is "temporal").
+// Its symbols are checked by checkPath once a trace has resolved to them.
+func (s *Server) validateQuery(req *queryRequest) (core.TemporalMode, error) {
+	if req.Tau < 0 || req.TauRatio < 0 {
+		return 0, badRequest("tau and tau_ratio must not be negative")
+	}
+	switch req.Kind {
+	case "search", "temporal":
+		if req.Tau == 0 && req.TauRatio == 0 {
+			return 0, badRequest("one of tau or tau_ratio must be positive")
+		}
+		if req.Tau > 0 && req.TauRatio > 0 {
+			return 0, badRequest("tau and tau_ratio are mutually exclusive")
+		}
+		if req.TauRatio > 1 {
+			return 0, badRequest("tau_ratio %g out of range (0, 1]", req.TauRatio)
+		}
+	case "topk":
+		if req.K <= 0 {
+			return 0, badRequest("k must be positive")
+		}
+		if req.K > s.cfg.MaxK {
+			return 0, badRequest("k = %d exceeds limit %d", req.K, s.cfg.MaxK)
+		}
+	case "exact", "count":
+	default:
+		return 0, badRequest("unknown query kind %q", req.Kind)
+	}
+	if len(req.Trace) > 0 {
+		if len(req.Q) > 0 {
+			return 0, badRequest("q and trace are mutually exclusive")
+		}
+		if err := s.checkTrace(req.Trace); err != nil {
+			return 0, err
+		}
+	}
+	var mode core.TemporalMode
+	switch req.Mode {
+	case "", "overlap":
+		mode = core.TemporalOverlap
+	case "contain":
+		mode = core.TemporalContain
+	case "departure":
+		mode = core.TemporalDeparture
+	default:
+		return 0, badRequest("unknown temporal mode %q", req.Mode)
+	}
+	if req.Kind != "temporal" {
+		return core.TemporalNone, nil
+	}
+	if req.Hi < req.Lo {
+		return 0, badRequest("temporal window [%g, %g] is empty", req.Lo, req.Hi)
+	}
+	return mode, nil
+}
+
+// checkLen is the rule for every list from outside — a path, a trace, the
+// items of a batch: 1 to limit entries.
+func checkLen(what, unit string, n, limit int) error {
+	if n == 0 {
+		return badRequest("empty %s", what)
+	}
+	if n > limit {
+		return badRequest("%s of %d %s exceeds limit %d", what, n, unit, limit)
+	}
+	return nil
+}
+
+// checkPath is the rule for every symbol path from outside, queried or
+// appended: 1 to MaxQueryLen symbols, each one inside the alphabet the
+// cost model can index.
+func (s *Server) checkPath(what string, p []traj.Symbol) error {
+	if err := checkLen(what, "symbols", len(p), s.cfg.MaxQueryLen); err != nil {
+		return err
+	}
+	for i, sym := range p {
+		if sym < 0 {
+			return badRequest("symbol %d at position %d is negative", sym, i)
+		}
+		if s.cfg.MaxSymbol > 0 && sym >= s.cfg.MaxSymbol {
+			return badRequest("symbol %d at position %d outside alphabet [0, %d)", sym, i, s.cfg.MaxSymbol)
+		}
+	}
+	return nil
+}
+
+// checkTimes is the rule for an appended trajectory's timestamps: none,
+// or one per vertex — len(path) in vertex representation, len(path)+1 in
+// edge representation (see traj.Trajectory.Times) — non-decreasing.
+func (s *Server) checkTimes(pathLen int, times []float64) error {
+	if len(times) == 0 {
+		return nil
+	}
+	want := pathLen
+	if s.eng.Unsafe().Dataset().Rep == traj.EdgeRep {
+		want++
+	}
+	if len(times) != want {
+		return badRequest("got %d timestamps, want %d (or none)", len(times), want)
+	}
+	for i := 1; i < len(times); i++ {
+		if times[i] < times[i-1] {
+			return badRequest("timestamps must be non-decreasing (times[%d] < times[%d])", i, i-1)
+		}
+	}
+	return nil
+}
+
+// checkTrace is the rule for a raw GPS trace: the server has a matcher
+// (501 otherwise), and the trace has 1 to MaxTraceLen samples, each
+// exactly [x, y].
+func (s *Server) checkTrace(trace [][]float64) error {
+	if s.matcher == nil {
+		return errGPSDisabled
+	}
+	if err := checkLen("trace", "samples", len(trace), s.cfg.MaxTraceLen); err != nil {
+		return err
+	}
+	for i, p := range trace {
+		if len(p) != 2 {
+			return badRequest("GPS sample %d must be [x, y], got %d elements", i, len(p))
+		}
+	}
+	return nil
 }
 
 // --- stats ---------------------------------------------------------------
@@ -928,8 +965,7 @@ type StatsSnapshot struct {
 	} `json:"totals"`
 	// Latency summarizes each endpoint's request-duration histogram — the
 	// very histograms /metrics exposes, so the two surfaces report the
-	// same percentiles. Absent when metrics are disabled; endpoints with
-	// no traffic are omitted.
+	// same percentiles. Endpoints with no traffic are omitted.
 	Latency map[string]LatencySummary `json:"latency,omitempty"`
 }
 
@@ -942,43 +978,43 @@ type LatencySummary struct {
 	P99MS float64 `json:"p99_ms"`
 }
 
-// Snapshot assembles the current running counters.
+// Snapshot assembles the current running counters: the server's own are
+// read from their registry handles, the rest from the types that own them.
 func (s *Server) Snapshot() StatsSnapshot {
+	m := s.metrics
 	var out StatsSnapshot
-	out.UptimeSeconds = time.Since(s.stats.start).Seconds()
+	out.UptimeSeconds = time.Since(s.start).Seconds()
 	out.Engine.Trajectories = s.eng.NumTrajectories()
 	out.Engine.Generation = s.eng.Generation()
 	out.Engine.IndexBackend = s.eng.IndexKind()
 	out.Engine.IndexBytes = s.eng.IndexBytes()
-	if out.Engine.Trajectories > 0 {
-		out.Engine.BytesPerTrajectory = float64(out.Engine.IndexBytes) / float64(out.Engine.Trajectories)
-	}
+	out.Engine.BytesPerTrajectory = ratio(out.Engine.IndexBytes, int64(out.Engine.Trajectories))
 	out.Ingest.FoldedTrajectories = s.eng.FoldedLen()
 	out.Ingest.DeltaTrajectories = s.eng.DeltaLen()
 	out.Ingest.CompactAppends = s.eng.CompactAppends()
 	out.Ingest.Compactions = s.eng.Compactions()
 	out.Ingest.SnapshotPublishes = s.eng.Publishes()
 	out.Ingest.LastCompactionMS = s.eng.LastCompactionMS()
-	out.Requests.Search = s.stats.search.Load()
-	out.Requests.TopK = s.stats.topk.Load()
-	out.Requests.Temporal = s.stats.temporal.Load()
-	out.Requests.Exact = s.stats.exact.Load()
-	out.Requests.Count = s.stats.count.Load()
-	out.Requests.Append = s.stats.appendN.Load()
-	out.Requests.Match = s.stats.match.Load()
-	out.Requests.Ingest = s.stats.ingest.Load()
-	out.Requests.Batch = s.stats.batch.Load()
-	out.Requests.Errors = s.stats.errors.Load()
-	out.Requests.Slow = s.stats.slowQueries.Load()
-	out.Requests.Panics = s.stats.panics.Load()
-	out.Requests.Checkpoint = s.stats.checkpoint.Load()
+	out.Requests.Search = m.requests["search"].Value()
+	out.Requests.TopK = m.requests["topk"].Value()
+	out.Requests.Temporal = m.requests["temporal"].Value()
+	out.Requests.Exact = m.requests["exact"].Value()
+	out.Requests.Count = m.requests["count"].Value()
+	out.Requests.Append = m.requests["append"].Value()
+	out.Requests.Match = m.requests["match"].Value()
+	out.Requests.Ingest = m.requests["ingest"].Value()
+	out.Requests.Batch = m.requests["batch"].Value()
+	out.Requests.Checkpoint = m.requests["checkpoint"].Value()
+	out.Requests.Errors = m.errors.Value()
+	out.Requests.Slow = m.slow.Value()
+	out.Requests.Panics = m.panics.Value()
 	out.GPS.Enabled = s.matcher != nil
-	out.GPS.TracesMatched = s.stats.tracesMatched.Load()
-	out.GPS.TracesFailed = s.stats.tracesFailed.Load()
-	out.GPS.TracesSplit = s.stats.tracesSplit.Load()
-	out.GPS.SegmentsAppended = s.stats.segmentsAppended.Load()
-	out.GPS.TraceQueries = s.stats.traceQueries.Load()
-	out.GPS.MatchNS = s.stats.matchNS.Load()
+	out.GPS.TracesMatched = m.tracesMatched.Value()
+	out.GPS.TracesFailed = m.tracesFailed.Value()
+	out.GPS.TracesSplit = m.tracesSplit.Value()
+	out.GPS.SegmentsAppended = m.segmentsAppended.Value()
+	out.GPS.TraceQueries = m.traceQueries.Value()
+	out.GPS.MatchNS = nanos(m.stageMatch)
 	if runs := out.GPS.TracesMatched + out.GPS.TracesFailed; runs > 0 {
 		out.GPS.MeanMatchNS = out.GPS.MatchNS / runs
 	}
@@ -988,9 +1024,7 @@ func (s *Server) Snapshot() StatsSnapshot {
 	out.Cache.Misses = s.cache.misses.Load()
 	out.Cache.Evictions = s.cache.evictions.Load()
 	out.Cache.Invalidations = s.cache.invalidations.Load()
-	if lookups := out.Cache.Hits + out.Cache.Misses; lookups > 0 {
-		out.Cache.HitRatio = float64(out.Cache.Hits) / float64(lookups)
-	}
+	out.Cache.HitRatio = ratio(out.Cache.Hits, out.Cache.Hits+out.Cache.Misses)
 	out.Pool.Capacity = s.pool.capacity()
 	out.Pool.InFlight = s.pool.inFlight.Load()
 	out.Pool.Waited = s.pool.waited.Load()
@@ -1010,102 +1044,50 @@ func (s *Server) Snapshot() StatsSnapshot {
 		out.Durability.SnapshotRecords = d.SnapshotRecords()
 		out.Durability.RecoveryReplayed = d.ReplayedRecords()
 	}
-	out.Totals.Executed = s.stats.executed.Load()
-	out.Totals.Candidates = s.stats.candidates.Load()
-	out.Totals.PrunedTrajectories = s.stats.trajPruned.Load()
-	out.Totals.PrunedCandidates = s.stats.candidatesPruned.Load()
-	out.Totals.Matches = s.stats.matches.Load()
-	out.Totals.MinCandNS = s.stats.minCandNS.Load()
-	out.Totals.LookupNS = s.stats.lookupNS.Load()
-	out.Totals.VerifyNS = s.stats.verifyNS.Load()
-	out.Totals.ColumnsVisited = s.stats.columnsVisited.Load()
-	out.Totals.ColumnsAvailable = s.stats.columnsAvail.Load()
-	out.Totals.StepDPCalls = s.stats.stepDPs.Load()
-	out.Totals.CellsComputed = s.stats.cellsComputed.Load()
-	out.Totals.CellsAvailable = s.stats.cellsAvail.Load()
-	out.Totals.ShardWorkers = s.stats.shardWorkers.Load()
-	out.Totals.ParallelQueries = s.stats.parallelQueries.Load()
-	out.Totals.TopKQueued = s.stats.topkQueued.Load()
-	out.Totals.TopKVerified = s.stats.topkVerified.Load()
-	out.Totals.TopKRequeues = s.stats.topkRequeues.Load()
-	if out.Totals.ColumnsAvailable > 0 {
-		out.Totals.UPR = float64(out.Totals.ColumnsVisited) / float64(out.Totals.ColumnsAvailable)
-	}
-	if out.Totals.ColumnsVisited > 0 {
-		out.Totals.CMR = float64(out.Totals.StepDPCalls) / float64(out.Totals.ColumnsVisited)
-	}
-	if out.Totals.CellsAvailable > 0 {
-		out.Totals.BandRatio = float64(out.Totals.CellsComputed) / float64(out.Totals.CellsAvailable)
-	}
-	if s.metrics.reg != nil {
-		out.Latency = make(map[string]LatencySummary)
-		for ep, h := range s.metrics.reqLatency {
-			if n := h.Count(); n > 0 {
-				out.Latency[ep] = LatencySummary{
-					Count: n,
-					P50MS: h.Quantile(0.50) * 1e3,
-					P95MS: h.Quantile(0.95) * 1e3,
-					P99MS: h.Quantile(0.99) * 1e3,
-				}
+	t := &out.Totals
+	t.Executed = m.executed.Value()
+	t.Candidates = m.candidates.Value()
+	t.PrunedTrajectories = m.prunedTraj.Value()
+	t.PrunedCandidates = m.prunedCands.Value()
+	t.Matches = m.matches.Value()
+	t.MinCandNS = nanos(m.stagePlan)
+	t.LookupNS = nanos(m.stageFilter)
+	t.VerifyNS = nanos(m.stageVerify)
+	t.ColumnsVisited = m.columnsVisited.Value()
+	t.ColumnsAvailable = m.columnsAvail.Value()
+	t.StepDPCalls = m.stepDPs.Value()
+	t.CellsComputed = m.cellsComputed.Value()
+	t.CellsAvailable = m.cellsAvail.Value()
+	t.ShardWorkers = m.shardWorkers.Value()
+	t.ParallelQueries = m.parallelQueries.Value()
+	t.TopKQueued = m.topkQueued.Value()
+	t.TopKVerified = m.topkVerified.Value()
+	t.TopKRequeues = m.topkRequeues.Value()
+	t.UPR = ratio(t.ColumnsVisited, t.ColumnsAvailable)
+	t.CMR = ratio(t.StepDPCalls, t.ColumnsVisited)
+	t.BandRatio = ratio(t.CellsComputed, t.CellsAvailable)
+	out.Latency = make(map[string]LatencySummary)
+	for ep, h := range m.latency {
+		if n := h.Count(); n > 0 {
+			out.Latency[ep] = LatencySummary{
+				Count: n,
+				P50MS: h.Quantile(0.50) * 1e3,
+				P95MS: h.Quantile(0.95) * 1e3,
+				P99MS: h.Quantile(0.99) * 1e3,
 			}
 		}
 	}
 	return out
 }
 
+// nanos reads a stage histogram's summed seconds as whole nanoseconds.
+func nanos(h *obs.Histogram) int64 { return int64(math.Round(h.Sum() * 1e9)) }
+
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Snapshot())
 }
 
 // --- plumbing ------------------------------------------------------------
-
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return badRequest("bad request body: %v", err)
-	}
-	return nil
-}
-
-func (s *Server) fail(w http.ResponseWriter, err error) {
-	s.stats.errors.Add(1)
-	code := http.StatusInternalServerError
-	var herr *httpError
-	if errors.As(err, &herr) {
-		code = herr.code
-		if herr.retryAfterSec > 0 {
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", herr.retryAfterSec))
-		}
-	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-// attachMatchMeta copies trace-resolution metadata onto a query response
-// (no-op for symbol queries).
-func attachMatchMeta(resp *queryResponse, req *queryRequest, matched *mapmatch.Result) {
-	if matched == nil {
-		return
-	}
-	resp.ResolvedQ = req.Q
-	resp.MatchConfidence = matched.Confidence
-	resp.MatchSplits = matched.Splits
-}
-
-func toMatchJSON(ms []traj.Match) []matchJSON {
-	out := make([]matchJSON, len(ms))
-	for i, m := range ms {
-		out[i] = matchJSON{ID: m.ID, S: m.S, T: m.T, WED: m.WED}
-	}
-	return out
-}
 
 func boolFloat(b bool) float64 {
 	if b {

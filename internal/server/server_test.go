@@ -98,11 +98,13 @@ func TestBadRequests(t *testing.T) {
 		want int
 	}{
 		{"/v1/search", map[string]any{"q": []int{}, "tau": 1.0}, 400},
-		{"/v1/search", map[string]any{"q": q}, 400},                               // no tau
-		{"/v1/search", map[string]any{"q": q, "tau": 1.0, "tau_ratio": 0.1}, 400}, // both
-		{"/v1/search", map[string]any{"q": q, "tau_ratio": 2.0}, 400},             // ratio > 1
-		{"/v1/search", map[string]any{"q": q, "tau": 1e18}, 400},                  // τ ≥ wed(ε, Q)
-		{"/v1/search", map[string]any{"q": q, "tau": 1.0, "bogus": true}, 400},    // unknown field
+		{"/v1/search", map[string]any{"q": q}, 400},                                // no tau
+		{"/v1/search", map[string]any{"q": q, "tau": 1.0, "tau_ratio": 0.1}, 400},  // both
+		{"/v1/search", map[string]any{"q": q, "tau_ratio": 2.0}, 400},              // ratio > 1
+		{"/v1/search", map[string]any{"q": q, "tau": 3.0, "tau_ratio": -0.5}, 400}, // negative ratio
+		{"/v1/search", map[string]any{"q": q, "tau": -2.0, "tau_ratio": 0.1}, 400}, // negative tau
+		{"/v1/search", map[string]any{"q": q, "tau": 1e18}, 400},                   // τ ≥ wed(ε, Q)
+		{"/v1/search", map[string]any{"q": q, "tau": 1.0, "bogus": true}, 400},     // unknown field
 		{"/v1/topk", map[string]any{"q": q, "k": 0}, 400},
 		{"/v1/topk", map[string]any{"q": q, "k": 9999}, 400},                              // k > MaxK
 		{"/v1/temporal", map[string]any{"q": q, "tau_ratio": 0.2, "lo": 5, "hi": 1}, 400}, // empty window

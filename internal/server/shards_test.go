@@ -128,7 +128,7 @@ func TestShardedServerResultsMatchSequential(t *testing.T) {
 				seed, gotP["matches"], gotP["count"], gotS["matches"], gotS["count"])
 		}
 	}
-	if n := parSrv.stats.parallelQueries.Load(); n != 3 {
+	if n := parSrv.metrics.parallelQueries.Value(); n != 3 {
 		t.Fatalf("%d of 3 queries fanned out on the parallel server", n)
 	}
 }

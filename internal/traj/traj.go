@@ -164,12 +164,14 @@ func (d *Dataset) ToEdgeRep(g *roadnet.Graph) (*Dataset, error) {
 // Match identifies one answer of the subtrajectory similarity search
 // (Definition 3): trajectory ID and the 0-based inclusive subtrajectory
 // bounds [S, T] such that wed(P[S:T+1], Q) < τ. (The paper's (id, s, t) is
-// 1-based inclusive; we keep Go slice conventions internally.)
+// 1-based inclusive; we keep Go slice conventions internally.) The JSON
+// form is the one the HTTP API's query answers carry.
 type Match struct {
-	ID   int32
-	S, T int32
+	ID int32 `json:"id"`
+	S  int32 `json:"s"`
+	T  int32 `json:"t"`
 	// WED is the distance of the matched subtrajectory to the query.
-	WED float64
+	WED float64 `json:"wed"`
 }
 
 // Key returns a comparable dedup key.
