@@ -7,7 +7,7 @@
 //
 //	wedserve [-addr :8080] [-dataset beijing] [-scale 0.1] [-model EDR]
 //	         [-load workload.gob] [-cache 1024] [-concurrency 0]
-//	         [-index pointer|compact] [-index-file idx.sbtj]
+//	         [-index-file idx.sbtj]
 //	         [-wal-dir state/] [-wal-sync always|interval|never]
 //	         [-wal-sync-interval 100ms] [-checkpoint-bytes 67108864]
 //	         [-compact-appends 4096] [-request-timeout 0] [-queue-wait 1s]
@@ -48,7 +48,8 @@
 // with torn-tail truncation). -checkpoint-bytes bounds the log by
 // triggering background checkpoints; POST /v1/checkpoint forces one.
 // The base workload (-dataset/-load/-scale/-model) must match across
-// restarts: the durable directory persists only appended trajectories.
+// restarts: the durable directory persists only appended trajectories,
+// and a checkpointed index built over another base workload is refused.
 //
 // Ingest under load: searches run lock-free against immutable epoch
 // snapshots while appends publish new ones; -compact-appends bounds the
@@ -86,8 +87,7 @@ func main() {
 		model       = flag.String("model", "EDR", "cost model: Lev|EDR|ERP|NetEDR|NetERP|SURS")
 		cacheSize   = flag.Int("cache", 1024, "LRU result-cache entries (negative disables)")
 		concurrency = flag.Int("concurrency", 0, "max in-flight engine queries (0 = 2x GOMAXPROCS)")
-		indexKind   = flag.String("index", "pointer", "index backend: pointer (in-RAM postings lists) | compact (frozen bit-packed arena, mmap-able)")
-		indexFile   = flag.String("index-file", "", "compact arena path: open zero-copy via mmap if it exists, else build, save, and re-open (requires -index compact)")
+		indexFile   = flag.String("index-file", "", "index arena path: open zero-copy via mmap if it exists, else build, save, and re-open mapped")
 		walDir      = flag.String("wal-dir", "", "durable-state directory: log appends to a WAL, checkpoint, and recover on restart (incompatible with -index-file)")
 		walSync     = flag.String("wal-sync", "always", "WAL fsync policy: always (fsync per append) | interval | never")
 		walInterval = flag.Duration("wal-sync-interval", 100*time.Millisecond, "flush period for -wal-sync interval")
@@ -149,9 +149,6 @@ func main() {
 		if *indexFile != "" {
 			log.Fatal("-index-file cannot be combined with -wal-dir: durable mode manages index.compact inside the state directory")
 		}
-		if *indexKind != "pointer" && *indexKind != "compact" {
-			log.Fatalf("unknown index backend %q (pointer|compact)", *indexKind)
-		}
 		pol, err := wal.ParseSyncPolicy(*walSync)
 		if err != nil {
 			log.Fatal(err)
@@ -161,7 +158,6 @@ func main() {
 			Sync:            pol,
 			SyncInterval:    *walInterval,
 			CheckpointBytes: *ckptBytes,
-			Compact:         *indexKind == "compact",
 			Logger:          logger,
 		})
 		if err != nil {
@@ -178,12 +174,12 @@ func main() {
 			log.Printf("  compact index mapped from checkpoint")
 		}
 	} else {
-		eng, err := buildEngine(data, costs, *indexKind, *indexFile)
+		eng, err := buildEngine(data, costs, *indexFile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("  engine (%s, %s index, %s) built in %s",
-			*model, eng.IndexKind(), byteSize(eng.IndexBytes()), time.Since(start).Round(time.Millisecond))
+		log.Printf("  engine (%s, %s index) built in %s",
+			*model, byteSize(eng.IndexBytes()), time.Since(start).Round(time.Millisecond))
 		inner = subtraj.NewSafeEngine(eng).Inner()
 	}
 	inner.SetCompactAppends(*compactApps)
@@ -293,51 +289,40 @@ func main() {
 		snap.Cache.Hits, snap.Cache.Hits+snap.Cache.Misses)
 }
 
-// buildEngine constructs the index backend the flags select. With
-// -index compact and an -index-file that exists, the arena is opened
-// zero-copy via mmap; with a file that does not exist yet, the index is
-// built in memory, saved, and re-opened from the mapping so the serving
-// process genuinely runs off the page cache.
-func buildEngine(data *subtraj.Dataset, costs subtraj.FilterCosts, kind, file string) (*subtraj.Engine, error) {
-	switch kind {
-	case "pointer":
-		if file != "" {
-			return nil, fmt.Errorf("-index-file requires -index compact")
-		}
+// buildEngine builds the engine, or with an -index-file that exists maps
+// its arena zero-copy; with one that does not exist yet, it builds the
+// arena, saves it, and re-opens it from the mapping so the serving process
+// genuinely runs off the page cache.
+func buildEngine(data *subtraj.Dataset, costs subtraj.FilterCosts, file string) (*subtraj.Engine, error) {
+	if file == "" {
 		return subtraj.NewEngine(data, costs)
-	case "compact":
-		if file == "" {
-			return subtraj.NewEngineCompact(data, costs)
-		}
-		if _, err := os.Stat(file); err == nil {
-			eng, _, err := subtraj.OpenMappedEngine(data, costs, file)
-			if err != nil {
-				return nil, err
-			}
-			log.Printf("  compact index mapped from %s", file)
-			return eng, nil
-		}
-		eng, err := subtraj.NewEngineCompact(data, costs)
-		if err != nil {
-			return nil, err
-		}
-		f, err := os.Create(file)
-		if err != nil {
-			return nil, err
-		}
-		if err := eng.SaveIndex(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		log.Printf("  compact index saved to %s; re-opening mapped", file)
-		eng, _, err = subtraj.OpenMappedEngine(data, costs, file)
-		return eng, err
-	default:
-		return nil, fmt.Errorf("unknown index backend %q (pointer|compact)", kind)
 	}
+	if _, err := os.Stat(file); err == nil {
+		eng, _, err := subtraj.OpenMappedEngine(data, costs, file)
+		if err != nil {
+			return nil, err
+		}
+		log.Printf("  compact index mapped from %s", file)
+		return eng, nil
+	}
+	eng, err := subtraj.NewEngine(data, costs)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Create(file)
+	if err != nil {
+		return nil, err
+	}
+	if err := eng.SaveIndex(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	log.Printf("  compact index saved to %s; re-opening mapped", file)
+	eng, _, err = subtraj.OpenMappedEngine(data, costs, file)
+	return eng, err
 }
 
 // byteSize renders a byte count human-readably for startup logs.

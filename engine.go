@@ -30,36 +30,23 @@ func NewEngine(ds *Dataset, costs FilterCosts) (*Engine, error) {
 	return &Engine{inner: core.NewEngine(ds, costs)}, nil
 }
 
-// NewEngineCompact indexes the dataset into the memory-optimal compact
-// backend: postings are frozen into one flat bit-packed arena instead
-// of pointer-rich per-symbol slices. Queries return results bit-equal to
-// the pointer backend at a fraction of the memory. Save the frozen
-// snapshot with SaveIndex and re-open it zero-copy with OpenMappedEngine.
-func NewEngineCompact(ds *Dataset, costs FilterCosts) (*Engine, error) {
-	if ds == nil || costs == nil {
-		return nil, errors.New("subtraj: nil dataset or cost model")
-	}
-	return &Engine{inner: core.NewEngineCompact(ds, costs)}, nil
-}
-
-// SaveIndex writes the engine's compact index snapshot to w (the
-// versioned arena format OpenMappedEngine maps back). Errors unless the
-// engine uses the compact backend with no unfrozen appends.
+// SaveIndex writes the engine's index — the arena, in the versioned
+// format OpenMappedEngine maps back — to w. Appended trajectories live in
+// a delta beside the arena, so an engine with appends cannot save:
+// build a new engine over its dataset first.
 func (e *Engine) SaveIndex(w io.Writer) error {
-	if e.inner.DeltaLen() > 0 && e.inner.IndexKind() == "compact" {
-		return errors.New("subtraj: compact index has unfrozen appends; rebuild with NewEngineCompact before saving")
-	}
 	c, ok := e.inner.Backend().(*index.Compact)
 	if !ok {
-		return errors.New("subtraj: SaveIndex requires the compact backend (NewEngineCompact)")
+		return errors.New("subtraj: the index has unfolded appends; build a new engine over the dataset before saving")
 	}
 	return c.Save(w)
 }
 
-// OpenMappedEngine builds an engine over ds from a compact index file
-// written by SaveIndex, mapped zero-copy (the postings live in the page
-// cache, not the Go heap). The file must describe exactly ds's
-// trajectories. The mapping is released when the process exits or the
+// OpenMappedEngine builds an engine over ds from an index file written by
+// SaveIndex, mapped zero-copy (the postings live in the page cache, not
+// the Go heap). The file must index exactly ds's trajectories: one built
+// over another dataset of the same length is refused, by the dataset hash
+// in its header. The mapping is released when the process exits or the
 // returned close function is called (after which the engine must not be
 // used).
 func OpenMappedEngine(ds *Dataset, costs FilterCosts, path string) (*Engine, func() error, error) {
@@ -70,21 +57,17 @@ func OpenMappedEngine(ds *Dataset, costs FilterCosts, path string) (*Engine, fun
 	if err != nil {
 		return nil, nil, err
 	}
-	if c.NumTrajectories() != ds.Len() {
+	if c.NumTrajectories() != ds.Len() || !c.Describes(ds) {
 		c.Close()
-		return nil, nil, fmt.Errorf("subtraj: index file describes %d trajectories, dataset has %d", c.NumTrajectories(), ds.Len())
+		return nil, nil, fmt.Errorf("subtraj: index file %s was built over other trajectories than the dataset's %d (it holds %d); rebuild it from this dataset", path, ds.Len(), c.NumTrajectories())
 	}
 	eng := &Engine{inner: core.NewEngineWithBackend(ds, c, costs)}
 	return eng, c.Close, nil
 }
 
-// IndexBytes returns the index backend's memory footprint: the exact
-// arena size for the compact backend, a heap estimate for the pointer
-// backend.
+// IndexBytes returns the index's memory footprint: the arena, plus a heap
+// estimate for appended trajectories.
 func (e *Engine) IndexBytes() int64 { return e.inner.IndexBytes() }
-
-// IndexKind names the index backend family ("pointer" or "compact").
-func (e *Engine) IndexKind() string { return e.inner.IndexKind() }
 
 // Inner exposes the internal engine for the experiment harness.
 func (e *Engine) Inner() *core.Engine { return e.inner }

@@ -48,11 +48,11 @@ func PlainSW(costs wed.Costs, ds *traj.Dataset, q []traj.Symbol, tau float64) Re
 // Strategy selects a τ-subsequence Q' for the filter-and-verify baselines.
 // It returns the chosen (symbol, position) items. Implementations must
 // guarantee Σ c(q) ≥ tau over the choice (or choose all of Q).
-type Strategy func(costs wed.FilterCosts, inv *index.Inverted, q []traj.Symbol, tau float64) []filter.Item
+type Strategy func(costs wed.FilterCosts, inv *index.Compact, q []traj.Symbol, tau float64) []filter.Item
 
 // DISONStrategy is the paper's DISON adaptation: the shortest prefix whose
 // accumulated filtering cost reaches τ.
-func DISONStrategy(costs wed.FilterCosts, _ *index.Inverted, q []traj.Symbol, tau float64) []filter.Item {
+func DISONStrategy(costs wed.FilterCosts, _ *index.Compact, q []traj.Symbol, tau float64) []filter.Item {
 	var items []filter.Item
 	var c float64
 	for i, sym := range q {
@@ -67,7 +67,7 @@ func DISONStrategy(costs wed.FilterCosts, _ *index.Inverted, q []traj.Symbol, ta
 
 // TorchStrategy is the paper's Torch adaptation: scan the postings of
 // every query symbol (and its neighbours).
-func TorchStrategy(_ wed.FilterCosts, _ *index.Inverted, q []traj.Symbol, _ float64) []filter.Item {
+func TorchStrategy(_ wed.FilterCosts, _ *index.Compact, q []traj.Symbol, _ float64) []filter.Item {
 	items := make([]filter.Item, len(q))
 	for i, sym := range q {
 		items[i] = filter.Item{Sym: sym, Pos: int32(i)}
@@ -78,7 +78,7 @@ func TorchStrategy(_ wed.FilterCosts, _ *index.Inverted, q []traj.Symbol, _ floa
 // SearchWithStrategy runs filter-and-verify with an arbitrary Q' strategy
 // and verification options — the shared body of DISON-{SW,BT} and
 // Torch-{SW,BT}.
-func SearchWithStrategy(costs wed.FilterCosts, ds *traj.Dataset, inv *index.Inverted,
+func SearchWithStrategy(costs wed.FilterCosts, ds *traj.Dataset, inv *index.Compact,
 	q []traj.Symbol, tau float64, strat Strategy, vopts verify.Options) Result {
 
 	items := strat(costs, inv, q, tau)
@@ -96,11 +96,11 @@ func SearchWithStrategy(costs wed.FilterCosts, ds *traj.Dataset, inv *index.Inve
 }
 
 // DISON runs the DISON adaptation.
-func DISON(costs wed.FilterCosts, ds *traj.Dataset, inv *index.Inverted, q []traj.Symbol, tau float64, vopts verify.Options) Result {
+func DISON(costs wed.FilterCosts, ds *traj.Dataset, inv *index.Compact, q []traj.Symbol, tau float64, vopts verify.Options) Result {
 	return SearchWithStrategy(costs, ds, inv, q, tau, DISONStrategy, vopts)
 }
 
 // Torch runs the Torch adaptation.
-func Torch(costs wed.FilterCosts, ds *traj.Dataset, inv *index.Inverted, q []traj.Symbol, tau float64, vopts verify.Options) Result {
+func Torch(costs wed.FilterCosts, ds *traj.Dataset, inv *index.Compact, q []traj.Symbol, tau float64, vopts verify.Options) Result {
 	return SearchWithStrategy(costs, ds, inv, q, tau, TorchStrategy, vopts)
 }

@@ -45,7 +45,7 @@ type Engine struct {
 	// immutable; delta indexes the rest (nil in a Snapshot, which never
 	// appends); idx is what queries read — base itself while the delta
 	// is empty, else an index.Epoch over base and a view of delta.
-	base  index.Backend
+	base  *index.Compact
 	delta *index.DeltaMap
 	idx   index.Backend
 
@@ -53,7 +53,7 @@ type Engine struct {
 	BuildTime time.Duration
 }
 
-// NewEngine indexes the dataset into the pointer backend (index.Build).
+// NewEngine indexes the dataset into a fresh arena (index.Build).
 func NewEngine(ds *traj.Dataset, costs wed.FilterCosts) *Engine {
 	start := time.Now()
 	e := NewEngineWithBackend(ds, index.Build(ds), costs)
@@ -69,22 +69,15 @@ func NewEngineShards(ds *traj.Dataset, costs wed.FilterCosts, _ int) *Engine {
 	return NewEngine(ds, costs)
 }
 
-// NewEngineCompact indexes the dataset into the memory-optimal compact
-// backend: the postings are frozen into one flat bit-packed arena.
-// Queries return results bit-equal to the pointer backend; memory drops
-// by the ratio of the benchmark's index.bytes_per_traj to
-// index.bytes_per_traj_compact.
-func NewEngineCompact(ds *traj.Dataset, costs wed.FilterCosts) *Engine {
-	start := time.Now()
-	e := NewEngineWithBackend(ds, index.FreezeDataset(ds), costs)
-	e.BuildTime = time.Since(start)
-	return e
-}
+// NewEngineCompact is NewEngine: there is one index. Kept only because
+// benchmark/trace.go calls it by name; it goes when the benchmark stops
+// calling it.
+func NewEngineCompact(ds *traj.Dataset, costs wed.FilterCosts) *Engine { return NewEngine(ds, costs) }
 
-// NewEngineWithBackend wraps a prebuilt index base — a flat index.Build
-// shared between engines, an arena from index.OpenMapped. The base must
-// describe a prefix of ds's trajectories; the rest become the delta.
-func NewEngineWithBackend(ds *traj.Dataset, base index.Backend, costs wed.FilterCosts) *Engine {
+// NewEngineWithBackend wraps a prebuilt arena — an index.Build shared
+// between engines, an arena from index.OpenMapped. The arena must index a
+// prefix of ds's trajectories; the rest become the delta.
+func NewEngineWithBackend(ds *traj.Dataset, base *index.Compact, costs wed.FilterCosts) *Engine {
 	e := &Engine{ds: ds, costs: costs}
 	e.Rebase(base)
 	return e
@@ -97,12 +90,9 @@ func (e *Engine) Dataset() *traj.Dataset { return e.ds }
 // has been appended since.
 func (e *Engine) Backend() index.Backend { return e.idx }
 
-// IndexBytes returns the backend's memory footprint (exact for compact
-// arenas, a heap estimate for pointer backends).
+// IndexBytes returns the index's memory footprint: the arena, plus a
+// heap estimate for the delta.
 func (e *Engine) IndexBytes() int64 { return e.idx.IndexBytes() }
-
-// IndexKind names the backend family ("pointer" or "compact").
-func (e *Engine) IndexKind() string { return e.idx.Kind() }
 
 // DeltaLen returns how many trajectories sit in the delta, not yet
 // folded into the base.
@@ -116,8 +106,8 @@ func (e *Engine) Costs() wed.FilterCosts { return e.costs }
 // non-empty delta as a second posting source — its candidates are the
 // tail of the ID-sorted candidate array — and scans it for departure
 // windows, and nothing here folds it: build a new engine after many
-// appends, or Rebase onto Backend().Rebuild(Dataset()) — what
-// SafeEngine's compactor does off-lock.
+// appends, or Rebase onto index.Build(Dataset()) — what SafeEngine's
+// compactor does off-lock.
 func (e *Engine) Append(t traj.Trajectory) int32 {
 	id := e.add(t)
 	e.refreshView()
@@ -157,7 +147,7 @@ func (e *Engine) refreshView() {
 // into it whatever base does not cover: nothing at construction, the few
 // appends that landed while a fold built base off-lock, a replayed WAL
 // tail over a mapped arena. Contents are unchanged, so results are too.
-func (e *Engine) Rebase(base index.Backend) {
+func (e *Engine) Rebase(base *index.Compact) {
 	e.base = base
 	e.delta = index.NewDeltaMap(base.NumTrajectories())
 	for id := base.NumTrajectories(); id < e.ds.Len(); id++ {
@@ -174,11 +164,10 @@ func (e *Engine) Snapshot() *Engine {
 	return &Engine{ds: e.ds.Slice(e.ds.Len()), costs: e.costs, base: e.base, idx: e.idx, BuildTime: e.BuildTime}
 }
 
-// PrepareTemporal eagerly builds the departure-sorted postings order that
-// TemporalDeparture pre-filters binary-search (§4.3), so the first such
-// query does not pay for it. The base builds it at most once — it cannot
-// go stale — and the delta needs none.
-func (e *Engine) PrepareTemporal() { e.idx.BuildTemporal() }
+// PrepareTemporal does nothing: the arena is built with its departure
+// order. Kept only because benchmark/trace.go calls it; it goes when
+// the benchmark stops calling it.
+func (e *Engine) PrepareTemporal() {}
 
 // QueryStats instruments one query with the Table 4 breakdown and the
 // filtering/verification metrics of §6.4. Under a fanned-out query the
@@ -346,11 +335,6 @@ func (e *Engine) SearchQuery(qr Query) ([]traj.Match, *QueryStats, error) {
 	stats.SubseqLen = len(plan.Subseq)
 	stats.CSum = plan.CSum
 
-	temporal := qr.Temporal.Mode != TemporalNone
-	if temporal && !qr.Temporal.DisablePrefilter && qr.Temporal.Mode == TemporalDeparture {
-		e.idx.BuildTemporal()
-	}
-
 	if err := ctxErr(qr.Ctx); err != nil {
 		return nil, nil, err
 	}
@@ -375,7 +359,7 @@ func (e *Engine) SearchQuery(qr Query) ([]traj.Match, *QueryStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if temporal {
+	if qr.Temporal.Mode != TemporalNone {
 		res = e.applyTemporal(res, qr.Temporal.Mode, qr.Temporal.Lo, qr.Temporal.Hi)
 	}
 	stats.Verify.Matches = len(res)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"subtraj/internal/baselines"
@@ -244,13 +245,13 @@ func TestEngineRejectsDegenerateQueries(t *testing.T) {
 	}
 }
 
-// baseFamilies are the index bases an engine can sit on.
-var baseFamilies = []struct {
-	name  string
-	build func(*traj.Dataset) index.Backend
-}{
-	{"inverted", func(ds *traj.Dataset) index.Backend { return index.Build(ds) }},
-	{"compact", func(ds *traj.Dataset) index.Backend { return index.FreezeDataset(ds) }},
+// bitEqual demands byte-for-byte identical match slices: same order, same
+// (ID, S, T), same WED bits.
+func bitEqual(t *testing.T, label string, got, want []traj.Match) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: result not bit-equal\n got %v\nwant %v", label, got, want)
+	}
 }
 
 // assertEnginesAgree demands bit-equal answers from got and want over
@@ -297,11 +298,11 @@ func assertEnginesAgree(t *testing.T, label string, got, want *core.Engine, q []
 }
 
 // TestEngineAppendIsIncremental is the ingest-equivalence table. For every
-// base family and cost model, an engine built over the first half of a
-// dataset and Appended the rest must answer bit-equal to a fresh engine
-// over the whole dataset, before and after it is rebased onto a rebuilt
-// base; and a Snapshot taken mid-stream must keep answering for exactly
-// the prefix it saw, whatever the writer does afterwards.
+// cost model, an engine built over the first half of a dataset and
+// Appended the rest must answer bit-equal to a fresh engine over the whole
+// dataset, before and after it is rebased onto a rebuilt arena; and a
+// Snapshot taken mid-stream must keep answering for exactly the prefix it
+// saw, whatever the writer does afterwards.
 func TestEngineAppendIsIncremental(t *testing.T) {
 	core.ForceFanOut(t) // Parallelism 4 below means four workers
 	env := testutil.NewEnv(12, 40, 20)
@@ -321,45 +322,39 @@ func TestEngineAppendIsIncremental(t *testing.T) {
 		}
 		late := m.DS.Trajs[longest].Path
 		queries := [][]traj.Symbol{env.Query(m, 8), late[:min(8, len(late))]}
-		for _, bf := range baseFamilies {
-			label := m.Name + "/" + bf.name
-			partial := &traj.Dataset{Rep: m.DS.Rep}
-			for i := 0; i < half; i++ {
-				partial.Add(m.DS.Trajs[i])
-			}
-			base := bf.build(partial)
-			eng := core.NewEngineWithBackend(partial, base, m.Costs)
-			for i := half; i < midLen; i++ {
-				if id := eng.Append(m.DS.Trajs[i]); int(id) != i {
-					t.Fatalf("%s: Append returned ID %d, want %d", label, id, i)
-				}
-			}
-			mid := eng.Snapshot()
-			if ids := eng.AppendBatch(m.DS.Trajs[midLen:]); len(ids) != n-midLen || int(ids[0]) != midLen {
-				t.Fatalf("%s: AppendBatch returned IDs %v, want %d..%d", label, ids, midLen, n-1)
-			}
-			if eng.DeltaLen() != n-half || mid.DeltaLen() != midLen-half || mid.Dataset().Len() != midLen {
-				t.Fatalf("%s: delta %d (snapshot %d of %d trajectories), want %d (%d of %d)",
-					label, eng.DeltaLen(), mid.DeltaLen(), mid.Dataset().Len(), n-half, midLen-half, midLen)
-			}
-			if eng.IndexKind() != base.Kind() {
-				t.Fatalf("%s: appended engine reports kind %q", label, eng.IndexKind())
-			}
-			agree := func(stage string) {
-				for _, q := range queries {
-					tau := oracleTaus(m.Costs, m.DS, q)[2]
-					assertEnginesAgree(t, label+"/"+stage, eng, full, q, tau)
-					assertEnginesAgree(t, label+"/snapshot-when-"+stage, mid, midFull, q, tau)
-				}
-			}
-			agree("appended")
-
-			eng.Rebase(eng.Backend().Rebuild(eng.Dataset()))
-			if eng.DeltaLen() != 0 || eng.Backend().NumShards() != base.NumShards() {
-				t.Fatalf("%s: after rebase delta %d, %d posting sources", label, eng.DeltaLen(), eng.Backend().NumShards())
-			}
-			agree("rebased")
+		label := m.Name
+		partial := &traj.Dataset{Rep: m.DS.Rep}
+		for i := 0; i < half; i++ {
+			partial.Add(m.DS.Trajs[i])
 		}
+		eng := core.NewEngineWithBackend(partial, index.Build(partial), m.Costs)
+		for i := half; i < midLen; i++ {
+			if id := eng.Append(m.DS.Trajs[i]); int(id) != i {
+				t.Fatalf("%s: Append returned ID %d, want %d", label, id, i)
+			}
+		}
+		mid := eng.Snapshot()
+		if ids := eng.AppendBatch(m.DS.Trajs[midLen:]); len(ids) != n-midLen || int(ids[0]) != midLen {
+			t.Fatalf("%s: AppendBatch returned IDs %v, want %d..%d", label, ids, midLen, n-1)
+		}
+		if eng.DeltaLen() != n-half || mid.DeltaLen() != midLen-half || mid.Dataset().Len() != midLen {
+			t.Fatalf("%s: delta %d (snapshot %d of %d trajectories), want %d (%d of %d)",
+				label, eng.DeltaLen(), mid.DeltaLen(), mid.Dataset().Len(), n-half, midLen-half, midLen)
+		}
+		agree := func(stage string) {
+			for _, q := range queries {
+				tau := oracleTaus(m.Costs, m.DS, q)[2]
+				assertEnginesAgree(t, label+"/"+stage, eng, full, q, tau)
+				assertEnginesAgree(t, label+"/snapshot-when-"+stage, mid, midFull, q, tau)
+			}
+		}
+		agree("appended")
+
+		eng.Rebase(index.Build(eng.Dataset()))
+		if eng.DeltaLen() != 0 || eng.Backend().NumShards() != 1 {
+			t.Fatalf("%s: after rebase delta %d, %d posting sources", label, eng.DeltaLen(), eng.Backend().NumShards())
+		}
+		agree("rebased")
 	}
 }
 

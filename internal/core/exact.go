@@ -30,9 +30,10 @@ func (e *Engine) SearchExact(q []traj.Symbol) ([]traj.Match, error) {
 	// The view's sources hold ascending ID ranges and every list is in
 	// (ID, position) order, so matches come out in the canonical
 	// (ID, S, T) order as they are found.
+	var posts []index.Posting
 	for i := 0; i < e.idx.NumShards(); i++ {
-		src := e.idx.Source(i)
-		for _, post := range src.Postings(q[rarest]) {
+		posts = e.idx.Source(i).AppendPostings(posts[:0], q[rarest])
+		for _, post := range posts {
 			s := int(post.Pos) - rarest
 			p := e.ds.Path(post.ID)
 			if s < 0 || s+len(q) > len(p) {
@@ -46,7 +47,6 @@ func (e *Engine) SearchExact(q []traj.Symbol) ([]traj.Match, error) {
 				})
 			}
 		}
-		index.ReleaseSource(src)
 	}
 	return out, nil
 }

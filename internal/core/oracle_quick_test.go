@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -14,7 +15,7 @@ import (
 )
 
 // oracleWorld is one generated input of the search oracle: a dataset with
-// timestamps, a cost model, a query, a threshold and a departure window.
+// timestamps, a cost model, a query, a threshold and a time window.
 type oracleWorld struct {
 	name    string
 	costs   wed.FilterCosts
@@ -81,40 +82,43 @@ func newOracleWorld(rng *rand.Rand) (oracleWorld, bool) {
 }
 
 // oracleMatches is Definition 3 by brute force: every subtrajectory of
-// every trajectory (departing inside [lo, hi] when window is set) whose
-// WED is below τ, by the full-matrix DP, in (ID, S, T) order.
-func oracleMatches(w *oracleWorld, window bool) []traj.Match {
+// every trajectory whose WED is below τ, by the full-matrix DP, in
+// (ID, S, T) order.
+func oracleMatches(w *oracleWorld) []traj.Match {
 	var out []traj.Match
 	for id := range w.ds.Trajs {
-		if window {
-			dep, ok := w.ds.Get(int32(id)).Departure()
-			if !ok || dep < w.lo || dep > w.hi {
-				continue
-			}
-		}
 		for _, m := range wed.AllMatches(w.costs, w.q, w.ds.Path(int32(id)), w.tau) {
 			out = append(out, traj.Match{ID: int32(id), S: int32(m.S), T: int32(m.T), WED: m.WED})
 		}
 	}
 	slices.SortFunc(out, func(a, b traj.Match) int {
-		if a.ID != b.ID {
-			return int(a.ID - b.ID)
-		}
-		if a.S != b.S {
-			return int(a.S - b.S)
-		}
-		return int(a.T - b.T)
+		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.S, b.S), cmp.Compare(a.T, b.T))
 	})
 	return out
+}
+
+// oracleConfig is one temporal form a query takes: none, or one of §4.3's
+// three, with or without the candidate-level pre-filter.
+type oracleConfig struct {
+	mode        core.TemporalMode
+	noPrefilter bool
+}
+
+var oracleConfigs = []oracleConfig{
+	{core.TemporalNone, false},
+	{core.TemporalDeparture, false}, {core.TemporalDeparture, true},
+	{core.TemporalOverlap, false}, {core.TemporalOverlap, true},
+	{core.TemporalContain, false}, {core.TemporalContain, true},
 }
 
 // TestSearchMatchesOracleQuick is the threshold search's generative
 // oracle: over drawn networks, datasets, cost models, queries and
 // thresholds, SearchQuery returns exactly the brute-force match set on
-// every configuration — pointer and compact base, empty and non-empty
-// delta, Parallelism 1 and a forced fan-out, plain and departure-window
-// queries — and every configuration returns the same bits. It knows
-// nothing of the filter, the bounds or the verifier it is testing.
+// every configuration — every engine of fanOutEngines (built and mapped
+// arena, empty and non-empty delta), Parallelism 1 and a forced fan-out,
+// no window and each temporal form with and without its pre-filter — and
+// every configuration of a form returns the same bits. It knows nothing of
+// the filter, the bounds, the index or the verifier it is testing.
 func TestSearchMatchesOracleQuick(t *testing.T) {
 	core.ForceFanOut(t)
 	var ran, matched, lattice, windowed int
@@ -128,36 +132,39 @@ func TestSearchMatchesOracleQuick(t *testing.T) {
 		if w.lattice {
 			lattice++
 		}
-		for _, window := range []bool{false, true} {
-			want := oracleMatches(&w, window)
+		all := oracleMatches(&w)
+		engines := fanOutEngines(t, w.ds, w.costs)
+		for _, oc := range oracleConfigs {
+			want := all
+			if oc.mode != core.TemporalNone {
+				want = temporalOracle(w.ds, all, oc.mode, w.lo, w.hi)
+			}
 			if len(want) > 0 {
 				matched++
-				if window {
+				if oc.mode != core.TemporalNone {
 					windowed++
 				}
 			}
 			var first []traj.Match
-			for _, ne := range fanOutEngines(w.ds, w.costs) {
+			for _, ne := range engines {
 				for _, par := range []int{1, 3} {
 					qr := core.Query{Q: w.q, Tau: w.tau, Parallelism: par}
-					if window {
-						qr.Temporal.Mode = core.TemporalDeparture
-						qr.Temporal.Lo, qr.Temporal.Hi = w.lo, w.hi
-					}
+					qr.Temporal.Mode, qr.Temporal.DisablePrefilter = oc.mode, oc.noPrefilter
+					qr.Temporal.Lo, qr.Temporal.Hi = w.lo, w.hi
 					got, _, err := ne.eng.SearchQuery(qr)
 					if err != nil {
-						t.Errorf("seed %d %s/%s par=%d window=%v: %v", seed, w.name, ne.name, par, window, err)
+						t.Errorf("seed %d %s/%s par=%d %+v: %v", seed, w.name, ne.name, par, oc, err)
 						return false
 					}
 					if first == nil {
 						first = got
 						if !sameOracleMatches(got, want, w.lattice) {
-							t.Errorf("seed %d %s/%s par=%d window=%v τ=%v q=%v: %d matches, oracle %d\n got %v\nwant %v",
-								seed, w.name, ne.name, par, window, w.tau, w.q, len(got), len(want), got, want)
+							t.Errorf("seed %d %s/%s par=%d %+v τ=%v q=%v: %d matches, oracle %d\n got %v\nwant %v",
+								seed, w.name, ne.name, par, oc, w.tau, w.q, len(got), len(want), got, want)
 							return false
 						}
 					} else if !slices.Equal(got, first) {
-						t.Errorf("seed %d %s/%s par=%d window=%v: differs from the first configuration's bits", seed, w.name, ne.name, par, window)
+						t.Errorf("seed %d %s/%s par=%d %+v: differs from the first configuration's bits", seed, w.name, ne.name, par, oc)
 						return false
 					}
 				}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"subtraj/internal/filter"
-	"subtraj/internal/index"
 	"subtraj/internal/traj"
 	"subtraj/internal/verify"
 )
@@ -106,7 +105,6 @@ func (e *Engine) lookup(qr *Query, plan *filter.Plan, dst []filter.Candidate) []
 		default:
 			dst = plan.Candidates(src, dst)
 		}
-		index.ReleaseSource(src)
 	}
 	return dst
 }

@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -27,40 +30,55 @@ func assertIdenticalResults(t *testing.T, label string, got, want []traj.Match) 
 	}
 }
 
-// namedEngine is one cell of the backend × delta grid.
+// namedEngine is one cell of the arena × delta grid.
 type namedEngine struct {
 	name string
 	eng  *core.Engine
 }
 
+// mapArena saves c and maps the file back: OpenMapped validates it, so
+// every dataset an engine suite draws also holds Build to its loader.
+func mapArena(t testing.TB, c *index.Compact) *index.Compact {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "arena.sbtj")
+	if err := os.WriteFile(path, c.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := index.OpenMapped(path)
+	if err != nil {
+		t.Fatalf("the built arena does not map back: %v", err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
 // fanOutEngines builds the four engines every fan-out suite runs over:
-// the pointer and the compact base, each once over all of ds (empty
-// delta) and once over its first half with the rest appended (the delta's
-// candidates are then the tail of the ID-sorted array the fan-out cuts).
-// All four hold the same trajectories under the same IDs, so their
-// answers must be bit-equal to each other as well.
-func fanOutEngines(ds *traj.Dataset, costs wed.FilterCosts) []namedEngine {
-	half := ds.Len() / 2
-	appended := func(base func(*traj.Dataset) index.Backend) *core.Engine {
-		partial := &traj.Dataset{Rep: ds.Rep}
-		for i := 0; i < half; i++ {
-			partial.Add(ds.Trajs[i])
-		}
+// an arena built in memory and one saved and mapped back, each once over
+// all of ds (empty delta) and once over its first half with the rest
+// appended (the delta's candidates are then the tail of the ID-sorted
+// array the fan-out cuts). All four hold the same trajectories under the
+// same IDs, so their answers must be bit-equal to each other as well.
+func fanOutEngines(t testing.TB, ds *traj.Dataset, costs wed.FilterCosts) []namedEngine {
+	mapped := func(d *traj.Dataset) *index.Compact { return mapArena(t, index.Build(d)) }
+	appended := func(base func(*traj.Dataset) *index.Compact) *core.Engine {
+		half := ds.Len() / 2
+		partial := &traj.Dataset{Rep: ds.Rep, Trajs: slices.Clone(ds.Trajs[:half])}
 		eng := core.NewEngineWithBackend(partial, base(partial), costs)
 		eng.AppendBatch(ds.Trajs[half:])
 		return eng
 	}
 	return []namedEngine{
-		{"pointer", core.NewEngine(ds, costs)},
-		{"compact", core.NewEngineCompact(ds, costs)},
-		{"pointer+delta", appended(func(d *traj.Dataset) index.Backend { return index.Build(d) })},
-		{"compact+delta", appended(func(d *traj.Dataset) index.Backend { return index.FreezeDataset(d) })},
+		{"built", core.NewEngine(ds, costs)},
+		{"mapped", core.NewEngineWithBackend(ds, mapped(ds), costs)},
+		{"built+delta", appended(index.Build)},
+		{"mapped+delta", appended(mapped)},
 	}
 }
 
 // TestParallelismEquivalence is the cross-check the fan-out must pass:
-// for seeded workloads, every cost model and every backend — pointer and
-// compact, with an empty and a non-empty delta — Parallelism N returns
+// for seeded workloads, every cost model and every engine of
+// fanOutEngines — built and mapped arena, with an empty and a non-empty
+// delta — Parallelism N returns
 // exactly the Parallelism 1 answer: identical sorted matches, identical
 // WED bits, identical candidate counts. The work threshold is zeroed so
 // that N workers really run; CI runs it under -race, which also exercises
@@ -73,7 +91,7 @@ func TestParallelismEquivalence(t *testing.T) {
 			q := env.Query(m, 8)
 			tau := oracleTaus(m.Costs, m.DS, q)[1]
 			var first []traj.Match
-			for i, ne := range fanOutEngines(m.DS, m.Costs) {
+			for i, ne := range fanOutEngines(t, m.DS, m.Costs) {
 				label := m.Name + "/" + ne.name
 				base, baseStats, err := ne.eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: 1})
 				if err != nil {
@@ -85,7 +103,7 @@ func TestParallelismEquivalence(t *testing.T) {
 				if i == 0 {
 					first = base
 				}
-				assertIdenticalResults(t, label+" vs pointer", base, first)
+				assertIdenticalResults(t, label+" vs built", base, first)
 				for _, par := range []int{2, 3, 4, 8} {
 					got, stats, err := ne.eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: par})
 					if err != nil {
@@ -108,7 +126,7 @@ func TestParallelismEquivalence(t *testing.T) {
 }
 
 // TestParallelismEquivalenceModes covers the verification-mode ablations
-// and the temporal constraint forms over the fan-out, on every backend.
+// and the temporal constraint forms over the fan-out, on every engine.
 func TestParallelismEquivalenceModes(t *testing.T) {
 	core.ForceFanOut(t)
 	env := testutil.NewEnv(23, 40, 24)
@@ -116,7 +134,7 @@ func TestParallelismEquivalenceModes(t *testing.T) {
 	q := env.Query(m, 8)
 	tau := oracleTaus(m.Costs, m.DS, q)[2]
 
-	for _, ne := range fanOutEngines(m.DS, m.Costs) {
+	for _, ne := range fanOutEngines(t, m.DS, m.Costs) {
 		// fanned runs qr at Parallelism 1 and 3 and demands the same bits.
 		fanned := func(label string, qr core.Query) {
 			t.Helper()

@@ -16,9 +16,9 @@ import (
 
 // splitWorld is one generated engine and query of the split property
 // tests: random strings over five symbols under a lattice cost table
-// (sums tie with each other and with τ), on a pointer or compact base
-// that covers all of the dataset or only a prefix — the rest is then the
-// delta, whose candidates are the tail of the ID-sorted array.
+// (sums tie with each other and with τ), on an arena that covers all of
+// the dataset or only a prefix — the rest is then the delta, whose
+// candidates are the tail of the ID-sorted array.
 type splitWorld struct {
 	eng   *Engine
 	q     []traj.Symbol
@@ -39,11 +39,7 @@ func newSplitWorld(rng *rand.Rand) splitWorld {
 	for i := 0; i < baseLen; i++ {
 		prefix.Add(ds.Trajs[i])
 	}
-	var base index.Backend = index.Build(prefix)
-	if rng.Intn(2) == 0 {
-		base = index.FreezeDataset(prefix)
-	}
-	w := splitWorld{eng: NewEngineWithBackend(prefix, base, costs), delta: baseLen < ds.Len()}
+	w := splitWorld{eng: NewEngineWithBackend(prefix, index.Build(prefix), costs), delta: baseLen < ds.Len()}
 	w.eng.AppendBatch(ds.Trajs[baseLen:])
 	w.q = make([]traj.Symbol, 3+rng.Intn(6))
 	for i := range w.q {

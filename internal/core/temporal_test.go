@@ -8,6 +8,7 @@ import (
 
 	"subtraj/internal/baselines"
 	"subtraj/internal/core"
+	"subtraj/internal/index"
 	"subtraj/internal/testutil"
 	"subtraj/internal/traj"
 )
@@ -18,6 +19,9 @@ func temporalOracle(ds *traj.Dataset, ms []traj.Match, mode core.TemporalMode, l
 	var out []traj.Match
 	for _, m := range ms {
 		t := ds.Get(m.ID)
+		if len(t.Times) == 0 {
+			continue // no temporal data: no constraint can hold
+		}
 		s, x := int(m.S), int(m.T)
 		if ds.Rep == traj.EdgeRep {
 			x++
@@ -105,12 +109,11 @@ func TestTemporalNoDataRejectsAll(t *testing.T) {
 	}
 }
 
-// TestFirstDepartureQueryConcurrent: the departure-sorted order is built
-// lazily, by whichever query needs it first. Many goroutines issuing that
-// first query at once against a fresh base — with an unfolded delta on
-// top, and a Snapshot sharing the base — must all get the answer of an
-// engine prepared up front, with the order built exactly once (run under
-// -race: in the library Engine this used to be a documented data race).
+// TestFirstDepartureQueryConcurrent: many goroutines issuing a departure
+// query at once against a fresh arena — with an unfolded delta on top,
+// and a Snapshot sharing the arena — all get the answer of an engine over
+// the whole dataset (run under -race: queries write no engine state, the
+// departure order included, which the arena is built with).
 func TestFirstDepartureQueryConcurrent(t *testing.T) {
 	env := testutil.NewEnv(61, 60, 22)
 	m := env.Models()[1] // EDR
@@ -118,48 +121,38 @@ func TestFirstDepartureQueryConcurrent(t *testing.T) {
 	qr := core.Query{Q: q, Tau: oracleTaus(m.Costs, m.DS, q)[2], Parallelism: 1}
 	qr.Temporal.Mode = core.TemporalDeparture
 	qr.Temporal.Lo, qr.Temporal.Hi = 0, 2400
-	prepared := core.NewEngine(m.DS, m.Costs)
-	prepared.PrepareTemporal()
-	want, _, err := prepared.SearchQuery(qr)
+	want, _, err := core.NewEngine(m.DS, m.Costs).SearchQuery(qr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
 		t.Fatal("the departure window matches nothing: pick another")
 	}
-	for _, bf := range baseFamilies {
-		half := m.DS.Len() / 2
-		partial := &traj.Dataset{Rep: m.DS.Rep, Trajs: append([]traj.Trajectory(nil), m.DS.Trajs[:half]...)}
-		eng := core.NewEngineWithBackend(partial, bf.build(partial), m.Costs)
-		for _, tr := range m.DS.Trajs[half:] {
-			eng.Append(tr)
-		}
-		if bf.name != "compact" && eng.Backend().TemporalReady() {
-			t.Fatalf("%s: temporal order ready before any query asked for it", bf.name)
-		}
-		snap := eng.Snapshot()
-		const workers = 8
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(e *core.Engine) {
-				defer wg.Done()
-				<-start
-				got, _, err := e.SearchQuery(qr)
-				if err != nil {
-					t.Errorf("%s: %v", bf.name, err)
-					return
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: first departure query differs from the prepared engine's\n got %v\nwant %v", bf.name, got, want)
-				}
-			}([]*core.Engine{eng, snap}[w%2])
-		}
-		close(start)
-		wg.Wait()
-		if !eng.Backend().TemporalReady() || !snap.Backend().TemporalReady() {
-			t.Fatalf("%s: temporal order not ready after departure queries", bf.name)
-		}
+	half := m.DS.Len() / 2
+	partial := &traj.Dataset{Rep: m.DS.Rep, Trajs: append([]traj.Trajectory(nil), m.DS.Trajs[:half]...)}
+	eng := core.NewEngineWithBackend(partial, index.Build(partial), m.Costs)
+	for _, tr := range m.DS.Trajs[half:] {
+		eng.Append(tr)
 	}
+	snap := eng.Snapshot()
+	const workers = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(e *core.Engine) {
+			defer wg.Done()
+			<-start
+			got, _, err := e.SearchQuery(qr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent departure query differs from the whole-dataset engine's\n got %v\nwant %v", got, want)
+			}
+		}([]*core.Engine{eng, snap}[w%2])
+	}
+	close(start)
+	wg.Wait()
 }

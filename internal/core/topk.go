@@ -244,6 +244,7 @@ type topkScratch struct {
 	inv    []symItem
 	csum   float64
 	queues []topkQueue
+	read   []index.Posting // the postings list the scan is reading
 }
 
 // topkQueue is one worker's share of the queue with the scratch only it
@@ -294,12 +295,11 @@ func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, ceiling float64) (post
 		for i := range plan.Subseq {
 			sc.cover.Item(i, sc.w[i])
 			for _, b := range plan.Neighbors[i] {
-				list := src.Postings(b)
-				postings += len(list)
-				sc.cover.Add(list)
+				sc.read = src.AppendPostings(sc.read[:0], b)
+				postings += len(sc.read)
+				sc.cover.Add(sc.read)
 			}
 		}
-		index.ReleaseSource(src)
 	}
 	for _, id := range sc.cover.Touched {
 		if key := sc.bound(sc.cover.Weight(id)); key < ceiling {

@@ -190,7 +190,7 @@ func TestTopKEquivalenceTies(t *testing.T) {
 		for i := 0; i < 9; i++ {
 			ds.Add(traj.Trajectory{Path: ds.Path(src)})
 		}
-		engines := fanOutEngines(ds, m.Costs)
+		engines := fanOutEngines(t, ds, m.Costs)
 		for _, ne := range engines {
 			for _, k := range []int{1, 2, 3, 10, 11, 12, 15, 30, 1000} {
 				st := checkTopKAgainstRestart(t, m.Name+"/"+ne.name+"/ties", ne.eng, q, k)

@@ -162,7 +162,7 @@ func scanRoutes(c *Ctx, fn string, q []traj.Symbol, ratio float64, u, v traj.Sym
 	}
 	var routes [][]traj.Symbol
 	maxLen := 3 * len(q)
-	for _, post := range c.InvV().Postings(u) {
+	for _, post := range c.InvV().AppendPostings(nil, u) {
 		p := c.W.Data.Path(post.ID)
 		s := int(post.Pos)
 		hi := s + maxLen

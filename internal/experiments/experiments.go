@@ -111,8 +111,8 @@ type Ctx struct {
 	tree *spatial.KDTree
 	und  *shortestpath.Adjacency
 	hubs *shortestpath.HubLabels
-	invV *index.Inverted
-	invE *index.Inverted
+	invV *index.Compact
+	invE *index.Compact
 
 	mu      sync.Mutex
 	models  map[string]wed.FilterCosts
@@ -159,13 +159,13 @@ func (c *Ctx) Hubs() *shortestpath.HubLabels {
 }
 
 // InvV returns the vertex-representation inverted index.
-func (c *Ctx) InvV() *index.Inverted {
+func (c *Ctx) InvV() *index.Compact {
 	c.once.invV.Do(func() { c.invV = index.Build(c.W.Data) })
 	return c.invV
 }
 
 // InvE returns the edge-representation inverted index.
-func (c *Ctx) InvE() *index.Inverted {
+func (c *Ctx) InvE() *index.Compact {
 	c.once.invE.Do(func() { c.invE = index.Build(c.EdgeData) })
 	return c.invE
 }
@@ -251,7 +251,7 @@ func (c *Ctx) Data(model string) *traj.Dataset {
 }
 
 // Inv returns the inverted index matching Data(model).
-func (c *Ctx) Inv(model string) *index.Inverted {
+func (c *Ctx) Inv(model string) *index.Compact {
 	if model == "SURS" {
 		return c.InvE()
 	}

@@ -192,7 +192,7 @@ func dtwPool(c *Ctx, q []traj.Symbol, ratio float64) []float64 {
 	var ids []int32
 	seen := map[int32]bool{}
 	for _, v := range c.Tree().Range(qpts[0], radius, nil) {
-		for _, p := range c.InvV().Postings(v) {
+		for _, p := range c.InvV().AppendPostings(nil, v) {
 			if !seen[p.ID] {
 				seen[p.ID] = true
 				ids = append(ids, p.ID)
@@ -226,7 +226,7 @@ func wlcsPool(c *Ctx, qEdges []traj.Symbol, ratio float64, normalise bool) []flo
 	var ids []int32
 	seen := map[int32]bool{}
 	for _, e := range qEdges {
-		for _, p := range c.InvE().Postings(e) {
+		for _, p := range c.InvE().AppendPostings(nil, e) {
 			if !seen[p.ID] {
 				seen[p.ID] = true
 				ids = append(ids, p.ID)
@@ -282,7 +282,7 @@ func lcssPool(c *Ctx, q []traj.Symbol, ratio float64) []float64 {
 	seen := map[int32]bool{}
 	for _, s := range q {
 		for _, v := range c.Tree().Range(coords[s], paperEDREps, nil) {
-			for _, p := range c.InvV().Postings(v) {
+			for _, p := range c.InvV().AppendPostings(nil, v) {
 				if !seen[p.ID] {
 					seen[p.ID] = true
 					ids = append(ids, p.ID)

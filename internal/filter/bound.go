@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"subtraj/internal/index"
-	"subtraj/internal/traj"
 )
 
 // This file is the trajectory-level lower bound on WED, the one
@@ -209,14 +208,14 @@ type slotHit struct {
 	key  uint64
 }
 
-// pruneScratch is one extended Candidates call's working memory, pooled.
+// pruneScratch is one Candidates call's working memory, pooled.
 type pruneScratch struct {
 	cover Cover
 	chain Chain
 	// slot[id] numbers the coverage survivors, -1 for the rest of the
 	// trajectories the scan touched; it is read only for those.
 	slot    []int32
-	read    []index.Posting // the Q⁺ postings as the first read met them
+	read    []index.Posting // what the call reads, decoded straight into it: on an extended plan, Q⁺'s postings in scan order
 	readEnd []int32         // scan item k's postings end at read[readEnd[k]]
 	found   []slotHit       // the survivors' postings, in scan order
 	start   []int32         // survivor s's hits are hits[start[s]:start[s+1]]
@@ -226,31 +225,31 @@ type pruneScratch struct {
 
 var pruneScratches = sync.Pool{New: func() any { return new(pruneScratch) }}
 
-// scan is the pre-filter's bound over one posting source, in two reads of
-// its Q⁺ postings. The first computes coverage, and gives a slot to every
-// trajectory with a Q′ posting whose coverage bound is below tau. The
-// second collects those trajectories' postings, appending the Q′ ones to
+// scan is the pre-filter's bound over one posting source, in two passes
+// over its Q⁺ postings. The first decodes them into sc.read, computes
+// coverage, and gives a slot to every trajectory with a Q′ posting whose
+// coverage bound is below tau. The second walks sc.read again and
+// collects those trajectories' postings, appending the Q′ ones to
 // dst as candidates in the order Candidates emits them (IQ holding the
 // scan item), and sc.chained gets their heaviest chains. It returns how
 // many trajectories have a Q′ posting, and how many Q′ postings src has.
-func (sc *pruneScratch) scan(p *Plan, postings func(traj.Symbol) []index.Posting, tau float64, dst []Candidate) (out []Candidate, nQ, qPostings int) {
+func (sc *pruneScratch) scan(p *Plan, read appendFunc, tau float64, dst []Candidate) (out []Candidate, nQ, qPostings int) {
 	x, cov := &p.ext, &sc.cover
 	cov.Start(len(x.w), len(sc.slot))
-	read := sc.read[:0]
+	sc.read = sc.read[:0]
 	sc.readEnd = slices.Grow(sc.readEnd[:0], len(x.w))[:len(x.w)]
 	for k := range x.w {
 		cov.Item(int(x.rank[k]), x.w[k])
 		for _, b := range p.scanNeighbors(k) {
-			list := postings(b)
-			cov.Add(list)
-			read = append(read, list...)
+			from := len(sc.read)
+			sc.read = read(sc.read, b)
+			cov.Add(sc.read[from:])
 		}
-		sc.readEnd[k] = int32(len(read))
+		sc.readEnd[k] = int32(len(sc.read))
 		if k == len(p.Subseq)-1 {
-			nQ, qPostings = len(cov.Touched), len(read)
+			nQ, qPostings = len(cov.Touched), len(sc.read)
 		}
 	}
-	sc.read = read
 	if n := len(cov.bits) / cov.words; len(sc.slot) < n {
 		sc.slot = append(sc.slot, make([]int32, n-len(sc.slot))...)
 	}
@@ -270,7 +269,7 @@ func (sc *pruneScratch) scan(p *Plan, postings func(traj.Symbol) []index.Posting
 	found, lo := sc.found[:0], int32(0)
 	for k, hi := range sc.readEnd {
 		rank, inQ := x.rank[k], k < len(p.Subseq)
-		for _, ps := range read[lo:hi] {
+		for _, ps := range sc.read[lo:hi] {
 			s := slot[ps.ID]
 			if s < 0 {
 				continue
@@ -323,16 +322,9 @@ func (sc *pruneScratch) scan(p *Plan, postings func(traj.Symbol) []index.Posting
 // prune is Candidates over an extended plan: the Q′ candidates of the
 // trajectories whose chain bound over Q⁺ stays below τ, in the order the
 // paper's filter emits them, with what it dropped added to the plan.
-func (p *Plan) prune(postings func(traj.Symbol) []index.Posting, dst []Candidate) []Candidate {
-	sc := pruneScratches.Get().(*pruneScratch)
-	defer func() {
-		if cap(sc.read) > maxGroupScratch {
-			sc.read, sc.found, sc.hits = nil, nil, nil // as GroupByTrajectory's buffer
-		}
-		pruneScratches.Put(sc)
-	}()
+func (p *Plan) prune(sc *pruneScratch, read appendFunc, dst []Candidate) []Candidate {
 	from := len(dst)
-	dst, nQ, qPostings := sc.scan(p, postings, p.Tau, dst)
+	dst, nQ, qPostings := sc.scan(p, read, p.Tau, dst)
 	kept := 0
 	for _, id := range sc.cover.Touched[:nQ] {
 		if s := sc.slot[id]; s >= 0 && LowerBound(p.CPlus, sc.chained[s]) < p.Tau {

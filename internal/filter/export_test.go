@@ -34,7 +34,7 @@ func BuildPlanDelta(costs wed.FilterCosts, freqs Freqs, q []traj.Symbol, tau flo
 // touches, and the chain bound of every one with a Q′ posting.
 func (p *Plan) Bounds(src index.PostingSource) (coverage, chain map[int32]float64) {
 	sc := new(pruneScratch)
-	sc.scan(p, src.Postings, math.Inf(1), nil)
+	sc.scan(p, src.AppendPostings, math.Inf(1), nil)
 	coverage, chain = make(map[int32]float64), make(map[int32]float64)
 	for _, id := range sc.cover.Touched {
 		coverage[id] = LowerBound(p.CPlus, sc.cover.Weight(id))

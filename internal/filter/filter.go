@@ -298,9 +298,9 @@ func sortInts(xs []int) {
 // every posting of every neighbour of every chosen item. The result may
 // reference the same (id, pos) under different iq — those are distinct
 // candidates by construction (see the Remark under Definition 5). src is
-// one posting source of an index view — a base, or the delta beside it;
-// the candidate set over a view's sources is exactly the set of a flat
-// index over the same trajectories.
+// one posting source of an index view — the arena, or the delta beside
+// it; the candidate set over a view's sources is exactly the set of one
+// arena over the same trajectories.
 //
 // The first call on a BuildPlan plan extends it (extend). On an extended
 // plan it emits only the candidates of trajectories the pre-filter keeps:
@@ -309,48 +309,60 @@ func sortInts(xs []int) {
 // rest in the order above. Q′ is still a τ-subsequence and the bounds are
 // admissible, so no match is lost.
 func (p *Plan) Candidates(src index.PostingSource, dst []Candidate) []Candidate {
-	return p.candidates(src.Postings, dst)
+	return p.candidates(src.AppendPostings, dst)
 }
 
 // CandidatesInWindow is Candidates restricted to trajectories whose
 // [departure, arrival] interval overlaps [lo, hi] (the TF pre-filter of
 // §4.3 and Figure 12).
 func (p *Plan) CandidatesInWindow(src index.PostingSource, lo, hi float64, dst []Candidate) []Candidate {
-	var buf []index.Posting
-	return p.candidates(func(b traj.Symbol) []index.Posting {
-		buf = buf[:0]
-		for _, ps := range src.Postings(b) {
+	return p.candidates(func(buf []index.Posting, b traj.Symbol) []index.Posting {
+		from := len(buf)
+		buf = src.AppendPostings(buf, b)
+		kept := buf[:from]
+		for _, ps := range buf[from:] {
 			if src.IntervalOverlaps(ps.ID, lo, hi) {
-				buf = append(buf, ps)
+				kept = append(kept, ps)
 			}
 		}
-		return buf
+		return kept
 	}, dst)
 }
 
 // CandidatesByDeparture generates candidates only from trajectories whose
 // departure time lies in [lo, hi], using binary search on the
-// departure-sorted postings (§4.3's sorted-postings optimisation). The
-// caller must have built the temporal order (index.BuildTemporal).
+// departure-ordered postings (§4.3's sorted-postings optimisation).
 func (p *Plan) CandidatesByDeparture(src index.PostingSource, lo, hi float64, dst []Candidate) []Candidate {
-	return p.candidates(func(b traj.Symbol) []index.Posting { return src.PostingsInWindow(b, lo, hi) }, dst)
+	return p.candidates(func(buf []index.Posting, b traj.Symbol) []index.Posting {
+		return src.AppendPostingsInWindow(buf, b, lo, hi)
+	}, dst)
 }
 
-// candidates is the body of the three: postings(b) lists what src holds
-// of symbol b under the call's window, valid until its next call (a
-// compact source decodes into one buffer). Both window forms keep or drop
+// appendFunc appends to buf what a source holds of symbol b under the
+// call's window.
+type appendFunc func(buf []index.Posting, b traj.Symbol) []index.Posting
+
+// candidates is the body of the three. Both window forms keep or drop
 // whole trajectories, so the bound sees every posting of every trajectory
 // it can emit.
-func (p *Plan) candidates(postings func(traj.Symbol) []index.Posting, dst []Candidate) []Candidate {
+func (p *Plan) candidates(read appendFunc, dst []Candidate) []Candidate {
 	if p.in.q != nil {
 		p.extend()
 	}
+	sc := pruneScratches.Get().(*pruneScratch)
+	defer func() {
+		if cap(sc.read) > maxGroupScratch {
+			sc.read, sc.found, sc.hits = nil, nil, nil // as GroupByTrajectory's buffer
+		}
+		pruneScratches.Put(sc)
+	}()
 	if len(p.Extra) > 0 {
-		return p.prune(postings, dst)
+		return p.prune(sc, read, dst)
 	}
 	for i, it := range p.Subseq {
 		for _, b := range p.Neighbors[i] {
-			for _, pos := range postings(b) {
+			sc.read = read(sc.read[:0], b)
+			for _, pos := range sc.read {
 				dst = append(dst, Candidate{ID: pos.ID, Pos: pos.Pos, IQ: it.Pos})
 			}
 		}

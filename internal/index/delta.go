@@ -89,9 +89,6 @@ type DeltaView struct {
 // Len returns how many trajectories the view covers.
 func (v *DeltaView) Len() int { return int(v.hi - v.lo) }
 
-// Lo returns the view's first global trajectory ID (the fold boundary).
-func (v *DeltaView) Lo() int32 { return v.lo }
-
 // postings returns q's postings with ID < hi — the list prefix that
 // belongs to this view. The current list header may include postings
 // appended after the view was taken; they carry higher IDs and the
@@ -111,17 +108,22 @@ func (v *DeltaView) postings(q traj.Symbol) []Posting {
 func (v *DeltaView) Freq(q traj.Symbol) int { return len(v.postings(q)) }
 
 // IntervalOverlaps reports whether id's interval intersects [lo, hi] —
-// the same candidate-level prune as Inverted.IntervalOverlaps.
+// the same candidate-level prune as Compact.IntervalOverlaps.
 func (v *DeltaView) IntervalOverlaps(id int32, lo, hi float64) bool {
 	return v.deps[id-v.lo] <= hi && v.arrs[id-v.lo] >= lo
 }
 
-// appendWindow appends to dst the view's postings of q whose trajectory
-// DEPARTS in [lo, hi] — Inverted.PostingsInWindow semantics answered by
-// a filtered scan instead of a pre-sorted order. The delta is bounded
-// by the compaction threshold, so the scan stays small; skipping the
-// per-publish departure sort is what keeps Append O(|t|).
-func (v *DeltaView) appendWindow(q traj.Symbol, lo, hi float64, dst []Posting) []Posting {
+// AppendPostings appends the view's L_q, under global IDs, to dst.
+func (v *DeltaView) AppendPostings(dst []Posting, q traj.Symbol) []Posting {
+	return append(dst, v.postings(q)...)
+}
+
+// AppendPostingsInWindow appends to dst the view's postings of q whose
+// trajectory departs in [lo, hi] — the arena's semantics, answered by a
+// filtered scan instead of a departure order. The delta is bounded by the
+// compaction threshold, so the scan stays small; keeping no departure
+// order is what keeps Append O(|t|).
+func (v *DeltaView) AppendPostingsInWindow(dst []Posting, q traj.Symbol, lo, hi float64) []Posting {
 	for _, p := range v.postings(q) {
 		if dep := v.deps[p.ID-v.lo]; dep >= lo && dep <= hi {
 			dst = append(dst, p)
@@ -142,8 +144,8 @@ func (v *DeltaView) NumPostings() int {
 	return n
 }
 
-// IndexBytes estimates the view's heap footprint (postings plus the
-// interval columns), mirroring Inverted.IndexBytes' accounting.
+// IndexBytes estimates the view's heap footprint: postings plus the
+// interval columns.
 func (v *DeltaView) IndexBytes() int64 {
 	return int64(v.NumPostings())*8 + int64(v.Len())*16
 }

@@ -1,7 +1,11 @@
 package index_test
 
 import (
+	"cmp"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"subtraj/internal/index"
@@ -18,122 +22,105 @@ func buildDelta(ds *traj.Dataset, start int) *index.DeltaView {
 	return m.View()
 }
 
+// mapArena saves c and maps the file back.
+func mapArena(t *testing.T, c *index.Compact) *index.Compact {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "arena.sbtj")
+	if err := os.WriteFile(path, c.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := index.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
 // TestEpochEquivalentToFlat is the index-layer contract of the epoch
-// merge view: a frozen base of any family over a dataset prefix plus a
-// delta over the remainder must answer every read — counts,
-// frequencies, interval prunes, per-source postings, temporal windows —
-// exactly like one flat index over the whole dataset.
+// merge view: an arena over a dataset prefix — built in memory, or saved
+// and mapped back — plus a delta over the remainder answers every read —
+// frequencies, interval prunes, per-source postings, departure windows —
+// exactly like the brute-force lists over the whole dataset.
 func TestEpochEquivalentToFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const alpha, numTraj, foldAt = 40, 300, 230
 	ds := randTemporalDataset(rng, alpha, numTraj, 30)
-	want := index.Build(ds)
-	want.BuildTemporal()
-	prefix := ds.Slice(foldAt)
+	built := index.Build(ds.Slice(foldAt))
 	for _, bc := range []struct {
 		name string
-		base index.Backend
+		base func(t *testing.T) *index.Compact
 	}{
-		{"inverted", index.Build(prefix)},
-		{"compact", index.FreezeDataset(prefix)},
+		{"compact", func(*testing.T) *index.Compact { return built }},
+		{"mapped", func(t *testing.T) *index.Compact { return mapArena(t, built) }},
 	} {
-		t.Run(bc.name, func(t *testing.T) { checkEpochEqualsFlat(t, bc.base, ds, want, alpha, foldAt) })
+		t.Run(bc.name, func(t *testing.T) { checkEpochEqualsFlat(t, bc.base(t), ds, alpha, foldAt) })
 	}
 }
 
-func checkEpochEqualsFlat(t *testing.T, base index.Backend, ds *traj.Dataset, want *index.Inverted, alpha, foldAt int) {
+func checkEpochEqualsFlat(t *testing.T, base *index.Compact, ds *traj.Dataset, alpha, foldAt int) {
 	e := index.NewEpoch(base, buildDelta(ds, foldAt))
-	e.BuildTemporal()
-	if !e.TemporalReady() {
-		t.Fatal("TemporalReady = false after BuildTemporal")
+	if e.NumShards() != 2 || e.Source(0) != index.PostingSource(base) {
+		t.Fatalf("an epoch reads %d sources, the first %v; want the arena, then the delta", e.NumShards(), e.Source(0))
 	}
-
-	if e.NumTrajectories() != ds.Len() {
-		t.Fatalf("epoch covers %d trajectories, want %d", e.NumTrajectories(), ds.Len())
-	}
-	if e.NumShards() != base.NumShards()+1 {
-		t.Fatalf("NumShards = %d, want base+1 = %d", e.NumShards(), base.NumShards()+1)
-	}
-	if e.Kind() != base.Kind() {
-		t.Fatalf("Kind = %q, want the base's %q", e.Kind(), base.Kind())
-	}
-	if e.NumPostings() != want.NumPostings() {
-		t.Fatalf("epoch has %d postings, want %d", e.NumPostings(), want.NumPostings())
-	}
-	for id := int32(0); id < int32(ds.Len()); id++ {
-		if e.IntervalOverlaps(id, 10, 40) != want.IntervalOverlaps(id, 10, 40) {
-			t.Fatalf("IntervalOverlaps(%d, 10, 40) disagrees with the flat index", id)
+	lists := referenceLists(ds)
+	delta := e.Source(1)
+	for id := int32(foldAt); id < int32(ds.Len()); id++ {
+		lo, hi, _ := ds.Get(id).Interval()
+		if delta.IntervalOverlaps(id, 10, 40) != (lo <= 40 && hi >= 10) {
+			t.Fatalf("delta IntervalOverlaps(%d, 10, 40) disagrees with the dataset", id)
 		}
 	}
 	for sym := traj.Symbol(0); int(sym) < alpha; sym++ {
-		if got := e.Freq(sym); got != want.Freq(sym) {
-			t.Fatalf("Freq(%d) = %d, want %d", sym, got, want.Freq(sym))
+		if got := e.Freq(sym); got != len(lists[sym]) {
+			t.Fatalf("Freq(%d) = %d, want %d", sym, got, len(lists[sym]))
 		}
-		// The sources' postings must partition the flat list: the base
-		// owns IDs < foldAt, the delta — the last source — owns exactly
-		// the tail, and nothing is doubled or dropped.
-		wantSet := map[index.Posting]bool{}
-		for _, p := range want.Postings(sym) {
-			wantSet[p] = true
-		}
-		gotN := 0
+		// The sources' postings, read in order into one buffer, are the
+		// flat list: the arena owns IDs < foldAt, the delta the tail.
+		var got []index.Posting
 		for s := 0; s < e.NumShards(); s++ {
-			src := e.Source(s)
-			for _, p := range collect(src.Postings(sym)) {
-				if !wantSet[p] {
-					t.Fatalf("source %d posting %+v of sym %d not in the flat index", s, p, sym)
-				}
-				if delta := s == e.NumShards()-1; delta != (int(p.ID) >= foldAt) {
-					t.Fatalf("posting %+v of sym %d in source %d is on the wrong side of the fold", p, sym, s)
-				}
-				gotN++
-			}
-			index.ReleaseSource(src)
+			got = e.Source(s).AppendPostings(got, sym)
 		}
-		if gotN != len(wantSet) {
-			t.Fatalf("sources expose %d postings of sym %d, flat index has %d", gotN, sym, len(wantSet))
+		if !slices.Equal(got, lists[sym]) {
+			t.Fatalf("postings of %d across sources = %v, want %v", sym, got, lists[sym])
 		}
-		// Windowed reads: the delta scan-filters by departure while the
-		// base binary-searches its temporal order, so orders
-		// differ; compare as sets against the flat temporal index.
-		wantWin := map[index.Posting]bool{}
-		for _, p := range want.PostingsInWindow(sym, 10, 40) {
-			wantWin[p] = true
-		}
-		gotN = 0
+		// Windowed reads: the arena reads its departure order, the delta
+		// scan-filters in ID order, each over its own part of the list.
 		for s := 0; s < e.NumShards(); s++ {
-			src := e.Source(s)
-			for _, p := range src.PostingsInWindow(sym, 10, 40) {
-				if !wantWin[p] {
-					t.Fatalf("window posting %+v of sym %d not in the flat result", p, sym)
+			var want []index.Posting
+			for _, p := range referenceWindow(ds, lists[sym], 10, 40) {
+				if (int(p.ID) >= foldAt) == (s == 1) {
+					want = append(want, p)
 				}
-				gotN++
 			}
-			index.ReleaseSource(src)
-		}
-		if gotN != len(wantWin) {
-			t.Fatalf("window for sym %d has %d postings, want %d", sym, gotN, len(wantWin))
+			if s == 1 {
+				slices.SortFunc(want, func(a, b index.Posting) int { return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Pos, b.Pos)) })
+			}
+			if got := e.Source(s).AppendPostingsInWindow(nil, sym, 10, 40); !slices.Equal(got, want) {
+				t.Fatalf("source %d window of %d = %v, want %v", s, sym, got, want)
+			}
 		}
 	}
 }
 
 // TestEpochEmptyDelta pins the degenerate fold boundary: a delta built
 // at the dataset's end covers nothing and the view collapses to the
-// base (the server skips the Epoch wrapper in this case, but the
+// arena (the engine skips the Epoch wrapper in this case, but the
 // wrapper must still be correct — compaction races publish through it).
 func TestEpochEmptyDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds := randTemporalDataset(rng, 20, 50, 15)
 	base := index.Build(ds)
-	base.BuildTemporal()
 	e := index.NewEpoch(base, buildDelta(ds, ds.Len()))
-	if e.NumTrajectories() != ds.Len() || e.NumPostings() != base.NumPostings() {
-		t.Fatalf("empty-delta epoch (%d trajs, %d postings) diverges from base (%d, %d)",
-			e.NumTrajectories(), e.NumPostings(), ds.Len(), base.NumPostings())
+	if e.IndexBytes() != base.IndexBytes() {
+		t.Fatalf("empty-delta epoch holds %d bytes, the arena %d", e.IndexBytes(), base.IndexBytes())
 	}
-	src := e.Source(e.NumShards() - 1)
-	defer index.ReleaseSource(src)
-	if ps := src.Postings(5); len(ps) != 0 {
+	for sym := traj.Symbol(0); sym < 20; sym++ {
+		if e.Freq(sym) != base.Freq(sym) {
+			t.Fatalf("Freq(%d) = %d, the arena's %d", sym, e.Freq(sym), base.Freq(sym))
+		}
+	}
+	if ps := e.Source(1).AppendPostings(nil, 5); len(ps) != 0 {
 		t.Fatalf("empty delta returned %d postings", len(ps))
 	}
 }

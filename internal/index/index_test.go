@@ -2,6 +2,7 @@ package index_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"subtraj/internal/index"
@@ -11,12 +12,12 @@ import (
 
 func TestPostingsComplete(t *testing.T) {
 	env := testutil.NewEnv(1, 20, 15)
-	inv := index.Build(env.V)
+	c := index.Build(env.V)
 	// Every (id, pos) must appear exactly once in its symbol's list.
 	for id := range env.V.Trajs {
 		for pos, sym := range env.V.Trajs[id].Path {
 			found := 0
-			for _, p := range inv.Postings(sym) {
+			for _, p := range c.AppendPostings(nil, sym) {
 				if p.ID == int32(id) && p.Pos == int32(pos) {
 					found++
 				}
@@ -26,14 +27,14 @@ func TestPostingsComplete(t *testing.T) {
 			}
 		}
 	}
-	if inv.NumPostings() != env.V.TotalSymbols() {
-		t.Fatalf("postings count %d != total symbols %d", inv.NumPostings(), env.V.TotalSymbols())
+	if c.NumPostings() != env.V.TotalSymbols() {
+		t.Fatalf("postings count %d != total symbols %d", c.NumPostings(), env.V.TotalSymbols())
 	}
 }
 
 func TestFreqMatchesCount(t *testing.T) {
 	env := testutil.NewEnv(2, 20, 15)
-	inv := index.Build(env.V)
+	c := index.Build(env.V)
 	counts := map[traj.Symbol]int{}
 	for id := range env.V.Trajs {
 		for _, sym := range env.V.Trajs[id].Path {
@@ -41,17 +42,19 @@ func TestFreqMatchesCount(t *testing.T) {
 		}
 	}
 	for sym, n := range counts {
-		if inv.Freq(sym) != n {
-			t.Fatalf("freq(%d) = %d, want %d", sym, inv.Freq(sym), n)
+		if c.Freq(sym) != n {
+			t.Fatalf("freq(%d) = %d, want %d", sym, c.Freq(sym), n)
 		}
 	}
-	if inv.Freq(traj.Symbol(1<<30)) != 0 {
-		t.Fatal("freq of absent symbol != 0")
+	for _, absent := range []traj.Symbol{-1 << 31, -1, 1 << 30, 1<<31 - 1} {
+		if c.Freq(absent) != 0 || len(c.AppendPostings(nil, absent)) != 0 {
+			t.Fatalf("absent symbol %d has postings", absent)
+		}
 	}
 }
 
 // TestIncrementalAppendEqualsBuild: §4.1's incremental update — every
-// trajectory appended one by one to a delta over an empty base — yields
+// trajectory appended one by one to a delta over an empty arena — yields
 // the postings of a bulk build.
 func TestIncrementalAppendEqualsBuild(t *testing.T) {
 	env := testutil.NewEnv(3, 20, 15)
@@ -60,19 +63,11 @@ func TestIncrementalAppendEqualsBuild(t *testing.T) {
 	for id := range env.V.Trajs {
 		delta.Append(int32(id), &env.V.Trajs[id])
 	}
-	e := index.NewEpoch(index.Build(traj.NewDataset(traj.VertexRep)), delta.View())
-	inc := e.Source(e.NumShards() - 1)
-	defer index.ReleaseSource(inc)
+	inc := index.NewEpoch(index.Build(traj.NewDataset(traj.VertexRep)), delta.View()).Source(1)
 	for id := range env.V.Trajs {
 		for _, sym := range env.V.Trajs[id].Path {
-			a, b := whole.Postings(sym), inc.Postings(sym)
-			if len(a) != len(b) {
-				t.Fatalf("postings length mismatch for %d", sym)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("postings differ for %d at %d: %v vs %v", sym, i, a[i], b[i])
-				}
+			if a, b := whole.AppendPostings(nil, sym), inc.AppendPostings(nil, sym); !slices.Equal(a, b) {
+				t.Fatalf("postings differ for %d: %v vs %v", sym, a, b)
 			}
 		}
 	}
@@ -80,28 +75,17 @@ func TestIncrementalAppendEqualsBuild(t *testing.T) {
 
 func TestTemporalWindow(t *testing.T) {
 	env := testutil.NewEnv(4, 30, 15)
-	inv := index.Build(env.V)
-	inv.BuildTemporal()
+	c := index.Build(env.V)
 	rng := rand.New(rand.NewSource(4))
-	// Collect all symbols.
-	var syms []traj.Symbol
-	seen := map[traj.Symbol]bool{}
-	for id := range env.V.Trajs {
-		for _, s := range env.V.Trajs[id].Path {
-			if !seen[s] {
-				seen[s] = true
-				syms = append(syms, s)
-			}
-		}
-	}
+	syms := c.Symbols()
 	for trial := 0; trial < 50; trial++ {
 		sym := syms[rng.Intn(len(syms))]
 		lo := rng.Float64() * 3600
 		hi := lo + rng.Float64()*1800
-		got := inv.PostingsInWindow(sym, lo, hi)
+		got := c.AppendPostingsInWindow(nil, sym, lo, hi)
 		// Reference: filter full postings by departure.
 		var want []index.Posting
-		for _, p := range inv.Postings(sym) {
+		for _, p := range c.AppendPostings(nil, sym) {
 			dep, _ := env.V.Trajs[p.ID].Departure()
 			if dep >= lo && dep <= hi {
 				want = append(want, p)
@@ -124,19 +108,19 @@ func TestTemporalWindow(t *testing.T) {
 
 func TestIntervalOverlaps(t *testing.T) {
 	env := testutil.NewEnv(5, 20, 15)
-	inv := index.Build(env.V)
+	c := index.Build(env.V)
 	for id := range env.V.Trajs {
 		lo, hi, ok := env.V.Trajs[id].Interval()
 		if !ok {
 			t.Fatal("missing timestamps")
 		}
-		if !inv.IntervalOverlaps(int32(id), lo, hi) {
+		if !c.IntervalOverlaps(int32(id), lo, hi) {
 			t.Fatalf("self-interval does not overlap for %d", id)
 		}
-		if inv.IntervalOverlaps(int32(id), hi+1, hi+2) {
+		if c.IntervalOverlaps(int32(id), hi+1, hi+2) {
 			t.Fatalf("disjoint interval overlaps for %d", id)
 		}
-		if !inv.IntervalOverlaps(int32(id), lo-10, lo) {
+		if !c.IntervalOverlaps(int32(id), lo-10, lo) {
 			t.Fatalf("touching interval must overlap for %d", id)
 		}
 	}

@@ -5,16 +5,6 @@ import (
 	"os"
 )
 
-// mmapEnv is the environment toggle that forces OpenMapped onto the
-// portable read-file path even where mmap is available. It exists so the
-// non-unix fallback gets exercised by the unix CI runners (set
-// SUBTRAJ_MMAP=off), and as an escape hatch on filesystems where mapping
-// misbehaves (some network mounts).
-const mmapEnv = "SUBTRAJ_MMAP"
-
-// mmapDisabled reports whether the environment opted out of mmap.
-func mmapDisabled() bool { return os.Getenv(mmapEnv) == "off" }
-
 // openReadFile is the portable OpenMapped implementation: read the whole
 // arena into memory and validate it. The API contract is identical to
 // the mapped path (including Close being required); only the zero-copy

@@ -9,20 +9,13 @@ import (
 	"syscall"
 )
 
-// OpenMapped maps a compact arena written by Compact.Save into memory
+// OpenMapped maps an arena written by Compact.Save into memory
 // zero-copy: the returned Compact reads straight from the page cache, so
 // a multi-gigabyte index costs file-backed pages (shared across
 // processes, evictable under pressure), not Go heap. The arena is fully
-// validated before use — see LoadCompact — so a corrupt or truncated file
-// fails here, never inside a query. Close unmaps.
-//
-// SUBTRAJ_MMAP=off forces the portable read-file path (see openReadFile)
-// — the toggle CI uses to exercise the non-unix fallback, and an escape
-// hatch for filesystems where mapping misbehaves.
+// validated before use — see LoadCompact — so a corrupt, truncated or
+// older-version file fails here, never inside a query. Close unmaps.
 func OpenMapped(path string) (*Compact, error) {
-	if mmapDisabled() {
-		return openReadFile(path)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -33,8 +26,8 @@ func OpenMapped(path string) (*Compact, error) {
 		return nil, err
 	}
 	size := st.Size()
-	if size < compactHeaderSize {
-		return nil, fmt.Errorf("index: %s: %d bytes is shorter than a compact header", path, size)
+	if size < headerSize {
+		return nil, fmt.Errorf("index: %s: %d bytes is shorter than an arena header", path, size)
 	}
 	if uint64(size) > uint64(math.MaxInt) {
 		return nil, fmt.Errorf("index: %s: %d bytes exceeds the address space", path, size)

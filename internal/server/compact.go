@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync/atomic"
 	"time"
+
+	"subtraj/internal/index"
 )
 
 // ErrCompactionBusy is returned when a fold is already in progress;
@@ -86,16 +88,11 @@ func (s *SafeEngine) Compact() (*CompactionResult, error) {
 		return &CompactionResult{Generation: st.gen, Folded: st.eng.Dataset().Len()}, nil
 	}
 
-	// Fold off-lock: the new base covers exactly the prefix this
+	// Fold off-lock: the new arena covers exactly the prefix this
 	// snapshot sees. st.eng's dataset is a fixed prefix view, so the
 	// build races with nothing.
 	view := st.eng.Dataset()
-	base := st.eng.Backend().Rebuild(view)
-	if st.eng.Backend().TemporalReady() {
-		// The old base's temporal view was built; build the new one's
-		// off-lock too so readiness never flaps backwards.
-		base.BuildTemporal()
-	}
+	base := index.Build(view)
 
 	crashPoint("compact-fold")
 

@@ -28,8 +28,8 @@ import (
 //	snapshot.traj  every appended trajectory up to the last checkpoint,
 //	               in the same framed codec as the WAL (baseGen 0, so
 //	               record generations are 1..barrier)
-//	index.compact  mmap-able compact arena over base + snapshot (compact
-//	               backends only; absent or stale it is re-frozen)
+//	index.compact  the mmap-able arena over base + snapshot (absent or
+//	               stale, it is rebuilt)
 //
 // The base workload (the trajectories loaded before OpenDurable) is the
 // caller's responsibility to reproduce — it is the deterministic part;
@@ -60,10 +60,6 @@ type DurableOptions struct {
 	// CheckpointBytes triggers an automatic background checkpoint when the
 	// WAL grows past it (0 = only explicit /v1/checkpoint requests).
 	CheckpointBytes int64
-	// Compact selects the compact-arena backend with an mmap-able
-	// checkpoint snapshot; false builds the pointer backend and persists
-	// only snapshot + WAL.
-	Compact bool
 	// Logger receives recovery and background-checkpoint reports
 	// (nil = slog.Default()).
 	Logger *slog.Logger
@@ -87,8 +83,8 @@ type RecoveryInfo struct {
 	WALBytes int64
 	// CheckpointGen is the snapshot's generation barrier.
 	CheckpointGen uint64
-	// IndexMapped reports that the compact arena was mmapped from
-	// index.compact rather than re-frozen from the dataset.
+	// IndexMapped reports that the arena was mmapped from index.compact
+	// rather than rebuilt from the dataset.
 	IndexMapped bool
 }
 
@@ -105,7 +101,6 @@ type Durability struct {
 	dir       string
 	log       *wal.Writer
 	baseLen   int // dataset prefix from the reproducible base workload
-	compact   bool
 	ckptBytes int64
 	logger    *slog.Logger
 
@@ -170,7 +165,10 @@ func (s *SafeEngine) Durable() *Durability { return s.dur }
 //
 // ds must hold exactly the reproducible base workload (the trajectories
 // present before the durable directory was first used); OpenDurable
-// appends the recovered tail to it.
+// appends the recovered tail to it. A checkpointed arena that covers as
+// many trajectories as the recovered snapshot but was built over others —
+// a restart with another base workload — is an error, not a silent
+// rebuild: the snapshot it was cut with belongs to that workload too.
 func OpenDurable(dir string, ds *traj.Dataset, costs wed.FilterCosts, opts DurableOptions) (*SafeEngine, *RecoveryInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("server: durable dir: %w", err)
@@ -210,7 +208,6 @@ func OpenDurable(dir string, ds *traj.Dataset, costs wed.FilterCosts, opts Durab
 	dur := &Durability{
 		dir:       dir,
 		baseLen:   baseLen,
-		compact:   opts.Compact,
 		ckptBytes: opts.CheckpointBytes,
 		logger:    opts.Logger,
 	}
@@ -244,24 +241,26 @@ func OpenDurable(dir string, ds *traj.Dataset, costs wed.FilterCosts, opts Durab
 	info.WALBytes = w.StatsSnapshot().Bytes
 
 	// 3. Index. A checkpoint's arena covers base + snapshot, so the
-	// replayed records become the delta over it; every other base is
-	// built over the whole recovered dataset.
+	// replayed records become the delta over it. Without one — none yet, a
+	// stale one (a crash between the snapshot rename and the index rename),
+	// an unreadable one (an older format) — the arena is built over the
+	// whole recovered dataset.
 	var eng *core.Engine
-	if opts.Compact {
-		if c, err := index.OpenMapped(filepath.Join(dir, indexFile)); err == nil {
-			if c.NumTrajectories() == snapLen {
-				eng = core.NewEngineWithBackend(ds, c, costs)
-				info.IndexMapped = true
-			} else {
-				// Stale arena (crash between snapshot rename and index
-				// rename): ignore it and re-freeze.
-				_ = c.Close()
-			}
+	if c, err := index.OpenMapped(filepath.Join(dir, indexFile)); err == nil {
+		switch {
+		case c.NumTrajectories() != snapLen:
+			_ = c.Close()
+		case !c.Describes(ds):
+			_ = c.Close()
+			_ = w.Close()
+			return nil, nil, fmt.Errorf("server: %s was built over other trajectories than the %d this base workload and %s hold: -dataset, -scale, -load and -model must match the run that wrote %s",
+				filepath.Join(dir, indexFile), snapLen, snapshotFile, dir)
+		default:
+			eng = core.NewEngineWithBackend(ds, c, costs)
+			info.IndexMapped = true
 		}
-		if eng == nil {
-			eng = core.NewEngineCompact(ds, costs)
-		}
-	} else {
+	}
+	if eng == nil {
 		eng = core.NewEngine(ds, costs)
 	}
 
@@ -297,9 +296,9 @@ type CheckpointResult struct {
 //     before the rename leaves the old snapshot + full WAL; after it,
 //     the new snapshot overlaps the not-yet-rotated WAL, and recovery's
 //     generation skip de-duplicates.
-//  2. compact backends re-freeze the arena and persist it the same way,
-//     then rebase the engine onto the fresh arena, which empties the
-//     delta — a stale or missing arena is merely a slower restart.
+//  2. the arena is rebuilt and persisted the same way, then the engine
+//     is rebased onto it, which empties the delta — a stale or missing
+//     arena is merely a slower restart.
 //  3. the WAL is rotated (truncated to a fresh header whose baseGen is
 //     the barrier) — only after the snapshot is durably in place.
 //
@@ -343,20 +342,17 @@ func (d *Durability) checkpointLocked(s *SafeEngine) (*CheckpointResult, error) 
 	if err != nil {
 		return nil, fmt.Errorf("server: checkpoint snapshot: %w", err)
 	}
-	res := &CheckpointResult{Generation: barrier, Records: int64(len(tail)), SnapshotBytes: snapBytes}
-	if d.compact {
-		c := index.FreezeDataset(ds)
-		n, err := d.writeIndex(c)
-		if err != nil {
-			return nil, fmt.Errorf("server: checkpoint index: %w", err)
-		}
-		res.IndexBytes = n
-		// Install the fresh arena as the new frozen base and publish a
-		// snapshot over it (same generation — contents are unchanged, so
-		// cached results stay valid).
-		s.writer.Rebase(c)
-		s.publishLocked()
+	c := index.Build(ds)
+	indexBytes, err := d.writeIndex(c)
+	if err != nil {
+		return nil, fmt.Errorf("server: checkpoint index: %w", err)
 	}
+	// Install the fresh arena as the new frozen base and publish a
+	// snapshot over it (same generation — contents are unchanged, so
+	// cached results stay valid).
+	s.writer.Rebase(c)
+	s.publishLocked()
+	res := &CheckpointResult{Generation: barrier, Records: int64(len(tail)), SnapshotBytes: snapBytes, IndexBytes: indexBytes}
 	if err := d.log.Rotate(barrier); err != nil {
 		return nil, fmt.Errorf("server: checkpoint wal rotation: %w", err)
 	}
@@ -399,8 +395,8 @@ func (d *Durability) writeSnapshot(tail []traj.Trajectory) (int64, error) {
 	return size, nil
 }
 
-// writeIndex persists the compact arena (tmp + rename + directory fsync)
-// and returns the file size.
+// writeIndex persists the arena (tmp + rename + directory fsync) and
+// returns the file size.
 func (d *Durability) writeIndex(c *index.Compact) (int64, error) {
 	tmp := filepath.Join(d.dir, indexFile+".tmp")
 	f, err := os.Create(tmp)

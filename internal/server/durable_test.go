@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,17 +141,16 @@ func TestDurableTornTailTruncated(t *testing.T) {
 }
 
 // TestCheckpointRotatesAndRecovers: a checkpoint moves the appended tail
-// into the snapshot, truncates the WAL, and a reopen reassembles
-// snapshot + post-checkpoint WAL records.
+// into the snapshot, persists the arena, truncates the WAL, and a reopen
+// reassembles snapshot + post-checkpoint WAL records — over the mapped
+// arena with the replayed record as its delta, or, when the arena file is
+// gone, over an arena rebuilt from everything recovered.
 func TestCheckpointRotatesAndRecovers(t *testing.T) {
-	for _, compact := range []bool{false, true} {
-		name := "pointer"
-		if compact {
-			name = "compact"
-		}
+	for _, rebuilt := range []bool{false, true} {
+		name := map[bool]string{false: "compact", true: "rebuilt"}[rebuilt]
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := DurableOptions{Sync: wal.SyncAlways, Compact: compact}
+			opts := DurableOptions{Sync: wal.SyncAlways}
 			safe, _, _ := openDurableTest(t, dir, opts)
 			appendPath(t, safe, 1, 2, 3)
 			appendPath(t, safe, 4, 5)
@@ -157,8 +158,8 @@ func TestCheckpointRotatesAndRecovers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Checkpoint: %v", err)
 			}
-			if res.Generation != 2 || res.Records != 2 {
-				t.Fatalf("checkpoint result %+v, want gen 2, records 2", res)
+			if res.Generation != 2 || res.Records != 2 || res.IndexBytes == 0 {
+				t.Fatalf("checkpoint result %+v, want gen 2, records 2 and an arena", res)
 			}
 			if ws := safe.Durable().WALStats(); ws.Records != 0 || ws.BaseGen != 2 {
 				t.Fatalf("WAL not rotated: %+v", ws)
@@ -166,19 +167,21 @@ func TestCheckpointRotatesAndRecovers(t *testing.T) {
 			post := []traj.Symbol{6, 7, 8, 9}
 			appendPath(t, safe, post...)
 			closeDurable(t, safe)
+			if rebuilt {
+				if err := os.Remove(filepath.Join(dir, indexFile)); err != nil {
+					t.Fatal(err)
+				}
+			}
 
 			re, info, _ := openDurableTest(t, dir, opts)
 			defer closeDurable(t, re)
 			if info.SnapshotRecords != 2 || info.ReplayedRecords != 1 || info.SkippedRecords != 0 {
 				t.Fatalf("recovery info %+v, want snapshot 2 + replayed 1", info)
 			}
-			if compact && !info.IndexMapped {
-				t.Fatalf("compact reopen did not mmap the checkpointed index: %+v", info)
+			if info.IndexMapped == rebuilt {
+				t.Fatalf("reopen mapped the checkpointed arena: %v, want %v (%+v)", info.IndexMapped, !rebuilt, info)
 			}
-			// The pointer base is built over everything recovered; the
-			// mapped arena covers the checkpoint and the replayed record
-			// is the delta over it.
-			if wantDelta := map[bool]int{false: 0, true: 1}[compact]; re.DeltaLen() != wantDelta {
+			if wantDelta := map[bool]int{false: 1, true: 0}[rebuilt]; re.DeltaLen() != wantDelta {
 				t.Fatalf("recovered delta holds %d trajectories, want %d", re.DeltaLen(), wantDelta)
 			}
 			if got, want := re.NumTrajectories(), tinyBaseLen()+3; got != want {
@@ -191,6 +194,29 @@ func TestCheckpointRotatesAndRecovers(t *testing.T) {
 				t.Fatalf("checkpointed append lost: ms=%v err=%v", ms, err)
 			}
 		})
+	}
+}
+
+// TestDurableRejectsForeignArena: a durable directory reopened over a base
+// workload of the same length that differs in one symbol holds an arena
+// of the right size over the wrong paths. Recovery must refuse it and
+// name the flags that have to match, not serve it.
+func TestDurableRejectsForeignArena(t *testing.T) {
+	dir := t.TempDir()
+	safe, _, _ := openDurableTest(t, dir, DurableOptions{Sync: wal.SyncAlways})
+	appendPath(t, safe, 1, 2, 3)
+	if _, err := safe.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	closeDurable(t, safe)
+
+	w := workload.Generate(workload.Tiny(7))
+	p := slices.Clone(w.Data.Trajs[0].Path)
+	p[0]++
+	w.Data.Trajs[0].Path = p
+	_, _, err := OpenDurable(dir, w.Data, wed.NewLev(), DurableOptions{Sync: wal.SyncAlways})
+	if err == nil || !strings.Contains(err.Error(), "-dataset") {
+		t.Fatalf("a foreign arena opened: %v, want an error naming the flags", err)
 	}
 }
 

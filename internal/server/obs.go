@@ -94,13 +94,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.GaugeFunc("subtraj_engine_trajectories", "Indexed trajectories.",
 		nil, func() float64 { return float64(s.eng.NumTrajectories()) })
 	r.GaugeFunc("subtraj_index_bytes",
-		"Index memory footprint (exact arena size for the compact backend, heap estimate for pointer).",
-		obs.L("backend", s.eng.IndexKind()), func() float64 { return float64(s.eng.IndexBytes()) })
+		"Index memory footprint: the arena, plus a heap estimate for the append delta.",
+		nil, func() float64 { return float64(s.eng.IndexBytes()) })
 	r.GaugeFunc("subtraj_index_bytes_per_trajectory",
 		"Index bytes divided by indexed trajectories.",
-		obs.L("backend", s.eng.IndexKind()), func() float64 {
-			return ratio(s.eng.IndexBytes(), int64(s.eng.NumTrajectories()))
-		})
+		nil, func() float64 { return ratio(s.eng.IndexBytes(), int64(s.eng.NumTrajectories())) })
 	r.GaugeFunc("subtraj_band_ratio",
 		"Fraction of DP cells the banded verification actually computed.",
 		nil, func() float64 { return ratio(m.cellsComputed.Value(), m.cellsAvail.Value()) })
@@ -374,14 +372,12 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 
 // healthResponse is the /healthz body: liveness plus the readiness facts
 // a probe or load balancer actually wants — dataset generation (has the
-// instance caught up after a restore?), uptime, and whether the temporal
-// index is built.
+// instance caught up after a restore?) and uptime.
 type healthResponse struct {
 	Status        string  `json:"status"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Generation    uint64  `json:"generation"`
 	Trajectories  int     `json:"trajectories"`
-	TemporalReady bool    `json:"temporal_ready"`
 	GPSEnabled    bool    `json:"gps_enabled"`
 	// Durable reports write-ahead logging; the remaining fields let a
 	// probe confirm a restarted instance actually recovered (how many WAL
@@ -398,7 +394,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Generation:    s.eng.Generation(),
 		Trajectories:  s.eng.NumTrajectories(),
-		TemporalReady: s.eng.TemporalReady(),
 		GPSEnabled:    s.matcher != nil,
 	}
 	if d := s.eng.Durable(); d != nil {

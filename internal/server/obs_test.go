@@ -695,16 +695,6 @@ func TestHealthzFields(t *testing.T) {
 	if h.Generation != 1 {
 		t.Errorf("generation after append = %d, want 1", h.Generation)
 	}
-
-	// A departure-mode query forces the temporal index build, after which
-	// /healthz must report temporal_ready.
-	post(t, ts.URL+"/v1/temporal", map[string]any{
-		"q": q, "tau_ratio": 0.3, "lo": 0.0, "hi": 1e12, "mode": "departure",
-	})
-	getJSON(t, ts.URL+"/healthz", &h)
-	if !h.TemporalReady {
-		t.Error("temporal_ready = false after a departure query built the index")
-	}
 }
 
 // --- overhead benchmark ---------------------------------------------------

@@ -188,9 +188,8 @@ func (s *SafeEngine) Search(q []traj.Symbol, tau float64) ([]traj.Match, error) 
 
 // SearchQuery answers a fully specified query against the current
 // snapshot, with no lock on the read path. A TemporalDeparture query
-// never waits on an index rebuild: the delta answers windows by a
-// bounded filtered scan, and the frozen base's departure order is built
-// at most once, by whichever query needs it first.
+// never waits on an index rebuild: the arena holds its departure order,
+// and the delta answers windows by a bounded filtered scan.
 func (s *SafeEngine) SearchQuery(qr core.Query) ([]traj.Match, *core.QueryStats, error) {
 	return s.state.Load().eng.SearchQuery(qr)
 }
@@ -213,19 +212,10 @@ func (s *SafeEngine) SearchTopKStats(q []traj.Symbol, k int, opts core.TopKOptio
 // IndexBytes returns the published index's memory footprint.
 func (s *SafeEngine) IndexBytes() int64 { return s.state.Load().eng.IndexBytes() }
 
-// IndexKind names the index backend family ("pointer" or "compact");
-// fixed at construction (compaction preserves the family).
-func (s *SafeEngine) IndexKind() string { return s.state.Load().eng.IndexKind() }
-
-// TemporalReady reports whether the snapshot's departure-sorted
-// temporal view is fully built — the engine-readiness signal /healthz
-// and the metrics scraper expose. The delta needs no temporal order
-// (windows are scans); the base's is built on first temporal use.
-func (s *SafeEngine) TemporalReady() bool { return s.state.Load().eng.Backend().TemporalReady() }
-
-// PrepareTemporal eagerly builds the base's temporal order so the first
-// TemporalDeparture query doesn't pay for it.
-func (s *SafeEngine) PrepareTemporal() { s.state.Load().eng.PrepareTemporal() }
+// PrepareTemporal does nothing: the arena is built with its departure
+// order. Kept only because benchmark/trace.go calls it; it goes when
+// the benchmark stops calling it.
+func (s *SafeEngine) PrepareTemporal() {}
 
 // SearchExact answers the exact path query against the current snapshot.
 func (s *SafeEngine) SearchExact(q []traj.Symbol) ([]traj.Match, error) {

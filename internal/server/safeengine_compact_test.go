@@ -11,11 +11,11 @@ import (
 	"subtraj/internal/workload"
 )
 
-// TestSafeEngineCompactOverlay serves a compact snapshot of half the
-// workload, streams the other half in through SafeEngine.Append (landing
-// in the delta over the arena), and checks the mixed snapshot+tail
-// engine answers plain, temporal, top-k, and exact queries identically to
-// a flat pointer engine over the full dataset.
+// TestSafeEngineCompactOverlay serves an arena of half the workload,
+// streams the other half in through SafeEngine.Append (landing in the
+// delta over the arena), and checks the mixed arena+delta engine answers
+// plain, temporal, top-k, and exact queries identically to an engine
+// built over the full dataset.
 func TestSafeEngineCompactOverlay(t *testing.T) {
 	w := workload.Generate(workload.Tiny(13))
 	full := w.Data
@@ -25,13 +25,10 @@ func TestSafeEngineCompactOverlay(t *testing.T) {
 		tr := full.Get(int32(id))
 		half.Add(traj.Trajectory{Path: tr.Path, Times: tr.Times})
 	}
-	safe := NewSafeEngine(core.NewEngineCompact(half, wed.NewLev()))
+	safe := NewSafeEngine(core.NewEngine(half, wed.NewLev()))
 	for id := n / 2; id < n; id++ {
 		tr := full.Get(int32(id))
 		safe.Append(traj.Trajectory{Path: tr.Path, Times: tr.Times})
-	}
-	if safe.IndexKind() != "compact" {
-		t.Fatalf("IndexKind = %q, want compact", safe.IndexKind())
 	}
 	if safe.NumTrajectories() != n {
 		t.Fatalf("NumTrajectories = %d, want %d", safe.NumTrajectories(), n)
@@ -93,14 +90,13 @@ func TestSafeEngineCompactOverlay(t *testing.T) {
 	}
 }
 
-// TestSafeEngineCompactConcurrent hammers the compact backend with
-// concurrent searchers and appenders: under -race this checks the pooled
-// arena cursors and the delta over the arena against the wrapper's
-// publishes, the same acceptance bar the pointer backend passes in
-// TestSafeEngineConcurrentAppendSearch.
+// TestSafeEngineCompactConcurrent hammers the arena with concurrent
+// searchers — plain, departure-window and top-k, each reading into its
+// own buffers — and an appender: under -race this checks the arena reads
+// and the delta over the arena against the wrapper's publishes.
 func TestSafeEngineCompactConcurrent(t *testing.T) {
 	w := workload.Generate(workload.Tiny(17))
-	safe := NewSafeEngine(core.NewEngineCompact(w.Data, wed.NewLev()))
+	safe := NewSafeEngine(core.NewEngine(w.Data, wed.NewLev()))
 	q := sampleQuery(t, w.Data, 8, 3)
 	tau := safe.Threshold(q, 0.3)
 

@@ -189,7 +189,6 @@ func TestTemporalSearchUnderAppendLoad(t *testing.T) {
 			}
 			safe.Generation()
 			safe.NumTrajectories()
-			safe.TemporalReady()
 		}
 	}()
 	select {

@@ -479,7 +479,7 @@ func (s *Server) batch(r *http.Request, req *batchRequest) (any, error) {
 }
 
 // checkpoint forces a checkpoint: snapshot the appended tail, persist the
-// index (compact backends), truncate the WAL. 501 on a volatile engine,
+// arena, truncate the WAL. 501 on a volatile engine,
 // 409 when one is already running. It takes no parameters.
 func (s *Server) checkpoint(*http.Request, *struct{}) (any, error) {
 	res, err := s.eng.Checkpoint()
@@ -827,12 +827,10 @@ type StatsSnapshot struct {
 	Engine        struct {
 		Trajectories int    `json:"trajectories"`
 		Generation   uint64 `json:"generation"`
-		// IndexBackend names the index family ("pointer" or "compact");
-		// IndexBytes is its memory footprint (exact arena size for
-		// compact, heap estimate for pointer) and BytesPerTrajectory the
+		// IndexBytes is the index's memory footprint (the arena, plus a
+		// heap estimate for the append delta) and BytesPerTrajectory the
 		// same divided by the trajectory count — the benchmark's
-		// index.bytes_per_traj(_compact).
-		IndexBackend       string  `json:"index_backend"`
+		// index.bytes_per_traj.
 		IndexBytes         int64   `json:"index_bytes"`
 		BytesPerTrajectory float64 `json:"bytes_per_trajectory"`
 	} `json:"engine"`
@@ -986,7 +984,6 @@ func (s *Server) Snapshot() StatsSnapshot {
 	out.UptimeSeconds = time.Since(s.start).Seconds()
 	out.Engine.Trajectories = s.eng.NumTrajectories()
 	out.Engine.Generation = s.eng.Generation()
-	out.Engine.IndexBackend = s.eng.IndexKind()
 	out.Engine.IndexBytes = s.eng.IndexBytes()
 	out.Engine.BytesPerTrajectory = ratio(out.Engine.IndexBytes, int64(out.Engine.Trajectories))
 	out.Ingest.FoldedTrajectories = s.eng.FoldedLen()

@@ -14,7 +14,7 @@ import (
 )
 
 // run verifies all plan candidates under the given options.
-func run(m testutil.Model, inv *index.Inverted, q []traj.Symbol, tau float64, opts verify.Options) (*verify.Verifier, []traj.Match) {
+func run(m testutil.Model, inv *index.Compact, q []traj.Symbol, tau float64, opts verify.Options) (*verify.Verifier, []traj.Match) {
 	plan, err := filter.BuildPlan(m.Costs, inv, q, tau)
 	if err != nil {
 		panic(err)

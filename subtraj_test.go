@@ -3,9 +3,13 @@ package subtraj_test
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"subtraj"
+	"subtraj/internal/testutil"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -311,5 +315,51 @@ func TestSearchTemporalDeparture(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Fatalf("prefilter changed results: %d vs %d", len(got), len(want))
+	}
+}
+
+// TestOpenMappedEngineRejectsForeignDataset: an index file saved for the
+// golden dataset maps back over it and answers like the engine that saved
+// it, and is refused over a dataset of as many trajectories that differs
+// in one symbol — the count alone cannot tell the two apart.
+func TestOpenMappedEngineRejectsForeignDataset(t *testing.T) {
+	ds := testutil.GoldenDataset()
+	costs := subtraj.NewNetwork(testutil.GoldenNet()).EDR(100)
+	eng, err := subtraj.NewEngine(ds, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "golden.sbtj")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SaveIndex(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mapped, closeIndex, err := subtraj.OpenMappedEngine(ds, costs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeIndex()
+	q := ds.Path(0)
+	want, err := eng.SearchRatio(q, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := mapped.SearchRatio(q, 0.3); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("mapped engine: %v, %v; want %v", got, err, want)
+	}
+
+	foreign := &subtraj.Dataset{Rep: ds.Rep, Trajs: slices.Clone(ds.Trajs)}
+	p := slices.Clone(foreign.Trajs[1].Path)
+	p[len(p)-1]++
+	foreign.Trajs[1].Path = p
+	if _, _, err := subtraj.OpenMappedEngine(foreign, costs, path); err == nil {
+		t.Fatal("an index of the golden dataset opened over a dataset that differs in one symbol")
 	}
 }
