@@ -87,7 +87,7 @@ func main() {
 		model       = flag.String("model", "EDR", "cost model: Lev|EDR|ERP|NetEDR|NetERP|SURS")
 		cacheSize   = flag.Int("cache", 1024, "LRU result-cache entries (negative disables)")
 		concurrency = flag.Int("concurrency", 0, "max in-flight engine queries (0 = 2x GOMAXPROCS)")
-		indexFile   = flag.String("index-file", "", "index arena path: open zero-copy via mmap if it exists, else build, save, and re-open mapped")
+		indexFile   = flag.String("index-file", "", "index arena path: open zero-copy via mmap if it indexes a prefix of the dataset, else (missing or older format) build, save, and re-open mapped")
 		walDir      = flag.String("wal-dir", "", "durable-state directory: log appends to a WAL, checkpoint, and recover on restart (incompatible with -index-file)")
 		walSync     = flag.String("wal-sync", "always", "WAL fsync policy: always (fsync per append) | interval | never")
 		walInterval = flag.Duration("wal-sync-interval", 100*time.Millisecond, "flush period for -wal-sync interval")
@@ -289,24 +289,24 @@ func main() {
 		snap.Cache.Hits, snap.Cache.Hits+snap.Cache.Misses)
 }
 
-// buildEngine builds the engine, or with an -index-file that exists maps
-// its arena zero-copy; with one that does not exist yet, it builds the
-// arena, saves it, and re-opens it from the mapping so the serving process
-// genuinely runs off the page cache.
+// buildEngine builds the engine, or with an -index-file maps its arena
+// zero-copy: an arena over a prefix of the dataset serves, the rest of the
+// dataset becoming its delta. With no file yet, or one of an older format
+// version, it builds the arena, saves it, and re-opens it from the mapping
+// so the serving process genuinely runs off the page cache.
 func buildEngine(data *subtraj.Dataset, costs subtraj.FilterCosts, file string) (*subtraj.Engine, error) {
 	if file == "" {
 		return subtraj.NewEngine(data, costs)
 	}
-	if _, err := os.Stat(file); err == nil {
-		eng, _, err := subtraj.OpenMappedEngine(data, costs, file)
-		if err != nil {
-			return nil, err
-		}
+	eng, _, err := subtraj.OpenMappedEngine(data, costs, file)
+	if err == nil {
 		log.Printf("  compact index mapped from %s", file)
 		return eng, nil
 	}
-	eng, err := subtraj.NewEngine(data, costs)
-	if err != nil {
+	if !errors.Is(err, subtraj.ErrStaleIndex) {
+		return nil, err
+	}
+	if eng, err = subtraj.NewEngine(data, costs); err != nil {
 		return nil, err
 	}
 	f, err := os.Create(file)

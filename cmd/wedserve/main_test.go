@@ -395,23 +395,39 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestCompactionCrashRecovery SIGKILLs wedserve between a compaction
-// fold and its publish — the adversarial window the epoch design opens:
-// the new base is fully built but the snapshot swap never happens. The
-// WAL is the only authority over appended data, so recovery must replay
-// the whole acknowledged delta exactly once — no lost appends, no
-// duplicates — and a restarted server must fold successfully where the
-// crashed one died.
+// TestCompactionCrashRecovery SIGKILLs wedserve between a fold's arena
+// build and its publish — the adversarial window the epoch design opens:
+// the new base is fully built but the snapshot swap never happens. It
+// does so for a compaction and for a background checkpoint, which is the
+// same fold. The WAL is the only authority over appended data, so
+// recovery must replay the whole acknowledged delta exactly once — no
+// lost appends, no duplicates — and a restarted server must fold
+// successfully where the crashed one died.
 func TestCompactionCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
 	}
+	for _, tc := range []struct {
+		name string
+		// flags make the background fold trigger within the first few
+		// appends, so an early acknowledged append detonates the crash
+		// point; minAcked is how many appends precede the trigger.
+		flags    []string
+		minAcked int
+	}{
+		{"fold", []string{"-compact-appends", "8"}, 7},
+		// ~190 WAL bytes per payload: a checkpoint after about 11 appends.
+		{"checkpoint", []string{"-compact-appends", "0", "-checkpoint-bytes", "2048"}, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) { foldCrashRecovery(t, tc.flags, tc.minAcked) })
+	}
+}
+
+func foldCrashRecovery(t *testing.T, flags []string, minAcked int) {
 	walDir := t.TempDir()
 	port := freePort(t)
-	// Arm the crash point and make the background fold trigger after 8
-	// unfolded appends, so the 8th acknowledged append detonates it.
 	child, base := startChildOpts(t, walDir, port,
-		[]string{"SUBTRAJ_CRASH_POINT=compact-fold"}, "-compact-appends", "8")
+		[]string{"SUBTRAJ_CRASH_POINT=compact-fold"}, flags...)
 
 	baseW := subtraj.Generate(subtraj.TinyWorkload(42))
 	baseLen := baseW.Data.Len()
@@ -430,10 +446,10 @@ func TestCompactionCrashRecovery(t *testing.T) {
 	if sent == len(payloads) {
 		t.Fatalf("all %d appends succeeded: the compact-fold crash point never fired", sent)
 	}
-	if acked < 7 {
-		t.Fatalf("crashed before the compaction threshold: acked=%d", acked)
+	if acked < minAcked {
+		t.Fatalf("crashed before the fold threshold: acked=%d", acked)
 	}
-	t.Logf("compaction crash window: %d acked, %d sent", acked, sent)
+	t.Logf("fold crash window: %d acked, %d sent", acked, sent)
 
 	// In-process recovery from a copy: every acknowledged append must
 	// come back exactly once, bit-for-bit, in append order — the fold
@@ -472,9 +488,9 @@ func TestCompactionCrashRecovery(t *testing.T) {
 
 	// Restart the real binary on the surviving dir WITHOUT the crash
 	// point: it must recover the same generation and survive crossing
-	// the compaction threshold it died on.
+	// the threshold it died on.
 	port2 := freePort(t)
-	child2, base2 := startChildOpts(t, walDir, port2, nil, "-compact-appends", "8")
+	child2, base2 := startChildOpts(t, walDir, port2, nil, flags...)
 	h := getHealthz(t, base2)
 	if int(h.DurableGeneration) != recovered || h.Trajectories != baseLen+recovered {
 		t.Fatalf("restart: generation=%d trajectories=%d, want %d/%d",
@@ -485,14 +501,18 @@ func TestCompactionCrashRecovery(t *testing.T) {
 			t.Fatalf("append %d after restart: %v", i, err)
 		}
 	}
-	// The appends crossed the threshold: a background fold must complete
-	// and absorb the delta.
+	// The appends crossed the threshold: a background compaction must
+	// complete and absorb the delta, or a background checkpoint complete
+	// (the recovered WAL is already past -checkpoint-bytes, so the first
+	// append starts one).
 	var st struct {
 		Ingest struct {
 			Compactions int64 `json:"compactions"`
 			Delta       int   `json:"delta_trajectories"`
-			Folded      int   `json:"folded_trajectories"`
 		} `json:"ingest"`
+		Durability struct {
+			Checkpoints int64 `json:"checkpoints"`
+		} `json:"durability"`
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -505,11 +525,11 @@ func TestCompactionCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Ingest.Compactions >= 1 && st.Ingest.Delta < 8 {
+		if st.Ingest.Compactions >= 1 && st.Ingest.Delta < 8 || st.Durability.Checkpoints >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("background fold never completed after restart: %+v", st.Ingest)
+			t.Fatalf("background fold never completed after restart: %+v", st)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -518,7 +538,41 @@ func TestCompactionCrashRecovery(t *testing.T) {
 	}
 	child2.Process.Signal(os.Interrupt)
 	if err := child2.Wait(); err != nil {
-		t.Fatalf("graceful shutdown after compaction recovery: %v", err)
+		t.Fatalf("graceful shutdown after fold recovery: %v", err)
+	}
+}
+
+// TestBuildEngineRebuildsStaleIndexFile: an -index-file of an older
+// format version is rebuilt and saved again, not a start-up failure; an
+// index file over a prefix of the dataset is mapped as it is.
+func TestBuildEngineRebuildsStaleIndexFile(t *testing.T) {
+	w := subtraj.Generate(subtraj.TinyWorkload(42))
+	costs, data, err := buildModel(subtraj.NewNetwork(w.Graph), w, "EDR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "tiny.sbtj")
+	if _, err := buildEngine(data, costs, file); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[8] = 1 // the format version
+	if err := os.WriteFile(file, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := buildEngine(data, costs, file); err != nil {
+		t.Fatalf("an older-version index file: %v, want a rebuild", err)
+	}
+	data.Add(data.Trajs[0])
+	eng, err := buildEngine(data, costs, file)
+	if err != nil {
+		t.Fatalf("the rebuilt file over a grown dataset: %v", err)
+	}
+	if eng.Inner().DeltaLen() != 1 {
+		t.Fatalf("delta %d, want the one trajectory after the file's prefix", eng.Inner().DeltaLen())
 	}
 }
 

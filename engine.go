@@ -42,24 +42,28 @@ func (e *Engine) SaveIndex(w io.Writer) error {
 	return c.Save(w)
 }
 
+// ErrStaleIndex is wrapped by OpenMappedEngine's error when the path holds
+// no index file, or one of an older format version: build the engine with
+// NewEngine and save its index again.
+var ErrStaleIndex = index.ErrStale
+
 // OpenMappedEngine builds an engine over ds from an index file written by
 // SaveIndex, mapped zero-copy (the postings live in the page cache, not
-// the Go heap). The file must index exactly ds's trajectories: one built
-// over another dataset of the same length is refused, by the dataset hash
-// in its header. The mapping is released when the process exits or the
-// returned close function is called (after which the engine must not be
-// used).
+// the Go heap). The file must index a prefix of ds's trajectories — all
+// of them, or the first n when ds has grown since the save — and the
+// trajectories after it are indexed as appends. A file built over other
+// trajectories is refused by the dataset hash in its header; a missing
+// file or one of an older format version is refused with an error that
+// wraps ErrStaleIndex, so a caller knows to rebuild. The mapping is
+// released when the process exits or the returned close function is
+// called (after which the engine must not be used).
 func OpenMappedEngine(ds *Dataset, costs FilterCosts, path string) (*Engine, func() error, error) {
 	if ds == nil || costs == nil {
 		return nil, nil, errors.New("subtraj: nil dataset or cost model")
 	}
-	c, err := index.OpenMapped(path)
+	c, err := index.OpenPrefix(path, ds)
 	if err != nil {
-		return nil, nil, err
-	}
-	if c.NumTrajectories() != ds.Len() || !c.Describes(ds) {
-		c.Close()
-		return nil, nil, fmt.Errorf("subtraj: index file %s was built over other trajectories than the dataset's %d (it holds %d); rebuild it from this dataset", path, ds.Len(), c.NumTrajectories())
+		return nil, nil, fmt.Errorf("subtraj: %w; rebuild the index from this dataset", err)
 	}
 	eng := &Engine{inner: core.NewEngineWithBackend(ds, c, costs)}
 	return eng, c.Close, nil
@@ -212,23 +216,9 @@ func BestPerTrajectory(ms []Match) map[int32]Match {
 	best := make(map[int32]Match)
 	for _, m := range ms {
 		b, ok := best[m.ID]
-		if !ok || better(m, b) {
+		if !ok || traj.Better(m, b) {
 			best[m.ID] = m
 		}
 	}
 	return best
-}
-
-func better(a, b traj.Match) bool {
-	if a.WED != b.WED {
-		return a.WED < b.WED
-	}
-	la, lb := a.T-a.S, b.T-b.S
-	if la != lb {
-		return la < lb
-	}
-	if a.S != b.S {
-		return a.S < b.S
-	}
-	return a.T < b.T
 }

@@ -159,7 +159,7 @@ type topkTable struct {
 	k   int
 	thr atomic.Uint64 // Float64bits of the threshold
 	mu  sync.Mutex
-	// best is unordered; worst indexes its maximum by topKLess once
+	// best is unordered; worst indexes its maximum by traj.Better once
 	// len(best) == k. Both guarded by mu.
 	best  []traj.Match
 	worst int
@@ -177,14 +177,14 @@ func (tb *topkTable) offer(m traj.Match) {
 		if len(tb.best) < tb.k {
 			return
 		}
-	case topKLess(m, tb.best[tb.worst]):
+	case traj.Better(m, tb.best[tb.worst]):
 		tb.best[tb.worst] = m
 	default:
 		return
 	}
 	w := 0
 	for i := range tb.best {
-		if topKLess(tb.best[w], tb.best[i]) {
+		if traj.Better(tb.best[w], tb.best[i]) {
 			w = i
 		}
 	}
@@ -204,7 +204,7 @@ func (tb *topkTable) sorted() []traj.Match {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	out := slices.Clone(tb.best)
-	sort.Slice(out, func(i, j int) bool { return topKLess(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return traj.Better(out[i], out[j]) })
 	return out
 }
 
@@ -473,24 +473,4 @@ func (r *topkRun) pass(tq *topkQueue) {
 	st.TrajVerified += verified
 	st.Requeues += requeues
 	st.Verify.Add(vs)
-}
-
-// topKLess is the top-k result order: ascending WED, then span length,
-// then (ID, S, T). Total over distinct trajectories, which makes the
-// k-minimum set unique.
-func topKLess(a, b traj.Match) bool {
-	if a.WED != b.WED {
-		return a.WED < b.WED
-	}
-	la, lb := a.T-a.S, b.T-b.S
-	if la != lb {
-		return la < lb
-	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	if a.S != b.S {
-		return a.S < b.S
-	}
-	return a.T < b.T
 }

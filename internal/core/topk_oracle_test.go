@@ -35,11 +35,11 @@ func (e *Engine) SearchTopKRestart(q []traj.Symbol, k int) ([]traj.Match, float6
 }
 
 // bestPerTrajectoryOrdered reduces matches to one per trajectory, ordered
-// by topKLess.
+// by traj.Better.
 func bestPerTrajectoryOrdered(ms []traj.Match) []traj.Match {
 	best := make(map[int32]traj.Match)
 	for _, m := range ms {
-		if b, ok := best[m.ID]; !ok || topKLess(m, b) {
+		if b, ok := best[m.ID]; !ok || traj.Better(m, b) {
 			best[m.ID] = m
 		}
 	}
@@ -47,7 +47,7 @@ func bestPerTrajectoryOrdered(ms []traj.Match) []traj.Match {
 	for _, m := range best {
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return topKLess(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return traj.Better(out[i], out[j]) })
 	return out
 }
 

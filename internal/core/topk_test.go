@@ -38,7 +38,7 @@ func oracleTopK(costs wed.FilterCosts, ds *traj.Dataset, q []traj.Symbol, k int)
 	// Same ordering as SearchTopK.
 	for i := 0; i < len(flat); i++ {
 		for j := i + 1; j < len(flat); j++ {
-			if topKLess(flat[j], flat[i]) {
+			if traj.Better(flat[j], flat[i]) {
 				flat[i], flat[j] = flat[j], flat[i]
 			}
 		}
@@ -47,23 +47,6 @@ func oracleTopK(costs wed.FilterCosts, ds *traj.Dataset, q []traj.Symbol, k int)
 		flat = flat[:k]
 	}
 	return flat
-}
-
-func topKLess(a, b traj.Match) bool {
-	if a.WED != b.WED {
-		return a.WED < b.WED
-	}
-	la, lb := a.T-a.S, b.T-b.S
-	if la != lb {
-		return la < lb
-	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	if a.S != b.S {
-		return a.S < b.S
-	}
-	return a.T < b.T
 }
 
 func TestSearchTopKMatchesOracle(t *testing.T) {

@@ -2,9 +2,11 @@ package index
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 	"slices"
 	"sort"
@@ -66,6 +68,17 @@ var (
 	zeroCRC  [4]byte
 )
 
+var (
+	// ErrStale marks an arena file to rebuild rather than open: there is
+	// none at the path, or it has an older format version.
+	ErrStale = errors.New("index: no arena of this format version")
+	// ErrForeign marks an arena built over other trajectories than the
+	// dataset it was opened for.
+	ErrForeign = errors.New("index: arena built over other trajectories")
+
+	errVersion = errors.New("unsupported arena version")
+)
+
 func arenaChecksum(data []byte) uint32 {
 	crc := crc32.Update(0, crcTable, data[:crcAt])
 	crc = crc32.Update(crc, crcTable, zeroCRC[:])
@@ -120,7 +133,7 @@ func LoadCompact(data []byte) (*Compact, error) {
 		return nil, fmt.Errorf("index: bad arena magic %q", data[:8])
 	}
 	if v := le.Uint32(data[8:]); v != arenaVersion {
-		return nil, fmt.Errorf("index: unsupported arena version %d (this build reads version %d; rebuild the index)", v, arenaVersion)
+		return nil, fmt.Errorf("index: %w %d (this build reads version %d; rebuild the index)", errVersion, v, arenaVersion)
 	}
 	numTraj, numSyms, postings := le.Uint64(data[16:]), le.Uint64(data[24:]), le.Uint64(data[32:])
 	if numTraj > math.MaxInt32 || numSyms > math.MaxInt32 || postings > math.MaxInt64/2 {
@@ -277,6 +290,29 @@ func (c *Compact) Describes(ds *traj.Dataset) bool {
 		h += trajHash(id, &ds.Trajs[id])
 	}
 	return h == le.Uint64(c.data[56:])
+}
+
+// OpenPrefix is the one rule for opening a saved arena over a dataset:
+// the arena at path must index a prefix of ds (Describes), and the
+// trajectories after that prefix are the caller's delta — so an arena
+// older than the dataset, such as the one a crash between a checkpoint's
+// snapshot and arena renames leaves, still serves. A missing file or one
+// of an older format version is ErrStale (build a new arena), an arena
+// over other trajectories ErrForeign, and a damaged file fails with its
+// validation error.
+func OpenPrefix(path string, ds *traj.Dataset) (*Compact, error) {
+	c, err := OpenMapped(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist) || errors.Is(err, errVersion):
+		return nil, fmt.Errorf("%w: %w", ErrStale, err)
+	case err != nil:
+		return nil, err
+	case !c.Describes(ds):
+		n := c.NumTrajectories()
+		c.Close()
+		return nil, fmt.Errorf("%w: %s indexes %d trajectories that are not the first of these %d", ErrForeign, path, n, ds.Len())
+	}
+	return c, nil
 }
 
 // --- read surface ---------------------------------------------------------

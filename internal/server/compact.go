@@ -2,16 +2,17 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
 	"subtraj/internal/index"
 )
 
-// ErrCompactionBusy is returned when a fold is already in progress;
-// callers retry later (the delta the running fold misses is picked up
-// by the next one).
-var ErrCompactionBusy = errors.New("server: compaction already in progress")
+// ErrFoldBusy is returned when a fold — a compaction or a checkpoint — is
+// already in progress; callers retry later (the delta the running fold
+// misses is picked up by the next one).
+var ErrFoldBusy = errors.New("server: a compaction or checkpoint is already in progress")
 
 // CompactionResult reports one completed fold.
 type CompactionResult struct {
@@ -47,69 +48,114 @@ func (s *SafeEngine) LastCompactionMS() float64 {
 	return float64(s.lastCompactNS.Load()) / 1e6
 }
 
-// maybeCompact starts a background fold when the published delta has
-// outgrown the configured threshold. Single-flight: while one fold
-// runs, appends keep growing the delta and the next fold picks up the
-// remainder.
-func (s *SafeEngine) maybeCompact() {
-	n := s.compactAppends.Load()
-	if n <= 0 || s.compactInFlight.Load() {
+// maybeFold starts a background fold after an append: a checkpoint when
+// the engine is durable and its WAL has passed CheckpointBytes, else a
+// compaction when the delta has outgrown CompactAppends. Single-flight:
+// while one fold runs, appends keep growing the delta and the WAL and the
+// next fold picks up the remainder.
+func (s *SafeEngine) maybeFold() {
+	if s.folding.Load() {
 		return
 	}
-	if int64(s.DeltaLen()) < n {
+	d := s.dur
+	persist := d != nil && d.ckptBytes > 0 && d.log.StatsSnapshot().Bytes >= d.ckptBytes
+	if n := s.compactAppends.Load(); !persist && (n <= 0 || int64(s.DeltaLen()) < n) {
 		return
 	}
 	go func() {
-		// ErrCompactionBusy means another fold won the race — fine.
-		_, _ = s.Compact()
+		// Only a checkpoint fails other than busy, and only a durable
+		// engine checkpoints, so d is non-nil wherever it is read.
+		_, ck, err := s.fold(persist)
+		switch {
+		case errors.Is(err, ErrFoldBusy):
+		case err != nil:
+			d.logger.Error("background checkpoint failed", "err", err)
+		case ck != nil:
+			d.logger.Info("checkpoint complete",
+				"generation", ck.Generation,
+				"records", ck.Records,
+				"snapshot_bytes", ck.SnapshotBytes,
+				"index_bytes", ck.IndexBytes,
+				"duration_ms", ck.DurationMS)
+		}
 	}()
 }
 
 // Compact folds the published delta into a fresh frozen base and
-// publishes the result. The expensive part — building the new base over
-// a fixed prefix of the dataset — happens entirely outside the ingest
-// mutex, so searches AND appends proceed during the fold; only the
-// final publish (rebasing the writer, which re-indexes whatever small
-// delta accumulated meanwhile, and swapping the state pointer) runs
-// under the mutex. The fold does not change the dataset contents, so it
-// publishes at the current generation and cached results stay valid.
-//
-// Returns ErrCompactionBusy if a fold is already running.
+// publishes the result; see fold. Returns ErrFoldBusy if a fold is
+// already running.
 func (s *SafeEngine) Compact() (*CompactionResult, error) {
-	if !s.compactInFlight.CompareAndSwap(false, true) {
-		return nil, ErrCompactionBusy
+	res, _, err := s.fold(false)
+	return res, err
+}
+
+// fold is the one way the index is rebuilt, for a compaction and for a
+// checkpoint (persist) alike:
+//
+//  1. take the single-flight flag;
+//  2. build a fresh arena over the published snapshot's dataset prefix,
+//     outside the ingest mutex, so searches and appends proceed;
+//  3. under the ingest mutex, rebase the writer onto it — re-indexing the
+//     appends that landed during the build — and publish. The fold moves
+//     no data, so it publishes at the current generation and cached
+//     results stay valid. A checkpoint also cuts its barrier here
+//     (Durability.cut): the appended tail to snapshot.traj, then the WAL
+//     rotated past it;
+//  4. a checkpoint then writes the arena to index.compact, outside the
+//     mutex again.
+//
+// A crash before step 4's rename leaves the previous arena on disk, over
+// a shorter prefix than the snapshot's; recovery maps an arena over any
+// prefix of the dataset (index.OpenPrefix), so that window is a delta to
+// re-index, not a rebuild.
+func (s *SafeEngine) fold(persist bool) (*CompactionResult, *CheckpointResult, error) {
+	if !s.folding.CompareAndSwap(false, true) {
+		return nil, nil, ErrFoldBusy
 	}
-	defer s.compactInFlight.Store(false)
+	defer s.folding.Store(false)
 	start := time.Now()
 
 	st := s.state.Load()
-	deltaBefore := st.eng.DeltaLen()
-	if deltaBefore == 0 {
-		return &CompactionResult{Generation: st.gen, Folded: st.eng.Dataset().Len()}, nil
-	}
-
-	// Fold off-lock: the new arena covers exactly the prefix this
-	// snapshot sees. st.eng's dataset is a fixed prefix view, so the
-	// build races with nothing.
 	view := st.eng.Dataset()
+	res := &CompactionResult{Generation: st.gen, Folded: view.Len(), DeltaBefore: st.eng.DeltaLen()}
+	if res.DeltaBefore == 0 && !persist {
+		return res, nil, nil
+	}
+	// st.eng's dataset is a fixed prefix view, so the build races with
+	// nothing.
 	base := index.Build(view)
 
 	crashPoint("compact-fold")
 
+	var ck *CheckpointResult
+	var err error
 	s.ingestMu.Lock()
 	s.writer.Rebase(base)
 	s.publishLocked()
-	pub := s.state.Load()
+	res.Generation = s.state.Load().gen
+	if persist {
+		ck, err = s.dur.cut(s.writer.Dataset())
+	}
 	s.ingestMu.Unlock()
 
-	s.compactions.Add(1)
-	s.lastCompactNS.Store(int64(time.Since(start)))
-	return &CompactionResult{
-		Generation:  pub.gen,
-		Folded:      view.Len(),
-		DeltaBefore: deltaBefore,
-		DurationMS:  float64(time.Since(start)) / 1e6,
-	}, nil
+	if !persist {
+		s.compactions.Add(1)
+		s.lastCompactNS.Store(int64(time.Since(start)))
+		res.DurationMS = float64(time.Since(start)) / 1e6
+		return res, nil, nil
+	}
+	if err == nil {
+		if ck.IndexBytes, err = s.dur.writeIndex(base); err != nil {
+			err = fmt.Errorf("server: checkpoint index: %w", err)
+		}
+	}
+	if err != nil {
+		s.dur.ckptErrs.Add(1)
+		return nil, nil, err
+	}
+	ck.DurationMS = float64(time.Since(start)) / 1e6
+	s.dur.checkpoints.Add(1)
+	return res, ck, nil
 }
 
 // crashHook, when set, is called at named points of the write path so

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -28,8 +27,8 @@ import (
 //	snapshot.traj  every appended trajectory up to the last checkpoint,
 //	               in the same framed codec as the WAL (baseGen 0, so
 //	               record generations are 1..barrier)
-//	index.compact  the mmap-able arena over base + snapshot (absent or
-//	               stale, it is rebuilt)
+//	index.compact  the mmap-able arena over a prefix of base + snapshot
+//	               (absent or of an older format, it is rebuilt)
 //
 // The base workload (the trajectories loaded before OpenDurable) is the
 // caller's responsibility to reproduce — it is the deterministic part;
@@ -91,9 +90,6 @@ type RecoveryInfo struct {
 // ErrNotDurable is returned by Checkpoint on a volatile engine.
 var ErrNotDurable = errors.New("server: engine has no durability (no --wal-dir)")
 
-// ErrCheckpointBusy is returned when a checkpoint is already running.
-var ErrCheckpointBusy = errors.New("server: checkpoint already in progress")
-
 // Durability is the write-ahead state attached to a durable SafeEngine:
 // the WAL writer, the checkpoint trigger, and the counters the metrics
 // and health endpoints expose.
@@ -104,13 +100,12 @@ type Durability struct {
 	ckptBytes int64
 	logger    *slog.Logger
 
-	checkpoints  atomic.Int64
-	ckptErrs     atomic.Int64
-	lastCkptGen  atomic.Uint64
-	ckptInFlight atomic.Bool
-	replayed     atomic.Int64
-	snapRecords  atomic.Int64
-	fsyncHist    atomic.Pointer[obs.Histogram]
+	checkpoints atomic.Int64
+	ckptErrs    atomic.Int64
+	lastCkptGen atomic.Uint64
+	replayed    atomic.Int64
+	snapRecords atomic.Int64
+	fsyncHist   atomic.Pointer[obs.Histogram]
 }
 
 // Dir returns the durable directory.
@@ -159,16 +154,19 @@ func (s *SafeEngine) Durable() *Durability { return s.dur }
 // OpenDurable builds a durable SafeEngine over the base dataset plus
 // everything the durable directory remembers: snapshot.traj and then the
 // WAL are replayed into ds — skipping WAL records the snapshot already
-// covers, with any torn tail physically truncated — and the index is
-// built over the result (or mmapped, the WAL records becoming its
-// delta). The returned engine logs every subsequent append write-ahead.
+// covers, with any torn tail physically truncated, and failing closed on
+// a record whose timestamps do not fit its path (traj.CheckTimes) — and
+// the checkpointed arena is mapped as the base, the trajectories after
+// its prefix becoming the delta (or, with none of this format version,
+// an arena is built over the result). The returned engine logs every
+// subsequent append write-ahead.
 //
 // ds must hold exactly the reproducible base workload (the trajectories
 // present before the durable directory was first used); OpenDurable
-// appends the recovered tail to it. A checkpointed arena that covers as
-// many trajectories as the recovered snapshot but was built over others —
-// a restart with another base workload — is an error, not a silent
-// rebuild: the snapshot it was cut with belongs to that workload too.
+// appends the recovered tail to it. A checkpointed arena that is not over
+// a prefix of the recovered dataset — a restart with another base
+// workload — is an error, not a silent rebuild: the snapshot it was cut
+// with belongs to that workload too.
 func OpenDurable(dir string, ds *traj.Dataset, costs wed.FilterCosts, opts DurableOptions) (*SafeEngine, *RecoveryInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("server: durable dir: %w", err)
@@ -179,14 +177,21 @@ func OpenDurable(dir string, ds *traj.Dataset, costs wed.FilterCosts, opts Durab
 	baseLen := ds.Len()
 	info := &RecoveryInfo{}
 
+	// Every replayed record passes the rule a live append passed.
+	add := func(r wal.Record) error {
+		t := traj.Trajectory{Path: r.Path, Times: r.Times}
+		if err := t.CheckTimes(ds.Rep); err != nil {
+			return err
+		}
+		ds.Add(t)
+		return nil
+	}
+
 	// 1. Snapshot: the durable prefix of the appended tail.
 	snapGen := uint64(0)
 	snapPath := filepath.Join(dir, snapshotFile)
 	if _, err := os.Stat(snapPath); err == nil {
-		sinfo, err := wal.ReplayFile(snapPath, func(r wal.Record) error {
-			ds.Add(traj.Trajectory{Path: r.Path, Times: r.Times})
-			return nil
-		})
+		sinfo, err := wal.ReplayFile(snapPath, add)
 		if err != nil {
 			return nil, nil, fmt.Errorf("server: snapshot %s: %w", snapPath, err)
 		}
@@ -220,8 +225,7 @@ func OpenDurable(dir string, ds *traj.Dataset, costs wed.FilterCosts, opts Durab
 			skipped++ // checkpoint-window overlap: snapshot already has it
 			return nil
 		}
-		ds.Add(traj.Trajectory{Path: r.Path, Times: r.Times})
-		return nil
+		return add(r)
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: wal: %w", err)
@@ -240,28 +244,24 @@ func OpenDurable(dir string, ds *traj.Dataset, costs wed.FilterCosts, opts Durab
 	info.TruncateReason = winfo.Reason
 	info.WALBytes = w.StatsSnapshot().Bytes
 
-	// 3. Index. A checkpoint's arena covers base + snapshot, so the
-	// replayed records become the delta over it. Without one — none yet, a
-	// stale one (a crash between the snapshot rename and the index rename),
-	// an unreadable one (an older format) — the arena is built over the
-	// whole recovered dataset.
+	// 3. Index. A checkpoint's arena covers a prefix of base + snapshot —
+	// all of it, or less when a crash beat the arena rename — so the
+	// trajectories after it become the delta over it.
 	var eng *core.Engine
-	if c, err := index.OpenMapped(filepath.Join(dir, indexFile)); err == nil {
-		switch {
-		case c.NumTrajectories() != snapLen:
-			_ = c.Close()
-		case !c.Describes(ds):
-			_ = c.Close()
-			_ = w.Close()
-			return nil, nil, fmt.Errorf("server: %s was built over other trajectories than the %d this base workload and %s hold: -dataset, -scale, -load and -model must match the run that wrote %s",
-				filepath.Join(dir, indexFile), snapLen, snapshotFile, dir)
-		default:
-			eng = core.NewEngineWithBackend(ds, c, costs)
-			info.IndexMapped = true
-		}
-	}
-	if eng == nil {
+	c, err := index.OpenPrefix(filepath.Join(dir, indexFile), ds)
+	switch {
+	case errors.Is(err, index.ErrStale):
 		eng = core.NewEngine(ds, costs)
+	case errors.Is(err, index.ErrForeign):
+		_ = w.Close()
+		return nil, nil, fmt.Errorf("server: %s was built over other trajectories than the %d this base workload and %s hold: -dataset, -scale, -load and -model must match the run that wrote %s",
+			filepath.Join(dir, indexFile), snapLen, snapshotFile, dir)
+	case err != nil:
+		_ = w.Close()
+		return nil, nil, fmt.Errorf("server: %w; delete it to rebuild the index from the recovered dataset", err)
+	default:
+		eng = core.NewEngineWithBackend(ds, c, costs)
+		info.IndexMapped = true
 	}
 
 	s := NewSafeEngine(eng)
@@ -279,58 +279,45 @@ type CheckpointResult struct {
 	// SnapshotBytes / IndexBytes are the persisted file sizes.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 	IndexBytes    int64 `json:"index_bytes,omitempty"`
-	// DurationMS is the wall time holding the ingest mutex.
+	// DurationMS is the wall time of the whole checkpoint, the arena
+	// build and both file writes included; appends wait only for the
+	// snapshot write and the WAL rotation.
 	DurationMS float64 `json:"duration_ms"`
 }
 
-// Checkpoint persists the appended tail and truncates the WAL, all under
-// the ingest mutex — appends stall for the duration, but searches keep
-// answering from the published snapshot (the epoch design turned the old
-// stop-the-world pause into a writer-only one). Holding the ingest mutex
-// is what makes the checkpoint barrier exact: the WAL generation and the
-// appended tail cannot move while the snapshot is cut, so the durable
-// barrier and the publish barrier are the same generation discipline.
-// The order makes every crash window recoverable:
+// Checkpoint persists the appended tail and the index, and truncates the
+// WAL: it is the fold (SafeEngine.fold) that also goes to disk. Appends
+// stall only while the snapshot is cut under the ingest mutex — the WAL
+// generation and the appended tail cannot move then, so the durable
+// barrier and the publish barrier are one generation — and searches keep
+// answering from the published snapshot throughout. The order makes
+// every crash window recoverable:
 //
 //  1. snapshot.traj is written to a tmp file and renamed — a crash
 //     before the rename leaves the old snapshot + full WAL; after it,
 //     the new snapshot overlaps the not-yet-rotated WAL, and recovery's
 //     generation skip de-duplicates.
-//  2. the arena is rebuilt and persisted the same way, then the engine
-//     is rebased onto it, which empties the delta — a stale or missing
-//     arena is merely a slower restart.
-//  3. the WAL is rotated (truncated to a fresh header whose baseGen is
+//  2. the WAL is rotated (truncated to a fresh header whose baseGen is
 //     the barrier) — only after the snapshot is durably in place.
+//  3. the arena, built before the cut over at most the snapshot's
+//     trajectories, is persisted the same way — a crash before its rename
+//     leaves an older arena, over a shorter prefix, which recovery maps
+//     with the rest as its delta.
 //
-// At most one checkpoint runs at a time; concurrent calls get
-// ErrCheckpointBusy.
+// At most one fold runs at a time; concurrent calls get ErrFoldBusy.
 func (s *SafeEngine) Checkpoint() (*CheckpointResult, error) {
-	d := s.dur
-	if d == nil {
+	if s.dur == nil {
 		return nil, ErrNotDurable
 	}
-	if !d.ckptInFlight.CompareAndSwap(false, true) {
-		return nil, ErrCheckpointBusy
-	}
-	defer d.ckptInFlight.Store(false)
-	start := time.Now()
-	s.ingestMu.Lock()
-	res, err := d.checkpointLocked(s)
-	s.ingestMu.Unlock()
-	if err != nil {
-		d.ckptErrs.Add(1)
-		return nil, err
-	}
-	res.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
-	d.checkpoints.Add(1)
-	d.lastCkptGen.Store(res.Generation)
-	return res, nil
+	_, res, err := s.fold(true)
+	return res, err
 }
 
-//subtrajlint:locked ingestMu — Checkpoint holds the ingest mutex around this call
-func (d *Durability) checkpointLocked(s *SafeEngine) (*CheckpointResult, error) {
+// cut writes a checkpoint's barrier: every appended trajectory of ds (the
+// writer's dataset) to snapshot.traj, then the WAL restarted past them.
+// The caller holds the ingest mutex, so neither can move meanwhile.
+func (d *Durability) cut(ds *traj.Dataset) (*CheckpointResult, error) {
 	barrier := d.log.Gen()
-	ds := s.writer.Dataset()
 	tail := ds.Trajs[d.baseLen:]
 	if uint64(len(tail)) != barrier {
 		// Logged and applied counts must agree — both happen under the
@@ -342,98 +329,66 @@ func (d *Durability) checkpointLocked(s *SafeEngine) (*CheckpointResult, error) 
 	if err != nil {
 		return nil, fmt.Errorf("server: checkpoint snapshot: %w", err)
 	}
-	c := index.Build(ds)
-	indexBytes, err := d.writeIndex(c)
-	if err != nil {
-		return nil, fmt.Errorf("server: checkpoint index: %w", err)
-	}
-	// Install the fresh arena as the new frozen base and publish a
-	// snapshot over it (same generation — contents are unchanged, so
-	// cached results stay valid).
-	s.writer.Rebase(c)
-	s.publishLocked()
-	res := &CheckpointResult{Generation: barrier, Records: int64(len(tail)), SnapshotBytes: snapBytes, IndexBytes: indexBytes}
 	if err := d.log.Rotate(barrier); err != nil {
 		return nil, fmt.Errorf("server: checkpoint wal rotation: %w", err)
 	}
-	d.snapRecords.Store(res.Records)
-	return res, nil
+	d.lastCkptGen.Store(barrier)
+	d.snapRecords.Store(int64(len(tail)))
+	return &CheckpointResult{Generation: barrier, Records: int64(len(tail)), SnapshotBytes: snapBytes}, nil
 }
 
-// writeSnapshot persists the appended tail as a framed log (tmp + rename
-// + directory fsync) and returns the file size.
+// writeSnapshot persists the appended tail as a framed log (tmp + fsync +
+// rename + directory fsync) and returns the file size.
 func (d *Durability) writeSnapshot(tail []traj.Trajectory) (int64, error) {
 	tmp := filepath.Join(d.dir, snapshotFile+".tmp")
 	w, err := wal.Create(tmp, 0, wal.Options{Policy: wal.SyncNever})
 	if err != nil {
 		return 0, err
 	}
-	for len(tail) > 0 {
+	for len(tail) > 0 && err == nil {
 		n := min(snapshotFrameRecords, len(tail))
-		if err := w.Append(tail[:n]); err != nil {
-			_ = w.Close()
-			os.Remove(tmp)
-			return 0, err
-		}
+		err = w.Append(tail[:n])
 		tail = tail[n:]
 	}
-	if err := w.Sync(); err != nil {
-		_ = w.Close()
-		os.Remove(tmp)
-		return 0, err
+	if err == nil {
+		err = w.Sync()
 	}
 	size := w.StatsSnapshot().Bytes
-	if err := w.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, snapshotFile)); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	syncDir(d.dir)
-	return size, nil
+	return size, d.commit(tmp, snapshotFile, err)
 }
 
-// writeIndex persists the arena (tmp + rename + directory fsync) and
-// returns the file size.
+// writeIndex persists the arena the same way and returns the file size.
 func (d *Durability) writeIndex(c *index.Compact) (int64, error) {
 	tmp := filepath.Join(d.dir, indexFile+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return 0, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := c.Save(bw); err == nil {
-		err = bw.Flush()
-	} else {
-		bw.Flush()
+	if err = c.Save(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return c.IndexBytes(), d.commit(tmp, indexFile, err)
+}
+
+// commit ends an atomic file write: if the write (err) succeeded, tmp is
+// renamed over name and the directory fsynced; otherwise, or if the
+// rename fails, tmp is removed and the error returned.
+func (d *Durability) commit(tmp, name string, err error) error {
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(d.dir, name))
 	}
 	if err != nil {
-		_ = f.Close()
 		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	st, _ := f.Stat()
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, indexFile)); err != nil {
-		os.Remove(tmp)
-		return 0, err
+		return err
 	}
 	syncDir(d.dir)
-	var size int64
-	if st != nil {
-		size = st.Size()
-	}
-	return size, nil
+	return nil
 }
 
 // syncDir fsyncs a directory so a rename is durable. Best-effort: some
@@ -444,32 +399,4 @@ func syncDir(dir string) {
 		_ = f.Sync()
 		_ = f.Close()
 	}
-}
-
-// maybeCheckpoint kicks off a background checkpoint when the WAL has
-// outgrown the configured trigger. Single-flight: while one runs (or the
-// trigger is disabled) this is a cheap atomic load.
-func (s *SafeEngine) maybeCheckpoint() {
-	d := s.dur
-	if d == nil || d.ckptBytes <= 0 || d.ckptInFlight.Load() {
-		return
-	}
-	if d.log.StatsSnapshot().Bytes < d.ckptBytes {
-		return
-	}
-	go func() {
-		res, err := s.Checkpoint()
-		switch {
-		case errors.Is(err, ErrCheckpointBusy):
-		case err != nil:
-			d.logger.Error("background checkpoint failed", "err", err)
-		default:
-			d.logger.Info("checkpoint complete",
-				"generation", res.Generation,
-				"records", res.Records,
-				"snapshot_bytes", res.SnapshotBytes,
-				"index_bytes", res.IndexBytes,
-				"duration_ms", res.DurationMS)
-		}
-	}()
 }

@@ -7,11 +7,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"subtraj/internal/core"
 	"subtraj/internal/mapmatch"
 	"subtraj/internal/traj"
 	"subtraj/internal/wal"
@@ -412,22 +415,181 @@ func TestRequestTimeoutMapsTo504(t *testing.T) {
 	}
 }
 
-// TestCheckpointBusySingleFlight: the second of two concurrent
-// checkpoints reports ErrCheckpointBusy rather than stacking up.
+// TestCheckpointBusySingleFlight: a checkpoint that finds a fold or
+// checkpoint running reports ErrFoldBusy rather than stacking up.
 func TestCheckpointBusySingleFlight(t *testing.T) {
 	dir := t.TempDir()
 	safe, _, _ := openDurableTest(t, dir, DurableOptions{Sync: wal.SyncAlways})
 	defer closeDurable(t, safe)
 	appendPath(t, safe, 1, 2)
-	d := safe.Durable()
-	if !d.ckptInFlight.CompareAndSwap(false, true) {
+	if !safe.folding.CompareAndSwap(false, true) {
 		t.Fatal("flag already set")
 	}
-	if _, err := safe.Checkpoint(); !errors.Is(err, ErrCheckpointBusy) {
-		t.Fatalf("err = %v, want ErrCheckpointBusy", err)
+	if _, err := safe.Checkpoint(); !errors.Is(err, ErrFoldBusy) {
+		t.Fatalf("err = %v, want ErrFoldBusy", err)
 	}
-	d.ckptInFlight.Store(false)
+	if _, err := safe.Compact(); !errors.Is(err, ErrFoldBusy) {
+		t.Fatalf("compact err = %v, want ErrFoldBusy", err)
+	}
+	safe.folding.Store(false)
 	if _, err := safe.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after release: %v", err)
+	}
+}
+
+// TestAppendDuringCheckpointBuild: a checkpoint builds its arena outside
+// the ingest mutex, so an append returns while the build is held at the
+// compact-fold point. The arena then covers a shorter prefix than the
+// snapshot the checkpoint cuts, and a reopen maps it with the append
+// that raced the build as its delta.
+func TestAppendDuringCheckpointBuild(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{Sync: wal.SyncAlways}
+	safe, _, _ := openDurableTest(t, dir, opts)
+	defer closeDurable(t, safe)
+	appendPath(t, safe, 1, 2, 3)
+
+	reached, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	SetCrashHook(func(point string) {
+		if point == "compact-fold" {
+			once.Do(func() { close(reached); <-release })
+		}
+	})
+	defer SetCrashHook(nil)
+	type result struct {
+		res *CheckpointResult
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := safe.Checkpoint()
+		done <- result{res, err}
+	}()
+	select {
+	case <-reached:
+	case r := <-done:
+		t.Fatalf("checkpoint finished without reaching compact-fold: %+v, %v", r.res, r.err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("checkpoint never reached compact-fold")
+	}
+
+	appended := make(chan error, 1)
+	go func() {
+		_, err := safe.Append(traj.Trajectory{Path: []traj.Symbol{4, 5, 6}})
+		appended <- err
+	}()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("an append waited for the checkpoint's arena build")
+	}
+	close(release)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.res.Generation != 2 || r.res.Records != 2 || safe.DeltaLen() != 1 {
+		t.Fatalf("checkpoint %+v with delta %d, want barrier 2 over 2 records and the raced append in the delta", r.res, safe.DeltaLen())
+	}
+	closeDurable(t, safe)
+
+	re, info, _ := openDurableTest(t, dir, opts)
+	defer closeDurable(t, re)
+	if !info.IndexMapped || re.DeltaLen() != 1 || re.NumTrajectories() != tinyBaseLen()+2 {
+		t.Fatalf("reopen: mapped %v, delta %d, %d trajectories; want the arena mapped, delta 1, %d", info.IndexMapped, re.DeltaLen(), re.NumTrajectories(), tinyBaseLen()+2)
+	}
+}
+
+// TestRecoveryMapsOlderArena: a crash between a checkpoint's snapshot
+// rename and its arena rename leaves the previous checkpoint's arena
+// beside the new snapshot. Recovery maps that arena — it indexes a prefix
+// of the recovered dataset — and indexes everything after it as the
+// delta, answering exactly as an engine built over the whole dataset.
+func TestRecoveryMapsOlderArena(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{Sync: wal.SyncAlways}
+	safe, _, _ := openDurableTest(t, dir, opts)
+	extra := workload.Generate(workload.Tiny(8)).Data.Trajs[:8]
+	first, second := extra[:3], extra[3:]
+	if _, err := safe.AppendBatch(first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := safe.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	older, err := os.ReadFile(filepath.Join(dir, indexFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := safe.AppendBatch(second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := safe.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	closeDurable(t, safe)
+	if err := os.WriteFile(filepath.Join(dir, indexFile), older, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, info, _ := openDurableTest(t, dir, opts)
+	defer closeDurable(t, re)
+	if !info.IndexMapped || info.SnapshotRecords != int64(len(extra)) || re.DeltaLen() != len(second) {
+		t.Fatalf("recovery %+v with delta %d, want the older arena mapped under a snapshot of %d and a delta of %d",
+			info, re.DeltaLen(), len(extra), len(second))
+	}
+
+	ref := workload.Generate(workload.Tiny(7)).Data
+	for _, tr := range extra {
+		ref.Add(tr)
+	}
+	fresh := core.NewEngine(ref, wed.NewLev())
+	for seed := int64(1); seed <= 4; seed++ {
+		q := sampleQuery(t, ref, 8, seed)
+		qr := core.Query{Q: q, Tau: re.Threshold(q, 0.3)}
+		if seed%2 == 0 {
+			qr.Temporal.Mode, qr.Temporal.Lo, qr.Temporal.Hi = core.TemporalOverlap, 0, 1800
+		}
+		want, _, err := fresh.SearchQuery(qr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := re.SearchQuery(qr)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: recovered engine answers %v (%v), fresh engine %v", seed, got, err, want)
+		}
+		wantK, err := fresh.SearchTopK(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotK, err := re.SearchTopK(q, 5); err != nil || !reflect.DeepEqual(gotK, wantK) {
+			t.Fatalf("seed %d: recovered top-k %v (%v), fresh %v", seed, gotK, err, wantK)
+		}
+	}
+}
+
+// TestDurableRejectsBadTimes: a WAL record whose timestamps do not fit its
+// path fails recovery, naming the record, instead of reaching a query.
+func TestDurableRejectsBadTimes(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Create(filepath.Join(dir, walFile), 0, wal.Options{Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []traj.Trajectory{{Path: []traj.Symbol{1, 2}}, {Path: []traj.Symbol{1, 2, 3}, Times: []float64{7}}}
+	if err := w.Append(bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ws := workload.Generate(workload.Tiny(7))
+	if _, _, err := OpenDurable(dir, ws.Data, wed.NewLev(), DurableOptions{}); err == nil || !strings.Contains(err.Error(), "gen 2") {
+		t.Fatalf("OpenDurable = %v, want an error naming record 2", err)
 	}
 }

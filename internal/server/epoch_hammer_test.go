@@ -173,10 +173,10 @@ func TestEpochLifecycleHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
-			if _, err := safe.Compact(); err != nil && err != ErrCompactionBusy {
+			if _, err := safe.Compact(); err != nil && err != ErrFoldBusy {
 				t.Errorf("Compact: %v", err)
 			}
-			if _, err := safe.Checkpoint(); err != nil && err != ErrCheckpointBusy {
+			if _, err := safe.Checkpoint(); err != nil && err != ErrFoldBusy {
 				t.Errorf("Checkpoint: %v", err)
 			}
 		}
@@ -232,7 +232,7 @@ func TestEpochLifecycleHammer(t *testing.T) {
 	for {
 		if _, err := safe.Compact(); err == nil {
 			break
-		} else if err != ErrCompactionBusy {
+		} else if err != ErrFoldBusy {
 			t.Fatalf("final compact: %v", err)
 		}
 	}

@@ -26,9 +26,10 @@ import (
 // index — and publish a fresh core.Engine.Snapshot; a background
 // compactor periodically folds the delta into a new base so delta cost
 // stays bounded. Durable engines share the same discipline: the WAL
-// append, the dataset extension, and checkpointing all happen under the
-// ingest mutex, so the checkpoint barrier and the publish barrier are
-// one generation.
+// append, the dataset extension, and a checkpoint's snapshot cut all
+// happen under the ingest mutex, so the checkpoint barrier and the
+// publish barrier are one generation; a checkpoint is a fold that also
+// persists (fold).
 //
 // Every Append bumps the published generation; result caches key their
 // entries on it so stale answers die with the generation instead of
@@ -41,8 +42,9 @@ type SafeEngine struct {
 	// mutation. Never nil after construction.
 	state atomic.Pointer[engineState]
 
-	// ingestMu serializes all writers: appends, compaction's publish
-	// step, and durable checkpoints. Searches never touch it.
+	// ingestMu serializes all writers: appends and a fold's publish step
+	// (with a checkpoint's snapshot cut). No index build or arena write
+	// runs under it. Searches never touch it.
 	ingestMu sync.Mutex
 	writer   *core.Engine // guarded by ingestMu — owns the master dataset, the base and the delta
 
@@ -54,11 +56,11 @@ type SafeEngine struct {
 	// compactAppends is the delta size that triggers a background fold
 	// (0 = never compact automatically). Atomic so tests and servers may
 	// retune it while ingest is live.
-	compactAppends  atomic.Int64
-	compactInFlight atomic.Bool
-	compactions     atomic.Int64
-	lastCompactNS   atomic.Int64
-	publishes       atomic.Int64
+	compactAppends atomic.Int64
+	folding        atomic.Bool // the single-flight flag of fold
+	compactions    atomic.Int64
+	lastCompactNS  atomic.Int64
+	publishes      atomic.Int64
 
 	// dur, when non-nil, makes every append write-ahead durable: the
 	// batch is framed into the WAL (and fsynced per policy) before it is
@@ -153,8 +155,7 @@ func (s *SafeEngine) AppendBatch(ts []traj.Trajectory) ([]int32, error) {
 	ids := s.writer.AppendBatch(ts)
 	s.publishLocked()
 	s.ingestMu.Unlock()
-	s.maybeCheckpoint()
-	s.maybeCompact()
+	s.maybeFold()
 	return ids, nil
 }
 

@@ -449,12 +449,13 @@ func (s *Server) appendOne(_ *http.Request, req *appendRequest) (any, error) {
 	if err := s.checkPath("trajectory path", req.Path); err != nil {
 		return nil, err
 	}
-	if err := s.checkTimes(len(req.Path), req.Times); err != nil {
-		return nil, err
+	t := traj.Trajectory{Path: req.Path, Times: req.Times}
+	if err := t.CheckTimes(s.eng.Unsafe().Dataset().Rep); err != nil {
+		return nil, badRequest("%v", err)
 	}
 	// A write-ahead log refusal applied nothing; it answers 500, and the
 	// client must not treat the append as durable.
-	id, err := s.eng.Append(traj.Trajectory{Path: req.Path, Times: req.Times})
+	id, err := s.eng.Append(t)
 	if err != nil {
 		return nil, err
 	}
@@ -479,14 +480,14 @@ func (s *Server) batch(r *http.Request, req *batchRequest) (any, error) {
 }
 
 // checkpoint forces a checkpoint: snapshot the appended tail, persist the
-// arena, truncate the WAL. 501 on a volatile engine,
-// 409 when one is already running. It takes no parameters.
+// arena, truncate the WAL. 501 on a volatile engine, 409 when a fold or
+// checkpoint is already running. It takes no parameters.
 func (s *Server) checkpoint(*http.Request, *struct{}) (any, error) {
 	res, err := s.eng.Checkpoint()
 	switch {
 	case errors.Is(err, ErrNotDurable):
 		return nil, &httpError{code: http.StatusNotImplemented, msg: err.Error()}
-	case errors.Is(err, ErrCheckpointBusy):
+	case errors.Is(err, ErrFoldBusy):
 		return nil, &httpError{code: http.StatusConflict, msg: err.Error()}
 	}
 	return res, err
@@ -774,28 +775,6 @@ func (s *Server) checkPath(what string, p []traj.Symbol) error {
 		}
 		if s.cfg.MaxSymbol > 0 && sym >= s.cfg.MaxSymbol {
 			return badRequest("symbol %d at position %d outside alphabet [0, %d)", sym, i, s.cfg.MaxSymbol)
-		}
-	}
-	return nil
-}
-
-// checkTimes is the rule for an appended trajectory's timestamps: none,
-// or one per vertex — len(path) in vertex representation, len(path)+1 in
-// edge representation (see traj.Trajectory.Times) — non-decreasing.
-func (s *Server) checkTimes(pathLen int, times []float64) error {
-	if len(times) == 0 {
-		return nil
-	}
-	want := pathLen
-	if s.eng.Unsafe().Dataset().Rep == traj.EdgeRep {
-		want++
-	}
-	if len(times) != want {
-		return badRequest("got %d timestamps, want %d (or none)", len(times), want)
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i] < times[i-1] {
-			return badRequest("timestamps must be non-decreasing (times[%d] < times[%d])", i, i-1)
 		}
 	}
 	return nil

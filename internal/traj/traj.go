@@ -8,6 +8,7 @@ package traj
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"subtraj/internal/roadnet"
@@ -68,6 +69,38 @@ func (t *Trajectory) Arrival() (float64, bool) {
 		return 0, false
 	}
 	return t.Times[len(t.Times)-1], true
+}
+
+// CheckTimes is the rule every trajectory from outside the process must
+// pass — an appended one, a replayed snapshot or WAL record, a loaded
+// dataset file: Times is empty or holds one entry per vertex (len(Path)
+// under VertexRep, len(Path)+1 under EdgeRep), every entry finite and
+// none before the one preceding it. The temporal filter and the
+// verifier's timestamp lookups rely on it.
+func (t *Trajectory) CheckTimes(rep Representation) error {
+	if len(t.Times) == 0 {
+		return nil
+	}
+	want := len(t.Path)
+	if rep == EdgeRep {
+		want++
+	}
+	if len(t.Times) != want {
+		return fmt.Errorf("got %d timestamps, want %d (or none)", len(t.Times), want)
+	}
+	// One comparison pair per entry fails on NaN, on ±Inf and on a step
+	// back (a loaded dataset holds millions); the branch says which.
+	prev := -math.MaxFloat64
+	for i, ts := range t.Times {
+		if !(ts >= prev && ts <= math.MaxFloat64) {
+			if ts >= -math.MaxFloat64 && ts <= math.MaxFloat64 {
+				return fmt.Errorf("timestamps must be non-decreasing (times[%d] < times[%d])", i, i-1)
+			}
+			return fmt.Errorf("times[%d] = %v is not finite", i, ts)
+		}
+		prev = ts
+	}
+	return nil
 }
 
 // Interval returns the [departure, arrival] interval I^(id) used by the
@@ -197,6 +230,26 @@ func SortMatches(ms []Match) {
 		}
 		return cmp.Compare(a.T, b.T)
 	})
+}
+
+// Better is the one ranking order over matches: ascending WED, then the
+// shorter span T−S, then (ID, S, T). Top-k ranks trajectories by it and
+// best-per-trajectory reductions pick by it (where ID never decides). It
+// is total over distinct (ID, S, T), so the k best are unique.
+func Better(a, b Match) bool {
+	if a.WED != b.WED {
+		return a.WED < b.WED
+	}
+	if la, lb := a.T-a.S, b.T-b.S; la != lb {
+		return la < lb
+	}
+	if a.ID != b.ID {
+		return a.ID < b.ID
+	}
+	if a.S != b.S {
+		return a.S < b.S
+	}
+	return a.T < b.T
 }
 
 // MatchKey identifies a match position without its distance.

@@ -1,6 +1,7 @@
 package traj_test
 
 import (
+	"math"
 	"testing"
 
 	"subtraj/internal/testutil"
@@ -112,5 +113,28 @@ func TestRepresentationString(t *testing.T) {
 	}
 	if traj.Representation(9).String() == "" {
 		t.Fatal("unknown representation must still print")
+	}
+}
+
+func TestCheckTimes(t *testing.T) {
+	path := []traj.Symbol{4, 5, 6}
+	for _, c := range []struct {
+		rep   traj.Representation
+		times []float64
+		ok    bool
+	}{
+		{traj.VertexRep, nil, true},
+		{traj.VertexRep, []float64{1, 1, 2}, true},
+		{traj.VertexRep, []float64{1, 2}, false},
+		{traj.VertexRep, []float64{1, 3, 2}, false},
+		{traj.VertexRep, []float64{1, math.NaN(), 2}, false},
+		{traj.VertexRep, []float64{1, 2, math.Inf(1)}, false},
+		{traj.EdgeRep, []float64{1, 2, 3, 4}, true},
+		{traj.EdgeRep, []float64{1, 2, 3}, false},
+	} {
+		tr := traj.Trajectory{Path: path, Times: c.times}
+		if err := tr.CheckTimes(c.rep); (err == nil) != c.ok {
+			t.Errorf("%s %v: err = %v, want ok %v", c.rep, c.times, err, c.ok)
+		}
 	}
 }

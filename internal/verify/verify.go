@@ -474,7 +474,7 @@ func (v *Verifier) VerifyAt(c Candidate, tauEff float64) {
 
 // TakeBest reduces the matches buffered since the last flush boundary —
 // with trajectory-grouped input, the current trajectory's raw matches —
-// to the single best by (WED, span length, S, T), clears the buffer, and
+// to the single best by traj.Better, clears the buffer, and
 // reports whether any match existed. Raw duplicates of one (S, T) span
 // need no min-merge first: the duplicate holding its span's minimum WED
 // represents the span in this order, so the global raw minimum equals
@@ -487,9 +487,7 @@ func (v *Verifier) TakeBest() (traj.Match, bool) {
 	}
 	best := v.chunk[0]
 	for _, m := range v.chunk[1:] {
-		if m.WED < best.WED ||
-			(m.WED == best.WED && (m.T-m.S < best.T-best.S ||
-				(m.T-m.S == best.T-best.S && (m.S < best.S || (m.S == best.S && m.T < best.T))))) {
+		if traj.Better(m, best) {
 			best = m
 		}
 	}

@@ -79,7 +79,11 @@ func Load(r io.Reader) (*Workload, error) {
 				return nil, fmt.Errorf("workload: corrupt file: trajectory %d references vertex %d", i, v)
 			}
 		}
-		ds.Add(traj.Trajectory{Path: ff.Paths[i], Times: ff.Times[i]})
+		t := traj.Trajectory{Path: ff.Paths[i], Times: ff.Times[i]}
+		if err := t.CheckTimes(ds.Rep); err != nil {
+			return nil, fmt.Errorf("workload: corrupt file: trajectory %d: %w", i, err)
+		}
+		ds.Add(t)
 	}
 	return &Workload{Config: ff.Config, Graph: g, Data: ds}, nil
 }

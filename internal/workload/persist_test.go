@@ -2,8 +2,12 @@ package workload_test
 
 import (
 	"bytes"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
+	"subtraj/internal/traj"
 	"subtraj/internal/workload"
 )
 
@@ -72,5 +76,61 @@ func TestLoadRejectsCorruptEdges(t *testing.T) {
 	raw := buf.Bytes()
 	if _, err := workload.Load(bytes.NewReader(raw[:len(raw)/2])); err == nil {
 		t.Fatal("truncated stream accepted")
+	}
+}
+
+// TestLoadRejectsBadTimes: a time row that does not fit its path — one
+// entry for a multi-vertex path, a NaN, a step back in time — is a
+// corrupt file, named by its trajectory, not a dataset that panics the
+// first temporal query over that row.
+func TestLoadRejectsBadTimes(t *testing.T) {
+	for name, cut := range map[string]func([]float64) []float64{
+		"short":      func(ts []float64) []float64 { return ts[:1] },
+		"nan":        func(ts []float64) []float64 { ts[2] = math.NaN(); return ts },
+		"infinite":   func(ts []float64) []float64 { ts[0] = math.Inf(-1); return ts },
+		"decreasing": func(ts []float64) []float64 { ts[3] = ts[2] - 1; return ts },
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := workload.Generate(workload.Tiny(57))
+			tr := &w.Data.Trajs[5]
+			tr.Times = cut(slices.Clone(tr.Times))
+			var buf bytes.Buffer
+			if err := w.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			_, err := workload.Load(&buf)
+			if err == nil || !strings.Contains(err.Error(), "trajectory 5") {
+				t.Fatalf("Load = %v, want an error naming trajectory 5", err)
+			}
+		})
+	}
+}
+
+// TestPresetsPassTimesRule: every generated preset satisfies the time rule
+// Load enforces — in vertex and in edge representation — so a dataset
+// file written by datagen always loads.
+func TestPresetsPassTimesRule(t *testing.T) {
+	for _, cfg := range []workload.Config{workload.BeijingLike(), workload.PortoLike(),
+		workload.SingaporeLike(), workload.SanFranLike(), workload.Tiny(58)} {
+		cfg.NumTrajectories = min(cfg.NumTrajectories, 120)
+		w := workload.Generate(cfg)
+		ed, err := w.Data.ToEdgeRep(w.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ds := range []*traj.Dataset{w.Data, ed} {
+			for id := range ds.Trajs {
+				if err := ds.Trajs[id].CheckTimes(ds.Rep); err != nil {
+					t.Fatalf("%s (%s): trajectory %d: %v", cfg.Name, ds.Rep, id, err)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := w.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := workload.Load(&buf); err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
 	}
 }

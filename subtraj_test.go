@@ -1,6 +1,7 @@
 package subtraj_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -361,5 +362,62 @@ func TestOpenMappedEngineRejectsForeignDataset(t *testing.T) {
 	foreign.Trajs[1].Path = p
 	if _, _, err := subtraj.OpenMappedEngine(foreign, costs, path); err == nil {
 		t.Fatal("an index of the golden dataset opened over a dataset that differs in one symbol")
+	}
+}
+
+// TestOpenMappedEngineMapsPrefix: an index file saved before the dataset
+// grew still opens — it indexes a prefix, and the trajectories after it
+// are indexed as appends — and answers like an engine built over the
+// whole dataset. A file of an older format version is refused with an
+// error a caller can tell apart (ErrStaleIndex) and rebuild on.
+func TestOpenMappedEngineMapsPrefix(t *testing.T) {
+	ds := testutil.GoldenDataset()
+	costs := subtraj.NewNetwork(testutil.GoldenNet()).EDR(100)
+	eng, err := subtraj.NewEngine(&subtraj.Dataset{Rep: ds.Rep, Trajs: slices.Clone(ds.Trajs[:ds.Len()/2])}, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "half.sbtj")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SaveIndex(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mapped, closeIndex, err := subtraj.OpenMappedEngine(ds, costs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeIndex()
+	full, err := subtraj.NewEngine(ds, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int32{0, int32(ds.Len() - 1)} {
+		q := ds.Path(id)
+		want, err := full.SearchRatio(q, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := mapped.SearchRatio(q, 0.3); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("query %d: mapped prefix engine %v, %v; want %v", id, got, err, want)
+		}
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[8] = 1 // the format version
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := subtraj.OpenMappedEngine(ds, costs, path); !errors.Is(err, subtraj.ErrStaleIndex) {
+		t.Fatalf("an older-version file: %v, want ErrStaleIndex", err)
 	}
 }
