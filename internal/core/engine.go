@@ -212,17 +212,16 @@ type QueryStats struct {
 	//
 	// TrajQueued is the number of trajectories whose coverage bound put
 	// them on the best-first queue; TrajVerified how many of those were
-	// verified at least once (the rest were dropped on their bound);
-	// Requeues how often a trajectory went back on the queue under a
-	// tighter key — its chain bound, or the threshold of a verification
-	// that found nothing.
+	// scanned (the rest were dropped on their bound); Requeues how often a
+	// trajectory went back on the queue under its chain bound.
 	TrajQueued, TrajVerified, Requeues int
 	// Rounds is always 1 and CandidatesReused counts the postings the
-	// driver read but never verified. Both survive from the τ-growth
+	// driver read but never chained. Both survive from the τ-growth
 	// driver only because benchmark/trace.go reads them by name (its
 	// core.topk_rounds and core.topk_reused_ratio rows) and a PR that
 	// claims a gain may not edit the benchmark; the next benchmark PR
-	// retires them. Candidates, by contrast, counts VerifyAt calls.
+	// retires them. Candidates, by contrast, counts the candidates of the
+	// trajectories whose chains the driver computed.
 	Rounds           int
 	CandidatesReused int
 	// EffectiveTau is the radius below which the reported answer is

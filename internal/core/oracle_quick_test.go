@@ -199,3 +199,57 @@ func sameOracleMatches(got, want []traj.Match, exact bool) bool {
 	}
 	return true
 }
+
+// TestTopKMatchesOracleQuick is the top-k driver's generative oracle: over
+// the worlds of newOracleWorld, on every engine of fanOutEngines at
+// Parallelism 1 and 3, and for k drawn from 1–12 and from at least the
+// dataset's size, SearchTopKStats returns the k best under traj.Better of
+// each trajectory's best wed.AllMatches match below the ceiling, and the
+// k-th of them (the ceiling when fewer exist) as its effective τ — bit for
+// bit.
+func TestTopKMatchesOracleQuick(t *testing.T) {
+	core.ForceFanOut(t)
+	var ran, lattice, filled, short int
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		w, ok := newOracleWorld(rng)
+		if !ok {
+			return true
+		}
+		ran++
+		if w.lattice {
+			lattice++
+		}
+		engines := fanOutEngines(t, w.ds, w.costs)
+		for _, k := range []int{1 + rng.Intn(12), w.ds.Len() + rng.Intn(3)} {
+			want, wantTau := engines[0].eng.SearchTopKBruteForce(w.q, k)
+			if len(want) == k {
+				filled++
+			} else {
+				short++
+			}
+			for _, ne := range engines {
+				for _, par := range []int{1, 3} {
+					got, st, err := ne.eng.SearchTopKStats(w.q, k, core.TopKOptions{Parallelism: par})
+					if err != nil {
+						t.Errorf("seed %d %s/%s k=%d par=%d: %v", seed, w.name, ne.name, k, par, err)
+						return false
+					}
+					if !slices.Equal(got, want) || st.EffectiveTau != wantTau {
+						t.Errorf("seed %d %s/%s k=%d par=%d q=%v: %v (τ %v), oracle %v (τ %v)",
+							seed, w.name, ne.name, k, par, w.q, got, st.EffectiveTau, want, wantTau)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(103))}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d worlds (%d lattice): %d queries with k answers, %d with fewer", ran, lattice, filled, short)
+	if ran < 200 || lattice == 0 || lattice == ran || filled == 0 || short == 0 {
+		t.Fatalf("too few worlds of some kind: %d ran, %d lattice, %d filled, %d short", ran, lattice, filled, short)
+	}
+}

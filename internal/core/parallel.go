@@ -31,9 +31,10 @@ import (
 // it stays on the caller's goroutine. Placed from the measured break-even
 // of one worker against two (8.5k units) and ten alternating pairs per
 // benchmark workload (DESIGN.md §1.3): ingest_mixed's reads (≤ 5k) sit
-// below the threshold, search_wide and topk_k10 (≥ 100k) above it, and
-// search_default (4k–32k) straddles it — the larger 61% of its queries
-// fan out. It is the engine's one fan-out constant and nothing sets it.
+// below the threshold, search_wide (≥ 100k) and topk_k10 (65k–81k) above
+// it, and search_default (4k–32k) straddles it — the larger 61% of its
+// queries fan out. It is the engine's one fan-out constant and nothing
+// sets it.
 const minWorkPerWorker = 6_000
 
 // workPerWorker is minWorkPerWorker; a variable only so that the

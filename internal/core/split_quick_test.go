@@ -153,8 +153,8 @@ func TestSplitAnyCutEqualsSequential(t *testing.T) {
 // TestTopKAnyPartitionEqualsRestart is the same property for the top-k
 // queue: deal the scanned queue out in ANY partition — random order,
 // random piece sizes, empty pieces — work the pieces off concurrently
-// against one shared table, and the answer is the restart oracle's bit for
-// bit.
+// against one shared table, and the answer is the brute force's bit for
+// bit, and on these lattice tables the restart oracle's too.
 func TestTopKAnyPartitionEqualsRestart(t *testing.T) {
 	ForceFanOut(t)
 	ran := 0
@@ -165,9 +165,14 @@ func TestTopKAnyPartitionEqualsRestart(t *testing.T) {
 			return true
 		}
 		e, k := w.eng, 1+int(rawK)%12
-		want, _, err := e.SearchTopKRestart(w.q, k)
+		restart, _, err := e.SearchTopKRestart(w.q, k)
 		if err != nil {
 			return true // no plan at the ceiling under this table
+		}
+		want, _ := e.SearchTopKBruteForce(w.q, k)
+		if !slices.Equal(restart, want) {
+			t.Errorf("seed %d k=%d: restart oracle %v, brute force %v", seed, k, restart, want)
+			return false
 		}
 		ceiling := e.topKCeiling(w.q)
 		plan, err := filter.BuildPlan(e.costs, e.idx, w.q, ceiling)
@@ -194,18 +199,18 @@ func TestTopKAnyPartitionEqualsRestart(t *testing.T) {
 
 		tab := &topkTable{k: k}
 		tab.thr.Store(math.Float64bits(ceiling))
-		run := topkRun{e: e, q: w.q, plan: plan, sc: sc, ceiling: ceiling, tab: tab, stats: &QueryStats{}}
+		run := topkRun{e: e, q: w.q, sc: sc, ceiling: ceiling, tab: tab, stats: &QueryStats{}}
 		fanOut(len(queues), func(i int) { run.pass(&queues[i]) })
 		ran++
 		if got := tab.sorted(); !slices.Equal(got, want) {
-			t.Errorf("seed %d k=%d pieces %v: %v, restart oracle %v", seed, k, cuts, got, want)
+			t.Errorf("seed %d k=%d pieces %v: %v, brute force %v", seed, k, cuts, got, want)
 			return false
 		}
 		// And the partition the driver itself deals.
 		for _, n := range []int{2, 5} {
 			got, stats, err := e.SearchTopKStats(w.q, k, TopKOptions{Parallelism: n})
 			if err != nil || stats.Workers != min(n, k) || !slices.Equal(got, want) {
-				t.Errorf("seed %d k=%d: SearchTopKStats on %d workers (%d used, err %v) differs from the restart oracle", seed, k, n, stats.Workers, err)
+				t.Errorf("seed %d k=%d: SearchTopKStats on %d workers (%d used, err %v) differs from the brute force", seed, k, n, stats.Workers, err)
 				return false
 			}
 		}

@@ -28,20 +28,21 @@ import (
 // materialising candidates, into a per-trajectory lower bound on the best
 // WED any subtrajectory can reach. Trajectories wait in a priority queue
 // keyed by (bound, ID); one is dropped only when its key reaches the
-// running threshold — just above the k-th best WED, the ceiling until k
-// trajectories have answered. Every key is admissible (DESIGN.md §1.5):
+// running threshold — the float just above the k-th best WED, the ceiling
+// until k trajectories have answered. Every key is admissible (DESIGN.md
+// §1.5): coverage and chain over the τ-subsequence Q′, the bounds the
+// threshold search's pre-filter also reads (filter.Cover, filter.Chain,
+// filter.LowerBound). A trajectory popped under its chain bound gets one
+// Smith–Waterman scan banded at the threshold (verify.Verifier.Best),
+// which yields its exact best below it, in wed.AllMatches's bits, and it
+// leaves the queue.
 //
-//   - coverage and chain over the τ-subsequence Q′, the bounds the
-//     threshold search's pre-filter also reads (filter.Cover,
-//     filter.Chain, filter.LowerBound);
-//   - miss: VerifyAt(t) enumerates every match below t, so a trajectory
-//     that yields none has best WED ≥ t.
-//
-// Because a trajectory leaves the queue only with its exact best or with
-// a bound above the k-th best, the answer is the unique k-minimum under
-// the total (WED, span, ID, S, T) order whatever the visiting order —
-// which is why the queue can be dealt out to any number of workers, in
-// any partition, and every Parallelism returns the same bits.
+// Because a trajectory leaves the queue only with its exact best, or with
+// a bound or a scan that puts its best above the k-th best, the answer is
+// the unique k-minimum under the total (WED, span, ID, S, T) order
+// whatever the visiting order — which is why the queue can be dealt out
+// to any number of workers, in any partition, and every Parallelism
+// returns the same bits.
 
 // TopKOptions tunes SearchTopKStats; the zero value is automatic
 // parallelism and no cancellation.
@@ -108,11 +109,11 @@ func (e *Engine) SearchTopKStats(q []traj.Symbol, k int, opts TopKOptions) ([]tr
 	// holds a best of its own, so a worker beyond the k-th only adds work
 	// (k = 1 loses to the sequential driver at every |Q|).
 	limit := min(EffectiveParallelism(opts.Parallelism), k)
-	stats.Workers = fanOutWorkers(limit, topKWork(len(sc.queued), k, len(q)))
+	stats.Workers = fanOutWorkers(limit, topKWork(e.ds, sc.queued, k, len(q)))
 
 	tab := &topkTable{k: k}
 	tab.thr.Store(math.Float64bits(ceiling))
-	run := topkRun{e: e, ctx: opts.Ctx, q: q, plan: plan, sc: sc, ceiling: ceiling, tab: tab, stats: stats}
+	run := topkRun{e: e, ctx: opts.Ctx, q: q, sc: sc, ceiling: ceiling, tab: tab, stats: stats}
 	queues := sc.deal(stats.Workers)
 	fanOut(len(queues), func(i int) { run.pass(&queues[i]) })
 	run.mu.Lock()
@@ -140,15 +141,6 @@ func (e *Engine) topKCeiling(q []traj.Symbol) float64 {
 	}
 	return ceiling * (1 - 1e-12)
 }
-
-const (
-	// A trajectory is verified under t = max(topKGrowth·key,
-	// ceiling/topKStartDiv), capped at the running threshold: near
-	// answers are found by shallow trie walks, far ones are refined
-	// geometrically, and the trie keeps the columns between visits.
-	topKStartDiv = 64
-	topKGrowth   = 4
-)
 
 // topkTable holds the ≤ k best per-trajectory matches found so far. Its
 // entries are exact bests and its worst entry only ever improves, so the
@@ -189,11 +181,11 @@ func (tb *topkTable) offer(m traj.Match) {
 		}
 	}
 	tb.worst = w
-	// Strictly above the worst WED, so exact ties are still enumerated
-	// and broken by span and ID — and above it by filter.BoundSlack, so
-	// VerifyAt's comparisons cannot round a tie out of the enumeration;
-	// never above the ceiling it started at.
-	thr := math.Nextafter(tb.best[w].WED*(1+filter.BoundSlack), math.Inf(1))
+	// The float just above the worst WED: a trajectory whose best ties it
+	// is still scanned, and loses or wins on span and ID. The scan compares
+	// wed.AllMatches's own sums with it, so no slack is needed; it stays
+	// below the ceiling it started at.
+	thr := math.Nextafter(tb.best[w].WED, math.Inf(1))
 	if thr < tb.threshold() {
 		tb.thr.Store(math.Float64bits(thr))
 	}
@@ -208,18 +200,13 @@ func (tb *topkTable) sorted() []traj.Match {
 	return out
 }
 
-// topkEntry is one queued trajectory; key is a lower bound on its best WED.
+// topkEntry is one queued trajectory; key is a lower bound on its best
+// WED: its coverage bound, or once chained its chain bound.
 type topkEntry struct {
-	key   float64
-	id    int32
-	state uint8
+	key     float64
+	id      int32
+	chained bool
 }
-
-const (
-	topkFresh    = iota // key is the coverage bound
-	topkChained         // key is the chain bound
-	topkVerified        // key is the threshold of its last, empty, verification
-)
 
 func (a topkEntry) before(b topkEntry) bool {
 	return a.key < b.key || (a.key == b.key && a.id < b.id)
@@ -252,7 +239,6 @@ type topkScratch struct {
 type topkQueue struct {
 	heap  []topkEntry // a piece of topkScratch.heap; a binary min-heap by (key, id)
 	chain filter.Chain
-	cands []verify.Candidate
 }
 
 var topkScratches = sync.Pool{New: func() any { return new(topkScratch) }}
@@ -264,13 +250,16 @@ func (sc *topkScratch) bound(weight float64) float64 {
 
 // topKWork estimates a top-k query's verification work in searchWork's
 // unit. The queue's length says little — most of it is dropped on its
-// bounds — and k says most: the driver verifies about three trajectories
-// per result it returns (2.2–6.7 measured, k = 3…50), never more than it
-// queued, and a trajectory near the query brings about four candidates per
-// query position, each verified in a band as wide as the ceiling's, |Q|
-// cells.
-func topKWork(queued, k, qLen int) float64 {
-	return float64(min(queued, 3*k)) * 4 * float64(qLen) * float64(qLen)
+// bounds — and k says most: the driver scans about three trajectories per
+// result it returns (2.2–6.7 measured, k = 3…50), never more than it
+// queued, and a scan costs |P|·|Q| cells. The first of them in scan order
+// — the likely answers, see deal — stand for the ones it will scan.
+func topKWork(ds *traj.Dataset, queued []topkEntry, k, qLen int) float64 {
+	cells := 0
+	for _, en := range queued[:min(len(queued), 3*k)] {
+		cells += len(ds.Path(en.id)) * qLen
+	}
+	return float64(cells)
 }
 
 // scan reads the plan's postings once from every source of the view,
@@ -377,23 +366,21 @@ func (tq *topkQueue) pop() {
 	tq.siftDown(0)
 }
 
-// candidates scans trajectory id's path against sc.inv and leaves its
-// candidates in tq.cands, in position order — the order filter.Chain reads
-// hits in, sc.inv listing a symbol's items in descending order — and
-// returns their heaviest chain.
-func (tq *topkQueue) candidates(sc *topkScratch, id int32, path []traj.Symbol, plan *filter.Plan) (chain float64) {
-	tq.cands = tq.cands[:0]
+// chainOf scans a trajectory's path against sc.inv — its candidates in
+// position order, the order filter.Chain reads hits in, sc.inv listing a
+// symbol's items in descending order — and returns their heaviest chain
+// and how many there are.
+func (tq *topkQueue) chainOf(sc *topkScratch, path []traj.Symbol) (chain float64, cands int) {
 	tq.chain.Reset(sc.w)
-	for pos, sym := range path {
+	for _, sym := range path {
 		// The leftmost entry of sym's run: its largest item.
 		j, _ := slices.BinarySearchFunc(sc.inv, sym, func(a symItem, s traj.Symbol) int { return cmp.Compare(a.sym, s) })
 		for ; j < len(sc.inv) && sc.inv[j].sym == sym; j++ {
-			it := sc.inv[j].item
-			tq.cands = append(tq.cands, verify.Candidate{ID: id, Pos: int32(pos), IQ: plan.Subseq[it].Pos})
-			tq.chain.Add(int(it))
+			tq.chain.Add(int(sc.inv[j].item))
+			cands++
 		}
 	}
-	return tq.chain.Weight()
+	return tq.chain.Weight(), cands
 }
 
 // topkRun is what the passes of one query share.
@@ -401,7 +388,6 @@ type topkRun struct {
 	e       *Engine
 	ctx     context.Context
 	q       []traj.Symbol
-	plan    *filter.Plan
 	sc      *topkScratch // read-only during the passes
 	ceiling float64
 	tab     *topkTable
@@ -416,11 +402,11 @@ type topkRun struct {
 func (r *topkRun) pass(tq *topkQueue) {
 	start := time.Now()
 	sc := r.sc
+	// Only the verifier's compiled rows are read: Best builds no tries.
 	ver := verify.Get(r.e.costs, r.e.ds, r.q, r.ceiling, verify.Options{})
 	defer verify.Put(ver)
 	var err error
-	var verified, requeues int
-	distinct := 0 // candidates of the trajectories verified at least once
+	var verified, requeues, chained int
 	//subtrajlint:hotloop
 	for len(tq.heap) > 0 {
 		if err = ctxErr(r.ctx); err != nil {
@@ -430,35 +416,25 @@ func (r *topkRun) pass(tq *topkQueue) {
 		if top.key >= thr {
 			break // so is every key behind it
 		}
-		chain := tq.candidates(sc, top.id, r.e.ds.Path(top.id), r.plan)
-		if top.state == topkFresh {
+		if !top.chained {
+			chain, cands := tq.chainOf(sc, r.e.ds.Path(top.id))
+			chained += cands
 			// A vehicle driving the query's road backwards covers every
 			// position and chains no two of them.
 			if lb := sc.bound(chain); lb > top.key {
-				tq.replaceTop(topkEntry{lb, top.id, topkChained})
+				tq.replaceTop(topkEntry{key: lb, id: top.id, chained: true})
 				requeues++
 				continue
 			}
 		}
-		t := min(thr, max(topKGrowth*top.key, r.ceiling/topKStartDiv))
-		for _, c := range tq.cands {
-			ver.VerifyAt(c, t)
-		}
-		if top.state != topkVerified {
-			verified++
-			distinct += len(tq.cands)
-		}
-		if m, ok := ver.TakeBest(); ok {
-			tq.pop()
-			r.tab.offer(m) // every match below t was enumerated: m is exact
-		} else if t < thr {
-			tq.replaceTop(topkEntry{t, top.id, topkVerified})
-			requeues++
-		} else {
-			tq.pop()
+		tq.pop()
+		verified++
+		// Its exact best below thr, or none: then its best is ≥ thr and it
+		// could not have entered the table.
+		if m, ok := ver.Best(top.id, thr); ok {
+			r.tab.offer(m)
 		}
 	}
-	vs := ver.SnapshotStats()
 	verifyTime := time.Since(start)
 
 	r.mu.Lock()
@@ -468,9 +444,9 @@ func (r *topkRun) pass(tq *topkQueue) {
 	}
 	st := r.stats
 	st.VerifyTime += verifyTime
-	st.Candidates += vs.Candidates
-	st.CandidatesReused -= distinct
+	st.Candidates += chained
+	st.CandidatesReused -= chained
 	st.TrajVerified += verified
 	st.Requeues += requeues
-	st.Verify.Add(vs)
+	st.Verify.Add(ver.Stats)
 }

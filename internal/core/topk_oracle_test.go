@@ -5,12 +5,43 @@ import (
 
 	"subtraj/internal/filter"
 	"subtraj/internal/traj"
+	"subtraj/internal/wed"
 )
 
-// This file keeps the τ-growth restart loop the best-first driver
-// replaced, as the oracle of the top-k equivalence tests: every round is
-// an independent full SearchQuery, nothing is carried over and nothing is
-// tightened, so it is correct by the threshold search's own correctness.
+// This file keeps the two oracles of the top-k tests. The brute force is
+// the definition: each trajectory's best wed.AllMatches match below the
+// ceiling, the k best of those. The τ-growth restart loop the best-first
+// driver replaced is the other: every round is an independent full
+// SearchQuery, nothing is carried over and nothing is tightened, so it is
+// correct by the threshold search's own correctness — but its WEDs are the
+// threshold search's sums, which on real-valued costs may differ from
+// wed.AllMatches's in the last bit.
+
+// The restart loop's schedule: τ starts at ceiling/topKStartDiv and grows
+// by topKGrowth.
+const (
+	topKStartDiv = 64
+	topKGrowth   = 4
+)
+
+// SearchTopKBruteForce answers the top-k protocol by Definition 3 alone:
+// wed.AllMatches over every trajectory at the ceiling, each trajectory's
+// best by traj.Better, the k best of those. It returns them and the
+// effective τ (SearchTopKStats's EffectiveTau).
+func (e *Engine) SearchTopKBruteForce(q []traj.Symbol, k int) ([]traj.Match, float64) {
+	ceiling := e.topKCeiling(q)
+	var all []traj.Match
+	for id := range e.ds.Trajs {
+		for _, m := range wed.AllMatches(e.costs, q, e.ds.Path(int32(id)), ceiling) {
+			all = append(all, traj.Match{ID: int32(id), S: int32(m.S), T: int32(m.T), WED: m.WED})
+		}
+	}
+	best := bestPerTrajectoryOrdered(all)
+	if len(best) >= k {
+		return best[:k], best[k-1].WED
+	}
+	return best, ceiling
+}
 
 // SearchTopKRestart answers the top-k protocol by re-running the whole
 // filter-and-verify pipeline at τ = ceiling/topKStartDiv, growing by
@@ -67,7 +98,8 @@ func (e *Engine) TopKBounds(q []traj.Symbol, tau float64) (coverage, chain []flo
 	chain = make([]float64, e.ds.Len())
 	for id := range coverage {
 		coverage[id] = sc.bound(0) // untouched: nothing covered
-		chain[id] = sc.bound(tq.candidates(sc, int32(id), e.ds.Path(int32(id)), plan))
+		w, _ := tq.chainOf(sc, e.ds.Path(int32(id)))
+		chain[id] = sc.bound(w)
 	}
 	for _, en := range sc.heap {
 		coverage[en.id] = en.key

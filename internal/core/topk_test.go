@@ -1,54 +1,20 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
-	"subtraj/internal/baselines"
 	"subtraj/internal/core"
 	"subtraj/internal/testutil"
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
 )
 
-// oracleTopK computes the reference top-k: exhaustive per-trajectory best
-// matches inside the engine's searchable radius, sorted like SearchTopK.
-func oracleTopK(costs wed.FilterCosts, ds *traj.Dataset, q []traj.Symbol, k int) []traj.Match {
-	ceiling := core.SumFilterCost(costs, q)
-	if s := wed.SumIns(costs, q); s < ceiling {
-		ceiling = s
-	}
-	ceiling *= 1 - 1e-12
-	all := baselines.PlainSW(costs, ds, q, ceiling).Matches
-	best := map[int32]traj.Match{}
-	for _, m := range all {
-		b, ok := best[m.ID]
-		if !ok || m.WED < b.WED ||
-			(m.WED == b.WED && (m.T-m.S < b.T-b.S ||
-				(m.T-m.S == b.T-b.S && (m.S < b.S || (m.S == b.S && m.T < b.T))))) {
-			best[m.ID] = m
-		}
-	}
-	flat := make([]traj.Match, 0, len(best))
-	for _, m := range best {
-		flat = append(flat, m)
-	}
-	// Same ordering as SearchTopK.
-	for i := 0; i < len(flat); i++ {
-		for j := i + 1; j < len(flat); j++ {
-			if traj.Better(flat[j], flat[i]) {
-				flat[i], flat[j] = flat[j], flat[i]
-			}
-		}
-	}
-	if len(flat) > k {
-		flat = flat[:k]
-	}
-	return flat
-}
-
+// TestSearchTopKMatchesOracle pins SearchTopK to the brute force on every
+// cost model: the same (ID, S, T) in the same order, the same WED bits.
 func TestSearchTopKMatchesOracle(t *testing.T) {
 	env := testutil.NewEnv(31, 35, 22)
 	for _, m := range env.Models() {
@@ -59,21 +25,8 @@ func TestSearchTopKMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", m.Name, k, err)
 			}
-			want := oracleTopK(m.Costs, m.DS, q, k)
-			if len(got) != len(want) {
-				t.Fatalf("%s k=%d: got %d results, want %d", m.Name, k, len(got), len(want))
-			}
-			for i := range got {
-				// WED values must agree; exact (ID,S,T) may differ only
-				// under exact WED ties, which the shared ordering rules
-				// out.
-				if math.Abs(got[i].WED-want[i].WED) > 1e-9*(1+want[i].WED) {
-					t.Fatalf("%s k=%d rank %d: wed %v != %v", m.Name, k, i, got[i].WED, want[i].WED)
-				}
-				if got[i].Key() != want[i].Key() {
-					t.Fatalf("%s k=%d rank %d: %+v != %+v", m.Name, k, i, got[i], want[i])
-				}
-			}
+			want, _ := eng.SearchTopKBruteForce(q, k)
+			assertIdenticalResults(t, fmt.Sprintf("%s k=%d", m.Name, k), got, want)
 			// One result per trajectory.
 			seen := map[int32]bool{}
 			for _, r := range got {
@@ -86,15 +39,40 @@ func TestSearchTopKMatchesOracle(t *testing.T) {
 	}
 }
 
-// checkTopKAgainstRestart demands, at Parallelism 1 and 4, the restart
-// oracle's answer bit for bit — same (ID, S, T) order, same WED bits, same
-// effective τ — and queue counters that add up. Callers zero the fan-out
+// roundingModels are the cost models whose costs are not integers: the
+// threshold search sums a match as sub + E^b + E^f and wed.AllMatches left
+// to right, so the two WEDs of one span may differ in the last bit.
+var roundingModels = map[string]bool{"ERP": true, "NetERP": true, "SURS": true}
+
+// sameWED compares a WED with the restart oracle's: bit for bit, or to
+// 1e-9 relative under a rounding model.
+func sameWED(model string, got, want float64) bool {
+	if roundingModels[model] {
+		return math.Abs(got-want) <= 1e-9*math.Abs(want)
+	}
+	return got == want
+}
+
+// checkTopKAgainstRestart demands, at Parallelism 1 and 4, the brute
+// force's answer bit for bit — same (ID, S, T) order, same WED bits, same
+// effective τ — the restart oracle's (ID, S, T) order with its WEDs as
+// sameWED allows, and queue counters that add up. Callers zero the fan-out
 // threshold, so Parallelism 4 deals the queue to four workers.
 func checkTopKAgainstRestart(t *testing.T, label string, eng *core.Engine, q []traj.Symbol, k int) *core.QueryStats {
 	t.Helper()
-	want, wantTau, err := eng.SearchTopKRestart(q, k)
+	want, wantTau := eng.SearchTopKBruteForce(q, k)
+	restart, restartTau, err := eng.SearchTopKRestart(q, k)
 	if err != nil {
 		t.Fatalf("%s k=%d restart oracle: %v", label, k, err)
+	}
+	model := eng.Costs().Name()
+	if len(restart) != len(want) || !sameWED(model, wantTau, restartTau) {
+		t.Fatalf("%s k=%d: restart oracle %v (τ %v), brute force %v (τ %v)", label, k, restart, restartTau, want, wantTau)
+	}
+	for i := range want {
+		if restart[i].Key() != want[i].Key() || !sameWED(model, want[i].WED, restart[i].WED) {
+			t.Fatalf("%s k=%d rank %d: restart oracle %+v, brute force %+v", label, k, i, restart[i], want[i])
+		}
 	}
 	var st *core.QueryStats
 	for _, par := range []int{1, 4} {
@@ -121,7 +99,8 @@ func checkTopKAgainstRestart(t *testing.T, label string, eng *core.Engine, q []t
 // TestTopKEquivalence is the best-first driver's acceptance test: for
 // every cost model and several k (including k = dataset size and k far
 // beyond the searchable radius, where fewer than k trajectories lie inside
-// the ceiling) it returns the restart oracle's answer bit for bit.
+// the ceiling) it returns the brute force's answer bit for bit, and the
+// restart oracle's (see checkTopKAgainstRestart).
 func TestTopKEquivalence(t *testing.T) {
 	core.ForceFanOut(t)
 	env := testutil.NewEnv(41, 40, 24)
@@ -143,8 +122,9 @@ func TestTopKEquivalence(t *testing.T) {
 // and NetERP with non-integer costs — and every k cuts or borders a tie;
 // the query's source has many copies, so k = 1 must pick the smallest ID
 // among many zero-bound ties; and a reversed copy of the source covers
-// every query position while chaining at most one. Run on every backend,
-// with the queue dealt to four workers.
+// every query position while chaining at most one, so it is re-queued on
+// its chain bound. Run on every backend, with the queue dealt to four
+// workers.
 func TestTopKEquivalenceTies(t *testing.T) {
 	core.ForceFanOut(t)
 	env := testutil.NewEnv(43, 30, 24)
@@ -271,7 +251,7 @@ func TestTopKBoundsAdmissible(t *testing.T) {
 // TestTopKDuplicateHeavy pits the driver against a duplicate-heavy
 // alphabet (3 symbols, repeated constantly) where candidate lists are
 // huge, per-trajectory match sets are dense, and WED ties are common —
-// the adversarial case for the tightening logic.
+// the adversarial case for the threshold and the span recovery.
 func TestTopKDuplicateHeavy(t *testing.T) {
 	core.ForceFanOut(t)
 	rng := rand.New(rand.NewSource(5))
@@ -288,19 +268,6 @@ func TestTopKDuplicateHeavy(t *testing.T) {
 	q := []traj.Symbol{0, 1, 0, 0, 2, 1, 0, 1}
 	for _, k := range []int{1, 3, 10, 30} {
 		checkTopKAgainstRestart(t, "dup", eng, q, k)
-		want := oracleTopK(costs, ds, q, k)
-		got, err := eng.SearchTopK(q, k)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: %d results, oracle found %d", k, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Key() != want[i].Key() || math.Abs(got[i].WED-want[i].WED) > 1e-9 {
-				t.Fatalf("k=%d rank %d: %+v, oracle %+v", k, i, got[i], want[i])
-			}
-		}
 	}
 }
 

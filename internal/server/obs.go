@@ -87,8 +87,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.shardWorkers = counter("subtraj_shard_workers_total", "Fan-out workers used across executed queries.")
 	m.parallelQueries = counter("subtraj_parallel_queries_total", "Executed queries that used more than one worker.")
 	m.topkQueued = counter("subtraj_topk_queued_total", "Trajectories top-k queries put on their best-first queue.")
-	m.topkVerified = counter("subtraj_topk_verified_total", "Queued trajectories top-k queries verified at least once.")
-	m.topkRequeues = counter("subtraj_topk_requeues_total", "Top-k re-queues under a tighter bound.")
+	m.topkVerified = counter("subtraj_topk_verified_total", "Queued trajectories top-k queries scanned for their best match.")
+	m.topkRequeues = counter("subtraj_topk_requeues_total", "Top-k re-queues under its chain bound.")
 	r.GaugeFunc("subtraj_engine_generation", "Appends applied so far (cache-validity tag).",
 		nil, func() float64 { return float64(s.eng.Generation()) })
 	r.GaugeFunc("subtraj_engine_trajectories", "Indexed trajectories.",

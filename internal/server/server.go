@@ -229,8 +229,8 @@ type queryStatsJSON struct {
 	PrunedTrajectories int `json:"pruned_trajectories"`
 	PrunedCandidates   int `json:"pruned_candidates"`
 	// Top-k driver fields (absent for plain searches): trajectories put
-	// on the best-first queue, those verified at least once, and how often
-	// one went back on the queue under a tighter bound.
+	// on the best-first queue, those scanned for their best match, and how
+	// often one went back on the queue under its chain bound.
 	Queued   int `json:"queued,omitempty"`
 	Verified int `json:"verified,omitempty"`
 	Requeues int `json:"requeues,omitempty"`
@@ -934,8 +934,8 @@ type StatsSnapshot struct {
 		ShardWorkers    int64 `json:"shard_workers"`
 		ParallelQueries int64 `json:"parallel_queries"`
 		// The best-first queue of executed top-k queries, summed:
-		// trajectories queued, trajectories verified at least once (the
-		// rest were dropped on their lower bound), and re-queues.
+		// trajectories queued, trajectories scanned (the rest were
+		// dropped on their lower bound), and re-queues.
 		TopKQueued   int64 `json:"topk_queued"`
 		TopKVerified int64 `json:"topk_verified"`
 		TopKRequeues int64 `json:"topk_requeues"`

@@ -77,7 +77,7 @@ func TestShardWorkerConsistency(t *testing.T) {
 		body map[string]any
 	}{
 		{"/v1/search", map[string]any{"q": q, "tau": tau}},
-		{"/v1/topk", map[string]any{"q": q, "k": 5}},
+		{"/v1/topk", map[string]any{"q": q, "k": 50}}, // k = 5 scans too few cells to fan out
 		{"/v1/temporal", map[string]any{"q": q, "tau": tau, "lo": 0.0, "hi": 1e12}},
 	}
 	for _, r := range reqs {

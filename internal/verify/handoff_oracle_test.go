@@ -16,14 +16,11 @@ import (
 // This file keeps Algorithm 4 as the paper states it — both directions of
 // every candidate walked under the full τ′, and only then combined — as
 // the oracle of the one-sided rejection and threshold hand-off in
-// VerifyAt. It shares the tries, the walk and the bookkeeping with the
+// Verify. It shares the tries, the walk and the bookkeeping with the
 // production path and differs in exactly the two walk calls.
 
-// verifyAtTwoWalks is VerifyAt with two independent full-τ′ walks.
-func (v *Verifier) verifyAtTwoWalks(c Candidate, tauEff float64) {
-	if tauEff > v.tau {
-		tauEff = v.tau
-	}
+// verifyTwoWalks is Verify with two independent full-τ′ walks.
+func (v *Verifier) verifyTwoWalks(c Candidate) {
 	v.Stats.Candidates++
 	if c.ID != v.curID {
 		v.flush()
@@ -32,7 +29,7 @@ func (v *Verifier) verifyAtTwoWalks(c Candidate, tauEff float64) {
 	p := v.ds.Path(c.ID)
 	j := int(c.Pos)
 	subCost := v.costs.Sub(v.q[c.IQ], p[j])
-	tauPrime := tauEff - subCost
+	tauPrime := v.tau - subCost
 	v.Stats.ColumnsAvailable += int64(len(p) - 1)
 	if tauPrime <= 0 {
 		return
@@ -83,18 +80,17 @@ func (v *Verifier) verifyAtTwoWalks(c Candidate, tauEff float64) {
 	}
 }
 
-// thresholds returns the growing per-trajectory thresholds a trajectory is
-// verified under: a placeholder for the per-candidate "τ′ ≤ 0" round, then,
-// in ascending order, τ/2, up to three WEDs the trajectory's own raw
-// matches have — each a sum the enumeration will meet again as an exact
-// tie, which is where a stop rule written in real-number algebra goes
-// wrong — and τ, each followed by its float successor (the shape of the
-// top-k driver's thresholds).
-func thresholds(rng *rand.Rand, oracle *Verifier, id int32, tau float64) []float64 {
-	probe := New(oracle.costs, oracle.ds, oracle.q, tau, oracle.opts)
+// thresholds returns the thresholds a trajectory is verified under: a
+// placeholder for the per-candidate "τ′ ≤ 0" round, then, in ascending
+// order, τ/2, up to three WEDs the trajectory's own raw matches have —
+// each a sum the enumeration will meet again as an exact tie, which is
+// where a stop rule written in real-number algebra goes wrong — and τ,
+// each followed by its float successor.
+func thresholds(rng *rand.Rand, costs wed.Costs, ds *traj.Dataset, q []traj.Symbol, opts Options, id int32, tau float64) []float64 {
+	probe := New(costs, ds, q, tau, opts)
 	for iq := range probe.q {
 		for j := range probe.ds.Path(id) {
-			probe.verifyAtTwoWalks(Candidate{ID: id, Pos: int32(j), IQ: int32(iq)}, tau)
+			probe.verifyTwoWalks(Candidate{ID: id, Pos: int32(j), IQ: int32(iq)})
 		}
 	}
 	ts := []float64{tau / 2, tau}
@@ -114,11 +110,11 @@ func thresholds(rng *rand.Rand, oracle *Verifier, id int32, tau float64) []float
 // often) and the six cost models (whose float sums round), both trie
 // modes, with and without early termination, the first, last and middle
 // query position (an empty Q^d has E_0 = 0 and can never be the rejecting
-// side), and every trajectory verified again and again under growing
-// thresholds (see thresholds) — the top-k driver's pattern — the raw match
-// list after every call equals the oracle's bit for bit and in order, and
-// the hand-off never visits or computes a column the oracle did not.
-// Swapping the two stop rules between the directions fails it.
+// side), and every trajectory verified under thresholds that tie its own
+// sums (see thresholds), the raw match list after every call equals the
+// oracle's bit for bit and in order, and the hand-off never visits or
+// computes a column the oracle did not. Swapping the two stop rules
+// between the directions fails it.
 func TestHandoffEqualsTwoWalks(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	const nsym = 6
@@ -164,40 +160,56 @@ func TestHandoffEqualsTwoWalks(t *testing.T) {
 			{Mode: ModeBT}, {Mode: ModeLocal},
 			{Mode: ModeBT, DisableEarlyTermination: true}, {Mode: ModeLocal, DisableEarlyTermination: true},
 		} {
-			got, want := New(costs, ds, q, tau, opts), New(costs, ds, q, tau, opts)
+			// check verifies cs with a hand-off and an oracle verifier at
+			// tauEff — the candidates of one (trajectory, threshold) share
+			// tries — and compares every call's raw matches, the final
+			// results and the work counts.
+			var got, want Verifier
+			check := func(tauEff float64, cs []Candidate) bool {
+				got.Reset(costs, ds, q, tauEff, opts)
+				want.Reset(costs, ds, q, tauEff, opts)
+				for _, c := range cs {
+					got.Verify(c)
+					want.verifyTwoWalks(c)
+					if !slices.Equal(got.chunk, want.chunk) {
+						t.Logf("%s %+v |Q|=%d iq=%d τ=%v τeff=%v: raw matches differ", costs.Name(), opts, m, c.IQ, tau, tauEff)
+						return false
+					}
+				}
+				g, w := got.Stats, want.Stats
+				if g.ColumnsVisited > w.ColumnsVisited || g.StepDPCalls > w.StepDPCalls || g.CellsComputed > w.CellsComputed ||
+					g.Candidates != w.Candidates || g.ColumnsAvailable != w.ColumnsAvailable {
+					t.Logf("%s %v: work counts %+v exceed the oracle's %+v", costs.Name(), opts, g, w)
+					return false
+				}
+				if opts.DisableEarlyTermination && (g.OneSided != 0 || g.ColumnsVisited != w.ColumnsVisited || g.StepDPCalls != w.StepDPCalls) {
+					t.Logf("%s %v: the no-pruning ablation pruned: %+v vs %+v", costs.Name(), opts, g, w)
+					return false
+				}
+				oneSided += g.OneSided
+				return slices.Equal(got.Results(), want.Results())
+			}
 			for id := range ds.Trajs {
 				p := ds.Path(int32(id))
-				for round, tauEff := range thresholds(rng, want, int32(id), tau) {
+				for round, tauEff := range thresholds(rng, costs, ds, q, opts, int32(id), tau) {
+					var cs []Candidate
 					for _, iq := range []int{0, m - 1, m / 2} {
 						for j := range p {
 							c := Candidate{ID: int32(id), Pos: int32(j), IQ: int32(iq)}
-							if round == 0 {
-								// τ′ lands on 0 or just above it.
-								tauEff = math.Nextafter(costs.Sub(q[iq], p[j]), math.Inf(j%2*2-1))
+							if round > 0 {
+								cs = append(cs, c)
+								continue
 							}
-							got.VerifyAt(c, tauEff)
-							want.verifyAtTwoWalks(c, tauEff)
-							if !slices.Equal(got.chunk, want.chunk) {
-								t.Logf("%s %+v |Q|=%d iq=%d τ=%v τeff=%v: raw matches differ", costs.Name(), opts, m, iq, tau, tauEff)
+							// τ′ lands on 0 or just above it.
+							if !check(math.Nextafter(costs.Sub(q[iq], p[j]), math.Inf(j%2*2-1)), []Candidate{c}) {
 								return false
 							}
 						}
 					}
+					if len(cs) > 0 && !check(tauEff, cs) {
+						return false
+					}
 				}
-			}
-			g, w := got.Stats, want.Stats
-			if g.ColumnsVisited > w.ColumnsVisited || g.StepDPCalls > w.StepDPCalls || g.CellsComputed > w.CellsComputed ||
-				g.Candidates != w.Candidates || g.ColumnsAvailable != w.ColumnsAvailable {
-				t.Logf("%s %v: work counts %+v exceed the oracle's %+v", costs.Name(), opts, g, w)
-				return false
-			}
-			if opts.DisableEarlyTermination && (g.OneSided != 0 || g.ColumnsVisited != w.ColumnsVisited || g.StepDPCalls != w.StepDPCalls) {
-				t.Logf("%s %v: the no-pruning ablation pruned: %+v vs %+v", costs.Name(), opts, g, w)
-				return false
-			}
-			oneSided += g.OneSided
-			if !slices.Equal(got.Results(), want.Results()) {
-				return false
 			}
 		}
 		return true

@@ -9,10 +9,11 @@
 // the saving, and banding is bit-equal to the full-width DP. The two
 // directions of a candidate are not walked independently: the minimum of
 // the first walk either rejects the candidate outright or tightens the
-// second walk's cut (VerifyAt). The columns of all of a verifier's tries
+// second walk's cut (Verify). The columns of all of a verifier's tries
 // live in one slab arena (arena.go), and the DP kernel reads its costs
 // from rows compiled once per query and data symbol (rows.go) rather than
-// through a wed.Costs call per cell.
+// through a wed.Costs call per cell. The top-k driver reads the same rows
+// through Best (best.go): one Smith–Waterman scan per trajectory, no tries.
 //
 // Three modes with identical result sets support the paper's ablations:
 //
@@ -190,8 +191,11 @@ type Verifier struct {
 	swSeen map[int32]bool
 
 	// Scratch buffers. efSuf[k] = min(ef[k:]) lets the match-enumeration
-	// loop skip every dominated E^f suffix in O(1).
-	eb, ef, efSuf []float64
+	// loop skip every dominated E^f suffix in O(1). scan holds Best's two
+	// columns; ends, starts and hits its ends at w*, proposed starts and
+	// confirming ends.
+	eb, ef, efSuf, scan []float64
+	ends, starts, hits  []int32
 
 	// held is what Put last accounted to the pool's retained-bytes gauge
 	// on this verifier's behalf; a separate allocation so the cleanup
@@ -264,9 +268,9 @@ const (
 	// made of — column slabs, compiled cost rows and the node arrays. On
 	// the benchmark city a τ_ratio 0.3 query over |Q| = 60 fills 5–25 MB
 	// of columns and up to 10 MB of node arrays per fan-out worker, so most
-	// such queries find everything they need already allocated, and so
-	// does a top-k query (≈1 M cells at the ceiling's band). Half this
-	// budget costs the wide search 9% of its latency.
+	// such queries find everything they need already allocated. A top-k
+	// query builds no tries: it keeps only compiled rows and two scan
+	// columns. Half this budget costs the wide search 9% of its latency.
 	maxRetainedBytes = 32 << 20
 	// maxRetainedMatches bounds the chunk/out match buffers (~1.5 MiB).
 	maxRetainedMatches = 64 << 10
@@ -274,7 +278,8 @@ const (
 	// their buckets; past the cap it is dropped wholesale).
 	maxRetainedSeen = 32 << 10
 	// maxRetainedCols bounds the E^b/E^f/suffix-min scratch, whose
-	// length tracks the longest early-termination walk.
+	// length tracks the longest early-termination walk, and Best's
+	// scratch, whose length tracks |Q| and the trajectory's.
 	maxRetainedCols = 32 << 10
 )
 
@@ -286,24 +291,13 @@ const (
 func Put(v *Verifier) {
 	v.costs, v.ds, v.q = nil, nil, nil
 	v.trimRetained()
-	if cap(v.chunk) > maxRetainedMatches {
-		v.chunk = nil
-	}
-	if cap(v.out) > maxRetainedMatches {
-		v.out = nil
-	}
+	v.chunk, v.out = capped(v.chunk, maxRetainedMatches), capped(v.out, maxRetainedMatches)
 	if len(v.swSeen) > maxRetainedSeen {
 		v.swSeen = nil
 	}
-	if cap(v.eb) > maxRetainedCols {
-		v.eb = nil
-	}
-	if cap(v.ef) > maxRetainedCols {
-		v.ef = nil
-	}
-	if cap(v.efSuf) > maxRetainedCols {
-		v.efSuf = nil
-	}
+	v.eb, v.ef, v.efSuf = capped(v.eb, maxRetainedCols), capped(v.ef, maxRetainedCols), capped(v.efSuf, maxRetainedCols)
+	v.scan = capped(v.scan, maxRetainedCols)
+	v.ends, v.starts, v.hits = capped(v.ends, maxRetainedCols), capped(v.starts, maxRetainedCols), capped(v.hits, maxRetainedCols)
 	if v.held == nil {
 		v.held = new(atomic.Int64)
 		runtime.AddCleanup(v, func(held *atomic.Int64) { poolRetained.Add(-held.Load()) }, v.held)
@@ -312,6 +306,14 @@ func Put(v *Verifier) {
 	v.held.Store(held)
 	poolRetained.Add(held)
 	pool.Put(v)
+}
+
+// capped returns s, or nil once its capacity exceeds limit.
+func capped[T any](s []T, limit int) []T {
+	if cap(s) > limit {
+		return nil
+	}
+	return s
 }
 
 // retainedBytes is the footprint of what the tries are made of: column
@@ -361,24 +363,10 @@ func (v *Verifier) Reset(costs wed.Costs, ds *traj.Dataset, q []traj.Symbol, tau
 }
 
 // Verify processes one candidate (Algorithm 4).
-func (v *Verifier) Verify(c Candidate) { v.VerifyAt(c, v.tau) }
-
-// VerifyAt is Verify under a per-candidate effective threshold tauEff ≤
-// the query τ (larger values are clamped). Matches are enumerated and
-// pruned against tauEff while the trie columns stay banded — and shared
-// across candidates — at the query τ; since banded cells < τ hold exact
-// values and cells ≥ τ are only read through comparisons against
-// thresholds ≤ τ, every tauEff ≤ τ sees exact results. The top-k driver
-// builds its verifier at the feasibility ceiling and uses this to verify
-// each trajectory under its own, far smaller, threshold — and again under
-// a larger one later — without rebuilding trie state.
-func (v *Verifier) VerifyAt(c Candidate, tauEff float64) {
-	if tauEff > v.tau {
-		tauEff = v.tau
-	}
+func (v *Verifier) Verify(c Candidate) {
 	v.Stats.Candidates++
 	if v.opts.Mode == ModeSW {
-		v.verifySW(c.ID, tauEff)
+		v.verifySW(c.ID)
 		return
 	}
 	if c.ID != v.curID {
@@ -390,7 +378,7 @@ func (v *Verifier) VerifyAt(c Candidate, tauEff float64) {
 	b := p[j]
 	qSym := v.q[c.IQ]
 	subCost := v.costs.Sub(qSym, b)
-	tauPrime := tauEff - subCost
+	tauPrime := v.tau - subCost
 	v.Stats.ColumnsAvailable += int64(len(p) - 1)
 	if tauPrime <= 0 {
 		return // even a perfect surrounding alignment cannot reach < τ
@@ -470,39 +458,6 @@ func (v *Verifier) VerifyAt(c Candidate, tauEff float64) {
 			})
 		}
 	}
-}
-
-// TakeBest reduces the matches buffered since the last flush boundary —
-// with trajectory-grouped input, the current trajectory's raw matches —
-// to the single best by traj.Better, clears the buffer, and
-// reports whether any match existed. Raw duplicates of one (S, T) span
-// need no min-merge first: the duplicate holding its span's minimum WED
-// represents the span in this order, so the global raw minimum equals
-// the merged minimum. Drivers that only need per-trajectory bests (the
-// top-k driver) call this after feeding each trajectory's candidates
-// instead of accumulating every match for Results.
-func (v *Verifier) TakeBest() (traj.Match, bool) {
-	if len(v.chunk) == 0 {
-		return traj.Match{}, false
-	}
-	best := v.chunk[0]
-	for _, m := range v.chunk[1:] {
-		if traj.Better(m, best) {
-			best = m
-		}
-	}
-	v.chunk = v.chunk[:0]
-	return best, true
-}
-
-// SnapshotStats returns the verifier's counters with the trie-node total
-// filled in — the same end-of-query accounting Results performs — without
-// ending the query. Drivers that consume per-trajectory bests via
-// TakeBest and never call Results read their stats here.
-func (v *Verifier) SnapshotStats() Stats {
-	s := v.Stats
-	s.TrieNodes += len(v.nodes)
-	return s
 }
 
 // flush sorts the current trajectory's raw matches by (S, T) and
@@ -589,8 +544,8 @@ func (v *Verifier) freshTries(iq int32) dirTries {
 }
 
 // verifySW scans the whole trajectory once per distinct ID, enumerating
-// every match with the exhaustive threshold-aware DP under tauEff.
-func (v *Verifier) verifySW(id int32, tauEff float64) {
+// every match with the exhaustive threshold-aware DP.
+func (v *Verifier) verifySW(id int32) {
 	if v.swSeen[id] {
 		return
 	}
@@ -601,7 +556,7 @@ func (v *Verifier) verifySW(id int32, tauEff float64) {
 	}
 	p := v.ds.Path(id)
 	v.Stats.ColumnsAvailable += int64(len(p) - 1)
-	for _, m := range wed.AllMatches(v.costs, v.q, p, tauEff) {
+	for _, m := range wed.AllMatches(v.costs, v.q, p, v.tau) {
 		v.chunk = append(v.chunk, traj.Match{ID: id, S: int32(m.S), T: int32(m.T), WED: m.WED})
 	}
 }
