@@ -145,13 +145,12 @@ func BenchmarkTable6IndexBuild(b *testing.B) {
 
 // --- Ablation benches for the design choices DESIGN.md calls out --------
 
-// BenchmarkAblationVerifyModes isolates BT vs Local (no trie) vs SW
-// verification on identical candidates (the §5 ablation).
+// BenchmarkAblationVerifyModes isolates local vs SW verification on
+// identical candidates (the §5 ablation).
 func BenchmarkAblationVerifyModes(b *testing.B) {
 	c := experiments.GetCtx(workload.BeijingLike(), 0.12)
 	queries := c.Queries("EDR", 60, 5, 3)
 	for _, mode := range []subtraj.VerifyOptions{
-		{Mode: subtraj.VerifyBT},
 		{Mode: subtraj.VerifyLocal},
 		{Mode: subtraj.VerifySW},
 	} {

@@ -14,13 +14,15 @@
 // index over path symbols, subsequence filtering with an optimised
 // τ-subsequence chosen by a 2-approximation to the NP-hard minimum
 // candidate problem, and local verification that runs the WED dynamic
-// programming bidirectionally from candidate positions with
-// bidirectional-trie caching of DP columns. Cached columns are τ-banded
-// — only the cell range that can still influence a result under the
-// query threshold is computed and stored, bit-equal to the full-width
-// DP — and QueryStats reports the cell-level pruning via the
+// programming bidirectionally from candidate positions. DP columns are
+// τ-banded — only the cell range that can still influence a result under
+// the query threshold is computed, bit-equal to the full-width DP — and
+// QueryStats reports the cell-level pruning via the
 // Verify.CellsComputed/CellsAvailable band counters next to the paper's
-// UPR/CMR rates.
+// UPR rate. The paper's bidirectional tries, which cached DP columns
+// across candidates sharing a path prefix, are not kept: after the
+// trajectory-level pre-filter too few candidates share one to pay for
+// them.
 //
 // # Quick start
 //

@@ -182,33 +182,6 @@ func (e *Engine) CountExact(q []Symbol) (int, error) {
 	return e.inner.CountExact(q)
 }
 
-// PathIndex is a suffix array over all trajectory paths, answering exact
-// subtrajectory lookups in O(|Q|·log N) independent of symbol frequencies
-// (the suffix-array indexing route of the paper's §7 related work). It is
-// an alternative to Engine.SearchExact for exact-only workloads such as
-// path popularity estimation.
-type PathIndex struct {
-	inner *index.PathSuffixArray
-}
-
-// NewPathIndex builds the suffix array over the dataset. Unlike Engine,
-// a PathIndex is static: rebuild after appending trajectories.
-func NewPathIndex(ds *Dataset) *PathIndex {
-	return &PathIndex{inner: index.BuildPathSuffixArray(ds)}
-}
-
-// Lookup returns every exact occurrence of q as matches with WED 0.
-func (pi *PathIndex) Lookup(q []Symbol) []Match {
-	var out []Match
-	for _, p := range pi.inner.Lookup(q) {
-		out = append(out, Match{ID: p.ID, S: p.Pos, T: p.Pos + int32(len(q)) - 1})
-	}
-	return out
-}
-
-// Count returns the number of exact occurrences of q — path popularity.
-func (pi *PathIndex) Count(q []Symbol) int { return pi.inner.Count(q) }
-
 // BestPerTrajectory reduces a match set to the paper's effectiveness-
 // experiment convention (§6.2.1): one match per trajectory — the smallest
 // WED, ties broken by the shortest subtrajectory, then by position.

@@ -26,7 +26,7 @@ func main() {
 	costs := net.EDR(100) // ε = 100 m
 
 	// 3. The engine: inverted index + subsequence filtering +
-	//    bidirectional-trie verification.
+	//    local bidirectional verification.
 	eng, err := subtraj.NewEngine(w.Data, costs)
 	if err != nil {
 		log.Fatal(err)

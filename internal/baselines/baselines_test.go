@@ -56,7 +56,7 @@ func TestCandidateCountOrdering(t *testing.T) {
 		inv := index.Build(m.DS)
 		q := env.Query(m, 10)
 		tau := feasibleTau(m, q, 0.3)
-		vo := verify.Options{Mode: verify.ModeBT}
+		vo := verify.Options{}
 		dison := baselines.DISON(m.Costs, m.DS, inv, q, tau, vo)
 		torch := baselines.Torch(m.Costs, m.DS, inv, q, tau, vo)
 		if dison.Candidates > torch.Candidates {

@@ -15,8 +15,8 @@ import (
 // with the collector off throughout. Both guard against events that are
 // not f's doing: a collection empties the sync.Pools, and when the test
 // goroutine changes P between a verifier's Put and the next Get the
-// pool's per-P slot misses — either way the next call re-warms megabytes
-// of slab arena. A per-query regression shows in every batch, a pool miss
+// pool's per-P slot misses — either way the next call recompiles its
+// cost rows. A per-query regression shows in every batch, a pool miss
 // in one.
 func steadyAllocs(warm int, f func()) (allocs, bytes float64) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -40,10 +40,10 @@ func steadyAllocs(warm int, f func()) (allocs, bytes float64) {
 
 // searchAllocBudget is the allocation-regression guard for the pooled
 // query path (allocs per sequential Search, steady state). The banded
-// pipeline with grouped match accumulation measures ~38 allocs/op on Lev
-// (plan construction and the returned result slice dominate; verifier
-// scratch, match buffers, and banded trie arenas are all pooled); the
-// budget leaves headroom for benign churn while still catching a
+// pipeline with grouped match accumulation measures 35 allocs and 2.6 KB
+// per op on Lev (plan construction and the returned result slice
+// dominate; compiled cost rows, column and match buffers are all pooled);
+// the budget leaves headroom for benign churn while still catching a
 // per-candidate or per-column allocation regression, which shows up in
 // the thousands.
 const searchAllocBudget = 90
@@ -62,20 +62,20 @@ func TestPooledSearchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Five calls warm the pools (verifier, tries, candidate buffers).
+	// Five calls warm the pools (verifier, cost rows, candidate buffers).
 	if allocs, _ := steadyAllocs(5, search); allocs > searchAllocBudget {
 		t.Fatalf("sequential pooled search allocates %.1f allocs/op, budget %d", allocs, searchAllocBudget)
 	}
 }
 
 // Budgets of the wide-τ guard: steady-state allocations and bytes per
-// sequential EDR search at τ_ratio 0.7, where one query fills megabytes of
-// DP columns. (At 0.3, the ratio the budgets were set at, the
-// trajectory-level pre-filter now leaves a twentieth of the cells.) With
-// the slab arena retained by the pooled verifier the 0.3 query measured 64
-// allocs and 7 KB (plan, candidates, results); when every trie grew its own
-// column slice by doubling and Put dropped the large ones, it took 197
-// allocs and 2.3 MB.
+// sequential EDR search at τ_ratio 0.7, where one query computes 850 k DP
+// cells and enumerates thousands of matches. It measures 76 allocs and
+// 29.6 KB (plan, candidates, results): the pooled verifier's two columns,
+// compiled rows and match buffers serve every candidate; a column or a
+// match buffer reallocated per candidate shows as megabytes. (At 0.3, the
+// ratio the budgets were set at, the trajectory-level pre-filter now
+// leaves a twentieth of the cells.)
 const (
 	wideSearchAllocBudget = 120
 	wideSearchBytesBudget = 256 << 10
@@ -113,7 +113,7 @@ func TestPooledWideSearchAllocs(t *testing.T) {
 // top-k query (k = 10, |Q| = 30) with warm pools. The best-first driver
 // allocates the plan, the result table and, when fanned out, the workers'
 // goroutines — its queue scratch and its verifiers, which hold only
-// compiled cost rows and two scan columns, are pooled — and measures 68
+// compiled cost rows and two columns, are pooled — and measures 68
 // allocs and 6.3 KB sequentially, 72 and 6.5 KB on two workers; each
 // further worker adds about four allocations. One allocation per scanned
 // trajectory (about 30 here) crosses the bytes budget. The τ-growth driver

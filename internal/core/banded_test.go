@@ -12,7 +12,7 @@ import (
 // TestBandedEquivalence is the cross-check the τ-banded verification must
 // pass, in the mould of TestParallelismEquivalence: for every cost model
 // (including the weighted Net* models, whose non-uniform costs make the
-// band asymmetric), both trie modes, and both the sequential and the
+// band asymmetric), local verification, and both the sequential and the
 // fanned-out pipeline, banded columns return the full-matrix answer —
 // verify.ModeSW, which is wed.AllMatches over every candidate trajectory
 // and stores no columns at all: the same (ID, S, T) set with equal WED
@@ -38,7 +38,7 @@ func TestBandedEquivalence(t *testing.T) {
 					t.Fatalf("seed=%d model=%s mode=SW: %v", seed, m.Name, err)
 				}
 				var first []traj.Match
-				for _, mode := range []verify.Mode{verify.ModeBT, verify.ModeLocal} {
+				for _, mode := range []verify.Mode{verify.ModeLocal} {
 					for _, par := range []int{1, 4} {
 						banded, stats, err := eng.SearchQuery(core.Query{
 							Q: q, Tau: tau, Parallelism: par,

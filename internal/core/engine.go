@@ -2,10 +2,10 @@
 // filter-and-verify subtrajectory similarity search engine of Algorithm 2.
 // A query (Q, wed, τ) is answered by (1) choosing an optimised
 // τ-subsequence with MinCand, (2) generating candidates from the inverted
-// index over the substitution neighbourhoods, and (3) verifying candidates
-// locally with bidirectional tries. Temporal constraints (§4.3) are
-// supported both as a candidate-level pre-filter (TF) and as exact
-// post-verification checks.
+// index over the substitution neighbourhoods, and (3) verifying each
+// candidate locally, with DP walks in both directions from it. Temporal
+// constraints (§4.3) are supported both as a candidate-level pre-filter
+// (TF) and as exact post-verification checks.
 package core
 
 import (
@@ -192,14 +192,10 @@ type QueryStats struct {
 	// pre-filter dropped before any DP: trajectories with a Q' candidate
 	// whose bound over Q⁺ reached τ, and their Q' candidates.
 	TrajPruned, CandidatesPruned int
-	// Verify carries UPR/CMR/TUR counters (Table 5) plus the cell-level
-	// band counters (CellsComputed/CellsAvailable) of the τ-banded
-	// verification. StepDPCalls, TrieNodes, and the cell counters may
-	// exceed the sequential run's when Workers > 1: each candidate range
-	// has its own trie cache, so columns shared across ranges are
-	// recomputed per range. Matches/Candidates never differ, and the
-	// CellsComputed/CellsAvailable ratio stays representative at every
-	// worker count.
+	// Verify carries the UPR counters (Table 5) plus the cell-level band
+	// counters (CellsComputed/CellsAvailable) of the τ-banded
+	// verification. Every candidate is walked on its own, so they equal
+	// the sequential run's at every worker count.
 	Verify verify.Stats
 	// Workers is the number of goroutines that verified this query: 1
 	// when it ran on the caller's, which is where the engine keeps every
@@ -257,17 +253,18 @@ type Query struct {
 	// stops within one trajectory group's verification instead of
 	// running to completion. nil means run to completion.
 	Ctx context.Context
-	// Verify selects the verification mode/ablations; zero value = BT.
+	// Verify selects the verification mode/ablations; the zero value is
+	// local bidirectional verification.
 	Verify verify.Options
 	// Parallelism caps the number of workers verifying this query: 0 =
-	// auto (GOMAXPROCS), 1 = the sequential path (one verifier, trie
-	// cache shared across every candidate), N > 1 = up to N workers over
+	// auto (GOMAXPROCS), 1 = the sequential path (one verifier, cost rows
+	// compiled once for every candidate), N > 1 = up to N workers over
 	// contiguous ID ranges of the candidate array. It is a cap, not a
 	// command: the engine sizes the fan-out from the query's estimated
 	// work and keeps a small query on the caller's goroutine. Every
 	// setting returns the identical sorted match set with identical WED
-	// values and candidate counts; only throughput and the cache-sharing
-	// stats differ.
+	// values, candidate counts and verify counters; only throughput
+	// differs.
 	Parallelism int
 	// Temporal constrains matches to the window [Lo, Hi] under Mode.
 	Temporal struct {

@@ -88,7 +88,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 				q := env.Query(m, 8)
 				for _, tau := range oracleTaus(m.Costs, m.DS, q) {
 					want := baselines.PlainSW(m.Costs, m.DS, q, tau).Matches
-					for _, mode := range []verify.Mode{verify.ModeBT, verify.ModeLocal, verify.ModeSW} {
+					for _, mode := range []verify.Mode{verify.ModeLocal, verify.ModeSW} {
 						got, stats, err := eng.SearchQuery(core.Query{
 							Q: q, Tau: tau,
 							Verify: verify.Options{Mode: mode},
@@ -148,7 +148,7 @@ func TestBaselinesMatchOracle(t *testing.T) {
 		q := env.Query(m, 8)
 		for _, tau := range oracleTaus(m.Costs, m.DS, q) {
 			want := baselines.PlainSW(m.Costs, m.DS, q, tau).Matches
-			for _, vm := range []verify.Mode{verify.ModeBT, verify.ModeSW} {
+			for _, vm := range []verify.Mode{verify.ModeLocal, verify.ModeSW} {
 				vo := verify.Options{Mode: vm}
 				d := baselines.DISON(m.Costs, m.DS, inv, q, tau, vo)
 				assertSameMatches(t, m.Name+"/DISON-"+vm.String(), d.Matches, want)

@@ -18,11 +18,10 @@ import (
 // ID, can be cut at group boundaries into contiguous ID ranges and each
 // range verified on its own. Per-range results are disjoint and already
 // in (ID, S, T) order, so concatenating them in range order is the
-// sequential answer, bit for bit, with no merge sort. Per-range tries do
-// lose column sharing across ranges, which shows up only in the
-// CMR/TrieNodes stats — and as work the fan-out must win back, which is
-// why the engine sizes it per query (fanOutWorkers) instead of taking it
-// from a setting.
+// sequential answer, bit for bit, with no merge sort. Each range's
+// verifier compiles its own cost rows — work the fan-out must win back,
+// which is why the engine sizes it per query (fanOutWorkers) instead of
+// taking it from a setting.
 
 // minWorkPerWorker is the least estimated work — in the unit of searchWork
 // and topKWork, about 0.06 µs of sequential verification on the benchmark
@@ -64,7 +63,7 @@ func fanOutWorkers(limit int, work float64) int {
 }
 
 // searchWork estimates a threshold search's verification work from what
-// the engine holds after lookup. A candidate's two trie walks each visit
+// the engine holds after lookup. A candidate's two walks each visit
 // about one column per band cell before the column minimum passes τ, and
 // a column costs its band, so a candidate costs about the square of the
 // band's half-width in cells: |Q|·τ/c(Q), at least one, all of |Q| once
@@ -124,9 +123,8 @@ func groupStart(cands []filter.Candidate, cut int) int {
 // candidate count, each ending on a group boundary, and returns the n+1
 // cut points (a trajectory with more than its share of the candidates
 // leaves the ranges it swallowed empty). One range per worker: every
-// further range is another set of tries recomputing columns its
-// neighbours already hold (+10% DP cells per doubling on a τ_ratio 0.3
-// query, +26% on a 0.1 one).
+// further range is another verifier compiling cost rows its neighbours
+// already hold.
 func cutRanges(cands []filter.Candidate, n int) []int {
 	cuts := make([]int, n+1)
 	for i := 1; i < n; i++ {
@@ -146,8 +144,9 @@ type rangeOut struct {
 	err error
 }
 
-// verifyRange is the verify loop: one pooled verifier, whose tries every
-// candidate of the range shares, over a run of whole trajectory groups.
+// verifyRange is the verify loop: one pooled verifier, whose compiled cost
+// rows every candidate of the range shares, over a run of whole trajectory
+// groups.
 // The whole candidate array on the caller's goroutine is the sequential
 // path; the fan-out runs the same loop once per range.
 func (e *Engine) verifyRange(qr *Query, cands []filter.Candidate) (out rangeOut) {
@@ -162,9 +161,9 @@ func (e *Engine) verifyRange(qr *Query, cands []filter.Candidate) (out rangeOut)
 	//subtrajlint:hotloop
 	for _, c := range cands {
 		// The cancellation point sits on trajectory-group boundaries:
-		// one group is the unit of verification work (a shared trie
-		// walk), so a deadline interrupts between groups, never inside
-		// one — bounded latency without torn per-trajectory state.
+		// one group is the unit of verification work (its matches merge
+		// in one flush), so a deadline interrupts between groups, never
+		// inside one — bounded latency without torn per-trajectory state.
 		if c.ID != prevID {
 			prevID = c.ID
 			if out.err = ctxErr(qr.Ctx); out.err != nil {

@@ -153,7 +153,7 @@ func TestParallelismEquivalenceModes(t *testing.T) {
 			}
 			assertIdenticalResults(t, ne.name+"/"+label, got, base)
 		}
-		for _, mode := range []verify.Mode{verify.ModeBT, verify.ModeLocal, verify.ModeSW} {
+		for _, mode := range []verify.Mode{verify.ModeLocal, verify.ModeSW} {
 			fanned("mode="+mode.String(), core.Query{Q: q, Tau: tau, Verify: verify.Options{Mode: mode}})
 		}
 		for _, mode := range []core.TemporalMode{core.TemporalOverlap, core.TemporalContain, core.TemporalDeparture} {

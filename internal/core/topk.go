@@ -402,7 +402,7 @@ type topkRun struct {
 func (r *topkRun) pass(tq *topkQueue) {
 	start := time.Now()
 	sc := r.sc
-	// Only the verifier's compiled rows are read: Best builds no tries.
+	// Only the verifier's compiled rows and two columns are read.
 	ver := verify.Get(r.e.costs, r.e.ds, r.q, r.ceiling, verify.Options{})
 	defer verify.Put(ver)
 	var err error

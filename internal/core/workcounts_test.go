@@ -18,10 +18,11 @@ import (
 // counts are deterministic, so unlike a timing they can gate on any
 // runner. Every equivalence suite compares answers and would stay green
 // if a change quietly walked both sides of every candidate again (the
-// two-full-walks Algorithm 4 reads 1,346 / 846 / 3,070 columns, StepDP
-// calls and cells at 0.1, and 4,346 / 2,914 / 14,523 at 0.3, over the
-// unpruned 185 and 444 candidates), or let the pre-filter through
-// candidates it drops; this test would not. A change that moves a count on
+// two-full-walks Algorithm 4 read 1,346 columns at 0.1 and 4,346 at 0.3
+// over the unpruned 185 and 444 candidates), or let the pre-filter through
+// candidates it drops; this test would not. Every visited column is
+// computed — no column is cached across candidates — so StepDP calls equal
+// visited columns. A change that moves a count on
 // purpose updates the table and says why in CHANGES.md.
 func TestVerifyWorkCountsGolden(t *testing.T) {
 	env := testutil.NewEnv(42, 60, 25) // workload.Tiny(42) as generated
@@ -39,8 +40,8 @@ func TestVerifyWorkCountsGolden(t *testing.T) {
 		verify.Stats
 		pruned int
 	}{
-		{0.1, verify.Stats{Candidates: 61, ColumnsVisited: 729, StepDPCalls: 494, OneSided: 14, CellsComputed: 1829, Matches: 109}, 124},
-		{0.3, verify.Stats{Candidates: 120, ColumnsVisited: 1824, StepDPCalls: 1244, OneSided: 12, CellsComputed: 6417, Matches: 534}, 324},
+		{0.1, verify.Stats{Candidates: 61, ColumnsVisited: 729, StepDPCalls: 729, OneSided: 14, CellsComputed: 2719, Matches: 109}, 124},
+		{0.3, verify.Stats{Candidates: 120, ColumnsVisited: 1824, StepDPCalls: 1824, OneSided: 12, CellsComputed: 9437, Matches: 534}, 324},
 	} {
 		var got verify.Stats
 		pruned := 0
@@ -56,8 +57,8 @@ func TestVerifyWorkCountsGolden(t *testing.T) {
 		if pruned != want.pruned {
 			t.Errorf("τ_ratio %v: the pre-filter dropped %d candidates, want %d", want.ratio, pruned, want.pruned)
 		}
-		// Denominators and the node total follow from the pinned counts.
-		got.ColumnsAvailable, got.CellsAvailable, got.TrieNodes = 0, 0, 0
+		// The denominators follow from the pinned counts.
+		got.ColumnsAvailable, got.CellsAvailable = 0, 0
 		if got != want.Stats {
 			t.Errorf("τ_ratio %v: work counts\n got %+v\nwant %+v", want.ratio, got, want.Stats)
 		}

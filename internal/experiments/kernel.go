@@ -5,7 +5,7 @@ import (
 	"subtraj/internal/wed"
 )
 
-// KernelReplay times the DP column kernels outside the trie, so that
+// KernelReplay times the DP column kernels outside the verifier, so that
 // their cost per computed cell stands alone (ROADMAP 2a: the compiled-row
 // kernel within 2× of a hand-written three-way min). It replays one DP
 // chain per query — the query's tail against itself, the near-diagonal

@@ -11,7 +11,9 @@ import (
 	"subtraj/internal/workload"
 )
 
-// Methods compared in Figures 6–8, in the paper's legend order.
+// Methods compared in Figures 6–8, in the paper's legend order. The -BT
+// rows run the local bidirectional verification (verify.Options{}): the
+// paper's -BT without its column-sharing tries (DESIGN.md §1.4).
 var queryMethods = []string{
 	"OSF-BT", "DISON-BT", "Torch-BT",
 	"OSF-SW", "DISON-SW", "Torch-SW",
@@ -40,23 +42,23 @@ func runMethod(c *Ctx, method, model string, q []traj.Symbol, tau float64, qg *b
 	inv := c.Inv(model)
 	switch method {
 	case "OSF-BT", "OSF-SW":
-		mode := verify.ModeBT
+		var vo verify.Options
 		if method == "OSF-SW" {
-			mode = verify.ModeSW
+			vo.Mode = verify.ModeSW
 		}
-		res, stats, err := c.Engine(model).SearchQuery(core.Query{Q: q, Tau: tau, Verify: verify.Options{Mode: mode}})
+		res, stats, err := c.Engine(model).SearchQuery(core.Query{Q: q, Tau: tau, Verify: vo})
 		if err != nil {
 			panic(err)
 		}
 		return len(res), stats.Candidates
 	case "DISON-BT":
-		r := baselines.DISON(costs, ds, inv, q, tau, verify.Options{Mode: verify.ModeBT})
+		r := baselines.DISON(costs, ds, inv, q, tau, verify.Options{})
 		return len(r.Matches), r.Candidates
 	case "DISON-SW":
 		r := baselines.DISON(costs, ds, inv, q, tau, verify.Options{Mode: verify.ModeSW})
 		return len(r.Matches), r.Candidates
 	case "Torch-BT":
-		r := baselines.Torch(costs, ds, inv, q, tau, verify.Options{Mode: verify.ModeBT})
+		r := baselines.Torch(costs, ds, inv, q, tau, verify.Options{})
 		return len(r.Matches), r.Candidates
 	case "Torch-SW":
 		r := baselines.Torch(costs, ds, inv, q, tau, verify.Options{Mode: verify.ModeSW})

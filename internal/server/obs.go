@@ -112,7 +112,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Verifier allocations the pool could not avoid.", nil,
 		func() float64 { _, n, _ := verify.PoolStats(); return float64(n) })
 	r.GaugeFunc("subtraj_verifier_pool_retained_bytes",
-		"Column arena, compiled cost rows and trie node arrays held by idle pooled verifiers.", nil,
+		"Compiled cost rows, DP column buffers and match buffers held by idle pooled verifiers.", nil,
 		func() float64 { _, _, b := verify.PoolStats(); return float64(b) })
 
 	// Result cache.

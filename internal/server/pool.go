@@ -13,7 +13,7 @@ import (
 var ErrPoolSaturated = errors.New("server: worker pool saturated")
 
 // workerPool bounds the number of in-flight engine queries. Verification
-// is the memory-heavy phase (DP columns, trie nodes per query), so
+// is the memory-heavy phase (compiled cost rows, match buffers), so
 // admitting an unbounded number of concurrent searches can exhaust memory
 // long before the CPU saturates; the pool converts overload into bounded
 // queueing and, past queueWait, into a fast ErrPoolSaturated — a shed

@@ -922,7 +922,6 @@ type StatsSnapshot struct {
 		CellsComputed  int64   `json:"cells_computed"`
 		CellsAvailable int64   `json:"cells_available"`
 		UPR            float64 `json:"upr"`
-		CMR            float64 `json:"cmr"`
 		BandRatio      float64 `json:"band_ratio"`
 		// ShardWorkers sums the workers executed queries used
 		// (QueryStats.Workers); ParallelQueries counts the queries that
@@ -1040,7 +1039,6 @@ func (s *Server) Snapshot() StatsSnapshot {
 	t.TopKVerified = m.topkVerified.Value()
 	t.TopKRequeues = m.topkRequeues.Value()
 	t.UPR = ratio(t.ColumnsVisited, t.ColumnsAvailable)
-	t.CMR = ratio(t.StepDPCalls, t.ColumnsVisited)
 	t.BandRatio = ratio(t.CellsComputed, t.CellsAvailable)
 	out.Latency = make(map[string]LatencySummary)
 	for ep, h := range m.latency {

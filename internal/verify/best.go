@@ -12,7 +12,7 @@ import (
 // compiled cost rows, instead of a bidirectional walk per candidate. At
 // the top-k ceiling every position of a trajectory near the query is a
 // candidate and the band prunes little, so one |P|·|Q| scan does less
-// work than the walks it replaces and needs no trie.
+// work than the walks it replaces.
 //
 // The scan's column at end t holds, per query prefix, the minimum over
 // every start s of wed.AllMatches's DP value for P[s..t], bit for bit:
@@ -48,10 +48,7 @@ func (v *Verifier) Best(id int32, below float64) (traj.Match, bool) {
 	if cut <= 0 {
 		return traj.Match{}, false
 	}
-	if cap(v.scan) < 2*(n+1) {
-		v.scan = make([]float64, 2*(n+1))
-	}
-	a, b := v.scan[:n+1], v.scan[n+1:2*(n+1)]
+	a, b := v.columns()
 	ahi := insColumn(ins, cut, a) // the empty substring's column
 	best := math.Inf(1)
 	v.ends = v.ends[:0]
@@ -102,22 +99,6 @@ func (v *Verifier) Best(id int32, below float64) (traj.Match, bool) {
 	return traj.Match{ID: id, S: int32(bestS), T: int32(bestT), WED: best}, true
 }
 
-// insColumn writes the insertion prefix sums wed(ε, Qd[:j]), summed left
-// to right as wed.AllMatches sums them, into dst while they stay below cut
-// and returns the band's end: the sums never decrease, so the cells < cut
-// are [0, hi).
-func insColumn(ins []float64, cut float64, dst []float64) (hi int) {
-	sum := 0.0
-	for j := 0; j <= len(ins) && sum < cut; j++ {
-		dst[j] = sum
-		hi = j + 1
-		if j < len(ins) {
-			sum += ins[j]
-		}
-	}
-	return hi
-}
-
 // swStep advances a Smith–Waterman column by one data symbol: cells
 // [0, ahi) of a are the parent's band, every cell above it is ≥ cut. Cell
 // 0 is 0 — a match may start after this symbol for free, Algorithm 7's
@@ -163,14 +144,6 @@ func (v *Verifier) swStep(sub, ins []float64, del float64, a []float64, ahi int,
 	return hi
 }
 
-// count books one computed column of cells cells over a query side of n.
-func (v *Verifier) count(cells, n int) {
-	v.Stats.StepDPCalls++
-	v.Stats.ColumnsVisited++
-	v.Stats.CellsComputed += int64(cells)
-	v.Stats.CellsAvailable += int64(n + 1)
-}
-
 // tails runs the column DP of Q over p[from], p[from+dir], …, p[to] from
 // the insertion column, banded at cut — of reversed Q when dir < 0, which
 // makes it the DP of reversed P[to..from] — and appends every position
@@ -183,14 +156,11 @@ func (v *Verifier) tails(p []traj.Symbol, from, to, dir int, cut float64, dst []
 	if dir < 0 {
 		half = n
 	}
-	ins := v.rows.ins[half : half+n]
-	a, b := v.scan[:n+1], v.scan[n+1:2*(n+1)]
-	alo, ahi := 0, insColumn(ins, cut, a)
+	a, b := v.columns()
+	alo, ahi := 0, insColumn(v.rows.ins[half:half+n], cut, a)
 	par := a[:ahi]
 	for j := from; j != to+dir; j += dir {
-		row := v.rows.row(v.costs, v.q, p[j])
-		l, h, cells := wed.StepDPRows(row.sub[half:half+n], ins, row.del, par, alo, ahi, cut, b)
-		v.count(cells, n)
+		l, h := v.step(p[j], half, n, par, alo, ahi, cut, b)
 		if l == h {
 			break
 		}

@@ -16,8 +16,8 @@ import (
 // This file keeps Algorithm 4 as the paper states it — both directions of
 // every candidate walked under the full τ′, and only then combined — as
 // the oracle of the one-sided rejection and threshold hand-off in
-// Verify. It shares the tries, the walk and the bookkeeping with the
-// production path and differs in exactly the two walk calls.
+// Verify. It shares the walk and the bookkeeping with the production path
+// and differs in exactly the two walk calls.
 
 // verifyTwoWalks is Verify with two independent full-τ′ walks.
 func (v *Verifier) verifyTwoWalks(c Candidate) {
@@ -35,16 +35,8 @@ func (v *Verifier) verifyTwoWalks(c Candidate) {
 		return
 	}
 
-	var tr dirTries
-	if v.opts.Mode == ModeBT {
-		tr = v.trieFor(c.IQ)
-	} else {
-		defer v.retireTries(v.markTries())
-		tr = v.freshTries(c.IQ)
-	}
-
-	v.eb = v.allPrefixWED(tr.bwd, p, j, -1, 0, tauPrime, v.eb[:0])
-	v.ef = v.allPrefixWED(tr.fwd, p, j, +1, 0, tauPrime, v.ef[:0])
+	v.eb = v.prefixWED(p, j, -1, int(c.IQ), 0, tauPrime, v.eb[:0])
+	v.ef = v.prefixWED(p, j, +1, int(c.IQ), 0, tauPrime, v.ef[:0])
 
 	if cap(v.efSuf) < len(v.ef) {
 		v.efSuf = make([]float64, len(v.ef))
@@ -107,8 +99,8 @@ func thresholds(rng *rand.Rand, costs wed.Costs, ds *traj.Dataset, q []traj.Symb
 
 // TestHandoffEqualsTwoWalks is the property the hand-off rests on: over
 // random weighted cost tables (a coarse lattice, so sums tie with τ′
-// often) and the six cost models (whose float sums round), both trie
-// modes, with and without early termination, the first, last and middle
+// often) and the six cost models (whose float sums round), with and
+// without early termination, the first, last and middle
 // query position (an empty Q^d has E_0 = 0 and can never be the rejecting
 // side), and every trajectory verified under thresholds that tie its own
 // sums (see thresholds), the raw match list after every call equals the
@@ -157,12 +149,10 @@ func TestHandoffEqualsTwoWalks(t *testing.T) {
 		tau := scale * float64(int(tauRaw)%(2*m+1)) / 2
 
 		for _, opts := range []Options{
-			{Mode: ModeBT}, {Mode: ModeLocal},
-			{Mode: ModeBT, DisableEarlyTermination: true}, {Mode: ModeLocal, DisableEarlyTermination: true},
+			{}, {DisableEarlyTermination: true},
 		} {
 			// check verifies cs with a hand-off and an oracle verifier at
-			// tauEff — the candidates of one (trajectory, threshold) share
-			// tries — and compares every call's raw matches, the final
+			// tauEff and compares every call's raw matches, the final
 			// results and the work counts.
 			var got, want Verifier
 			check := func(tauEff float64, cs []Candidate) bool {

@@ -31,7 +31,7 @@ func TestVerifierResetReusesCleanly(t *testing.T) {
 		q2 := env.Query(m, 9)
 		tau := wed.SumIns(m.Costs, q1) * 0.4
 
-		for _, mode := range []Mode{ModeBT, ModeLocal, ModeSW} {
+		for _, mode := range []Mode{ModeLocal, ModeSW} {
 			opts := Options{Mode: mode}
 			fresh := New(m.Costs, m.DS, q1, tau, opts)
 			want := runOnce(fresh, m.DS, q1)
@@ -97,16 +97,17 @@ func sameMatches(t *testing.T, label string, got, want []traj.Match) {
 // heldCosts is a cost model the test can watch being collected.
 type heldCosts struct{ wed.Costs }
 
-// TestPutRetainsBudgetAndNoReferences runs a query whose tries outgrow
-// the retention budget — wide bands over a long query with early
-// termination off, the shape of a wide-τ search — and checks what Put
-// leaves behind: at most maxRetainedBytes, accounted to the pool gauge,
-// and nothing that keeps the query, the dataset or the cost model (whose
-// compiled rows the verifier still holds) alive.
+// TestPutRetainsBudgetAndNoReferences runs a query whose compiled rows
+// outgrow the retention budget — a query thousands of symbols long, one
+// candidate per trajectory, so that a row is compiled for nearly every
+// data symbol — and checks what Put leaves behind: at most
+// maxRetainedBytes, accounted to the pool gauge, and nothing that keeps
+// the query, the dataset or the cost model (whose compiled rows the
+// verifier still holds) alive.
 func TestPutRetainsBudgetAndNoReferences(t *testing.T) {
 	env := testutil.NewEnv(33, 120, 60)
 	m := env.Models()[1] // EDR
-	q := append([]traj.Symbol(nil), env.RandomString(m, 400)...)
+	q := append([]traj.Symbol(nil), env.RandomString(m, 3000)...)
 	ds := traj.NewDataset(m.DS.Rep)
 	ds.Trajs = append(ds.Trajs, m.DS.Trajs...)
 	costs := &heldCosts{m.Costs}
@@ -115,13 +116,13 @@ func TestPutRetainsBudgetAndNoReferences(t *testing.T) {
 	runtime.SetFinalizer(ds, func(*traj.Dataset) { freed <- "dataset" })
 	runtime.SetFinalizer(costs, func(*heldCosts) { freed <- "cost model" })
 
-	v := Get(costs, ds, q, wed.SumIns(costs, q)*0.5, Options{DisableEarlyTermination: true})
-	runOnce(v, ds, q)
-	if used := v.retainedBytes(); used <= maxRetainedBytes {
-		t.Fatalf("query used %d bytes of trie storage, not enough to exceed the %d budget", used, maxRetainedBytes)
+	v := Get(costs, ds, q, wed.SumIns(costs, q)*0.5, Options{})
+	for id := range ds.Trajs {
+		v.Verify(Candidate{ID: int32(id)})
 	}
-	if v.rows.n == 0 {
-		t.Fatal("query compiled no cost rows")
+	v.Results()
+	if used := v.retainedBytes(); used <= maxRetainedBytes {
+		t.Fatalf("query holds %d bytes of scratch, not enough to exceed the %d budget", used, maxRetainedBytes)
 	}
 	_, _, before := PoolStats()
 	Put(v)
@@ -186,9 +187,9 @@ func TestPoolRetainedGaugeSettles(t *testing.T) {
 	}
 }
 
-// TestQueryWiderThanSlab: a query longer than slabCells needs column
-// reservations and cost rows no standard slab can hold; the arena must
-// size slabs to them and results must still equal the exhaustive scan.
+// TestQueryWiderThanSlab: a query longer than slabCells needs cost rows
+// no standard slab can hold; the rows arena must size slabs to them and
+// results must still equal the exhaustive scan.
 // Query symbols are distinct, so under Lev the complete candidate set is
 // every data position holding a query symbol, paired with that symbol's
 // one query position.
@@ -218,23 +219,22 @@ func TestQueryWiderThanSlab(t *testing.T) {
 	}
 	v := New(costs, ds, q, tau, Options{})
 	sameMatches(t, "wide query", feed(v), want)
-	if len(v.cols.slabs[0]) <= slabCells {
-		t.Fatalf("columns of a %d-symbol query fit a %d-cell slab?", len(q), len(v.cols.slabs[0]))
+	if len(v.rows.mem.slabs[0]) <= slabCells {
+		t.Fatalf("cost rows of a %d-symbol query fit a %d-cell slab?", len(q), len(v.rows.mem.slabs[0]))
 	}
 }
 
-// TestLocalModeReleasesArenaPerCandidate: ModeLocal builds a trie pair
-// per candidate in the verifier-wide arena, so each pair must be released
-// when its candidate is done — the arena's high-water after hundreds of
-// candidates is one candidate's, while ModeBT over the same candidates
-// (which keeps every column) needs several slabs.
-func TestLocalModeReleasesArenaPerCandidate(t *testing.T) {
+// TestColumnMemoryIsTwoColumns: every walk alternates between the same
+// two columns of |Q|+1 cells, so a verifier's column memory after a
+// handful of candidates and after hundreds is those two columns — and the
+// results still equal the full-matrix scan's.
+func TestColumnMemoryIsTwoColumns(t *testing.T) {
 	env := testutil.NewEnv(35, 300, 30)
 	m := env.Models()[1] // EDR
 	q := env.Query(m, 24)
 	tau := 0.6 * float64(len(q)) // EDR: c(q) = 1 per symbol
 	// Every position of Q is a candidate source: a superset of any
-	// τ-subsequence's, so the three modes below must still agree.
+	// τ-subsequence's, so the two modes below must still agree.
 	// (internal/filter imports this package; an in-package test cannot
 	// ask it for a plan.)
 	var cands []Candidate
@@ -252,26 +252,23 @@ func TestLocalModeReleasesArenaPerCandidate(t *testing.T) {
 	if len(cands) < 500 {
 		t.Fatalf("only %d candidates", len(cands))
 	}
-	run := func(mode Mode) (*Verifier, []traj.Match) {
+	run := func(mode Mode, cands []Candidate) (*Verifier, []traj.Match) {
 		v := New(m.Costs, m.DS, q, tau, Options{Mode: mode})
 		for _, c := range cands {
 			v.Verify(c)
 		}
 		return v, v.Results()
 	}
-
-	local, got := run(ModeLocal)
-	if n := len(local.cols.slabs); n != 1 {
-		t.Fatalf("ModeLocal holds %d slabs after %d candidates, want 1", n, len(cands))
+	for _, n := range []int{8, len(cands)} {
+		v, _ := run(ModeLocal, cands[:n])
+		if v.Stats.ColumnsVisited == 0 {
+			t.Fatalf("%d candidates visited no column", n)
+		}
+		if got, want := cap(v.cols), 2*(len(q)+1); got != want {
+			t.Fatalf("after %d candidates the verifier holds %d column cells, want %d", n, got, want)
+		}
 	}
-	if len(local.nodes) != 0 || local.cols.mark() != (arenaMark{}) {
-		t.Fatalf("ModeLocal left %d nodes and arena position %+v behind", len(local.nodes), local.cols.mark())
-	}
-	bt, btRes := run(ModeBT)
-	sameMatches(t, "Local vs BT", got, btRes)
-	if n := len(bt.cols.slabs); n < 2 {
-		t.Fatalf("ModeBT fits %d slab: the candidates are too few to tell a leak from a release", n)
-	}
-	_, swRes := run(ModeSW)
+	_, got := run(ModeLocal, cands)
+	_, swRes := run(ModeSW, cands)
 	sameMatches(t, "Local vs SW", got, swRes)
 }

@@ -14,10 +14,10 @@ import (
 // the cost model survives in it.
 //
 // Every row is stored as a pair, the values over Q followed by the same
-// values over reversed Q, 2|Q| cells in all: the forward trie of position
-// iq runs over Q[iq+1:] and the backward trie over reversed(Q[:iq]), and
-// both are suffixes of one half of the pair (see trie), so one compiled
-// row serves both directions and every τ-subsequence position.
+// values over reversed Q, 2|Q| cells in all: the forward walk of position
+// iq runs over Q[iq+1:] and the backward walk over reversed(Q[:iq]), and
+// both are suffixes of one half of the pair (see prefixWED), so one
+// compiled row serves both directions and every τ-subsequence position.
 type costRows struct {
 	// ins is the pair of ins(Q[j]), filled once per query.
 	ins []float64
@@ -100,9 +100,7 @@ func (r *costRows) row(costs wed.Costs, q []traj.Symbol, b traj.Symbol) symRow {
 		}
 		s = r.slot(b)
 	}
-	buf, _, _ := r.mem.reserve(2 * len(q))
-	r.mem.commit(2 * len(q))
-	fwd := buf[:0]
+	fwd := r.mem.alloc(2 * len(q))[:0]
 	for _, qs := range q {
 		fwd = append(fwd, costs.Sub(b, qs))
 	}
@@ -122,4 +120,15 @@ func appendReversed(s []float64) []float64 {
 // bytes returns the footprint of the rows and their table.
 func (r *costRows) bytes() int64 {
 	return r.mem.bytes() + int64(cap(r.ins))*8 + int64(len(r.slots))*int64(unsafe.Sizeof(rowSlot{}))
+}
+
+// trim cuts the rows' footprint to at most budget bytes: slabs go first,
+// and the table and insertion row only if they alone exceed it.
+func (r *costRows) trim(budget int64) {
+	fixed := r.bytes() - r.mem.bytes()
+	if fixed > budget {
+		*r = costRows{}
+		return
+	}
+	r.mem.trim(budget - fixed)
 }

@@ -1,28 +1,29 @@
 // Package verify implements the candidate verification of §5: local
 // verification that runs the WED dynamic programming bidirectionally from
-// the candidate position (Lemma 1), early termination on the column lower
-// bound (Eq. 11), and bidirectional tries that cache DP columns across
-// candidates sharing path prefixes (Algorithms 3–6). Cached columns are
-// τ-banded: only the cell range that can still influence a result under
-// the query threshold is computed and stored (see trie.go and
-// wed.StepDPBanded); the CellsComputed/CellsAvailable counters measure
-// the saving, and banding is bit-equal to the full-width DP. The two
-// directions of a candidate are not walked independently: the minimum of
-// the first walk either rejects the candidate outright or tightens the
-// second walk's cut (Verify). The columns of all of a verifier's tries
-// live in one slab arena (arena.go), and the DP kernel reads its costs
-// from rows compiled once per query and data symbol (rows.go) rather than
-// through a wed.Costs call per cell. The top-k driver reads the same rows
-// through Best (best.go): one Smith–Waterman scan per trajectory, no tries.
+// the candidate position (Lemma 1, Algorithms 4–6) and early termination
+// on the column lower bound (Eq. 11). Columns are τ-banded: only the cell
+// range that can still influence a result under the query threshold is
+// computed (see wed.StepDPBanded); the CellsComputed/CellsAvailable
+// counters measure the saving, and banding is bit-equal to the full-width
+// DP. The two directions of a candidate are not walked independently: the
+// minimum of the first walk either rejects the candidate outright or
+// tightens the second walk's cut (Verify). Each walk alternates between
+// two column buffers, and the DP kernel reads its costs from rows
+// compiled once per query and data symbol (rows.go) rather than through a
+// wed.Costs call per cell. The paper's bidirectional tries, which cached
+// columns across candidates sharing path prefixes (§5.2), are not kept:
+// after the trajectory-level pre-filter too few candidates share a prefix
+// to pay for them (DESIGN.md §1.4). The top-k driver reads the same rows
+// through Best (best.go): one Smith–Waterman scan per trajectory.
 //
-// Three modes with identical result sets support the paper's ablations:
+// Two modes with identical result sets support the paper's ablations:
 //
-//	ModeBT    — local bidirectional DP + trie caching  (the paper's -BT)
-//	ModeLocal — local bidirectional DP, no caching     (isolates §5.1)
+//	ModeLocal — local bidirectional DP                 (the zero value)
 //	ModeSW    — full-trajectory DP scan per candidate  (the paper's -SW)
 package verify
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -36,10 +37,8 @@ import (
 type Mode uint8
 
 const (
-	// ModeBT is local verification with bidirectional-trie caching.
-	ModeBT Mode = iota
-	// ModeLocal is local verification without caching.
-	ModeLocal
+	// ModeLocal is local bidirectional verification of each candidate.
+	ModeLocal Mode = iota
 	// ModeSW runs a full dynamic-programming scan over each distinct
 	// candidate trajectory (threshold-aware), ignoring positions.
 	ModeSW
@@ -47,8 +46,6 @@ const (
 
 func (m Mode) String() string {
 	switch m {
-	case ModeBT:
-		return "BT"
 	case ModeLocal:
 		return "Local"
 	case ModeSW:
@@ -76,12 +73,11 @@ type Stats struct {
 	// ColumnsAvailable is the total DP-column count a full SW scan of
 	// every candidate would compute (the UPR denominator).
 	ColumnsAvailable int64
-	// ColumnsVisited counts columns that passed early termination —
-	// walked in the trie, whether cached or computed (UPR numerator,
-	// CMR denominator).
+	// ColumnsVisited counts the columns the walks computed, the one that
+	// tripped early termination included (UPR numerator).
 	ColumnsVisited int64
-	// StepDPCalls counts columns actually computed by StepDP (CMR
-	// numerator).
+	// StepDPCalls counts columns computed by StepDP. No column is cached,
+	// so it equals ColumnsVisited.
 	StepDPCalls int64
 	// OneSided counts candidates rejected after a single walk: the
 	// prefix-WED array of the side walked first held no value < τ′, so
@@ -95,9 +91,9 @@ type Stats struct {
 	// verification.
 	CellsComputed  int64
 	CellsAvailable int64
-	// TrieNodes is the total number of cached DP columns across the
-	// bidirectional tries at the end of the query (memory metric of
-	// §5.2; equals StepDPCalls plus one root per trie in BT mode).
+	// TrieNodes was the cached-column count of the paper's bidirectional
+	// tries (§5.2). No column is cached any more, so it is always 0; it
+	// stays only because the benchmark's trace rows still read it.
 	TrieNodes int
 	// Matches is the number of distinct (id, s, t) results.
 	Matches int
@@ -114,18 +110,16 @@ func (s *Stats) Add(o Stats) {
 	s.OneSided += o.OneSided
 	s.CellsComputed += o.CellsComputed
 	s.CellsAvailable += o.CellsAvailable
-	s.TrieNodes += o.TrieNodes
 	s.Matches += o.Matches
 }
 
 // UPR returns the unpruned position rate (§6.4).
 func (s Stats) UPR() float64 { return ratio(s.ColumnsVisited, s.ColumnsAvailable) }
 
-// CMR returns the cache miss rate (§6.4).
+// CMR returns the cache miss rate of §6.4. No column is cached, so it is
+// 1 whenever a column was visited; it stays only because the benchmark's
+// trace rows still read it.
 func (s Stats) CMR() float64 { return ratio(s.StepDPCalls, s.ColumnsVisited) }
-
-// TUR returns the total unpruned rate UPR × CMR.
-func (s Stats) TUR() float64 { return s.UPR() * s.CMR() }
 
 // BandRatio returns CellsComputed / CellsAvailable: the fraction of DP
 // cells the τ-banded columns actually evaluated (1.0 = no cell pruning).
@@ -148,8 +142,8 @@ type Candidate struct {
 
 // Verifier verifies the candidates of one query: create (or Get from the
 // package pool) per query, feed candidates, then call Results. Reset makes
-// it reusable across queries with its scratch state — the column arena,
-// compiled cost rows, trie nodes, match buffers — retained, so a
+// it reusable across queries with its scratch state — compiled cost rows,
+// column buffers, match buffers — retained, so a
 // steady-state query stream allocates near-zero in the verify phase.
 //
 // Matches accumulate per trajectory: candidates should arrive grouped by
@@ -168,16 +162,6 @@ type Verifier struct {
 	// rows is the cost model compiled against q (see costRows).
 	rows costRows
 
-	// Per-iq bidirectional tries, indexed by iq (lazily created: only
-	// candidate iqs get tries, which matches Algorithm 3's "for (q, iq)
-	// ∈ Q'"). ModeLocal leaves it empty.
-	tries []dirTries
-
-	// The node store and column arena every trie shares (see trie.go).
-	nodes        []trieNode
-	colMin, tail []float64
-	cols         arena
-
 	// Grouped accumulation state: chunk buffers the raw (possibly
 	// duplicated) matches of curID; flush sorts it by (S, T) and
 	// min-merges into out. By Lemma 1 the minimum of the three-way
@@ -190,11 +174,12 @@ type Verifier struct {
 	// swSeen tracks distinct trajectory IDs already scanned in ModeSW.
 	swSeen map[int32]bool
 
-	// Scratch buffers. efSuf[k] = min(ef[k:]) lets the match-enumeration
-	// loop skip every dominated E^f suffix in O(1). scan holds Best's two
-	// columns; ends, starts and hits its ends at w*, proposed starts and
+	// Scratch buffers. cols holds the two DP columns every walk alternates
+	// between (see columns). efSuf[k] = min(ef[k:]) lets the
+	// match-enumeration loop skip every dominated E^f suffix in O(1).
+	// ends, starts and hits are Best's ends at w*, proposed starts and
 	// confirming ends.
-	eb, ef, efSuf, scan []float64
+	eb, ef, efSuf, cols []float64
 	ends, starts, hits  []int32
 
 	// held is what Put last accounted to the pool's retained-bytes gauge
@@ -203,11 +188,6 @@ type Verifier struct {
 	held *atomic.Int64
 
 	Stats Stats
-}
-
-type dirTries struct {
-	fwd, bwd trie
-	built    bool
 }
 
 // New creates a verifier for query q under threshold tau.
@@ -235,8 +215,8 @@ var (
 // Verifier because the pool was empty. gets − news is the number of
 // reuses; news/gets trending up under steady load means the pool is
 // being drained (e.g. GC cycles) faster than Put refills it.
-// retainedBytes is the current footprint of the column arenas, compiled
-// cost rows and trie node arrays held by verifiers sitting in the pool —
+// retainedBytes is the current footprint of the compiled cost rows,
+// column buffers and match buffers held by verifiers sitting in the pool —
 // at most maxRetainedBytes each.
 func PoolStats() (gets, news, retainedBytes int64) {
 	return poolGets.Load(), poolNews.Load(), poolRetained.Load()
@@ -256,48 +236,28 @@ func Get(costs wed.Costs, ds *traj.Dataset, q []traj.Symbol, tau float64, opts O
 	return v
 }
 
-// Pool-bloat caps: one huge query (long trajectories, fat τ) must not pin
-// its worst-case scratch in the pool forever. Put drops any piece whose
-// retained capacity exceeds its cap; the next query simply reallocates at
-// its own (typically far smaller) natural size. The caps are safety
-// valves sized above the steady state of the bulk benchmark workload — a
-// cap that binds on every Put would turn the pool into a per-query
-// reallocation treadmill.
-const (
-	// maxRetainedBytes is the one budget for everything the tries are
-	// made of — column slabs, compiled cost rows and the node arrays. On
-	// the benchmark city a τ_ratio 0.3 query over |Q| = 60 fills 5–25 MB
-	// of columns and up to 10 MB of node arrays per fan-out worker, so most
-	// such queries find everything they need already allocated. A top-k
-	// query builds no tries: it keeps only compiled rows and two scan
-	// columns. Half this budget costs the wide search 9% of its latency.
-	maxRetainedBytes = 32 << 20
-	// maxRetainedMatches bounds the chunk/out match buffers (~1.5 MiB).
-	maxRetainedMatches = 64 << 10
-	// maxRetainedSeen bounds the ModeSW dedup map (maps never shrink
-	// their buckets; past the cap it is dropped wholesale).
-	maxRetainedSeen = 32 << 10
-	// maxRetainedCols bounds the E^b/E^f/suffix-min scratch, whose
-	// length tracks the longest early-termination walk, and Best's
-	// scratch, whose length tracks |Q| and the trajectory's.
-	maxRetainedCols = 32 << 10
-)
+// maxRetainedBytes is the pool-bloat cap: one huge query (a long query, a
+// long trajectory, a large result set) must not pin its worst-case
+// scratch in the pool forever, so Put trims what a verifier keeps to this
+// budget and the next query reallocates at its own, typically far
+// smaller, natural size. The compiled rows are most of it — 2|Q| floats
+// per data symbol met, in 256 KiB slabs. On the benchmark city a pooled
+// verifier's rows held at most 1,601 symbols (0.95 MB, top-k at |Q| = 30)
+// and the wide search's rows and buffers together 1.3 MB, 28 k buffered
+// matches included. The cap sits well above that steady state, so it
+// binds only on outliers: a cap that binds on every Put would turn the
+// pool into a per-query reallocation treadmill.
+const maxRetainedBytes = 4 << 20
 
 // Put returns v to the package pool. It drops every reference into the
-// finished query — dataset, cost model, query; the tries and the compiled
-// rows hold numbers only — so pooling never extends their lifetime, keeps
-// the scratch arenas for the next Get, and caps each retained piece so an
+// finished query — dataset, cost model, query; the compiled rows hold
+// numbers only — so pooling never extends their lifetime, keeps the
+// scratch for the next Get, and trims it to maxRetainedBytes so an
 // outlier query cannot pin its peak footprint in the pool.
 func Put(v *Verifier) {
 	v.costs, v.ds, v.q = nil, nil, nil
+	v.swSeen = nil
 	v.trimRetained()
-	v.chunk, v.out = capped(v.chunk, maxRetainedMatches), capped(v.out, maxRetainedMatches)
-	if len(v.swSeen) > maxRetainedSeen {
-		v.swSeen = nil
-	}
-	v.eb, v.ef, v.efSuf = capped(v.eb, maxRetainedCols), capped(v.ef, maxRetainedCols), capped(v.efSuf, maxRetainedCols)
-	v.scan = capped(v.scan, maxRetainedCols)
-	v.ends, v.starts, v.hits = capped(v.ends, maxRetainedCols), capped(v.starts, maxRetainedCols), capped(v.hits, maxRetainedCols)
 	if v.held == nil {
 		v.held = new(atomic.Int64)
 		runtime.AddCleanup(v, func(held *atomic.Int64) { poolRetained.Add(-held.Load()) }, v.held)
@@ -308,57 +268,42 @@ func Put(v *Verifier) {
 	pool.Put(v)
 }
 
-// capped returns s, or nil once its capacity exceeds limit.
-func capped[T any](s []T, limit int) []T {
-	if cap(s) > limit {
-		return nil
-	}
-	return s
-}
-
-// retainedBytes is the footprint of what the tries are made of: column
-// slabs, compiled cost rows and the node arrays.
+// retainedBytes is the footprint of what a verifier keeps between
+// queries: compiled rows, column buffers and match buffers.
 func (v *Verifier) retainedBytes() int64 {
-	return v.cols.bytes() + v.rows.bytes() + v.nodeBytes()
+	return v.rows.bytes() + v.bufferBytes()
 }
 
-func (v *Verifier) nodeBytes() int64 {
-	return int64(cap(v.nodes))*int64(unsafe.Sizeof(trieNode{})) + int64(cap(v.colMin)+cap(v.tail))*8
+func (v *Verifier) bufferBytes() int64 {
+	floats := cap(v.eb) + cap(v.ef) + cap(v.efSuf) + cap(v.cols)
+	ints := cap(v.ends) + cap(v.starts) + cap(v.hits)
+	return int64(floats)*8 + int64(ints)*4 + int64(cap(v.chunk)+cap(v.out))*int64(unsafe.Sizeof(traj.Match{}))
 }
 
-// trimRetained ends the query's use of the trie storage and cuts what
-// stays allocated down to maxRetainedBytes: column slabs go first, and
-// the rows and node arrays — small next to the columns they index — are
-// dropped whole only if they alone exceed the budget.
+// trimRetained cuts what stays allocated down to maxRetainedBytes: the
+// buffers are dropped whole if they alone exceed it, and the rows keep
+// what budget is left.
 func (v *Verifier) trimRetained() {
-	fixed := v.rows.bytes() + v.nodeBytes()
-	if fixed > maxRetainedBytes {
-		v.rows = costRows{}
-		v.nodes, v.colMin, v.tail = nil, nil, nil
-		fixed = 0
+	if v.bufferBytes() > maxRetainedBytes {
+		v.eb, v.ef, v.efSuf, v.cols = nil, nil, nil, nil
+		v.ends, v.starts, v.hits = nil, nil, nil
+		v.chunk, v.out = nil, nil
 	}
-	v.cols.trim(maxRetainedBytes - fixed)
+	v.rows.trim(maxRetainedBytes - v.bufferBytes())
 }
 
 // Reset prepares v for a new query, retaining allocated scratch state:
-// the column arena and node arrays are emptied in place, the cost rows
-// recompiled into their old storage, maps cleared, and the DP scratch
-// buffers keep their capacity.
+// the cost rows are recompiled into their old storage and the buffers
+// keep their capacity.
 func (v *Verifier) Reset(costs wed.Costs, ds *traj.Dataset, q []traj.Symbol, tau float64, opts Options) {
 	v.costs, v.ds, v.q, v.tau, v.opts = costs, ds, q, tau, opts
-	v.tries = v.tries[:0]
-	v.retireTries(trieMark{})
 	if opts.Mode != ModeSW {
 		v.rows.reset(costs, q)
 	}
 	v.curID = -1
 	v.chunk = v.chunk[:0]
 	v.out = v.out[:0]
-	if v.swSeen == nil {
-		v.swSeen = make(map[int32]bool)
-	} else {
-		clear(v.swSeen)
-	}
+	clear(v.swSeen)
 	v.Stats = Stats{}
 }
 
@@ -384,16 +329,6 @@ func (v *Verifier) Verify(c Candidate) {
 		return // even a perfect surrounding alignment cannot reach < τ
 	}
 
-	var tr dirTries
-	if v.opts.Mode == ModeBT {
-		tr = v.trieFor(c.IQ)
-	} else {
-		// No sharing across candidates, so each one's nodes and columns
-		// are freed as soon as its matches are enumerated.
-		defer v.retireTries(v.markTries())
-		tr = v.freshTries(c.IQ)
-	}
-
 	// E^b over the reversed prefix P[j-1], ..., P[0] vs reversed Q[:iq];
 	// E^f over P[j+1], ..., P[|P|-1] vs Q[iq+1:]. The side holding the
 	// longer half of Q is walked first, under the whole τ′; its minimum is
@@ -406,10 +341,10 @@ func (v *Verifier) Verify(c Candidate) {
 	backFirst := int(c.IQ) >= len(v.q)-1-int(c.IQ)
 	var spent float64
 	if backFirst {
-		v.eb = v.allPrefixWED(tr.bwd, p, j, -1, 0, tauPrime, v.eb[:0])
+		v.eb = v.prefixWED(p, j, -1, int(c.IQ), 0, tauPrime, v.eb[:0])
 		spent = wed.Min(v.eb)
 	} else {
-		v.ef = v.allPrefixWED(tr.fwd, p, j, +1, 0, tauPrime, v.ef[:0])
+		v.ef = v.prefixWED(p, j, +1, int(c.IQ), 0, tauPrime, v.ef[:0])
 		spent = wed.Min(v.ef)
 	}
 	if spent >= tauPrime && !v.opts.DisableEarlyTermination {
@@ -417,9 +352,9 @@ func (v *Verifier) Verify(c Candidate) {
 		return
 	}
 	if backFirst {
-		v.ef = v.allPrefixWED(tr.fwd, p, j, +1, 0, tauPrime-spent, v.ef[:0])
+		v.ef = v.prefixWED(p, j, +1, int(c.IQ), 0, tauPrime-spent, v.ef[:0])
 	} else {
-		v.eb = v.allPrefixWED(tr.bwd, p, j, -1, spent, tauPrime, v.eb[:0])
+		v.eb = v.prefixWED(p, j, -1, int(c.IQ), spent, tauPrime, v.eb[:0])
 	}
 
 	// Suffix minima of E^f: efSuf[k] = min(ef[k:]). efSuf[0] replaces
@@ -491,56 +426,111 @@ func appendMinMerged(dst, src []traj.Match) []traj.Match {
 	return dst
 }
 
-// allPrefixWED walks/extends the trie along P in the given direction from
-// position j (exclusive) and returns the prefix-WED array E^d, E^d[k] =
-// wed(P^d[1..k], Q^d), for k = 0..K where K is the early-termination depth
-// (Algorithm 5). The returned slice aliases dst's storage. Entries may be
-// +Inf when cell |Q^d| fell outside a column's τ-band — such a prefix WED
-// is ≥ τ ≥ τ′ and can never join a result, exactly as its true value.
+// prefixWED walks P in direction dir from position j (exclusive) and
+// returns the prefix-WED array E^d, E^d[k] = wed(P^d[1..k], Q^d), for
+// k = 0..K where K is the early-termination depth (Algorithm 5). Q^d is
+// Q[iq+1:] forwards and reversed(Q[:iq]) backwards, both a run of cells
+// of the compiled row pairs (see costRows). The returned slice aliases
+// dst's storage. Entries may be +Inf when cell |Q^d| fell outside a
+// column's τ-band — such a prefix WED is ≥ τ ≥ τ′ and can never join a
+// result, exactly as its true value.
 //
-// The walk stops at the first column whose minimum LB satisfies LB + spent
-// ≥ cut (Eq. 11 is spent = 0, cut = τ′). Column minima never decrease
-// along a walk, in floats as in reals, so every deeper entry satisfies it
-// too.
-func (v *Verifier) allPrefixWED(t trie, p []traj.Symbol, j, dir int, spent, cut float64, dst []float64) []float64 {
-	node := t.root
-	dst = append(dst, v.tail[node]) // E_0 = wed(ε, Q^d)
-	for k := 1; ; k++ {
-		i := j + dir*k
-		if i < 0 || i >= len(p) {
+// Column k is computed from column k−1 alone, so the walk alternates
+// between the two buffers of columns; the root column is wed(ε, Q^d[..i]),
+// the insertion prefix sums. Every column is banded at the query τ ≥ cut:
+// its cells < τ are exact (wed.StepDPBanded), and no other cell can join
+// a result. The walk stops at the first column whose minimum LB satisfies
+// LB + spent ≥ cut (Eq. 11 is spent = 0, cut = τ′). Column minima never
+// decrease along a walk, in floats as in reals, so every deeper entry
+// satisfies it too.
+func (v *Verifier) prefixWED(p []traj.Symbol, j, dir, iq int, spent, cut float64, dst []float64) []float64 {
+	m := len(v.q)
+	row0, n := iq+1, m-iq-1
+	if dir < 0 {
+		row0, n = 2*m-iq, iq
+	}
+	a, b := v.columns()
+	alo, ahi := 0, insColumn(v.rows.ins[row0:row0+n], v.tau, a)
+	par := a[:ahi]
+	dst = append(dst, lastCell(par, ahi, n)) // E_0 = wed(ε, Q^d)
+	for i := j + dir; i >= 0 && i < len(p); i += dir {
+		lo, hi := v.step(p[i], row0, n, par, alo, ahi, v.tau, b)
+		band := b[:0]
+		if lo < hi {
+			band = b[lo-alo : hi-alo]
+		}
+		colMin := math.Inf(1)
+		if len(band) > 0 {
+			colMin = wed.Min(band)
+		}
+		if !v.opts.DisableEarlyTermination && colMin+spent >= cut {
 			break
 		}
-		child, computed := v.child(t, node, p[i])
-		if computed {
-			v.Stats.StepDPCalls++
-		}
-		v.Stats.ColumnsVisited++
-		if !v.opts.DisableEarlyTermination && v.colMin[child]+spent >= cut {
-			break
-		}
-		dst = append(dst, v.tail[child])
-		node = child
+		dst = append(dst, lastCell(band, hi, n))
+		par, alo, ahi = band, lo, hi
+		a, b = b, a
 	}
 	return dst
 }
 
-// trieFor returns (building on first use) the bidirectional tries of iq.
-func (v *Verifier) trieFor(iq int32) dirTries {
-	if len(v.tries) == 0 {
-		v.tries = append(v.tries, make([]dirTries, len(v.q))...)
+// lastCell returns cell n of a column whose band [.., hi) is band: the
+// band's last cell if it reaches n, else +Inf — the cell is ≥ τ and
+// can never join a result.
+func lastCell(band []float64, hi, n int) float64 {
+	if hi != n+1 {
+		return math.Inf(1)
 	}
-	if !v.tries[iq].built {
-		v.tries[iq] = v.freshTries(iq)
-	}
-	return v.tries[iq]
+	return band[len(band)-1]
 }
 
-// freshTries creates the tries of iq: forward over Q[iq+1:], backward over
-// reversed(Q[:iq]) — suffixes of the first and second half of a compiled
-// row pair.
-func (v *Verifier) freshTries(iq int32) dirTries {
-	m := int32(len(v.q))
-	return dirTries{fwd: v.newTrie(iq+1, m-iq-1), bwd: v.newTrie(2*m-iq, iq), built: true}
+// insColumn writes the insertion prefix sums wed(ε, Qd[:j]), summed left
+// to right as wed.AllMatches sums them, into dst while they stay below cut
+// and returns the band's end: the sums never decrease, so the cells < cut
+// are [0, hi).
+func insColumn(ins []float64, cut float64, dst []float64) (hi int) {
+	sum := 0.0
+	for j := 0; j <= len(ins) && sum < cut; j++ {
+		dst[j] = sum
+		hi = j + 1
+		if j < len(ins) {
+			sum += ins[j]
+		}
+	}
+	return hi
+}
+
+// step computes the column that follows data symbol sym over the query
+// side whose costs are cells [row0, row0+n) of the compiled row pairs:
+// par holds the parent's band [alo, ahi), and the child's band [lo, hi)
+// lands in dst[lo-alo : hi-alo], as wed.StepDPRows writes it. An empty
+// parent band has an empty child and costs no cell, but the column still
+// counts.
+func (v *Verifier) step(sym traj.Symbol, row0, n int, par []float64, alo, ahi int, cut float64, dst []float64) (lo, hi int) {
+	cells := 0
+	if alo < ahi {
+		row := v.rows.row(v.costs, v.q, sym)
+		lo, hi, cells = wed.StepDPRows(row.sub[row0:row0+n], v.rows.ins[row0:row0+n], row.del, par, alo, ahi, cut, dst)
+	}
+	v.count(cells, n)
+	return lo, hi
+}
+
+// count books one computed column of cells cells over a query side of n.
+func (v *Verifier) count(cells, n int) {
+	v.Stats.StepDPCalls++
+	v.Stats.ColumnsVisited++
+	v.Stats.CellsComputed += int64(cells)
+	v.Stats.CellsAvailable += int64(n + 1)
+}
+
+// columns returns the two column buffers every walk alternates between,
+// |Q|+1 cells each: the widest column any walk of the query needs.
+func (v *Verifier) columns() (a, b []float64) {
+	n := len(v.q) + 1
+	if cap(v.cols) < 2*n {
+		v.cols = make([]float64, 2*n)
+	}
+	return v.cols[:n], v.cols[n : 2*n]
 }
 
 // verifySW scans the whole trajectory once per distinct ID, enumerating
@@ -548,6 +538,9 @@ func (v *Verifier) freshTries(iq int32) dirTries {
 func (v *Verifier) verifySW(id int32) {
 	if v.swSeen[id] {
 		return
+	}
+	if v.swSeen == nil {
+		v.swSeen = make(map[int32]bool)
 	}
 	v.swSeen[id] = true
 	if id != v.curID {
@@ -571,7 +564,6 @@ func (v *Verifier) verifySW(id int32) {
 // callers that interleaved trajectories.
 func (v *Verifier) Results() []traj.Match {
 	v.flush()
-	v.Stats.TrieNodes += len(v.nodes)
 	traj.SortMatches(v.out)
 	v.out = appendMinMerged(v.out[:0], v.out)
 	out := make([]traj.Match, len(v.out))

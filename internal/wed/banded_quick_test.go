@@ -11,7 +11,7 @@ import (
 )
 
 // rootBand builds the banded root column (insertion prefix sums < tau),
-// mirroring trie.reset.
+// mirroring the verifier's insColumn.
 func rootBand(c wed.Costs, qd []wed.Symbol, tau float64) (band []float64, lo, hi int) {
 	sum := 0.0
 	for j := 0; j <= len(qd) && sum < tau; j++ {
@@ -147,7 +147,7 @@ func TestStepDPBandedEmptyParent(t *testing.T) {
 // reports whether they agree bit for bit: lo, hi, cells and every cell of
 // the band. q is the whole query and row its compiled pair for data symbol
 // p — sub(p, q[j]) for j < |q| followed by the same values reversed, ins
-// likewise — and (qd, from) selects the trie: qd is either q[iq+1:]
+// likewise — and (qd, from) selects the walk: qd is either q[iq+1:]
 // (from = iq+1) or reversed(q[:iq]) (from = 2|q|-iq), the two shapes the
 // verifier reads out of one row pair.
 func rowsEqualBanded(c wed.Costs, qd []wed.Symbol, p wed.Symbol, row, ins []float64, from int, a []float64, alo, ahi int, tau float64) bool {

@@ -246,10 +246,10 @@ func StepDPBanded(c Costs, qd []Symbol, p Symbol, a []float64, alo, ahi int, tau
 //
 // Unlike StepDPBanded, dst is indexed relative to the parent band's lower
 // edge: child cell j is written to dst[j-alo], so dst needs only
-// |Qd|+1-alo cells — the widest band a child of this parent can have —
-// and the verifier can hand in the tail of its column arena and keep the
-// cells in place. The returned [lo, hi) is absolute, as in StepDPBanded;
-// the band therefore lives in dst[lo-alo : hi-alo].
+// |Qd|+1-alo cells — the widest band a child of this parent can have.
+// The returned [lo, hi) is absolute, as in StepDPBanded; the band
+// therefore lives in dst[lo-alo : hi-alo], where the verifier's next step
+// reads it as its parent.
 func StepDPRows(sub, ins []float64, del float64, a []float64, alo, ahi int, tau float64, dst []float64) (lo, hi, cells int) {
 	if alo >= ahi {
 		return 0, 0, 0 // empty parent band: every child cell is ≥ τ too

@@ -9,7 +9,8 @@
 // toward reducing Euclidean distance to a sampled destination. This yields
 // mostly-direct paths with occasional detours — the same qualitative shape
 // as map-matched taxi data — and heavy reuse of arterial corridors, which
-// is the property (shared subpaths) the paper's trie caching exploits.
+// is the property (shared subpaths) the paper's trie caching (§5.2) was
+// built to exploit.
 package workload
 
 import (
@@ -59,8 +60,8 @@ type Config struct {
 	// RouteReuse is the probability that a trajectory re-drives (a
 	// subpath of) an earlier trajectory's route with fresh timestamps,
 	// mimicking commuter/taxi route repetition in real data. Exact
-	// subtrajectory repeats are what §6.2.1's travel-time protocol (and
-	// the trie caching of §5.2) feed on. Negative disables; zero means
+	// subtrajectory repeats are what §6.2.1's travel-time protocol feeds
+	// on. Negative disables; zero means
 	// the default 0.25.
 	RouteReuse float64
 }

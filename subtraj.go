@@ -67,9 +67,7 @@ const (
 
 // Verification modes (see the paper's §5 and the -BT/-SW method suffixes).
 const (
-	// VerifyBT is local verification with bidirectional tries (default).
-	VerifyBT = verify.ModeBT
-	// VerifyLocal is local verification without trie caching.
+	// VerifyLocal is local bidirectional verification (the default).
 	VerifyLocal = verify.ModeLocal
 	// VerifySW is a full dynamic-programming scan per candidate.
 	VerifySW = verify.ModeSW
