@@ -23,7 +23,7 @@
 //	POST /v1/exact     {"q":[...]}
 //	POST /v1/count     {"q":[...]}
 //	POST /v1/append    {"path":[...], "times":[...]}
-//	POST /v1/checkpoint            (durable mode: snapshot + WAL rotation)
+//	POST /v1/checkpoint            (durable mode: persist the index arena)
 //	POST /v1/match     {"trace":[[x,y],...]}
 //	POST /v1/ingest    {"traces":[[[x,y],...],...]}
 //	POST /v1/batch     {"queries":[{"kind":"search", ...}, ...]}
@@ -44,12 +44,15 @@
 //
 // Durability: -wal-dir enables crash-safe ingest. Every /v1/append is
 // written to a CRC-framed write-ahead log before it is applied, fsynced
-// per -wal-sync, and recovered on restart (snapshot replay + WAL replay
-// with torn-tail truncation). -checkpoint-bytes bounds the log by
-// triggering background checkpoints; POST /v1/checkpoint forces one.
-// The base workload (-dataset/-load/-scale/-model) must match across
-// restarts: the durable directory persists only appended trajectories,
-// and a checkpointed index built over another base workload is refused.
+// per -wal-sync, and recovered on restart: the whole log is replayed
+// (torn tail truncated) and the last checkpoint's index arena is mapped
+// over the prefix it covers. The log is never truncated. A checkpoint
+// persists only the arena, so restarts re-index less;
+// -checkpoint-bytes starts one in the background each time the log has
+// grown by that much, and POST /v1/checkpoint forces one. The base
+// workload (-dataset/-load/-scale/-model) must match across restarts:
+// the durable directory persists only appended trajectories, and a
+// checkpointed index built over another base workload is refused.
 //
 // Ingest under load: searches run lock-free against immutable epoch
 // snapshots while appends publish new ones; -compact-appends bounds the
@@ -91,7 +94,7 @@ func main() {
 		walDir      = flag.String("wal-dir", "", "durable-state directory: log appends to a WAL, checkpoint, and recover on restart (incompatible with -index-file)")
 		walSync     = flag.String("wal-sync", "always", "WAL fsync policy: always (fsync per append) | interval | never")
 		walInterval = flag.Duration("wal-sync-interval", 100*time.Millisecond, "flush period for -wal-sync interval")
-		ckptBytes   = flag.Int64("checkpoint-bytes", 64<<20, "checkpoint automatically when the WAL passes this size (0 = only on POST /v1/checkpoint)")
+		ckptBytes   = flag.Int64("checkpoint-bytes", 64<<20, "checkpoint automatically each time the WAL grows by this many bytes (0 = only on POST /v1/checkpoint)")
 		compactApps = flag.Int("compact-appends", 4096, "fold the append delta into the frozen base after this many unfolded appends (0 = never compact automatically)")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request deadline; exceeded queries return 504 (0 disables)")
 		queueWait   = flag.Duration("queue-wait", time.Second, "max wait for a worker slot before shedding the request with 503 (0 = wait for the request deadline)")
@@ -163,10 +166,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("  durable state %s recovered in %s: %d snapshot + %d replayed records (%d skipped, gen %d, wal %s)",
+		log.Printf("  durable state %s recovered in %s: %d replayed records (wal %s)",
 			*walDir, time.Since(start).Round(time.Millisecond),
-			rec.SnapshotRecords, rec.ReplayedRecords, rec.SkippedRecords,
-			rec.CheckpointGen, byteSize(rec.WALBytes))
+			rec.ReplayedRecords, byteSize(rec.WALBytes))
 		if rec.TailTruncated {
 			log.Printf("  WAL tail truncated at a torn frame: %s", rec.TruncateReason)
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -285,7 +286,7 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered := int(rec.SnapshotRecords + rec.ReplayedRecords)
+	recovered := int(rec.ReplayedRecords)
 	if err := inner.Durable().Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -399,35 +400,39 @@ func TestCrashRecovery(t *testing.T) {
 // build and its publish — the adversarial window the epoch design opens:
 // the new base is fully built but the snapshot swap never happens. It
 // does so for a compaction and for a background checkpoint, which is the
-// same fold. The WAL is the only authority over appended data, so
-// recovery must replay the whole acknowledged delta exactly once — no
-// lost appends, no duplicates — and a restarted server must fold
-// successfully where the crashed one died.
+// same fold, and once more inside a checkpoint's arena write, with
+// index.compact.tmp written and fsynced but not renamed. The WAL is the
+// only authority over appended data, so recovery must replay the whole
+// acknowledged delta exactly once — no lost appends, no duplicates — and
+// a restarted server must fold successfully where the crashed one died.
 func TestCompactionCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
 	}
 	for _, tc := range []struct {
 		name string
-		// flags make the background fold trigger within the first few
-		// appends, so an early acknowledged append detonates the crash
-		// point; minAcked is how many appends precede the trigger.
-		flags    []string
-		minAcked int
+		// crashPoint is where the child dies. flags make the background
+		// fold trigger within the first few appends, so an early
+		// acknowledged append detonates it; minAcked is how many appends
+		// precede the trigger.
+		crashPoint string
+		flags      []string
+		minAcked   int
 	}{
-		{"fold", []string{"-compact-appends", "8"}, 7},
+		{"fold", "compact-fold", []string{"-compact-appends", "8"}, 7},
 		// ~190 WAL bytes per payload: a checkpoint after about 11 appends.
-		{"checkpoint", []string{"-compact-appends", "0", "-checkpoint-bytes", "2048"}, 8},
+		{"checkpoint", "compact-fold", []string{"-compact-appends", "0", "-checkpoint-bytes", "2048"}, 8},
+		{"checkpoint-index", "checkpoint-index", []string{"-compact-appends", "0", "-checkpoint-bytes", "2048"}, 8},
 	} {
-		t.Run(tc.name, func(t *testing.T) { foldCrashRecovery(t, tc.flags, tc.minAcked) })
+		t.Run(tc.name, func(t *testing.T) { foldCrashRecovery(t, tc.crashPoint, tc.flags, tc.minAcked) })
 	}
 }
 
-func foldCrashRecovery(t *testing.T, flags []string, minAcked int) {
+func foldCrashRecovery(t *testing.T, crashPoint string, flags []string, minAcked int) {
 	walDir := t.TempDir()
 	port := freePort(t)
 	child, base := startChildOpts(t, walDir, port,
-		[]string{"SUBTRAJ_CRASH_POINT=compact-fold"}, flags...)
+		[]string{"SUBTRAJ_CRASH_POINT=" + crashPoint}, flags...)
 
 	baseW := subtraj.Generate(subtraj.TinyWorkload(42))
 	baseLen := baseW.Data.Len()
@@ -444,12 +449,21 @@ func foldCrashRecovery(t *testing.T, flags []string, minAcked int) {
 	}
 	child.Wait()
 	if sent == len(payloads) {
-		t.Fatalf("all %d appends succeeded: the compact-fold crash point never fired", sent)
+		t.Fatalf("all %d appends succeeded: the %s crash point never fired", sent, crashPoint)
 	}
 	if acked < minAcked {
 		t.Fatalf("crashed before the fold threshold: acked=%d", acked)
 	}
 	t.Logf("fold crash window: %d acked, %d sent", acked, sent)
+	if crashPoint == "checkpoint-index" {
+		// The crash left a whole arena in the tmp file and none in place.
+		if _, err := os.Stat(filepath.Join(walDir, "index.compact.tmp")); err != nil {
+			t.Fatalf("no stale arena tmp file after the crash: %v", err)
+		}
+		if _, err := os.Stat(filepath.Join(walDir, "index.compact")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("index.compact after a crash before its rename: %v", err)
+		}
+	}
 
 	// In-process recovery from a copy: every acknowledged append must
 	// come back exactly once, bit-for-bit, in append order — the fold
@@ -462,7 +476,7 @@ func foldCrashRecovery(t *testing.T, flags []string, minAcked int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered := int(rec.SnapshotRecords + rec.ReplayedRecords)
+	recovered := int(rec.ReplayedRecords)
 	if recovered < acked || recovered > sent {
 		t.Fatalf("recovered %d records, want [%d, %d]", recovered, acked, sent)
 	}
@@ -503,15 +517,17 @@ func foldCrashRecovery(t *testing.T, flags []string, minAcked int) {
 	}
 	// The appends crossed the threshold: a background compaction must
 	// complete and absorb the delta, or a background checkpoint complete
-	// (the recovered WAL is already past -checkpoint-bytes, so the first
-	// append starts one).
+	// (no arena was mapped, so the trigger counts the recovered WAL from
+	// 0 and the first append starts one) — over any stale arena tmp file
+	// the crash left.
 	var st struct {
 		Ingest struct {
 			Compactions int64 `json:"compactions"`
 			Delta       int   `json:"delta_trajectories"`
 		} `json:"ingest"`
 		Durability struct {
-			Checkpoints int64 `json:"checkpoints"`
+			Checkpoints      int64 `json:"checkpoints"`
+			CheckpointErrors int64 `json:"checkpoint_errors"`
 		} `json:"durability"`
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -525,6 +541,9 @@ func foldCrashRecovery(t *testing.T, flags []string, minAcked int) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if st.Durability.CheckpointErrors != 0 {
+			t.Fatalf("background checkpoint failed after restart: %+v", st)
+		}
 		if st.Ingest.Compactions >= 1 && st.Ingest.Delta < 8 || st.Durability.Checkpoints >= 1 {
 			break
 		}
@@ -533,8 +552,9 @@ func foldCrashRecovery(t *testing.T, flags []string, minAcked int) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if h2 := getHealthz(t, base2); h2.Trajectories != baseLen+recovered+10 {
-		t.Fatalf("after restart appends: %d trajectories, want %d", h2.Trajectories, baseLen+recovered+10)
+	if h2 := getHealthz(t, base2); h2.Trajectories != baseLen+recovered+10 || int(h2.DurableGeneration) != recovered+10 {
+		t.Fatalf("after restart appends: %d trajectories at generation %d, want %d at %d",
+			h2.Trajectories, h2.DurableGeneration, baseLen+recovered+10, recovered+10)
 	}
 	child2.Process.Signal(os.Interrupt)
 	if err := child2.Wait(); err != nil {

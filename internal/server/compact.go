@@ -49,16 +49,16 @@ func (s *SafeEngine) LastCompactionMS() float64 {
 }
 
 // maybeFold starts a background fold after an append: a checkpoint when
-// the engine is durable and its WAL has passed CheckpointBytes, else a
-// compaction when the delta has outgrown CompactAppends. Single-flight:
-// while one fold runs, appends keep growing the delta and the WAL and the
-// next fold picks up the remainder.
+// the engine is durable and its WAL has grown CheckpointBytes since the
+// last checkpoint, else a compaction when the delta has outgrown
+// CompactAppends. Single-flight: while one fold runs, appends keep growing
+// the delta and the WAL and the next fold picks up the remainder.
 func (s *SafeEngine) maybeFold() {
 	if s.folding.Load() {
 		return
 	}
 	d := s.dur
-	persist := d != nil && d.ckptBytes > 0 && d.log.StatsSnapshot().Bytes >= d.ckptBytes
+	persist := d != nil && d.ckptBytes > 0 && d.log.StatsSnapshot().Bytes-d.ckptMark.Load() >= d.ckptBytes
 	if n := s.compactAppends.Load(); !persist && (n <= 0 || int64(s.DeltaLen()) < n) {
 		return
 	}
@@ -73,8 +73,6 @@ func (s *SafeEngine) maybeFold() {
 		case ck != nil:
 			d.logger.Info("checkpoint complete",
 				"generation", ck.Generation,
-				"records", ck.Records,
-				"snapshot_bytes", ck.SnapshotBytes,
 				"index_bytes", ck.IndexBytes,
 				"duration_ms", ck.DurationMS)
 		}
@@ -98,16 +96,14 @@ func (s *SafeEngine) Compact() (*CompactionResult, error) {
 //  3. under the ingest mutex, rebase the writer onto it — re-indexing the
 //     appends that landed during the build — and publish. The fold moves
 //     no data, so it publishes at the current generation and cached
-//     results stay valid. A checkpoint also cuts its barrier here
-//     (Durability.cut): the appended tail to snapshot.traj, then the WAL
-//     rotated past it;
+//     results stay valid;
 //  4. a checkpoint then writes the arena to index.compact, outside the
 //     mutex again.
 //
 // A crash before step 4's rename leaves the previous arena on disk, over
-// a shorter prefix than the snapshot's; recovery maps an arena over any
-// prefix of the dataset (index.OpenPrefix), so that window is a delta to
-// re-index, not a rebuild.
+// a shorter prefix of the log; recovery maps an arena over any prefix of
+// the dataset (index.OpenPrefix), so that window is a delta to re-index,
+// not a rebuild.
 func (s *SafeEngine) fold(persist bool) (*CompactionResult, *CheckpointResult, error) {
 	if !s.folding.CompareAndSwap(false, true) {
 		return nil, nil, ErrFoldBusy
@@ -116,6 +112,10 @@ func (s *SafeEngine) fold(persist bool) (*CompactionResult, *CheckpointResult, e
 	start := time.Now()
 
 	st := s.state.Load()
+	var mark int64
+	if persist {
+		mark = s.dur.log.StatsSnapshot().Bytes
+	}
 	view := st.eng.Dataset()
 	res := &CompactionResult{Generation: st.gen, Folded: view.Len(), DeltaBefore: st.eng.DeltaLen()}
 	if res.DeltaBefore == 0 && !persist {
@@ -127,15 +127,10 @@ func (s *SafeEngine) fold(persist bool) (*CompactionResult, *CheckpointResult, e
 
 	crashPoint("compact-fold")
 
-	var ck *CheckpointResult
-	var err error
 	s.ingestMu.Lock()
 	s.writer.Rebase(base)
 	s.publishLocked()
 	res.Generation = s.state.Load().gen
-	if persist {
-		ck, err = s.dur.cut(s.writer.Dataset())
-	}
 	s.ingestMu.Unlock()
 
 	if !persist {
@@ -144,17 +139,21 @@ func (s *SafeEngine) fold(persist bool) (*CompactionResult, *CheckpointResult, e
 		res.DurationMS = float64(time.Since(start)) / 1e6
 		return res, nil, nil
 	}
-	if err == nil {
-		if ck.IndexBytes, err = s.dur.writeIndex(base); err != nil {
-			err = fmt.Errorf("server: checkpoint index: %w", err)
-		}
-	}
+	size, err := s.dur.writeIndex(base)
 	if err != nil {
 		s.dur.ckptErrs.Add(1)
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("server: checkpoint index: %w", err)
 	}
-	ck.DurationMS = float64(time.Since(start)) / 1e6
+	s.dur.ckptMark.Store(mark)
 	s.dur.checkpoints.Add(1)
+	// The log holds every append since the directory was created, so the
+	// view's durable generation is what recovery replayed plus what this
+	// process appended before the view.
+	ck := &CheckpointResult{
+		Generation: uint64(s.dur.replayed.Load()) + st.gen,
+		IndexBytes: size,
+		DurationMS: float64(time.Since(start)) / 1e6,
+	}
 	return res, ck, nil
 }
 

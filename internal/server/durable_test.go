@@ -66,7 +66,7 @@ func appendPath(t testing.TB, safe *SafeEngine, syms ...traj.Symbol) int32 {
 func TestDurableAppendSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	safe, info, w := openDurableTest(t, dir, DurableOptions{Sync: wal.SyncAlways})
-	if info.SnapshotRecords != 0 || info.ReplayedRecords != 0 {
+	if info.ReplayedRecords != 0 {
 		t.Fatalf("fresh dir reported recovery: %+v", info)
 	}
 	base := w.Data.Len()
@@ -143,12 +143,12 @@ func TestDurableTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestCheckpointRotatesAndRecovers: a checkpoint moves the appended tail
-// into the snapshot, persists the arena, truncates the WAL, and a reopen
-// reassembles snapshot + post-checkpoint WAL records — over the mapped
-// arena with the replayed record as its delta, or, when the arena file is
-// gone, over an arena rebuilt from everything recovered.
-func TestCheckpointRotatesAndRecovers(t *testing.T) {
+// TestCheckpointPersistsArenaAndRecovers: a checkpoint persists the arena
+// and leaves the WAL whole, and a reopen replays every logged record —
+// over the mapped arena with the post-checkpoint record as its delta, or,
+// when the arena file is gone, over an arena rebuilt from everything
+// recovered.
+func TestCheckpointPersistsArenaAndRecovers(t *testing.T) {
 	for _, rebuilt := range []bool{false, true} {
 		name := map[bool]string{false: "compact", true: "rebuilt"}[rebuilt]
 		t.Run(name, func(t *testing.T) {
@@ -161,11 +161,11 @@ func TestCheckpointRotatesAndRecovers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Checkpoint: %v", err)
 			}
-			if res.Generation != 2 || res.Records != 2 || res.IndexBytes == 0 {
-				t.Fatalf("checkpoint result %+v, want gen 2, records 2 and an arena", res)
+			if res.Generation != 2 || res.IndexBytes == 0 {
+				t.Fatalf("checkpoint result %+v, want an arena over generation 2", res)
 			}
-			if ws := safe.Durable().WALStats(); ws.Records != 0 || ws.BaseGen != 2 {
-				t.Fatalf("WAL not rotated: %+v", ws)
+			if ws := safe.Durable().WALStats(); ws.Records != 2 || ws.Gen != 2 {
+				t.Fatalf("the checkpoint touched the WAL: %+v", ws)
 			}
 			post := []traj.Symbol{6, 7, 8, 9}
 			appendPath(t, safe, post...)
@@ -178,8 +178,8 @@ func TestCheckpointRotatesAndRecovers(t *testing.T) {
 
 			re, info, _ := openDurableTest(t, dir, opts)
 			defer closeDurable(t, re)
-			if info.SnapshotRecords != 2 || info.ReplayedRecords != 1 || info.SkippedRecords != 0 {
-				t.Fatalf("recovery info %+v, want snapshot 2 + replayed 1", info)
+			if info.ReplayedRecords != 3 {
+				t.Fatalf("recovery info %+v, want all 3 records replayed", info)
 			}
 			if info.IndexMapped == rebuilt {
 				t.Fatalf("reopen mapped the checkpointed arena: %v, want %v (%+v)", info.IndexMapped, !rebuilt, info)
@@ -223,37 +223,50 @@ func TestDurableRejectsForeignArena(t *testing.T) {
 	}
 }
 
-// TestCheckpointCrashWindowIdempotent: a crash after the snapshot rename
-// but before the WAL rotation leaves both files covering the same
-// generations; replay must skip the overlap instead of duplicating.
-func TestCheckpointCrashWindowIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	safe, _, _ := openDurableTest(t, dir, DurableOptions{Sync: wal.SyncAlways})
-	appendPath(t, safe, 1, 2, 3)
-	appendPath(t, safe, 4, 5, 6)
-	// Save the pre-checkpoint WAL, checkpoint (which rotates it), then
-	// put the old WAL back — exactly the on-disk state of a crash inside
-	// the checkpoint window.
-	walPath := filepath.Join(dir, walFile)
-	preWAL, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := safe.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	closeDurable(t, safe)
-	if err := os.WriteFile(walPath, preWAL, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re, info, _ := openDurableTest(t, dir, DurableOptions{Sync: wal.SyncAlways})
-	defer closeDurable(t, re)
-	if info.SnapshotRecords != 2 || info.SkippedRecords != 2 || info.ReplayedRecords != 0 {
-		t.Fatalf("overlap not skipped: %+v", info)
-	}
-	if got, want := re.NumTrajectories(), tinyBaseLen()+2; got != want {
-		t.Fatalf("trajectories = %d, want %d (duplicated replay?)", got, want)
+// TestDurableRejectsOlderLayout: older builds rotated the WAL into
+// snapshot.traj at every checkpoint, so their log alone misses the
+// checkpointed appends. A directory holding snapshot.traj, or a log whose
+// header starts past generation 0, must fail to open with advice to
+// delete it — never serve a dataset short of those appends.
+func TestDurableRejectsOlderLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T, dir string)
+	}{
+		{"snapshot", func(t *testing.T, dir string) {
+			safe, _, _ := openDurableTest(t, dir, DurableOptions{Sync: wal.SyncAlways})
+			appendPath(t, safe, 1, 2, 3)
+			closeDurable(t, safe)
+			if err := os.WriteFile(filepath.Join(dir, "snapshot.traj"), []byte("SBTJWAL1"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"rotated log", func(t *testing.T, dir string) {
+			w, err := wal.Create(filepath.Join(dir, walFile), 2, wal.Options{Policy: wal.SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append([]traj.Trajectory{{Path: []traj.Symbol{4, 5, 6}}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.setup(t, dir)
+			w := workload.Generate(workload.Tiny(7))
+			safe, _, err := OpenDurable(dir, w.Data, wed.NewLev(), DurableOptions{Sync: wal.SyncAlways})
+			if err == nil {
+				closeDurable(t, safe)
+				t.Fatalf("an older layout opened with %d trajectories", safe.NumTrajectories())
+			}
+			if !strings.Contains(err.Error(), "delete the durable directory") {
+				t.Fatalf("error %q does not say to delete the directory", err)
+			}
+		})
 	}
 }
 
@@ -284,7 +297,7 @@ func TestDurableHTTPSurface(t *testing.T) {
 	var stats StatsSnapshot
 	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if !stats.Durability.Enabled || stats.Durability.Checkpoints != 1 ||
-		stats.Durability.LastCheckpointGen != 1 || stats.Durability.WALRecords != 0 {
+		stats.Durability.Generation != 1 || stats.Durability.WALRecords != 1 {
 		t.Fatalf("stats durability block wrong: %+v", stats.Durability)
 	}
 	if stats.Durability.SyncPolicy != "always" {
@@ -439,9 +452,8 @@ func TestCheckpointBusySingleFlight(t *testing.T) {
 
 // TestAppendDuringCheckpointBuild: a checkpoint builds its arena outside
 // the ingest mutex, so an append returns while the build is held at the
-// compact-fold point. The arena then covers a shorter prefix than the
-// snapshot the checkpoint cuts, and a reopen maps it with the append
-// that raced the build as its delta.
+// compact-fold point. The arena then covers the first append only, and a
+// reopen maps it with the append that raced the build as its delta.
 func TestAppendDuringCheckpointBuild(t *testing.T) {
 	dir := t.TempDir()
 	opts := DurableOptions{Sync: wal.SyncAlways}
@@ -493,8 +505,8 @@ func TestAppendDuringCheckpointBuild(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if r.res.Generation != 2 || r.res.Records != 2 || safe.DeltaLen() != 1 {
-		t.Fatalf("checkpoint %+v with delta %d, want barrier 2 over 2 records and the raced append in the delta", r.res, safe.DeltaLen())
+	if r.res.Generation != 1 || safe.DeltaLen() != 1 {
+		t.Fatalf("checkpoint %+v with delta %d, want an arena over generation 1 and the raced append in the delta", r.res, safe.DeltaLen())
 	}
 	closeDurable(t, safe)
 
@@ -505,11 +517,11 @@ func TestAppendDuringCheckpointBuild(t *testing.T) {
 	}
 }
 
-// TestRecoveryMapsOlderArena: a crash between a checkpoint's snapshot
-// rename and its arena rename leaves the previous checkpoint's arena
-// beside the new snapshot. Recovery maps that arena — it indexes a prefix
-// of the recovered dataset — and indexes everything after it as the
-// delta, answering exactly as an engine built over the whole dataset.
+// TestRecoveryMapsOlderArena: a crash before a checkpoint's arena rename
+// leaves the previous checkpoint's arena beside a log that has grown
+// since. Recovery maps that arena — it indexes a prefix of the recovered
+// dataset — and indexes everything after it as the delta, answering
+// exactly as an engine built over the whole dataset.
 func TestRecoveryMapsOlderArena(t *testing.T) {
 	dir := t.TempDir()
 	opts := DurableOptions{Sync: wal.SyncAlways}
@@ -539,8 +551,8 @@ func TestRecoveryMapsOlderArena(t *testing.T) {
 
 	re, info, _ := openDurableTest(t, dir, opts)
 	defer closeDurable(t, re)
-	if !info.IndexMapped || info.SnapshotRecords != int64(len(extra)) || re.DeltaLen() != len(second) {
-		t.Fatalf("recovery %+v with delta %d, want the older arena mapped under a snapshot of %d and a delta of %d",
+	if !info.IndexMapped || info.ReplayedRecords != int64(len(extra)) || re.DeltaLen() != len(second) {
+		t.Fatalf("recovery %+v with delta %d, want the older arena mapped under %d replayed records and a delta of %d",
 			info, re.DeltaLen(), len(extra), len(second))
 	}
 
@@ -591,5 +603,129 @@ func TestDurableRejectsBadTimes(t *testing.T) {
 	ws := workload.Generate(workload.Tiny(7))
 	if _, _, err := OpenDurable(dir, ws.Data, wed.NewLev(), DurableOptions{}); err == nil || !strings.Contains(err.Error(), "gen 2") {
 		t.Fatalf("OpenDurable = %v, want an error naming record 2", err)
+	}
+}
+
+// TestCheckpointArenaWriteFails pins a checkpoint's one failure mode: the
+// fold has published its rebased, content-equal base before the arena
+// write fails. The error is returned and counted, the new base stays
+// published, ingest and search carry on, a reopen recovers every append
+// from the log alone, and a retry succeeds once the cause is gone.
+func TestCheckpointArenaWriteFails(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{Sync: wal.SyncAlways}
+	safe, _, _ := openDurableTest(t, dir, opts)
+	appendPath(t, safe, 1, 2, 3)
+	// A non-empty directory where the arena's tmp file goes: creating
+	// the file fails, and nothing can clear the obstacle meanwhile.
+	obstacle := filepath.Join(dir, indexFile+".tmp")
+	if err := os.MkdirAll(filepath.Join(obstacle, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := safe.Checkpoint(); err == nil {
+		t.Fatal("checkpoint succeeded with the arena's tmp path blocked")
+	}
+	if d := safe.Durable(); d.CheckpointErrors() != 1 || d.Checkpoints() != 0 {
+		t.Fatalf("checkpoints %d, errors %d; want 0 and 1", d.Checkpoints(), d.CheckpointErrors())
+	}
+	if safe.DeltaLen() != 0 || safe.FoldedLen() != tinyBaseLen()+1 {
+		t.Fatalf("delta %d, folded %d: the rebased base is not published", safe.DeltaLen(), safe.FoldedLen())
+	}
+	post := []traj.Symbol{6, 7, 8, 9}
+	appendPath(t, safe, post...)
+	for _, q := range [][]traj.Symbol{{1, 2, 3}, post} {
+		if ms, err := safe.SearchExact(q); err != nil || len(ms) == 0 {
+			t.Fatalf("search %v after the failed checkpoint: ms=%v err=%v", q, ms, err)
+		}
+	}
+	closeDurable(t, safe)
+
+	re, info, _ := openDurableTest(t, dir, opts)
+	defer closeDurable(t, re)
+	if info.IndexMapped || info.ReplayedRecords != 2 || re.NumTrajectories() != tinyBaseLen()+2 {
+		t.Fatalf("reopen %+v with %d trajectories, want both appends over a rebuilt arena", info, re.NumTrajectories())
+	}
+	if err := os.RemoveAll(obstacle); err != nil {
+		t.Fatal(err)
+	}
+	res, err := re.Checkpoint()
+	if err != nil {
+		t.Fatalf("retry after clearing the obstacle: %v", err)
+	}
+	if res.Generation != 2 || re.Durable().CheckpointErrors() != 0 {
+		t.Fatalf("retry %+v, errors %d; want an arena over generation 2", res, re.Durable().CheckpointErrors())
+	}
+	if _, err := os.Stat(filepath.Join(dir, indexFile)); err != nil {
+		t.Fatalf("no arena after the retry: %v", err)
+	}
+}
+
+// TestCheckpointTrigger: with CheckpointBytes N, a background checkpoint
+// fires each time the log has grown N bytes past the last checkpoint —
+// counted from the log size recovered with a mapped arena after a reopen —
+// not on every append once the log's total size passes N.
+func TestCheckpointTrigger(t *testing.T) {
+	const n = 200
+	dir := t.TempDir()
+	opts := DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: n}
+	// settle waits for the count to reach want, then until a checkpoint
+	// the last append may have started has finished, and reads the
+	// count. A checkpoint that must not fire has no event to wait on:
+	// 20 ms is ample for a goroutine the append started to take the
+	// fold flag.
+	settle := func(s *SafeEngine, want int64) int64 {
+		deadline := time.Now().Add(10 * time.Second)
+		for s.Durable().Checkpoints() < want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+		for s.folding.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		return s.Durable().Checkpoints()
+	}
+	safe, _, _ := openDurableTest(t, dir, opts)
+	d := safe.Durable()
+	var mark int64 // fresh directory, no arena: the trigger counts from 0
+	var want int64
+	for i := 0; i < 24; i++ {
+		appendPath(t, safe, 10, 11, 12, 13, 14, 15, 16, 17, 18, traj.Symbol(20+i))
+		if size := d.WALStats().Bytes; size-mark >= n {
+			want++
+			mark = size
+		}
+		if got := settle(safe, want); got != want {
+			t.Fatalf("after append %d (log %d bytes): %d checkpoints, want %d", i, d.WALStats().Bytes, got, want)
+		}
+	}
+	if want < 3 || d.WALStats().Bytes < 3*n {
+		t.Fatalf("only %d checkpoints over a %d-byte log: the test does not cross the trigger", want, d.WALStats().Bytes)
+	}
+	closeDurable(t, safe)
+
+	re, info, _ := openDurableTest(t, dir, opts)
+	defer closeDurable(t, re)
+	if !info.IndexMapped {
+		t.Fatalf("reopen rebuilt the arena: %+v", info)
+	}
+	appendPath(t, re, 10, 11, 12)
+	if got := settle(re, 0); got != 0 {
+		t.Fatalf("one append after a reopen over a mapped arena started %d checkpoints", got)
+	}
+}
+
+// TestCheckpointSyncsLog: the arena must never cover a record the log
+// could still lose, so a checkpoint flushes a log whose policy left
+// frames unsynced before it persists the arena.
+func TestCheckpointSyncsLog(t *testing.T) {
+	safe, _, _ := openDurableTest(t, t.TempDir(), DurableOptions{Sync: wal.SyncNever})
+	defer closeDurable(t, safe)
+	appendPath(t, safe, 1, 2, 3)
+	before := safe.Durable().WALStats().Syncs
+	if _, err := safe.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if after := safe.Durable().WALStats().Syncs; after != before+1 {
+		t.Fatalf("log fsyncs %d -> %d across a checkpoint, want one flush", before, after)
 	}
 }

@@ -183,7 +183,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		nil, durGauge(func(*Durability) float64 { return 1 }))
 	r.GaugeFunc("subtraj_wal_bytes", "Write-ahead log size on disk.",
 		nil, durGauge(func(d *Durability) float64 { return float64(d.WALStats().Bytes) }))
-	r.GaugeFunc("subtraj_wal_records", "Records in the write-ahead log (since the last checkpoint).",
+	r.GaugeFunc("subtraj_wal_records", "Records in the write-ahead log: every append since the durable directory was created.",
 		nil, durGauge(func(d *Durability) float64 { return float64(d.WALStats().Records) }))
 	r.CounterFunc("subtraj_wal_fsyncs_total", "WAL fsync calls.",
 		nil, durGauge(func(d *Durability) float64 { return float64(d.WALStats().Syncs) }))
@@ -191,11 +191,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		nil, durGauge(func(d *Durability) float64 { return float64(d.Checkpoints()) }))
 	r.CounterFunc("subtraj_checkpoint_errors_total", "Failed checkpoint attempts.",
 		nil, durGauge(func(d *Durability) float64 { return float64(d.CheckpointErrors()) }))
-	r.GaugeFunc("subtraj_wal_last_checkpoint_generation",
-		"Durable generation barrier of the newest snapshot.",
-		nil, durGauge(func(d *Durability) float64 { return float64(d.LastCheckpointGen()) }))
 	r.GaugeFunc("subtraj_recovery_replayed_records",
-		"WAL records startup recovery applied on top of the snapshot.",
+		"WAL records startup recovery applied to the base workload.",
 		nil, durGauge(func(d *Durability) float64 { return float64(d.ReplayedRecords()) }))
 	walFsync := r.Histogram("subtraj_wal_fsync_seconds", "WAL fsync latency.", obs.LatencyBuckets, nil)
 	if d := s.eng.Durable(); d != nil {

@@ -26,10 +26,9 @@ import (
 // index — and publish a fresh core.Engine.Snapshot; a background
 // compactor periodically folds the delta into a new base so delta cost
 // stays bounded. Durable engines share the same discipline: the WAL
-// append, the dataset extension, and a checkpoint's snapshot cut all
-// happen under the ingest mutex, so the checkpoint barrier and the
-// publish barrier are one generation; a checkpoint is a fold that also
-// persists (fold).
+// append and the dataset extension both happen under the ingest mutex,
+// so the log's generation and the published one move together; a
+// checkpoint is a fold that also persists its arena (fold).
 //
 // Every Append bumps the published generation; result caches key their
 // entries on it so stale answers die with the generation instead of
@@ -42,9 +41,9 @@ type SafeEngine struct {
 	// mutation. Never nil after construction.
 	state atomic.Pointer[engineState]
 
-	// ingestMu serializes all writers: appends and a fold's publish step
-	// (with a checkpoint's snapshot cut). No index build or arena write
-	// runs under it. Searches never touch it.
+	// ingestMu serializes all writers: appends and a fold's publish
+	// step. No index build or arena write runs under it. Searches never
+	// touch it.
 	ingestMu sync.Mutex
 	writer   *core.Engine // guarded by ingestMu — owns the master dataset, the base and the delta
 

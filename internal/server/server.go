@@ -479,9 +479,9 @@ func (s *Server) batch(r *http.Request, req *batchRequest) (any, error) {
 	return batchResponse{Results: results}, nil
 }
 
-// checkpoint forces a checkpoint: snapshot the appended tail, persist the
-// arena, truncate the WAL. 501 on a volatile engine, 409 when a fold or
-// checkpoint is already running. It takes no parameters.
+// checkpoint forces a checkpoint: fold the delta and persist the arena.
+// 501 on a volatile engine, 409 when a fold or checkpoint is already
+// running. It takes no parameters.
 func (s *Server) checkpoint(*http.Request, *struct{}) (any, error) {
 	res, err := s.eng.Checkpoint()
 	switch {
@@ -890,17 +890,15 @@ type StatsSnapshot struct {
 	// Durability reports the write-ahead-log state; all-zero (Enabled
 	// false) on a volatile engine.
 	Durability struct {
-		Enabled           bool   `json:"enabled"`
-		SyncPolicy        string `json:"sync_policy,omitempty"`
-		WALBytes          int64  `json:"wal_bytes"`
-		WALRecords        int64  `json:"wal_records"`
-		WALSyncs          int64  `json:"wal_syncs"`
-		Generation        uint64 `json:"generation"`
-		Checkpoints       int64  `json:"checkpoints"`
-		CheckpointErrors  int64  `json:"checkpoint_errors"`
-		LastCheckpointGen uint64 `json:"last_checkpoint_generation"`
-		SnapshotRecords   int64  `json:"snapshot_records"`
-		RecoveryReplayed  int64  `json:"recovery_replayed_records"`
+		Enabled          bool   `json:"enabled"`
+		SyncPolicy       string `json:"sync_policy,omitempty"`
+		WALBytes         int64  `json:"wal_bytes"`
+		WALRecords       int64  `json:"wal_records"`
+		WALSyncs         int64  `json:"wal_syncs"`
+		Generation       uint64 `json:"generation"`
+		Checkpoints      int64  `json:"checkpoints"`
+		CheckpointErrors int64  `json:"checkpoint_errors"`
+		RecoveryReplayed int64  `json:"recovery_replayed_records"`
 	} `json:"durability"`
 	Totals struct {
 		Executed         int64 `json:"executed"`
@@ -1015,8 +1013,6 @@ func (s *Server) Snapshot() StatsSnapshot {
 		out.Durability.Generation = ws.Gen
 		out.Durability.Checkpoints = d.Checkpoints()
 		out.Durability.CheckpointErrors = d.CheckpointErrors()
-		out.Durability.LastCheckpointGen = d.LastCheckpointGen()
-		out.Durability.SnapshotRecords = d.SnapshotRecords()
 		out.Durability.RecoveryReplayed = d.ReplayedRecords()
 	}
 	t := &out.Totals

@@ -26,6 +26,10 @@
 // invalid byte: the valid prefix is applied, the tail is reported (and
 // truncated by OpenOrCreate) — torn writes degrade to lost-suffix, never
 // to silent corruption.
+//
+// A log only grows. Cutting off a torn tail is the one truncation, so a
+// log opened with OpenOrCreate holds every record appended since it was
+// created, and its header's baseGen stays 0.
 package wal
 
 import (
@@ -67,7 +71,7 @@ const (
 	// acked-prefix crash guarantee: an acknowledged append is on disk.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs when at least Options.Interval has elapsed
-	// since the last fsync (checked on each Append; Sync flushes the
+	// since the last fsync (checked on each Append; Close flushes the
 	// remainder at shutdown). A crash loses at most one interval.
 	SyncInterval
 	// SyncNever leaves flushing to the OS page cache. A crash loses the
@@ -103,11 +107,9 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 }
 
 // Record is one replayed trajectory append. Gen is the durable generation
-// the append produced: the base workload is generation ≤ baseGen, the
-// first logged append is baseGen+1, and so on — replay is idempotent
-// because a consumer holding generation G simply skips records with
-// Gen ≤ G (the crash window between writing a checkpoint and truncating
-// the log re-delivers old records; their generations identify them).
+// the append produced: the first record of a log whose header holds
+// baseGen is baseGen+1, and so on. A log from OpenOrCreate starts at 0,
+// so Gen is the append's position among every append the log has held.
 type Record struct {
 	Gen   uint64
 	Path  []traj.Symbol
@@ -143,10 +145,9 @@ func (o Options) interval() time.Duration {
 
 // Stats is a point-in-time snapshot of a Writer.
 type Stats struct {
-	BaseGen uint64 // generation the log starts after (checkpoint barrier)
 	Gen     uint64 // durable generation after the last logged frame
 	Bytes   int64  // committed log size, header included
-	Records int64  // records logged since BaseGen
+	Records int64  // records in the log
 	Syncs   int64  // fsyncs issued
 }
 
@@ -159,7 +160,6 @@ type Stats struct {
 type Writer struct {
 	mu       sync.Mutex
 	f        File      // guarded by mu (the handle is fixed; its write offset is not)
-	baseGen  uint64    // guarded by mu (rewritten by Rotate)
 	gen      uint64    // guarded by mu
 	off      int64     // guarded by mu
 	records  int64     // guarded by mu
@@ -192,7 +192,7 @@ func Create(path string, baseGen uint64, opts Options) (*Writer, error) {
 //
 //subtrajlint:locked mu — w is private to this constructor; nothing else can see it yet
 func NewWriter(f File, baseGen uint64, opts Options) (*Writer, error) {
-	w := &Writer{f: f, baseGen: baseGen, gen: baseGen, opts: opts, lastSync: time.Now()}
+	w := &Writer{f: f, gen: baseGen, opts: opts, lastSync: time.Now()}
 	hdr := make([]byte, headerSize)
 	copy(hdr, magic)
 	binary.LittleEndian.PutUint32(hdr[len(magic):], version)
@@ -205,12 +205,6 @@ func NewWriter(f File, baseGen uint64, opts Options) (*Writer, error) {
 	}
 	w.off = int64(headerSize)
 	return w, nil
-}
-
-// resume adopts an already-validated log: f positioned at off, holding
-// records records ending at generation gen.
-func resume(f File, baseGen, gen uint64, off, records int64, opts Options) *Writer {
-	return &Writer{f: f, baseGen: baseGen, gen: gen, off: off, records: records, opts: opts, lastSync: time.Now()}
 }
 
 // Policy returns the writer's sync policy (fixed at construction).
@@ -227,7 +221,7 @@ func (w *Writer) Gen() uint64 {
 func (w *Writer) StatsSnapshot() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return Stats{BaseGen: w.baseGen, Gen: w.gen, Bytes: w.off, Records: w.records, Syncs: w.syncs}
+	return Stats{Gen: w.gen, Bytes: w.off, Records: w.records, Syncs: w.syncs}
 }
 
 // Append logs ts as one atomic frame and makes it durable per the sync
@@ -300,7 +294,7 @@ func (w *Writer) Append(ts []traj.Trajectory) error {
 // rollback restores the file to the last committed offset after a failed
 // write; if the filesystem refuses even that, the writer is broken.
 //
-//subtrajlint:locked mu — called only from Append and Rotate with w.mu held
+//subtrajlint:locked mu — called only from Append with w.mu held
 func (w *Writer) rollback(cause error) {
 	if err := w.f.Truncate(w.off); err != nil {
 		w.broken = cause
@@ -345,8 +339,9 @@ func (w *Writer) fsync() error {
 	return nil
 }
 
-// Sync flushes any unsynced frames (SyncInterval shutdown, checkpoint
-// barrier). A no-op when nothing is dirty.
+// Sync flushes any unsynced frames. A checkpoint calls it before it
+// persists an arena, so no arena on disk covers a record the log could
+// still lose. A no-op when nothing is dirty.
 func (w *Writer) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -360,45 +355,6 @@ func (w *Writer) Sync() error {
 		w.broken = err
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	return nil
-}
-
-// Rotate discards every logged frame and restarts the log at newBaseGen —
-// the checkpoint barrier. The caller must have durably persisted all
-// state up to newBaseGen first (snapshot written, fsynced, renamed); the
-// crash window before Rotate merely re-delivers records with
-// Gen ≤ newBaseGen at replay, which consumers skip by generation.
-func (w *Writer) Rotate(newBaseGen uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.broken != nil {
-		return fmt.Errorf("wal: writer broken by earlier failure: %w", w.broken)
-	}
-	if err := w.f.Truncate(0); err != nil {
-		w.broken = err
-		return fmt.Errorf("wal: rotate truncate: %w", err)
-	}
-	if err := w.seekTo(0); err != nil {
-		w.broken = err
-		return fmt.Errorf("wal: rotate seek: %w", err)
-	}
-	hdr := make([]byte, headerSize)
-	copy(hdr, magic)
-	binary.LittleEndian.PutUint32(hdr[len(magic):], version)
-	binary.LittleEndian.PutUint64(hdr[len(magic)+4:], newBaseGen)
-	if n, err := w.f.Write(hdr); err != nil || n != len(hdr) {
-		if err == nil {
-			err = io.ErrShortWrite
-		}
-		w.broken = err
-		return fmt.Errorf("wal: rotate header: %w", err)
-	}
-	if err := w.fsync(); err != nil {
-		w.broken = err
-		return fmt.Errorf("wal: rotate fsync: %w", err)
-	}
-	w.baseGen, w.gen = newBaseGen, newBaseGen
-	w.off, w.records = int64(headerSize), 0
 	return nil
 }
 
@@ -433,7 +389,7 @@ func appendRecord(b []byte, t *traj.Trajectory) []byte {
 
 // ReplayInfo reports what a replay scan found.
 type ReplayInfo struct {
-	BaseGen   uint64 // generation barrier from the header
+	BaseGen   uint64 // the header's baseGen
 	EndGen    uint64 // generation after the last valid frame
 	Records   int64  // records in the valid prefix
 	GoodBytes int64  // byte length of the valid prefix (header included)
@@ -500,15 +456,6 @@ func ReplayBytes(data []byte, apply func(Record) error) (ReplayInfo, error) {
 		info.GoodBytes = int64(off)
 	}
 	return info, nil
-}
-
-// ReplayFile is ReplayBytes over the file at path.
-func ReplayFile(path string, apply func(Record) error) (ReplayInfo, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return ReplayInfo{}, err
-	}
-	return ReplayBytes(data, apply)
 }
 
 // decodeFrame validates and decodes one checksummed payload whose records
@@ -591,17 +538,17 @@ func decodeRecord(b []byte) (Record, []byte, error) {
 }
 
 // OpenOrCreate opens the log at path for appending, creating it fresh at
-// baseGen when absent (or when only a torn header exists — a header that
-// never finished its fsync cannot precede any record). An existing log is
-// scanned: every valid record is passed to apply, an invalid tail is
-// physically truncated away, and the returned writer continues from the
-// surviving end. The caller is responsible for checking info.BaseGen
-// against its checkpoint barrier and skipping records with Gen ≤ barrier.
-func OpenOrCreate(path string, baseGen uint64, opts Options, apply func(Record) error) (*Writer, ReplayInfo, error) {
+// generation 0 when absent (or when only a torn header exists — a header
+// that never finished its fsync cannot precede any record). An existing
+// log is scanned: every valid record is passed to apply, an invalid tail
+// is physically truncated away, and the returned writer continues from
+// the surviving end. info.BaseGen is the header's; a log this function
+// created holds 0 there.
+func OpenOrCreate(path string, opts Options, apply func(Record) error) (*Writer, ReplayInfo, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) || (err == nil && len(data) == 0) {
-		w, cerr := Create(path, baseGen, opts)
-		return w, ReplayInfo{BaseGen: baseGen, EndGen: baseGen, GoodBytes: int64(headerSize)}, cerr
+		w, cerr := Create(path, 0, opts)
+		return w, ReplayInfo{GoodBytes: int64(headerSize)}, cerr
 	}
 	if err != nil {
 		return nil, ReplayInfo{}, fmt.Errorf("wal: open %s: %w", path, err)
@@ -609,8 +556,8 @@ func OpenOrCreate(path string, baseGen uint64, opts Options, apply func(Record) 
 	if len(data) < headerSize && isPrefixOfMagic(data) {
 		// Torn header from a crash inside Create: no frame can follow an
 		// unfinished header, so recreating loses nothing.
-		w, cerr := Create(path, baseGen, opts)
-		return w, ReplayInfo{BaseGen: baseGen, EndGen: baseGen, GoodBytes: int64(headerSize)}, cerr
+		w, cerr := Create(path, 0, opts)
+		return w, ReplayInfo{GoodBytes: int64(headerSize)}, cerr
 	}
 	info, err := ReplayBytes(data, apply)
 	if err != nil {
@@ -634,7 +581,8 @@ func OpenOrCreate(path string, baseGen uint64, opts Options, apply func(Record) 
 		_ = f.Close()
 		return nil, info, fmt.Errorf("wal: seek: %w", err)
 	}
-	return resume(f, info.BaseGen, info.EndGen, info.GoodBytes, info.Records, opts), info, nil
+	w := &Writer{f: f, gen: info.EndGen, off: info.GoodBytes, records: info.Records, opts: opts, lastSync: time.Now()}
+	return w, info, nil
 }
 
 func isPrefixOfMagic(data []byte) bool {

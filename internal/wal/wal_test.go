@@ -325,72 +325,18 @@ func TestEveryByteCorruption(t *testing.T) {
 	}
 }
 
-func TestRotate(t *testing.T) {
-	f := newMemFile()
-	w, _ := NewWriter(f, 0, Options{Policy: SyncAlways})
-	for i := 0; i < 5; i++ {
-		if err := w.Append([]traj.Trajectory{tr(traj.Symbol(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Rotate(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append([]traj.Trajectory{tr(99)}); err != nil {
-		t.Fatal(err)
-	}
-	recs, info := collect(t, f.data)
-	if info.BaseGen != 5 || len(recs) != 1 || recs[0].Gen != 6 || recs[0].Path[0] != 99 {
-		t.Fatalf("post-rotate log wrong: %+v %+v", info, recs)
-	}
-}
-
-// TestRotateOnDiskFile rotates a real *os.File. Unlike the in-memory
-// double, an os.File keeps its write offset after Truncate(0) — without
-// the explicit seek the post-rotate header would land past a zero-filled
-// gap and the log would be unreadable (regression test).
-func TestRotateOnDiskFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := Create(path, 0, Options{Policy: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := w.Append([]traj.Trajectory{tr(traj.Symbol(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Rotate(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append([]traj.Trajectory{tr(42)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var recs []Record
-	info, err := ReplayFile(path, func(r Record) error { recs = append(recs, r); return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.BaseGen != 3 || info.Truncated || len(recs) != 1 || recs[0].Gen != 4 || recs[0].Path[0] != 42 {
-		t.Fatalf("rotated on-disk log wrong: %+v %+v", info, recs)
-	}
-}
-
 func TestOpenOrCreateLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
 
-	w, info, err := OpenOrCreate(path, 3, Options{Policy: SyncAlways}, func(Record) error {
+	w, info, err := OpenOrCreate(path, Options{Policy: SyncAlways}, func(Record) error {
 		t.Fatal("fresh log replayed records")
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.BaseGen != 3 || info.Records != 0 {
+	if info.BaseGen != 0 || info.Records != 0 {
 		t.Fatalf("fresh info: %+v", info)
 	}
 	for i := 0; i < 4; i++ {
@@ -409,14 +355,14 @@ func TestOpenOrCreateLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var replayed []Record
-	w, info, err = OpenOrCreate(path, 3, Options{Policy: SyncAlways}, func(r Record) error {
+	w, info, err = OpenOrCreate(path, Options{Policy: SyncAlways}, func(r Record) error {
 		replayed = append(replayed, r)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Truncated || len(replayed) != 3 || info.EndGen != 6 {
+	if !info.Truncated || len(replayed) != 3 || info.EndGen != 3 {
 		t.Fatalf("reopen after tear: %+v, %d records", info, len(replayed))
 	}
 	if st, _ := os.Stat(path); st.Size() != info.GoodBytes {
@@ -430,14 +376,14 @@ func TestOpenOrCreateLifecycle(t *testing.T) {
 	}
 
 	replayed = replayed[:0]
-	_, info, err = OpenOrCreate(path, 3, Options{Policy: SyncAlways}, func(r Record) error {
+	_, info, err = OpenOrCreate(path, Options{Policy: SyncAlways}, func(r Record) error {
 		replayed = append(replayed, r)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Truncated || len(replayed) != 4 || replayed[3].Path[0] != 77 || replayed[3].Gen != 7 {
+	if info.Truncated || len(replayed) != 4 || replayed[3].Path[0] != 77 || replayed[3].Gen != 4 {
 		t.Fatalf("final replay: %+v, %+v", info, replayed)
 	}
 }
@@ -448,11 +394,11 @@ func TestOpenOrCreateTornHeader(t *testing.T) {
 	if err := os.WriteFile(path, []byte(magic[:5]), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, info, err := OpenOrCreate(path, 9, Options{}, func(Record) error { return nil })
+	w, info, err := OpenOrCreate(path, Options{}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatalf("torn header must recreate: %v", err)
 	}
-	if info.BaseGen != 9 {
+	if info.BaseGen != 0 {
 		t.Fatalf("recreated baseGen = %d", info.BaseGen)
 	}
 	if err := w.Close(); err != nil {
@@ -463,7 +409,7 @@ func TestOpenOrCreateTornHeader(t *testing.T) {
 	if err := os.WriteFile(path, []byte("GARBAGE-NOT-A-WAL"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenOrCreate(path, 9, Options{}, func(Record) error { return nil }); !errors.Is(err, ErrBadHeader) {
+	if _, _, err := OpenOrCreate(path, Options{}, func(Record) error { return nil }); !errors.Is(err, ErrBadHeader) {
 		t.Fatalf("garbage file: err = %v, want ErrBadHeader", err)
 	}
 }
