@@ -8,7 +8,7 @@
 //
 // Benchmark results measure our reproduction, not the paper's hardware;
 // the experiment drivers preserve the paper's relative shapes (who wins,
-// scaling slopes), which EXPERIMENTS.md records.
+// scaling slopes), which DESIGN.md §2 records.
 package subtraj_test
 
 import (
@@ -22,6 +22,7 @@ import (
 	"subtraj/internal/experiments"
 	"subtraj/internal/filter"
 	"subtraj/internal/index"
+	"subtraj/internal/setup"
 	"subtraj/internal/spatial"
 	"subtraj/internal/testutil"
 	"subtraj/internal/traj"
@@ -67,7 +68,7 @@ func BenchmarkFig5Naturalness(b *testing.B) {
 func BenchmarkFig6VaryTau(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		sink(experiments.Fig6VaryTau(benchDatasets(), experiments.ModelNames, []float64{0.1, 0.2, 0.3}, opts))
+		sink(experiments.Fig6VaryTau(benchDatasets(), setup.Models, []float64{0.1, 0.2, 0.3}, opts))
 	}
 }
 
@@ -102,7 +103,7 @@ func BenchmarkFig10EnumBaselinesSize(b *testing.B) {
 func BenchmarkFig11CandidateCounts(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		sink(experiments.Fig11CandidateCounts(workload.BeijingLike(), experiments.ModelNames,
+		sink(experiments.Fig11CandidateCounts(workload.BeijingLike(), setup.Models,
 			[]float64{0.1, 0.2, 0.3}, []int{20, 40}, opts))
 	}
 }
@@ -270,7 +271,7 @@ func BenchmarkKernelKDTreeRange(b *testing.B) {
 
 func BenchmarkKernelHubLabelQuery(b *testing.B) {
 	c := experiments.GetCtx(workload.BeijingLike(), 0.12)
-	h := c.Hubs()
+	h := c.Net.HubLabels()
 	n := uint64(c.W.Graph.NumVertices())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -305,7 +306,7 @@ func BenchmarkKernelSmithWaterman(b *testing.B) {
 // quantity of Figure 6's OSF-BT lines.
 func BenchmarkSearchPerQuery(b *testing.B) {
 	c := experiments.GetCtx(workload.BeijingLike(), 0.12)
-	for _, model := range experiments.ModelNames {
+	for _, model := range setup.Models {
 		model := model
 		b.Run(model, func(b *testing.B) {
 			eng := c.Engine(model)

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"subtraj/internal/experiments"
+	"subtraj/internal/setup"
 	"subtraj/internal/workload"
 )
 
@@ -112,7 +113,7 @@ func suite(opts experiments.Options) []job {
 				[]int{40, 50, 60}, []float64{0.05, 0.15, 0.3}, opts.Queries, opts)
 		}},
 		{"fig6", func() *experiments.Table {
-			return experiments.Fig6VaryTau(datasets, experiments.ModelNames,
+			return experiments.Fig6VaryTau(datasets, setup.Models,
 				[]float64{0.1, 0.2, 0.3}, opts)
 		}},
 		{"fig7", func() *experiments.Table {
@@ -132,7 +133,7 @@ func suite(opts experiments.Options) []job {
 				[]int{enumTraj / 2, enumTraj, enumTraj * 3 / 2}, opts)
 		}},
 		{"fig11", func() *experiments.Table {
-			return experiments.Fig11CandidateCounts(workload.BeijingLike(), experiments.ModelNames,
+			return experiments.Fig11CandidateCounts(workload.BeijingLike(), setup.Models,
 				[]float64{0.1, 0.2, 0.3}, []int{20, 40, 60}, opts)
 		}},
 		{"fig12", func() *experiments.Table {

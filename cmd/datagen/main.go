@@ -15,37 +15,27 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"subtraj"
+	"subtraj/internal/setup"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("datagen: ")
 	var (
-		dataset = flag.String("dataset", "beijing", "workload: beijing|porto|singapore|sanfran|tiny")
+		dataset = flag.String("dataset", "beijing", "workload: "+strings.Join(setup.Datasets, "|"))
 		scale   = flag.Float64("scale", 0.1, "dataset scale factor")
 		out     = flag.String("out", "workload.gob", "output gob file")
 		csvDir  = flag.String("csv", "", "optional directory for CSV exports")
 	)
 	flag.Parse()
 
-	var cfg subtraj.WorkloadConfig
-	switch *dataset {
-	case "beijing":
-		cfg = subtraj.BeijingLike()
-	case "porto":
-		cfg = subtraj.PortoLike()
-	case "singapore":
-		cfg = subtraj.SingaporeLike()
-	case "sanfran":
-		cfg = subtraj.SanFranLike()
-	case "tiny":
-		cfg = subtraj.TinyWorkload(42)
-	default:
-		log.Fatalf("unknown dataset %q", *dataset)
+	cfg, err := setup.Config(*dataset, *scale)
+	if err != nil {
+		log.Fatal(err)
 	}
-	cfg.NumTrajectories = int(float64(cfg.NumTrajectories) * *scale)
 	w := subtraj.Generate(cfg)
 
 	f, err := os.Create(*out)

@@ -17,19 +17,21 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"strings"
 	"time"
 
 	"subtraj"
+	"subtraj/internal/setup"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("wedsearch: ")
 	var (
-		dataset    = flag.String("dataset", "beijing", "workload: beijing|porto|singapore|sanfran|tiny")
+		dataset    = flag.String("dataset", "beijing", "workload: "+strings.Join(setup.Datasets, "|"))
 		load       = flag.String("load", "", "load a workload gob written by datagen instead of generating")
 		scale      = flag.Float64("scale", 0.1, "dataset scale factor")
-		model      = flag.String("model", "EDR", "cost model: Lev|EDR|ERP|NetEDR|NetERP|SURS")
+		model      = flag.String("model", "EDR", "cost model: "+strings.Join(setup.Models, "|"))
 		qlen       = flag.Int("qlen", 60, "query length")
 		tau        = flag.Float64("tau", 0.1, "threshold ratio in (0,1]")
 		n          = flag.Int("n", 5, "number of sampled queries")
@@ -39,36 +41,15 @@ func main() {
 	)
 	flag.Parse()
 
-	var w *subtraj.Workload
 	start := time.Now()
-	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			log.Fatal(err)
-		}
-		w, err = subtraj.LoadWorkload(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("loaded %s\n", *load)
-	} else {
-		cfg, err := configByName(*dataset)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.NumTrajectories = int(float64(cfg.NumTrajectories) * *scale)
-		if cfg.NumTrajectories < 10 {
-			cfg.NumTrajectories = 10
-		}
-		fmt.Printf("generating %s workload (%d trajectories)...\n", cfg.Name, cfg.NumTrajectories)
-		w = subtraj.Generate(cfg)
+	w, err := setup.Workload(*load, *dataset, *scale, func(f string, a ...any) { fmt.Printf(f+"\n", a...) })
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("  graph: %d vertices, %d edges; data: %d trajectories, avg length %.1f (%s)\n",
 		w.Graph.NumVertices(), w.Graph.NumEdges(), w.Data.Len(), w.Data.AvgLen(), time.Since(start).Round(time.Millisecond))
 
-	net := subtraj.NewNetwork(w.Graph)
-	costs, data, err := buildModel(net, w, *model)
+	costs, data, err := setup.Build(w, *model)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,44 +91,4 @@ func main() {
 		}
 	}
 	os.Exit(0)
-}
-
-func configByName(name string) (subtraj.WorkloadConfig, error) {
-	switch name {
-	case "beijing":
-		return subtraj.BeijingLike(), nil
-	case "porto":
-		return subtraj.PortoLike(), nil
-	case "singapore":
-		return subtraj.SingaporeLike(), nil
-	case "sanfran":
-		return subtraj.SanFranLike(), nil
-	case "tiny":
-		return subtraj.TinyWorkload(42), nil
-	default:
-		return subtraj.WorkloadConfig{}, fmt.Errorf("unknown dataset %q", name)
-	}
-}
-
-func buildModel(net *subtraj.Network, w *subtraj.Workload, model string) (subtraj.FilterCosts, *subtraj.Dataset, error) {
-	switch model {
-	case "Lev":
-		return net.Lev(), w.Data, nil
-	case "EDR":
-		return net.EDR(100), w.Data, nil
-	case "ERP":
-		return net.ERP(net.DefaultERPEta()), w.Data, nil
-	case "NetEDR":
-		return net.NetEDR(w.Graph.MedianEdgeWeight()), w.Data, nil
-	case "NetERP":
-		return net.NetERP(2e6, w.Graph.MedianEdgeWeight()), w.Data, nil
-	case "SURS":
-		ed, err := w.Data.ToEdgeRep(w.Graph)
-		if err != nil {
-			return nil, nil, err
-		}
-		return net.SURS(), ed, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown model %q", model)
-	}
 }

@@ -71,11 +71,13 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"subtraj"
 	"subtraj/internal/server"
+	"subtraj/internal/setup"
 	"subtraj/internal/wal"
 )
 
@@ -84,10 +86,10 @@ func main() {
 	log.SetPrefix("wedserve: ")
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		dataset     = flag.String("dataset", "beijing", "workload: beijing|porto|singapore|sanfran|tiny")
+		dataset     = flag.String("dataset", "beijing", "workload: "+strings.Join(setup.Datasets, "|"))
 		load        = flag.String("load", "", "load a workload gob written by datagen instead of generating")
 		scale       = flag.Float64("scale", 0.1, "dataset scale factor")
-		model       = flag.String("model", "EDR", "cost model: Lev|EDR|ERP|NetEDR|NetERP|SURS")
+		model       = flag.String("model", "EDR", "cost model: "+strings.Join(setup.Models, "|"))
 		cacheSize   = flag.Int("cache", 1024, "LRU result-cache entries (negative disables)")
 		concurrency = flag.Int("concurrency", 0, "max in-flight engine queries (0 = 2x GOMAXPROCS)")
 		indexFile   = flag.String("index-file", "", "index arena path: open zero-copy via mmap if it indexes a prefix of the dataset, else (missing or older format) build, save, and re-open mapped")
@@ -97,7 +99,7 @@ func main() {
 		ckptBytes   = flag.Int64("checkpoint-bytes", 64<<20, "checkpoint automatically each time the WAL grows by this many bytes (0 = only on POST /v1/checkpoint)")
 		compactApps = flag.Int("compact-appends", 4096, "fold the append delta into the frozen base after this many unfolded appends (0 = never compact automatically)")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request deadline; exceeded queries return 504 (0 disables)")
-		queueWait   = flag.Duration("queue-wait", time.Second, "max wait for a worker slot before shedding the request with 503 (0 = wait for the request deadline)")
+		queueWait   = flag.Duration("queue-wait", time.Second, "max wait for a worker slot before shedding the request with 503 (negative = wait until the request deadline)")
 		maxPar      = flag.Int("max-parallelism", 0, "cap on workers per query (0 = GOMAXPROCS; 1 = sequential); the engine uses fewer when a query is small")
 		maxBatch    = flag.Int("max-batch", 64, "max subqueries per /v1/batch request")
 		gpsSigma    = flag.Float64("gps-sigma", 20, "GPS noise stddev in metres for map matching (0 disables the GPS endpoints)")
@@ -110,36 +112,15 @@ func main() {
 	)
 	flag.Parse()
 
-	var w *subtraj.Workload
 	start := time.Now()
-	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			log.Fatal(err)
-		}
-		w, err = subtraj.LoadWorkload(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("loaded %s", *load)
-	} else {
-		cfg, err := configByName(*dataset)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.NumTrajectories = int(float64(cfg.NumTrajectories) * *scale)
-		if cfg.NumTrajectories < 10 {
-			cfg.NumTrajectories = 10
-		}
-		log.Printf("generating %s workload (%d trajectories)...", cfg.Name, cfg.NumTrajectories)
-		w = subtraj.Generate(cfg)
+	w, err := setup.Workload(*load, *dataset, *scale, log.Printf)
+	if err != nil {
+		log.Fatal(err)
 	}
 	log.Printf("  graph: %d vertices, %d edges; data: %d trajectories, avg length %.1f (%s)",
 		w.Graph.NumVertices(), w.Graph.NumEdges(), w.Data.Len(), w.Data.AvgLen(), time.Since(start).Round(time.Millisecond))
 
-	net := subtraj.NewNetwork(w.Graph)
-	costs, data, err := buildModel(net, w, *model)
+	costs, data, err := setup.Build(w, *model)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -338,45 +319,5 @@ func byteSize(n int64) string {
 		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
 	default:
 		return fmt.Sprintf("%d B", n)
-	}
-}
-
-func configByName(name string) (subtraj.WorkloadConfig, error) {
-	switch name {
-	case "beijing":
-		return subtraj.BeijingLike(), nil
-	case "porto":
-		return subtraj.PortoLike(), nil
-	case "singapore":
-		return subtraj.SingaporeLike(), nil
-	case "sanfran":
-		return subtraj.SanFranLike(), nil
-	case "tiny":
-		return subtraj.TinyWorkload(42), nil
-	default:
-		return subtraj.WorkloadConfig{}, fmt.Errorf("unknown dataset %q", name)
-	}
-}
-
-func buildModel(net *subtraj.Network, w *subtraj.Workload, model string) (subtraj.FilterCosts, *subtraj.Dataset, error) {
-	switch model {
-	case "Lev":
-		return net.Lev(), w.Data, nil
-	case "EDR":
-		return net.EDR(100), w.Data, nil
-	case "ERP":
-		return net.ERP(net.DefaultERPEta()), w.Data, nil
-	case "NetEDR":
-		return net.NetEDR(w.Graph.MedianEdgeWeight()), w.Data, nil
-	case "NetERP":
-		return net.NetERP(2e6, w.Graph.MedianEdgeWeight()), w.Data, nil
-	case "SURS":
-		ed, err := w.Data.ToEdgeRep(w.Graph)
-		if err != nil {
-			return nil, nil, err
-		}
-		return net.SURS(), ed, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown model %q", model)
 	}
 }

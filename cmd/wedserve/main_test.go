@@ -18,6 +18,7 @@ import (
 
 	"subtraj"
 	"subtraj/internal/server"
+	"subtraj/internal/setup"
 	"subtraj/internal/wal"
 )
 
@@ -175,16 +176,11 @@ func postAppend(client *http.Client, base string, tr subtraj.Trajectory) error {
 	return nil
 }
 
-// modelNames mirrors buildModel's accepted cost models.
-var modelNames = []string{"Lev", "EDR", "ERP", "NetEDR", "NetERP", "SURS"}
-
 // referenceEngine builds an uncrashed engine for the model: a pristine
 // tiny workload plus the given appended tail.
 func referenceEngine(t *testing.T, model string, tail []subtraj.Trajectory) *subtraj.Engine {
 	t.Helper()
-	w := subtraj.Generate(subtraj.TinyWorkload(42))
-	netw := subtraj.NewNetwork(w.Graph)
-	costs, data, err := buildModel(netw, w, model)
+	costs, data, err := setup.Build(subtraj.Generate(subtraj.TinyWorkload(42)), model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +303,7 @@ func TestCrashRecovery(t *testing.T) {
 	// run under every cost model: identical inputs, so identical engines
 	// — search results must match bit for bit.
 	rng := rand.New(rand.NewSource(9))
-	for _, model := range modelNames {
+	for _, model := range setup.Models {
 		ref := referenceEngine(t, model, payloads[:recovered])
 		got := referenceEngine(t, model, tail)
 		q, err := subtraj.SampleQuery(ref.Dataset(), 8, rng)
@@ -567,7 +563,7 @@ func foldCrashRecovery(t *testing.T, crashPoint string, flags []string, minAcked
 // index file over a prefix of the dataset is mapped as it is.
 func TestBuildEngineRebuildsStaleIndexFile(t *testing.T) {
 	w := subtraj.Generate(subtraj.TinyWorkload(42))
-	costs, data, err := buildModel(subtraj.NewNetwork(w.Graph), w, "EDR")
+	costs, data, err := setup.Build(w, "EDR")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,13 +185,4 @@ func (e *Engine) CountExact(q []Symbol) (int, error) {
 // BestPerTrajectory reduces a match set to the paper's effectiveness-
 // experiment convention (§6.2.1): one match per trajectory — the smallest
 // WED, ties broken by the shortest subtrajectory, then by position.
-func BestPerTrajectory(ms []Match) map[int32]Match {
-	best := make(map[int32]Match)
-	for _, m := range ms {
-		b, ok := best[m.ID]
-		if !ok || traj.Better(m, b) {
-			best[m.ID] = m
-		}
-	}
-	return best
-}
+func BestPerTrajectory(ms []Match) map[int32]Match { return traj.BestPerTrajectory(ms) }

@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"subtraj/internal/core"
 	"subtraj/internal/geo"
+	"subtraj/internal/setup"
 	"subtraj/internal/shortestpath"
 	"subtraj/internal/simfuncs"
 	"subtraj/internal/traj"
@@ -87,50 +89,35 @@ func sampleRouteQueries(c *Ctx, qlen, n int, seed int64) [][]traj.Symbol {
 // at u = Q_1 and end at v = Q_|Q|.
 func suggestedRoutes(c *Ctx, fn string, q []traj.Symbol, ratio float64) [][]traj.Symbol {
 	u, v := q[0], q[len(q)-1]
+	if !slices.Contains(setup.Models, fn) {
+		return dedupeRoutes(scanRoutes(c, fn, q, ratio, u, v))
+	}
+	g, ds, qr := c.W.Graph, c.Data(fn), q
+	if ds.Rep == traj.EdgeRep {
+		var err error
+		if qr, err = g.VertexPathToEdges(q); err != nil {
+			return nil
+		}
+	}
+	tau := c.Tau(fn, qr, ratio)
+	if tau <= 0 {
+		tau = 1e-9
+	}
+	ms, _, err := c.Engine(fn).SearchQuery(core.Query{Q: qr, Tau: tau})
+	if err != nil {
+		return nil
+	}
 	var routes [][]traj.Symbol
-	switch fn {
-	case "Lev", "EDR", "ERP", "NetEDR", "NetERP":
-		eng := c.Engine(fn)
-		tau := c.Tau(fn, q, ratio)
-		if tau <= 0 {
-			tau = 1e-9
-		}
-		ms, _, err := eng.SearchQuery(core.Query{Q: q, Tau: tau})
-		if err != nil {
-			return nil
-		}
-		for _, m := range ms {
-			p := c.W.Data.Path(m.ID)
-			if p[m.S] == u && p[m.T] == v {
-				routes = append(routes, p[m.S:m.T+1])
+	for _, m := range ms {
+		r := ds.Path(m.ID)[m.S : m.T+1]
+		if ds.Rep == traj.EdgeRep {
+			if r, err = g.EdgePathToVertices(r); err != nil {
+				continue
 			}
 		}
-	case "SURS":
-		qe, err := c.W.Graph.VertexPathToEdges(q)
-		if err != nil {
-			return nil
+		if r[0] == u && r[len(r)-1] == v {
+			routes = append(routes, r)
 		}
-		eng := c.Engine("SURS")
-		tau := c.Tau("SURS", qe, ratio)
-		if tau <= 0 {
-			tau = 1e-9
-		}
-		ms, _, err := eng.SearchQuery(core.Query{Q: qe, Tau: tau})
-		if err != nil {
-			return nil
-		}
-		g := c.W.Graph
-		for _, m := range ms {
-			p := c.EdgeData.Path(m.ID)
-			if g.Edge(p[m.S]).From == u && g.Edge(p[m.T]).To == v {
-				vp, err := g.EdgePathToVertices(p[m.S : m.T+1])
-				if err == nil {
-					routes = append(routes, vp)
-				}
-			}
-		}
-	default:
-		routes = scanRoutes(c, fn, q, ratio, u, v)
 	}
 	return dedupeRoutes(routes)
 }
@@ -187,7 +174,7 @@ func scanRoutes(c *Ctx, fn string, q []traj.Symbol, ratio float64, u, v traj.Sym
 				for i, sym := range sub {
 					pts[i] = coords[sym]
 				}
-				ok = float64(simfuncs.LCSS(pts, qpts, paperEDREps)) >= (1-ratio)*float64(len(q))
+				ok = float64(simfuncs.LCSS(pts, qpts, setup.EDREps)) >= (1-ratio)*float64(len(q))
 			case "LORS":
 				se, err := g.VertexPathToEdges(sub)
 				if err == nil {

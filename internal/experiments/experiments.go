@@ -1,14 +1,13 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§6) on the synthetic paper-shaped workloads. One file per
-// experiment; each returns structured Tables that cmd/benchall formats and
-// EXPERIMENTS.md records. See DESIGN.md §2 for the experiment index.
+// experiment; each returns structured Tables that cmd/benchall formats.
+// DESIGN.md §2 indexes the experiments and records what their tables show.
 package experiments
 
 import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -16,8 +15,7 @@ import (
 	"subtraj/internal/baselines"
 	"subtraj/internal/core"
 	"subtraj/internal/index"
-	"subtraj/internal/shortestpath"
-	"subtraj/internal/spatial"
+	"subtraj/internal/setup"
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
 	"subtraj/internal/workload"
@@ -93,9 +91,6 @@ func Quick() Options { return Options{Scale: 0.12, Queries: 3, QueryLen: 30, See
 // relative behaviour, small enough for minutes-not-hours runtime.
 func Standard() Options { return Options{Scale: 0.3, Queries: 5, QueryLen: 60, Seed: 1} }
 
-// ModelNames lists the six WED instances in the paper's presentation order.
-var ModelNames = []string{"EDR", "ERP", "SURS", "Lev", "NetEDR", "NetERP"}
-
 // Ctx is a prepared workload: generated city, both dataset representations,
 // substrate indexes, cost models and engines, all built once and shared
 // across experiments (mirrors the paper building each index once per
@@ -104,13 +99,12 @@ type Ctx struct {
 	Cfg      workload.Config
 	W        *workload.Workload
 	EdgeData *traj.Dataset
+	// Net builds the network substrates and the cost models.
+	Net *setup.Network
 
 	once struct {
-		tree, und, hubs, invV, invE sync.Once
+		invV, invE sync.Once
 	}
-	tree *spatial.KDTree
-	und  *shortestpath.Adjacency
-	hubs *shortestpath.HubLabels
 	invV *index.Compact
 	invE *index.Compact
 
@@ -129,33 +123,15 @@ func GetCtx(cfg workload.Config, scale float64) *Ctx {
 	if v, ok := ctxCache.Load(key); ok {
 		return v.(*Ctx)
 	}
-	c := &Ctx{Cfg: scaled, models: map[string]wed.FilterCosts{}, engines: map[string]*core.Engine{}}
-	c.W = workload.Generate(scaled)
-	ed, err := c.W.Data.ToEdgeRep(c.W.Graph)
+	w := workload.Generate(scaled)
+	ed, err := w.Data.ToEdgeRep(w.Graph)
 	if err != nil {
 		panic("experiments: workload not path-connected: " + err.Error())
 	}
-	c.EdgeData = ed
+	c := &Ctx{Cfg: scaled, W: w, EdgeData: ed, Net: setup.NewNetwork(w.Graph),
+		models: map[string]wed.FilterCosts{}, engines: map[string]*core.Engine{}}
 	actual, _ := ctxCache.LoadOrStore(key, c)
 	return actual.(*Ctx)
-}
-
-// Tree returns the vertex kd-tree.
-func (c *Ctx) Tree() *spatial.KDTree {
-	c.once.tree.Do(func() { c.tree = spatial.Build(c.W.Graph.Coords()) })
-	return c.tree
-}
-
-// Und returns the symmetrised adjacency.
-func (c *Ctx) Und() *shortestpath.Adjacency {
-	c.once.und.Do(func() { c.und = shortestpath.Undirected(c.W.Graph) })
-	return c.und
-}
-
-// Hubs returns the hub-labelling distance index.
-func (c *Ctx) Hubs() *shortestpath.HubLabels {
-	c.once.hubs.Do(func() { c.hubs = shortestpath.BuildHubLabels(c.Und()) })
-	return c.hubs
 }
 
 // InvV returns the vertex-representation inverted index.
@@ -170,13 +146,6 @@ func (c *Ctx) InvE() *index.Compact {
 	return c.invE
 }
 
-// paperEDREps is ε for EDR: one nominal block (the paper's 0.001° ≈ 100 m).
-const paperEDREps = 100.0
-
-// paperNetERPGdel is G_del for NetERP; the paper uses 2·10⁶ (metres),
-// making deletions far costlier than any realistic substitution chain.
-const paperNetERPGdel = 2e6
-
 // Model returns the named cost model with the paper's §6.1 parameters.
 func (c *Ctx) Model(name string) wed.FilterCosts {
 	c.mu.Lock()
@@ -184,67 +153,20 @@ func (c *Ctx) Model(name string) wed.FilterCosts {
 	if m, ok := c.models[name]; ok {
 		return m
 	}
-	g := c.W.Graph
-	var m wed.FilterCosts
-	switch name {
-	case "Lev":
-		m = wed.NewLev()
-	case "EDR":
-		m = wed.NewEDR(g.Coords(), c.Tree(), paperEDREps)
-	case "ERP":
-		m = wed.NewERP(g.Coords(), c.Tree(), g.Barycenter(), 1e-4*c.medianNN())
-	case "NetEDR":
-		m = wed.NewNetEDR(c.Und(), wed.NewMemoNetDist(c.Hubs(), 0), g.MedianEdgeWeight())
-	case "NetERP":
-		m = wed.NewNetERP(c.Und(), wed.NewMemoNetDist(c.Hubs(), 0), paperNetERPGdel, g.MedianEdgeWeight())
-	case "SURS":
-		ws := make([]float64, g.NumEdges())
-		for i, e := range g.Edges() {
-			ws[i] = e.Weight
-		}
-		m = wed.NewSURS(ws)
-	default:
-		panic("experiments: unknown model " + name)
+	m, _, err := setup.Model(c.Net, name)
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
 	c.models[name] = m
 	return m
 }
 
-// ERPModelWithEta builds an ERP model with η = mult × (median NN distance);
-// the paper's default is mult = 1e-4 (Appendix D, Figure 13's x-axis).
-func (c *Ctx) ERPModelWithEta(mult float64) wed.FilterCosts {
-	return wed.NewERP(c.W.Graph.Coords(), c.Tree(), c.W.Graph.Barycenter(), mult*c.medianNN())
-}
-
-// NetERPModelWithEta builds a NetERP model with η = mult × median(w(e));
-// the paper's default is mult = 1.
-func (c *Ctx) NetERPModelWithEta(mult float64) wed.FilterCosts {
-	return wed.NewNetERP(c.Und(), c.Hubs(), paperNetERPGdel, mult*c.W.Graph.MedianEdgeWeight())
-}
-
-// medianNN returns the median distance from a vertex to its nearest
-// neighbour (sampled; the median is stable under sampling).
-func (c *Ctx) medianNN() float64 {
-	tree := c.Tree()
-	coords := c.W.Graph.Coords()
-	step := len(coords)/512 + 1
-	var ds []float64
-	for v := 0; v < len(coords); v += step {
-		if _, d := tree.NearestBeyond(coords[v], 0); d > 0 {
-			ds = append(ds, d)
-		}
-	}
-	if len(ds) == 0 {
-		return 1
-	}
-	sort.Float64s(ds)
-	return ds[len(ds)/2]
-}
-
 // Data returns the dataset the named model searches (edge representation
 // for SURS, vertex otherwise).
 func (c *Ctx) Data(model string) *traj.Dataset {
-	if model == "SURS" {
+	if rep, err := setup.Rep(model); err != nil {
+		panic("experiments: " + err.Error())
+	} else if rep == traj.EdgeRep {
 		return c.EdgeData
 	}
 	return c.W.Data
@@ -252,7 +174,7 @@ func (c *Ctx) Data(model string) *traj.Dataset {
 
 // Inv returns the inverted index matching Data(model).
 func (c *Ctx) Inv(model string) *index.Compact {
-	if model == "SURS" {
+	if c.Data(model).Rep == traj.EdgeRep {
 		return c.InvE()
 	}
 	return c.InvV()

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"subtraj/internal/core"
+	"subtraj/internal/setup"
+	"subtraj/internal/wed"
 )
 
 // Fig12Temporal reproduces Figure 12: temporal filtering (TF: prune
@@ -93,20 +95,25 @@ func Fig13VaryEta(cfgs []Ctx2, mults []float64, settings [][2]interface{}, opts 
 	}
 	for _, cc := range cfgs {
 		c := GetCtx(cc.Cfg, opts.Scale*cc.Scale)
-		for _, model := range []string{"ERP", "NetERP"} {
+		// η = mult × the median NN distance (ERP) or road length
+		// (NetERP). ERP's is scaled from the served η, so that mult = 1e-4
+		// measures the model setup.Model builds, bit for bit.
+		erpEta, medW := c.Net.DefaultERPEta(), c.W.Graph.MedianEdgeWeight()
+		for _, sweep := range []struct {
+			model string
+			costs func(mult float64) wed.FilterCosts
+		}{
+			{"ERP", func(mult float64) wed.FilterCosts { return c.Net.ERP(mult / setup.ERPEtaScale * erpEta) }},
+			{"NetERP", func(mult float64) wed.FilterCosts { return c.Net.NetERP(setup.NetERPGdel, mult*medW) }},
+		} {
 			for _, set := range settings {
 				ratio := set[0].(float64)
 				qlen := set[1].(int)
-				queries := c.Queries(model, qlen, opts.Queries, opts.Seed+int64(qlen))
-				row := []string{c.Cfg.Name, model, fmt.Sprintf("(%.1f,%d)", ratio, qlen)}
+				queries := c.Queries(sweep.model, qlen, opts.Queries, opts.Seed+int64(qlen))
+				row := []string{c.Cfg.Name, sweep.model, fmt.Sprintf("(%.1f,%d)", ratio, qlen)}
 				for _, mult := range mults {
-					var costs = c.Model(model)
-					if model == "ERP" {
-						costs = c.ERPModelWithEta(mult)
-					} else {
-						costs = c.NetERPModelWithEta(mult)
-					}
-					eng := core.NewEngineWithBackend(c.Data(model), c.Inv(model), costs)
+					costs := sweep.costs(mult)
+					eng := core.NewEngineWithBackend(c.Data(sweep.model), c.Inv(sweep.model), costs)
 					var total time.Duration
 					ok := true
 					for _, q := range queries {

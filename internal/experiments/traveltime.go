@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"subtraj/internal/core"
 	"subtraj/internal/geo"
+	"subtraj/internal/setup"
 	"subtraj/internal/simfuncs"
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
@@ -112,11 +114,10 @@ func mean(xs []float64) float64 {
 // the travel times of each trajectory's best-matching subtrajectory that
 // passes the τ_ratio threshold.
 func estimatePool(c *Ctx, fn string, tq ttQuery, ratio float64) []float64 {
+	if slices.Contains(setup.Models, fn) {
+		return wedPool(c, fn, tq, ratio)
+	}
 	switch fn {
-	case "Lev", "EDR", "ERP", "NetEDR", "NetERP":
-		return wedPool(c, fn, tq.q, ratio, false)
-	case "SURS":
-		return wedPool(c, fn, tq.qEdges, ratio, true)
 	case "DTW":
 		return dtwPool(c, tq.q, ratio)
 	case "LORS":
@@ -131,7 +132,11 @@ func estimatePool(c *Ctx, fn string, tq ttQuery, ratio float64) []float64 {
 }
 
 // wedPool queries the engine and reduces to per-trajectory best matches.
-func wedPool(c *Ctx, model string, q []traj.Symbol, ratio float64, edgeRep bool) []float64 {
+func wedPool(c *Ctx, model string, tq ttQuery, ratio float64) []float64 {
+	ds, q := c.Data(model), tq.q
+	if ds.Rep == traj.EdgeRep {
+		q = tq.qEdges
+	}
 	eng := c.Engine(model)
 	tau := c.Tau(model, q, ratio)
 	if tau <= 0 {
@@ -143,13 +148,11 @@ func wedPool(c *Ctx, model string, q []traj.Symbol, ratio float64, edgeRep bool)
 	if err != nil {
 		return nil
 	}
-	best := bestPerTrajectory(ms)
-	ds := c.Data(model)
 	var out []float64
-	for _, m := range best {
+	for _, m := range traj.BestPerTrajectory(ms) {
 		t := ds.Get(m.ID)
 		s, e := int(m.S), int(m.T)
-		if edgeRep {
+		if ds.Rep == traj.EdgeRep {
 			e++
 		}
 		if e >= len(t.Times) {
@@ -158,17 +161,6 @@ func wedPool(c *Ctx, model string, q []traj.Symbol, ratio float64, edgeRep bool)
 		out = append(out, t.Times[e]-t.Times[s])
 	}
 	return out
-}
-
-func bestPerTrajectory(ms []traj.Match) map[int32]traj.Match {
-	best := make(map[int32]traj.Match)
-	for _, m := range ms {
-		b, ok := best[m.ID]
-		if !ok || m.WED < b.WED || (m.WED == b.WED && m.T-m.S < b.T-b.S) {
-			best[m.ID] = m
-		}
-	}
-	return best
 }
 
 // dtwPool scans candidate trajectories for the best subtrajectory under
@@ -191,7 +183,7 @@ func dtwPool(c *Ctx, q []traj.Symbol, ratio float64) []float64 {
 	radius := math.Sqrt(theta)
 	var ids []int32
 	seen := map[int32]bool{}
-	for _, v := range c.Tree().Range(qpts[0], radius, nil) {
+	for _, v := range c.Net.Spatial().Range(qpts[0], radius, nil) {
 		for _, p := range c.InvV().AppendPostings(nil, v) {
 			if !seen[p.ID] {
 				seen[p.ID] = true
@@ -281,7 +273,7 @@ func lcssPool(c *Ctx, q []traj.Symbol, ratio float64) []float64 {
 	var ids []int32
 	seen := map[int32]bool{}
 	for _, s := range q {
-		for _, v := range c.Tree().Range(coords[s], paperEDREps, nil) {
+		for _, v := range c.Net.Spatial().Range(coords[s], setup.EDREps, nil) {
 			for _, p := range c.InvV().AppendPostings(nil, v) {
 				if !seen[p.ID] {
 					seen[p.ID] = true
@@ -298,7 +290,7 @@ func lcssPool(c *Ctx, q []traj.Symbol, ratio float64) []float64 {
 		for i, s := range t.Path {
 			pts[i] = coords[s]
 		}
-		best := simfuncs.BestSubLCSS(pts, qpts, paperEDREps, 2*len(q))
+		best := simfuncs.BestSubLCSS(pts, qpts, setup.EDREps, 2*len(q))
 		if best.OK && best.Score >= need {
 			out = append(out, t.Times[best.T]-t.Times[best.S])
 		}
@@ -436,7 +428,7 @@ func topKSubtrajectory(c *Ctx, tq ttQuery, k int) []float64 {
 	if err != nil {
 		return nil
 	}
-	best := bestPerTrajectory(ms)
+	best := traj.BestPerTrajectory(ms)
 	flat := make([]traj.Match, 0, len(best))
 	for _, m := range best {
 		flat = append(flat, m)

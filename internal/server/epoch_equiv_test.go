@@ -7,6 +7,7 @@ import (
 
 	"subtraj/internal/core"
 	"subtraj/internal/experiments"
+	"subtraj/internal/setup"
 	"subtraj/internal/traj"
 	"subtraj/internal/workload"
 )
@@ -22,7 +23,7 @@ import (
 // {1,4} × temporal windows (none / overlap / contain / departure).
 func TestSnapshotEquivalence(t *testing.T) {
 	c := experiments.GetCtx(workload.Tiny(7), 1.0)
-	for _, model := range experiments.ModelNames {
+	for _, model := range setup.Models {
 		t.Run(model, func(t *testing.T) {
 			costs := c.Model(model)
 			full := c.Data(model)

@@ -252,6 +252,21 @@ func Better(a, b Match) bool {
 	return a.T < b.T
 }
 
+// BestPerTrajectory reduces a match set to the paper's effectiveness-
+// experiment convention (§6.2.1): one match per trajectory, the best by
+// Better — the smallest WED, ties broken by the shortest subtrajectory,
+// then by position.
+func BestPerTrajectory(ms []Match) map[int32]Match {
+	best := make(map[int32]Match)
+	for _, m := range ms {
+		b, ok := best[m.ID]
+		if !ok || Better(m, b) {
+			best[m.ID] = m
+		}
+	}
+	return best
+}
+
 // MatchKey identifies a match position without its distance.
 type MatchKey struct {
 	ID   int32

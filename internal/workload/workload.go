@@ -356,8 +356,12 @@ func (w *walker) detour(path []traj.Symbol) []traj.Symbol {
 
 // SampleQuery samples a query: a random subtrajectory of length qlen from
 // a random data trajectory (§6.3's protocol). Trajectories shorter than
-// qlen are skipped; err is non-nil only if no trajectory is long enough.
+// qlen are skipped; err is non-nil if qlen < 1, the dataset is empty, or
+// no trajectory is long enough.
 func SampleQuery(ds *traj.Dataset, qlen int, rng *rand.Rand) ([]traj.Symbol, error) {
+	if qlen < 1 || ds.Len() == 0 {
+		return nil, fmt.Errorf("workload: cannot sample a query of length %d from %d trajectories", qlen, ds.Len())
+	}
 	const attempts = 10000
 	for i := 0; i < attempts; i++ {
 		id := rng.Intn(ds.Len())

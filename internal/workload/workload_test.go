@@ -83,9 +83,15 @@ func TestSampleQuery(t *testing.T) {
 			t.Fatal("query is not a path")
 		}
 	}
-	// Impossible length must error.
+	// Impossible lengths and an empty dataset must error, not panic.
 	if _, err := workload.SampleQuery(w.Data, 1<<20, rng); err == nil {
 		t.Fatal("oversized query accepted")
+	}
+	if _, err := workload.SampleQuery(w.Data, 0, rng); err == nil {
+		t.Fatal("empty query accepted")
+	}
+	if _, err := workload.SampleQuery(traj.NewDataset(traj.VertexRep), 8, rng); err == nil {
+		t.Fatal("query sampled from an empty dataset")
 	}
 	qs, err := workload.SampleQueries(w.Data, 5, 7, rng)
 	if err != nil || len(qs) != 7 {

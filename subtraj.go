@@ -3,13 +3,11 @@ package subtraj
 import (
 	"io"
 	"math/rand"
-	"sort"
 
 	"subtraj/internal/core"
 	"subtraj/internal/geo"
 	"subtraj/internal/roadnet"
-	"subtraj/internal/shortestpath"
-	"subtraj/internal/spatial"
+	"subtraj/internal/setup"
 	"subtraj/internal/traj"
 	"subtraj/internal/verify"
 	"subtraj/internal/wed"
@@ -123,104 +121,9 @@ type SpatialIndex = wed.SpatialIndex
 // needs to serve WED cost models: a spatial index over vertex coordinates
 // (EDR/ERP neighbourhoods; a kd-tree), the symmetrised adjacency, and a
 // hub-labelling distance index (NetEDR/NetERP), each built lazily on
-// first use.
-type Network struct {
-	G *Graph
-
-	tree       SpatialIndex
-	undirected *shortestpath.Adjacency
-	hubs       *shortestpath.HubLabels
-}
+// first use. Its methods build the six cost models; the CLIs and the
+// experiments set their parameters to the paper's (internal/setup).
+type Network = setup.Network
 
 // NewNetwork wraps a road network.
-func NewNetwork(g *Graph) *Network { return &Network{G: g} }
-
-// Spatial returns the vertex spatial index, building it on first use.
-func (n *Network) Spatial() SpatialIndex {
-	if n.tree == nil {
-		n.tree = spatial.Build(n.G.Coords())
-	}
-	return n.tree
-}
-
-// UndirectedAdjacency returns the symmetrised adjacency (§2.2.3).
-func (n *Network) UndirectedAdjacency() *shortestpath.Adjacency {
-	if n.undirected == nil {
-		n.undirected = shortestpath.Undirected(n.G)
-	}
-	return n.undirected
-}
-
-// HubLabels returns the shortest-path distance index over the symmetrised
-// network, building it on first use (construction is the expensive part of
-// Net* cost models; see Table 6 discussion).
-func (n *Network) HubLabels() *shortestpath.HubLabels {
-	if n.hubs == nil {
-		n.hubs = shortestpath.BuildHubLabels(n.UndirectedAdjacency())
-	}
-	return n.hubs
-}
-
-// Lev returns the Levenshtein cost model (works on either representation).
-func (n *Network) Lev() FilterCosts { return wed.NewLev() }
-
-// EDR returns the EDR cost model with matching threshold eps (vertex
-// representation).
-func (n *Network) EDR(eps float64) FilterCosts {
-	return wed.NewEDR(n.G.Coords(), n.Spatial(), eps)
-}
-
-// ERP returns the ERP cost model with the barycentre reference point and
-// neighbourhood threshold eta (vertex representation). The paper's default
-// eta is 1e-4 × the median nearest-neighbour distance.
-func (n *Network) ERP(eta float64) FilterCosts {
-	return wed.NewERP(n.G.Coords(), n.Spatial(), n.G.Barycenter(), eta)
-}
-
-// DefaultERPEta returns the paper's η for ERP: 1e-4 × median distance from
-// a vertex to its nearest neighbour (Appendix D).
-func (n *Network) DefaultERPEta() float64 {
-	tree := n.Spatial()
-	coords := n.G.Coords()
-	ds := make([]float64, 0, len(coords))
-	for v := range coords {
-		if _, d := tree.NearestBeyond(coords[v], 0); d > 0 {
-			ds = append(ds, d)
-		}
-	}
-	return 1e-4 * medianOf(ds)
-}
-
-// NetEDR returns the NetEDR cost model with network matching threshold eps
-// (the paper uses the median edge weight). Distance queries go through a
-// memo in front of the hub labels.
-func (n *Network) NetEDR(eps float64) FilterCosts {
-	return wed.NewNetEDR(n.UndirectedAdjacency(), wed.NewMemoNetDist(n.HubLabels(), 0), eps)
-}
-
-// NetERP returns the NetERP cost model with deletion constant gdel and
-// neighbourhood threshold eta (the paper uses the median edge weight).
-// Distance queries go through a memo in front of the hub labels.
-func (n *Network) NetERP(gdel, eta float64) FilterCosts {
-	return wed.NewNetERP(n.UndirectedAdjacency(), wed.NewMemoNetDist(n.HubLabels(), 0), gdel, eta)
-}
-
-// SURS returns the SURS cost model over road lengths (edge
-// representation).
-func (n *Network) SURS() FilterCosts {
-	ws := make([]float64, n.G.NumEdges())
-	for i, e := range n.G.Edges() {
-		ws[i] = e.Weight
-	}
-	return wed.NewSURS(ws)
-}
-
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	return cp[len(cp)/2]
-}
+func NewNetwork(g *Graph) *Network { return setup.NewNetwork(g) }
