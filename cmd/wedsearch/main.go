@@ -40,6 +40,11 @@ func main() {
 		verbose    = flag.Bool("v", false, "print every match")
 	)
 	flag.Parse()
+	if !(*tau > 0 && *tau <= 1) {
+		fmt.Fprintf(os.Stderr, "wedsearch: -tau %g out of range (0, 1]\n", *tau)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	start := time.Now()
 	w, err := setup.Workload(*load, *dataset, *scale, func(f string, a ...any) { fmt.Printf(f+"\n", a...) })
@@ -67,23 +72,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		absTau := eng.Threshold(q, *tau)
-		var (
-			ms    []subtraj.Match
-			stats *subtraj.QueryStats
-		)
-		start = time.Now()
+		qr := subtraj.Query{Q: q, Tau: eng.Threshold(q, *tau)}
 		if *temporalHi > 0 {
-			ms, stats, err = eng.SearchTemporal(q, absTau, subtraj.TemporalWindow{Lo: 0, Hi: *temporalHi})
-		} else {
-			ms, stats, err = eng.SearchStats(q, absTau, subtraj.VerifyOptions{})
+			qr.Temporal.Mode, qr.Temporal.Hi = subtraj.TemporalOverlap, *temporalHi
 		}
+		start = time.Now()
+		ms, stats, err := eng.SearchQuery(qr)
 		elapsed := time.Since(start)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("query %d: |Q|=%d tau=%.3g -> %d matches in %s (candidates=%d, pruned=%d, |Q'|=%d, |Q+|=%d)\n",
-			i+1, len(q), absTau, len(ms), elapsed.Round(time.Microsecond), stats.Candidates, stats.CandidatesPruned, stats.SubseqLen, stats.PlusLen)
+			i+1, len(q), qr.Tau, len(ms), elapsed.Round(time.Microsecond), stats.Candidates, stats.CandidatesPruned, stats.SubseqLen, stats.PlusLen)
 		if *verbose {
 			for _, m := range ms {
 				fmt.Printf("  trajectory %d [%d..%d] wed=%.4g\n", m.ID, m.S, m.T, m.WED)

@@ -128,7 +128,7 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 	start = time.Now()
-	var inner *server.SafeEngine
+	var safe *server.SafeEngine
 	if *walDir != "" {
 		if *indexFile != "" {
 			log.Fatal("-index-file cannot be combined with -wal-dir: durable mode manages index.compact inside the state directory")
@@ -138,7 +138,7 @@ func main() {
 			log.Fatal(err)
 		}
 		var rec *server.RecoveryInfo
-		inner, rec, err = server.OpenDurable(*walDir, data, costs, server.DurableOptions{
+		safe, rec, err = server.OpenDurable(*walDir, data, costs, server.DurableOptions{
 			Sync:            pol,
 			SyncInterval:    *walInterval,
 			CheckpointBytes: *ckptBytes,
@@ -163,9 +163,9 @@ func main() {
 		}
 		log.Printf("  engine (%s, %s index) built in %s",
 			*model, byteSize(eng.IndexBytes()), time.Since(start).Round(time.Millisecond))
-		inner = subtraj.NewSafeEngine(eng).Inner()
+		safe = subtraj.NewSafeEngine(eng)
 	}
-	inner.SetCompactAppends(*compactApps)
+	safe.SetCompactAppends(*compactApps)
 
 	// Crash-point hook for the fault-injection tests: when the named
 	// point of the write path is reached, die as hard as SIGKILL — no
@@ -203,15 +203,14 @@ func main() {
 	}
 	if *gpsSigma > 0 {
 		start = time.Now()
-		matcher := subtraj.NewMapMatcher(w.Graph, subtraj.MapMatchConfig{
+		scfg.Matcher = subtraj.NewMapMatcher(w.Graph, subtraj.MapMatchConfig{
 			Sigma:  *gpsSigma,
 			Beta:   *gpsBeta,
 			MaxGap: *gpsMaxGap,
 		})
-		scfg.Matcher = matcher.Internal()
 		log.Printf("  GPS matcher (σ=%gm, β=%gm) built in %s", *gpsSigma, *gpsBeta, time.Since(start).Round(time.Millisecond))
 	}
-	srv := server.New(inner, scfg)
+	srv := server.New(safe, scfg)
 
 	httpSrv := &http.Server{
 		Addr:              *addr,
@@ -259,7 +258,7 @@ func main() {
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("shutdown: %v", err)
 	}
-	if d := inner.Durable(); d != nil {
+	if d := safe.Durable(); d != nil {
 		// All handlers have drained; flush and close the WAL so the final
 		// fsync covers every acknowledged append.
 		if err := d.Close(); err != nil {

@@ -587,8 +587,8 @@ func TestBuildEngineRebuildsStaleIndexFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the rebuilt file over a grown dataset: %v", err)
 	}
-	if eng.Inner().DeltaLen() != 1 {
-		t.Fatalf("delta %d, want the one trajectory after the file's prefix", eng.Inner().DeltaLen())
+	if eng.DeltaLen() != 1 {
+		t.Fatalf("delta %d, want the one trajectory after the file's prefix", eng.DeltaLen())
 	}
 }
 

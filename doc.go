@@ -32,14 +32,23 @@
 //	q, _ := subtraj.SampleQuery(w.Data, 60, rng)
 //	matches, _ := eng.SearchRatio(q, 0.1)            // τ = 0.1·Σc(q)
 //
+// Every search is a Query — Q and τ of Definition 3, plus the §4.3
+// temporal window, verification options and a worker cap — which
+// SearchQuery answers with its QueryStats:
+//
+//	qr := subtraj.Query{Q: q, Tau: eng.Threshold(q, 0.1)}
+//	qr.Temporal.Mode = subtraj.TemporalOverlap       // traversals touching
+//	qr.Temporal.Lo, qr.Temporal.Hi = 7*3600, 10*3600 // 07:00–10:00
+//	matches, stats, _ := eng.SearchQuery(qr)
+//
 // Queries on an Engine may run concurrently with each other, but not
 // with Append, and Engines expose no synchronization; wrap one in
 // NewSafeEngine to share it across goroutines that also append, or serve
 // it over HTTP with cmd/wedserve. A single query with enough work may
 // itself fan out over ranges of its candidates (up to one worker per CPU
-// by default; see SearchParallel), so custom cost models must be safe
-// for concurrent reads — every built-in model is. Pass parallelism 1 to keep a query
-// strictly on the calling goroutine.
+// by default; see Query.Parallelism), so custom cost models must be safe
+// for concurrent reads — every built-in model is. Set Parallelism to 1 to
+// keep a query strictly on the calling goroutine.
 //
 // See examples/ for complete programs (travel-time estimation,
 // alternative-route suggestion, temporal search, an HTTP client) and

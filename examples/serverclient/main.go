@@ -29,11 +29,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	safe := subtraj.NewSafeEngine(eng)
-	matcher := subtraj.NewMapMatcher(w.Graph, subtraj.MapMatchConfig{})
-	ts := httptest.NewServer(server.New(safe.Inner(), server.Config{
+	ts := httptest.NewServer(server.New(subtraj.NewSafeEngine(eng), server.Config{
 		MaxSymbol: int32(w.Graph.NumVertices()),
-		Matcher:   matcher.Internal(),
+		Matcher:   subtraj.NewMapMatcher(w.Graph, subtraj.MapMatchConfig{}),
 	}))
 	defer ts.Close()
 	base := ts.URL

@@ -1,6 +1,7 @@
-// Temporal-constrained search (§4.3, §6.6): restrict matches to
-// trajectories driven during a time window — e.g. "find rush-hour
-// traversals of this route" for time-of-day-aware travel time estimation.
+// Temporal-constrained search (§4.3, §6.6): a Query's Temporal window
+// restricts matches to trajectories driven during a time interval — e.g.
+// "find rush-hour traversals of this route" for time-of-day-aware travel
+// time estimation.
 //
 //	go run ./examples/temporal
 package main
@@ -37,9 +38,12 @@ func main() {
 	fmt.Printf("unconstrained: %d matches\n", len(all))
 
 	// Morning rush hour: 07:00–10:00 (dataset timestamps are seconds
-	// from midnight).
-	window := subtraj.TemporalWindow{Lo: 7 * 3600, Hi: 10 * 3600}
-	morning, stats, err := eng.SearchTemporal(q, tau, window)
+	// from midnight). A Query carries the window; the default overlap
+	// form keeps traversals that touch it.
+	qr := subtraj.Query{Q: q, Tau: tau}
+	qr.Temporal.Mode = subtraj.TemporalOverlap
+	qr.Temporal.Lo, qr.Temporal.Hi = 7*3600, 10*3600
+	morning, stats, err := eng.SearchQuery(qr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,27 +51,27 @@ func main() {
 		len(morning), stats.Candidates)
 
 	// Contained: the whole traversal inside the window.
-	window.Contain = true
-	contained, _, err := eng.SearchTemporal(q, tau, window)
+	qr.Temporal.Mode = subtraj.TemporalContain
+	contained, _, err := eng.SearchQuery(qr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("07:00-10:00 (contained): %3d matches\n", len(contained))
 
-	// The same query without the candidate-level pre-filter (the
+	// The overlap query without the candidate-level pre-filter (the
 	// paper's "no-TF"): identical answers, more work.
-	window.Contain = false
-	window.NoPrefilter = true
+	qr.Temporal.Mode = subtraj.TemporalOverlap
+	qr.Temporal.DisablePrefilter = true
 	start := time.Now()
-	noTF, noTFStats, err := eng.SearchTemporal(q, tau, window)
+	noTF, noTFStats, err := eng.SearchQuery(qr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	noTFTime := time.Since(start)
 
-	window.NoPrefilter = false
+	qr.Temporal.DisablePrefilter = false
 	start = time.Now()
-	tf, tfStats, err := eng.SearchTemporal(q, tau, window)
+	tf, tfStats, err := eng.SearchQuery(qr)
 	if err != nil {
 		log.Fatal(err)
 	}

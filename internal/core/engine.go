@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"subtraj/internal/filter"
@@ -97,6 +98,17 @@ func (e *Engine) IndexBytes() int64 { return e.idx.IndexBytes() }
 // DeltaLen returns how many trajectories sit in the delta, not yet
 // folded into the base.
 func (e *Engine) DeltaLen() int { return e.ds.Len() - e.base.NumTrajectories() }
+
+// SaveIndex writes the index — the arena, in the versioned format
+// index.OpenPrefix maps back — to w. Appended trajectories live in the
+// delta beside the arena, so an engine with appends cannot save: build
+// a new engine over its dataset first.
+func (e *Engine) SaveIndex(w io.Writer) error {
+	if e.DeltaLen() != 0 {
+		return errors.New("core: the index has unfolded appends; build a new engine over the dataset before saving")
+	}
+	return e.base.Save(w)
+}
 
 // Costs returns the cost model.
 func (e *Engine) Costs() wed.FilterCosts { return e.costs }
@@ -308,6 +320,17 @@ var ErrTauTooLarge = errors.New("core: τ exceeds wed(ε, Q)")
 func (e *Engine) Search(q []traj.Symbol, tau float64) ([]traj.Match, error) {
 	res, _, err := e.SearchQuery(Query{Q: q, Tau: tau})
 	return res, err
+}
+
+// Threshold converts the paper's threshold ratio into an absolute τ for
+// query q: τ = ratio · Σ_{q∈Q} c(q) (§6.1).
+func (e *Engine) Threshold(q []traj.Symbol, ratio float64) float64 {
+	return ratio * SumFilterCost(e.costs, q)
+}
+
+// SearchRatio is Search with τ derived from the threshold ratio.
+func (e *Engine) SearchRatio(q []traj.Symbol, ratio float64) ([]traj.Match, error) {
+	return e.Search(q, e.Threshold(q, ratio))
 }
 
 // SearchQuery answers a fully specified query and returns instrumentation.

@@ -177,7 +177,7 @@ func (s *SafeEngine) Costs() wed.FilterCosts { return s.state.Load().eng.Costs()
 
 // Threshold converts a τ_ratio into an absolute τ for query q.
 func (s *SafeEngine) Threshold(q []traj.Symbol, ratio float64) float64 {
-	return ratio * core.SumFilterCost(s.Costs(), q)
+	return s.state.Load().eng.Threshold(q, ratio)
 }
 
 // Search answers a similarity search against the current snapshot.

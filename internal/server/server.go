@@ -306,10 +306,10 @@ func badRequest(format string, args ...any) *httpError {
 // panic backstop.
 
 // handle is the pipeline's decode and encode stages around run: the body
-// is decoded into a Req (bounded by MaxBodyBytes, unknown fields
-// rejected; an empty body is the zero Req, which validation then
-// judges), run answers it, and the answer — or the error, mapped to its
-// status — is encoded as JSON.
+// is decoded into a Req (bounded by MaxBodyBytes, unknown fields and
+// anything but whitespace after the value rejected; an empty body is the
+// zero Req, which validation then judges), run answers it, and the
+// answer — or the error, mapped to its status — is encoded as JSON.
 func handle[Req any](s *Server, run func(r *http.Request, req *Req) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		dec := obs.FromContext(r.Context()).StartSpan(nil, "decode")
@@ -317,6 +317,12 @@ func handle[Req any](s *Server, run func(r *http.Request, req *Req) (any, error)
 		d := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 		d.DisallowUnknownFields()
 		err := d.Decode(&req)
+		if err == nil {
+			// One value per body: a second one would be silently dropped.
+			if _, tail := d.Token(); tail != io.EOF {
+				err = errors.New("trailing data after the JSON value")
+			}
+		}
 		dec.End()
 		if err != nil && err != io.EOF {
 			s.fail(w, badRequest("bad request body: %v", err))

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -144,6 +146,53 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/search: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestTrailingBodyRejected: a request body is one JSON value. Anything
+// after it but whitespace answers 400 and applies nothing — a second
+// trajectory in an append body is not silently dropped — while the
+// trailing newline json.Encoder and curl -d @file send is accepted.
+func TestTrailingBodyRejected(t *testing.T) {
+	srv, ts, q := newTestServer(t)
+	qj, err := json.Marshal(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := fmt.Sprintf(`{"q":%s,"tau_ratio":0.2}`, qj)
+	batch := fmt.Sprintf(`{"queries":[{"kind":"count","q":%s}]}`, qj)
+	gen := srv.Engine().Generation()
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/search", search + `{"q":[`, 400},
+		{"/v1/search", search + " 1", 400},
+		{"/v1/append", `{"path":[1,2]} {"path":[3]}`, 400},
+		{"/v1/batch", batch + "}", 400},
+		{"/v1/search", search + "\n", 200},
+		{"/v1/batch", batch + " \r\n", 200},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("POST %s %q: status %d, want %d", tc.path, tc.body, resp.StatusCode, tc.want)
+		}
+	}
+	if got := srv.Engine().Generation(); got != gen {
+		t.Fatalf("generation moved %d -> %d on a refused append", gen, got)
+	}
+	resp, err := http.Post(ts.URL+"/v1/append", "application/json", strings.NewReader(`{"path":[1,2]}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 || srv.Engine().Generation() != gen+1 {
+		t.Fatalf("append with a trailing newline: status %d, generation %d, want 200 and %d",
+			resp.StatusCode, srv.Engine().Generation(), gen+1)
 	}
 }
 

@@ -4,73 +4,25 @@ import (
 	"subtraj/internal/mapmatch"
 )
 
-// MapMatcher converts raw GPS traces into network-constrained vertex paths
-// via HMM map matching (Newson–Krumm style, the paper's preprocessing step
-// [34]). Build once per road network; it is safe for concurrent use —
-// per-call scratch is pooled internally, so one matcher serves any number
-// of goroutines.
-type MapMatcher struct {
-	inner *mapmatch.Matcher
-}
-
-// MapMatchConfig tunes the HMM. Zero values select defaults suited to
-// ~20 m GPS noise on ~100 m road segments.
-type MapMatchConfig struct {
-	// Sigma is the GPS noise standard deviation (metres).
-	Sigma float64
-	// Beta is the transition model's tolerance (metres) for the gap
-	// between straight-line displacement and route distance.
-	Beta float64
-	// MaxCandidates bounds candidate vertices per GPS sample.
-	MaxCandidates int
-	// MaxGap, when positive, splits a trace at any jump between
-	// consecutive samples longer than this (metres) instead of stitching
-	// an unobserved route across the dropout.
-	MaxGap float64
-}
-
-// MatchResult is a matched trace: one MatchSegment per connected stretch,
-// an overall confidence, and the number of HMM-break splits.
-type MatchResult = mapmatch.Result
-
-// MatchSegment is one connected sub-path of a matched trace, with the
-// sample range it explains and its match confidence.
-type MatchSegment = mapmatch.Segment
-
-// MatchBatchItem is one trace's outcome inside MatchBatch.
-type MatchBatchItem = mapmatch.BatchItem
+// Re-exported map-matching types.
+type (
+	// MapMatcher converts raw GPS traces into network-constrained vertex
+	// paths via HMM map matching (Newson–Krumm style, the paper's
+	// preprocessing step [34]). Build once per road network; it is safe
+	// for concurrent use, so one matcher serves any number of goroutines.
+	MapMatcher = mapmatch.Matcher
+	// MapMatchConfig tunes the HMM. Zero values select defaults suited to
+	// ~20 m GPS noise on ~100 m road segments.
+	MapMatchConfig = mapmatch.Config
+	// MatchResult is a matched trace: one MatchSegment per connected
+	// stretch, an overall confidence, and the number of HMM-break splits.
+	MatchResult = mapmatch.Result
+	// MatchSegment is one connected sub-path of a matched trace, with the
+	// sample range it explains and its match confidence.
+	MatchSegment = mapmatch.Segment
+	// MatchBatchItem is one trace's outcome inside MatchBatch.
+	MatchBatchItem = mapmatch.BatchItem
+)
 
 // NewMapMatcher builds a matcher over the road network.
-func NewMapMatcher(g *Graph, cfg MapMatchConfig) *MapMatcher {
-	return &MapMatcher{inner: mapmatch.New(g, mapmatch.Config{
-		Sigma:         cfg.Sigma,
-		Beta:          cfg.Beta,
-		MaxCandidates: cfg.MaxCandidates,
-		MaxGap:        cfg.MaxGap,
-	})}
-}
-
-// Match maps a GPS trace (ordered coordinates) onto the network, returning
-// a connected vertex path ready to insert into a Dataset or use as a
-// query. It fails when no single connected candidate path explains the
-// trace; use MatchTrace to recover the connected pieces instead.
-func (m *MapMatcher) Match(trace []Point) ([]Symbol, error) {
-	return m.inner.Match(trace)
-}
-
-// MatchTrace maps a GPS trace onto the network, splitting at GPS dropouts
-// (HMM breaks): every sample is explained by exactly one connected
-// segment, each scored with a match confidence in (0, 1].
-func (m *MapMatcher) MatchTrace(trace []Point) (MatchResult, error) {
-	return m.inner.MatchTrace(trace)
-}
-
-// MatchBatch matches several traces concurrently (parallelism <= 0 uses
-// GOMAXPROCS) and returns per-trace results in input order.
-func (m *MapMatcher) MatchBatch(traces [][]Point, parallelism int) []MatchBatchItem {
-	return m.inner.MatchBatch(traces, parallelism)
-}
-
-// Internal exposes the internal matcher for the server package (the HTTP
-// layer's GPS endpoints are configured with it).
-func (m *MapMatcher) Internal() *mapmatch.Matcher { return m.inner }
+func NewMapMatcher(g *Graph, cfg MapMatchConfig) *MapMatcher { return mapmatch.New(g, cfg) }

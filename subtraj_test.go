@@ -94,7 +94,7 @@ func TestSearchStatsExposed(t *testing.T) {
 	eng, _ := subtraj.NewEngine(w.Data, net.Lev())
 	q, _ := subtraj.SampleQuery(w.Data, 8, rng)
 	tau := eng.Threshold(q, 0.25)
-	_, stats, err := eng.SearchStats(q, tau, subtraj.VerifyOptions{Mode: subtraj.VerifyLocal})
+	_, stats, err := eng.SearchQuery(subtraj.Query{Q: q, Tau: tau, Verify: subtraj.VerifyOptions{Mode: subtraj.VerifyLocal}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,9 @@ func TestSearchTemporalWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The full horizon window keeps everything under overlap semantics.
-	full, _, err := eng.SearchTemporal(q, tau, subtraj.TemporalWindow{Lo: 0, Hi: math.MaxFloat64})
+	qr := subtraj.Query{Q: q, Tau: tau}
+	qr.Temporal.Mode, qr.Temporal.Lo, qr.Temporal.Hi = subtraj.TemporalOverlap, 0, math.MaxFloat64
+	full, _, err := eng.SearchQuery(qr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +128,13 @@ func TestSearchTemporalWindow(t *testing.T) {
 		t.Fatalf("full window dropped matches: %d vs %d", len(full), len(all))
 	}
 	// TF and no-TF must agree.
-	win := subtraj.TemporalWindow{Lo: 0, Hi: 1800}
-	a, _, err := eng.SearchTemporal(q, tau, win)
+	qr.Temporal.Hi = 1800
+	a, _, err := eng.SearchQuery(qr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	win.NoPrefilter = true
-	b, _, err := eng.SearchTemporal(q, tau, win)
+	qr.Temporal.DisablePrefilter = true
+	b, _, err := eng.SearchQuery(qr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +264,9 @@ func TestSearchTemporalDeparture(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	q, _ := subtraj.SampleQuery(w.Data, 8, rng)
 	tau := eng.Threshold(q, 0.3)
-	win := subtraj.TemporalWindow{Lo: 0, Hi: 1800, Departure: true}
-	got, _, err := eng.SearchTemporal(q, tau, win)
+	qr := subtraj.Query{Q: q, Tau: tau}
+	qr.Temporal.Mode, qr.Temporal.Lo, qr.Temporal.Hi = subtraj.TemporalDeparture, 0, 1800
+	got, _, err := eng.SearchQuery(qr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,12 +274,12 @@ func TestSearchTemporalDeparture(t *testing.T) {
 	// no-prefilter run must agree.
 	for _, m := range got {
 		dep, ok := w.Data.Get(m.ID).Departure()
-		if !ok || dep < win.Lo || dep > win.Hi {
+		if !ok || dep < qr.Temporal.Lo || dep > qr.Temporal.Hi {
 			t.Fatalf("match %+v departs at %v outside window", m, dep)
 		}
 	}
-	win.NoPrefilter = true
-	want, _, err := eng.SearchTemporal(q, tau, win)
+	qr.Temporal.DisablePrefilter = true
+	want, _, err := eng.SearchQuery(qr)
 	if err != nil {
 		t.Fatal(err)
 	}
