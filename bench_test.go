@@ -326,7 +326,8 @@ func BenchmarkSearchPerQuery(b *testing.B) {
 
 // BenchmarkParallelSearch measures the intra-query fan-out on the largest
 // synthetic workload (SanFran-like): one engine, each query run under a
-// Parallelism cap of N, so workers=1 is the sequential baseline the
+// Parallelism cap of N at τ_ratio 0.1 (the paper's default) and 0.3
+// (benchmark/'s search_wide), so workers=1 is the sequential baseline the
 // speedups are measured against. The cap is not a command — the engine
 // uses fewer workers for a query whose estimated work is small — and the
 // reported workers/op is what it used. The gated counterparts are
@@ -336,22 +337,24 @@ func BenchmarkParallelSearch(b *testing.B) {
 	c := experiments.GetCtx(workload.SanFranLike(), 0.1)
 	eng := core.NewEngine(c.Data("EDR"), c.Model("EDR"))
 	queries := c.Queries("EDR", 60, 8, 5)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			used := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := queries[i%len(queries)]
-				tau := c.Tau("EDR", q, 0.1)
-				_, st, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: workers})
-				if err != nil {
-					b.Fatal(err)
+	for _, ratio := range []float64{0.1, 0.3} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("tau=%g/workers=%d", ratio, workers), func(b *testing.B) {
+				used := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					q := queries[i%len(queries)]
+					tau := c.Tau("EDR", q, ratio)
+					_, st, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: workers})
+					if err != nil {
+						b.Fatal(err)
+					}
+					used += st.Workers
 				}
-				used += st.Workers
-			}
-			b.ReportMetric(float64(used)/float64(b.N), "workers/op")
-		})
+				b.ReportMetric(float64(used)/float64(b.N), "workers/op")
+			})
+		}
 	}
 }
 

@@ -255,8 +255,12 @@ func (sc *topkScratch) bound(weight float64) float64 {
 // queued, and a scan costs |P|·|Q| cells. The first of them in scan order
 // — the likely answers, see deal — stand for the ones it will scan.
 func topKWork(ds *traj.Dataset, queued []topkEntry, k, qLen int) float64 {
+	n := len(queued)
+	if k <= n/3 { // else 3k > n, or overflows for a huge k
+		n = 3 * k
+	}
 	cells := 0
-	for _, en := range queued[:min(len(queued), 3*k)] {
+	for _, en := range queued[:n] {
 		cells += len(ds.Path(en.id)) * qLen
 	}
 	return float64(cells)

@@ -271,6 +271,39 @@ func TestTopKDuplicateHeavy(t *testing.T) {
 	}
 }
 
+// TestSearchTopKHugeK checks that a k beyond any dataset, which a library
+// caller may pass where the server caps k at MaxK, answers exactly as
+// k = ds.Len(): every trajectory inside the feasibility ceiling, the same
+// matches and the same EffectiveTau, at every parallelism. math.MaxInt/2
+// is the k whose 3k wraps negative; math.MaxInt's wraps back to positive.
+func TestSearchTopKHugeK(t *testing.T) {
+	env := testutil.NewEnv(38, 40, 20)
+	for _, m := range env.Models() {
+		eng := core.NewEngine(m.DS, m.Costs)
+		q := env.Query(m, 8)
+		for _, par := range []int{1, 4} {
+			opts := core.TopKOptions{Parallelism: par}
+			want, wantSt, err := eng.SearchTopKStats(q, m.DS.Len(), opts)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", m.Name, m.DS.Len(), err)
+			}
+			if len(want) == m.DS.Len() {
+				t.Fatalf("%s: every trajectory answers, so EffectiveTau differs between k = ds.Len() and a larger k by definition", m.Name)
+			}
+			for _, k := range []int{math.MaxInt / 2, math.MaxInt} {
+				got, st, err := eng.SearchTopKStats(q, k, opts)
+				if err != nil {
+					t.Fatalf("%s k=%d: %v", m.Name, k, err)
+				}
+				assertIdenticalResults(t, fmt.Sprintf("%s par=%d k=%d", m.Name, par, k), got, want)
+				if math.Float64bits(st.EffectiveTau) != math.Float64bits(wantSt.EffectiveTau) {
+					t.Fatalf("%s par=%d: EffectiveTau %v at k=%d, %v at k=%d", m.Name, par, st.EffectiveTau, k, wantSt.EffectiveTau, m.DS.Len())
+				}
+			}
+		}
+	}
+}
+
 func TestSearchTopKEdgeCases(t *testing.T) {
 	env := testutil.NewEnv(32, 10, 12)
 	m := env.Models()[0]

@@ -215,11 +215,10 @@ func (m Match) Key() MatchKey { return MatchKey{m.ID, m.S, m.T} }
 // so the order is total and deterministic; the engine's fan-out depends
 // on every per-range result list arriving in it, so that concatenating
 // the lists in range order is the whole merge.
-// (The verifier also sorts pre-merge buffers that may hold duplicate
-// keys; those are min-merged right after, so the unstable sort still
-// yields a deterministic result.) slices.SortFunc rather than
-// sort.Slice: the generic sort needs no reflection and no per-call
-// allocation, and this runs once per trajectory in the verify hot path.
+// (The verifier also sorts a pre-merge buffer that may hold duplicate
+// keys; it is min-merged right after, so the unstable sort still yields a
+// deterministic result.) slices.SortFunc rather than sort.Slice: the
+// generic sort needs no reflection and no per-call allocation.
 func SortMatches(ms []Match) {
 	slices.SortFunc(ms, func(a, b Match) int {
 		if c := cmp.Compare(a.ID, b.ID); c != 0 {

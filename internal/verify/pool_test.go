@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"subtraj/internal/testutil"
 	"subtraj/internal/traj"
@@ -145,6 +146,36 @@ func TestPutRetainsBudgetAndNoReferences(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(v)
+}
+
+// TestPutTrimsOutlierMatchBuffers runs a query whose one trajectory
+// buffers more raw matches than maxRetainedBytes allows — 40 zero symbols
+// against a run of zeros under Levenshtein, every position a candidate, so
+// each candidate reports a thousand-odd copies — and checks that Put drops
+// both match buffers of flush's counting sort and its count buffer, where
+// the pool would otherwise pin them.
+func TestPutTrimsOutlierMatchBuffers(t *testing.T) {
+	ds := traj.NewDataset(traj.VertexRep)
+	ds.Add(traj.Trajectory{Path: make([]traj.Symbol, 400)})
+	q := make([]traj.Symbol, 40)
+	v := Get(wed.NewLev(), ds, q, float64(len(q)), Options{})
+	for j := range ds.Trajs[0].Path {
+		v.Verify(Candidate{Pos: int32(j), IQ: int32(j % len(q))})
+	}
+	if len(v.Results()) == 0 {
+		t.Fatal("no match")
+	}
+	size := int64(unsafe.Sizeof(traj.Match{}))
+	if int64(cap(v.chunk))*size <= maxRetainedBytes || int64(cap(v.byT))*size <= maxRetainedBytes || cap(v.counts) == 0 {
+		t.Fatalf("chunk %d, byT %d, counts %d entries: not an outlier over the %d-byte budget", cap(v.chunk), cap(v.byT), cap(v.counts), maxRetainedBytes)
+	}
+	Put(v)
+	if cap(v.chunk) != 0 || cap(v.byT) != 0 || cap(v.counts) != 0 || cap(v.out) != 0 {
+		t.Fatalf("Put kept chunk %d, byT %d, counts %d, out %d entries", cap(v.chunk), cap(v.byT), cap(v.counts), cap(v.out))
+	}
+	if held := v.retainedBytes(); held > maxRetainedBytes {
+		t.Fatalf("Put retained %d bytes, over the %d budget", held, maxRetainedBytes)
+	}
 }
 
 // TestPoolRetainedGaugeSettles checks the gauge's other two exits: Get

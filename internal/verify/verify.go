@@ -25,6 +25,7 @@ package verify
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -148,8 +149,9 @@ type Candidate struct {
 //
 // Matches accumulate per trajectory: candidates should arrive grouped by
 // trajectory ID (filter.GroupByTrajectory order), letting each
-// trajectory's raw matches be sorted and min-merged in one flush instead
-// of hashing a map key per (start, end) pair in the enumeration hot loop.
+// trajectory's raw matches be counting-sorted by (S, T) and min-merged
+// in one flush instead of hashing a map key per (start, end) pair in the
+// enumeration hot loop.
 // Ungrouped input stays correct — Results does a final adjacent merge
 // over the canonical sort — it just buffers and merges less efficiently.
 type Verifier struct {
@@ -163,13 +165,16 @@ type Verifier struct {
 	rows costRows
 
 	// Grouped accumulation state: chunk buffers the raw (possibly
-	// duplicated) matches of curID; flush sorts it by (S, T) and
-	// min-merges into out. By Lemma 1 the minimum of the three-way
-	// decomposition over all candidates covering a match equals
-	// wed(P[s..t], Q), so the min-merge recovers the exact WED.
-	curID int32
-	chunk []traj.Match
-	out   []traj.Match
+	// duplicated) matches of curID; flush counting-sorts it by (S, T),
+	// through byT and counts, and min-merges into out. By Lemma 1 the
+	// minimum of the three-way decomposition over all candidates covering
+	// a match equals wed(P[s..t], Q), so the min-merge recovers the exact
+	// WED.
+	curID  int32
+	chunk  []traj.Match
+	byT    []traj.Match
+	counts []int32
+	out    []traj.Match
 
 	// swSeen tracks distinct trajectory IDs already scanned in ModeSW.
 	swSeen map[int32]bool
@@ -244,9 +249,10 @@ func Get(costs wed.Costs, ds *traj.Dataset, q []traj.Symbol, tau float64, opts O
 // per data symbol met, in 256 KiB slabs. On the benchmark city a pooled
 // verifier's rows held at most 1,601 symbols (0.95 MB, top-k at |Q| = 30)
 // and the wide search's rows and buffers together 1.3 MB, 28 k buffered
-// matches included. The cap sits well above that steady state, so it
-// binds only on outliers: a cap that binds on every Put would turn the
-// pool into a per-query reallocation treadmill.
+// matches included, plus 0.7 MB for a second buffer of as many matches,
+// flush's counting-sort target. The cap sits well above that steady
+// state, so it binds only on outliers: a cap that binds on every Put
+// would turn the pool into a per-query reallocation treadmill.
 const maxRetainedBytes = 4 << 20
 
 // Put returns v to the package pool. It drops every reference into the
@@ -276,8 +282,9 @@ func (v *Verifier) retainedBytes() int64 {
 
 func (v *Verifier) bufferBytes() int64 {
 	floats := cap(v.eb) + cap(v.ef) + cap(v.efSuf) + cap(v.cols)
-	ints := cap(v.ends) + cap(v.starts) + cap(v.hits)
-	return int64(floats)*8 + int64(ints)*4 + int64(cap(v.chunk)+cap(v.out))*int64(unsafe.Sizeof(traj.Match{}))
+	ints := cap(v.ends) + cap(v.starts) + cap(v.hits) + cap(v.counts)
+	matches := cap(v.chunk) + cap(v.byT) + cap(v.out)
+	return int64(floats)*8 + int64(ints)*4 + int64(matches)*int64(unsafe.Sizeof(traj.Match{}))
 }
 
 // trimRetained cuts what stays allocated down to maxRetainedBytes: the
@@ -286,8 +293,8 @@ func (v *Verifier) bufferBytes() int64 {
 func (v *Verifier) trimRetained() {
 	if v.bufferBytes() > maxRetainedBytes {
 		v.eb, v.ef, v.efSuf, v.cols = nil, nil, nil, nil
-		v.ends, v.starts, v.hits = nil, nil, nil
-		v.chunk, v.out = nil, nil
+		v.ends, v.starts, v.hits, v.counts = nil, nil, nil, nil
+		v.chunk, v.byT, v.out = nil, nil, nil
 	}
 	v.rows.trim(maxRetainedBytes - v.bufferBytes())
 }
@@ -395,15 +402,56 @@ func (v *Verifier) Verify(c Candidate) {
 	}
 }
 
-// flush sorts the current trajectory's raw matches by (S, T) and
-// min-merges duplicates into the output buffer.
+// flush orders the current trajectory's raw matches by (S, T) and
+// min-merges duplicates into the output buffer. The order is a stable
+// two-pass counting sort — by T into byT, then by S back into chunk —
+// over keys offset by the chunk's smallest S: every key lies in
+// [minS, maxT], a span of at most |P| positions, so it runs in
+// O(raw + |P|) on raw matches that are mostly copies (each (s, t) is
+// reported once per covering candidate). Min-merging does not depend on
+// the order of a run's copies, so any (S, T) order folds to the same
+// bits.
 func (v *Verifier) flush() {
 	if len(v.chunk) == 0 {
 		return
 	}
-	traj.SortMatches(v.chunk) // single ID: effectively (S, T) order
+	lo, hi := v.chunk[0].S, v.chunk[0].T
+	for _, m := range v.chunk[1:] {
+		lo, hi = min(lo, m.S), max(hi, m.T)
+	}
+	v.byT = slices.Grow(v.byT[:0], len(v.chunk))[:len(v.chunk)]
+	v.counts = slices.Grow(v.counts[:0], int(hi-lo)+1)[:int(hi-lo)+1]
+	scatter(v.byT, v.chunk, v.counts, lo, false)
+	scatter(v.chunk, v.byT, v.counts, lo, true)
 	v.out = appendMinMerged(v.out, v.chunk)
 	v.chunk = v.chunk[:0]
+}
+
+// scatter is one stable counting-sort pass: it writes src into dst
+// ordered by key − lo, the key being S if byS and T otherwise, where
+// every key lies in [lo, lo+len(counts)). dst and src must not overlap.
+func scatter(dst, src []traj.Match, counts []int32, lo int32, byS bool) {
+	clear(counts)
+	for _, m := range src {
+		k := m.T
+		if byS {
+			k = m.S
+		}
+		counts[k-lo]++
+	}
+	var sum int32
+	for i, c := range counts {
+		counts[i] = sum
+		sum += c
+	}
+	for _, m := range src {
+		k := m.T
+		if byS {
+			k = m.S
+		}
+		dst[counts[k-lo]] = m
+		counts[k-lo]++
+	}
 }
 
 // appendMinMerged appends the (ID, S, T)-sorted src onto dst, folding
