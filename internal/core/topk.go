@@ -1,9 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -33,7 +33,8 @@ import (
 // §1.5): coverage and chain over the τ-subsequence Q′, the bounds the
 // threshold search's pre-filter also reads (filter.Cover, filter.Chain,
 // filter.LowerBound). A trajectory popped under its chain bound gets one
-// Smith–Waterman scan banded at the threshold (verify.Verifier.Best),
+// Smith–Waterman scan banded at the threshold (verify.Verifier.Best) — a
+// bit-parallel one over the query's match masks under a unit-cost model —
 // which yields its exact best below it, in wed.AllMatches's bits, and it
 // leaves the queue.
 //
@@ -212,12 +213,6 @@ func (a topkEntry) before(b topkEntry) bool {
 	return a.key < b.key || (a.key == b.key && a.id < b.id)
 }
 
-// symItem says symbol sym lies in B of the τ-subsequence's item-th element.
-type symItem struct {
-	sym  traj.Symbol
-	item int32
-}
-
 // topkScratch is one query's working memory, pooled across queries: what
 // the postings scan writes — the queue and the per-plan tables, all
 // read-only once scan returns — and the workers' private scratch.
@@ -225,10 +220,13 @@ type topkScratch struct {
 	cover  filter.Cover
 	queued []topkEntry // the queued trajectories, in the order the scan met them
 	heap   []topkEntry // the queue as deal laid it out, one piece per worker
-	// Per-plan tables: w[i] = c(Subseq[i]); inv lists B's members sorted
-	// by (symbol, item descending); csum = c(Q′).
+	// Per-plan tables: w[i] = c(Subseq[i]); syms holds each symbol's run
+	// of inv, the items whose B it lies in, descending, and — if word —
+	// its match mask; csum = c(Q′).
 	w      []float64
-	inv    []symItem
+	syms   symTable
+	inv    []int32
+	word   bool // Best takes the word scan (verify.WordScan)
 	csum   float64
 	queues []topkQueue
 	read   []index.Posting // the postings list the scan is reading
@@ -239,6 +237,54 @@ type topkScratch struct {
 type topkQueue struct {
 	heap  []topkEntry // a piece of topkScratch.heap; a binary min-heap by (key, id)
 	chain filter.Chain
+	eq    []uint64 // the match masks of the path being verified
+}
+
+// symTable is what one query knows about a data symbol: its run
+// inv[lo:hi] and its match mask, bit i set iff sub(b, Q[i]) = 0. It is an
+// open-addressing hash table (linear probing, power-of-two size, at most
+// half full) keyed by symbol + 1: key 0 marks an empty slot, which reads
+// as a symbol in no run that matches nowhere. A lookup happens once per path
+// symbol of every chained and every verified trajectory — hence not a Go
+// map.
+type symTable struct {
+	slots []symSlot
+	shift uint // 32 − log2(len(slots))
+}
+
+type symSlot struct {
+	mask   uint64
+	key    uint32
+	lo, hi int32
+}
+
+// reset empties the table, sized for up to n symbols.
+func (st *symTable) reset(n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	st.slots = slices.Grow(st.slots[:0], size)[:size]
+	clear(st.slots)
+	st.shift = uint(32 - bits.TrailingZeros(uint(size)))
+}
+
+// find returns b's slot, or the empty slot where b belongs. It writes
+// nothing, so the passes share the table.
+func (st *symTable) find(b traj.Symbol) *symSlot {
+	mask, key := uint32(len(st.slots)-1), uint32(b)+1
+	for i := uint32(b) * 0x9E3779B1 >> st.shift; ; i = (i + 1) & mask {
+		if s := &st.slots[i]; s.key == key || s.key == 0 {
+			return s
+		}
+	}
+}
+
+// add returns b's slot, claiming it if b is new.
+func (st *symTable) add(b traj.Symbol) *symSlot {
+	s := st.find(b)
+	s.key = uint32(b) + 1
+	return s
 }
 
 var topkScratches = sync.Pool{New: func() any { return new(topkScratch) }}
@@ -272,16 +318,12 @@ func topKWork(ds *traj.Dataset, queued []topkEntry, k, qLen int) float64 {
 // postings read.
 func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, ceiling float64) (postings int) {
 	sc.cover.Start(len(plan.Subseq), e.ds.Len())
-	sc.w, sc.inv, sc.queued, sc.csum = sc.w[:0], sc.inv[:0], sc.queued[:0], plan.CSum
-	for i, it := range plan.Subseq {
-		sc.w = append(sc.w, e.costs.FilterCost(it.Sym))
-		for _, b := range plan.Neighbors[i] {
-			sc.inv = append(sc.inv, symItem{b, int32(i)})
-		}
+	sc.w, sc.queued, sc.csum = sc.w[:0], sc.queued[:0], plan.CSum
+	_, c, _ := plan.Positions()
+	for _, it := range plan.Subseq {
+		sc.w = append(sc.w, c[it.Pos])
 	}
-	slices.SortFunc(sc.inv, func(a, b symItem) int {
-		return cmp.Or(cmp.Compare(a.sym, b.sym), cmp.Compare(b.item, a.item))
-	})
+	sc.tables(e.costs, plan)
 
 	for s := 0; s < e.idx.NumShards(); s++ {
 		src := e.idx.Source(s)
@@ -300,6 +342,50 @@ func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, ceiling float64) (post
 		}
 	}
 	return postings
+}
+
+// tables fills syms and inv. The runs are a counting sort by symbol:
+// count each symbol's items, lay the runs out in slot order, then fill
+// them walking the items downwards. Masks are kept — only the members of
+// B(Q[i]) with sub = 0, which B(Q[i]) holds all of (Definition 4) — when
+// the verifier takes the word scan (verify.WordScan).
+func (sc *topkScratch) tables(costs wed.FilterCosts, plan *filter.Plan) {
+	q, _, neighbors := plan.Positions()
+	sc.word = verify.WordScan(costs, len(q))
+	members := 0
+	for _, nb := range neighbors {
+		members += len(nb)
+	}
+	sc.syms.reset(members)
+	for _, nb := range plan.Neighbors {
+		for _, b := range nb {
+			sc.syms.add(b).hi++
+		}
+	}
+	at := int32(0)
+	for i := range sc.syms.slots {
+		s := &sc.syms.slots[i]
+		s.lo, at = at, at+s.hi
+		s.hi = s.lo
+	}
+	sc.inv = slices.Grow(sc.inv[:0], int(at))[:at]
+	for i := len(plan.Neighbors) - 1; i >= 0; i-- {
+		for _, b := range plan.Neighbors[i] {
+			s := sc.syms.find(b)
+			sc.inv[s.hi] = int32(i)
+			s.hi++
+		}
+	}
+	if !sc.word {
+		return
+	}
+	for i, nb := range neighbors {
+		for _, b := range nb {
+			if costs.Sub(b, q[i]) == 0 {
+				sc.syms.add(b).mask |= 1 << i
+			}
+		}
+	}
 }
 
 // deal lays the queue out as n contiguous pieces of the one heap buffer,
@@ -370,21 +456,29 @@ func (tq *topkQueue) pop() {
 	tq.siftDown(0)
 }
 
-// chainOf scans a trajectory's path against sc.inv — its candidates in
-// position order, the order filter.Chain reads hits in, sc.inv listing a
-// symbol's items in descending order — and returns their heaviest chain
-// and how many there are.
+// chainOf scans a trajectory's path against the symbols' runs of sc.inv
+// — its candidates in position order, the order filter.Chain reads hits
+// in, a run listing its items in descending order — and returns their
+// heaviest chain and how many there are.
 func (tq *topkQueue) chainOf(sc *topkScratch, path []traj.Symbol) (chain float64, cands int) {
 	tq.chain.Reset(sc.w)
 	for _, sym := range path {
-		// The leftmost entry of sym's run: its largest item.
-		j, _ := slices.BinarySearchFunc(sc.inv, sym, func(a symItem, s traj.Symbol) int { return cmp.Compare(a.sym, s) })
-		for ; j < len(sc.inv) && sc.inv[j].sym == sym; j++ {
-			tq.chain.Add(int(sc.inv[j].item))
-			cands++
+		s := sc.syms.find(sym)
+		for _, item := range sc.inv[s.lo:s.hi] {
+			tq.chain.Add(int(item))
 		}
+		cands += int(s.hi - s.lo)
 	}
 	return tq.chain.Weight(), cands
+}
+
+// masks returns the match masks of path's positions, for the word scan.
+func (tq *topkQueue) masks(sc *topkScratch, path []traj.Symbol) []uint64 {
+	tq.eq = slices.Grow(tq.eq[:0], len(path))[:len(path)]
+	for t, sym := range path {
+		tq.eq[t] = sc.syms.find(sym).mask
+	}
+	return tq.eq
 }
 
 // topkRun is what the passes of one query share.
@@ -433,9 +527,13 @@ func (r *topkRun) pass(tq *topkQueue) {
 		}
 		tq.pop()
 		verified++
+		var eq []uint64
+		if sc.word {
+			eq = tq.masks(sc, r.e.ds.Path(top.id))
+		}
 		// Its exact best below thr, or none: then its best is ≥ thr and it
 		// could not have entered the table.
-		if m, ok := ver.Best(top.id, thr); ok {
+		if m, ok := ver.Best(top.id, thr, eq); ok {
 			r.tab.offer(m)
 		}
 	}

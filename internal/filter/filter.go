@@ -130,6 +130,14 @@ func BuildPlan(costs wed.FilterCosts, freqs Freqs, q []traj.Symbol, tau float64)
 	return plan, nil
 }
 
+// Positions returns what BuildPlan computed for every position i of the
+// query q: c[i] = c(q[i]) and neighbors[i] = B(q[i]), from the same calls
+// Subseq, Neighbors and CSum were built from. The first Candidates* call
+// consumes them (extend); all three are nil after it.
+func (p *Plan) Positions() (q []traj.Symbol, c []float64, neighbors [][]traj.Symbol) {
+	return p.in.q, p.in.c, p.in.neighbors
+}
+
 // extend adds Q⁺ \ Q′ — positions outside Q′ with c(q) > 0, the fewest
 // postings per unit of bound first (a position whose neighbourhood occurs
 // nowhere is free and raises every trajectory's bound by c(q)). δ follows

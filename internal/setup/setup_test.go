@@ -13,6 +13,7 @@ import (
 	"subtraj/internal/setup"
 	"subtraj/internal/shortestpath"
 	"subtraj/internal/spatial"
+	"subtraj/internal/testutil"
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
 	"subtraj/internal/workload"
@@ -85,7 +86,9 @@ func medianNN(coords []geo.Point) float64 {
 
 // TestModelsAtPaperParameters pins §6.1: each named model answers like
 // the wed constructor called with the paper's literal parameters, and
-// searches the representation it needs.
+// searches the representation it needs. At those parameters B(q) holds
+// every zero-cost substitute of q in the alphabet, and exactly those under
+// the unit-cost models (testutil.CheckZeroSet).
 func TestModelsAtPaperParameters(t *testing.T) {
 	w := workload.Generate(workload.Tiny(42))
 	g := w.Graph
@@ -135,6 +138,9 @@ func TestModelsAtPaperParameters(t *testing.T) {
 			}
 			if got.FilterCost(a) != ref.FilterCost(a) {
 				t.Fatalf("%s: FilterCost(%d) = %v, want %v", name, a, got.FilterCost(a), ref.FilterCost(a))
+			}
+			if err := testutil.CheckZeroSet(got, a, alphabet); err != nil {
+				t.Fatal(err)
 			}
 			gn, rn := got.Neighbors(a, nil), ref.Neighbors(a, nil)
 			slices.Sort(gn)

@@ -5,6 +5,7 @@
 package testutil
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -246,6 +247,35 @@ func SixModels(rng *rand.Rand, nsym int) []wed.Costs {
 		wed.NewNetERP(nil, dist, 200, 1),
 		wed.NewSURS(weights),
 	}
+}
+
+// CheckZeroSet checks Definition 4's neighbourhood B(q) against the whole
+// alphabet {0..alphabet-1}: it must hold every b with sub(b, q) = 0 — what
+// the filter's admissibility and the word scan's match masks rest on — and
+// under a unit-cost model (wed.Unit) be exactly that set, with every
+// sub(b, q) in {0, 1} and ins(q) = del(q) = 1. It returns the first
+// violation found, or nil.
+func CheckZeroSet(costs wed.FilterCosts, q wed.Symbol, alphabet int) error {
+	in := make(map[wed.Symbol]bool)
+	for _, b := range costs.Neighbors(q, nil) {
+		in[b] = true
+	}
+	_, unit := costs.(wed.Unit)
+	if unit && (costs.Ins(q) != 1 || costs.Del(q) != 1) {
+		return fmt.Errorf("%s: ins(%d) = %v, del(%d) = %v under unit costs", costs.Name(), q, costs.Ins(q), q, costs.Del(q))
+	}
+	for b := wed.Symbol(0); int(b) < alphabet; b++ {
+		sub := costs.Sub(b, q)
+		switch {
+		case sub == 0 && !in[b]:
+			return fmt.Errorf("%s: sub(%d, %d) = 0 but %d ∉ B(%d)", costs.Name(), b, q, b, q)
+		case unit && sub != 0 && sub != 1:
+			return fmt.Errorf("%s: sub(%d, %d) = %v under unit costs", costs.Name(), b, q, sub)
+		case unit && sub != 0 && in[b]:
+			return fmt.Errorf("%s: %d ∈ B(%d) but sub(%d, %d) = %v", costs.Name(), b, q, b, q, sub)
+		}
+	}
+	return nil
 }
 
 // RandomDataset builds a dataset of random strings over {0..n-1} (no road

@@ -14,7 +14,9 @@
 // columns across candidates sharing path prefixes (§5.2), are not kept:
 // after the trajectory-level pre-filter too few candidates share a prefix
 // to pay for them (DESIGN.md §1.4). The top-k driver reads the same rows
-// through Best (best.go): one Smith–Waterman scan per trajectory.
+// through Best (best.go): one Smith–Waterman scan per trajectory — or,
+// under a unit-cost model and |Q| ≤ 64, Myers' bit-parallel scan over the
+// caller's match masks, a machine word per column and no row at all.
 //
 // Two modes with identical result sets support the paper's ablations:
 //
@@ -246,13 +248,15 @@ func Get(costs wed.Costs, ds *traj.Dataset, q []traj.Symbol, tau float64, opts O
 // scratch in the pool forever, so Put trims what a verifier keeps to this
 // budget and the next query reallocates at its own, typically far
 // smaller, natural size. The compiled rows are most of it — 2|Q| floats
-// per data symbol met, in 256 KiB slabs. On the benchmark city a pooled
-// verifier's rows held at most 1,601 symbols (0.95 MB, top-k at |Q| = 30)
-// and the wide search's rows and buffers together 1.3 MB, 28 k buffered
+// per data symbol met, in 256 KiB slabs. On the benchmark city (EDR) the
+// wide search's rows and buffers together held 1.3 MB, 28 k buffered
 // matches included, plus 0.7 MB for a second buffer of as many matches,
-// flush's counting-sort target. The cap sits well above that steady
-// state, so it binds only on outliers: a cap that binds on every Put
-// would turn the pool into a per-query reallocation treadmill.
+// flush's counting-sort target. Top-k's float scan once held more rows —
+// 1,601 symbols, 0.95 MB at |Q| = 30 — but under a unit-cost model Best
+// scans words and compiles no row; the float scan still does for ERP,
+// NetERP, SURS and |Q| > 64. The cap sits well above that steady state,
+// so it binds only on outliers: a cap that binds on every Put would turn
+// the pool into a per-query reallocation treadmill.
 const maxRetainedBytes = 4 << 20
 
 // Put returns v to the package pool. It drops every reference into the

@@ -39,6 +39,9 @@ func (Lev) Neighbors(q Symbol, dst []Symbol) []Symbol { return append(dst, q) }
 // FilterCost implements FilterCosts: c(q) = 1.
 func (Lev) FilterCost(Symbol) float64 { return 1 }
 
+// unitCost implements Unit.
+func (Lev) unitCost() {}
+
 // ---------------------------------------------------------------------------
 // EDR — edit distance on real sequence (Eq. 2)
 
@@ -97,6 +100,9 @@ func (e *EDR) Neighbors(q Symbol, dst []Symbol) []Symbol {
 // FilterCost implements FilterCosts: every symbol outside B(q) costs 1, as
 // does deletion.
 func (*EDR) FilterCost(Symbol) float64 { return 1 }
+
+// unitCost implements Unit.
+func (*EDR) unitCost() {}
 
 // ---------------------------------------------------------------------------
 // ERP — edit distance with real penalty (Eq. 3)
@@ -203,6 +209,9 @@ func (e *NetEDR) Neighbors(q Symbol, dst []Symbol) []Symbol {
 // FilterCost implements FilterCosts.
 func (*NetEDR) FilterCost(Symbol) float64 { return 1 }
 
+// unitCost implements Unit.
+func (*NetEDR) unitCost() {}
+
 // ---------------------------------------------------------------------------
 // NetERP — ERP with shortest-path distance (§2.2.3)
 
@@ -308,4 +317,8 @@ var (
 	_ FilterCosts = (*NetEDR)(nil)
 	_ FilterCosts = (*NetERP)(nil)
 	_ FilterCosts = (*SURS)(nil)
+
+	_ Unit = Lev{}
+	_ Unit = (*EDR)(nil)
+	_ Unit = (*NetEDR)(nil)
 )

@@ -45,6 +45,16 @@ type FilterCosts interface {
 	FilterCost(q Symbol) float64
 }
 
+// Unit is a unit-cost model (§2.2: Lev, EDR and NetEDR): every
+// substitution costs 0 or 1, and every insertion and deletion costs 1. A
+// WED under it is a small integer, held exactly in a float64, so its
+// alignments can be scored in machine words (verify's word scan). The
+// method is unexported: only this package's models can declare it.
+type Unit interface {
+	Costs
+	unitCost()
+}
+
 // SumIns returns wed(ε, Q) = Σ ins(Qj), the cost of building Q from the
 // empty string.
 func SumIns(c Costs, q []Symbol) float64 {

@@ -438,14 +438,23 @@ func TestAllMatchesEqualsBruteForce(t *testing.T) {
 func TestModelAssumptions(t *testing.T) {
 	// Every shipped cost model must satisfy Proposition 1's assumptions
 	// on sampled symbol pairs, and Neighbors/FilterCost must be
-	// consistent with Definition 4 / Eq. 7.
+	// consistent with Definition 4 / Eq. 7: over the whole alphabet, B(q)
+	// holds every zero-cost substitute of q, and under the unit-cost
+	// models it is exactly that set.
 	env := testutil.NewEnv(13, 30, 20)
 	for _, m := range env.Models() {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
+			alphabet := env.G.NumVertices()
+			if m.DS.Rep == traj.EdgeRep {
+				alphabet = env.G.NumEdges()
+			}
 			syms := env.RandomString(m, 60)
 			for i := 0; i < len(syms); i++ {
 				a := syms[i]
+				if err := testutil.CheckZeroSet(m.Costs, a, alphabet); err != nil {
+					t.Fatal(err)
+				}
 				if m.Costs.Sub(a, a) != 0 {
 					t.Fatalf("sub(a,a) != 0 for %d", a)
 				}
