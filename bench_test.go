@@ -147,21 +147,26 @@ func BenchmarkTable6IndexBuild(b *testing.B) {
 // --- Ablation benches for the design choices DESIGN.md calls out --------
 
 // BenchmarkAblationVerifyModes isolates local vs SW verification on
-// identical candidates (the §5 ablation).
+// identical candidates (the §5 ablation), with the word enumeration the
+// engine runs for EDR by default beside them.
 func BenchmarkAblationVerifyModes(b *testing.B) {
 	c := experiments.GetCtx(workload.BeijingLike(), 0.12)
 	queries := c.Queries("EDR", 60, 5, 3)
-	for _, mode := range []subtraj.VerifyOptions{
-		{Mode: subtraj.VerifyLocal},
-		{Mode: subtraj.VerifySW},
+	for _, mode := range []struct {
+		name string
+		subtraj.VerifyOptions
+	}{
+		{"Words", subtraj.VerifyOptions{}},
+		{"Local", subtraj.VerifyOptions{CandidateWalk: true}},
+		{"SW", subtraj.VerifyOptions{Mode: subtraj.VerifySW}},
 	} {
 		mode := mode
-		b.Run(mode.Mode.String(), func(b *testing.B) {
+		b.Run(mode.name, func(b *testing.B) {
 			eng := c.Engine("EDR")
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
 				tau := c.Tau("EDR", q, 0.1)
-				if _, _, err := eng.SearchQuery(coreQuery(q, tau, mode)); err != nil {
+				if _, _, err := eng.SearchQuery(coreQuery(q, tau, mode.VerifyOptions)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -169,7 +174,8 @@ func BenchmarkAblationVerifyModes(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEarlyTermination measures the Eq. 11 cut.
+// BenchmarkAblationEarlyTermination measures the Eq. 11 cut of the
+// paper's candidate walk.
 func BenchmarkAblationEarlyTermination(b *testing.B) {
 	c := experiments.GetCtx(workload.BeijingLike(), 0.12)
 	queries := c.Queries("EDR", 60, 5, 3)
@@ -183,7 +189,7 @@ func BenchmarkAblationEarlyTermination(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
 				tau := c.Tau("EDR", q, 0.1)
-				opts := subtraj.VerifyOptions{DisableEarlyTermination: tc.disable}
+				opts := subtraj.VerifyOptions{CandidateWalk: true, DisableEarlyTermination: tc.disable}
 				if _, _, err := eng.SearchQuery(coreQuery(q, tau, opts)); err != nil {
 					b.Fatal(err)
 				}

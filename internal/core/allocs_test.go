@@ -8,6 +8,7 @@ import (
 
 	"subtraj/internal/core"
 	"subtraj/internal/testutil"
+	"subtraj/internal/verify"
 )
 
 // steadyAllocs reports what one steady-state call of f allocates: after
@@ -69,13 +70,15 @@ func TestPooledSearchAllocs(t *testing.T) {
 }
 
 // Budgets of the wide-τ guard: steady-state allocations and bytes per
-// sequential EDR search at τ_ratio 0.7, where one query computes 850 k DP
-// cells and enumerates thousands of matches. It measures 76 allocs and
-// 29.6 KB (plan, candidates, results): the pooled verifier's two columns,
-// compiled rows and match buffers serve every candidate; a column or a
-// match buffer reallocated per candidate shows as megabytes. (At 0.3, the
-// ratio the budgets were set at, the trajectory-level pre-filter now
-// leaves a twentieth of the cells.)
+// sequential EDR search at τ_ratio 0.7, where one query enumerates
+// thousands of matches — by words, 5.9 k word columns (242 k cells as
+// booked), and on the paper's candidate walk 850 k DP cells. Each measures
+// 76 allocs and 29.6 KB (plan, candidates, results): the pooled mask
+// table, the verifier's position and mask buffers, its two columns,
+// compiled rows and match buffers serve every trajectory and candidate; a
+// buffer reallocated per trajectory or candidate shows as megabytes. (At
+// 0.3, the ratio the budgets were set at, the trajectory-level pre-filter
+// now leaves a twentieth of the cells.)
 const (
 	wideSearchAllocBudget = 120
 	wideSearchBytesBudget = 256 << 10
@@ -90,22 +93,24 @@ func TestPooledWideSearchAllocs(t *testing.T) {
 	eng := core.NewEngine(m.DS, m.Costs)
 	q := env.Query(m, 40)
 	tau := 0.7 * float64(len(q)) // EDR: c(q) = 1 per symbol
-	var cells int64
-	search := func() {
-		_, st, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
+	for _, opts := range []verify.Options{{}, {CandidateWalk: true}} {
+		var cells int64
+		search := func() {
+			_, st, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: 1, Verify: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells = st.Verify.CellsComputed
 		}
-		cells = st.Verify.CellsComputed
-	}
-	allocs, bytes := steadyAllocs(3, search)
-	if cells < 200_000 {
-		t.Fatalf("query computes only %d DP cells: not a wide-τ query", cells)
-	}
-	t.Logf("%d cells: %.0f allocs/op, %.0f B/op", cells, allocs, bytes)
-	if allocs > wideSearchAllocBudget || bytes > wideSearchBytesBudget {
-		t.Fatalf("wide-τ pooled search allocates %.0f allocs/op and %.0f B/op, budget %d and %d",
-			allocs, bytes, wideSearchAllocBudget, wideSearchBytesBudget)
+		allocs, bytes := steadyAllocs(3, search)
+		if cells < 200_000 {
+			t.Fatalf("%+v: query computes only %d DP cells: not a wide-τ query", opts, cells)
+		}
+		t.Logf("%+v: %d cells: %.0f allocs/op, %.0f B/op", opts, cells, allocs, bytes)
+		if allocs > wideSearchAllocBudget || bytes > wideSearchBytesBudget {
+			t.Fatalf("%+v: wide-τ pooled search allocates %.0f allocs/op and %.0f B/op, budget %d and %d",
+				opts, allocs, bytes, wideSearchAllocBudget, wideSearchBytesBudget)
+		}
 	}
 }
 

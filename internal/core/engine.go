@@ -3,7 +3,9 @@
 // A query (Q, wed, τ) is answered by (1) choosing an optimised
 // τ-subsequence with MinCand, (2) generating candidates from the inverted
 // index over the substitution neighbourhoods, and (3) verifying each
-// candidate locally, with DP walks in both directions from it. Temporal
+// candidate locally, with DP walks in both directions from it — or, under a
+// unit-cost model, by enumerating every match of the windows around a
+// trajectory's candidates with bit-parallel scans. Temporal
 // constraints (§4.3) are supported both as a candidate-level pre-filter
 // (TF) and as exact post-verification checks.
 package core
@@ -206,8 +208,9 @@ type QueryStats struct {
 	TrajPruned, CandidatesPruned int
 	// Verify carries the UPR counters (Table 5) plus the cell-level band
 	// counters (CellsComputed/CellsAvailable) of the τ-banded
-	// verification. Every candidate is walked on its own, so they equal
-	// the sequential run's at every worker count.
+	// verification. Every candidate is walked on its own — every
+	// trajectory, under the word enumeration — so they equal the
+	// sequential run's at every worker count.
 	Verify verify.Stats
 	// Workers is the number of goroutines that verified this query: 1
 	// when it ran on the caller's, which is where the engine keeps every
@@ -266,7 +269,8 @@ type Query struct {
 	// running to completion. nil means run to completion.
 	Ctx context.Context
 	// Verify selects the verification mode/ablations; the zero value is
-	// local bidirectional verification.
+	// local verification: the word enumeration of each trajectory under a
+	// unit-cost model and |Q| ≤ 64, else the walk of each candidate.
 	Verify verify.Options
 	// Parallelism caps the number of workers verifying this query: 0 =
 	// auto (GOMAXPROCS), 1 = the sequential path (one verifier, cost rows
@@ -357,6 +361,21 @@ func (e *Engine) SearchQuery(qr Query) ([]traj.Match, *QueryStats, error) {
 	if err := ctxErr(qr.Ctx); err != nil {
 		return nil, nil, err
 	}
+	// Under the default options, a unit-cost model and |Q| ≤ 64, every
+	// trajectory is verified by two word scans over the windows around its
+	// candidates (verify.Enumerate) instead of a walk per candidate. Its
+	// masks come from the plan's B(q), which the lookup consumes.
+	var masks verify.Masks
+	if qr.Verify == (verify.Options{}) && verify.WordScan(e.costs, len(qr.Q)) {
+		start = time.Now()
+		tab := symTables.Get().(*symTable)
+		defer symTables.Put(tab)
+		q, _, neighbors := plan.Positions()
+		tab.reset(members(neighbors))
+		tab.addMasks(e.costs, q, neighbors)
+		masks = tab
+		stats.VerifyTime += time.Since(start)
+	}
 	// One lookup over every posting source into one pooled buffer, one
 	// grouping pass, then the fan-out — sized by the work the grouped
 	// array stands for — over ID ranges of it.
@@ -373,8 +392,11 @@ func (e *Engine) SearchQuery(qr Query) ([]traj.Match, *QueryStats, error) {
 	stats.TrajPruned, stats.CandidatesPruned = plan.PrunedTrajectories, plan.PrunedCandidates
 
 	work := searchWork(len(cands), len(qr.Q), qr.Tau, plan.CQ)
+	if masks != nil {
+		work = e.wordWork(cands, len(qr.Q), qr.Tau)
+	}
 	stats.Workers = fanOutWorkers(EffectiveParallelism(qr.Parallelism), work)
-	res, err := e.verifyRanges(&qr, cands, cutRanges(cands, stats.Workers), stats)
+	res, err := e.verifyRanges(&qr, cands, masks, cutRanges(cands, stats.Workers), stats)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -76,6 +77,33 @@ func searchWork(cands, qLen int, tau, cQ float64) float64 {
 	return float64(cands) * b
 }
 
+// wordColumnWork is one estimated word column's share of searchWork's
+// unit, which is about 60 ns of verification. Over 40 queries each of EDR,
+// |Q| ∈ {20, 60} and τ_ratio 0.1–0.8 on the benchmark city, a unit of
+// wordWork measured 62–82 ns of word enumeration at τ_ratio 0.5–0.8 and
+// more at 0.1–0.3, where fixed costs dominate a 20–50 µs verify far below
+// the fan-out. Only τ_ratio 0.8 (0.8–1.2 ms of verification) reaches it,
+// and two workers took 7% and 20% off those queries (DESIGN.md §1.4).
+const wordColumnWork = 1.0 / 40
+
+// wordWork estimates a word-enumerated search's verification work (see
+// verify.Enumerate) in searchWork's unit. Its forward columns are at most
+// a window, |Q| + 2⌈τ⌉ − 2, per candidate, and at most the path, per
+// trajectory. A window that holds a match holds about 2⌈τ⌉ ends around
+// it, each scanning up to L = |Q| + ⌈τ⌉ − 1 columns back: about 2⌈τ⌉
+// reverse columns per forward column.
+func (e *Engine) wordWork(cands []filter.Candidate, qLen int, tau float64) float64 {
+	lim := int(math.Ceil(tau))
+	window := qLen + 2*lim - 2
+	cols := 0
+	for len(cands) > 0 {
+		n := groupStart(cands, 1)
+		cols += min(n*window, len(e.ds.Path(cands[0].ID)))
+		cands = cands[n:]
+	}
+	return float64(cols*(1+2*lim)) * wordColumnWork
+}
+
 // candBufs pools candidate slices so steady-state queries reuse lookup
 // buffers instead of growing a fresh slice per query.
 var candBufs = sync.Pool{New: func() any { return new([]filter.Candidate) }}
@@ -146,10 +174,11 @@ type rangeOut struct {
 
 // verifyRange is the verify loop: one pooled verifier, whose compiled cost
 // rows every candidate of the range shares, over a run of whole trajectory
-// groups.
+// groups — each group enumerated by words when masks is not nil (see
+// SearchQuery), else walked candidate by candidate.
 // The whole candidate array on the caller's goroutine is the sequential
 // path; the fan-out runs the same loop once per range.
-func (e *Engine) verifyRange(qr *Query, cands []filter.Candidate) (out rangeOut) {
+func (e *Engine) verifyRange(qr *Query, cands []filter.Candidate, masks verify.Masks) (out rangeOut) {
 	start := time.Now()
 	ver := verify.Get(e.costs, e.ds, qr.Q, qr.Tau, qr.Verify)
 	// Deferred (not straight-line) Put: a panicking cost model escapes
@@ -157,20 +186,25 @@ func (e *Engine) verifyRange(qr *Query, cands []filter.Candidate) (out rangeOut)
 	// verifier silently erodes the zero-alloc steady state the CI alloc
 	// guard measures.
 	defer verify.Put(ver)
-	prevID := int32(-1)
 	//subtrajlint:hotloop
-	for _, c := range cands {
+	for len(cands) > 0 {
 		// The cancellation point sits on trajectory-group boundaries:
 		// one group is the unit of verification work (its matches merge
 		// in one flush), so a deadline interrupts between groups, never
 		// inside one — bounded latency without torn per-trajectory state.
-		if c.ID != prevID {
-			prevID = c.ID
-			if out.err = ctxErr(qr.Ctx); out.err != nil {
-				break
-			}
+		if out.err = ctxErr(qr.Ctx); out.err != nil {
+			break
 		}
-		ver.Verify(c)
+		n := groupStart(cands, 1)
+		group := cands[:n]
+		cands = cands[n:]
+		if masks != nil {
+			ver.Enumerate(group, masks)
+			continue
+		}
+		for _, c := range group {
+			ver.Verify(c)
+		}
 	}
 	out.matches = ver.Results()
 	out.vstats = ver.Stats
@@ -184,10 +218,10 @@ func (e *Engine) verifyRange(qr *Query, cands []filter.Candidate) (out rangeOut)
 // disjoint, ascending trajectory IDs and every per-range list arrives in
 // (ID, S, T) order: the concatenation is the canonical order and needs no
 // sort. Durations and counters are summed into stats.
-func (e *Engine) verifyRanges(qr *Query, cands []filter.Candidate, cuts []int, stats *QueryStats) ([]traj.Match, error) {
+func (e *Engine) verifyRanges(qr *Query, cands []filter.Candidate, masks verify.Masks, cuts []int, stats *QueryStats) ([]traj.Match, error) {
 	outs := make([]rangeOut, len(cuts)-1)
 	fanOut(len(outs), func(i int) {
-		outs[i] = e.verifyRange(qr, cands[cuts[i]:cuts[i+1]])
+		outs[i] = e.verifyRange(qr, cands[cuts[i]:cuts[i+1]], masks)
 	})
 	total := 0
 	for i := range outs {

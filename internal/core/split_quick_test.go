@@ -77,7 +77,7 @@ func TestSplitAnyCutEqualsSequential(t *testing.T) {
 		}
 		cands := w.eng.lookup(&qr, plan, nil)
 		filter.GroupByTrajectory(cands)
-		want, err := w.eng.verifyRanges(&qr, cands, []int{0, len(cands)}, &QueryStats{})
+		want, err := w.eng.verifyRanges(&qr, cands, nil, []int{0, len(cands)}, &QueryStats{})
 		if err != nil {
 			t.Error(err)
 			return false
@@ -117,7 +117,7 @@ func TestSplitAnyCutEqualsSequential(t *testing.T) {
 			matched++
 		}
 
-		got, err := w.eng.verifyRanges(&qr, cands, cuts, &QueryStats{})
+		got, err := w.eng.verifyRanges(&qr, cands, nil, cuts, &QueryStats{})
 		if err != nil {
 			t.Error(err)
 			return false

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -240,53 +239,6 @@ type topkQueue struct {
 	eq    []uint64 // the match masks of the path being verified
 }
 
-// symTable is what one query knows about a data symbol: its run
-// inv[lo:hi] and its match mask, bit i set iff sub(b, Q[i]) = 0. It is an
-// open-addressing hash table (linear probing, power-of-two size, at most
-// half full) keyed by symbol + 1: key 0 marks an empty slot, which reads
-// as a symbol in no run that matches nowhere. A lookup happens once per path
-// symbol of every chained and every verified trajectory — hence not a Go
-// map.
-type symTable struct {
-	slots []symSlot
-	shift uint // 32 − log2(len(slots))
-}
-
-type symSlot struct {
-	mask   uint64
-	key    uint32
-	lo, hi int32
-}
-
-// reset empties the table, sized for up to n symbols.
-func (st *symTable) reset(n int) {
-	size := 16
-	for size < 2*n {
-		size *= 2
-	}
-	st.slots = slices.Grow(st.slots[:0], size)[:size]
-	clear(st.slots)
-	st.shift = uint(32 - bits.TrailingZeros(uint(size)))
-}
-
-// find returns b's slot, or the empty slot where b belongs. It writes
-// nothing, so the passes share the table.
-func (st *symTable) find(b traj.Symbol) *symSlot {
-	mask, key := uint32(len(st.slots)-1), uint32(b)+1
-	for i := uint32(b) * 0x9E3779B1 >> st.shift; ; i = (i + 1) & mask {
-		if s := &st.slots[i]; s.key == key || s.key == 0 {
-			return s
-		}
-	}
-}
-
-// add returns b's slot, claiming it if b is new.
-func (st *symTable) add(b traj.Symbol) *symSlot {
-	s := st.find(b)
-	s.key = uint32(b) + 1
-	return s
-}
-
 var topkScratches = sync.Pool{New: func() any { return new(topkScratch) }}
 
 // bound turns a covered (or chained) weight into an admissible key.
@@ -352,11 +304,7 @@ func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, ceiling float64) (post
 func (sc *topkScratch) tables(costs wed.FilterCosts, plan *filter.Plan) {
 	q, _, neighbors := plan.Positions()
 	sc.word = verify.WordScan(costs, len(q))
-	members := 0
-	for _, nb := range neighbors {
-		members += len(nb)
-	}
-	sc.syms.reset(members)
+	sc.syms.reset(members(neighbors))
 	for _, nb := range plan.Neighbors {
 		for _, b := range nb {
 			sc.syms.add(b).hi++
@@ -371,20 +319,13 @@ func (sc *topkScratch) tables(costs wed.FilterCosts, plan *filter.Plan) {
 	sc.inv = slices.Grow(sc.inv[:0], int(at))[:at]
 	for i := len(plan.Neighbors) - 1; i >= 0; i-- {
 		for _, b := range plan.Neighbors[i] {
-			s := sc.syms.find(b)
+			s := sc.syms.slot(b)
 			sc.inv[s.hi] = int32(i)
 			s.hi++
 		}
 	}
-	if !sc.word {
-		return
-	}
-	for i, nb := range neighbors {
-		for _, b := range nb {
-			if costs.Sub(b, q[i]) == 0 {
-				sc.syms.add(b).mask |= 1 << i
-			}
-		}
+	if sc.word {
+		sc.syms.addMasks(costs, q, neighbors)
 	}
 }
 
@@ -463,7 +404,7 @@ func (tq *topkQueue) pop() {
 func (tq *topkQueue) chainOf(sc *topkScratch, path []traj.Symbol) (chain float64, cands int) {
 	tq.chain.Reset(sc.w)
 	for _, sym := range path {
-		s := sc.syms.find(sym)
+		s := sc.syms.get(sym)
 		for _, item := range sc.inv[s.lo:s.hi] {
 			tq.chain.Add(int(item))
 		}
@@ -475,9 +416,7 @@ func (tq *topkQueue) chainOf(sc *topkScratch, path []traj.Symbol) (chain float64
 // masks returns the match masks of path's positions, for the word scan.
 func (tq *topkQueue) masks(sc *topkScratch, path []traj.Symbol) []uint64 {
 	tq.eq = slices.Grow(tq.eq[:0], len(path))[:len(path)]
-	for t, sym := range path {
-		tq.eq[t] = sc.syms.find(sym).mask
-	}
+	sc.syms.Fill(tq.eq, path)
 	return tq.eq
 }
 

@@ -123,7 +123,7 @@ func Fig10EnumBaselinesSize(cfg workload.Config, sizes []int, opts Options) *Tab
 func (e *enumCtx) run(method, model string, q []traj.Symbol, tau float64) int {
 	switch method {
 	case "OSF-BT":
-		res, _, err := e.c.Engine(model).SearchQuery(core.Query{Q: q, Tau: tau})
+		res, _, err := e.c.Engine(model).SearchQuery(core.Query{Q: q, Tau: tau, Verify: paperWalk})
 		if err != nil {
 			panic(err)
 		}

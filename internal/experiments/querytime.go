@@ -12,8 +12,9 @@ import (
 )
 
 // Methods compared in Figures 6–8, in the paper's legend order. The -BT
-// rows run the local bidirectional verification (verify.Options{}): the
-// paper's -BT without its column-sharing tries (DESIGN.md §1.4).
+// rows run the local bidirectional verification (OSF-BT through
+// verify.Options.CandidateWalk, where the engine would enumerate by words):
+// the paper's -BT without its column-sharing tries (DESIGN.md §1.4).
 var queryMethods = []string{
 	"OSF-BT", "DISON-BT", "Torch-BT",
 	"OSF-SW", "DISON-SW", "Torch-SW",
@@ -42,9 +43,9 @@ func runMethod(c *Ctx, method, model string, q []traj.Symbol, tau float64, qg *b
 	inv := c.Inv(model)
 	switch method {
 	case "OSF-BT", "OSF-SW":
-		var vo verify.Options
+		vo := paperWalk
 		if method == "OSF-SW" {
-			vo.Mode = verify.ModeSW
+			vo = verify.Options{Mode: verify.ModeSW}
 		}
 		res, stats, err := c.Engine(model).SearchQuery(core.Query{Q: q, Tau: tau, Verify: vo})
 		if err != nil {

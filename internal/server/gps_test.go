@@ -246,8 +246,8 @@ func TestGPSValidation(t *testing.T) {
 		want int
 	}{
 		{"/v1/match", map[string]any{"trace": [][2]float64{}}, 400},
-		{"/v1/match", map[string]any{"trace": []any{[]float64{120}}}, 400},          // missing y
-		{"/v1/match", map[string]any{"trace": []any{[]float64{120, 95, 1e9}}}, 400}, // [x,y,t] triple
+		{"/v1/match", map[string]any{"trace": []any{[]float64{120}}}, 400},                // missing y
+		{"/v1/match", map[string]any{"trace": []any{[]float64{120, 95, 1e9}}}, 400},       // [x,y,t] triple
 		{"/v1/search", map[string]any{"trace": trace, "q": truth, "tau_ratio": 0.2}, 400}, // both q and trace
 		{"/v1/search", map[string]any{"trace": trace}, 400},                               // no tau
 		{"/v1/ingest", map[string]any{"traces": []any{}}, 400},

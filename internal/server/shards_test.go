@@ -16,10 +16,10 @@ import (
 // its estimated work pays for it, so the two differ for most queries.
 
 // fanOutWorkload is a dataset big enough that fanOutQuery — 20 symbols at
-// τ_ratio 0.8 under Lev — keeps a few thousand candidates after the
-// trajectory-level pre-filter: several times the work the engine wants per
-// worker, so it takes every worker offered. (At 0.3 the pre-filter leaves
-// under a hundred of its 3,000.) Built once; tests only read it.
+// τ_ratio 0.8 under fanOutCosts — keeps a few thousand candidates after
+// the trajectory-level pre-filter: several times the work the engine wants
+// per worker, so it takes every worker offered. (At 0.3 the pre-filter
+// leaves under a hundred of its 3,000.) Built once; tests only read it.
 var fanOutWorkload = sync.OnceValue(func() *workload.Workload {
 	cfg := workload.Tiny(7)
 	cfg.NumTrajectories = 4000
@@ -31,12 +31,25 @@ const (
 	fanOutTauRatio = 0.8
 )
 
-// newPoolServer builds a server over w with the given pool size and
-// per-query parallelism cap, and no result cache: every request must hit
-// the engine.
+// fanOutCosts is SURS over unit road lengths: Lev's filter — B(q) = {q},
+// c(q) = 1, so the same candidates and the same estimated work — but a
+// substitution costs 2, so it is not a unit-cost model and its queries
+// take the candidate walk. Under Lev the engine would enumerate them by
+// words (verify.Enumerate), work too small to fan out.
+func fanOutCosts(w *workload.Workload) wed.FilterCosts {
+	ones := make([]float64, w.Graph.NumVertices())
+	for i := range ones {
+		ones[i] = 1
+	}
+	return wed.NewSURS(ones)
+}
+
+// newPoolServer builds a server over w under fanOutCosts with the given
+// pool size and per-query parallelism cap, and no result cache: every
+// request must hit the engine.
 func newPoolServer(t *testing.T, w *workload.Workload, maxConcurrent, maxParallelism int) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := New(NewSafeEngine(core.NewEngine(w.Data, wed.NewLev())), Config{
+	srv := New(NewSafeEngine(core.NewEngine(w.Data, fanOutCosts(w))), Config{
 		CacheSize:      -1,
 		MaxConcurrent:  maxConcurrent,
 		MaxParallelism: maxParallelism,

@@ -3,12 +3,14 @@ package verify
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
 )
 
-// This file is the top-k driver's verification: a trajectory's exact best
+// This file holds the whole-trajectory scans. The first is the top-k
+// driver's verification: a trajectory's exact best
 // match from one Smith–Waterman scan (Appendix A, Algorithm 7) over the
 // compiled cost rows, instead of a bidirectional walk per candidate. At
 // the top-k ceiling every position of a trajectory near the query is a
@@ -27,7 +29,9 @@ import (
 //
 // A unit-cost model (wed.Unit) with |Q| ≤ 64 takes the word scan instead
 // (bestWord): Myers' bit-vector edit distance (J. ACM 1999), one column of
-// the same recurrence per machine word, over the caller's match masks.
+// the same recurrence per machine word, over the caller's match masks. The
+// threshold search's word enumeration (Enumerate) is the same two scans
+// without the stop at the best: every match, over windows of the path.
 
 // spanSlack is the relative distance from w* within which the reverse
 // scan proposes a start. The two summation orders of one alignment differ
@@ -275,6 +279,126 @@ func (v *Verifier) spanStart(eq []uint64, t, span, w int) int {
 		}
 	}
 	return -1
+}
+
+// Masks supplies the word scans' match masks.
+type Masks interface {
+	// Fill sets dst[i] to the match mask of path[i], bit k set iff
+	// sub(path[i], Q[k]) = 0, for every i < len(path).
+	Fill(dst []uint64, path []traj.Symbol)
+}
+
+// Enumerate verifies one trajectory's candidates, group — all of one ID,
+// in any order — under a query WordScan accepts and a threshold τ: it
+// reports every match the trajectory holds inside the windows of group's
+// candidates, each (s, t) once and with its exact WED, in (S, T) order.
+// Like Verify, it counts the candidates, and the callers of both feed
+// whole trajectory groups. The verifier must not be in ModeSW.
+//
+// Every WED is an integer, so WED < τ iff WED < ⌈τ⌉: a match costs at most
+// ⌈τ⌉ − 1, so it spans at most L = |Q| + ⌈τ⌉ − 1 symbols. By subsequence
+// filtering (§3), an optimal alignment of a match substitutes some
+// P[j] ∈ B(Q[iq]) for a Q′ position iq, and (j, iq) is a candidate.
+// The alignment's halves, P[s..j−1] against Q[:iq] and P[j+1..t] against
+// Q[iq+1:], each cost at least their length difference, so the match lies
+// in the candidate's window [j − iq − ⌈τ⌉ + 1, j + |Q| − 1 − iq + ⌈τ⌉ − 1].
+// The windows of group, clipped to the path and merged where they overlap
+// or abut, hold every match, each inside one of them. Over each such
+// interval a forward Myers scan (row 0 free: a match may start anywhere
+// in it) marks every end t some match reaches; from each end an anchored
+// reverse scan (row 0 counts the deletions) reads the WED of every span
+// P[s..t] down to max(interval start, t − L + 1) and emits those below
+// ⌈τ⌉. The scores are wed.AllMatches's sums exactly, and float64(score)
+// is its bits.
+//
+// Each word column is booked as a column of |Q| + 1 cells, forward and
+// reverse alike; ColumnsAvailable gains |P| − 1 per candidate, as the walk
+// books it.
+func (v *Verifier) Enumerate(group []Candidate, masks Masks) {
+	v.flush()
+	id := group[0].ID
+	p := v.ds.Path(id)
+	n := len(v.q)
+	v.Stats.Candidates += len(group)
+	v.Stats.ColumnsAvailable += int64(len(group)) * int64(len(p)-1)
+	lim := int(math.Ceil(v.tau)) // WED < τ iff WED < lim
+	if lim <= 0 {
+		return
+	}
+	// The windows as lo<<32 | hi, clipped, so that they sort by lo.
+	v.wins = v.wins[:0]
+	for _, c := range group {
+		lo := max(0, int(c.Pos-c.IQ)-lim+1)
+		hi := min(len(p)-1, int(c.Pos)+n-1-int(c.IQ)+lim-1)
+		v.wins = append(v.wins, uint64(lo)<<32|uint64(hi))
+	}
+	slices.Sort(v.wins)
+	a, b := -1, -1
+	for _, win := range v.wins {
+		lo, hi := int(win>>32), int(uint32(win))
+		if a >= 0 && lo <= b+1 {
+			b = max(b, hi)
+			continue
+		}
+		if a >= 0 {
+			v.window(id, p, a, b, lim, masks)
+		}
+		a, b = lo, hi
+	}
+	v.window(id, p, a, b, lim, masks)
+	if len(v.chunk) == 0 {
+		return
+	}
+	// The chunk is in (T, −S) order: one stable pass by S makes it (S, T).
+	// Every S lies between the first interval's start and the last T.
+	lo, hi := int32(v.wins[0]>>32), v.chunk[len(v.chunk)-1].T
+	v.byT = slices.Grow(v.byT[:0], len(v.chunk))[:len(v.chunk)]
+	v.counts = slices.Grow(v.counts[:0], int(hi-lo)+1)[:int(hi-lo)+1]
+	scatter(v.byT, v.chunk, v.counts, lo, true)
+	v.out = append(v.out, v.byT...)
+	v.chunk = v.chunk[:0]
+}
+
+// window enumerates the matches inside p[a..b] into the chunk (see
+// Enumerate), ends ascending and, per end, starts descending.
+func (v *Verifier) window(id int32, p []traj.Symbol, a, b, lim int, masks Masks) {
+	n := len(v.q)
+	reach := n + lim - 1 // L, the longest span below lim
+	w := b - a + 1
+	v.eq = slices.Grow(v.eq[:0], 2*w)[:2*w]
+	eq, rev := v.eq[:w], v.eq[w:]
+	masks.Fill(eq, p[a:b+1])
+	top := uint64(1) << (n - 1)
+	cols := 0
+	pv, mv, score := ^uint64(0), uint64(0), n // the empty substring's column
+	// rev is filled on demand: up to reversed, from where a scan can
+	// still reach.
+	reversed := 0
+	for t, m := range eq {
+		pv, mv, score = myersStep(m, pv, mv, score, top, 0)
+		cols++
+		if score >= lim {
+			continue // no span of the interval ending at t is a match
+		}
+		first := max(0, t-reach+1)
+		for i := max(reversed, first); i <= t; i++ {
+			// The reversed mask: bit i of Q is bit n−1−i of reversed Q.
+			rev[i] = bits.Reverse64(eq[i]) >> (wordBits - n)
+		}
+		reversed = t + 1
+		rpv, rmv, rscore := ^uint64(0), uint64(0), n
+		for s := t; s >= first; s-- {
+			rpv, rmv, rscore = myersStep(rev[s], rpv, rmv, rscore, top, 1)
+			cols++
+			if rscore < lim {
+				v.chunk = append(v.chunk, traj.Match{ID: id, S: int32(a + s), T: int32(a + t), WED: float64(rscore)})
+			}
+		}
+	}
+	v.Stats.StepDPCalls += int64(cols)
+	v.Stats.ColumnsVisited += int64(cols)
+	v.Stats.CellsComputed += int64(cols) * int64(n+1)
+	v.Stats.CellsAvailable += int64(cols) * int64(n+1)
 }
 
 // myersStep advances a column of unit-cost edit distances by one data

@@ -17,11 +17,20 @@
 // through Best (best.go): one Smith–Waterman scan per trajectory — or,
 // under a unit-cost model and |Q| ≤ 64, Myers' bit-parallel scan over the
 // caller's match masks, a machine word per column and no row at all.
+// Under the same gate the threshold search verifies a trajectory, not a
+// candidate (Enumerate): two word scans over the windows around its
+// candidates return every match exactly once, with its exact WED.
 //
-// Two modes with identical result sets support the paper's ablations:
+// Three configurations with identical result sets; the engine picks the
+// first by default, the others are the paper's ablations:
 //
-//	ModeLocal — local bidirectional DP                 (the zero value)
-//	ModeSW    — full-trajectory DP scan per candidate  (the paper's -SW)
+//	ModeLocal                — word enumeration of candidate windows under
+//	                           a unit-cost model and |Q| ≤ 64, else local
+//	                           bidirectional DP per candidate (the zero value)
+//	ModeLocal, CandidateWalk — local bidirectional DP per candidate under
+//	                           every model (the paper's -BT)
+//	ModeSW                   — full-trajectory DP scan per candidate
+//	                           (the paper's -SW)
 package verify
 
 import (
@@ -58,9 +67,16 @@ func (m Mode) String() string {
 	}
 }
 
-// Options tunes the verifier; the zero value is the paper's configuration.
+// Options tunes the verifier; the zero value is what the engine runs.
 type Options struct {
 	Mode Mode
+	// CandidateWalk is the paper's configuration under every cost model:
+	// the bidirectional walk of each candidate (Algorithms 4–6), where the
+	// zero value lets the engine enumerate by words instead (Enumerate,
+	// under a unit-cost model and |Q| ≤ 64). Table 4, Table 5's UPR and
+	// the OSF-BT rows of Figures 6–8 measure the walk through it. Any
+	// non-zero Options, DisableEarlyTermination included, takes the walk.
+	CandidateWalk bool
 	// DisableEarlyTermination is the "no pruning" ablation behind Table
 	// 5's UPR: it turns off the Eq. 11 lower-bound cut and the one-sided
 	// rejection with it, so both walks of every candidate run to the
@@ -74,10 +90,13 @@ type Stats struct {
 	// Candidates is the number of (id, j, iq) triples verified.
 	Candidates int
 	// ColumnsAvailable is the total DP-column count a full SW scan of
-	// every candidate would compute (the UPR denominator).
+	// every candidate would compute (the UPR denominator): |P| − 1 per
+	// candidate on the walk and the word enumeration alike, so the two
+	// paths' UPRs compare.
 	ColumnsAvailable int64
 	// ColumnsVisited counts the columns the walks computed, the one that
-	// tripped early termination included (UPR numerator).
+	// tripped early termination included (UPR numerator); under the word
+	// enumeration, its forward and reverse word columns.
 	ColumnsVisited int64
 	// StepDPCalls counts columns computed by StepDP. No column is cached,
 	// so it equals ColumnsVisited.
@@ -85,7 +104,8 @@ type Stats struct {
 	// OneSided counts candidates rejected after a single walk: the
 	// prefix-WED array of the side walked first held no value < τ′, so
 	// the other side's columns were never visited. It is what a halved
-	// ColumnsVisited per candidate reads as in a stats dump.
+	// ColumnsVisited per candidate reads as in a stats dump. The word
+	// enumeration walks no side, so it is 0 there.
 	OneSided int64
 	// CellsComputed counts DP-cell recurrence evaluations inside those
 	// StepDP calls; CellsAvailable is what full-width columns would have
@@ -185,9 +205,11 @@ type Verifier struct {
 	// between (see columns). efSuf[k] = min(ef[k:]) lets the
 	// match-enumeration loop skip every dominated E^f suffix in O(1).
 	// ends, starts and hits are Best's ends at w*, proposed starts and
-	// confirming ends.
+	// confirming ends; wins and eq are Enumerate's sorted candidate
+	// windows and a window's forward and reversed match masks.
 	eb, ef, efSuf, cols []float64
 	ends, starts, hits  []int32
+	wins, eq            []uint64
 
 	// held is what Put last accounted to the pool's retained-bytes gauge
 	// on this verifier's behalf; a separate allocation so the cleanup
@@ -285,10 +307,10 @@ func (v *Verifier) retainedBytes() int64 {
 }
 
 func (v *Verifier) bufferBytes() int64 {
-	floats := cap(v.eb) + cap(v.ef) + cap(v.efSuf) + cap(v.cols)
+	words := cap(v.eb) + cap(v.ef) + cap(v.efSuf) + cap(v.cols) + cap(v.wins) + cap(v.eq)
 	ints := cap(v.ends) + cap(v.starts) + cap(v.hits) + cap(v.counts)
 	matches := cap(v.chunk) + cap(v.byT) + cap(v.out)
-	return int64(floats)*8 + int64(ints)*4 + int64(matches)*int64(unsafe.Sizeof(traj.Match{}))
+	return int64(words)*8 + int64(ints)*4 + int64(matches)*int64(unsafe.Sizeof(traj.Match{}))
 }
 
 // trimRetained cuts what stays allocated down to maxRetainedBytes: the
@@ -296,7 +318,7 @@ func (v *Verifier) bufferBytes() int64 {
 // what budget is left.
 func (v *Verifier) trimRetained() {
 	if v.bufferBytes() > maxRetainedBytes {
-		v.eb, v.ef, v.efSuf, v.cols = nil, nil, nil, nil
+		v.eb, v.ef, v.efSuf, v.cols, v.wins, v.eq = nil, nil, nil, nil, nil, nil
 		v.ends, v.starts, v.hits, v.counts = nil, nil, nil, nil
 		v.chunk, v.byT, v.out = nil, nil, nil
 	}

@@ -100,10 +100,10 @@ func TestLCSAccuracy(t *testing.T) {
 		acc       float64
 	}{
 		{[]traj.Symbol{1, 2, 3}, []traj.Symbol{1, 2, 3}, 1},
-		{[]traj.Symbol{1, 9, 2, 3}, []traj.Symbol{1, 2, 3}, 1},       // detour does not hurt
-		{[]traj.Symbol{1, 2}, []traj.Symbol{1, 2, 3, 4}, 0.5},        // truncated
-		{[]traj.Symbol{5, 6}, []traj.Symbol{1, 2}, 0},                // disjoint
-		{[]traj.Symbol{3, 2, 1}, []traj.Symbol{1, 2, 3}, 1.0 / 3.0},  // reversed
+		{[]traj.Symbol{1, 9, 2, 3}, []traj.Symbol{1, 2, 3}, 1},      // detour does not hurt
+		{[]traj.Symbol{1, 2}, []traj.Symbol{1, 2, 3, 4}, 0.5},       // truncated
+		{[]traj.Symbol{5, 6}, []traj.Symbol{1, 2}, 0},               // disjoint
+		{[]traj.Symbol{3, 2, 1}, []traj.Symbol{1, 2, 3}, 1.0 / 3.0}, // reversed
 		{nil, []traj.Symbol{1}, 0},
 		{[]traj.Symbol{1}, nil, 1},
 	} {

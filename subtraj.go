@@ -65,7 +65,10 @@ const (
 
 // Verification modes (see the paper's §5 and the -BT/-SW method suffixes).
 const (
-	// VerifyLocal is local bidirectional verification (the default).
+	// VerifyLocal is local verification (the default): the word
+	// enumeration of each trajectory's candidate windows under a unit-cost
+	// model and |Q| ≤ 64, else the bidirectional walk of each candidate —
+	// under every model with VerifyOptions.CandidateWalk.
 	VerifyLocal = verify.ModeLocal
 	// VerifySW is a full dynamic-programming scan per candidate.
 	VerifySW = verify.ModeSW
