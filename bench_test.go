@@ -365,33 +365,37 @@ func BenchmarkParallelSearch(b *testing.B) {
 }
 
 // BenchmarkTopK measures the best-first top-k driver in process on the
-// SanFran-like city at scale 0.1 under EDR, |Q| = 30, one queue worker:
-// the in-process counterpart of benchmark/'s topk_k10 and core.topk_ms.
-// cells/op and columns/op are the verifier's work per query — a word
-// column of the unit-cost scan books |Q| + 1 cells, as a float column at
-// full width does — and verified/op the trajectories it scanned.
+// SanFran-like city at scale 0.1, |Q| = 30, one queue worker, under the
+// unit-cost models' word scan (EDR, NetEDR) and the float scan (ERP,
+// NetERP, SURS): model=EDR is the in-process counterpart of benchmark/'s
+// topk_k10 and core.topk_ms. cells/op and columns/op are the verifier's
+// work per query — a word column of the unit-cost scan books |Q| + 1
+// cells, as a float column at full width does — and verified/op the
+// trajectories it scanned.
 func BenchmarkTopK(b *testing.B) {
 	c := experiments.GetCtx(workload.SanFranLike(), 0.1)
-	eng := core.NewEngine(c.Data("EDR"), c.Model("EDR"))
-	queries := c.Queries("EDR", 30, 8, 5)
-	for _, k := range []int{1, 10} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			var cells, columns, verified int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, st, err := eng.SearchTopKStats(queries[i%len(queries)], k, core.TopKOptions{Parallelism: 1})
-				if err != nil {
-					b.Fatal(err)
+	for _, model := range []string{"EDR", "NetEDR", "ERP", "NetERP", "SURS"} {
+		eng := core.NewEngine(c.Data(model), c.Model(model))
+		queries := c.Queries(model, 30, 8, 5)
+		for _, k := range []int{1, 10} {
+			b.Run(fmt.Sprintf("model=%s/k=%d", model, k), func(b *testing.B) {
+				var cells, columns, verified int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_, st, err := eng.SearchTopKStats(queries[i%len(queries)], k, core.TopKOptions{Parallelism: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					cells += st.Verify.CellsComputed
+					columns += st.Verify.ColumnsVisited
+					verified += int64(st.TrajVerified)
 				}
-				cells += st.Verify.CellsComputed
-				columns += st.Verify.ColumnsVisited
-				verified += int64(st.TrajVerified)
-			}
-			b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
-			b.ReportMetric(float64(columns)/float64(b.N), "columns/op")
-			b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
-		})
+				b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+				b.ReportMetric(float64(columns)/float64(b.N), "columns/op")
+				b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
+			})
+		}
 	}
 }
 

@@ -223,16 +223,14 @@ type QueryStats struct {
 	//
 	// TrajQueued is the number of trajectories whose coverage bound put
 	// them on the best-first queue; TrajVerified how many of those were
-	// scanned (the rest were dropped on their bound); Requeues how often a
-	// trajectory went back on the queue under its chain bound.
-	TrajQueued, TrajVerified, Requeues int
+	// scanned (the rest were dropped on their bound).
+	TrajQueued, TrajVerified int
 	// Rounds is always 1 and CandidatesReused counts the postings the
-	// driver read but never chained. Both survive from the τ-growth
-	// driver only because benchmark/trace.go reads them by name (its
-	// core.topk_rounds and core.topk_reused_ratio rows) and a PR that
-	// claims a gain may not edit the benchmark; the next benchmark PR
-	// retires them. Candidates, by contrast, counts the candidates of the
-	// trajectories whose chains the driver computed.
+	// driver read. Both survive from the τ-growth driver only because
+	// benchmark/trace.go reads them by name (its core.topk_rounds and
+	// core.topk_reused_ratio rows) and a change that claims a gain may not
+	// edit the benchmark; the next benchmark change retires them. Top-k
+	// generates no candidates, so Candidates stays 0 there.
 	Rounds           int
 	CandidatesReused int
 	// EffectiveTau is the radius below which the reported answer is
@@ -370,9 +368,7 @@ func (e *Engine) SearchQuery(qr Query) ([]traj.Match, *QueryStats, error) {
 		start = time.Now()
 		tab := symTables.Get().(*symTable)
 		defer symTables.Put(tab)
-		q, _, neighbors := plan.Positions()
-		tab.reset(members(neighbors))
-		tab.addMasks(e.costs, q, neighbors)
+		tab.build(e.costs, plan)
 		masks = tab
 		stats.VerifyTime += time.Since(start)
 	}

@@ -5,18 +5,18 @@ import (
 	"slices"
 	"sync"
 
+	"subtraj/internal/filter"
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
 )
 
 // symTable is what one query knows about a data symbol: its match mask,
-// bit i set iff sub(b, Q[i]) = 0, and, for top-k, its run inv[lo:hi] of
-// subsequence items. It is an open-addressing hash table (linear probing,
-// power-of-two size, at most half full) keyed by symbol + 1: key 0 marks
-// an empty slot, which reads as a symbol in no run that matches nowhere.
-// A lookup happens once per path symbol the word scans read and top-k
-// chains — hence not a Go map — and most of those symbols are in no B(q):
-// a 4,096-bit presence filter answers such a miss without a probe. Both
+// bit i set iff sub(b, Q[i]) = 0. It is an open-addressing hash table
+// (linear probing, power-of-two size, at most half full) keyed by symbol
+// + 1: key 0 marks an empty slot, which reads as a symbol that matches
+// nowhere. A lookup happens once per path symbol the word scans read —
+// hence not a Go map — and most of those symbols are in no B(q): a
+// 4,096-bit presence filter answers such a miss without a probe. Both
 // drivers build it from filter.Plan.Positions(); once built it is
 // read-only, so workers share it.
 type symTable struct {
@@ -26,17 +26,31 @@ type symTable struct {
 }
 
 type symSlot struct {
-	mask   uint64
-	key    uint32
-	lo, hi int32
+	mask uint64
+	key  uint32
 }
 
 // symHash spreads a symbol over 32 bits: the table's slot is its top
 // log2(len(slots)) bits, the presence filter's bit its top 12.
 func symHash(b traj.Symbol) uint32 { return uint32(b) * 0x9E3779B1 }
 
-// reset empties the table, sized for up to n symbols.
-func (st *symTable) reset(n int) {
+// presence returns b's word and bit in the presence filter.
+func presence(b traj.Symbol) (word uint32, bit uint64) {
+	h := symHash(b)
+	return h >> 26, 1 << (h >> 20 & 63)
+}
+
+// build fills the table with the match masks of the plan's query q from
+// B(q[i]) — Plan.Positions(), so before the plan's first Candidates*
+// call — keeping the members with sub = 0: B(q) holds every one of them
+// (Definition 4), so a symbol outside the table matches nowhere. The word
+// scans take |Q| ≤ 64 (verify.WordScan).
+func (st *symTable) build(costs wed.Costs, plan *filter.Plan) {
+	q, _, neighbors := plan.Positions()
+	n := 0
+	for _, nb := range neighbors {
+		n += len(nb)
+	}
 	size := 16
 	for size < 2*n {
 		size *= 2
@@ -45,6 +59,18 @@ func (st *symTable) reset(n int) {
 	clear(st.slots)
 	clear(st.present[:])
 	st.shift = uint(32 - bits.TrailingZeros(uint(size)))
+	for i, nb := range neighbors {
+		for _, b := range nb {
+			if costs.Sub(b, q[i]) != 0 {
+				continue
+			}
+			word, bit := presence(b)
+			st.present[word] |= bit
+			s := st.slot(b)
+			s.key = uint32(b) + 1
+			s.mask |= 1 << i
+		}
+	}
 }
 
 // slot returns b's slot, or the empty slot where b belongs.
@@ -57,59 +83,12 @@ func (st *symTable) slot(b traj.Symbol) *symSlot {
 	}
 }
 
-// add returns b's slot, claiming it if b is new.
-func (st *symTable) add(b traj.Symbol) *symSlot {
-	h := symHash(b)
-	st.present[h>>26] |= 1 << (h >> 20 & 63)
-	s := st.slot(b)
-	s.key = uint32(b) + 1
-	return s
-}
-
-// has reports whether b may have been added: false means it was not.
-func (st *symTable) has(b traj.Symbol) bool {
-	h := symHash(b)
-	return st.present[h>>26]&(1<<(h>>20&63)) != 0
-}
-
-// get returns b's entry: the zero entry if b was never added. It writes
-// nothing, so concurrent readers share the table.
-func (st *symTable) get(b traj.Symbol) symSlot {
-	if !st.has(b) {
-		return symSlot{}
-	}
-	return *st.slot(b)
-}
-
-// members returns Σ|B(q)| over neighbors, the most symbols a table built
-// from them holds.
-func members(neighbors [][]traj.Symbol) int {
-	n := 0
-	for _, nb := range neighbors {
-		n += len(nb)
-	}
-	return n
-}
-
-// addMasks sets the match masks of the query q from neighbors[i] = B(q[i])
-// — Plan.Positions() — keeping the members with sub = 0: B(q) holds every
-// one of them (Definition 4), so a symbol outside the table matches
-// nowhere. The word scans take |Q| ≤ 64 (verify.WordScan).
-func (st *symTable) addMasks(costs wed.Costs, q []traj.Symbol, neighbors [][]traj.Symbol) {
-	for i, nb := range neighbors {
-		for _, b := range nb {
-			if costs.Sub(b, q[i]) == 0 {
-				st.add(b).mask |= 1 << i
-			}
-		}
-	}
-}
-
-// Fill writes the match masks of path into dst (verify.Masks).
+// Fill writes the match masks of path into dst (verify.Masks). It only
+// reads the table, so concurrent workers share it.
 func (st *symTable) Fill(dst []uint64, path []traj.Symbol) {
 	for i, b := range path {
 		dst[i] = 0
-		if st.has(b) {
+		if word, bit := presence(b); st.present[word]&bit != 0 {
 			dst[i] = st.slot(b).mask
 		}
 	}

@@ -29,13 +29,12 @@ import (
 // keyed by (bound, ID); one is dropped only when its key reaches the
 // running threshold — the float just above the k-th best WED, the ceiling
 // until k trajectories have answered. Every key is admissible (DESIGN.md
-// §1.5): coverage and chain over the τ-subsequence Q′, the bounds the
-// threshold search's pre-filter also reads (filter.Cover, filter.Chain,
-// filter.LowerBound). A trajectory popped under its chain bound gets one
-// Smith–Waterman scan banded at the threshold (verify.Verifier.Best) — a
-// bit-parallel one over the query's match masks under a unit-cost model —
-// which yields its exact best below it, in wed.AllMatches's bits, and it
-// leaves the queue.
+// §1.5): the coverage bound over the τ-subsequence Q′, the bound the
+// threshold search's pre-filter also reads (filter.Cover,
+// filter.LowerBound). A popped trajectory gets one Smith–Waterman scan
+// banded at the threshold (verify.Verifier.Best) — a bit-parallel one over
+// the query's match masks under a unit-cost model — which yields its exact
+// best below it, in wed.AllMatches's bits, and it leaves the queue.
 //
 // Because a trajectory leaves the queue only with its exact best, or with
 // a bound or a scan that puts its best above the k-th best, the answer is
@@ -72,8 +71,8 @@ func (e *Engine) SearchTopK(q []traj.Symbol, k int) ([]traj.Match, error) {
 
 // SearchTopKStats answers the top-k protocol and returns the driver's
 // QueryStats: per-phase durations and verification counters summed over
-// the queue workers, the queue counters (TrajQueued, TrajVerified,
-// Requeues), and EffectiveTau — the radius below which the answer is
+// the queue workers, the queue counters (TrajQueued, TrajVerified), and
+// EffectiveTau — the radius below which the answer is
 // provably complete (the k-th best WED once k trajectories answered, the
 // feasibility ceiling otherwise).
 func (e *Engine) SearchTopKStats(q []traj.Symbol, k int, opts TopKOptions) ([]traj.Match, *QueryStats, error) {
@@ -201,11 +200,10 @@ func (tb *topkTable) sorted() []traj.Match {
 }
 
 // topkEntry is one queued trajectory; key is a lower bound on its best
-// WED: its coverage bound, or once chained its chain bound.
+// WED: its coverage bound.
 type topkEntry struct {
-	key     float64
-	id      int32
-	chained bool
+	key float64
+	id  int32
 }
 
 func (a topkEntry) before(b topkEntry) bool {
@@ -213,20 +211,14 @@ func (a topkEntry) before(b topkEntry) bool {
 }
 
 // topkScratch is one query's working memory, pooled across queries: what
-// the postings scan writes — the queue and the per-plan tables, all
+// the postings scan writes — the queue and the match masks, both
 // read-only once scan returns — and the workers' private scratch.
 type topkScratch struct {
 	cover  filter.Cover
 	queued []topkEntry // the queued trajectories, in the order the scan met them
 	heap   []topkEntry // the queue as deal laid it out, one piece per worker
-	// Per-plan tables: w[i] = c(Subseq[i]); syms holds each symbol's run
-	// of inv, the items whose B it lies in, descending, and — if word —
-	// its match mask; csum = c(Q′).
-	w      []float64
-	syms   symTable
-	inv    []int32
-	word   bool // Best takes the word scan (verify.WordScan)
-	csum   float64
+	syms   symTable    // the query's match masks, when word
+	word   bool        // Best takes the word scan (verify.WordScan)
 	queues []topkQueue
 	read   []index.Posting // the postings list the scan is reading
 }
@@ -234,24 +226,25 @@ type topkScratch struct {
 // topkQueue is one worker's share of the queue with the scratch only it
 // writes.
 type topkQueue struct {
-	heap  []topkEntry // a piece of topkScratch.heap; a binary min-heap by (key, id)
-	chain filter.Chain
-	eq    []uint64 // the match masks of the path being verified
+	heap []topkEntry // a piece of topkScratch.heap; a binary min-heap by (key, id)
+	eq   []uint64    // the match masks of the path being verified
 }
 
 var topkScratches = sync.Pool{New: func() any { return new(topkScratch) }}
 
-// bound turns a covered (or chained) weight into an admissible key.
-func (sc *topkScratch) bound(weight float64) float64 {
-	return filter.LowerBound(sc.csum, weight)
-}
-
 // topKWork estimates a top-k query's verification work in searchWork's
 // unit. The queue's length says little — most of it is dropped on its
-// bounds — and k says most: the driver scans about three trajectories per
-// result it returns (2.2–6.7 measured, k = 3…50), never more than it
-// queued, and a scan costs |P|·|Q| cells. The first of them in scan order
-// — the likely answers, see deal — stand for the ones it will scan.
+// bound — and k says most: the driver scans several trajectories per
+// result it returns, never more than it queued, and a scan costs |P|·|Q|
+// cells. Measured on the SanFran-like city ×0.1 at |Q| = 30, it scans
+// 16, 12 and 6 per result at k = 3, 10 and 50 under EDR and NetEDR, and
+// 3.3, 2.8 and 1.7 under SURS; under ERP and NetERP fewer than k
+// trajectories lie inside the ceiling, and it scans all it queued. The
+// estimate counts three per result and so undercounts the unit models,
+// but any count from 3 to 15 fans out every k = 10 query of that probe at
+// Parallelism 2; it stays at three until an end-to-end run shows another
+// does not slow top-k. The first of them in scan order — the likely
+// answers, see deal — stand for the ones it will scan.
 func topKWork(ds *traj.Dataset, queued []topkEntry, k, qLen int) float64 {
 	n := len(queued)
 	if k <= n/3 { // else 3k > n, or overflows for a huge k
@@ -270,17 +263,16 @@ func topKWork(ds *traj.Dataset, queued []topkEntry, k, qLen int) float64 {
 // postings read.
 func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, ceiling float64) (postings int) {
 	sc.cover.Start(len(plan.Subseq), e.ds.Len())
-	sc.w, sc.queued, sc.csum = sc.w[:0], sc.queued[:0], plan.CSum
-	_, c, _ := plan.Positions()
-	for _, it := range plan.Subseq {
-		sc.w = append(sc.w, c[it.Pos])
+	sc.queued = sc.queued[:0]
+	q, c, _ := plan.Positions()
+	if sc.word = verify.WordScan(e.costs, len(q)); sc.word {
+		sc.syms.build(e.costs, plan)
 	}
-	sc.tables(e.costs, plan)
 
 	for s := 0; s < e.idx.NumShards(); s++ {
 		src := e.idx.Source(s)
 		for i := range plan.Subseq {
-			sc.cover.Item(i, sc.w[i])
+			sc.cover.Item(i, c[plan.Subseq[i].Pos])
 			for _, b := range plan.Neighbors[i] {
 				sc.read = src.AppendPostings(sc.read[:0], b)
 				postings += len(sc.read)
@@ -289,44 +281,11 @@ func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, ceiling float64) (post
 		}
 	}
 	for _, id := range sc.cover.Touched {
-		if key := sc.bound(sc.cover.Weight(id)); key < ceiling {
+		if key := filter.LowerBound(plan.CSum, sc.cover.Weight(id)); key < ceiling {
 			sc.queued = append(sc.queued, topkEntry{key: key, id: id})
 		}
 	}
 	return postings
-}
-
-// tables fills syms and inv. The runs are a counting sort by symbol:
-// count each symbol's items, lay the runs out in slot order, then fill
-// them walking the items downwards. Masks are kept — only the members of
-// B(Q[i]) with sub = 0, which B(Q[i]) holds all of (Definition 4) — when
-// the verifier takes the word scan (verify.WordScan).
-func (sc *topkScratch) tables(costs wed.FilterCosts, plan *filter.Plan) {
-	q, _, neighbors := plan.Positions()
-	sc.word = verify.WordScan(costs, len(q))
-	sc.syms.reset(members(neighbors))
-	for _, nb := range plan.Neighbors {
-		for _, b := range nb {
-			sc.syms.add(b).hi++
-		}
-	}
-	at := int32(0)
-	for i := range sc.syms.slots {
-		s := &sc.syms.slots[i]
-		s.lo, at = at, at+s.hi
-		s.hi = s.lo
-	}
-	sc.inv = slices.Grow(sc.inv[:0], int(at))[:at]
-	for i := len(plan.Neighbors) - 1; i >= 0; i-- {
-		for _, b := range plan.Neighbors[i] {
-			s := sc.syms.slot(b)
-			sc.inv[s.hi] = int32(i)
-			s.hi++
-		}
-	}
-	if sc.word {
-		sc.syms.addMasks(costs, q, neighbors)
-	}
 }
 
 // deal lays the queue out as n contiguous pieces of the one heap buffer,
@@ -384,33 +343,12 @@ func (tq *topkQueue) siftDown(i int) {
 	}
 }
 
-// replaceTop overwrites the heap's minimum; pop removes it.
-func (tq *topkQueue) replaceTop(en topkEntry) {
-	tq.heap[0] = en
-	tq.siftDown(0)
-}
-
+// pop removes the heap's minimum.
 func (tq *topkQueue) pop() {
 	n := len(tq.heap) - 1
 	tq.heap[0] = tq.heap[n]
 	tq.heap = tq.heap[:n]
 	tq.siftDown(0)
-}
-
-// chainOf scans a trajectory's path against the symbols' runs of sc.inv
-// — its candidates in position order, the order filter.Chain reads hits
-// in, a run listing its items in descending order — and returns their
-// heaviest chain and how many there are.
-func (tq *topkQueue) chainOf(sc *topkScratch, path []traj.Symbol) (chain float64, cands int) {
-	tq.chain.Reset(sc.w)
-	for _, sym := range path {
-		s := sc.syms.get(sym)
-		for _, item := range sc.inv[s.lo:s.hi] {
-			tq.chain.Add(int(item))
-		}
-		cands += int(s.hi - s.lo)
-	}
-	return tq.chain.Weight(), cands
 }
 
 // masks returns the match masks of path's positions, for the word scan.
@@ -443,7 +381,7 @@ func (r *topkRun) pass(tq *topkQueue) {
 	ver := verify.Get(r.e.costs, r.e.ds, r.q, r.ceiling, verify.Options{})
 	defer verify.Put(ver)
 	var err error
-	var verified, requeues, chained int
+	var verified int
 	//subtrajlint:hotloop
 	for len(tq.heap) > 0 {
 		if err = ctxErr(r.ctx); err != nil {
@@ -452,17 +390,6 @@ func (r *topkRun) pass(tq *topkQueue) {
 		thr, top := r.tab.threshold(), tq.heap[0]
 		if top.key >= thr {
 			break // so is every key behind it
-		}
-		if !top.chained {
-			chain, cands := tq.chainOf(sc, r.e.ds.Path(top.id))
-			chained += cands
-			// A vehicle driving the query's road backwards covers every
-			// position and chains no two of them.
-			if lb := sc.bound(chain); lb > top.key {
-				tq.replaceTop(topkEntry{key: lb, id: top.id, chained: true})
-				requeues++
-				continue
-			}
 		}
 		tq.pop()
 		verified++
@@ -485,9 +412,6 @@ func (r *topkRun) pass(tq *topkQueue) {
 	}
 	st := r.stats
 	st.VerifyTime += verifyTime
-	st.Candidates += chained
-	st.CandidatesReused -= chained
 	st.TrajVerified += verified
-	st.Requeues += requeues
 	st.Verify.Add(ver.Stats)
 }

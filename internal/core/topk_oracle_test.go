@@ -82,27 +82,22 @@ func bestPerTrajectoryOrdered(ms []traj.Match) []traj.Match {
 	return out
 }
 
-// TopKBounds returns, for every trajectory, the two bounds the top-k
-// driver queues it under for the τ-subsequence BuildPlan chooses at tau:
-// the coverage bound from the postings scan and the chain bound from the
-// path scan, plus whether that subsequence is all of Q.
-func (e *Engine) TopKBounds(q []traj.Symbol, tau float64) (coverage, chain []float64, full bool, err error) {
+// TopKBounds returns, for every trajectory, the coverage bound the top-k
+// driver queues it under for the τ-subsequence BuildPlan chooses at tau,
+// plus whether that subsequence is all of Q.
+func (e *Engine) TopKBounds(q []traj.Symbol, tau float64) (coverage []float64, full bool, err error) {
 	plan, err := filter.BuildPlan(e.costs, e.idx, q, tau)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	sc := new(topkScratch)
 	sc.scan(e, plan, plan.CSum*2)
-	tq := &sc.deal(1)[0]
 	coverage = make([]float64, e.ds.Len())
-	chain = make([]float64, e.ds.Len())
 	for id := range coverage {
-		coverage[id] = sc.bound(0) // untouched: nothing covered
-		w, _ := tq.chainOf(sc, e.ds.Path(int32(id)))
-		chain[id] = sc.bound(w)
+		coverage[id] = filter.LowerBound(plan.CSum, 0) // untouched: nothing covered
 	}
-	for _, en := range sc.heap {
+	for _, en := range sc.queued {
 		coverage[en.id] = en.key
 	}
-	return coverage, chain, len(plan.Subseq) == len(q), nil
+	return coverage, len(plan.Subseq) == len(q), nil
 }

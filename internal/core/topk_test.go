@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"subtraj/internal/core"
+	"subtraj/internal/filter"
 	"subtraj/internal/testutil"
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
@@ -122,8 +123,8 @@ func TestTopKEquivalence(t *testing.T) {
 // and NetERP with non-integer costs — and every k cuts or borders a tie;
 // the query's source has many copies, so k = 1 must pick the smallest ID
 // among many zero-bound ties; and a reversed copy of the source covers
-// every query position while chaining at most one, so it is re-queued on
-// its chain bound. Run on every backend, with the queue dealt to four
+// every query position, so its coverage bound ties the source's zero and
+// only its scan tells them apart. Run on every backend, with the queue dealt to four
 // workers.
 func TestTopKEquivalenceTies(t *testing.T) {
 	core.ForceFanOut(t)
@@ -156,10 +157,7 @@ func TestTopKEquivalenceTies(t *testing.T) {
 		engines := fanOutEngines(t, ds, m.Costs)
 		for _, ne := range engines {
 			for _, k := range []int{1, 2, 3, 10, 11, 12, 15, 30, 1000} {
-				st := checkTopKAgainstRestart(t, m.Name+"/"+ne.name+"/ties", ne.eng, q, k)
-				if k == 1000 && st.Requeues == 0 {
-					t.Fatalf("%s/%s: no trajectory was ever re-queued", m.Name, ne.name)
-				}
+				checkTopKAgainstRestart(t, m.Name+"/"+ne.name+"/ties", ne.eng, q, k)
 			}
 		}
 		eng := engines[0].eng
@@ -168,22 +166,24 @@ func TestTopKEquivalenceTies(t *testing.T) {
 			t.Fatalf("%s k=1: %+v, %v; want trajectory %d at WED 0", m.Name, got, err, src)
 		}
 		if m.DS.Rep == traj.VertexRep {
-			cov, chain, _, err := eng.TopKBounds(q, 0.99*core.SumFilterCost(m.Costs, q))
+			cov, _, err := eng.TopKBounds(q, 0.99*core.SumFilterCost(m.Costs, q))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cov[revID] != 0 || chain[revID] <= cov[revID] {
-				t.Fatalf("%s: reversed source has coverage bound %v, chain bound %v", m.Name, cov[revID], chain[revID])
+			if cov[revID] != 0 {
+				t.Fatalf("%s: reversed source has coverage bound %v", m.Name, cov[revID])
 			}
 		}
 	}
 }
 
-// TestTopKBoundsAdmissible checks the two bounds the queue is keyed by
-// against brute force: for every trajectory, coverage ≤ chain ≤ the
-// smallest WED of any of its subtrajectories — under all six cost models
-// and random weighted tables, for τ-subsequences that are all of Q and
-// ones that are a strict subset.
+// TestTopKBoundsAdmissible checks the bound the queue is keyed by against
+// brute force: for every trajectory, coverage ≤ the smallest WED of any
+// of its subtrajectories — under all six cost models and random weighted
+// tables, for τ-subsequences that are all of Q and ones that are a strict
+// subset. On the quantised tables the bound often equals that WED in the
+// reals; the test counts those ties, which only filter.BoundSlack keeps
+// admissible in floats.
 func TestTopKBoundsAdmissible(t *testing.T) {
 	type world struct {
 		name  string
@@ -215,6 +215,7 @@ func TestTopKBoundsAdmissible(t *testing.T) {
 		worlds = append(worlds, world{"table", rc, ds, q})
 	}
 	var sawFull, sawSubset bool
+	ties := 0
 	for _, w := range worlds {
 		eng := core.NewEngine(w.ds, w.costs)
 		best := make([]float64, w.ds.Len())
@@ -229,19 +230,26 @@ func TestTopKBoundsAdmissible(t *testing.T) {
 			if cq == 0 {
 				continue
 			}
-			cov, chain, full, err := eng.TopKBounds(w.q, ratio*cq)
+			cov, full, err := eng.TopKBounds(w.q, ratio*cq)
 			if err != nil {
 				t.Fatalf("%s: %v", w.name, err)
 			}
 			sawFull = sawFull || full
 			sawSubset = sawSubset || !full
 			for id := range best {
-				if cov[id] > chain[id] || chain[id] > best[id] {
-					t.Fatalf("%s ratio %v trajectory %d (Q′ all of Q: %v): coverage %v, chain %v, best WED %v",
-						w.name, ratio, id, full, cov[id], chain[id], best[id])
+				if cov[id] > best[id] {
+					t.Fatalf("%s ratio %v trajectory %d (Q′ all of Q: %v): coverage %v, best WED %v",
+						w.name, ratio, id, full, cov[id], best[id])
+				}
+				if best[id] > 0 && best[id]-cov[id] <= 2*filter.BoundSlack*cq { // the slack is BoundSlack·c(Q′) ≤ BoundSlack·c(Q)
+					ties++
 				}
 			}
 		}
+	}
+	t.Logf("%d trajectories whose coverage bound is tight", ties)
+	if ties == 0 {
+		t.Fatal("no tight coverage bound: BoundSlack was not exercised")
 	}
 	if !sawFull || !sawSubset {
 		t.Fatalf("plans covering all of Q seen: %v; strict subsets seen: %v", sawFull, sawSubset)

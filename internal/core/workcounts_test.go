@@ -48,10 +48,10 @@ func TestVerifyWorkCountsGolden(t *testing.T) {
 		verify.Stats
 		pruned int
 	}{
-		{0.1, walk, verify.Stats{Candidates: 61, ColumnsVisited: 729, StepDPCalls: 729, OneSided: 14, CellsComputed: 2719, Matches: 109}, 124},
-		{0.3, walk, verify.Stats{Candidates: 120, ColumnsVisited: 1824, StepDPCalls: 1824, OneSided: 12, CellsComputed: 9437, Matches: 534}, 324},
-		{0.1, verify.Options{}, verify.Stats{Candidates: 61, ColumnsVisited: 1259, StepDPCalls: 1259, CellsComputed: 16367, Matches: 109}, 124},
-		{0.3, verify.Options{}, verify.Stats{Candidates: 120, ColumnsVisited: 2625, StepDPCalls: 2625, CellsComputed: 34125, Matches: 534}, 324},
+		{0.1, walk, verify.Stats{Candidates: 82, ColumnsVisited: 780, StepDPCalls: 780, OneSided: 35, CellsComputed: 2921, Matches: 109}, 103},
+		{0.3, walk, verify.Stats{Candidates: 183, ColumnsVisited: 2160, StepDPCalls: 2160, OneSided: 67, CellsComputed: 11428, Matches: 534}, 261},
+		{0.1, verify.Options{}, verify.Stats{Candidates: 82, ColumnsVisited: 1432, StepDPCalls: 1432, CellsComputed: 18616, Matches: 109}, 103},
+		{0.3, verify.Options{}, verify.Stats{Candidates: 183, ColumnsVisited: 3090, StepDPCalls: 3090, CellsComputed: 40170, Matches: 534}, 261},
 	} {
 		var got verify.Stats
 		pruned := 0

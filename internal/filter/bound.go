@@ -1,7 +1,6 @@
 package filter
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -15,21 +14,20 @@ import (
 // (DESIGN.md §1.4 "Trajectory-level pre-filter", §1.5). For ANY set P of
 // query positions — Q′, or Q⁺ ⊇ Q′ — every alignment of every
 // subtrajectory pays at least c(q) at each position of P it does not
-// substitute inside B(q), and the positions it does substitute there are
-// matched to data positions in order: they form a chain of hits (pos, iq)
-// strictly increasing in both coordinates. Hence
+// substitute inside B(q), and it can substitute there only the positions
+// some posting of the trajectory covers. Hence
 //
-//	min WED ≥ c(P) − heaviest chain ≥ c(P) − covered weight,
+//	min WED ≥ c(P) − covered weight,
 //
-// the chain and coverage bounds, both weighted by c(q).
+// the coverage bound, weighted by c(q).
 
 // BoundSlack, relative to c(P), is taken off every bound summed from c(q)
 // values: the sums round, and a rounded bound must not out-prune a
 // trajectory whose WED ties it exactly (DESIGN.md §1.5 "Float slack").
 const BoundSlack = 1e-9
 
-// LowerBound turns a trajectory's covered or chained weight over positions
-// of total weight cP into an admissible lower bound on its best WED.
+// LowerBound turns a trajectory's covered weight over positions of total
+// weight cP into an admissible lower bound on its best WED.
 func LowerBound(cP, weight float64) float64 {
 	return max(0, cP-weight-BoundSlack*cP)
 }
@@ -74,9 +72,6 @@ func (c *Cover) clearTouched() {
 }
 
 // Item makes the postings added next count for position i, with weight w.
-// Number the positions in query order: Weight sums in position order, as
-// Chain sums along a chain, so a trajectory's coverage is never below its
-// chain in floats either.
 func (c *Cover) Item(i int, w float64) {
 	c.w[i] = w
 	c.word, c.bit = (i+1)/64, (i+1)%64
@@ -134,48 +129,10 @@ func (c *Cover) Weight(id int32) float64 {
 	return sum
 }
 
-// Chain finds the heaviest chain of hits (pos, item) strictly increasing in
-// both coordinates, items numbered in query order. Feed it one
-// trajectory's hits in ascending position, the items of one position in
-// descending order so that they cannot extend each other.
-type Chain struct {
-	w []float64 // by item
-	// tree is a Fenwick tree of prefix maxima: tree[j] is the heaviest
-	// chain ending at an item in [j − j&−j, j).
-	tree  []float64
-	heavy float64
-}
-
-// Reset starts a trajectory over items weighted w.
-func (c *Chain) Reset(w []float64) {
-	c.w, c.heavy = w, 0
-	c.tree = slices.Grow(c.tree[:0], len(w)+1)[:len(w)+1]
-	clear(c.tree)
-}
-
-// Add extends the chain by a hit on item i.
-func (c *Chain) Add(i int) {
-	var prev float64 // the heaviest chain ending before item i
-	for j := i; j > 0; j &= j - 1 {
-		prev = max(prev, c.tree[j])
-	}
-	v := c.w[i] + prev
-	for j := i + 1; j < len(c.tree); j += j & -j {
-		c.tree[j] = max(c.tree[j], v)
-	}
-	c.heavy = max(c.heavy, v)
-}
-
-// Weight returns the heaviest chain so far.
-func (c *Chain) Weight() float64 { return c.heavy }
-
 // extension is what extend adds to a plan for the pre-filter: Q⁺ as scan
-// items — Q′ in Subseq order, then Extra — with their weights c(q) and
-// their ranks in query order, plus the weights by rank the chain reads.
+// items — Q′ in Subseq order, then Extra — with their weights c(q).
 type extension struct {
-	w      []float64 // by scan item
-	rank   []int32   // by scan item
-	chainW []float64 // by rank
+	w []float64 // by scan item
 	// heaviest[c] is the most weight c positions can cover: the c largest
 	// weights summed.
 	heaviest []float64
@@ -195,51 +152,28 @@ func (x *extension) minCount(cPlus, tau float64) int {
 	return len(x.heaviest)
 }
 
-// hitKey packs a posting of a coverage survivor for its chain: ascending
-// keys are (position ascending, rank descending), the order Chain reads.
-func hitKey(pos, rank int32) uint64 {
-	return uint64(pos)<<32 | uint64(math.MaxUint32-uint32(rank))
-}
-
-func hitRank(key uint64) int { return int(math.MaxUint32 - uint32(key)) }
-
-type slotHit struct {
-	slot int32
-	key  uint64
-}
-
 // pruneScratch is one Candidates call's working memory, pooled.
 type pruneScratch struct {
 	cover Cover
-	chain Chain
-	// slot[id] numbers the coverage survivors, -1 for the rest of the
-	// trajectories the scan touched; it is read only for those.
-	slot    []int32
+	// keep[id] says whether the pre-filter keeps a trajectory with a Q′
+	// posting; it is written and read only for those.
+	keep    []bool
 	read    []index.Posting // what the call reads, decoded straight into it: on an extended plan, Q⁺'s postings in scan order
 	readEnd []int32         // scan item k's postings end at read[readEnd[k]]
-	found   []slotHit       // the survivors' postings, in scan order
-	start   []int32         // survivor s's hits are hits[start[s]:start[s+1]]
-	hits    []uint64        // hitKeys, grouped by survivor
-	chained []float64       // by survivor: its heaviest chain
 }
 
 var pruneScratches = sync.Pool{New: func() any { return new(pruneScratch) }}
 
-// scan is the pre-filter's bound over one posting source, in two passes
-// over its Q⁺ postings. The first decodes them into sc.read, computes
-// coverage, and gives a slot to every trajectory with a Q′ posting whose
-// coverage bound is below tau. The second walks sc.read again and
-// collects those trajectories' postings, appending the Q′ ones to
-// dst as candidates in the order Candidates emits them (IQ holding the
-// scan item), and sc.chained gets their heaviest chains. It returns how
-// many trajectories have a Q′ posting, and how many Q′ postings src has.
-func (sc *pruneScratch) scan(p *Plan, read appendFunc, tau float64, dst []Candidate) (out []Candidate, nQ, qPostings int) {
+// scan decodes the Q⁺ postings of one posting source into sc.read and
+// computes their coverage, Q′'s items first. It returns how many
+// trajectories have a Q′ posting — the first nQ of sc.cover.Touched.
+func (sc *pruneScratch) scan(p *Plan, read appendFunc) (nQ int) {
 	x, cov := &p.ext, &sc.cover
-	cov.Start(len(x.w), len(sc.slot))
+	cov.Start(len(x.w), len(sc.keep))
 	sc.read = sc.read[:0]
 	sc.readEnd = slices.Grow(sc.readEnd[:0], len(x.w))[:len(x.w)]
 	for k := range x.w {
-		cov.Item(int(x.rank[k]), x.w[k])
+		cov.Item(k, x.w[k])
 		for _, b := range p.scanNeighbors(k) {
 			from := len(sc.read)
 			sc.read = read(sc.read, b)
@@ -247,99 +181,40 @@ func (sc *pruneScratch) scan(p *Plan, read appendFunc, tau float64, dst []Candid
 		}
 		sc.readEnd[k] = int32(len(sc.read))
 		if k == len(p.Subseq)-1 {
-			nQ, qPostings = len(cov.Touched), len(sc.read)
+			nQ = len(cov.Touched)
 		}
 	}
-	if n := len(cov.bits) / cov.words; len(sc.slot) < n {
-		sc.slot = append(sc.slot, make([]int32, n-len(sc.slot))...)
-	}
-	slot := sc.slot
-	for _, id := range cov.Touched[nQ:] {
-		slot[id] = -1 // no Q′ posting: nothing to emit
-	}
-	survivors, minCount := int32(0), x.minCount(p.CPlus, tau)
-	for _, id := range cov.Touched[:nQ] {
-		slot[id] = -1
-		if cov.Count(id) >= minCount && LowerBound(p.CPlus, cov.Weight(id)) < tau {
-			slot[id] = survivors
-			survivors++
-		}
-	}
+	return nQ
+}
 
-	found, lo := sc.found[:0], int32(0)
-	for k, hi := range sc.readEnd {
-		rank, inQ := x.rank[k], k < len(p.Subseq)
+// prune is Candidates over an extended plan: the Q′ candidates of the
+// trajectories whose coverage bound over Q⁺ stays below τ, in the order
+// the paper's filter emits them, with what it dropped added to the plan.
+func (p *Plan) prune(sc *pruneScratch, read appendFunc, dst []Candidate) []Candidate {
+	nQ := sc.scan(p, read)
+	cov := &sc.cover
+	if n := len(cov.bits) / cov.words; len(sc.keep) < n {
+		sc.keep = append(sc.keep, make([]bool, n-len(sc.keep))...)
+	}
+	kept, minCount := 0, p.ext.minCount(p.CPlus, p.Tau)
+	for _, id := range cov.Touched[:nQ] {
+		ok := cov.Count(id) >= minCount && LowerBound(p.CPlus, cov.Weight(id)) < p.Tau
+		sc.keep[id] = ok
+		if ok {
+			kept++
+		}
+	}
+	from, lo := len(dst), int32(0)
+	for k, it := range p.Subseq {
+		hi := sc.readEnd[k]
 		for _, ps := range sc.read[lo:hi] {
-			s := slot[ps.ID]
-			if s < 0 {
-				continue
-			}
-			found = append(found, slotHit{s, hitKey(ps.Pos, rank)})
-			if inQ {
-				dst = append(dst, Candidate{ID: ps.ID, Pos: ps.Pos, IQ: int32(k)})
+			if sc.keep[ps.ID] {
+				dst = append(dst, Candidate{ID: ps.ID, Pos: ps.Pos, IQ: it.Pos})
 			}
 		}
 		lo = hi
 	}
-	sc.found = found
-
-	// Group the hits by survivor with a counting pass, then chain each
-	// group in key order.
-	sc.start = slices.Grow(sc.start[:0], int(survivors)+1)[:survivors+1]
-	clear(sc.start)
-	for _, h := range found {
-		sc.start[h.slot+1]++
-	}
-	for s := int32(1); s <= survivors; s++ {
-		sc.start[s] += sc.start[s-1]
-	}
-	sc.hits = slices.Grow(sc.hits[:0], len(found))[:len(found)]
-	for _, h := range found {
-		sc.hits[sc.start[h.slot]] = h.key
-		sc.start[h.slot]++
-	}
-	sc.chained = slices.Grow(sc.chained[:0], int(survivors))[:survivors]
-	lo = 0
-	for s := range sc.chained {
-		g := sc.hits[lo:sc.start[s]] // the fill pass moved start[s] to the group's end
-		lo = sc.start[s]
-		for i := 1; i < len(g); i++ { // insertion sort: a group holds a dozen hits
-			h, j := g[i], i
-			for ; j > 0 && g[j-1] > h; j-- {
-				g[j] = g[j-1]
-			}
-			g[j] = h
-		}
-		sc.chain.Reset(x.chainW)
-		for _, h := range g {
-			sc.chain.Add(hitRank(h))
-		}
-		sc.chained[s] = sc.chain.Weight()
-	}
-	return dst, nQ, qPostings
-}
-
-// prune is Candidates over an extended plan: the Q′ candidates of the
-// trajectories whose chain bound over Q⁺ stays below τ, in the order the
-// paper's filter emits them, with what it dropped added to the plan.
-func (p *Plan) prune(sc *pruneScratch, read appendFunc, dst []Candidate) []Candidate {
-	from := len(dst)
-	dst, nQ, qPostings := sc.scan(p, read, p.Tau, dst)
-	kept := 0
-	for _, id := range sc.cover.Touched[:nQ] {
-		if s := sc.slot[id]; s >= 0 && LowerBound(p.CPlus, sc.chained[s]) < p.Tau {
-			kept++
-		} else {
-			sc.slot[id] = -1
-		}
-	}
-	out := dst[:from]
-	for _, c := range dst[from:] {
-		if sc.slot[c.ID] >= 0 {
-			out = append(out, Candidate{ID: c.ID, Pos: c.Pos, IQ: p.Subseq[c.IQ].Pos})
-		}
-	}
 	p.PrunedTrajectories += nQ - kept
-	p.PrunedCandidates += qPostings - (len(out) - from)
-	return out
+	p.PrunedCandidates += int(lo) - (len(dst) - from)
+	return dst
 }

@@ -1,6 +1,7 @@
 package filter_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -13,15 +14,18 @@ import (
 	"subtraj/internal/wed"
 )
 
-// TestExtendedBoundsAdmissible checks the pre-filter's two bounds over
+// TestExtendedBoundsAdmissible checks the pre-filter's bound over
 // extended plans — Q⁺ = Q′ plus δ ∈ {1, 3, all} further positions —
-// against brute force: for every trajectory, coverage ≤ chain ≤ the
-// smallest WED of any of its subtrajectories, under all six cost models,
-// random weighted tables, and lattice tables on halves (every sum exact)
-// and tenths (sums that are equal in the reals round apart in floats).
-// On the lattices c(Q⁺) − chain often equals that smallest WED in the
+// against brute force: for every trajectory, coverage ≤ the smallest WED
+// of any of its subtrajectories, under all six cost models, random
+// weighted tables, and lattice tables on halves (every sum exact) and
+// tenths (sums that are equal in the reals round apart in floats). On the
+// lattices c(Q⁺) − covered weight often equals that smallest WED in the
 // reals; there the float bound can only stay at or below the float WED
-// through filter.BoundSlack, and the test counts those ties.
+// through filter.BoundSlack, and the test counts those ties. It also
+// checks that Candidates keeps exactly the trajectories whose bound is
+// strictly below τ, with τ set to each bound in turn, and emits their Q′
+// candidates as the unpruned filter does.
 func TestExtendedBoundsAdmissible(t *testing.T) {
 	type world struct {
 		name  string
@@ -91,30 +95,66 @@ func TestExtendedBoundsAdmissible(t *testing.T) {
 					continue // Q′ is all of Q's positions that cost anything
 				}
 				extended++
-				coverage, chain := plan.Bounds(inv)
+				coverage := plan.Bounds(inv)
 				for id := range best {
 					cov, touched := coverage[int32(id)]
 					if !touched {
 						cov = filter.LowerBound(plan.CPlus, 0)
 					}
-					ch, chained := chain[int32(id)]
-					if !chained {
-						ch = cov
+					if cov > best[id] {
+						t.Fatalf("%s ratio %v δ %d trajectory %d: coverage %v, best WED %v",
+							w.name, ratio, len(plan.Extra), id, cov, best[id])
 					}
-					if cov > ch || ch > best[id] {
-						t.Fatalf("%s ratio %v δ %d trajectory %d: coverage %v, chain %v, best WED %v",
-							w.name, ratio, len(plan.Extra), id, cov, ch, best[id])
-					}
-					if chained && math.Abs(ch+filter.BoundSlack*plan.CPlus-best[id]) <= 1e-9*plan.CPlus {
+					if math.Abs(cov+filter.BoundSlack*plan.CPlus-best[id]) <= 1e-9*plan.CPlus {
 						ties++
 					}
 				}
+				checkKeptBelowTau(t, fmt.Sprintf("%s ratio %v δ %d", w.name, ratio, len(plan.Extra)), plan, inv, coverage)
 			}
 		}
 	}
-	t.Logf("%d extended plans, %d trajectories whose chain bound is tight", extended, ties)
+	t.Logf("%d extended plans, %d trajectories whose coverage bound is tight", extended, ties)
 	if extended < 100 || ties == 0 {
-		t.Fatalf("%d extended plans, %d tight chain bounds: the property was not exercised", extended, ties)
+		t.Fatalf("%d extended plans, %d tight coverage bounds: the property was not exercised", extended, ties)
+	}
+}
+
+// checkKeptBelowTau runs Candidates on an extended plan with its τ set to
+// +Inf, which drops nothing, and then to each trajectory's coverage bound
+// in turn: every run must emit, in order, exactly the unpruned candidates
+// of the trajectories whose bound is strictly below τ, and count the rest
+// as pruned.
+func checkKeptBelowTau(t *testing.T, name string, plan *filter.Plan, src index.PostingSource, coverage map[int32]float64) {
+	t.Helper()
+	plan.Tau = math.Inf(1)
+	all := plan.Candidates(src, nil)
+	if plan.PrunedTrajectories != 0 || plan.PrunedCandidates != 0 {
+		t.Fatalf("%s: τ = +Inf pruned %d trajectories", name, plan.PrunedTrajectories)
+	}
+	ids := map[int32]bool{}
+	for _, c := range all {
+		ids[c.ID] = true
+	}
+	for id := range ids {
+		tau := coverage[id]
+		plan.Tau, plan.PrunedTrajectories, plan.PrunedCandidates = tau, 0, 0
+		var want []filter.Candidate
+		for _, c := range all {
+			if coverage[c.ID] < tau {
+				want = append(want, c)
+			}
+		}
+		dropped := 0
+		for other := range ids {
+			if coverage[other] >= tau {
+				dropped++
+			}
+		}
+		got := plan.Candidates(src, nil)
+		if !slices.Equal(got, want) || plan.PrunedTrajectories != dropped || plan.PrunedCandidates != len(all)-len(want) {
+			t.Fatalf("%s τ = trajectory %d's bound %v: kept %d candidates, pruned %d trajectories and %d candidates; want %d, %d, %d",
+				name, id, tau, len(got), plan.PrunedTrajectories, plan.PrunedCandidates, len(want), dropped, len(all)-len(want))
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package filter
 
 import (
-	"math"
-
 	"subtraj/internal/index"
 	"subtraj/internal/traj"
 	"subtraj/internal/wed"
@@ -29,18 +27,14 @@ func BuildPlanDelta(costs wed.FilterCosts, freqs Freqs, q []traj.Symbol, tau flo
 	return p, nil
 }
 
-// Bounds runs the pre-filter's bound over src with nothing dropped and
-// returns the coverage bound over Q⁺ of every trajectory a Q⁺ posting
-// touches, and the chain bound of every one with a Q′ posting.
-func (p *Plan) Bounds(src index.PostingSource) (coverage, chain map[int32]float64) {
+// Bounds runs the pre-filter's coverage scan over src and returns the
+// coverage bound over Q⁺ of every trajectory a Q⁺ posting touches.
+func (p *Plan) Bounds(src index.PostingSource) map[int32]float64 {
 	sc := new(pruneScratch)
-	sc.scan(p, src.AppendPostings, math.Inf(1), nil)
-	coverage, chain = make(map[int32]float64), make(map[int32]float64)
+	sc.scan(p, src.AppendPostings)
+	coverage := make(map[int32]float64)
 	for _, id := range sc.cover.Touched {
 		coverage[id] = LowerBound(p.CPlus, sc.cover.Weight(id))
-		if s := sc.slot[id]; s >= 0 {
-			chain[id] = LowerBound(p.CPlus, sc.chained[s])
-		}
 	}
-	return coverage, chain
+	return coverage
 }

@@ -186,35 +186,19 @@ func (p *Plan) setExtra(in planInputs, extra []int) {
 	if len(extra) == 0 {
 		return
 	}
-	n := len(extra)
+	// Scan items are Q′ in Subseq order, then Extra.
+	n, m := len(extra), len(p.Subseq)+len(extra)
+	x := &p.ext
+	buf := make([]float64, 2*m+1)
+	x.w, x.heaviest = buf[:0:m], buf[m:]
+	for _, it := range p.Subseq {
+		x.w = append(x.w, in.c[it.Pos])
+	}
 	p.Extra, p.ExtraNeighbors = make([]Item, n), make([][]traj.Symbol, n)
 	for j, i := range extra {
 		p.Extra[j], p.ExtraNeighbors[j] = Item{Sym: in.q[i], Pos: int32(i)}, in.neighbors[i]
 		p.CPlus += in.c[i]
-		in.inQ[i] = true
-	}
-	// Scan items are Q′ in Subseq order, then Extra; the chain ranks them
-	// in query order.
-	m := len(p.Subseq) + n
-	x := &p.ext
-	ranks := make([]int32, len(in.q)+m)
-	rankAt := ranks[:len(in.q)]
-	for i, r := 0, int32(0); i < len(in.q); i++ {
-		rankAt[i] = r
-		if in.inQ[i] {
-			r++
-		}
-	}
-	buf := make([]float64, 3*m+1)
-	x.w, x.chainW, x.heaviest = buf[:m:m], buf[m:2*m:2*m], buf[2*m:]
-	x.rank = ranks[len(in.q):]
-	k := 0
-	for _, items := range [...][]Item{p.Subseq, p.Extra} {
-		for _, it := range items {
-			x.w[k], x.rank[k] = in.c[it.Pos], rankAt[it.Pos]
-			x.chainW[x.rank[k]] = x.w[k]
-			k++
-		}
+		x.w = append(x.w, in.c[i])
 	}
 	h := x.heaviest[1:]
 	copy(h, x.w)
@@ -313,9 +297,9 @@ func sortInts(xs []int) {
 // The first call on a BuildPlan plan extends it (extend). On an extended
 // plan it emits only the candidates of trajectories the pre-filter keeps:
 // it reads the Q⁺ postings of src, drops every trajectory whose coverage
-// bound and then chain bound over Q⁺ reach τ (bound.go), and emits the
-// rest in the order above. Q′ is still a τ-subsequence and the bounds are
-// admissible, so no match is lost.
+// bound over Q⁺ reaches τ (bound.go), and emits the rest in the order
+// above. Q′ is still a τ-subsequence and the bound is admissible, so no
+// match is lost.
 func (p *Plan) Candidates(src index.PostingSource, dst []Candidate) []Candidate {
 	return p.candidates(src.AppendPostings, dst)
 }
@@ -360,7 +344,7 @@ func (p *Plan) candidates(read appendFunc, dst []Candidate) []Candidate {
 	sc := pruneScratches.Get().(*pruneScratch)
 	defer func() {
 		if cap(sc.read) > maxGroupScratch {
-			sc.read, sc.found, sc.hits = nil, nil, nil // as GroupByTrajectory's buffer
+			sc.read = nil // as GroupByTrajectory's buffer
 		}
 		pruneScratches.Put(sc)
 	}()

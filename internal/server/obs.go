@@ -43,7 +43,7 @@ type serverMetrics struct {
 	columnsVisited, columnsAvail, stepDPs           *obs.Counter
 	cellsComputed, cellsAvail                       *obs.Counter
 	shardWorkers, parallelQueries                   *obs.Counter
-	topkQueued, topkVerified, topkRequeues          *obs.Counter
+	topkQueued, topkVerified                        *obs.Counter
 	stagePlan, stageFilter, stageVerify, stageMatch *obs.Histogram
 
 	// The GPS pipeline (gps.go).
@@ -88,7 +88,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.parallelQueries = counter("subtraj_parallel_queries_total", "Executed queries that used more than one worker.")
 	m.topkQueued = counter("subtraj_topk_queued_total", "Trajectories top-k queries put on their best-first queue.")
 	m.topkVerified = counter("subtraj_topk_verified_total", "Queued trajectories top-k queries scanned for their best match.")
-	m.topkRequeues = counter("subtraj_topk_requeues_total", "Top-k re-queues under its chain bound.")
 	r.GaugeFunc("subtraj_engine_generation", "Appends applied so far (cache-validity tag).",
 		nil, func() float64 { return float64(s.eng.Generation()) })
 	r.GaugeFunc("subtraj_engine_trajectories", "Indexed trajectories.",
@@ -340,7 +339,6 @@ func attachStatSpans(tr *obs.Trace, eng *obs.Span, qs *core.QueryStats) {
 		topk := add("topk", qs.MinCandTime+qs.LookupTime+qs.VerifyTime)
 		topk.SetAttr("queued", qs.TrajQueued)
 		topk.SetAttr("verified", qs.TrajVerified)
-		topk.SetAttr("requeues", qs.Requeues)
 	}
 }
 

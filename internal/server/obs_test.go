@@ -366,7 +366,6 @@ func TestMetricsMatchStats(t *testing.T) {
 		{"subtraj_parallel_queries_total", st.Totals.ParallelQueries},
 		{"subtraj_topk_queued_total", st.Totals.TopKQueued},
 		{"subtraj_topk_verified_total", st.Totals.TopKVerified},
-		{"subtraj_topk_requeues_total", st.Totals.TopKRequeues},
 		{"subtraj_gps_traces_matched_total", st.GPS.TracesMatched},
 		{"subtraj_gps_traces_failed_total", st.GPS.TracesFailed},
 		{"subtraj_gps_traces_split_total", st.GPS.TracesSplit},

@@ -229,11 +229,9 @@ type queryStatsJSON struct {
 	PrunedTrajectories int `json:"pruned_trajectories"`
 	PrunedCandidates   int `json:"pruned_candidates"`
 	// Top-k driver fields (absent for plain searches): trajectories put
-	// on the best-first queue, those scanned for their best match, and how
-	// often one went back on the queue under its chain bound.
+	// on the best-first queue, and those scanned for their best match.
 	Queued   int `json:"queued,omitempty"`
 	Verified int `json:"verified,omitempty"`
-	Requeues int `json:"requeues,omitempty"`
 }
 
 type queryResponse struct {
@@ -653,7 +651,6 @@ func (s *Server) record(matches int, qs *core.QueryStats) {
 	m.cellsAvail.Add(qs.Verify.CellsAvailable)
 	m.topkQueued.Add(int64(qs.TrajQueued))
 	m.topkVerified.Add(int64(qs.TrajVerified))
-	m.topkRequeues.Add(int64(qs.Requeues))
 	m.stagePlan.Observe(qs.MinCandTime.Seconds())
 	m.stageFilter.Observe(qs.LookupTime.Seconds())
 	m.stageVerify.Observe(qs.VerifyTime.Seconds())
@@ -674,7 +671,6 @@ func statsJSON(qs *core.QueryStats) *queryStatsJSON {
 		VerifyNS:           qs.VerifyTime.Nanoseconds(),
 		Queued:             qs.TrajQueued,
 		Verified:           qs.TrajVerified,
-		Requeues:           qs.Requeues,
 	}
 }
 
@@ -937,11 +933,10 @@ type StatsSnapshot struct {
 		ShardWorkers    int64 `json:"shard_workers"`
 		ParallelQueries int64 `json:"parallel_queries"`
 		// The best-first queue of executed top-k queries, summed:
-		// trajectories queued, trajectories scanned (the rest were
-		// dropped on their lower bound), and re-queues.
+		// trajectories queued, and trajectories scanned (the rest were
+		// dropped on their lower bound).
 		TopKQueued   int64 `json:"topk_queued"`
 		TopKVerified int64 `json:"topk_verified"`
-		TopKRequeues int64 `json:"topk_requeues"`
 	} `json:"totals"`
 	// Latency summarizes each endpoint's request-duration histogram — the
 	// very histograms /metrics exposes, so the two surfaces report the
@@ -1039,7 +1034,6 @@ func (s *Server) Snapshot() StatsSnapshot {
 	t.ParallelQueries = m.parallelQueries.Value()
 	t.TopKQueued = m.topkQueued.Value()
 	t.TopKVerified = m.topkVerified.Value()
-	t.TopKRequeues = m.topkRequeues.Value()
 	t.UPR = ratio(t.ColumnsVisited, t.ColumnsAvailable)
 	t.BandRatio = ratio(t.CellsComputed, t.CellsAvailable)
 	out.Latency = make(map[string]LatencySummary)
