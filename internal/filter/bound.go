@@ -158,15 +158,17 @@ type pruneScratch struct {
 	// keep[id] says whether the pre-filter keeps a trajectory with a Q′
 	// posting; it is written and read only for those.
 	keep    []bool
-	read    []index.Posting // what the call reads, decoded straight into it: on an extended plan, Q⁺'s postings in scan order
-	readEnd []int32         // scan item k's postings end at read[readEnd[k]]
+	read    []index.Posting // what the call reads, decoded straight into it: on an extended plan, Q′'s postings in scan order
+	readEnd []int32         // Q′ item k's postings end at read[readEnd[k]]
 }
 
 var pruneScratches = sync.Pool{New: func() any { return new(pruneScratch) }}
 
-// scan decodes the Q⁺ postings of one posting source into sc.read and
-// computes their coverage, Q′'s items first. It returns how many
-// trajectories have a Q′ posting — the first nQ of sc.cover.Touched.
+// scan decodes the Q⁺ postings of one posting source and computes their
+// coverage, Q′'s items first. Only Q′'s postings stay in sc.read: prune
+// reads back no other, so an extension item's are dropped as soon as they
+// are counted (at δ = 2, Q⁺ has about 2.85× Q′'s postings). It returns how
+// many trajectories have a Q′ posting — the first nQ of sc.cover.Touched.
 func (sc *pruneScratch) scan(p *Plan, read appendFunc) (nQ int) {
 	x, cov := &p.ext, &sc.cover
 	cov.Start(len(x.w), len(sc.keep))
@@ -178,6 +180,9 @@ func (sc *pruneScratch) scan(p *Plan, read appendFunc) (nQ int) {
 			from := len(sc.read)
 			sc.read = read(sc.read, b)
 			cov.Add(sc.read[from:])
+			if k >= len(p.Subseq) {
+				sc.read = sc.read[:from]
+			}
 		}
 		sc.readEnd[k] = int32(len(sc.read))
 		if k == len(p.Subseq)-1 {

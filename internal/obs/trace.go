@@ -85,19 +85,24 @@ func (t *Trace) Root() *Span {
 
 // StartSpan opens a wall-clock child span under parent (nil parent =
 // root). Close it with End; spans left open get zero duration in the
-// snapshot rather than poisoning the tree.
+// snapshot rather than poisoning the tree. A finished trace takes no
+// more: the span is nil, a no-op, so the root still brackets its
+// children.
 func (t *Trace) StartSpan(parent *Span, name string) *Span {
 	if t == nil {
 		return nil
 	}
 	now := time.Now()
-	s := &Span{name: name, start: now, offset: now.Sub(t.begin), tr: t}
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.root.done {
+		return nil
+	}
+	s := &Span{name: name, start: now, offset: now.Sub(t.begin), tr: t}
 	if parent == nil {
 		parent = t.root
 	}
 	parent.children = append(parent.children, s)
-	t.mu.Unlock()
 	return s
 }
 

@@ -21,6 +21,11 @@ func TestTraceSpanTree(t *testing.T) {
 	s2.SetAttr("workers", 4)
 	tr.AddSpan(s2, "plan", 3*time.Millisecond)
 	total := tr.Finish()
+	// A finished tree takes no more wall spans: the root keeps
+	// bracketing its children.
+	if late := tr.StartSpan(nil, "encode"); late != nil {
+		t.Error("a finished trace opened a span")
+	}
 
 	j := tr.JSON()
 	if j == nil || j.Name != "request" {

@@ -310,7 +310,8 @@ func badRequest(format string, args ...any) *httpError {
 // answer — or the error, mapped to its status — is encoded as JSON.
 func handle[Req any](s *Server, run func(r *http.Request, req *Req) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		dec := obs.FromContext(r.Context()).StartSpan(nil, "decode")
+		tr := obs.FromContext(r.Context())
+		dec := tr.StartSpan(nil, "decode")
 		var req Req
 		d := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 		d.DisallowUnknownFields()
@@ -327,6 +328,10 @@ func handle[Req any](s *Server, run func(r *http.Request, req *Req) (any, error)
 			return
 		}
 		resp, err := run(r, &req)
+		// The answer's encoding and write are a top-level wall span of
+		// their own, so a large answer's cost shows in the breakdown.
+		enc := tr.StartSpan(nil, "encode")
+		defer enc.End()
 		if err != nil {
 			s.fail(w, err)
 			return
@@ -422,12 +427,6 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	writeJSON(w, code, map[string]string{"error": s.errorMessage(err)})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
 // --- endpoints -------------------------------------------------------------
 
 // query runs the five query endpoints; ?debug=trace embeds the request's
@@ -440,7 +439,9 @@ func (s *Server) query(kind string) func(*http.Request, *queryRequest) (any, err
 			// Finish before encoding: the root duration then brackets
 			// exactly the spans in the tree (its top-level children sum to
 			// it), and the instrument middleware's later Finish keeps this
-			// value for the latency histogram.
+			// value for the latency histogram. The tree so cannot hold its
+			// own encode span: that one shows only in the slow-query ring
+			// and log of requests without ?debug=trace.
 			tr := obs.FromContext(r.Context())
 			tr.Finish()
 			resp.Trace = tr.JSON()
