@@ -73,8 +73,8 @@ func TestPooledSearchAllocs(t *testing.T) {
 // sequential EDR search at τ_ratio 0.7, where one query enumerates
 // thousands of matches — by words, 5.9 k word columns (242 k cells as
 // booked), and on the paper's candidate walk 850 k DP cells. Each measures
-// 76 allocs and 29.6 KB (plan, candidates, results): the pooled mask
-// table, the verifier's position and mask buffers, its two columns,
+// 24 allocs and 27.2 KB (plan, candidates, results): the plan's pooled
+// mask table, the verifier's position and mask buffers, its two columns,
 // compiled rows and match buffers serve every trajectory and candidate; a
 // buffer reallocated per trajectory or candidate shows as megabytes. (At
 // 0.3, the ratio the budgets were set at, the trajectory-level pre-filter
@@ -118,8 +118,8 @@ func TestPooledWideSearchAllocs(t *testing.T) {
 // top-k query (k = 10, |Q| = 30) with warm pools. The best-first driver
 // allocates the plan, the result table and, when fanned out, the workers'
 // goroutines — its queue scratch and its verifiers, which hold only
-// compiled cost rows and two columns, are pooled — and measures 68
-// allocs and 6.3 KB sequentially, 72 and 6.5 KB on two workers; each
+// compiled cost rows and two columns, are pooled — and measures 30
+// allocs and 5.1 KB sequentially, 34–35 and 5.2–5.5 KB on two workers; each
 // further worker adds about four allocations. One allocation per scanned
 // trajectory (about 30 here) crosses the bytes budget. The τ-growth driver
 // it replaced took 364 allocs and 39 MB for the same query.

@@ -1,11 +1,14 @@
 // Package core assembles the paper's primary contribution: the
 // filter-and-verify subtrajectory similarity search engine of Algorithm 2.
-// A query (Q, wed, τ) is answered by (1) choosing an optimised
-// τ-subsequence with MinCand, (2) generating candidates from the inverted
-// index over the substitution neighbourhoods, and (3) verifying each
-// candidate locally, with DP walks in both directions from it — or, under a
-// unit-cost model, by enumerating every match of the windows around a
-// trajectory's candidates with bit-parallel scans. Temporal
+// A query (Q, wed, τ) is answered by (1) building its filter plan — an
+// optimised τ-subsequence chosen with MinCand, its extension for the
+// trajectory-level pre-filter and, under a unit-cost model, the query's
+// match masks (filter.BuildPlan) — (2) generating candidates from the
+// inverted index over the substitution neighbourhoods, and (3) verifying
+// each candidate locally, with DP walks in both directions from it — or,
+// under a unit-cost model, by enumerating every match of the windows
+// around a trajectory's candidates with bit-parallel scans over the plan's
+// masks. Temporal
 // constraints (§4.3) are supported both as a candidate-level pre-filter
 // (TF) and as exact post-verification checks.
 package core
@@ -191,6 +194,8 @@ func (e *Engine) PrepareTemporal() {}
 // Workers records the pipeline shape.
 type QueryStats struct {
 	// MinCandTime, LookupTime, VerifyTime decompose the query (Table 4).
+	// MinCandTime is the whole of filter.BuildPlan: Q′, its extension to
+	// Q⁺ and the match masks.
 	MinCandTime time.Duration
 	LookupTime  time.Duration
 	VerifyTime  time.Duration
@@ -353,7 +358,8 @@ func (e *Engine) SearchQuery(qr Query) ([]traj.Match, *QueryStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.SubseqLen = len(plan.Subseq)
+	defer plan.Release()
+	stats.SubseqLen, stats.PlusLen = len(plan.Subseq), len(plan.Subseq)+len(plan.Extra)
 	stats.CSum = plan.CSum
 
 	if err := ctxErr(qr.Ctx); err != nil {
@@ -361,16 +367,11 @@ func (e *Engine) SearchQuery(qr Query) ([]traj.Match, *QueryStats, error) {
 	}
 	// Under the default options, a unit-cost model and |Q| ≤ 64, every
 	// trajectory is verified by two word scans over the windows around its
-	// candidates (verify.Enumerate) instead of a walk per candidate. Its
-	// masks come from the plan's B(q), which the lookup consumes.
+	// candidates (verify.Enumerate) instead of a walk per candidate, over
+	// the masks the plan built.
 	var masks verify.Masks
-	if qr.Verify == (verify.Options{}) && verify.WordScan(e.costs, len(qr.Q)) {
-		start = time.Now()
-		tab := symTables.Get().(*symTable)
-		defer symTables.Put(tab)
-		tab.build(e.costs, plan)
-		masks = tab
-		stats.VerifyTime += time.Since(start)
+	if qr.Verify == (verify.Options{}) {
+		masks = plan.Masks()
 	}
 	// One lookup over every posting source into one pooled buffer, one
 	// grouping pass, then the fan-out — sized by the work the grouped
@@ -384,7 +385,6 @@ func (e *Engine) SearchQuery(qr Query) ([]traj.Match, *QueryStats, error) {
 	filter.GroupByTrajectory(cands)
 	stats.LookupTime = time.Since(start)
 	stats.Candidates = len(cands)
-	stats.PlusLen = len(plan.Subseq) + len(plan.Extra) // the lookup extended the plan
 	stats.TrajPruned, stats.CandidatesPruned = plan.PrunedTrajectories, plan.PrunedCandidates
 
 	work := searchWork(len(cands), len(qr.Q), qr.Tau, plan.CQ)

@@ -180,9 +180,7 @@ func TestTopKAnyPartitionEqualsRestart(t *testing.T) {
 			t.Error(err)
 			return false
 		}
-		sc := new(topkScratch)
-		sc.scan(e, plan, ceiling)
-		entries := slices.Clone(sc.queued)
+		entries, _ := e.subseqBounds(plan, ceiling, nil)
 		rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
 		if len(rawCuts) > 5 {
 			rawCuts = rawCuts[:5]
@@ -199,7 +197,7 @@ func TestTopKAnyPartitionEqualsRestart(t *testing.T) {
 
 		tab := &topkTable{k: k}
 		tab.thr.Store(math.Float64bits(ceiling))
-		run := topkRun{e: e, q: w.q, sc: sc, ceiling: ceiling, tab: tab, stats: &QueryStats{}}
+		run := topkRun{e: e, q: w.q, masks: plan.Masks(), ceiling: ceiling, tab: tab, stats: &QueryStats{}}
 		fanOut(len(queues), func(i int) { run.pass(&queues[i]) })
 		ran++
 		if got := tab.sorted(); !slices.Equal(got, want) {

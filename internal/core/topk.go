@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"subtraj/internal/filter"
-	"subtraj/internal/index"
 	"subtraj/internal/traj"
 	"subtraj/internal/verify"
 	"subtraj/internal/wed"
@@ -29,12 +28,12 @@ import (
 // keyed by (bound, ID); one is dropped only when its key reaches the
 // running threshold — the float just above the k-th best WED, the ceiling
 // until k trajectories have answered. Every key is admissible (DESIGN.md
-// §1.5): the coverage bound over the τ-subsequence Q′, the bound the
-// threshold search's pre-filter also reads (filter.Cover,
-// filter.LowerBound). A popped trajectory gets one Smith–Waterman scan
-// banded at the threshold (verify.Verifier.Best) — a bit-parallel one over
-// the query's match masks under a unit-cost model — which yields its exact
-// best below it, in wed.AllMatches's bits, and it leaves the queue.
+// §1.5): the coverage bound over the τ-subsequence Q′, computed by the
+// threshold search's pre-filter scan (filter.Plan.SubseqBounds). A popped
+// trajectory gets one Smith–Waterman scan banded at the threshold
+// (verify.Verifier.Best) — a bit-parallel one over the plan's match masks
+// under a unit-cost model — which yields its exact best below it, in
+// wed.AllMatches's bits, and it leaves the queue.
 //
 // Because a trajectory leaves the queue only with its exact best, or with
 // a bound or a scan that puts its best above the k-th best, the answer is
@@ -93,6 +92,7 @@ func (e *Engine) SearchTopKStats(q []traj.Symbol, k int, opts TopKOptions) ([]tr
 	if err != nil {
 		return nil, nil, err
 	}
+	defer plan.Release()
 	stats.SubseqLen, stats.PlusLen, stats.CSum = len(plan.Subseq), len(plan.Subseq), plan.CSum
 
 	// One scan of the postings builds the whole queue; the fan-out is over
@@ -100,7 +100,8 @@ func (e *Engine) SearchTopKStats(q []traj.Symbol, k int, opts TopKOptions) ([]tr
 	start = time.Now()
 	sc := topkScratches.Get().(*topkScratch)
 	defer topkScratches.Put(sc)
-	postings := sc.scan(e, plan, ceiling)
+	var postings int
+	sc.queued, postings = e.subseqBounds(plan, ceiling, sc.queued[:0])
 	stats.LookupTime = time.Since(start)
 	stats.TrajQueued = len(sc.queued)
 	stats.CandidatesReused = postings
@@ -112,7 +113,7 @@ func (e *Engine) SearchTopKStats(q []traj.Symbol, k int, opts TopKOptions) ([]tr
 
 	tab := &topkTable{k: k}
 	tab.thr.Store(math.Float64bits(ceiling))
-	run := topkRun{e: e, ctx: opts.Ctx, q: q, sc: sc, ceiling: ceiling, tab: tab, stats: stats}
+	run := topkRun{e: e, ctx: opts.Ctx, q: q, masks: plan.Masks(), ceiling: ceiling, tab: tab, stats: stats}
 	queues := sc.deal(stats.Workers)
 	fanOut(len(queues), func(i int) { run.pass(&queues[i]) })
 	run.mu.Lock()
@@ -199,35 +200,25 @@ func (tb *topkTable) sorted() []traj.Match {
 	return out
 }
 
-// topkEntry is one queued trajectory; key is a lower bound on its best
-// WED: its coverage bound.
-type topkEntry struct {
-	key float64
-	id  int32
+// before orders the queue: by coverage bound, then ID.
+func before(a, b filter.Bound) bool {
+	return a.Key < b.Key || (a.Key == b.Key && a.ID < b.ID)
 }
 
-func (a topkEntry) before(b topkEntry) bool {
-	return a.key < b.key || (a.key == b.key && a.id < b.id)
-}
-
-// topkScratch is one query's working memory, pooled across queries: what
-// the postings scan writes — the queue and the match masks, both
-// read-only once scan returns — and the workers' private scratch.
+// topkScratch is one query's working memory, pooled across queries: the
+// queue the postings scan fills — read-only once it has — and the
+// workers' private scratch.
 type topkScratch struct {
-	cover  filter.Cover
-	queued []topkEntry // the queued trajectories, in the order the scan met them
-	heap   []topkEntry // the queue as deal laid it out, one piece per worker
-	syms   symTable    // the query's match masks, when word
-	word   bool        // Best takes the word scan (verify.WordScan)
+	queued []filter.Bound // the queued trajectories, in the order the scan met them
+	heap   []filter.Bound // the queue as deal laid it out, one piece per worker
 	queues []topkQueue
-	read   []index.Posting // the postings list the scan is reading
 }
 
 // topkQueue is one worker's share of the queue with the scratch only it
 // writes.
 type topkQueue struct {
-	heap []topkEntry // a piece of topkScratch.heap; a binary min-heap by (key, id)
-	eq   []uint64    // the match masks of the path being verified
+	heap []filter.Bound // a piece of topkScratch.heap; a binary min-heap by (Key, ID)
+	eq   []uint64       // the match masks of the path being verified
 }
 
 var topkScratches = sync.Pool{New: func() any { return new(topkScratch) }}
@@ -245,47 +236,28 @@ var topkScratches = sync.Pool{New: func() any { return new(topkScratch) }}
 // Parallelism 2; it stays at three until an end-to-end run shows another
 // does not slow top-k. The first of them in scan order — the likely
 // answers, see deal — stand for the ones it will scan.
-func topKWork(ds *traj.Dataset, queued []topkEntry, k, qLen int) float64 {
+func topKWork(ds *traj.Dataset, queued []filter.Bound, k, qLen int) float64 {
 	n := len(queued)
 	if k <= n/3 { // else 3k > n, or overflows for a huge k
 		n = 3 * k
 	}
 	cells := 0
 	for _, en := range queued[:n] {
-		cells += len(ds.Path(en.id)) * qLen
+		cells += len(ds.Path(en.ID)) * qLen
 	}
 	return float64(cells)
 }
 
-// scan reads the plan's postings once from every source of the view,
-// accumulates each touched trajectory's covered weight, and queues every
-// trajectory whose coverage bound is below the ceiling. It returns the
-// postings read.
-func (sc *topkScratch) scan(e *Engine, plan *filter.Plan, ceiling float64) (postings int) {
-	sc.cover.Start(len(plan.Subseq), e.ds.Len())
-	sc.queued = sc.queued[:0]
-	q, c, _ := plan.Positions()
-	if sc.word = verify.WordScan(e.costs, len(q)); sc.word {
-		sc.syms.build(e.costs, plan)
-	}
-
+// subseqBounds appends every trajectory whose coverage bound over Q′ is
+// below the ceiling, from one coverage scan per posting source of the
+// view — the base, then the delta — and returns the postings read.
+func (e *Engine) subseqBounds(plan *filter.Plan, ceiling float64, dst []filter.Bound) (_ []filter.Bound, postings int) {
 	for s := 0; s < e.idx.NumShards(); s++ {
-		src := e.idx.Source(s)
-		for i := range plan.Subseq {
-			sc.cover.Item(i, c[plan.Subseq[i].Pos])
-			for _, b := range plan.Neighbors[i] {
-				sc.read = src.AppendPostings(sc.read[:0], b)
-				postings += len(sc.read)
-				sc.cover.Add(sc.read)
-			}
-		}
+		var n int
+		dst, n = plan.SubseqBounds(e.idx.Source(s), ceiling, dst)
+		postings += n
 	}
-	for _, id := range sc.cover.Touched {
-		if key := filter.LowerBound(plan.CSum, sc.cover.Weight(id)); key < ceiling {
-			sc.queued = append(sc.queued, topkEntry{key: key, id: id})
-		}
-	}
-	return postings
+	return dst, postings
 }
 
 // deal lays the queue out as n contiguous pieces of the one heap buffer,
@@ -318,7 +290,7 @@ func (sc *topkScratch) deal(n int) []topkQueue {
 }
 
 // init makes tq a queue over entries, heapified in place.
-func (tq *topkQueue) init(entries []topkEntry) {
+func (tq *topkQueue) init(entries []filter.Bound) {
 	tq.heap = entries
 	for j := len(entries)/2 - 1; j >= 0; j-- {
 		tq.siftDown(j)
@@ -332,10 +304,10 @@ func (tq *topkQueue) siftDown(i int) {
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && h[c+1].before(h[c]) {
+		if c+1 < len(h) && before(h[c+1], h[c]) {
 			c++
 		}
-		if !h[c].before(h[i]) {
+		if !before(h[c], h[i]) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]
@@ -351,10 +323,10 @@ func (tq *topkQueue) pop() {
 	tq.siftDown(0)
 }
 
-// masks returns the match masks of path's positions, for the word scan.
-func (tq *topkQueue) masks(sc *topkScratch, path []traj.Symbol) []uint64 {
+// fill returns the match masks of path's positions, for the word scan.
+func (tq *topkQueue) fill(masks verify.Masks, path []traj.Symbol) []uint64 {
 	tq.eq = slices.Grow(tq.eq[:0], len(path))[:len(path)]
-	sc.syms.Fill(tq.eq, path)
+	masks.Fill(tq.eq, path)
 	return tq.eq
 }
 
@@ -363,7 +335,7 @@ type topkRun struct {
 	e       *Engine
 	ctx     context.Context
 	q       []traj.Symbol
-	sc      *topkScratch // read-only during the passes
+	masks   verify.Masks // the plan's, nil unless Best takes the word scan
 	ceiling float64
 	tab     *topkTable
 
@@ -376,7 +348,6 @@ type topkRun struct {
 // until it reports its work.
 func (r *topkRun) pass(tq *topkQueue) {
 	start := time.Now()
-	sc := r.sc
 	// Only the verifier's compiled rows and two columns are read.
 	ver := verify.Get(r.e.costs, r.e.ds, r.q, r.ceiling, verify.Options{})
 	defer verify.Put(ver)
@@ -388,18 +359,18 @@ func (r *topkRun) pass(tq *topkQueue) {
 			break
 		}
 		thr, top := r.tab.threshold(), tq.heap[0]
-		if top.key >= thr {
+		if top.Key >= thr {
 			break // so is every key behind it
 		}
 		tq.pop()
 		verified++
 		var eq []uint64
-		if sc.word {
-			eq = tq.masks(sc, r.e.ds.Path(top.id))
+		if r.masks != nil {
+			eq = tq.fill(r.masks, r.e.ds.Path(top.ID))
 		}
 		// Its exact best below thr, or none: then its best is ≥ thr and it
 		// could not have entered the table.
-		if m, ok := ver.Best(top.id, thr, eq); ok {
+		if m, ok := ver.Best(top.ID, thr, eq); ok {
 			r.tab.offer(m)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"subtraj/internal/filter"
@@ -90,14 +91,13 @@ func (e *Engine) TopKBounds(q []traj.Symbol, tau float64) (coverage []float64, f
 	if err != nil {
 		return nil, false, err
 	}
-	sc := new(topkScratch)
-	sc.scan(e, plan, plan.CSum*2)
+	bounds, _ := e.subseqBounds(plan, math.Inf(1), nil)
 	coverage = make([]float64, e.ds.Len())
 	for id := range coverage {
 		coverage[id] = filter.LowerBound(plan.CSum, 0) // untouched: nothing covered
 	}
-	for _, en := range sc.queued {
-		coverage[en.id] = en.key
+	for _, b := range bounds {
+		coverage[b.ID] = b.Key
 	}
 	return coverage, len(plan.Subseq) == len(q), nil
 }

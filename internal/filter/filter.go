@@ -2,7 +2,12 @@
 // per-symbol filtering costs c(q), the substitution neighbourhoods B(q),
 // the MinCand candidate-minimisation problem (Definition 5) solved by the
 // primal–dual greedy 2-approximation of Algorithm 1, and candidate
-// generation from the inverted index (the loop of Algorithm 2).
+// generation from the inverted index (the loop of Algorithm 2). It owns
+// everything derived from the query alone: BuildPlan computes c(q) and
+// B(q) once per position and from them Q′, its extension Q⁺ and the
+// query's match masks for the word scans; and one coverage scan over a
+// plan's postings serves both the threshold search's trajectory-level
+// pre-filter and the top-k driver's queue keys.
 package filter
 
 import (
@@ -27,21 +32,22 @@ type Item struct {
 // Candidate is what the filter hands the verifier.
 type Candidate = verify.Candidate
 
-// Plan is the query-time filtering state: the chosen τ-subsequence and the
-// precomputed neighbourhoods/statistics, reusable for candidate generation
-// and reporting.
+// Plan is what the filter knows about one query, all of it derived from
+// the query alone and built whole by BuildPlan: the chosen τ-subsequence
+// Q′, its extension Q⁺ for the trajectory-level pre-filter, B(q) and c(q)
+// of their positions, and the query's match masks. Candidate generation
+// and the coverage scans only read it (they add to its Pruned counters);
+// Release hands its masks back.
 type Plan struct {
-	// Subseq is the chosen τ-subsequence Q' in query order.
-	Subseq []Item
-	// Neighbors[i] is B(Subseq[i].Sym).
+	// Subseq is the chosen τ-subsequence Q' in query order, and Extra is
+	// Q⁺ \ Q′: the positions BuildPlan adds for the pre-filter (DESIGN.md
+	// §1.4), cheapest n(q)/c(q) first. They are one list of scan items —
+	// Extra is its tail, past Subseq's length — so nothing may append to
+	// Subseq. A plan without Extra — one built by hand, or one the
+	// extension left alone — generates the paper's candidate set.
+	Subseq, Extra []Item
+	// Neighbors[k] is B of scan item k: Subseq's items, then Extra's.
 	Neighbors [][]traj.Symbol
-	// Extra is Q⁺ \ Q′: the positions the first Candidates* call on a
-	// BuildPlan plan adds for the trajectory-level pre-filter (DESIGN.md
-	// §1.4), cheapest n(q)/c(q) first, and ExtraNeighbors[i] is
-	// B(Extra[i].Sym). A plan without them — one built by hand, or one
-	// only top-k reads — generates the paper's candidate set.
-	Extra          []Item
-	ExtraNeighbors [][]traj.Symbol
 	// CSum is c(Q') = Σ c(q) over the subsequence; CPlus is c(Q⁺); CQ is
 	// c(Q), the sum over all of Q — the scale τ is a fraction of.
 	CSum, CPlus, CQ float64
@@ -56,19 +62,12 @@ type Plan struct {
 	// Those calls therefore write the plan: make them from one goroutine.
 	PrunedTrajectories, PrunedCandidates int
 
-	ext extension
-	// in is BuildPlan's per-position work, kept until the first
-	// Candidates* call extends the plan with it (extend).
-	in planInputs
-}
-
-// planInputs is what BuildPlan computed for every position of the query:
-// its symbol, c(q), the postings N_q of B(q), B(q), and whether Q′ holds it.
-type planInputs struct {
-	q         []traj.Symbol
-	c, nq     []float64
-	neighbors [][]traj.Symbol
-	inQ       []bool
+	// w[k] is c of scan item k. On an extended plan heaviest[c] is the
+	// most weight c of Q⁺'s positions can cover: the c largest weights
+	// summed.
+	w, heaviest []float64
+	// masks is the query's symbol table, when verify.WordScan holds.
+	masks *symTable
 }
 
 // ErrInfeasible is returned when no subsequence of Q can reach the
@@ -92,21 +91,36 @@ type Freqs interface {
 }
 
 // BuildPlan chooses a τ-subsequence of q minimising the candidate count
-// via Algorithm 1 and precomputes the neighbourhoods. costs provides c(q)
-// and B(q); freqs provides the frequencies n(b). The plan keeps q: the
-// first Candidates* call extends Q′ to the Q⁺ the pre-filter bounds
-// trajectories over (see extend).
+// via Algorithm 1, extends it to the Q⁺ the pre-filter bounds
+// trajectories over (cheapestFirst), and, when verify.WordScan holds,
+// builds the query's match masks — all from one pass of c(q) and B(q)
+// over the query. costs provides c(q), B(q) and sub; freqs provides the
+// frequencies n(b). The masks come from a pool: Release gives them back.
 func BuildPlan(costs wed.FilterCosts, freqs Freqs, q []traj.Symbol, tau float64) (*Plan, error) {
+	return buildPlan(costs, freqs, q, tau, cheapestFirst)
+}
+
+// extendFunc picks Q⁺ \ Q′ out of the positions outside Q′ that cost
+// anything (order, ascending), given every position's c(q) and postings
+// N_q and the plan's predicted candidate count: it reorders order in place
+// so that its first δ positions are Q⁺ \ Q′ in scan order, and returns δ.
+type extendFunc func(order []int, c, nq []float64, predicted int) int
+
+func buildPlan(costs wed.FilterCosts, freqs Freqs, q []traj.Symbol, tau float64, extend extendFunc) (*Plan, error) {
 	n := len(q)
-	c := make([]float64, n)
-	neighbors := make([][]traj.Symbol, n)
-	nq := make([]float64, n) // N_q: candidate volume of choosing position i
+	c := make([]float64, 2*n)
+	nq := c[n:] // N_q: candidate volume of choosing position i
+	c = c[:n]
+	// B(q[i]) is flat[ends[i]:ends[i+1]]: one buffer for the whole query.
+	ends := make([]int32, n+1)
+	flat := make([]traj.Symbol, 0, 4*n)
 	var cTotal float64
 	for i, sym := range q {
 		c[i] = costs.FilterCost(sym)
-		neighbors[i] = costs.Neighbors(sym, nil)
+		flat = costs.Neighbors(sym, flat)
+		ends[i+1] = int32(len(flat))
 		var vol int
-		for _, b := range neighbors[i] {
+		for _, b := range flat[ends[i]:] {
 			vol += freqs.Freq(b)
 		}
 		nq[i] = float64(vol)
@@ -119,46 +133,61 @@ func BuildPlan(costs wed.FilterCosts, freqs Freqs, q []traj.Symbol, tau float64)
 	plan := &Plan{CQ: cTotal, Tau: tau}
 	inQ := make([]bool, n)
 	for _, i := range chosen {
-		plan.Subseq = append(plan.Subseq, Item{Sym: q[i], Pos: int32(i)})
-		plan.Neighbors = append(plan.Neighbors, neighbors[i])
 		plan.CSum += c[i]
 		plan.PredictedCandidates += int(nq[i])
 		inQ[i] = true
 	}
+	// The scan items' positions: Q′, then Q⁺ \ Q′.
+	pos := append(make([]int, 0, n), chosen...)
+	for i := range q {
+		if !inQ[i] && c[i] > 0 {
+			pos = append(pos, i)
+		}
+	}
+	pos = pos[:len(chosen)+extend(pos[len(chosen):], c, nq, plan.PredictedCandidates)]
+	m := len(pos)
+	items := make([]Item, m)
+	plan.Subseq, plan.Extra = items[:len(chosen)], items[len(chosen):]
+	plan.Neighbors = make([][]traj.Symbol, m)
+	plan.w = make([]float64, m)
 	plan.CPlus = plan.CSum
-	plan.in = planInputs{q: q, c: c, nq: nq, neighbors: neighbors, inQ: inQ}
+	for k, i := range pos {
+		items[k] = Item{Sym: q[i], Pos: int32(i)}
+		plan.Neighbors[k] = flat[ends[i]:ends[i+1]:ends[i+1]]
+		plan.w[k] = c[i]
+		if k >= len(chosen) {
+			plan.CPlus += c[i]
+		}
+	}
+	if len(plan.Extra) > 0 {
+		h := make([]float64, m+1)
+		copy(h[1:], plan.w)
+		slices.Sort(h[1:])
+		slices.Reverse(h[1:])
+		for k := 1; k <= m; k++ {
+			h[k] += h[k-1]
+		}
+		plan.heaviest = h
+	}
+	if verify.WordScan(costs, n) {
+		plan.masks = newSymTable(costs, q, flat, ends)
+	}
 	return plan, nil
 }
 
-// Positions returns what BuildPlan computed for every position i of the
-// query q: c[i] = c(q[i]) and neighbors[i] = B(q[i]), from the same calls
-// Subseq, Neighbors and CSum were built from. The first Candidates* call
-// consumes them (extend); all three are nil after it.
-func (p *Plan) Positions() (q []traj.Symbol, c []float64, neighbors [][]traj.Symbol) {
-	return p.in.q, p.in.c, p.in.neighbors
-}
-
-// extend adds Q⁺ \ Q′ — positions outside Q′ with c(q) > 0, the fewest
-// postings per unit of bound first (a position whose neighbourhood occurs
-// nowhere is free and raises every trajectory's bound by c(q)). δ follows
-// from the plan itself: positions are added while their postings total at
-// most twice PredictedCandidates, the candidates at stake — bounding with
-// a posting costs tens of nanoseconds, verifying a candidate most of a
-// microsecond, and the bound's own cost stops falling there (DESIGN.md
-// §1.4 has the measured curve). A plan with no candidates is not
-// extended: there is nothing to drop. The first Candidates* call runs it,
-// so a plan nobody generates candidates from never pays for it.
-func (p *Plan) extend() {
-	in := p.in
-	p.in = planInputs{}
-	if p.PredictedCandidates == 0 {
-		return
-	}
-	order := make([]int, 0, len(in.q)-len(p.Subseq))
-	for i := range in.q {
-		if !in.inQ[i] && in.c[i] > 0 {
-			order = append(order, i)
-		}
+// cheapestFirst is BuildPlan's extension: positions outside Q′ with c(q) >
+// 0, the fewest postings per unit of bound first (a position whose
+// neighbourhood occurs nowhere is free and raises every trajectory's bound
+// by c(q)). δ follows from the plan itself: positions are added while
+// their postings total at most twice the predicted candidates, the
+// candidates at stake — bounding with a posting costs tens of
+// nanoseconds, verifying a candidate most of a microsecond, and the
+// bound's own cost stops falling there (DESIGN.md §1.4 has the measured
+// curve). A plan with no candidates is not extended: there is nothing to
+// drop.
+func cheapestFirst(order []int, c, nq []float64, predicted int) int {
+	if predicted == 0 {
+		return 0
 	}
 	// A selection sort of the prefix δ reaches: a dozen picks out of fifty.
 	n, postings := 0, 0
@@ -166,55 +195,18 @@ func (p *Plan) extend() {
 		best := n
 		for j := n + 1; j < len(order); j++ {
 			a, b := order[j], order[best]
-			if x, y := in.nq[a]*in.c[b], in.nq[b]*in.c[a]; x < y || x == y && a < b {
+			if x, y := nq[a]*c[b], nq[b]*c[a]; x < y || x == y && a < b {
 				best = j
 			}
 		}
 		i := order[best]
-		if postings+int(in.nq[i]) > 2*p.PredictedCandidates {
+		if postings+int(nq[i]) > 2*predicted {
 			break
 		}
 		order[n], order[best] = i, order[n]
-		postings += int(in.nq[i])
+		postings += int(nq[i])
 	}
-	p.setExtra(in, order[:n])
-}
-
-// setExtra makes the query positions extra, in that order, Q⁺ \ Q′, and
-// builds the tables the pre-filter reads.
-func (p *Plan) setExtra(in planInputs, extra []int) {
-	if len(extra) == 0 {
-		return
-	}
-	// Scan items are Q′ in Subseq order, then Extra.
-	n, m := len(extra), len(p.Subseq)+len(extra)
-	x := &p.ext
-	buf := make([]float64, 2*m+1)
-	x.w, x.heaviest = buf[:0:m], buf[m:]
-	for _, it := range p.Subseq {
-		x.w = append(x.w, in.c[it.Pos])
-	}
-	p.Extra, p.ExtraNeighbors = make([]Item, n), make([][]traj.Symbol, n)
-	for j, i := range extra {
-		p.Extra[j], p.ExtraNeighbors[j] = Item{Sym: in.q[i], Pos: int32(i)}, in.neighbors[i]
-		p.CPlus += in.c[i]
-		x.w = append(x.w, in.c[i])
-	}
-	h := x.heaviest[1:]
-	copy(h, x.w)
-	slices.Sort(h)
-	slices.Reverse(h)
-	for i := 1; i <= m; i++ {
-		x.heaviest[i] += x.heaviest[i-1]
-	}
-}
-
-// scanNeighbors returns B of scan item k: Q′'s items, then Extra.
-func (p *Plan) scanNeighbors(k int) []traj.Symbol {
-	if k < len(p.Neighbors) {
-		return p.Neighbors[k]
-	}
-	return p.ExtraNeighbors[k-len(p.Neighbors)]
+	return n
 }
 
 // MinCand is the primal–dual greedy of Algorithm 1 for the minimum
@@ -273,17 +265,8 @@ func MinCand(nq, c []float64, tau float64) []int {
 		cSum += c[best]
 	}
 	// Ascending positions (the greedy may pick out of order).
-	sortInts(chosen)
+	slices.Sort(chosen)
 	return chosen
-}
-
-func sortInts(xs []int) {
-	// Insertion sort: |Q'| is tiny (a few items).
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // Candidates generates the candidate set of Algorithm 2 (lines 3–6):
@@ -294,12 +277,13 @@ func sortInts(xs []int) {
 // it; the candidate set over a view's sources is exactly the set of one
 // arena over the same trajectories.
 //
-// The first call on a BuildPlan plan extends it (extend). On an extended
-// plan it emits only the candidates of trajectories the pre-filter keeps:
-// it reads the Q⁺ postings of src, drops every trajectory whose coverage
-// bound over Q⁺ reaches τ (bound.go), and emits the rest in the order
-// above. Q′ is still a τ-subsequence and the bound is admissible, so no
-// match is lost.
+// On an extended plan it emits only the candidates of trajectories the
+// pre-filter keeps: it reads the Q⁺ postings of src, drops every
+// trajectory whose coverage bound over Q⁺ reaches τ (bound.go), and emits
+// the rest in the order above. Q′ is still a τ-subsequence and the bound
+// is admissible, so no match is lost. The plan is not changed but for its
+// Pruned counters: every call over the same source emits the same
+// candidates.
 func (p *Plan) Candidates(src index.PostingSource, dst []Candidate) []Candidate {
 	return p.candidates(src.AppendPostings, dst)
 }
@@ -338,16 +322,8 @@ type appendFunc func(buf []index.Posting, b traj.Symbol) []index.Posting
 // whole trajectories, so the bound sees every posting of every trajectory
 // it can emit.
 func (p *Plan) candidates(read appendFunc, dst []Candidate) []Candidate {
-	if p.in.q != nil {
-		p.extend()
-	}
-	sc := pruneScratches.Get().(*pruneScratch)
-	defer func() {
-		if cap(sc.read) > maxGroupScratch {
-			sc.read = nil // as GroupByTrajectory's buffer
-		}
-		pruneScratches.Put(sc)
-	}()
+	sc := getPruneScratch()
+	defer putPruneScratch(sc)
 	if len(p.Extra) > 0 {
 		return p.prune(sc, read, dst)
 	}

@@ -228,6 +228,11 @@ func sumFilterCost(m testutil.Model, q []traj.Symbol) float64 {
 	return s
 }
 
+// TestPlanPositionsAscending pins the shape of a BuildPlan plan: Q′ in
+// ascending query positions; Q′ and Extra one list of scan items with
+// their neighbourhoods; Extra and CPlus final as BuildPlan returns them,
+// untouched by Candidates; and every Candidates call over one source
+// emitting the same candidates.
 func TestPlanPositionsAscending(t *testing.T) {
 	env := testutil.NewEnv(6, 20, 15)
 	m := env.Models()[1]
@@ -242,10 +247,33 @@ func TestPlanPositionsAscending(t *testing.T) {
 			t.Fatalf("subsequence positions not ascending: %v", plan.Subseq)
 		}
 	}
-	for _, it := range plan.Subseq {
+	items := plan.ScanItems()
+	if len(plan.Extra) == 0 || &items[len(plan.Subseq)] != &plan.Extra[0] || len(plan.Neighbors) != len(items) {
+		t.Fatalf("Q′ (%d items) and Extra (%d) are not one scan list of %d items with %d neighbourhoods",
+			len(plan.Subseq), len(plan.Extra), len(items), len(plan.Neighbors))
+	}
+	cPlus := plan.CSum
+	for k, it := range items {
 		if q[it.Pos] != it.Sym {
 			t.Fatalf("item symbol mismatch at pos %d", it.Pos)
 		}
+		if want := m.Costs.Neighbors(it.Sym, nil); !slices.Equal(plan.Neighbors[k], want) {
+			t.Fatalf("scan item %d: neighbourhood %v, want %v", k, plan.Neighbors[k], want)
+		}
+		if k >= len(plan.Subseq) {
+			cPlus += m.Costs.FilterCost(it.Sym)
+		}
+	}
+	if plan.CPlus != cPlus {
+		t.Fatalf("CPlus = %v after BuildPlan, want c(Q⁺) = %v", plan.CPlus, cPlus)
+	}
+	extra := slices.Clone(plan.Extra)
+	first := plan.Candidates(inv, nil)
+	if !slices.Equal(plan.Extra, extra) || plan.CPlus != cPlus {
+		t.Fatalf("Candidates changed the plan: Extra %v → %v, CPlus %v → %v", extra, plan.Extra, cPlus, plan.CPlus)
+	}
+	if again := plan.Candidates(inv, nil); !slices.Equal(again, first) {
+		t.Fatalf("a second Candidates call emitted %d candidates, the first %d", len(again), len(first))
 	}
 }
 
